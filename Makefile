@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test benchmarks bench-record bench-compare slo chaos campaign-smoke shard-smoke trace-smoke serve-smoke baseline
+.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test benchmarks bench-record bench-compare bench-engine slo chaos campaign-smoke shard-smoke trace-smoke serve-smoke baseline
 
 lint: safelint ruff mypy
 
@@ -66,6 +66,13 @@ bench-record:
 BENCH_DIR ?= /tmp/repro-bench
 bench-compare:
 	$(PYTHON) scripts/bench_compare.py --recorded $(BENCH_DIR)
+
+# Engine benchmark self-check (~1.5 min): the harness tests, then one
+# smoke round of every workload (checks the harness and the correctness
+# gates, not speed).  Timed runs and comparisons: benchmarks/engine/README.md.
+bench-engine:
+	$(PYTHON) -m pytest benchmarks/engine -q
+	$(PYTHON) benchmarks/engine/run.py --workload all --smoke --seed 1
 
 # SLO gate over the freshly recorded serve benchmark (run bench-record
 # with REPRO_BENCH_DIR=$(BENCH_DIR) first); exit 1 on any violated

@@ -32,7 +32,7 @@ from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FilterError
 from repro.filtering.fusion import FusedEstimate, fuse_bands, intersect_or_fallback
-from repro.filtering.kalman import KalmanFilter
+from repro.filtering.kalman import KalmanFilter, KalmanState
 from repro.filtering.reachability import ReachBand, ReachabilityAnalyzer
 from repro.filtering.replay import ReplayKalmanFilter
 from repro.obs.observer import resolve_observer
@@ -102,8 +102,51 @@ class EstimateProvider(Protocol):
         ...
 
 
-def _physical_velocity_band(limits: VehicleLimits) -> Interval:
-    return Interval(limits.v_min, limits.v_max)
+def _guaranteed_band(
+    reach: ReachabilityAnalyzer,
+    bounds: NoiseBounds,
+    message: Optional[Message],
+    reading: Optional[SensorReading],
+    now: float,
+) -> ReachBand:
+    """Sound band at ``now`` from message reachability and the raw sensor band.
+
+    Units: now [s]
+
+    The newest message's exact state is propagated by reachability; the
+    newest reading's measurement band (velocity clipped to the physical
+    range) is propagated from its sample time.  Where both exist the
+    sensor band refines the message band by intersection, falling back
+    to the message band when the two are disjoint.
+    """
+    band = None
+    if message is not None:
+        band = reach.band_from_state(message.state, message.stamp, now)
+    if reading is not None:
+        limits = reach.limits
+        p_band = bounds.position_band(reading.position)
+        v_band = bounds.velocity_band(reading.velocity).intersect(
+            Interval(limits.v_min, limits.v_max)
+        )
+        if v_band.is_empty:
+            # Measurement pushed entirely outside the physical range; clip
+            # to the nearest physical velocity.
+            v_band = Interval.point(limits.clip_velocity(reading.velocity))
+        sensed = reach.band_from_intervals(p_band, v_band, reading.time, now)
+        if band is None:
+            band = sensed
+        else:
+            band = ReachBand(
+                time=band.time,
+                position=intersect_or_fallback(band.position, sensed.position),
+                velocity=intersect_or_fallback(band.velocity, sensed.velocity),
+            )
+    if band is None:
+        raise FilterError(
+            "no information yet: neither a sensor reading nor a message "
+            "has been ingested"
+        )
+    return band
 
 
 class InformationFilter:
@@ -176,6 +219,9 @@ class InformationFilter:
             history_horizon=history_horizon,
         )
         self._bounds = sensor_bounds
+        #: Diagonal of R, read by the watchdog gate.
+        self._r_p = sensor_bounds.position_variance
+        self._r_v = sensor_bounds.velocity_variance
         self._n_sigma = float(n_sigma)
         self._watchdog_sigma = (
             None if watchdog_sigma is None else float(watchdog_sigma)
@@ -194,22 +240,24 @@ class InformationFilter:
         """Feed a sensor reading to the replaying Kalman filter.
 
         The divergence watchdog gates the reading's innovation against
-        the filter's own predicted uncertainty *before* the update; the
-        reading is always folded in regardless (the filter keeps
-        running), the gate only decides whether :meth:`estimate` still
-        trusts the Kalman band.
+        the filter's own prediction *before* the update, sharing that
+        prediction with it; the reading is always folded in regardless
+        (the filter keeps running), the gate only decides whether
+        :meth:`estimate` still trusts the Kalman band.  A reading the
+        replay filter rejects (non-finite, or not advancing in time)
+        raises before the watchdog or any other state changes.
         """
+        gate = None if self._watchdog_sigma is None else self._gate_innovation
         if self._obs.enabled:
             before = (
                 self._watchdog.breaches,
                 self._watchdog.trips,
                 self._watchdog.recoveries,
             )
-            self._gate_innovation(reading)
+            self._replay.on_sensor_reading(reading, gate)
             self._observe_watchdog(before, reading.time)
         else:
-            self._gate_innovation(reading)
-        self._replay.on_sensor_reading(reading)
+            self._replay.on_sensor_reading(reading, gate)
         self._latest_reading = reading
 
     def _observe_watchdog(self, before, time: float) -> None:
@@ -276,8 +324,10 @@ class InformationFilter:
     # ------------------------------------------------------------------
     # Divergence watchdog
     # ------------------------------------------------------------------
-    def _gate_innovation(self, reading: SensorReading) -> None:
-        """Classify one reading's innovation; never raises.
+    def _gate_innovation(
+        self, reading: SensorReading, predicted: KalmanState
+    ) -> None:
+        """Classify one reading's innovation against ``predicted``; never raises.
 
         A breach means the measurement fell outside
         ``watchdog_sigma * sqrt(P + R)`` (per channel, plus a small
@@ -286,25 +336,9 @@ class InformationFilter:
         contradict.  After ``watchdog_consecutive`` breaches in a row the
         filter trips; one consistent reading recovers it.
         """
-        if self._watchdog_sigma is None or not self._replay.is_initialized:
-            return
-        try:
-            predicted = self._replay.estimate_at(reading.time)
-        except FilterError:
-            # Non-advancing or pre-posterior reading: let the replay
-            # filter's own validation report it; the gate stays silent.
-            return
-        kalman = self._replay.kalman
-        r = kalman.r_matrix
-        p = predicted.covariance
-        gate_p = (
-            self._watchdog_sigma * math.sqrt(max(p[0, 0] + r[0, 0], 0.0))
-            + _WATCHDOG_SLACK
-        )
-        gate_v = (
-            self._watchdog_sigma * math.sqrt(max(p[1, 1] + r[1, 1], 0.0))
-            + _WATCHDOG_SLACK
-        )
+        sigma = self._watchdog_sigma
+        gate_p = sigma * math.sqrt(max(predicted.p00 + self._r_p, 0.0)) + _WATCHDOG_SLACK
+        gate_v = sigma * math.sqrt(max(predicted.p11 + self._r_v, 0.0)) + _WATCHDOG_SLACK
         breach = (
             abs(reading.position - predicted.position) > gate_p
             or abs(reading.velocity - predicted.velocity) > gate_v
@@ -336,7 +370,9 @@ class InformationFilter:
         Requires at least one sensor reading or one message; the
         simulation engine guarantees a sensor sample at ``t = 0``.
         """
-        guaranteed = self._guaranteed_band(now)
+        guaranteed = _guaranteed_band(
+            self._reach, self._bounds, self._latest_message, self._latest_reading, now
+        )
         message_age = (
             None
             if self._latest_message is None
@@ -404,44 +440,6 @@ class InformationFilter:
             message_age=message_age,
         )
 
-    def _guaranteed_band(self, now: float) -> ReachBand:
-        """Sound band from message reachability and raw sensor propagation."""
-        bands = []
-        if self._latest_message is not None:
-            bands.append(
-                self._reach.band_from_state(
-                    self._latest_message.state, self._latest_message.stamp, now
-                )
-            )
-        if self._latest_reading is not None:
-            bands.append(self._sensor_band(self._latest_reading, now))
-        if not bands:
-            raise FilterError(
-                "no information yet: neither a sensor reading nor a message "
-                "has been ingested"
-            )
-        fused = bands[0]
-        for band in bands[1:]:
-            fused = ReachBand(
-                time=fused.time,
-                position=intersect_or_fallback(fused.position, band.position),
-                velocity=intersect_or_fallback(fused.velocity, band.velocity),
-            )
-        return fused
-
-    def _sensor_band(self, reading: SensorReading, now: float) -> ReachBand:
-        """Raw measurement band propagated from the sample time to ``now``."""
-        p_band = self._bounds.position_band(reading.position)
-        v_band = self._bounds.velocity_band(reading.velocity).intersect(
-            _physical_velocity_band(self._reach.limits)
-        )
-        if v_band.is_empty:
-            # Measurement pushed entirely outside the physical range; clip
-            # to the nearest physical velocity.
-            v = self._reach.limits.clip_velocity(reading.velocity)
-            v_band = Interval.point(v)
-        return self._reach.band_from_intervals(p_band, v_band, reading.time, now)
-
 
 class RawEstimator:
     """Unfiltered estimates: what the *basic* compound planner sees.
@@ -488,37 +486,9 @@ class RawEstimator:
 
         Units: now [s]
         """
-        bands = []
-        if self._latest_message is not None:
-            bands.append(
-                self._reach.band_from_state(
-                    self._latest_message.state, self._latest_message.stamp, now
-                )
-            )
-        if self._latest_reading is not None:
-            reading = self._latest_reading
-            p_band = self._bounds.position_band(reading.position)
-            v_band = self._bounds.velocity_band(reading.velocity).intersect(
-                _physical_velocity_band(self._reach.limits)
-            )
-            if v_band.is_empty:
-                v = self._reach.limits.clip_velocity(reading.velocity)
-                v_band = Interval.point(v)
-            bands.append(
-                self._reach.band_from_intervals(p_band, v_band, reading.time, now)
-            )
-        if not bands:
-            raise FilterError(
-                "no information yet: neither a sensor reading nor a message "
-                "has been ingested"
-            )
-        fused = bands[0]
-        for band in bands[1:]:
-            fused = ReachBand(
-                time=fused.time,
-                position=intersect_or_fallback(fused.position, band.position),
-                velocity=intersect_or_fallback(fused.velocity, band.velocity),
-            )
+        fused = _guaranteed_band(
+            self._reach, self._bounds, self._latest_message, self._latest_reading, now
+        )
         accel = 0.0
         accel_time = float("-inf")
         if self._latest_reading is not None:

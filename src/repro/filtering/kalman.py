@@ -20,11 +20,19 @@ uncertainty.
 
 The update uses the Joseph-form covariance update printed in the paper,
 which stays symmetric positive-semidefinite under roundoff.
+
+Every matrix is ``2x2`` and ``R`` is diagonal, so the filter works on
+scalars: a state is its time, the two means and the three distinct
+covariance entries, and each step is the matrix product written out by
+hand.  The matrices themselves stay available (``f_matrix`` ...
+``r_matrix``, ``KalmanState.x_hat``/``covariance``) for checking the
+equations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -36,7 +44,21 @@ from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["KalmanState", "KalmanFilter", "symmetrize_psd"]
 
-_EYE2 = np.eye(2)
+_isfinite = math.isfinite
+
+
+def _project_psd(
+    p00: float, p01: float, p11: float, floor: float = 0.0
+) -> Tuple[float, float, float]:
+    """Clamp a symmetric ``2x2`` covariance onto the PSD cone.
+
+    Both variances are raised to at least ``floor`` and the covariance
+    term is clipped to the Cauchy-Schwarz bound ``sqrt(p00 * p11)``.
+    """
+    p00 = max(p00, floor)
+    p11 = max(p11, floor)
+    cross = math.sqrt(p00 * p11)
+    return p00, min(max(p01, -cross), cross), p11
 
 
 def symmetrize_psd(covariance: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -61,57 +83,80 @@ def symmetrize_psd(covariance: np.ndarray, floor: float = 0.0) -> np.ndarray:
     Shapes: covariance [2, 2] -> [2, 2]
     """
     p = np.asarray(covariance, dtype=float)
-    p = 0.5 * (p + p.T)
-    p00 = max(float(p[0, 0]), floor)
-    p11 = max(float(p[1, 1]), floor)
-    cross = np.sqrt(p00 * p11)
-    p01 = float(np.clip(p[0, 1], -cross, cross))
+    p00, p01, p11 = _project_psd(
+        float(p[0, 0]), 0.5 * (float(p[0, 1]) + float(p[1, 0])), float(p[1, 1]), floor
+    )
     return np.array([[p00, p01], [p01, p11]])
 
 
-@dataclass(frozen=True)
-class KalmanState:
+class _StateFields(NamedTuple):
+    time: float
+    position: float
+    velocity: float
+    p00: float
+    p01: float
+    p11: float
+
+
+class KalmanState(_StateFields):
     """An estimate/covariance pair ``(x_hat, P)`` at a given time.
 
-    ``x_hat`` is the ``2x1`` ``[p, v]`` vector; ``P`` the ``2x2``
-    covariance.  Instances are value objects: arrays are copied on
-    construction and never mutated, so they are safe to checkpoint for
-    message replay.
+    Stored as scalars: ``position`` and ``velocity`` are ``x_hat``;
+    ``p00``, ``p01`` and ``p11`` are the variances and the covariance of
+    the symmetric ``P``.  Instances are immutable tuples, so they are
+    safe to checkpoint for message replay, and the five estimate values
+    of every one are checked finite on construction.
+
+    Units: time [s], position [m], velocity [m/s], p00 [m^2],
+    p01 [m^2/s], p11 [m^2/s^2]
     """
 
-    time: float
-    x_hat: np.ndarray
-    covariance: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        x = np.array(self.x_hat, dtype=float).reshape(2, 1)
-        p = np.array(self.covariance, dtype=float).reshape(2, 2)
-        if not np.all(np.isfinite(x)):
-            raise FilterError(f"non-finite state estimate: {x.ravel()}")
-        if not np.all(np.isfinite(p)):
-            raise FilterError(f"non-finite covariance: {p.ravel()}")
-        object.__setattr__(self, "x_hat", x)
-        object.__setattr__(self, "covariance", p)
-
-    @property
-    def position(self) -> float:
-        """Estimated position."""
-        return float(self.x_hat[0, 0])
+    def __new__(
+        cls,
+        time: float,
+        position: float,
+        velocity: float,
+        p00: float,
+        p01: float,
+        p11: float,
+    ) -> "KalmanState":
+        if not (_isfinite(position) and _isfinite(velocity)):
+            raise FilterError(f"non-finite state estimate: [{position}, {velocity}]")
+        if not (_isfinite(p00) and _isfinite(p01) and _isfinite(p11)):
+            raise FilterError(f"non-finite covariance: [{p00}, {p01}, {p11}]")
+        return tuple.__new__(cls, (time, position, velocity, p00, p01, p11))
 
     @property
-    def velocity(self) -> float:
-        """Estimated velocity."""
-        return float(self.x_hat[1, 0])
+    def x_hat(self) -> np.ndarray:
+        """The ``[p, v]`` column vector (a fresh read-only array).
+
+        Shapes: -> [2, 1]
+        """
+        x = np.array([[self.position], [self.velocity]])
+        x.flags.writeable = False
+        return x
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The symmetric covariance ``P`` (a fresh read-only array).
+
+        Shapes: -> [2, 2]
+        """
+        p = np.array([[self.p00, self.p01], [self.p01, self.p11]])
+        p.flags.writeable = False
+        return p
 
     @property
     def position_std(self) -> float:
         """Standard deviation of the position estimate."""
-        return float(np.sqrt(max(self.covariance[0, 0], 0.0)))
+        return math.sqrt(max(self.p00, 0.0))
 
     @property
     def velocity_std(self) -> float:
         """Standard deviation of the velocity estimate."""
-        return float(np.sqrt(max(self.covariance[1, 1], 0.0)))
+        return math.sqrt(max(self.p11, 0.0))
 
     def position_band(self, n_sigma: float = 3.0) -> Interval:
         """``mean ± n_sigma * std`` interval for the position."""
@@ -153,20 +198,9 @@ class KalmanFilter:
     def __init__(self, dt: float, bounds: NoiseBounds) -> None:
         self._dt = check_positive(dt, "dt")
         self._bounds = bounds
-        dt2 = dt * dt
-        self._f = np.array([[1.0, dt], [0.0, 1.0]])
-        self._g = np.array([[0.5 * dt2], [dt]])
-        accel_var = bounds.acceleration_variance
-        self._q = (
-            np.array(
-                [
-                    [0.25 * dt2 * dt2, 0.5 * dt2 * dt],
-                    [0.5 * dt2 * dt, dt2],
-                ]
-            )
-            * accel_var
-        )
-        self._r = np.diag([bounds.position_variance, bounds.velocity_variance])
+        self._accel_var = bounds.acceleration_variance
+        self._r_p = bounds.position_variance
+        self._r_v = bounds.velocity_variance
 
     # ------------------------------------------------------------------
     # Matrix accessors (used by tests to check the paper's equations)
@@ -178,35 +212,45 @@ class KalmanFilter:
 
     @property
     def f_matrix(self) -> np.ndarray:
-        """State-transition matrix ``F`` (copy).
+        """State-transition matrix ``F`` (fresh array).
 
         Shapes: -> [2, 2]
         """
-        return self._f.copy()
+        return np.array([[1.0, self._dt], [0.0, 1.0]])
 
     @property
     def g_matrix(self) -> np.ndarray:
-        """Control matrix ``G`` (copy).
+        """Control matrix ``G`` (fresh array).
 
         Shapes: -> [2, 1]
         """
-        return self._g.copy()
+        dt = self._dt
+        return np.array([[0.5 * dt * dt], [dt]])
 
     @property
     def q_matrix(self) -> np.ndarray:
-        """Process-noise covariance ``Q`` (copy).
+        """Process-noise covariance ``Q`` (fresh array).
 
         Shapes: -> [2, 2]
         """
-        return self._q.copy()
+        dt2 = self._dt * self._dt
+        return (
+            np.array(
+                [
+                    [0.25 * dt2 * dt2, 0.5 * dt2 * self._dt],
+                    [0.5 * dt2 * self._dt, dt2],
+                ]
+            )
+            * self._accel_var
+        )
 
     @property
     def r_matrix(self) -> np.ndarray:
-        """Measurement-noise covariance ``R`` (copy).
+        """Measurement-noise covariance ``R`` (fresh array).
 
         Shapes: -> [2, 2]
         """
-        return self._r.copy()
+        return np.diag([self._r_p, self._r_v])
 
     @property
     def bounds(self) -> NoiseBounds:
@@ -227,22 +271,28 @@ class KalmanFilter:
         """Build the prior ``(x_hat(0,0), P(0,0))``.
 
         Units: time [s], position [m], velocity [m/s]
+
+        Effects: pure
         """
         check_nonnegative(position_var, "position_var")
         check_nonnegative(velocity_var, "velocity_var")
         return KalmanState(
-            time=float(time),
-            x_hat=np.array([[position], [velocity]]),
-            covariance=np.diag([position_var, velocity_var]),
+            float(time),
+            float(position),
+            float(velocity),
+            float(position_var),
+            0.0,
+            float(velocity_var),
         )
 
     def predict(self, state: KalmanState, accel_measured: float) -> KalmanState:
-        """Extrapolate one step: ``x <- F x + G a_s``, ``P <- F P F' + Q``."""
-        x_pred = self._f @ state.x_hat + self._g * float(accel_measured)
-        p_pred = self._f @ state.covariance @ self._f.T + self._q
-        return KalmanState(
-            time=state.time + self._dt, x_hat=x_pred, covariance=p_pred
-        )
+        """Extrapolate one step: ``x <- F x + G a_s``, ``P <- F P F' + Q``.
+
+        Units: accel_measured [m/s^2]
+
+        Effects: pure
+        """
+        return self.extrapolate(state, accel_measured, self._dt)
 
     def update(
         self,
@@ -252,67 +302,98 @@ class KalmanFilter:
     ) -> KalmanState:
         """Fold in a ``(p_s, v_s)`` measurement at the predicted time.
 
+        Units: position_measured [m], velocity_measured [m/s]
+
+        Effects: pure
+
         Uses the paper's gain ``K = P (P + R)^{-1}`` (the measurement
-        matrix is the identity) and the Joseph-form covariance update.
+        matrix is the identity) and the Joseph-form covariance update,
+        both expanded for ``2x2`` matrices with a diagonal ``R``.
         """
-        z = np.array([[float(position_measured)], [float(velocity_measured)]])
-        if not np.any(self._r):
+        r_p = self._r_p
+        r_v = self._r_v
+        time, x_p, x_v, p00, p01, p11 = predicted
+        if r_p == 0.0 and r_v == 0.0:
             # Noiseless sensing (R = 0): the measurement is exact and the
             # posterior is the measurement with zero uncertainty.  This
             # keeps the perfect-communication test setups working.
             return KalmanState(
-                time=predicted.time, x_hat=z, covariance=np.zeros((2, 2))
+                time, float(position_measured), float(velocity_measured), 0.0, 0.0, 0.0
             )
-        p_prior = predicted.covariance
-        innovation_cov = p_prior + self._r
-        try:
-            gain = p_prior @ np.linalg.inv(innovation_cov)
-        except np.linalg.LinAlgError as exc:
+        # S = P + R and its determinant; K = P S^{-1} with the explicit
+        # 2x2 inverse S^{-1} = [[s11, -p01], [-p01, s00]] / det.
+        s00 = p00 + r_p
+        s11 = p11 + r_v
+        det = s00 * s11 - p01 * p01
+        if det == 0.0:
             raise FilterError(
                 "singular innovation covariance; use a nonzero noise bound "
                 "or a nonzero prior variance"
-            ) from exc
-        x_new = predicted.x_hat + gain @ (z - predicted.x_hat)
-        i_minus_k = _EYE2 - gain
-        p_new = i_minus_k @ p_prior @ i_minus_k.T + gain @ self._r @ gain.T
+            )
+        k00 = (p00 * s11 - p01 * p01) / det
+        k01 = (p01 * s00 - p00 * p01) / det
+        k10 = (p01 * s11 - p11 * p01) / det
+        k11 = (p11 * s00 - p01 * p01) / det
+        y_p = float(position_measured) - x_p
+        y_v = float(velocity_measured) - x_v
+        # Joseph form (I-K) P (I-K)' + K R K' with A = I - K.
+        a00 = 1.0 - k00
+        a11 = 1.0 - k11
+        ap00 = a00 * p00 - k01 * p01
+        ap01 = a00 * p01 - k01 * p11
+        ap10 = a11 * p01 - k10 * p00
+        ap11 = a11 * p11 - k10 * p01
+        j00 = ap00 * a00 - ap01 * k01 + (k00 * k00 * r_p + k01 * k01 * r_v)
+        j01 = -ap00 * k10 + ap01 * a11 + (k00 * k10 * r_p + k01 * k11 * r_v)
+        j10 = ap10 * a00 - ap11 * k01 + (k10 * k00 * r_p + k11 * k01 * r_v)
+        j11 = -ap10 * k10 + ap11 * a11 + (k10 * k10 * r_p + k11 * k11 * r_v)
         # Joseph form is symmetric PSD in exact arithmetic only; project
         # out the roundoff so long replayed chains cannot accumulate an
         # indefinite covariance (negative variance -> NaN bands).
-        p_new = symmetrize_psd(p_new)
-        return KalmanState(time=predicted.time, x_hat=x_new, covariance=p_new)
+        q00, q01, q11 = _project_psd(j00, 0.5 * (j01 + j10), j11)
+        return KalmanState(
+            time,
+            x_p + (k00 * y_p + k01 * y_v),
+            x_v + (k10 * y_p + k11 * y_v),
+            q00,
+            q01,
+            q11,
+        )
 
     def extrapolate(
         self, state: KalmanState, accel_measured: float, dt: float
     ) -> KalmanState:
         """Predict over an arbitrary horizon ``dt`` (not just ``dt_s``).
 
-        Units: dt [s]
+        Units: accel_measured [m/s^2], dt [s]
+
+        Effects: pure
 
         Used for (a) estimates between sensor samples — the runtime
         monitor runs every control step ``dt_c`` which is finer than the
         sensing period — and (b) message replay when the message stamp is
-        not aligned with the sensing schedule.  Matrices ``F``, ``G`` and
-        ``Q`` are re-derived for the requested horizon.
+        not aligned with the sensing schedule.  ``F``, ``G`` and ``Q``
+        are those of the requested horizon, with ``F P F'`` written out.
         """
         dt = float(dt)
         if dt < 0.0:
             raise FilterError(f"extrapolation horizon must be >= 0, got {dt}")
         if dt == 0.0:
             return state
-        f = np.array([[1.0, dt], [0.0, 1.0]])
-        g = np.array([[0.5 * dt * dt], [dt]])
-        q = (
-            np.array(
-                [
-                    [0.25 * dt**4, 0.5 * dt**3],
-                    [0.5 * dt**3, dt * dt],
-                ]
-            )
-            * self._bounds.acceleration_variance
+        time, x_p, x_v, p00, p01, p11 = state
+        a = float(accel_measured)
+        dt2 = dt * dt
+        var = self._accel_var
+        # F P F' + Q with F = [[1, dt], [0, 1]].
+        p01_dt = p01 + dt * p11
+        return KalmanState(
+            time + dt,
+            x_p + dt * x_v + 0.5 * dt2 * a,
+            x_v + dt * a,
+            p00 + dt * p01 + dt * p01_dt + 0.25 * dt2 * dt2 * var,
+            p01_dt + 0.5 * dt2 * dt * var,
+            p11 + dt2 * var,
         )
-        x_pred = f @ state.x_hat + g * float(accel_measured)
-        p_pred = f @ state.covariance @ f.T + q
-        return KalmanState(time=state.time + dt, x_hat=x_pred, covariance=p_pred)
 
     def exact_state(
         self, time: float, position: float, velocity: float
@@ -321,11 +402,11 @@ class KalmanFilter:
 
         Units: time [s], position [m], velocity [m/s]
 
+        Effects: pure
+
         Message content is accurate in the paper's model, so replay
         restarts the filter from the message state with zero uncertainty.
         """
         return KalmanState(
-            time=float(time),
-            x_hat=np.array([[position], [velocity]]),
-            covariance=np.zeros((2, 2)),
+            float(time), float(position), float(velocity), 0.0, 0.0, 0.0
         )

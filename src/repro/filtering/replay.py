@@ -9,7 +9,9 @@ estimations from ``t_k`` to the current timestamp based on the message."
 :class:`ReplayKalmanFilter` implements that design:
 
 * at every sensing instant it stores the *prediction* checkpoint
-  ``(x_hat(t, t - dt_s), P(t, t - dt_s))`` and the sensor reading itself;
+  ``(x_hat(t, t - dt_s), P(t, t - dt_s))`` and the sensor reading itself,
+  in append-only lists (readings must advance in time, so the lists stay
+  sorted and old entries are cut from the front);
 * when a (possibly delayed) message stamped ``t_k`` arrives, the filter
   rewinds to ``t_k``, replaces the estimate there with the message's exact
   state (zero covariance — message content is accurate in the paper's
@@ -23,7 +25,8 @@ new information and would only discard the better restart point).
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional
+import math
+from typing import Callable, List, Optional
 
 from repro.comm.message import Message
 from repro.errors import FilterError, ReplayError
@@ -32,13 +35,29 @@ from repro.sensing.sensor import SensorReading
 
 __all__ = ["ReplayKalmanFilter"]
 
-#: Timestamps are keyed at microsecond resolution; simulation times are
-#: sums of ``dt_c`` increments so this comfortably absorbs float error.
+#: Checkpoint lookups match timestamps at microsecond resolution;
+#: simulation times are sums of ``dt_c`` increments so this comfortably
+#: absorbs float error.
 _KEY_SCALE = 1e6
+
+#: Called with a reading and the filter's prediction at its time, before
+#: the update (the information filter's divergence watchdog).
+Gate = Callable[[SensorReading, KalmanState], None]
 
 
 def _key(time: float) -> int:
     return int(round(time * _KEY_SCALE))
+
+
+def _check_reading(reading: SensorReading) -> None:
+    """Reject a reading with a non-finite field before it touches any state."""
+    if not (
+        math.isfinite(reading.time)
+        and math.isfinite(reading.position)
+        and math.isfinite(reading.velocity)
+        and math.isfinite(reading.acceleration)
+    ):
+        raise FilterError(f"non-finite sensor reading: {reading}")
 
 
 class ReplayKalmanFilter:
@@ -64,9 +83,12 @@ class ReplayKalmanFilter:
         self._posterior: Optional[KalmanState] = None
         #: acceleration knowledge used to extrapolate past the posterior
         self._current_accel: float = 0.0
-        self._checkpoints: Dict[int, KalmanState] = {}
+        #: Logged readings in time order, their times, and the prediction
+        #: checkpoint at each (``None`` until the filter has predicted to
+        #: that reading: the initialising one).
+        self._readings: List[SensorReading] = []
         self._reading_times: List[float] = []
-        self._readings: Dict[int, SensorReading] = {}
+        self._checkpoints: List[Optional[KalmanState]] = []
         self._last_replayed_stamp: float = float("-inf")
         self._replay_count = 0
         self._last_replay_depth = 0
@@ -109,22 +131,37 @@ class ReplayKalmanFilter:
 
         Units: time [s]
         """
-        return self._checkpoints.get(_key(time))
+        key = _key(time)
+        index = bisect.bisect_left(self._reading_times, key, key=_key)
+        if index < len(self._reading_times) and _key(self._reading_times[index]) == key:
+            return self._checkpoints[index]
+        return None
 
     # ------------------------------------------------------------------
     # Sensor path
     # ------------------------------------------------------------------
-    def on_sensor_reading(self, reading: SensorReading) -> KalmanState:
+    def on_sensor_reading(
+        self, reading: SensorReading, gate: Optional[Gate] = None
+    ) -> KalmanState:
         """Fold in one sensor reading at its measurement time.
+
+        Effects: mutates-args
 
         The first reading initialises the filter with the measurement
         itself and the measurement covariance as prior.  Subsequent
         readings run predict (over the actual gap, using the previous
-        measured acceleration) followed by update.
+        measured acceleration) followed by update; ``gate``, if given,
+        sees the reading and that prediction between the two.
+
+        A reading with a non-finite field, or one that does not advance
+        past the posterior, raises :class:`~repro.errors.FilterError`
+        before any state changes.
 
         Returns the new posterior.
         """
-        if self._posterior is None:
+        _check_reading(reading)
+        posterior = self._posterior
+        if posterior is None:
             bounds = self._kalman.bounds
             self._posterior = KalmanFilter.initial_state(
                 time=reading.time,
@@ -133,22 +170,26 @@ class ReplayKalmanFilter:
                 position_var=bounds.position_variance,
                 velocity_var=bounds.velocity_variance,
             )
+            checkpoint = None
         else:
-            gap = reading.time - self._posterior.time
+            gap = reading.time - posterior.time
             if gap <= 0.0:
                 raise FilterError(
                     f"sensor readings must advance in time: got t={reading.time}"
-                    f" after t={self._posterior.time}"
+                    f" after t={posterior.time}"
                 )
-            predicted = self._kalman.extrapolate(
-                self._posterior, self._current_accel, gap
+            checkpoint = self._kalman.extrapolate(
+                posterior, self._current_accel, gap
             )
-            self._store_checkpoint(predicted)
+            if gate is not None:
+                gate(reading, checkpoint)
             self._posterior = self._kalman.update(
-                predicted, reading.position, reading.velocity
+                checkpoint, reading.position, reading.velocity
             )
         self._current_accel = reading.acceleration
-        self._log_reading(reading)
+        self._readings.append(reading)
+        self._reading_times.append(reading.time)
+        self._checkpoints.append(checkpoint)
         self._prune(reading.time)
         return self._posterior
 
@@ -194,15 +235,17 @@ class ReplayKalmanFilter:
         accel = message.state.acceleration
 
         # Replay every logged reading strictly after the stamp, in order.
-        idx = bisect.bisect_right(self._reading_times, stamp + 1e-12)
-        self._last_replay_depth = len(self._reading_times) - idx
-        for t in self._reading_times[idx:]:
-            reading = self._readings[_key(t)]
-            predicted = self._kalman.extrapolate(state, accel, t - state.time)
-            self._store_checkpoint(predicted)
-            state = self._kalman.update(
-                predicted, reading.position, reading.velocity
-            )
+        readings = self._readings
+        checkpoints = self._checkpoints
+        extrapolate = self._kalman.extrapolate
+        update = self._kalman.update
+        first = bisect.bisect_right(self._reading_times, stamp + 1e-12)
+        self._last_replay_depth = len(readings) - first
+        for index in range(first, len(readings)):
+            reading = readings[index]
+            predicted = extrapolate(state, accel, reading.time - state.time)
+            checkpoints[index] = predicted
+            state = update(predicted, reading.position, reading.velocity)
             accel = reading.acceleration
 
         self._posterior = state
@@ -239,20 +282,12 @@ class ReplayKalmanFilter:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _store_checkpoint(self, predicted: KalmanState) -> None:
-        self._checkpoints[_key(predicted.time)] = predicted
-
-    def _log_reading(self, reading: SensorReading) -> None:
-        key = _key(reading.time)
-        if key not in self._readings:
-            bisect.insort(self._reading_times, reading.time)
-        self._readings[key] = reading
-
     def _prune(self, now: float) -> None:
+        """Drop readings and checkpoints older than the history horizon."""
         cutoff = now - self._horizon
-        while self._reading_times and self._reading_times[0] < cutoff:
-            t = self._reading_times.pop(0)
-            self._readings.pop(_key(t), None)
-        stale = [k for k in self._checkpoints if k < _key(cutoff)]
-        for k in stale:
-            del self._checkpoints[k]
+        times = self._reading_times
+        if times[0] < cutoff:
+            cut = bisect.bisect_left(times, cutoff)
+            del times[:cut]
+            del self._readings[:cut]
+            del self._checkpoints[:cut]

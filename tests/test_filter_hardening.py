@@ -84,9 +84,7 @@ class TestJosephHardening:
         # deliberately mismatched the other way round.
         kf = KalmanFilter(DT, NoiseBounds(delta_p=1e3, delta_v=1e-3, delta_a=0.5))
         prior = KalmanState(
-            time=0.0,
-            x_hat=np.array([[100.0], [10.0]]),
-            covariance=np.array([[1e-8, 1e-5], [1e-5, 1e4]]),
+            time=0.0, position=100.0, velocity=10.0, p00=1e-8, p01=1e-5, p11=1e4
         )
         posterior = kf.update(prior, 101.0, 9.0)
         p = posterior.covariance
@@ -97,9 +95,7 @@ class TestJosephHardening:
     def test_hardened_update_matches_joseph_form_within_1e12(self):
         kf = KalmanFilter(DT, NoiseBounds(delta_p=1e3, delta_v=1e-3, delta_a=0.5))
         prior = KalmanState(
-            time=0.0,
-            x_hat=np.array([[100.0], [10.0]]),
-            covariance=np.array([[1e-8, 1e-5], [1e-5, 1e4]]),
+            time=0.0, position=100.0, velocity=10.0, p00=1e-8, p01=1e-5, p11=1e4
         )
         p_prior = prior.covariance
         gain = p_prior @ np.linalg.inv(p_prior + kf.r_matrix)
@@ -238,6 +234,17 @@ class TestDivergenceWatchdog:
             self._filter(watchdog_sigma=0.0)
         with pytest.raises(FilterError):
             self._filter(watchdog_consecutive=0)
+
+    @pytest.mark.parametrize("position", [float("nan"), float("inf")])
+    def test_non_finite_reading_leaves_watchdog_untouched(self, position):
+        info = self._filter()
+        self._feed_consistent(info, 1, 10, 0.0, 8.0)
+        info.on_sensor_reading(_reading(11 * DT, 500.0, 8.0))
+        before = WatchdogStats(**vars(info.watchdog))
+        assert before.consecutive == 1
+        with pytest.raises(FilterError):
+            info.on_sensor_reading(_reading(12 * DT, position, 8.0))
+        assert info.watchdog == before
 
     def test_stats_object_is_live(self):
         info = self._filter()

@@ -51,7 +51,7 @@ class TestPaperMatrices:
 class TestKalmanState:
     def test_accessors(self):
         s = KalmanState(
-            time=1.0, x_hat=[[2.0], [3.0]], covariance=[[4.0, 0.0], [0.0, 9.0]]
+            time=1.0, position=2.0, velocity=3.0, p00=4.0, p01=0.0, p11=9.0
         )
         assert s.position == 2.0
         assert s.velocity == 3.0
@@ -60,7 +60,7 @@ class TestKalmanState:
 
     def test_bands(self):
         s = KalmanState(
-            time=0.0, x_hat=[[0.0], [0.0]], covariance=np.eye(2)
+            time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
         )
         band = s.position_band(2.0)
         assert band.lo == -2.0 and band.hi == 2.0
@@ -69,18 +69,25 @@ class TestKalmanState:
         with pytest.raises(FilterError):
             KalmanState(
                 time=0.0,
-                x_hat=[[np.nan], [0.0]],
-                covariance=np.eye(2),
+                position=np.nan,
+                velocity=0.0,
+                p00=1.0,
+                p01=0.0,
+                p11=1.0,
             )
 
     def test_arrays_copied(self):
         x = np.array([[1.0], [2.0]])
-        s = KalmanState(time=0.0, x_hat=x, covariance=np.eye(2))
+        s = KalmanState(
+            time=0.0, position=x[0, 0], velocity=x[1, 0], p00=1.0, p01=0.0, p11=1.0
+        )
         x[0, 0] = 50.0
         assert s.position == 1.0
 
     def test_as_vehicle_state(self):
-        s = KalmanState(time=0.0, x_hat=[[1.0], [2.0]], covariance=np.eye(2))
+        s = KalmanState(
+            time=0.0, position=1.0, velocity=2.0, p00=1.0, p01=0.0, p11=1.0
+        )
         v = s.as_vehicle_state(acceleration=0.7)
         assert isinstance(v, VehicleState)
         assert v.acceleration == 0.7
@@ -89,7 +96,9 @@ class TestKalmanState:
 class TestPredictUpdate:
     def test_predict_mean(self):
         kf = _filter()
-        s = KalmanState(time=0.0, x_hat=[[0.0], [10.0]], covariance=np.eye(2))
+        s = KalmanState(
+            time=0.0, position=0.0, velocity=10.0, p00=1.0, p01=0.0, p11=1.0
+        )
         pred = kf.predict(s, accel_measured=2.0)
         assert pred.time == pytest.approx(DT)
         assert pred.position == pytest.approx(10.0 * DT + 0.5 * 2.0 * DT * DT)
@@ -97,14 +106,16 @@ class TestPredictUpdate:
 
     def test_predict_grows_covariance(self):
         kf = _filter()
-        s = KalmanState(time=0.0, x_hat=[[0.0], [0.0]], covariance=np.eye(2))
+        s = KalmanState(
+            time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
+        )
         pred = kf.predict(s, 0.0)
         assert np.trace(pred.covariance) > np.trace(s.covariance)
 
     def test_update_moves_toward_measurement(self):
         kf = _filter()
         pred = KalmanState(
-            time=0.0, x_hat=[[0.0], [0.0]], covariance=np.eye(2) * 100.0
+            time=0.0, position=0.0, velocity=0.0, p00=100.0, p01=0.0, p11=100.0
         )
         post = kf.update(pred, position_measured=5.0, velocity_measured=-2.0)
         # Huge prior variance: the posterior should sit near the
@@ -115,7 +126,7 @@ class TestPredictUpdate:
     def test_update_shrinks_covariance(self):
         kf = _filter()
         pred = KalmanState(
-            time=0.0, x_hat=[[0.0], [0.0]], covariance=np.eye(2)
+            time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
         )
         post = kf.update(pred, 0.5, 0.5)
         assert np.trace(post.covariance) < np.trace(pred.covariance)
@@ -123,7 +134,7 @@ class TestPredictUpdate:
     def test_update_covariance_symmetric_psd(self):
         kf = _filter()
         state = KalmanState(
-            time=0.0, x_hat=[[0.0], [0.0]], covariance=np.eye(2)
+            time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
         )
         for i in range(50):
             state = kf.predict(state, 0.1)
@@ -137,7 +148,7 @@ class TestPredictUpdate:
         # measurement with zero covariance (no singular inversion).
         kf = KalmanFilter(DT, NoiseBounds.noiseless())
         pred = KalmanState(
-            time=0.0, x_hat=[[0.0], [0.0]], covariance=np.zeros((2, 2))
+            time=0.0, position=0.0, velocity=0.0, p00=0.0, p01=0.0, p11=0.0
         )
         post = kf.update(pred, 1.0, -2.0)
         assert post.position == 1.0
@@ -148,12 +159,16 @@ class TestPredictUpdate:
 class TestExtrapolate:
     def test_zero_horizon_identity(self):
         kf = _filter()
-        s = KalmanState(time=1.0, x_hat=[[1.0], [2.0]], covariance=np.eye(2))
+        s = KalmanState(
+            time=1.0, position=1.0, velocity=2.0, p00=1.0, p01=0.0, p11=1.0
+        )
         assert kf.extrapolate(s, 0.0, 0.0) is s
 
     def test_matches_predict_at_native_step(self):
         kf = _filter()
-        s = KalmanState(time=0.0, x_hat=[[1.0], [2.0]], covariance=np.eye(2))
+        s = KalmanState(
+            time=0.0, position=1.0, velocity=2.0, p00=1.0, p01=0.0, p11=1.0
+        )
         a = 1.5
         via_predict = kf.predict(s, a)
         via_extrapolate = kf.extrapolate(s, a, DT)
@@ -162,7 +177,9 @@ class TestExtrapolate:
 
     def test_negative_horizon_rejected(self):
         kf = _filter()
-        s = KalmanState(time=0.0, x_hat=[[0.0], [0.0]], covariance=np.eye(2))
+        s = KalmanState(
+            time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
+        )
         with pytest.raises(FilterError):
             kf.extrapolate(s, 0.0, -0.1)
 

@@ -64,6 +64,30 @@ class TestSensorPath:
         rkf.on_sensor_reading(_reading(0.0, 50.0, -12.0, a=1.5))
         assert rkf.current_accel == 1.5
 
+    @pytest.mark.parametrize("field", ["time", "position", "velocity", "acceleration"])
+    def test_non_finite_reading_rejected_before_any_state_change(self, field):
+        rkf = _rkf()
+        rkf.on_sensor_reading(_reading(0.0, 50.0, -12.0, a=1.5))
+        posterior = rkf.posterior
+        values = {"t": 0.1, "p": 48.8, "v": -12.0, "a": 0.5}
+        values[field[0]] = float("nan")
+        with pytest.raises(FilterError):
+            rkf.on_sensor_reading(_reading(**values))
+        assert rkf.current_accel == 1.5
+        assert rkf.posterior is posterior
+        assert rkf._reading_times == [0.0]
+
+    def test_gate_sees_the_prediction_the_update_uses(self):
+        rkf = _rkf()
+        rkf.on_sensor_reading(_reading(0.0, 50.0, -12.0, a=1.0))
+        seen = []
+        rkf.on_sensor_reading(
+            _reading(0.1, 48.8, -12.0), gate=lambda r, p: seen.append((r, p))
+        )
+        assert len(seen) == 1
+        assert seen[0][1] == rkf.checkpoint_at(0.1)
+        assert seen[0][1].time == pytest.approx(0.1)
+
 
 class TestEstimateAt:
     def test_uninitialised_raises(self):
@@ -186,6 +210,24 @@ class TestMessageReplay:
     def test_invalid_horizon_rejected(self):
         with pytest.raises(FilterError):
             ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.0)
+
+    def test_checkpoints_renewed_by_replay_and_pruned(self):
+        rkf = ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.5)
+        truth = self._drive(rkf, n=20)
+        before = rkf.checkpoint_at(18 * DT)
+        stamp = 16 * DT
+        rkf.on_message(
+            Message(
+                sender=1,
+                stamp=stamp,
+                state=truth[round(stamp, 10)].with_acceleration(0.5),
+            ),
+            19 * DT,
+        )
+        after = rkf.checkpoint_at(18 * DT)
+        assert after is not None and after != before
+        assert after.time == pytest.approx(18 * DT)
+        assert rkf.checkpoint_at(5 * DT) is None  # beyond the horizon
 
     def test_pruning_bounds_memory(self):
         rkf = ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.5)
