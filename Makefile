@@ -81,13 +81,14 @@ slo:
 	$(PYTHON) -m repro.obs.obs_cli slo check $(BENCH_DIR)/BENCH_serve.json \
 		--spec slo/serve_bench.json
 
-# Chaos suite (~30 s): fault-model, fault-plan and crash-tolerance tests
-# plus the chaos certification benchmark (zero collisions for the
-# shielded planner across the fault grid, bit-identical parallel results
-# under injected worker crashes).  See docs/ROBUSTNESS.md.
+# Chaos suite (~30 s): fault-model, fault-plan and crash-tolerance tests,
+# the batch runner against its test-side reference, plus the chaos
+# certification benchmark (zero collisions for the shielded planner
+# across the fault grid, bit-identical process-pool results under
+# injected worker crashes).  See docs/ROBUSTNESS.md.
 chaos:
 	$(PYTHON) -m pytest tests/test_comm_faults.py tests/test_fault_plan.py \
-		tests/test_parallel_faults.py -q
+		tests/test_parallel_faults.py tests/test_runner_reference.py -q
 	$(PYTHON) -m pytest benchmarks/test_bench_chaos.py \
 		benchmarks/test_bench_campaign.py --benchmark-only -q
 

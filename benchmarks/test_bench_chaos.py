@@ -5,8 +5,8 @@ planner, with a fault-injected embedded planner) across a grid of
 channel fault models and engine-level sensor dropout — the fault
 classes the paper's guarantee covers — and asserts **zero collisions**
 in every cell.  A final cell re-runs one configuration through the
-crash-tolerant parallel runner with an injected worker crash and
-asserts the results are bit-identical to the sequential reference.
+batch runner's process pool with an injected worker crash and asserts
+the results are bit-identical to the in-process reference.
 
 Run via ``make chaos`` (~30 s at the default batch size); scale with
 ``REPRO_BENCH_SIMS`` like the other benchmarks.
@@ -39,7 +39,6 @@ from repro.planners.constant import ConstantPlanner
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
-from repro.sim.parallel import ParallelBatchRunner
 from repro.sim.runner import BatchRunner, EstimatorKind
 
 from conftest import BENCH_SIMS
@@ -207,10 +206,8 @@ def test_chaos_parallel_bit_identity_under_crash(benchmark, run_once, tmp_path):
             SimulationEngine(scenario, _comm(faults), _config()),
             EstimatorKind.FILTERED,
         ).run_batch(_shielded_planner(scenario), CHAOS_SIMS, seed=31)
-        parallel = ParallelBatchRunner(
-            scenario,
-            _comm(faults),
-            _config(),
+        parallel = BatchRunner(
+            SimulationEngine(scenario, _comm(faults), _config()),
             estimator_kind=EstimatorKind.FILTERED,
             n_workers=2,
             chaos=chaos,

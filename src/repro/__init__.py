@@ -109,7 +109,6 @@ from repro.sim import (
     EstimatorKind,
     FailureRecord,
     Outcome,
-    ParallelBatchRunner,
     SimulationConfig,
     SimulationEngine,
     SimulationResult,
@@ -186,7 +185,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationEngine",
     "BatchRunner",
-    "ParallelBatchRunner",
     "BatchResult",
     "FailureRecord",
     "EstimatorKind",

@@ -13,7 +13,7 @@ makes the batch layer durable:
 * :mod:`repro.campaign.store` — atomic (tmp + fsync + rename) snapshots
   of completed chunks;
 * :class:`CampaignRunner` — runs chunks through
-  :class:`~repro.sim.parallel.ParallelBatchRunner`, journals progress,
+  :class:`~repro.sim.runner.BatchRunner`, journals progress,
   retries transient chunk failures with deterministic seeded backoff,
   drains cleanly on SIGINT/SIGTERM, and resumes a killed campaign to
   aggregate results **bit-identical** to an uninterrupted run.

@@ -16,7 +16,7 @@ offending spec.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.disturbance import DisturbanceModel, no_disturbance
 from repro.comm.faults import (
@@ -52,8 +52,9 @@ from repro.scenarios.base import Scenario
 from repro.scenarios.car_following import CarFollowingScenario
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
 from repro.sensing.noise import NoiseBounds
-from repro.sim.engine import CommSetup, SimulationConfig
-from repro.sim.runner import EstimatorKind
+from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
+from repro.sim.results import ChunkResult
+from repro.sim.runner import BatchRunner, EstimatorKind
 
 __all__ = [
     "build_scenario",
@@ -61,6 +62,7 @@ __all__ = [
     "build_config",
     "build_planner",
     "build_workload",
+    "workload_executor",
 ]
 
 _SCENARIOS: Dict[str, Callable[..., Scenario]] = {
@@ -338,3 +340,47 @@ def build_workload(
         else EstimatorKind.RAW
     )
     return scenario, comm, config, planner, kind
+
+
+def workload_executor(
+    manifest,
+    n_workers: int = 1,
+    max_retries: int = 2,
+    timeout_per_sim: Optional[float] = None,
+    observer=None,
+) -> Callable[..., ChunkResult]:
+    """The chunk executor of a manifest's workload, built on first use.
+
+    Returns ``execute(indices, n_sims, seed, progress=None)``: the first
+    call builds the workload (:func:`build_workload`) behind a
+    :class:`~repro.sim.runner.BatchRunner`, and every call runs
+    :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed`.  The
+    campaign runner and the shard worker both execute chunks through it.
+
+    Units: timeout_per_sim [s]
+    """
+    built: List[Tuple[BatchRunner, Planner]] = []
+
+    def execute(
+        indices: Sequence[int],
+        n_sims: int,
+        seed: int,
+        progress: Optional[Callable[[int], None]] = None,
+    ) -> ChunkResult:
+        if not built:
+            scenario, comm, config, planner, kind = build_workload(manifest)
+            runner = BatchRunner(
+                SimulationEngine(scenario, comm, config),
+                kind,
+                n_workers=n_workers,
+                max_retries=max_retries,
+                timeout_per_sim=timeout_per_sim,
+                observer=observer,
+            )
+            built.append((runner, planner))
+        runner, planner = built[0]
+        return runner.run_indices_detailed(
+            planner, indices, n_sims, seed, progress=progress
+        )
+
+    return execute

@@ -8,7 +8,7 @@ manifest defines the partition, so it is part of the fingerprint).  For
 each chunk the runner
 
 1. executes the chunk's indices through
-   :meth:`~repro.sim.parallel.ParallelBatchRunner.run_indices_detailed`
+   :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed`
    (retrying transiently failed chunks with deterministic seeded
    backoff),
 2. persists the chunk snapshot atomically (tmp + fsync + rename), then
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.campaign.backoff import BackoffPolicy
-from repro.campaign.builders import build_workload
+from repro.campaign.builders import workload_executor
 from repro.campaign.journal import JournalWriter, read_journal, recover_journal
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.store import atomic_write_json, load_json
@@ -51,7 +51,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import resolve_observer
 from repro.obs.recorder import TELEMETRY_FILE, FlightRecorder
 from repro.obs.trace import perf_now
-from repro.sim.parallel import ParallelBatchRunner
 from repro.sim.results import AggregateStats, ChunkResult
 from repro.sim.serialization import (
     SCHEMA_VERSION,
@@ -97,10 +96,6 @@ ChunkExecutor = Callable[[List[int], int, int], ChunkResult]
 def chunk_path(directory: Path, chunk: int) -> Path:
     """The atomic snapshot file of chunk ``chunk`` under ``directory``."""
     return directory / _CHUNK_DIR / f"chunk-{chunk:05d}.json"
-
-
-# Backwards-compatible private alias (older call sites / tests).
-_chunk_path = chunk_path
 
 
 def persist_chunk_snapshot(
@@ -253,7 +248,7 @@ class CampaignRunner:
         Per-index retry budget inside the batch layer.
     timeout_per_sim:
         Optional per-simulation time budget [s] forwarded to
-        :class:`~repro.sim.parallel.ParallelBatchRunner`; a chunk of
+        :class:`~repro.sim.runner.BatchRunner`; a chunk of
         ``m`` indices is given ``m * timeout_per_sim`` seconds before
         its workers are terminated and the indices retried.
     backoff:
@@ -534,25 +529,15 @@ class CampaignRunner:
         return last
 
     def _chunk_executor(self) -> ChunkExecutor:
-        if self._executor is not None:
-            return self._executor
-        scenario, comm, config, planner, kind = build_workload(self._manifest)
-        runner = ParallelBatchRunner(
-            scenario,
-            comm,
-            config,
-            estimator_kind=kind,
-            n_workers=self._n_workers,
-            max_retries=self._max_retries,
-            timeout_per_sim=self._timeout_per_sim,
-            observer=(self._obs if self._obs.enabled else None),
-        )
-
-        def execute(indices: List[int], n_sims: int, seed: int) -> ChunkResult:
-            return runner.run_indices_detailed(planner, indices, n_sims, seed)
-
-        self._executor = execute
-        return execute
+        if self._executor is None:
+            self._executor = workload_executor(
+                self._manifest,
+                n_workers=self._n_workers,
+                max_retries=self._max_retries,
+                timeout_per_sim=self._timeout_per_sim,
+                observer=(self._obs if self._obs.enabled else None),
+            )
+        return self._executor
 
     # ------------------------------------------------------------------
     # Persistence
@@ -854,7 +839,7 @@ def verify_campaign(directory: Union[str, Path]) -> dict:
             finished_digest = str(record.get("results_digest"))
     per_index: List[Optional[dict]] = [None] * manifest.n_sims
     for chunk, digest in sorted(completed.items()):
-        path = _chunk_path(directory, chunk)
+        path = chunk_path(directory, chunk)
         try:
             snapshot = load_json(path)
         except SerializationError as exc:

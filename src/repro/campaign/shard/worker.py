@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.campaign.builders import build_workload
+from repro.campaign.builders import workload_executor
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.runner import MANIFEST_FILE, persist_chunk_snapshot
 from repro.campaign.shard.protocol import (
@@ -46,57 +46,10 @@ from repro.campaign.shard.protocol import (
     encode_message,
 )
 from repro.obs.fleet import delta_is_empty, empty_snapshot, snapshot_delta
-from repro.obs.observer import MetricsOnlyObserver, Observer
+from repro.obs.observer import MetricsOnlyObserver
 from repro.obs.trace import perf_now
-from repro.sim.parallel import ParallelBatchRunner
 
 __all__ = ["worker_main", "build_parser"]
-
-
-class _ChunkRunner:
-    """Lazy workload state: built on the first chunk, reused after."""
-
-    def __init__(
-        self,
-        manifest: CampaignManifest,
-        max_retries: int,
-        timeout_per_sim: Optional[float],
-        observer: Optional[Observer] = None,
-    ) -> None:
-        self._manifest = manifest
-        self._max_retries = max_retries
-        self._timeout_per_sim = timeout_per_sim
-        self._observer = observer
-        self._runner: Optional[ParallelBatchRunner] = None
-        self._planner = None
-
-    def run(self, chunk: int, progress) -> tuple:
-        """Run one chunk; returns ``(result, elapsed_seconds)``."""
-        if self._runner is None:
-            scenario, comm, config, planner, kind = build_workload(
-                self._manifest
-            )
-            self._planner = planner
-            self._runner = ParallelBatchRunner(
-                scenario,
-                comm,
-                config,
-                estimator_kind=kind,
-                n_workers=1,
-                max_retries=self._max_retries,
-                timeout_per_sim=self._timeout_per_sim,
-                observer=self._observer,
-            )
-        indices = self._manifest.chunk_indices(chunk)
-        started = perf_now()
-        result = self._runner.run_indices_detailed(
-            self._planner,
-            indices,
-            self._manifest.n_sims,
-            self._manifest.seed,
-            progress=progress,
-        )
-        return result, max(perf_now() - started, 0.0)
 
 
 def _emit(message: dict) -> None:
@@ -137,8 +90,11 @@ def worker_main(
             message["metrics"] = delta
         _emit(message)
 
-    runner = _ChunkRunner(
-        manifest, max_retries, timeout_per_sim, observer=observer
+    execute = workload_executor(
+        manifest,
+        max_retries=max_retries,
+        timeout_per_sim=timeout_per_sim,
+        observer=observer,
     )
     _emit(
         {
@@ -187,7 +143,14 @@ def worker_main(
         # reported as an error event and re-dispatched by the
         # coordinator; the worker itself survives to run other chunks.
         try:
-            result, elapsed = runner.run(chunk, progress)
+            started = perf_now()
+            result = execute(
+                manifest.chunk_indices(chunk),
+                manifest.n_sims,
+                manifest.seed,
+                progress,
+            )
+            elapsed = max(perf_now() - started, 0.0)
             if result.transient_failures:
                 failed = sorted(
                     {failure.index for failure in result.transient_failures}

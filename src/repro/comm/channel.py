@@ -2,12 +2,12 @@
 
 A :class:`Channel` connects one broadcasting vehicle to the ego receiver.
 Every ``dt_m`` seconds the simulation engine offers the sender's exact
-state to the channel; the channel applies its fault pipeline (either a
-composable :class:`~repro.comm.faults.FaultModel` or the legacy
-:class:`~repro.comm.disturbance.DisturbanceModel`, which is converted to
-one) and queues the surviving copies for delivery.  The receiver polls
-:meth:`Channel.receive` each control step and gets every copy whose
-delivery time has passed, in delivery order.
+state to the channel; the channel applies its fault pipeline (a
+composable :class:`~repro.comm.faults.FaultModel`; the paper's
+:class:`~repro.comm.disturbance.DisturbanceModel` presets convert to one
+via ``as_fault_model``) and queues the surviving copies for delivery.
+The receiver polls :meth:`Channel.receive` each control step and gets
+every copy whose delivery time has passed, in delivery order.
 
 Under jitter a later-sent message can be delivered before an earlier one
 (out-of-order delivery), and under duplication one send produces several
@@ -26,8 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.comm.disturbance import DisturbanceModel, no_disturbance
-from repro.comm.faults import ComposedFaults, FaultModel
+from repro.comm.faults import ComposedFaults, FaultModel, NoFault
 from repro.comm.message import Message
 from repro.dynamics.state import VehicleState
 from repro.errors import ConfigurationError
@@ -91,15 +90,12 @@ class Channel:
     period:
         Transmission period ``dt_m``: the sender broadcasts at
         ``t = 0, dt_m, 2*dt_m, ...``.
-    disturbance:
-        Legacy drop/delay preset; converted internally to a fault model.
-        Mutually exclusive with ``faults``.
     rng:
         Stream used for stochastic fault decisions.  Required whenever
         the effective fault model is stochastic.
     faults:
-        Composable fault pipeline (see :mod:`repro.comm.faults`).
-        Mutually exclusive with ``disturbance``.
+        Composable fault pipeline (see :mod:`repro.comm.faults`); the
+        default delivers every message immediately.
     observer:
         Optional :class:`~repro.obs.observer.Observer`; records per-stage
         drop/duplication counters and delivery-delay observations.
@@ -113,9 +109,8 @@ class Channel:
     def __init__(
         self,
         period: float,
-        disturbance: Optional[DisturbanceModel] = None,
         rng: Optional[RngStream] = None,
-        faults: Optional[FaultModel] = None,
+        faults: FaultModel = NoFault(),
         observer=None,
         name: str = "",
     ) -> None:
@@ -124,18 +119,7 @@ class Channel:
         Effects: mutates-args, draws-rng
         """
         self._period = check_positive(period, "period")
-        if faults is not None and disturbance is not None:
-            raise ConfigurationError(
-                "pass either 'disturbance' or 'faults' to Channel, not both"
-            )
-        if faults is not None:
-            self._disturbance: Optional[DisturbanceModel] = None
-            self._faults = faults
-        else:
-            self._disturbance = (
-                disturbance if disturbance is not None else no_disturbance()
-            )
-            self._faults = self._disturbance.as_fault_model()
+        self._faults = faults
         if self._faults.is_stochastic and rng is None:
             raise ConfigurationError(
                 "a Channel with a stochastic fault model requires an rng stream"
@@ -169,13 +153,8 @@ class Channel:
         return self._period
 
     @property
-    def disturbance(self) -> Optional[DisturbanceModel]:
-        """The legacy disturbance preset, or ``None`` under a fault model."""
-        return self._disturbance
-
-    @property
     def faults(self) -> FaultModel:
-        """The effective fault model (presets are converted to one)."""
+        """The channel's fault model."""
         return self._faults
 
     @property

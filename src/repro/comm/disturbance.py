@@ -10,10 +10,10 @@ Section V of the paper evaluates three communication settings:
 * **messages lost** — every message is dropped, so the ego must rely on
   its noisy onboard sensors alone.
 
-A :class:`DisturbanceModel` decides, per message, whether it is dropped
-and how long its delivery is delayed.  Randomness comes from the stream
-passed at decision time so one model instance can serve many seeded
-simulations.
+A :class:`DisturbanceModel` names a setting's drop probability and
+delivery delay; :meth:`DisturbanceModel.as_fault_model` turns it into the
+channel fault pipeline (independent loss, then a fixed delay) that makes
+the per-message decisions.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.comm.faults import FaultModel, FixedDelay, IndependentLoss, NoFault, compose
-from repro.utils.rng import RngStream
 from repro.utils.validation import check_nonnegative, check_probability
 
 __all__ = [
@@ -62,28 +61,13 @@ class DisturbanceModel:
         """Whether no message ever gets through (``p_d == 1``)."""
         return self.drop_probability >= 1.0
 
-    def is_dropped(self, rng: RngStream) -> bool:
-        """Draw the drop decision for one message.
-
-        Effects: draws-rng
-        """
-        return rng.bernoulli(self.drop_probability)
-
-    def delivery_delay(self) -> float:
-        """Delay applied to a message that survives the drop decision.
-
-        Units: -> [s]
-        """
-        return self.delay
-
     def as_fault_model(self) -> FaultModel:
         """This preset expressed in the composable fault-model algebra.
 
         The paper's three settings are trivial instances of
         :mod:`repro.comm.faults`: independent loss composed with a fixed
-        delay.  The channel performs this conversion internally, so the
-        legacy ``DisturbanceModel`` API and the fault-model API draw
-        identical random sequences for identical seeds.
+        delay.  The simulation engine builds every channel from this
+        conversion unless the comm setup names its own fault model.
         """
         if self.delay == 0.0 and self.drop_probability == 0.0:
             return NoFault()

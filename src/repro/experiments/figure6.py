@@ -90,8 +90,8 @@ def _one_trajectory(
     sensor = Sensor(target=1, period=config.dt_s, bounds=bounds, rng=sensor_rng)
     channel = Channel(
         period=config.dt_m,
-        disturbance=messages_delayed(config.message_delay, 0.3),
         rng=channel_rng,
+        faults=messages_delayed(config.message_delay, 0.3).as_fault_model(),
     )
     rkf = ReplayKalmanFilter(KalmanFilter(config.dt_s, bounds))
 

@@ -36,7 +36,6 @@ from repro.filtering.info_filter import InformationFilter
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.results import AggregateStats
-from repro.sim.runner import BatchRunner, EstimatorKind
 
 __all__ = [
     "BUFFER_GRID",
@@ -98,9 +97,6 @@ def _run_ultimate(
             n_sigma=n_sigma,
         )
 
-    runner = BatchRunner(engine, EstimatorKind.FILTERED)
-    # Swap in the custom-n_sigma factory (BatchRunner builds the default
-    # one; the engine API takes the factory per run).
     results = [
         engine.run(planner, factory, stream)
         for stream in _streams(config)

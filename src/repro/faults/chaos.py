@@ -2,7 +2,7 @@
 
 Channel and engine faults disturb the *simulated* world; the hook here
 disturbs the *infrastructure* running it, so the crash tolerance of
-:class:`~repro.sim.parallel.ParallelBatchRunner` can be exercised
+:class:`~repro.sim.runner.BatchRunner` can be exercised
 deterministically in tests and benchmarks.
 
 :class:`WorkerChaosOnce` misbehaves in exactly one worker invocation per

@@ -11,10 +11,8 @@ from repro.sim.results import (
     winning_percentage,
 )
 from repro.sim.runner import BatchRunner, EstimatorKind, PlannerFactory
-from repro.sim.parallel import ParallelBatchRunner
 
 __all__ = [
-    "ParallelBatchRunner",
     "BatchResult",
     "FailureRecord",
     "MultiRateClock",

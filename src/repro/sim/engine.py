@@ -145,6 +145,11 @@ class SimulationEngine:
         self._comm = comm
         self._config = config if config is not None else SimulationConfig()
         self._clock = MultiRateClock(scenario.dt_c, comm.dt_m, comm.dt_s)
+        self._faults: FaultModel = (
+            comm.faults
+            if comm.faults is not None
+            else comm.disturbance.as_fault_model()
+        )
         self._models = {
             i: VehicleModel(scenario.vehicle_limits(i))
             for i in range(scenario.n_vehicles)
@@ -217,28 +222,16 @@ class SimulationEngine:
 
         state = scenario.initial_state(init_rng)
         profiles = {i: scenario.profile_for(i, profile_streams[i]) for i in others}
-        if self._comm.faults is not None:
-            channels = {
-                i: Channel(
-                    period=self._comm.dt_m,
-                    rng=channel_streams[i],
-                    faults=self._comm.faults,
-                    observer=obs,
-                    name=f"veh{i}",
-                )
-                for i in others
-            }
-        else:
-            channels = {
-                i: Channel(
-                    period=self._comm.dt_m,
-                    disturbance=self._comm.disturbance,
-                    rng=channel_streams[i],
-                    observer=obs,
-                    name=f"veh{i}",
-                )
-                for i in others
-            }
+        channels = {
+            i: Channel(
+                period=self._comm.dt_m,
+                rng=channel_streams[i],
+                faults=self._faults,
+                observer=obs,
+                name=f"veh{i}",
+            )
+            for i in others
+        }
         injector: Optional[FaultInjector] = None
         if self._config.fault_plan is not None and not self._config.fault_plan.is_empty:
             injector = self._config.fault_plan.compile(fault_rng)

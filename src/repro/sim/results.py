@@ -211,7 +211,7 @@ class ChunkResult:
     """Outcome of running a *subset* of a batch's simulation indices.
 
     Produced by
-    :meth:`~repro.sim.parallel.ParallelBatchRunner.run_indices_detailed`:
+    :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed`:
     the durable campaign layer executes a long batch as many independent
     chunks, each covering a slice of the global index space, and needs
     per-chunk handoff of results and failure records without a dense

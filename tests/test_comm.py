@@ -19,6 +19,12 @@ from repro.utils.rng import RngStream
 STATE = VehicleState(position=50.0, velocity=-12.0, acceleration=0.5)
 
 
+def _sends(disturbance, rng, n=1):
+    """Whether each of ``n`` sends through the preset's channel survives."""
+    ch = Channel(period=0.1, faults=disturbance.as_fault_model(), rng=rng)
+    return [ch.send(1, i * 0.1, STATE) for i in range(n)]
+
+
 class TestMessage:
     def test_fields(self):
         m = Message(sender=1, stamp=2.5, state=STATE)
@@ -53,12 +59,12 @@ class TestDisturbanceModels:
     def test_messages_lost(self):
         d = messages_lost()
         assert d.always_drops
-        assert d.is_dropped(RngStream(0)) is True
+        assert _sends(d, RngStream(0)) == [False]
 
     def test_drop_decision_extremes(self):
         rng = RngStream(1)
-        assert DisturbanceModel(drop_probability=0.0).is_dropped(rng) is False
-        assert DisturbanceModel(drop_probability=1.0).is_dropped(rng) is True
+        assert _sends(DisturbanceModel(drop_probability=0.0), rng) == [True]
+        assert _sends(DisturbanceModel(drop_probability=1.0), rng) == [False]
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -103,7 +109,7 @@ class TestChannelPerfect:
 
 class TestChannelDelay:
     def test_delayed_delivery(self):
-        ch = Channel(period=0.1, disturbance=messages_delayed(0.25))
+        ch = Channel(period=0.1, faults=messages_delayed(0.25).as_fault_model())
         ch.send(1, 1.0, STATE)
         assert ch.receive(1.2) == []
         delivered = ch.receive(1.25)
@@ -111,13 +117,13 @@ class TestChannelDelay:
         assert delivered[0].stamp == 1.0
 
     def test_peek_next_delivery(self):
-        ch = Channel(period=0.1, disturbance=messages_delayed(0.25))
+        ch = Channel(period=0.1, faults=messages_delayed(0.25).as_fault_model())
         assert ch.peek_next_delivery() is None
         ch.send(1, 2.0, STATE)
         assert ch.peek_next_delivery() == pytest.approx(2.25)
 
     def test_stats_track_delay(self):
-        ch = Channel(period=0.1, disturbance=messages_delayed(0.25))
+        ch = Channel(period=0.1, faults=messages_delayed(0.25).as_fault_model())
         ch.send(1, 0.0, STATE)
         ch.receive(0.25)
         assert ch.stats.mean_delay == pytest.approx(0.25)
@@ -125,7 +131,7 @@ class TestChannelDelay:
 
 class TestChannelDrop:
     def test_always_drop(self):
-        ch = Channel(period=0.1, disturbance=messages_lost())
+        ch = Channel(period=0.1, faults=messages_lost().as_fault_model())
         assert ch.send(1, 0.0, STATE) is False
         assert ch.receive(100.0) == []
         assert ch.stats.dropped == 1
@@ -133,7 +139,7 @@ class TestChannelDrop:
     def test_probabilistic_drop_rate(self):
         ch = Channel(
             period=0.1,
-            disturbance=messages_delayed(0.0, 0.4),
+            faults=messages_delayed(0.0, 0.4).as_fault_model(),
             rng=RngStream(9),
         )
         n = 2000
@@ -143,13 +149,13 @@ class TestChannelDrop:
 
     def test_probabilistic_drop_requires_rng(self):
         with pytest.raises(ConfigurationError):
-            Channel(period=0.1, disturbance=messages_delayed(0.0, 0.5))
+            Channel(period=0.1, faults=messages_delayed(0.0, 0.5).as_fault_model())
 
     def test_drop_sequence_reproducible(self):
         def run(seed):
             ch = Channel(
                 period=0.1,
-                disturbance=messages_delayed(0.0, 0.5),
+                faults=messages_delayed(0.0, 0.5).as_fault_model(),
                 rng=RngStream(seed),
             )
             return [ch.send(1, i * 0.1, STATE) for i in range(50)]
@@ -160,7 +166,7 @@ class TestChannelDrop:
 
 class TestChannelStats:
     def test_counters(self):
-        ch = Channel(period=0.1, disturbance=messages_delayed(0.5))
+        ch = Channel(period=0.1, faults=messages_delayed(0.5).as_fault_model())
         ch.send(1, 0.0, STATE)
         ch.send(1, 0.1, STATE)
         assert ch.stats.sent == 2

@@ -137,8 +137,10 @@ class TestPresetEquivalence:
 
     def test_delayed_preset_channels_agree(self):
         """Preset channel and explicit fault channel draw identically."""
-        legacy = Channel(
-            period=DT, disturbance=messages_delayed(0.25, 0.3), rng=RngStream(9)
+        preset = Channel(
+            period=DT,
+            faults=messages_delayed(0.25, 0.3).as_fault_model(),
+            rng=RngStream(9),
         )
         explicit = Channel(
             period=DT,
@@ -147,12 +149,12 @@ class TestPresetEquivalence:
         )
         for k in range(100):
             t = k * DT
-            legacy.send(1, t, STATE)
+            preset.send(1, t, STATE)
             explicit.send(1, t, STATE)
-        a = _drain(legacy, 15.0)
+        a = _drain(preset, 15.0)
         b = _drain(explicit, 15.0)
         assert [m.stamp for m in a] == [m.stamp for m in b]
-        assert legacy.stats.dropped == explicit.stats.dropped
+        assert preset.stats.dropped == explicit.stats.dropped
 
 
 class TestGilbertElliott:
@@ -334,21 +336,12 @@ class TestTieBreaking:
 
 
 class TestChannelConstruction:
-    def test_disturbance_and_faults_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            Channel(
-                period=DT,
-                disturbance=messages_delayed(),
-                faults=FixedDelay(0.1),
-            )
-
     def test_stochastic_model_requires_rng(self):
         with pytest.raises(ConfigurationError):
             Channel(period=DT, faults=IndependentLoss(0.5))
 
     def test_deterministic_model_needs_no_rng(self):
         channel = Channel(period=DT, faults=FixedDelay(0.2))
-        assert channel.disturbance is None
         assert channel.faults == FixedDelay(0.2)
 
     def test_same_seed_reproduces_deliveries_exactly(self):

@@ -9,7 +9,7 @@ from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.results import Outcome
 from repro.sim.runner import BatchRunner, EstimatorKind, make_estimator_factory
-from repro.errors import SafetyViolationError
+from repro.errors import SafetyViolationError, SimulationError
 from repro.utils.rng import RngStream, spawn_streams
 
 
@@ -152,18 +152,8 @@ class TestBatchRunner:
     def test_invalid_batch_size(self, scenario):
         engine = _engine(scenario)
         runner = BatchRunner(engine, EstimatorKind.RAW)
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             runner.run_batch(ConstantPlanner(0.0), 0)
-
-    def test_progress_callback(self, scenario):
-        engine = _engine(scenario, max_time=3.0, record_trajectories=False)
-        runner = BatchRunner(engine, EstimatorKind.RAW)
-        seen = []
-        runner.run_batch(
-            ConstantPlanner(2.0), 3, seed=0,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen == [(1, 3), (2, 3), (3, 3)]
 
     def test_run_one(self, scenario):
         engine = _engine(scenario, max_time=5.0)

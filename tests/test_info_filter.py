@@ -39,8 +39,8 @@ def _drive(estimator, seed, n_steps=120, drop_p=0.3, delay=0.25):
     sensor = Sensor(target=1, period=DT_S, bounds=BOUNDS, rng=sensor_rng)
     channel = Channel(
         period=DT_S,
-        disturbance=messages_delayed(delay, drop_p),
         rng=channel_rng,
+        faults=messages_delayed(delay, drop_p).as_fault_model(),
     )
     sensor_every = int(round(DT_S / DT_C))
     containment = []

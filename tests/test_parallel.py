@@ -1,4 +1,4 @@
-"""Tests for the multiprocess batch runner."""
+"""Tests for the batch runner's process pool (``n_workers > 1``)."""
 
 import pytest
 
@@ -7,8 +7,8 @@ from repro.errors import SimulationError
 from repro.planners.constant import ConstantPlanner
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
-from repro.sim.parallel import ParallelBatchRunner
 from repro.sim.runner import BatchRunner, EstimatorKind
+from tests.batch_reference import reference_batch
 
 
 def _comm():
@@ -24,17 +24,18 @@ def _config():
     return SimulationConfig(max_time=8.0, record_trajectories=False)
 
 
+def _engine(scenario):
+    return SimulationEngine(scenario, _comm(), _config())
+
+
 class TestEquivalence:
     def test_matches_sequential_runner_exactly(self, scenario):
         planner = ConstantPlanner(2.0)
-        sequential = BatchRunner(
-            SimulationEngine(scenario, _comm(), _config()),
-            EstimatorKind.RAW,
-        ).run_batch(planner, 8, seed=11)
-        parallel = ParallelBatchRunner(
-            scenario,
-            _comm(),
-            _config(),
+        sequential = reference_batch(
+            _engine(scenario), planner, EstimatorKind.RAW, 8, 11
+        )
+        parallel = BatchRunner(
+            _engine(scenario),
             estimator_kind=EstimatorKind.RAW,
             n_workers=3,
         ).run_batch(planner, 8, seed=11)
@@ -45,17 +46,15 @@ class TestEquivalence:
             assert a.steps == b.steps
 
     def test_single_worker_path(self, scenario):
-        runner = ParallelBatchRunner(
-            scenario, _comm(), _config(),
-            estimator_kind=EstimatorKind.RAW, n_workers=1,
+        runner = BatchRunner(
+            _engine(scenario), estimator_kind=EstimatorKind.RAW, n_workers=1,
         )
         results = runner.run_batch(ConstantPlanner(2.0), 3, seed=0)
         assert len(results) == 3
 
     def test_more_workers_than_sims(self, scenario):
-        runner = ParallelBatchRunner(
-            scenario, _comm(), _config(),
-            estimator_kind=EstimatorKind.RAW, n_workers=8,
+        runner = BatchRunner(
+            _engine(scenario), estimator_kind=EstimatorKind.RAW, n_workers=8,
         )
         results = runner.run_batch(ConstantPlanner(2.0), 2, seed=0)
         assert len(results) == 2
@@ -63,19 +62,10 @@ class TestEquivalence:
 
 class TestValidation:
     def test_bad_batch_size(self, scenario):
-        runner = ParallelBatchRunner(
-            scenario, _comm(), _config(), n_workers=2
-        )
+        runner = BatchRunner(_engine(scenario), n_workers=2)
         with pytest.raises(SimulationError):
             runner.run_batch(ConstantPlanner(0.0), 0)
 
     def test_bad_worker_count(self, scenario):
         with pytest.raises(SimulationError):
-            ParallelBatchRunner(scenario, _comm(), _config(), n_workers=0)
-
-    def test_default_config_disables_trajectories(self, scenario):
-        runner = ParallelBatchRunner(
-            scenario, _comm(), estimator_kind=EstimatorKind.RAW, n_workers=2
-        )
-        results = runner.run_batch(ConstantPlanner(2.0), 2, seed=1)
-        assert all(r.trajectories == [] for r in results)
+            BatchRunner(_engine(scenario), n_workers=0)

@@ -1,9 +1,9 @@
-"""Failure-path tests for the crash-tolerant parallel runner.
+"""Failure-path tests for the crash-tolerant batch runner.
 
 Each test injects one of the infrastructure failures the runner must
 contain — an in-episode exception, a dying worker, a garbage payload, a
 hung worker — and asserts the contract: surviving episodes are
-bit-identical to the sequential runner's, failed episodes surface as
+bit-identical to a plain ``engine.run`` loop's, failed episodes surface as
 structured records, and bounded retries with the same seeds recover
 transient failures exactly.
 """
@@ -18,8 +18,8 @@ from repro.faults import WorkerChaosOnce
 from repro.planners.constant import ConstantPlanner
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
-from repro.sim.parallel import ParallelBatchRunner
 from repro.sim.runner import BatchRunner, EstimatorKind
+from tests.batch_reference import reference_batch_detailed
 
 
 def _comm():
@@ -81,24 +81,26 @@ class SleepyPlanner:
         return 0.0
 
 
+def _engine(scenario):
+    return SimulationEngine(scenario, _comm(), _config())
+
+
 def _runner(scenario, **kwargs):
     kwargs.setdefault("estimator_kind", EstimatorKind.RAW)
     kwargs.setdefault("n_workers", 2)
-    return ParallelBatchRunner(scenario, _comm(), _config(), **kwargs)
+    return BatchRunner(_engine(scenario), **kwargs)
 
 
-def _sequential(scenario):
-    return BatchRunner(
-        SimulationEngine(scenario, _comm(), _config()), EstimatorKind.RAW
+def _reference(scenario, planner, n_sims, seed):
+    return reference_batch_detailed(
+        _engine(scenario), planner, EstimatorKind.RAW, n_sims, seed
     )
 
 
 class TestSimulationErrors:
     def test_matches_sequential_failures_and_survivors(self, scenario):
         planner = FlakyPlanner()
-        reference = _sequential(scenario).run_batch_detailed(
-            planner, 8, seed=11
-        )
+        reference = _reference(scenario, planner, 8, 11)
         batch = _runner(scenario, n_workers=3).run_batch_detailed(
             planner, 8, seed=11
         )
@@ -128,9 +130,7 @@ class TestSimulationErrors:
         batch = _runner(scenario, n_workers=1).run_batch_detailed(
             FlakyPlanner(), 6, seed=11
         )
-        reference = _sequential(scenario).run_batch_detailed(
-            FlakyPlanner(), 6, seed=11
-        )
+        reference = _reference(scenario, FlakyPlanner(), 6, 11)
         assert batch.failed_indices == reference.failed_indices
 
 
@@ -205,6 +205,21 @@ class TestTimeout:
         assert len(batch.completed) == 4
 
 
+class TestProgress:
+    def test_watchdog_path_reports_every_index(self, scenario):
+        """One worker under a watchdog runs on the pool, yet every
+        finished index still reaches ``progress`` — the shard worker's
+        heartbeat hook under ``--chunk-timeout``."""
+        seen = []
+        chunk = _runner(
+            scenario, n_workers=1, timeout_per_sim=60.0
+        ).run_indices_detailed(
+            ConstantPlanner(2.0), [0, 1, 2], 3, progress=seen.append
+        )
+        assert chunk.n_failed == 0
+        assert seen == [0, 1, 2]
+
+
 class TestValidation:
     def test_negative_max_retries_rejected(self, scenario):
         with pytest.raises(SimulationError):
@@ -213,10 +228,3 @@ class TestValidation:
     def test_nonpositive_timeout_rejected(self, scenario):
         with pytest.raises(SimulationError):
             _runner(scenario, timeout_per_sim=0.0)
-
-    def test_engine_in_place_of_scenario_rejected(self, scenario):
-        # Easy mixup with BatchRunner (which wraps an engine); without
-        # the guard this only fails inside the workers, after retries.
-        engine = SimulationEngine(scenario, _comm(), _config())
-        with pytest.raises(SimulationError, match="not a SimulationEngine"):
-            ParallelBatchRunner(engine, _comm(), _config())
