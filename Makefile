@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test benchmarks bench-record bench-compare bench-engine slo chaos campaign-smoke shard-smoke trace-smoke serve-smoke baseline
+.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test oracles benchmarks bench-record bench-compare bench-engine slo chaos campaign-smoke shard-smoke trace-smoke serve-smoke baseline
 
 lint: safelint ruff mypy
 
@@ -51,6 +51,14 @@ mypy:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Fast-path differential tests (~20 s): every scalar fast path against
+# the slow oracle it replaced, kept under tests/ (the Kalman filter
+# against its matrix form, the fused estimate against its Interval
+# form), with exact or 1e-9 agreement state by state and identical
+# episodes.  See docs/ROBUSTNESS.md section 8.
+oracles:
+	$(PYTHON) -m pytest tests/test_kalman_oracle.py tests/test_estimate_oracle.py -q
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

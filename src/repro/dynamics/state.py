@@ -20,6 +20,8 @@ from repro.errors import ConfigurationError
 
 __all__ = ["VehicleState", "SystemState"]
 
+_isnan = math.isnan
+
 
 @dataclass(frozen=True, slots=True)
 class VehicleState:
@@ -46,10 +48,12 @@ class VehicleState:
     acceleration: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("position", "velocity", "acceleration"):
-            value = getattr(self, name)
-            if math.isnan(float(value)):
-                raise ConfigurationError(f"VehicleState.{name} must not be NaN")
+        if _isnan(float(self.position)):
+            raise ConfigurationError("VehicleState.position must not be NaN")
+        if _isnan(float(self.velocity)):
+            raise ConfigurationError("VehicleState.velocity must not be NaN")
+        if _isnan(float(self.acceleration)):
+            raise ConfigurationError("VehicleState.acceleration must not be NaN")
 
     def as_vector(self) -> np.ndarray:
         """Return the ``[p, v]`` column vector used by the Kalman filter.
@@ -63,7 +67,7 @@ class VehicleState:
 
         Units: acceleration [m/s^2]
         """
-        return replace(self, acceleration=float(acceleration))
+        return VehicleState(self.position, self.velocity, float(acceleration))
 
     def shifted(self, dp: float = 0.0, dv: float = 0.0) -> "VehicleState":
         """Return a copy with position/velocity offset (used in tests).

@@ -10,19 +10,30 @@ band (``mean ± n·sigma``) is only probabilistic.  When the two are
 disjoint — which can only happen if the Kalman band is wrong — the fusion
 falls back to the guaranteed band, so downstream safety reasoning never
 consumes an empty or unsound interval.
+
+:func:`join_or_fallback` is that rule on plain floats; the estimators
+call it once per axis and band every control step.
+:func:`intersect_or_fallback` and :func:`fuse_bands` are the same rule
+over :class:`~repro.utils.intervals.Interval` and
+:class:`~repro.filtering.reachability.ReachBand`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.dynamics.state import VehicleState
 from repro.errors import FilterError
 from repro.filtering.reachability import ReachBand
 from repro.utils.intervals import Interval
 
-__all__ = ["FusedEstimate", "fuse_bands", "intersect_or_fallback"]
+__all__ = [
+    "FusedEstimate",
+    "fuse_bands",
+    "intersect_or_fallback",
+    "join_or_fallback",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,18 +87,32 @@ class FusedEstimate:
         )
 
 
+def join_or_fallback(
+    sound_lo: float, sound_hi: float, refining_lo: float, refining_hi: float
+) -> Tuple[float, float]:
+    """Intersect a guaranteed band with a refining band, on plain floats.
+
+    A band ``(lo, hi)`` with ``lo > hi`` is empty.  Returns the
+    intersection ``(max(lo), min(hi))`` when non-empty, otherwise the
+    guaranteed band.  The guaranteed band must be non-empty; neither may
+    hold a NaN.
+    """
+    if sound_lo > sound_hi:
+        raise FilterError("the guaranteed band must be non-empty")
+    lo = max(sound_lo, refining_lo)
+    hi = min(sound_hi, refining_hi)
+    if lo > hi:
+        return sound_lo, sound_hi
+    return lo, hi
+
+
 def intersect_or_fallback(sound: Interval, refining: Interval) -> Interval:
     """Intersect a guaranteed band with a refining band.
 
     Returns the intersection when non-empty, otherwise the guaranteed
     band.  ``sound`` must be non-empty.
     """
-    if sound.is_empty:
-        raise FilterError("the guaranteed band must be non-empty")
-    joined = sound.intersect(refining)
-    if joined.is_empty:
-        return sound
-    return joined
+    return Interval(*join_or_fallback(sound.lo, sound.hi, refining.lo, refining.hi))
 
 
 def fuse_bands(

@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Tuple
 
 from repro.comm.message import Message
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
-from repro.errors import FilterError
-from repro.filtering.fusion import FusedEstimate, fuse_bands, intersect_or_fallback
+from repro.errors import FilterError, IntervalError
+from repro.filtering.fusion import FusedEstimate, join_or_fallback
 from repro.filtering.kalman import KalmanFilter, KalmanState
-from repro.filtering.reachability import ReachBand, ReachabilityAnalyzer
+from repro.filtering.reachability import ReachabilityAnalyzer
 from repro.filtering.replay import ReplayKalmanFilter
 from repro.obs.observer import resolve_observer
 from repro.sensing.noise import NoiseBounds
@@ -51,6 +51,8 @@ __all__ = [
 #: setups (R = 0, zero covariance, exact measurements) never trip on
 #: pure float roundoff.
 _WATCHDOG_SLACK = 1e-6
+
+_isnan = math.isnan
 
 
 @dataclass
@@ -102,14 +104,27 @@ class EstimateProvider(Protocol):
         ...
 
 
+def _checked_box(
+    box: Tuple[float, float, float, float], what: str
+) -> Tuple[float, float, float, float]:
+    """``box`` unchanged; raises :class:`IntervalError` if it holds a NaN."""
+    p_lo, p_hi, v_lo, v_hi = box
+    if _isnan(p_lo) or _isnan(p_hi) or _isnan(v_lo) or _isnan(v_hi):
+        raise IntervalError(
+            f"{what} band must not be NaN: p in [{p_lo}, {p_hi}], "
+            f"v in [{v_lo}, {v_hi}]"
+        )
+    return box
+
+
 def _guaranteed_band(
     reach: ReachabilityAnalyzer,
     bounds: NoiseBounds,
     message: Optional[Message],
     reading: Optional[SensorReading],
     now: float,
-) -> ReachBand:
-    """Sound band at ``now`` from message reachability and the raw sensor band.
+) -> Tuple[float, float, float, float]:
+    """Sound ``(p_lo, p_hi, v_lo, v_hi)`` at ``now`` from message and sensor.
 
     Units: now [s]
 
@@ -117,30 +132,53 @@ def _guaranteed_band(
     newest reading's measurement band (velocity clipped to the physical
     range) is propagated from its sample time.  Where both exist the
     sensor band refines the message band by intersection, falling back
-    to the message band when the two are disjoint.
+    to the message band when the two are disjoint.  A band with
+    ``lo > hi`` is empty; an empty message band raises
+    :class:`FilterError` when the sensor band is joined to it.  A NaN
+    reading raises :class:`IntervalError`.
     """
     band = None
     if message is not None:
-        band = reach.band_from_state(message.state, message.stamp, now)
-    if reading is not None:
-        limits = reach.limits
-        p_band = bounds.position_band(reading.position)
-        v_band = bounds.velocity_band(reading.velocity).intersect(
-            Interval(limits.v_min, limits.v_max)
+        state = message.state
+        band = _checked_box(
+            reach.reach_box(
+                state.position,
+                state.position,
+                state.velocity,
+                state.velocity,
+                message.stamp,
+                now,
+            ),
+            "message",
         )
-        if v_band.is_empty:
+    if reading is not None:
+        position = reading.position
+        velocity = reading.velocity
+        if _isnan(position) or _isnan(velocity):
+            raise IntervalError(
+                f"sensor reading must not be NaN: p={position}, v={velocity}"
+            )
+        limits = reach.limits
+        delta_v = bounds.delta_v
+        v_lo = max(velocity - delta_v, limits.v_min)
+        v_hi = min(velocity + delta_v, limits.v_max)
+        if v_lo > v_hi:
             # Measurement pushed entirely outside the physical range; clip
             # to the nearest physical velocity.
-            v_band = Interval.point(limits.clip_velocity(reading.velocity))
-        sensed = reach.band_from_intervals(p_band, v_band, reading.time, now)
+            v_lo = v_hi = limits.clip_velocity(velocity)
+        delta_p = bounds.delta_p
+        sensed = _checked_box(
+            reach.reach_box(
+                position - delta_p, position + delta_p, v_lo, v_hi, reading.time, now
+            ),
+            "sensor",
+        )
         if band is None:
             band = sensed
         else:
-            band = ReachBand(
-                time=band.time,
-                position=intersect_or_fallback(band.position, sensed.position),
-                velocity=intersect_or_fallback(band.velocity, sensed.velocity),
-            )
+            p_lo, p_hi = join_or_fallback(band[0], band[1], sensed[0], sensed[1])
+            v_lo, v_hi = join_or_fallback(band[2], band[3], sensed[2], sensed[3])
+            band = (p_lo, p_hi, v_lo, v_hi)
     if band is None:
         raise FilterError(
             "no information yet: neither a sensor reading nor a message "
@@ -370,7 +408,7 @@ class InformationFilter:
         Requires at least one sensor reading or one message; the
         simulation engine guarantees a sensor sample at ``t = 0``.
         """
-        guaranteed = _guaranteed_band(
+        p_lo, p_hi, v_lo, v_hi = _guaranteed_band(
             self._reach, self._bounds, self._latest_message, self._latest_reading, now
         )
         message_age = (
@@ -381,20 +419,23 @@ class InformationFilter:
 
         if self._replay.is_initialized and not self._watchdog.diverged:
             kf = self._replay.estimate_at(now)
-            fused = fuse_bands(
-                guaranteed,
-                kf.position_band(self._n_sigma),
-                kf.velocity_band(self._n_sigma),
-            )
+            kf_p = kf.position
+            kf_v = kf.velocity
+            half_p = self._n_sigma * math.sqrt(max(kf.p00, 0.0))
+            half_v = self._n_sigma * math.sqrt(max(kf.p11, 0.0))
+            p_lo, p_hi = join_or_fallback(p_lo, p_hi, kf_p - half_p, kf_p + half_p)
+            v_lo, v_hi = join_or_fallback(v_lo, v_hi, kf_v - half_v, kf_v + half_v)
+            position = Interval(p_lo, p_hi)
+            velocity = Interval(v_lo, v_hi)
+            # The Kalman mean clamped into the joined (non-empty) band.
             nominal = VehicleState(
-                position=fused.position.clamp(kf.position),
-                velocity=fused.velocity.clamp(kf.velocity),
+                position=min(max(kf_p, position.lo), position.hi),
+                velocity=min(max(kf_v, velocity.lo), velocity.hi),
                 acceleration=self._replay.current_accel,
             )
         else:
             # Reachability-only: before the first sensor reading, or the
             # watchdog tripped and the Kalman band is quarantined.
-            fused = guaranteed
             if self._obs.enabled:
                 self._obs.count("filter.fallback", filter=self._label)
                 if self._watchdog.diverged:
@@ -410,14 +451,16 @@ class InformationFilter:
                 accel = self._latest_message.state.acceleration
             else:
                 accel = 0.0
+            position = Interval(p_lo, p_hi)
+            velocity = Interval(v_lo, v_hi)
             nominal = VehicleState(
-                position=fused.position.midpoint,
-                velocity=fused.velocity.midpoint,
+                position=position.midpoint,
+                velocity=velocity.midpoint,
                 acceleration=accel,
             )
         if self._obs.enabled:
-            p_width = fused.position.width
-            v_width = fused.velocity.width
+            p_width = position.width
+            v_width = velocity.width
             if math.isfinite(p_width):
                 self._obs.gauge(
                     "filter.position_width", p_width, filter=self._label
@@ -434,8 +477,8 @@ class InformationFilter:
                 )
         return FusedEstimate(
             time=float(now),
-            position=fused.position,
-            velocity=fused.velocity,
+            position=position,
+            velocity=velocity,
             nominal=nominal,
             message_age=message_age,
         )
@@ -486,7 +529,7 @@ class RawEstimator:
 
         Units: now [s]
         """
-        fused = _guaranteed_band(
+        p_lo, p_hi, v_lo, v_hi = _guaranteed_band(
             self._reach, self._bounds, self._latest_message, self._latest_reading, now
         )
         accel = 0.0
@@ -499,9 +542,11 @@ class RawEstimator:
             and self._latest_message.stamp > accel_time
         ):
             accel = self._latest_message.state.acceleration
+        position = Interval(p_lo, p_hi)
+        velocity = Interval(v_lo, v_hi)
         nominal = VehicleState(
-            position=fused.position.midpoint,
-            velocity=fused.velocity.midpoint,
+            position=position.midpoint,
+            velocity=velocity.midpoint,
             acceleration=accel,
         )
         message_age = (
@@ -511,8 +556,8 @@ class RawEstimator:
         )
         return FusedEstimate(
             time=float(now),
-            position=fused.position,
-            velocity=fused.velocity,
+            position=position,
+            velocity=velocity,
             nominal=nominal,
             message_age=message_age,
         )

@@ -31,6 +31,7 @@ reading): the extremal trajectories start from the extremal corners.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
@@ -76,6 +77,51 @@ class ReachabilityAnalyzer:
         return self._limits
 
     # ------------------------------------------------------------------
+    # Eq. (2) over a box of initial conditions
+    # ------------------------------------------------------------------
+    def reach_box(
+        self,
+        p_lo: float,
+        p_hi: float,
+        v_lo: float,
+        v_hi: float,
+        stamp: float,
+        now: float,
+    ) -> Tuple[float, float, float, float]:
+        """Reachable ``(p_lo, p_hi, v_lo, v_hi)`` at ``now`` (Eq. (2)).
+
+        Units: p_lo [m], p_hi [m], v_lo [m/s], v_hi [m/s], stamp [s], now [s]
+
+        The initial knowledge is the box ``[p_lo, p_hi] x [v_lo, v_hi]``
+        stamped ``stamp``; an exact state is the degenerate box.  The
+        extremal trajectories are monotone in the initial position and
+        velocity, so the reachable box comes from the two extreme
+        corners.  Initial velocities are clipped to ``[v_min, v_max]``.
+        This is the only implementation of Eq. (2); every other method
+        of the analyzer wraps it.  Plain floats in, plain floats out:
+        no band object is built and the result is not checked for NaN
+        or emptiness.
+        """
+        elapsed = float(now) - float(stamp)
+        if elapsed < -1e-12:
+            raise ConfigurationError(
+                f"reachability queried before the stamp: now={now} < stamp={stamp}"
+            )
+        if elapsed < 0.0:
+            elapsed = 0.0
+        limits = self._limits
+        v_min = limits.v_min
+        v_max = limits.v_max
+        v0_lo = min(max(float(v_lo), v_min), v_max)
+        v0_hi = min(max(float(v_hi), v_min), v_max)
+        return (
+            _extremal_position(p_lo, v0_lo, elapsed, limits.a_min, v_min),
+            _extremal_position(p_hi, v0_hi, elapsed, limits.a_max, v_max),
+            max(v0_lo + limits.a_min * elapsed, v_min),
+            min(v0_hi + limits.a_max * elapsed, v_max),
+        )
+
+    # ------------------------------------------------------------------
     # Scalar extremal trajectories
     # ------------------------------------------------------------------
     def max_position(self, position: float, velocity: float, elapsed: float) -> float:
@@ -83,18 +129,16 @@ class ReachabilityAnalyzer:
 
         Units: position [m], velocity [m/s], elapsed [s] -> [m]
         """
-        return self._extremal_position(
-            position, velocity, elapsed, self._limits.a_max, self._limits.v_max
-        )
+        self._check_elapsed(elapsed)
+        return self.reach_box(position, position, velocity, velocity, 0.0, elapsed)[1]
 
     def min_position(self, position: float, velocity: float, elapsed: float) -> float:
         """Lower position bound after ``elapsed`` seconds (mirror of Eq. (2)).
 
         Units: position [m], velocity [m/s], elapsed [s] -> [m]
         """
-        return self._extremal_position(
-            position, velocity, elapsed, self._limits.a_min, self._limits.v_min
-        )
+        self._check_elapsed(elapsed)
+        return self.reach_box(position, position, velocity, velocity, 0.0, elapsed)[0]
 
     def max_velocity(self, velocity: float, elapsed: float) -> float:
         """Upper velocity bound after ``elapsed`` seconds.
@@ -102,8 +146,7 @@ class ReachabilityAnalyzer:
         Units: velocity [m/s], elapsed [s] -> [m/s]
         """
         self._check_elapsed(elapsed)
-        v0 = self._limits.clip_velocity(velocity)
-        return min(v0 + self._limits.a_max * elapsed, self._limits.v_max)
+        return self.reach_box(0.0, 0.0, velocity, velocity, 0.0, elapsed)[3]
 
     def min_velocity(self, velocity: float, elapsed: float) -> float:
         """Lower velocity bound after ``elapsed`` seconds.
@@ -111,35 +154,7 @@ class ReachabilityAnalyzer:
         Units: velocity [m/s], elapsed [s] -> [m/s]
         """
         self._check_elapsed(elapsed)
-        v0 = self._limits.clip_velocity(velocity)
-        return max(v0 + self._limits.a_min * elapsed, self._limits.v_min)
-
-    def _extremal_position(
-        self,
-        position: float,
-        velocity: float,
-        elapsed: float,
-        accel: float,
-        v_cap: float,
-    ) -> float:
-        """Position after driving the extremal input toward ``v_cap``.
-
-        ``accel`` and ``v_cap`` are either both the "max" pair or both the
-        "min" pair; the algebra is symmetric.
-        """
-        self._check_elapsed(elapsed)
-        v0 = self._limits.clip_velocity(velocity)
-        if elapsed == 0.0:
-            return position
-        v_end = v0 + accel * elapsed
-        toward_cap = (accel > 0.0 and v_end > v_cap) or (
-            accel < 0.0 and v_end < v_cap
-        )
-        if accel == 0.0 or not toward_cap:
-            return position + v0 * elapsed + 0.5 * accel * elapsed * elapsed
-        # Saturating branch of Eq. (2): cruise distance at the cap minus the
-        # distance deficit accumulated while still ramping up (or down).
-        return position + v_cap * elapsed - (v_cap - v0) ** 2 / (2.0 * accel)
+        return self.reach_box(0.0, 0.0, velocity, velocity, 0.0, elapsed)[2]
 
     # ------------------------------------------------------------------
     # Bands
@@ -149,17 +164,13 @@ class ReachabilityAnalyzer:
 
         Units: stamp [s], now [s]
         """
-        elapsed = self._elapsed(stamp, now)
+        p_lo, p_hi, v_lo, v_hi = self.reach_box(
+            state.position, state.position, state.velocity, state.velocity, stamp, now
+        )
         return ReachBand(
             time=float(now),
-            position=Interval(
-                self.min_position(state.position, state.velocity, elapsed),
-                self.max_position(state.position, state.velocity, elapsed),
-            ),
-            velocity=Interval(
-                self.min_velocity(state.velocity, elapsed),
-                self.max_velocity(state.velocity, elapsed),
-            ),
+            position=Interval(p_lo, p_hi),
+            velocity=Interval(v_lo, v_hi),
         )
 
     def band_from_intervals(
@@ -172,42 +183,50 @@ class ReachabilityAnalyzer:
         """Reachable band from *interval* initial knowledge.
 
         Units: position [m], velocity [m/s], stamp [s], now [s]
-
-        Monotonicity of the extremal trajectories in initial position and
-        velocity means the extremes come from the extreme corners of the
-        initial box, so four scalar evaluations suffice.
         """
         if position.is_empty or velocity.is_empty:
             raise ConfigurationError(
                 "cannot propagate an empty initial band"
             )
-        elapsed = self._elapsed(stamp, now)
-        p_hi = self.max_position(position.hi, velocity.hi, elapsed)
-        p_lo = self.min_position(position.lo, velocity.lo, elapsed)
+        p_lo, p_hi, v_lo, v_hi = self.reach_box(
+            position.lo, position.hi, velocity.lo, velocity.hi, stamp, now
+        )
         return ReachBand(
             time=float(now),
             position=Interval(p_lo, p_hi),
-            velocity=Interval(
-                self.min_velocity(velocity.lo, elapsed),
-                self.max_velocity(velocity.hi, elapsed),
-            ),
+            velocity=Interval(v_lo, v_hi),
         )
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _elapsed(stamp: float, now: float) -> float:
-        elapsed = float(now) - float(stamp)
-        if elapsed < -1e-12:
-            raise ConfigurationError(
-                f"reachability queried before the stamp: now={now} < stamp={stamp}"
-            )
-        return max(elapsed, 0.0)
-
-    @staticmethod
     def _check_elapsed(elapsed: float) -> None:
         if elapsed < 0.0:
             raise ConfigurationError(
                 f"elapsed time must be >= 0, got {elapsed}"
             )
+
+
+def _extremal_position(
+    position: float, v0: float, elapsed: float, accel: float, v_cap: float
+) -> float:
+    """Position after driving the extremal input toward ``v_cap`` (Eq. (2)).
+
+    Units: position [m], v0 [m/s], elapsed [s], accel [m/s^2], v_cap [m/s] -> [m]
+
+    ``v0`` is already clipped to the velocity range; ``accel`` and
+    ``v_cap`` are either both the "max" pair or both the "min" pair, the
+    algebra is symmetric.
+    """
+    if elapsed == 0.0:
+        return position
+    v_end = v0 + accel * elapsed
+    toward_cap = (accel > 0.0 and v_end > v_cap) or (
+        accel < 0.0 and v_end < v_cap
+    )
+    if accel == 0.0 or not toward_cap:
+        return position + v0 * elapsed + 0.5 * accel * elapsed * elapsed
+    # Saturating branch of Eq. (2): cruise distance at the cap minus the
+    # distance deficit accumulated while still ramping up (or down).
+    return position + v_cap * elapsed - (v_cap - v0) ** 2 / (2.0 * accel)

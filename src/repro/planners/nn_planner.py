@@ -73,8 +73,8 @@ def planner_features(
         rel_lo = WINDOW_PAST
         rel_hi = WINDOW_PAST
     else:
-        rel_lo = float(np.clip(window.lo - time, WINDOW_PAST, WINDOW_FAR))
-        rel_hi = float(np.clip(window.hi - time, WINDOW_PAST, WINDOW_FAR))
+        rel_lo = min(max(window.lo - time, WINDOW_PAST), WINDOW_FAR)
+        rel_hi = min(max(window.hi - time, WINDOW_PAST), WINDOW_FAR)
     return np.array([time, position, velocity, rel_lo, rel_hi], dtype=float)
 
 

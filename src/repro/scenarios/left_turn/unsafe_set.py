@@ -17,8 +17,9 @@ Implements the slack / projected-passing-window algebra of Section IV:
 
 :class:`LeftTurnSafetyModel` packages these predicates behind the
 scenario-agnostic :class:`repro.core.unsafe_set.SafetyModel` protocol, on
-top of a conservative :class:`PassingWindowEstimator` over the fused
-estimates of the oncoming vehicle.
+top of the sound Eq. (7) occupancy window
+(:func:`~repro.scenarios.left_turn.passing_time.conservative_window`) over
+the fused estimates of the oncoming vehicle.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.scenarios.left_turn.geometry import (
     LeftTurnGeometry,
     earliest_arrival_time,
 )
-from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
+from repro.scenarios.left_turn.passing_time import conservative_window
 from repro.utils.intervals import Interval
 from repro.utils.validation import check_positive
 
@@ -166,12 +167,6 @@ class LeftTurnSafetyModel:
     # ------------------------------------------------------------------
     # Window plumbing
     # ------------------------------------------------------------------
-    def conservative_estimator(self) -> PassingWindowEstimator:
-        """The sound Eq. (7) window estimator this model uses."""
-        return PassingWindowEstimator(
-            geometry=self.geometry, limits=self.oncoming_limits, aggressive=False
-        )
-
     def oncoming_window(
         self, estimates: Mapping[int, FusedEstimate]
     ) -> Interval:
@@ -184,8 +179,8 @@ class LeftTurnSafetyModel:
                 f"no estimate for the oncoming vehicle "
                 f"(index {self.oncoming_index})"
             )
-        return self.conservative_estimator().window(
-            estimates[self.oncoming_index]
+        return conservative_window(
+            estimates[self.oncoming_index], self.geometry, self.oncoming_limits
         )
 
     # ------------------------------------------------------------------

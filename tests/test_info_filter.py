@@ -7,6 +7,8 @@ theorem.  The information filter must additionally be tighter than the
 raw estimator.
 """
 
+import math
+
 import pytest
 
 from repro.comm.channel import Channel
@@ -15,10 +17,10 @@ from repro.comm.message import Message
 from repro.dynamics.profiles import RandomSequenceProfile
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits, VehicleModel
-from repro.errors import FilterError
+from repro.errors import FilterError, IntervalError
 from repro.filtering.info_filter import InformationFilter, RawEstimator
 from repro.sensing.noise import NoiseBounds
-from repro.sensing.sensor import Sensor
+from repro.sensing.sensor import Sensor, SensorReading
 from repro.utils.rng import RngStream
 
 LIMITS = VehicleLimits(v_min=-20.0, v_max=-2.0, a_min=-3.0, a_max=3.0)
@@ -190,3 +192,33 @@ class TestSensorOnly:
         )
         est = raw.estimate(0.0)
         assert est.velocity.contains(LIMITS.v_min)
+
+
+class TestNanReading:
+    """A NaN reading raises; it is never silently dropped from the band.
+
+    Python's ``max``/``min`` return a NaN operand or drop it depending on
+    argument order, so a float-level band join could otherwise return the
+    message band as if the reading were not there.
+    """
+
+    @pytest.mark.parametrize("field", ["position", "velocity"])
+    @pytest.mark.parametrize("with_message", [False, True])
+    def test_raw_estimator_raises(self, field, with_message):
+        raw = _make_raw()
+        if with_message:
+            raw.on_message(
+                Message(
+                    sender=1,
+                    stamp=0.0,
+                    state=VehicleState(position=50.0, velocity=-12.0),
+                ),
+                0.0,
+            )
+        values = {"position": 50.0, "velocity": -12.0}
+        values[field] = math.nan
+        raw.on_sensor_reading(
+            SensorReading(target=1, time=0.0, acceleration=0.0, **values)
+        )
+        with pytest.raises(IntervalError):
+            raw.estimate(0.1)

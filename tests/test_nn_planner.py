@@ -37,6 +37,32 @@ class TestPlannerFeatures:
         f = planner_features(100.0, 0.0, 0.0, Interval(1.0, 2.0))
         assert f[3] == WINDOW_PAST
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            Interval(3.0, 6.0),
+            Interval(-40.0, 0.5),
+            Interval(7.0, 120.0),
+            Interval(-1e300, 1e300),
+            Interval(-np.inf, np.inf),
+            Interval(np.inf, np.inf),
+            Interval(-np.inf, -np.inf),
+            Interval(2.0, np.inf),
+            Interval.EMPTY,
+        ],
+    )
+    @pytest.mark.parametrize("time", [0.0, 2.0, 100.0])
+    def test_clip_matches_numpy(self, window, time):
+        f = planner_features(time, 1.0, 2.0, window)
+        if window.is_empty:
+            expected = [WINDOW_PAST, WINDOW_PAST]
+        else:
+            expected = [
+                float(np.clip(edge - time, WINDOW_PAST, WINDOW_FAR))
+                for edge in (window.lo, window.hi)
+            ]
+        assert list(f[3:]) == expected
+
 
 class TestFeatureScaler:
     def test_fit_transform_standardises(self):

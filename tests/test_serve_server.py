@@ -261,13 +261,22 @@ class TestDeadline:
         run_server_test(body, tmp_path, wrap=_stalling_wrap(0.4))
 
 
+#: Deadline of the planner-fault requests: these tests check the retry
+#: budget and the fault ladder, not the clock, so a loaded machine must
+#: not turn a fault reply into a deadline reply.
+_FAULT_DEADLINE_MS = 5000.0
+
+
 class TestPlannerFaults:
     def test_transient_fault_retried_to_success(self, tmp_path):
         async def body(server, path):
             def work():
                 with ServeClient(path=path) as client:
                     return client.decide(
-                        1.0, EGO, reports=[leader_report(0.95, 60.0, 15.0)]
+                        1.0,
+                        EGO,
+                        reports=[leader_report(0.95, 60.0, 15.0)],
+                        deadline_ms=_FAULT_DEADLINE_MS,
                     )
 
             response = await asyncio.to_thread(work)
@@ -290,7 +299,10 @@ class TestPlannerFaults:
             def work():
                 with ServeClient(path=path) as client:
                     return client.decide(
-                        1.0, EGO, reports=[leader_report(0.95, 60.0, 15.0)]
+                        1.0,
+                        EGO,
+                        reports=[leader_report(0.95, 60.0, 15.0)],
+                        deadline_ms=_FAULT_DEADLINE_MS,
                     )
 
             response = await asyncio.to_thread(work)
@@ -314,7 +326,10 @@ class TestPlannerFaults:
             def work():
                 with ServeClient(path=path) as client:
                     return client.decide(
-                        1.0, EGO, reports=[leader_report(0.95, 60.0, 15.0)]
+                        1.0,
+                        EGO,
+                        reports=[leader_report(0.95, 60.0, 15.0)],
+                        deadline_ms=_FAULT_DEADLINE_MS,
                     )
 
             response = await asyncio.to_thread(work)

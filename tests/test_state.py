@@ -21,6 +21,21 @@ class TestVehicleState:
         with pytest.raises(ConfigurationError):
             VehicleState(position=math.nan, velocity=0.0)
 
+    @pytest.mark.parametrize("field", ["position", "velocity", "acceleration"])
+    def test_nan_rejected_per_field(self, field):
+        values = {"position": 1.0, "velocity": 2.0, "acceleration": 0.5}
+        values[field] = math.nan
+        with pytest.raises(
+            ConfigurationError, match=rf"^VehicleState\.{field} must not be NaN$"
+        ):
+            VehicleState(**values)
+
+    def test_with_acceleration_rejects_nan(self):
+        with pytest.raises(
+            ConfigurationError, match=r"^VehicleState\.acceleration must not be NaN$"
+        ):
+            VehicleState(position=1.0, velocity=2.0).with_acceleration(math.nan)
+
     def test_as_vector(self):
         vec = VehicleState(position=3.0, velocity=4.0).as_vector()
         assert vec.shape == (2, 1)
@@ -33,6 +48,8 @@ class TestVehicleState:
         assert s2.acceleration == 1.5
         assert s.acceleration == 0.0
         assert s2.position == s.position
+        assert s2 == VehicleState(position=1.0, velocity=2.0, acceleration=1.5)
+        assert type(s2.acceleration) is float
 
     def test_shifted(self):
         s = VehicleState(position=1.0, velocity=2.0).shifted(dp=3.0, dv=-1.0)
