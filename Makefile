@@ -52,13 +52,15 @@ mypy:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Fast-path differential tests (~20 s): every scalar fast path against
-# the slow oracle it replaced, kept under tests/ (the Kalman filter
-# against its matrix form, the fused estimate against its Interval
-# form), with exact or 1e-9 agreement state by state and identical
-# episodes.  See docs/ROBUSTNESS.md section 8.
+# Fast-path differential tests (~25 s): every fast path against the
+# slow oracle it replaced (the Kalman filter against its matrix form,
+# the fused estimate against its Interval form, the block-buffered RNG
+# stream against the unbuffered one, the planner's NN inference against
+# Sequential.forward), with exact or 1e-9 agreement case by case and
+# identical episodes.  See docs/ROBUSTNESS.md section 8.
 oracles:
-	$(PYTHON) -m pytest tests/test_kalman_oracle.py tests/test_estimate_oracle.py -q
+	$(PYTHON) -m pytest tests/test_kalman_oracle.py tests/test_estimate_oracle.py \
+		tests/test_rng_oracle.py tests/test_nn_inference_oracle.py -q
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -82,8 +82,8 @@ class Trajectory:
         # early (collision/arrival) so the final length is unknown here,
         # list append is amortized O(1), and the bulk accessors run once
         # per episode for reporting, not per step.  The preallocated
-        # structure-of-arrays layout belongs to the vectorized batch
-        # engine (ROADMAP item 1), not this scalar recorder.
+        # structure-of-arrays layout belongs to the lockstep batch
+        # engine, not this scalar recorder.
         self._times.append(t)  # safelint: disable=SFL302 - length unknown until terminal step
         self._points.append(TrajectoryPoint(time=t, state=state))
 

@@ -1,6 +1,6 @@
 """safeflow — interprocedural purity/effect & vectorization-readiness.
 
-The vectorized batch engine (ROADMAP item 1) replaces the scalar
+The lockstep batch engine replaces the scalar
 per-episode loop with structure-of-arrays numpy algebra over thousands
 of episodes at once.  That migration is only sound if every function on
 the episode hot path is free of hidden state: no module-global or

@@ -1,7 +1,7 @@
 """The machine-readable batchability report.
 
 ``repro-lint --batch-report run_episode`` answers the question the
-vectorized-engine migration (ROADMAP item 1) starts with: *which
+migration to the lockstep batch engine starts with: *which
 functions on the episode hot path carry effects, and which of those
 effects block lock-step batching?*  The output is JSON so the
 migration tooling (and CI dashboards) can diff it between commits —

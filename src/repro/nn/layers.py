@@ -49,6 +49,9 @@ class Layer:
     def zero_grad(self) -> None:
         """Reset accumulated gradients to zero."""
 
+    def clear_cache(self) -> None:
+        """Drop what :meth:`forward` cached for :meth:`backward`."""
+
     def config(self) -> Dict[str, object]:
         """JSON-serialisable description used by the model serializer."""
         return {"type": type(self).__name__}
@@ -126,6 +129,9 @@ class Dense(Layer):
         self.grad_weight.fill(0.0)
         self.grad_bias.fill(0.0)
 
+    def clear_cache(self) -> None:
+        self._input = None
+
     def config(self) -> Dict[str, object]:
         return {
             "type": "Dense",
@@ -157,6 +163,9 @@ class _Activation(Layer):
         if self._cache is None:
             raise ConfigurationError("backward called before forward")
         return grad_output * self._dfn(self._cache)
+
+    def clear_cache(self) -> None:
+        self._cache = None
 
 
 class ReLU(_Activation):
@@ -255,6 +264,10 @@ class Sequential(Layer):
     def zero_grad(self) -> None:
         for layer in self.layers:
             layer.zero_grad()
+
+    def clear_cache(self) -> None:
+        for layer in self.layers:
+            layer.clear_cache()
 
     def config(self) -> Dict[str, object]:
         return {

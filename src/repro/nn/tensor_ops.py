@@ -57,8 +57,8 @@ def zeros_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarra
 def as_batch(x: np.ndarray) -> np.ndarray:
     """Promote a 1-D feature vector to a single-row batch.
 
-    The planner inference path feeds one feature vector at a time; the
-    layers operate on ``(batch, features)`` arrays.
+    The layers operate on ``(batch, features)`` arrays; this feeds them
+    one feature vector at a time.
 
     Shapes: x array -> [B, F]
     """

@@ -159,6 +159,8 @@ class Trainer:
 
         if best_params is not None:
             self._restore_params(best_params)
+        # A trained model keeps no dataset-sized activations alive.
+        self.model.clear_cache()
         return history
 
     def evaluate(self, inputs: np.ndarray, targets: np.ndarray) -> float:

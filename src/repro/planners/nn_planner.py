@@ -19,14 +19,13 @@ ultimate compound configurations without retraining.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
-from repro.nn.layers import Sequential
-from repro.nn.tensor_ops import as_batch
+from repro.nn.layers import Dense, Sequential, _Activation
 from repro.planners.base import PlanningContext
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
 from repro.utils.intervals import Interval
@@ -126,8 +125,46 @@ class FeatureScaler:
         return cls(mean=np.asarray(data["mean"]), std=np.asarray(data["std"]))
 
 
+#: One inference step: a dense layer (read live at every call) or an
+#: activation function.
+_Step = Tuple[Optional[Dense], Optional[Callable[[np.ndarray], np.ndarray]]]
+
+
+def _inference_steps(model: Sequential) -> Tuple[_Step, ...]:
+    """The layer chain of ``model`` as bare inference steps.
+
+    Raises :class:`ConfigurationError` unless the chain is dense layers
+    and activations whose widths chain from the five features.
+    """
+    steps = []
+    width = N_FEATURES
+    for index, layer in enumerate(model.layers):
+        if isinstance(layer, Dense):
+            if layer.in_features != width:
+                raise ConfigurationError(
+                    f"layer {index} expects {layer.in_features} inputs; "
+                    f"the chain delivers {width}"
+                )
+            width = layer.out_features
+            steps.append((layer, None))
+        elif isinstance(layer, _Activation):
+            steps.append((None, layer._fn))
+        else:
+            raise ConfigurationError(
+                f"layer {index} ({type(layer).__name__}) has no inference "
+                "path; expected Dense layers and activations"
+            )
+    return tuple(steps)
+
+
 class NNPlanner:
     """A trained regression network behind the planner protocol.
+
+    Inference computes the features and their standardisation in floats
+    and runs the layers as bare ``x @ W + b`` and activation calls on the
+    model's live arrays: exactly :meth:`Sequential.forward`'s arithmetic,
+    without its input checks or training caches.  The scaler is read once,
+    at construction.
 
     Parameters
     ----------
@@ -161,6 +198,9 @@ class NNPlanner:
             )
         self._model = model
         self._scaler = scaler
+        self._steps = _inference_steps(model)
+        self._mean = tuple(scaler.mean.tolist())
+        self._std = tuple(scaler.std.tolist())
         self._windows = window_estimator
         self._limits = limits
         self._oncoming_index = oncoming_index
@@ -215,7 +255,27 @@ class NNPlanner:
 
         Units: time [s], position [m], velocity [m/s] -> [m/s^2]
         """
-        features = planner_features(time, position, velocity, window)
-        scaled = self._scaler.transform(features)
-        output = self._model.forward(as_batch(scaled))
-        return self._limits.clip_acceleration(float(output[0, 0]))
+        # planner_features and FeatureScaler.transform, in floats.
+        if window.is_empty:
+            rel_lo = rel_hi = WINDOW_PAST
+        else:
+            rel_lo = min(max(window.lo - time, WINDOW_PAST), WINDOW_FAR)
+            rel_hi = min(max(window.hi - time, WINDOW_PAST), WINDOW_FAR)
+        mean, std = self._mean, self._std
+        x = np.array(
+            [
+                [
+                    (time - mean[0]) / std[0],
+                    (position - mean[1]) / std[1],
+                    (velocity - mean[2]) / std[2],
+                    (rel_lo - mean[3]) / std[3],
+                    (rel_hi - mean[4]) / std[4],
+                ]
+            ]
+        )
+        for dense, activation in self._steps:
+            if dense is None:
+                x = activation(x)
+            else:
+                x = x @ dense.weight + dense.bias
+        return self._limits.clip_acceleration(float(x[0, 0]))

@@ -168,11 +168,14 @@ class LeftTurnSafetyModel:
     # Window plumbing
     # ------------------------------------------------------------------
     def oncoming_window(
-        self, estimates: Mapping[int, FusedEstimate]
+        self, time: float, estimates: Mapping[int, FusedEstimate]
     ) -> Interval:
         """Conservative occupancy window from the current estimates.
 
-        Units: -> [s]
+        Units: time [s] -> [s]
+
+        ``time`` is unused here; subclasses whose window depends on the
+        clock (a signal schedule) read it.
         """
         if self.oncoming_index not in estimates:
             raise ScenarioError(
@@ -236,7 +239,7 @@ class LeftTurnSafetyModel:
         ego_window = ego_passing_window(
             time, ego.position, ego.velocity, self.geometry
         )
-        return ego_window.overlaps(self.oncoming_window(estimates))
+        return ego_window.overlaps(self.oncoming_window(time, estimates))
 
     def in_boundary_safe_set(
         self,
@@ -265,7 +268,7 @@ class LeftTurnSafetyModel:
         position = ego.position
         if position > self.geometry.p_back:
             return False
-        oncoming = self.oncoming_window(estimates)
+        oncoming = self.oncoming_window(time, estimates)
         if oncoming.is_empty or oncoming.hi <= time:
             return False
         s = slack(position, ego.velocity, self.geometry, self.ego_limits)

@@ -143,32 +143,14 @@ class SignalizedSafetyModel(LeftTurnSafetyModel):
     )
 
     def oncoming_window(
-        self, estimates: Mapping[int, FusedEstimate]
+        self, time: float, estimates: Mapping[int, FusedEstimate]
     ) -> Interval:
         """The next red interval — no estimates involved.
 
-        Units: -> [s]
+        Units: time [s] -> [s]
         """
         del estimates
-        return self.light.next_red_interval(self._now)
-
-    # LeftTurnSafetyModel's predicates pass `time` positionally into the
-    # window computation via instance state: stash it per evaluation.
-    def in_estimated_unsafe_set(self, time, ego, estimates):
-        """Eq. (6) against the red-phase window.
-
-        Units: time [s]
-        """
-        object.__setattr__(self, "_now", time)
-        return super().in_estimated_unsafe_set(time, ego, estimates)
-
-    def in_boundary_safe_set(self, time, ego, estimates):
-        """Eq. (3) against the red-phase window.
-
-        Units: time [s]
-        """
-        object.__setattr__(self, "_now", time)
-        return super().in_boundary_safe_set(time, ego, estimates)
+        return self.light.next_red_interval(time)
 
 
 class GreenWavePlanner:

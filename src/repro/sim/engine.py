@@ -434,9 +434,9 @@ def run_episode(
 ) -> SimulationResult:
     """Run one scalar episode — the stable batching contract.
 
-    The vectorized batch engine (ROADMAP item 1) will run thousands of
-    episodes in lock step while keeping this function's semantics as
-    its per-lane specification, so its effect envelope is the contract
+    The lockstep batch engine will run thousands of episodes in lock
+    step while keeping this function's semantics as its per-lane
+    specification, so its effect envelope is the contract
     the migration certifies against: ``repro-lint --batch-report
     run_episode`` reports every effectful function reachable from here,
     and SFL301 forbids anything in that set from mutating module-global

@@ -92,6 +92,15 @@ class TestScenarioProtocol:
         assert shifted.light.offset == 3.0
         assert shifted.light.green == crossing.light.green
 
+    def test_fresh_safety_model_window_is_next_red(self, crossing):
+        # No predicate has been evaluated on this model yet: the window
+        # depends on the clock passed in, not on earlier calls.
+        model = crossing.safety_model()
+        for time in (0.0, 3.0, 10.0, 17.5):
+            assert model.oncoming_window(time, {}) == (
+                crossing.light.next_red_interval(time)
+            )
+
 
 class TestClosedLoop:
     def _engine(self, scenario):

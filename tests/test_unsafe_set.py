@@ -198,7 +198,7 @@ class TestSafetyModel:
         ego = VehicleState(position=-14.0, velocity=13.0)
         estimates = _oncoming_estimate(0.0, 15.5, -18.0)
         entry_ff, _ = model._full_throttle_times(0.0, -14.0, 13.0)
-        window = model.oncoming_window(estimates)
+        window = model.oncoming_window(0.0, estimates)
         if entry_ff >= window.hi:
             assert not model.in_boundary_safe_set(0.0, ego, estimates)
 
@@ -254,6 +254,6 @@ class TestDegenerateWindows:
         ego = VehicleState(position=GEOMETRY.p_back, velocity=5.0)
         estimates = _oncoming_estimate(time, 60.0, -10.0)
         model = _model()
-        oncoming = model.oncoming_window(estimates)
+        oncoming = model.oncoming_window(time, estimates)
         assert oncoming.hi > time  # the conflict is genuinely ahead
         assert model.in_boundary_safe_set(time, ego, estimates)
