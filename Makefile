@@ -56,11 +56,13 @@ test:
 # slow oracle it replaced (the Kalman filter against its matrix form,
 # the fused estimate against its Interval form, the block-buffered RNG
 # stream against the unbuffered one, the planner's NN inference against
-# Sequential.forward), with exact or 1e-9 agreement case by case and
-# identical episodes.  See docs/ROBUSTNESS.md section 8.
+# Sequential.forward, the fused training step against the per-layer
+# loop), with exact or 1e-9 agreement case by case and identical
+# episodes and trained weights.  See docs/ROBUSTNESS.md section 8.
 oracles:
 	$(PYTHON) -m pytest tests/test_kalman_oracle.py tests/test_estimate_oracle.py \
-		tests/test_rng_oracle.py tests/test_nn_inference_oracle.py -q
+		tests/test_rng_oracle.py tests/test_nn_inference_oracle.py \
+		tests/test_training_oracle.py -q
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

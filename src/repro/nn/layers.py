@@ -6,19 +6,33 @@ accumulating parameter gradients).  The design is the classic explicit
 reverse-mode pipeline: ``Sequential.backward`` feeds the loss gradient
 through the layers in reverse.
 
-Shapes are ``(batch, features)`` everywhere.
+Shapes are ``(batch, features)`` everywhere.  :func:`layer_chain` is the
+one rule for which models can also run as bare ``h @ W + b`` and
+activation calls (:func:`chain_steps`): the trainer's fused step and the
+planner's inference path both run on it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn.tensor_ops import check_2d, he_init, xavier_init
 
-__all__ = ["Layer", "Dense", "ReLU", "Tanh", "Sigmoid", "Identity", "Sequential"]
+__all__ = [
+    "Layer",
+    "Dense",
+    "ReLU",
+    "Tanh",
+    "Sigmoid",
+    "Identity",
+    "Sequential",
+    "ChainStep",
+    "layer_chain",
+    "chain_steps",
+]
 
 
 class Layer:
@@ -79,6 +93,10 @@ class Dense(Layer):
         rng: Optional[np.random.Generator] = None,
         init: str = "he",
     ) -> None:
+        """Draw the initial weights; the bias and gradients start at zero.
+
+        Effects: mutates-args, draws-rng
+        """
         if init not in self._INITS:
             raise ConfigurationError(
                 f"unknown init {init!r}; expected one of {sorted(self._INITS)}"
@@ -287,3 +305,54 @@ class Sequential(Layer):
 
     def __len__(self) -> int:
         return len(self.layers)
+
+
+def layer_chain(
+    model: Layer, in_width: int, out_width: Optional[int] = None
+) -> Tuple[Layer, ...]:
+    """The layers of ``model``, checked to run as a bare chain.
+
+    A bare chain is ``h @ W + b`` for each :class:`Dense` layer and
+    ``_fn(h)`` for each activation, in order, on the live layer arrays.
+    Raises :class:`ConfigurationError` unless every layer is a
+    :class:`Dense` layer or an activation and the dense widths chain from
+    ``in_width`` (to ``out_width``, when given).
+    """
+    layers = model.layers if isinstance(model, Sequential) else [model]
+    width = in_width
+    for index, layer in enumerate(layers):
+        if isinstance(layer, Dense):
+            if layer.in_features != width:
+                raise ConfigurationError(
+                    f"layer {index} expects {layer.in_features} inputs; "
+                    f"the chain delivers {width}"
+                )
+            width = layer.out_features
+        elif not isinstance(layer, _Activation):
+            raise ConfigurationError(
+                f"layer {index} ({type(layer).__name__}) has no inference "
+                "path; expected Dense layers and activations"
+            )
+    if out_width is not None and width != out_width:
+        raise ConfigurationError(
+            f"the chain delivers {width} outputs; expected {out_width}"
+        )
+    return tuple(layers)
+
+
+#: One step of a bare chain: a dense layer (its arrays read live at every
+#: call) or an activation function.
+ChainStep = Tuple[Optional[Dense], Optional[Callable[[np.ndarray], np.ndarray]]]
+
+
+def chain_steps(layers: Sequence[Layer]) -> Tuple[ChainStep, ...]:
+    """A checked :func:`layer_chain` as bare steps.
+
+    ``(dense, None)`` runs ``h @ dense.weight + dense.bias`` and
+    ``(None, fn)`` runs ``fn(h)``: the arithmetic of
+    :meth:`Sequential.forward` without its checks and caches.
+    """
+    return tuple(
+        (layer, None) if isinstance(layer, Dense) else (None, layer._fn)
+        for layer in layers
+    )

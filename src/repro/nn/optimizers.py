@@ -1,20 +1,64 @@
 """First-order optimizers.
 
-Optimizers hold references to the model's parameter arrays and update
-them *in place* from the gradient arrays — the same convention as the
-mainstream frameworks, scaled down to what the planner training needs.
+An optimizer binds its model: every dense layer's weight, bias and
+gradient arrays become views into two flat vectors, one of parameters
+and one of gradients, with their values unchanged.  The layers still
+own ``weight``/``grad_weight`` attributes that ``forward``/``backward``
+read and accumulate into as before; the optimizer updates every
+parameter at once, in place, with a fixed number of numpy calls on the
+flat vectors.  Moments and velocities are flat vectors in the same
+layout.  Hold layers rather than their arrays across an optimizer's
+construction: binding replaces each layer's arrays by the views.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nn.layers import Layer
+from repro.nn.layers import Dense, Layer, Sequential
 
 __all__ = ["Optimizer", "SGD", "Adam"]
+
+
+def _dense_layers(model: Layer) -> List[Dense]:
+    """The dense layers of ``model``, in :meth:`Layer.parameters` order."""
+    if isinstance(model, Dense):
+        return [model]
+    if isinstance(model, Sequential):
+        return [dense for layer in model.layers for dense in _dense_layers(layer)]
+    if model.parameters():
+        raise ConfigurationError(
+            f"cannot optimize the parameters of {type(model).__name__}; "
+            "expected Dense layers in Sequential containers"
+        )
+    return []
+
+
+def _arrays(layer: Dense) -> Tuple[np.ndarray, ...]:
+    """A dense layer's weight, bias, weight gradient and bias gradient."""
+    return (layer.weight, layer.bias, layer.grad_weight, layer.grad_bias)
+
+
+def _flatten(
+    arrays: List[np.ndarray],
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Copy ``arrays`` into one flat vector; return it and a view per array.
+
+    Shapes: -> array
+    """
+    sizes = [array.size for array in arrays]
+    flat = np.zeros(sum(sizes))
+    views = []
+    start = 0
+    for array, size in zip(arrays, sizes):
+        view = flat[start : start + size].reshape(array.shape)
+        view[...] = array
+        views.append(view)
+        start += size
+    return flat, views
 
 
 class Optimizer:
@@ -23,7 +67,8 @@ class Optimizer:
     Parameters
     ----------
     model:
-        The network whose parameters are updated in place.
+        The network whose parameters are updated in place; its dense
+        layers' arrays become views into the optimizer's flat vectors.
     learning_rate:
         Step size (mutable: learning-rate schedules assign to
         :attr:`learning_rate` between steps).
@@ -60,31 +105,112 @@ class Optimizer:
         self.learning_rate = float(learning_rate)
         self.weight_decay = float(weight_decay)
         self.grad_clip = grad_clip
+        dense = _dense_layers(model)
+        self._dense: List[Dense] = []
+        #: Per bound layer: (weight, bias, grad_weight, grad_bias) views.
+        self._views: List[Tuple[np.ndarray, ...]] = []
+        #: Gradient views in parameters() order (the clip norm's order).
+        self._grad_views: List[np.ndarray] = []
+        self._shapes = [(layer.weight.shape, layer.bias.shape) for layer in dense]
+        self._params = self._grads = np.zeros(0)
+        self._bind()
+        self._scratch = np.zeros_like(self._params)
+        self._step_buffer = np.zeros_like(self._params)
+
+    @property
+    def model(self) -> Layer:
+        """The network this optimizer updates."""
+        return self._model
+
+    def _bind(self) -> None:
+        """Make the model's arrays views into the flat vectors, if they are not.
+
+        A no-op while the binding holds.  Otherwise (at construction,
+        after a layer or array was replaced, or in a copied or unpickled
+        optimizer) the model's current values are copied into fresh flat
+        vectors in the same layout.
+
+        Effects: mutates-args
+        """
+        dense = _dense_layers(self._model)
+        if self._is_bound(dense):
+            return
+        if len({id(layer) for layer in dense}) != len(dense):
+            raise ConfigurationError(
+                "a Dense layer appears twice in the model; one layer's "
+                "arrays cannot be bound to two places"
+            )
+        if [(layer.weight.shape, layer.bias.shape) for layer in dense] != self._shapes:
+            raise ConfigurationError(
+                "the model's parameter shapes changed under its optimizer"
+            )
+        self._params, params = _flatten(
+            [array for layer in dense for array in _arrays(layer)[:2]]
+        )
+        self._grads, self._grad_views = _flatten(
+            [array for layer in dense for array in _arrays(layer)[2:]]
+        )
+        self._dense = dense
+        self._views = []
+        for i, layer in enumerate(dense):
+            views = (*params[2 * i : 2 * i + 2], *self._grad_views[2 * i : 2 * i + 2])
+            layer.weight, layer.bias, layer.grad_weight, layer.grad_bias = views
+            self._views.append(views)
+
+    def _is_bound(self, dense: List[Dense]) -> bool:
+        if dense != self._dense:
+            return False
+        if self._views and self._views[0][0].base is not self._params:
+            # A copied or unpickled optimizer: its views own their data.
+            return False
+        return all(
+            array is view
+            for layer, views in zip(dense, self._views)
+            for array, view in zip(_arrays(layer), views)
+        )
 
     def step(self) -> None:
-        """Apply one update from the currently accumulated gradients."""
-        raise NotImplementedError
+        """Apply one update from the currently accumulated gradients.
+
+        Effects: mutates-args
+        """
+        self._bind()
+        self._update()
+
+    def _update(self) -> None:
+        """One update of the bound flat vectors, without re-checking the binding.
+
+        The training loop calls this after :meth:`_bind`; :meth:`step` is
+        the same update behind the check.
+
+        Effects: mutates-args
+        """
+        self._prepare()
+        self._apply_rule()
 
     def zero_grad(self) -> None:
         """Clear the model's accumulated gradients."""
         self._model.zero_grad()
 
+    def _apply_rule(self) -> None:
+        raise NotImplementedError
+
     def _prepare(self) -> None:
         """Apply decay and clipping before the rule-specific update."""
         if self.weight_decay > 0.0:
-            for param in self._model.parameters().values():
-                param -= self.learning_rate * self.weight_decay * param
+            decay = self._scratch
+            np.multiply(self._params, self.learning_rate * self.weight_decay, out=decay)
+            self._params -= decay
         if self.grad_clip is not None:
-            grads = self._model.gradients()
+            # Per-parameter sums in parameters() order: one flat sum
+            # would round differently.
             total = float(
                 np.sqrt(
-                    sum(float(np.sum(g * g)) for g in grads.values())
+                    sum(float(np.sum(g * g)) for g in self._grad_views)
                 )
             )
             if total > self.grad_clip and total > 0.0:
-                scale = self.grad_clip / total
-                for grad in grads.values():
-                    grad *= scale
+                self._grads *= self.grad_clip / total
 
 
 class SGD(Optimizer):
@@ -107,24 +233,18 @@ class SGD(Optimizer):
                 f"momentum must be in [0, 1), got {momentum}"
             )
         self.momentum = float(momentum)
-        self._velocity: Dict[str, np.ndarray] = {
-            name: np.zeros_like(param)
-            for name, param in model.parameters().items()
-        }
+        self._velocity = np.zeros_like(self._params)
 
-    def step(self) -> None:
-        self._prepare()
-        params = self._model.parameters()
-        grads = self._model.gradients()
-        for name, param in params.items():
-            grad = grads[name]
-            if self.momentum > 0.0:
-                v = self._velocity[name]
-                v *= self.momentum
-                v -= self.learning_rate * grad
-                param += v
-            else:
-                param -= self.learning_rate * grad
+    def _apply_rule(self) -> None:
+        step = self._step_buffer
+        np.multiply(self._grads, self.learning_rate, out=step)
+        if self.momentum > 0.0:
+            velocity = self._velocity
+            velocity *= self.momentum
+            velocity -= step
+            self._params += velocity
+        else:
+            self._params -= step
 
 
 class Adam(Optimizer):
@@ -154,29 +274,28 @@ class Adam(Optimizer):
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self._t = 0
-        params = model.parameters()
-        self._m: Dict[str, np.ndarray] = {
-            name: np.zeros_like(p) for name, p in params.items()
-        }
-        self._v: Dict[str, np.ndarray] = {
-            name: np.zeros_like(p) for name, p in params.items()
-        }
+        self._m = np.zeros_like(self._params)
+        self._v = np.zeros_like(self._params)
 
-    def step(self) -> None:
-        self._prepare()
+    def _apply_rule(self) -> None:
         self._t += 1
-        params = self._model.parameters()
-        grads = self._model.gradients()
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        for name, param in params.items():
-            grad = grads[name]
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        grad, m, v = self._grads, self._m, self._v
+        scratch, step = self._scratch, self._step_buffer
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=scratch)
+        m += scratch
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=scratch)
+        scratch *= grad
+        v += scratch
+        # param -= (lr m_hat) / (sqrt(v_hat) + eps)
+        np.divide(v, bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        np.divide(m, bias1, out=step)
+        step *= self.learning_rate
+        step /= scratch
+        self._params -= step

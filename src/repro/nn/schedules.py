@@ -1,9 +1,9 @@
 """Learning-rate schedules.
 
 A schedule is a callable mapping the (0-based) epoch index to a learning
-rate; :class:`ScheduledTrainer` applies it to an optimizer between
-epochs.  The :class:`~repro.nn.training.Trainer` takes an optional
-``schedule`` so existing call sites are untouched.
+rate; ``Trainer(schedule=...)`` (:class:`~repro.nn.training.Trainer`)
+assigns it to the optimizer's learning rate at the start of every
+epoch.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ def load_model(path: Union[str, Path]) -> Sequential:
                     f"parameter {name!r} shape mismatch: file has "
                     f"{stored.shape}, architecture expects {param.shape}"
                 )
-            np.copyto(param, stored)
+            param[...] = stored
     return model
 
 

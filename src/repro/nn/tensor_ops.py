@@ -26,6 +26,7 @@ def he_init(
 ) -> np.ndarray:
     """He-normal initialisation, suited to ReLU layers.
 
+    Effects: draws-rng
     Shapes: -> [I, O]
     """
     _check_fans(fan_in, fan_out)
@@ -38,6 +39,7 @@ def xavier_init(
 ) -> np.ndarray:
     """Xavier/Glorot-uniform initialisation, suited to tanh layers.
 
+    Effects: draws-rng
     Shapes: -> [I, O]
     """
     _check_fans(fan_in, fan_out)

@@ -19,13 +19,13 @@ ultimate compound configurations without retraining.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
-from repro.nn.layers import Dense, Sequential, _Activation
+from repro.nn.layers import Sequential, chain_steps, layer_chain
 from repro.planners.base import PlanningContext
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
 from repro.utils.intervals import Interval
@@ -125,38 +125,6 @@ class FeatureScaler:
         return cls(mean=np.asarray(data["mean"]), std=np.asarray(data["std"]))
 
 
-#: One inference step: a dense layer (read live at every call) or an
-#: activation function.
-_Step = Tuple[Optional[Dense], Optional[Callable[[np.ndarray], np.ndarray]]]
-
-
-def _inference_steps(model: Sequential) -> Tuple[_Step, ...]:
-    """The layer chain of ``model`` as bare inference steps.
-
-    Raises :class:`ConfigurationError` unless the chain is dense layers
-    and activations whose widths chain from the five features.
-    """
-    steps = []
-    width = N_FEATURES
-    for index, layer in enumerate(model.layers):
-        if isinstance(layer, Dense):
-            if layer.in_features != width:
-                raise ConfigurationError(
-                    f"layer {index} expects {layer.in_features} inputs; "
-                    f"the chain delivers {width}"
-                )
-            width = layer.out_features
-            steps.append((layer, None))
-        elif isinstance(layer, _Activation):
-            steps.append((None, layer._fn))
-        else:
-            raise ConfigurationError(
-                f"layer {index} ({type(layer).__name__}) has no inference "
-                "path; expected Dense layers and activations"
-            )
-    return tuple(steps)
-
-
 class NNPlanner:
     """A trained regression network behind the planner protocol.
 
@@ -198,7 +166,7 @@ class NNPlanner:
             )
         self._model = model
         self._scaler = scaler
-        self._steps = _inference_steps(model)
+        self._steps = chain_steps(layer_chain(model, N_FEATURES))
         self._mean = tuple(scaler.mean.tolist())
         self._std = tuple(scaler.std.tolist())
         self._windows = window_estimator

@@ -1,11 +1,14 @@
 """Tests for the minibatch trainer."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.errors import TrainingError
+from repro.errors import ConfigurationError, TrainingError
 from repro.nn.layers import Dense, Sequential, Tanh
 from repro.nn.optimizers import Adam
+from repro.nn.serialization import load_model, save_model
 from repro.nn.training import Trainer
 
 
@@ -117,3 +120,75 @@ class TestValidation:
         before = net.forward(x[:3]).copy()
         trainer.evaluate(x, y)
         assert np.allclose(net.forward(x[:3]), before)
+
+
+class TestOptimizerBinding:
+    def test_optimizer_of_another_model_rejected(self):
+        net, other = _net(0), _net(1)
+        with pytest.raises(ConfigurationError):
+            Trainer(net, optimizer=Adam(other))
+
+    def test_trained_model_is_an_ordinary_sequential(self, tmp_path):
+        x, y = _sine_data(128)
+        net = _net()
+        Trainer(net, rng=np.random.default_rng(3)).fit(x, y, epochs=3)
+        expected = net.forward(x[:7]).copy()
+        twin = copy.deepcopy(net)
+        assert np.array_equal(twin.forward(x[:7]), expected)
+        restored = load_model(save_model(net, tmp_path / "model"))
+        assert np.array_equal(restored.forward(x[:7]), expected)
+        # The twin trains on its own arrays; the original does not move.
+        Trainer(twin, rng=np.random.default_rng(4)).fit(x, y, epochs=2)
+        assert not np.array_equal(twin.forward(x[:7]), expected)
+        assert np.array_equal(net.forward(x[:7]), expected)
+
+
+class TestLayerChain:
+    @pytest.mark.parametrize(
+        "layers, width",
+        [
+            (lambda rng: [Dense(2, 4, rng), Tanh(), Dense(4, 1, rng)], 1),
+            (lambda rng: [Dense(1, 4, rng), Tanh(), Dense(5, 1, rng)], 1),
+            (lambda rng: [Dense(1, 4, rng), Sequential([Tanh()]), Dense(4, 1, rng)], 1),
+            (lambda rng: [Dense(1, 4, rng), Tanh(), Dense(4, 1, rng)], 2),
+        ],
+        ids=["input-width", "hidden-width", "nested", "target-width"],
+    )
+    def test_malformed_chain_rejected_before_any_epoch(self, layers, width):
+        net = Sequential(layers(np.random.default_rng(0)))
+        epochs = []
+        trainer = Trainer(
+            net, rng=np.random.default_rng(0),
+            schedule=lambda epoch: epochs.append(epoch) or 1e-3,
+        )
+        before = {name: p.copy() for name, p in net.parameters().items()}
+        with pytest.raises(ConfigurationError):
+            trainer.fit(np.zeros((8, 1)), np.zeros((8, width)), epochs=2)
+        assert epochs == []
+        for name, param in net.parameters().items():
+            assert np.array_equal(param, before[name])
+
+
+class TestEvaluateCachesNothing:
+    def _caches(self, net):
+        return [
+            layer._input if isinstance(layer, Dense) else layer._cache
+            for layer in net.layers
+        ]
+
+    def test_fit_and_evaluate_leave_no_caches(self):
+        x, y = _sine_data(200)
+        net = _net()
+        trainer = Trainer(net, rng=np.random.default_rng(0))
+        trainer.fit(x, y, epochs=2)
+        trainer.evaluate(x, y)
+        assert self._caches(net) == [None] * len(net.layers)
+
+    def test_evaluate_leaves_existing_caches_alone(self):
+        x, y = _sine_data(64)
+        net = _net()
+        net.forward(x[:5])
+        before = self._caches(net)
+        Trainer(net).evaluate(x, y)
+        after = self._caches(net)
+        assert all(a is b for a, b in zip(after, before))
