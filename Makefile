@@ -111,10 +111,10 @@ chaos:
 campaign-smoke:
 	$(PYTHON) scripts/campaign_smoke.py
 
-# Shard chaos smoke (~60 s): shards a campaign across three worker
-# processes, SIGKILLs one worker and then the coordinator itself,
-# shard-resumes with a fresh fleet, and requires the merged
-# aggregate.json to be byte-identical to a sequential reference — all
+# Shard chaos smoke (~10 s): runs a campaign on three worker processes
+# (run --workers 3), SIGKILLs one worker and then the coordinator
+# itself, resumes with a fresh fleet, and requires the merged
+# aggregate.json to be byte-identical to an in-process reference — all
 # through the repro-campaign CLI.  See the Distribution section of
 # docs/ROBUSTNESS.md.
 shard-smoke:

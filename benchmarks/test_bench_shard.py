@@ -1,8 +1,8 @@
-"""Benchmark: the shard layer against the sequential campaign runner.
+"""Benchmark: the shard fleet against the in-process campaign runner.
 
-Runs the same manifest through the single-process
-:class:`~repro.campaign.CampaignRunner` and through a three-worker
-:class:`~repro.campaign.ShardCoordinator`, asserting the merged
+Runs the same manifest through :class:`~repro.campaign.CampaignRunner`
+in-process (``n_workers=1``) and on a three-worker fleet
+(``n_workers=3``), asserting the merged
 aggregate bytes are **bit-identical** — distribution reorganises
 execution, never results — and printing the wall time of each leg so
 ``BENCH_shard.json`` (via ``make bench-record``) tracks shard overhead
@@ -21,8 +21,7 @@ import pytest
 from repro.campaign import (
     CampaignManifest,
     CampaignRunner,
-    ShardCoordinator,
-    shard_status,
+    campaign_status,
     verify_campaign,
 )
 
@@ -65,7 +64,7 @@ def test_sharded_bit_identical_to_sequential(benchmark, run_once, tmp_path):
             lambda: CampaignRunner(manifest, tmp_path / "sequential").run()
         )
         report, sharded_s = _timed(
-            lambda: ShardCoordinator(
+            lambda: CampaignRunner(
                 manifest,
                 tmp_path / "sharded",
                 n_workers=3,
@@ -94,7 +93,7 @@ def test_sharded_bit_identical_to_sequential(benchmark, run_once, tmp_path):
         outcome = verify_campaign(tmp_path / directory)
         assert outcome["ok"], outcome["problems"]
 
-    summary = shard_status(tmp_path / "sharded")
+    summary = campaign_status(tmp_path / "sharded")
     assert summary["finished"] is True
     assert summary["completed_chunks"] == manifest.n_chunks
     assert set(summary["workers"]) == {"w0", "w1", "w2"}

@@ -4,15 +4,16 @@
 Exercises the kill-anywhere contract from the outside, through the
 ``repro-campaign`` CLI only:
 
-1. run a small campaign sequentially (the reference),
-2. shard the same campaign across three worker processes and
-   ``SIGKILL`` one worker the moment its first chunk is journaled,
+1. run a small campaign in-process (the reference),
+2. ``run --workers 3``: shard the same campaign across three worker
+   processes and ``SIGKILL`` one worker the moment its first chunk is
+   journaled,
 3. ``SIGKILL`` the coordinator itself once a few more chunks land,
-4. ``shard-resume`` with a fresh fleet and require the merged
-   ``aggregate.json`` to be **byte-identical** to the sequential
+4. ``resume --workers 3`` with a fresh fleet and require the merged
+   ``aggregate.json`` to be **byte-identical** to the in-process
    reference's,
 5. ``verify`` both directories,
-6. require ``shard-status`` to account for both coordinator epochs and
+6. require ``status`` to account for both coordinator epochs and
    every worker's exit.
 
 Run via ``make shard-smoke``.  Exits 0 on success, 1 on any violated
@@ -129,8 +130,8 @@ def _wait_for(directory, predicate, what, coordinator=None):
     _fail(f"timed out waiting for {what}")
 
 
-def _shard_status(directory):
-    proc = _cli("shard-status", "--dir", str(directory), "--json")
+def _status(directory):
+    proc = _cli("status", "--dir", str(directory), "--json")
     return json.loads(proc.stdout)
 
 
@@ -158,13 +159,13 @@ def main():
         reference = workdir / "reference"
         sharded = workdir / "sharded"
 
-        print("1/6 sequential reference run")
+        print("1/6 in-process reference run")
         _cli("run", "--manifest", str(manifest_path), "--dir", str(reference))
 
-        print("2/6 shard-run with 3 workers; SIGKILL one worker mid-run")
+        print("2/6 run with 3 workers; SIGKILL one worker mid-run")
         coordinator = subprocess.Popen(
             CLI
-            + ["shard-run", "--manifest", str(manifest_path),
+            + ["run", "--manifest", str(manifest_path),
                "--dir", str(sharded)]
             + SHARD_FLAGS,
             env=_env(),
@@ -203,26 +204,26 @@ def main():
                 coordinator.kill()
                 coordinator.wait(timeout=30)
 
-        print("4/6 shard-resume with a fresh fleet")
-        status = _shard_status(sharded)
+        print("4/6 resume with a fresh fleet")
+        status = _status(sharded)
         if status["finished"]:
             _fail("killed shard campaign reports finished=True")
-        _cli("shard-resume", "--dir", str(sharded), *SHARD_FLAGS)
+        _cli("resume", "--dir", str(sharded), *SHARD_FLAGS)
 
         print("5/6 byte-compare aggregates and verify both directories")
         reference_bytes = (reference / "aggregate.json").read_bytes()
         sharded_bytes = (sharded / "aggregate.json").read_bytes()
         if reference_bytes != sharded_bytes:
             _fail(
-                "sharded aggregate.json differs from the sequential "
+                "sharded aggregate.json differs from the in-process "
                 "reference bytes"
             )
         _cli("verify", "--dir", str(reference))
         _cli("verify", "--dir", str(sharded))
         print(f"    aggregate bit-identical ({len(sharded_bytes)} bytes)")
 
-        print("6/6 shard-status accounts for the chaos")
-        status = _shard_status(sharded)
+        print("6/6 status accounts for the chaos")
+        status = _status(sharded)
         if not status["finished"]:
             _fail("resumed shard campaign reports finished=False")
         if status["coordinator_epochs"] != 2:
@@ -231,7 +232,7 @@ def main():
                 f"{status['coordinator_epochs']}"
             )
         if status["completed_chunks"] * 2 < args.sims:
-            _fail("shard-status undercounts completed chunks")
+            _fail("status undercounts completed chunks")
         alive = [w for w, e in status["workers"].items() if e["alive"]]
         if alive:
             _fail(f"workers still marked alive after completion: {alive}")

@@ -16,18 +16,17 @@ makes the batch layer durable:
   :class:`~repro.sim.runner.BatchRunner`, journals progress,
   retries transient chunk failures with deterministic seeded backoff,
   drains cleanly on SIGINT/SIGTERM, and resumes a killed campaign to
-  aggregate results **bit-identical** to an uninterrupted run.
+  aggregate results **bit-identical** to an uninterrupted run.  With
+  ``n_workers=1`` it runs chunks in-process; with ``n_workers > 1`` it
+  distributes them over worker subprocesses with lease-based claims
+  journaled in the same write-ahead journal (the
+  :mod:`repro.campaign.shard` pieces) — kill-anywhere workers *and*
+  runner, byte-identical aggregates for every worker count.
 
-For certification sweeps too big for one process, the
-:mod:`repro.campaign.shard` subpackage distributes a campaign's chunk
-space across worker subprocesses with lease-based claims journaled in
-the same write-ahead journal — kill-anywhere workers *and* coordinator,
-byte-identical merged aggregates.
-
-The ``repro-campaign`` console script (``run`` / ``resume`` / ``status``
-/ ``verify`` / ``shard-run`` / ``shard-resume`` / ``shard-status``)
-exposes the whole lifecycle; see ``docs/ROBUSTNESS.md`` for the
-durability and distribution contracts.
+The ``repro-campaign`` console script (``run`` / ``resume`` /
+``status`` / ``verify``, with ``--workers N``) exposes the whole
+lifecycle; see ``docs/ROBUSTNESS.md`` for the durability and
+distribution contracts.
 """
 
 from repro.campaign.backoff import BackoffPolicy
@@ -42,7 +41,7 @@ from repro.campaign.runner import (
     replay_progress,
     verify_campaign,
 )
-from repro.campaign.shard import LeaseTable, ShardCoordinator, shard_status
+from repro.campaign.shard import LeaseTable
 from repro.campaign.store import atomic_write_json, load_json
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "CampaignRunner",
     "JournalWriter",
     "LeaseTable",
-    "ShardCoordinator",
     "atomic_write_json",
     "campaign_status",
     "finalise_campaign",
@@ -61,6 +59,5 @@ __all__ = [
     "read_journal",
     "recover_journal",
     "replay_progress",
-    "shard_status",
     "verify_campaign",
 ]

@@ -5,24 +5,22 @@ Subcommands
 
 ``run``
     Start a campaign from a manifest JSON file into a directory.
+    ``--workers 1`` (the default) runs chunks in this process;
+    ``--workers N`` shards them across N worker processes with
+    lease-based chunk claims (``--lease-ttl``,
+    ``--heartbeat-interval``, ``--straggler-factor``).
 ``resume``
-    Continue a killed or drained campaign from its directory.
+    Continue a killed or drained campaign from its directory, with any
+    worker count — after any crash of a worker *or* of the runner;
+    progress is replayed purely from the journal.
 ``status``
-    Read-only progress summary (safe while a campaign is running).
+    Read-only progress summary (safe while a campaign is running),
+    with per-worker leases, heartbeats, steals, speculative dispatches
+    and duplicate completions of sharded runs, plus the newest
+    telemetry frame (``repro-obs expo <dir>/telemetry.jsonl`` renders
+    it as Prometheus text).
 ``verify``
     Cross-check journal, chunk snapshots, and aggregate digests.
-``shard-run``
-    Start a campaign sharded across N worker processes with
-    lease-based chunk claims (see :mod:`repro.campaign.shard`).
-``shard-resume``
-    Continue a sharded campaign after any crash — worker *or*
-    coordinator; progress is replayed purely from the journal.
-``shard-status``
-    Read-only per-worker summary: leases, heartbeats, steals,
-    speculative dispatches, duplicate completions — plus the newest
-    fleet telemetry frame when the coordinator wrote a
-    ``telemetry.jsonl`` sidecar (``--expo`` renders it as Prometheus
-    text instead).
 
 Exit codes: 0 success; 1 verification found problems; 2 campaign error
 (bad manifest, fingerprint mismatch, corrupt journal, invalid flag);
@@ -46,7 +44,6 @@ from repro.campaign.runner import (
     campaign_status,
     verify_campaign,
 )
-from repro.campaign.shard import ShardCoordinator, shard_status
 from repro.errors import ReproError
 from repro.utils.validation import (
     check_flag_at_least,
@@ -91,47 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
-
-    shard_run = sub.add_parser(
-        "shard-run",
-        help="start a campaign sharded across worker processes",
-    )
-    shard_run.add_argument(
-        "--manifest", required=True, help="manifest JSON file"
-    )
-    shard_run.add_argument("--dir", required=True, help="campaign directory")
-    _add_exec_options(shard_run)
-    _add_shard_options(shard_run)
-
-    shard_resume = sub.add_parser(
-        "shard-resume",
-        help="continue a sharded campaign after any crash",
-    )
-    shard_resume.add_argument(
-        "--dir", required=True, help="campaign directory"
-    )
-    _add_exec_options(shard_resume)
-    _add_shard_options(shard_resume)
-
-    shard_stat = sub.add_parser(
-        "shard-status",
-        help="per-worker leases, heartbeats, steals (read-only)",
-    )
-    shard_stat.add_argument("--dir", required=True, help="campaign directory")
-    shard_stat.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    shard_stat.add_argument(
-        "--expo",
-        action="store_true",
-        help="print the newest telemetry frame as Prometheus text",
-    )
     return parser
 
 
 def _add_exec_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--workers", type=int, default=1, help="worker processes per chunk"
+        "--workers",
+        type=int,
+        default=1,
+        help="shard worker processes (1: run chunks in this process)",
     )
     sub.add_argument(
         "--max-retries",
@@ -151,9 +116,6 @@ def _add_exec_options(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="per-simulation time budget in seconds (default: no watchdog)",
     )
-
-
-def _add_shard_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--lease-ttl",
         type=float,
@@ -186,17 +148,16 @@ def _validate_exec_options(args: argparse.Namespace) -> None:
     check_flag_count(args.chunk_attempts, "--chunk-attempts", minimum=1)
     if args.chunk_timeout is not None:
         check_flag_positive(args.chunk_timeout, "--chunk-timeout")
-    if hasattr(args, "lease_ttl"):
-        check_flag_positive(args.lease_ttl, "--lease-ttl")
-        check_flag_positive(args.heartbeat_interval, "--heartbeat-interval")
-        check_flag_below(
-            args.heartbeat_interval,
-            "--heartbeat-interval",
-            args.lease_ttl,
-            "--lease-ttl",
-            reason="every healthy lease would expire",
-        )
-        check_flag_at_least(args.straggler_factor, 1.0, "--straggler-factor")
+    check_flag_positive(args.lease_ttl, "--lease-ttl")
+    check_flag_positive(args.heartbeat_interval, "--heartbeat-interval")
+    check_flag_below(
+        args.heartbeat_interval,
+        "--heartbeat-interval",
+        args.lease_ttl,
+        "--lease-ttl",
+        reason="every healthy lease would expire",
+    )
+    check_flag_at_least(args.straggler_factor, 1.0, "--straggler-factor")
 
 
 def _runner(args: argparse.Namespace, manifest: CampaignManifest) -> CampaignRunner:
@@ -207,22 +168,9 @@ def _runner(args: argparse.Namespace, manifest: CampaignManifest) -> CampaignRun
         max_retries=args.max_retries,
         timeout_per_sim=args.chunk_timeout,
         backoff=BackoffPolicy(max_attempts=args.chunk_attempts),
-    )
-
-
-def _coordinator(
-    args: argparse.Namespace, manifest: CampaignManifest
-) -> ShardCoordinator:
-    return ShardCoordinator(
-        manifest,
-        args.dir,
-        n_workers=args.workers,
         lease_ttl=args.lease_ttl,
         heartbeat_interval=args.heartbeat_interval,
         straggler_factor=args.straggler_factor,
-        backoff=BackoffPolicy(max_attempts=args.chunk_attempts),
-        max_retries=args.max_retries,
-        timeout_per_sim=args.chunk_timeout,
     )
 
 
@@ -250,20 +198,10 @@ def _print_report(report: CampaignReport) -> None:
         print("interrupted — resume with: repro-campaign resume --dir <dir>")
 
 
-def _print_shard_status(summary: dict) -> None:
-    for key in (
-        "name",
-        "fingerprint",
-        "n_chunks",
-        "completed_chunks",
-        "coordinator_epochs",
-        "lease_expirations",
-        "duplicate_completions",
-        "journal_records",
-        "torn_tail",
-        "finished",
-    ):
-        print(f"{key}: {summary[key]}")
+def _print_status(summary: dict) -> None:
+    for key, value in summary.items():
+        if key not in ("workers", "telemetry"):
+            print(f"{key}: {value}")
     for worker, entry in sorted(summary["workers"].items()):
         print(
             f"worker {worker}: pid={entry['pid']} alive={entry['alive']} "
@@ -273,7 +211,7 @@ def _print_shard_status(summary: dict) -> None:
             f"completions={entry['completions']} "
             f"expirations={entry['expirations']} errors={entry['errors']}"
         )
-    telemetry = summary.get("telemetry")
+    telemetry = summary["telemetry"]
     if telemetry is not None:
         print(
             f"telemetry: {telemetry['frames']} frames "
@@ -282,23 +220,6 @@ def _print_shard_status(summary: dict) -> None:
         for name, value in sorted(telemetry["counters"].items()):
             if name.startswith("fleet.") and "{" not in name:
                 print(f"  {name}: {value}")
-
-
-def _print_shard_expo(summary: dict) -> int:
-    """Render the newest telemetry frame as Prometheus text; exit code."""
-    from repro.obs.expo import render_prometheus
-
-    telemetry = summary.get("telemetry")
-    if telemetry is None:
-        print("error: no telemetry frames recorded yet", file=sys.stderr)
-        return EXIT_ERROR
-    snapshot = {
-        "counters": telemetry["counters"],
-        "gauges": telemetry["gauges"],
-        "histograms": telemetry["histograms"],
-    }
-    sys.stdout.write(render_prometheus(snapshot))
-    return EXIT_OK
 
 
 def _report_exit(report: CampaignReport) -> int:
@@ -318,30 +239,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             _validate_exec_options(args)
             manifest = CampaignManifest.load(f"{args.dir}/{MANIFEST_FILE}")
             return _report_exit(_runner(args, manifest).resume())
-        if args.command == "shard-run":
-            _validate_exec_options(args)
-            manifest = CampaignManifest.load(args.manifest)
-            return _report_exit(_coordinator(args, manifest).run())
-        if args.command == "shard-resume":
-            _validate_exec_options(args)
-            manifest = CampaignManifest.load(f"{args.dir}/{MANIFEST_FILE}")
-            return _report_exit(_coordinator(args, manifest).resume())
         if args.command == "status":
             summary = campaign_status(args.dir)
             if args.json:
                 print(json.dumps(summary, indent=2, sort_keys=True))
             else:
-                for key, value in summary.items():
-                    print(f"{key}: {value}")
-            return EXIT_OK
-        if args.command == "shard-status":
-            summary = shard_status(args.dir)
-            if args.expo:
-                return _print_shard_expo(summary)
-            if args.json:
-                print(json.dumps(summary, indent=2, sort_keys=True))
-            else:
-                _print_shard_status(summary)
+                _print_status(summary)
             return EXIT_OK
         # verify
         outcome = verify_campaign(args.dir)

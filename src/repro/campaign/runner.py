@@ -10,7 +10,7 @@ each chunk the runner
 1. executes the chunk's indices through
    :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed`
    (retrying transiently failed chunks with deterministic seeded
-   backoff),
+   backoff, :func:`run_chunk_attempts`),
 2. persists the chunk snapshot atomically (tmp + fsync + rename), then
 3. appends a ``chunk_completed`` record to the write-ahead journal.
 
@@ -22,7 +22,23 @@ aggregate is always computed from the on-disk snapshots, never from
 in-memory state, so an interrupted-and-resumed campaign produces
 **bit-identical** aggregate bytes to an uninterrupted one.
 
-Shutdown: SIGINT/SIGTERM set a flag; the in-flight chunk drains, an
+Transports
+----------
+
+``n_workers=1`` runs the chunks in this process.  ``n_workers > 1``
+runs them on a fleet of ``python -m repro.campaign.shard.worker``
+subprocesses: a :class:`~repro.campaign.shard.leases.LeaseTable` deals
+chunks out as heartbeat-renewed leases, workers persist the snapshots
+and report digests over the line protocol of
+:mod:`repro.campaign.shard.protocol`, and the runner stays the only
+journal writer.  A dead worker's leases are re-dealt to the survivors;
+a SIGKILLed runner resumes by journal replay under a new
+``coordinator_started`` epoch.  Both transports run the same
+:func:`run_chunk_attempts` and finalise through the same
+:func:`finalise_campaign`, so a campaign may be resumed with any worker
+count and ends at the same ``aggregate.json`` bytes.
+
+Shutdown: SIGINT/SIGTERM set a flag; in-flight chunks drain, an
 ``interrupted`` record is journaled, and the report says so (the CLI
 exits nonzero).  ``kill -9`` skips all of that — which is exactly what
 the journal recovery path is for.
@@ -30,16 +46,35 @@ the journal recovery path is for.
 
 from __future__ import annotations
 
+import math
+import os
+import selectors
 import signal
+import subprocess
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+import repro
 from repro.campaign.backoff import BackoffPolicy
 from repro.campaign.builders import workload_executor
 from repro.campaign.journal import JournalWriter, read_journal, recover_journal
 from repro.campaign.manifest import CampaignManifest
+from repro.campaign.shard.leases import Lease, LeaseTable
+from repro.campaign.shard.protocol import (
+    COMMAND_RUN,
+    COMMAND_SHUTDOWN,
+    EVENT_COMPLETED,
+    EVENT_ERROR,
+    EVENT_HEARTBEAT,
+    EVENT_READY,
+    EVENT_RETRY,
+    EVENT_STARTED,
+    decode_line,
+    encode_message,
+)
 from repro.campaign.store import atomic_write_json, load_json
 from repro.errors import (
     CampaignError,
@@ -47,9 +82,10 @@ from repro.errors import (
     JournalCorruptionError,
     SerializationError,
 )
+from repro.obs.fleet import merge_delta
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import resolve_observer
-from repro.obs.recorder import TELEMETRY_FILE, FlightRecorder
+from repro.obs.recorder import TELEMETRY_FILE, FlightRecorder, read_telemetry
 from repro.obs.trace import perf_now
 from repro.sim.results import AggregateStats, ChunkResult
 from repro.sim.serialization import (
@@ -71,6 +107,7 @@ __all__ = [
     "load_chunk_snapshot",
     "persist_chunk_snapshot",
     "replay_progress",
+    "run_chunk_attempts",
     "verify_campaign",
     "MANIFEST_FILE",
     "JOURNAL_FILE",
@@ -87,6 +124,8 @@ AGGREGATE_FILE = "aggregate.json"
 #: and wall-clock numbers never are.
 METRICS_FILE = "metrics.json"
 _CHUNK_DIR = "chunks"
+#: Grace period [s] for a fleet worker to exit after a shutdown command.
+_SHUTDOWN_GRACE = 10.0
 
 #: Signature of an injectable chunk executor (tests substitute a flaky
 #: or instrumented one): ``(indices, n_sims, seed) -> ChunkResult``.
@@ -193,12 +232,12 @@ class CampaignProgress:
 def replay_progress(records: List[dict], fingerprint: str) -> CampaignProgress:
     """Rebuild campaign progress from journal records.
 
-    Shared by the single-process runner and the shard coordinator.
-    Checks every record's fingerprint against ``fingerprint`` and is
-    **idempotent over duplicate** ``chunk_completed`` records: the shard
-    layer's speculative re-dispatch may journal the same chunk twice
-    (two workers raced it to completion), and because chunk ``k`` is
-    content-deterministic both records must carry the same digest.  A
+    Shared by both transports.  Checks every record's fingerprint
+    against ``fingerprint`` and is **idempotent over duplicate**
+    ``chunk_completed`` records: the fleet's speculative re-dispatch may
+    journal the same chunk twice (two workers raced it to completion),
+    and because chunk ``k`` is content-deterministic both records must
+    carry the same digest.  A
     duplicate with a *different* digest means the workload is not
     deterministic (or a snapshot was forged) and raises
     :class:`~repro.errors.JournalCorruptionError` rather than letting
@@ -232,8 +271,108 @@ def replay_progress(records: List[dict], fingerprint: str) -> CampaignProgress:
     return progress
 
 
+def run_chunk_attempts(
+    execute: Callable[[List[int]], ChunkResult],
+    indices: List[int],
+    fingerprint: str,
+    chunk: int,
+    backoff: BackoffPolicy,
+    sleep: Callable[[float], None],
+    on_retry: Callable[[int, float], None],
+) -> ChunkResult:
+    """Execute one chunk, retrying transient failures with backoff.
+
+    The one chunk-attempt rule of both transports: the in-process loop
+    and every shard worker call it.  ``stage == "simulation"`` failures
+    are deterministic (same seed, same exception) and accepted; worker
+    deaths and timeouts get up to ``backoff.max_attempts`` full-chunk
+    attempts — harmless to repeat, since re-running completed indices
+    reproduces their results bit-identically.  Before attempt ``a > 1``
+    it calls ``on_retry(a, delay)`` and then ``sleep(delay)`` with
+    ``delay = backoff.delay(fingerprint, chunk, a - 1)``.  The last
+    attempt is returned with its failures, to be persisted as they are.
+    """
+    last: Optional[ChunkResult] = None
+    for attempt in range(1, backoff.max_attempts + 1):
+        if attempt > 1:
+            delay = backoff.delay(fingerprint, chunk, attempt - 1)
+            on_retry(attempt, delay)
+            sleep(delay)
+        last = execute(indices)
+        if not last.transient_failures:
+            return last
+    assert last is not None
+    return last
+
+
+@dataclass
+class _WorkerHandle:
+    """Coordinator-side state of one shard worker subprocess."""
+
+    worker_id: str
+    process: subprocess.Popen
+    buffer: bytes = b""
+    ready: bool = False
+    alive: bool = True
+    busy_chunk: Optional[int] = None
+    exit_journaled: bool = False
+    heartbeats: int = 0
+    completions: int = 0
+
+
+@dataclass
+class _LoopState:
+    """Mutable per-run state threaded through the fleet event loop."""
+
+    progress: CampaignProgress
+    table: LeaseTable
+    journal: JournalWriter
+    #: chunk -> perf_now() at the moment its lease was released, for the
+    #: re-dispatch latency metric.
+    redispatch_pending: Dict[int, float] = field(default_factory=dict)
+
+
+#: The fields each worker event must carry, as ``name -> (type,
+#: default)``; a field with a ``None`` default is required.  ``float``
+#: means a finite, non-negative JSON number.
+_EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, object]]] = {
+    EVENT_STARTED: {"chunk": (int, None)},
+    EVENT_HEARTBEAT: {"chunk": (int, None), "done": (int, 0)},
+    EVENT_RETRY: {
+        "chunk": (int, None),
+        "attempt": (int, None),
+        "delay": (float, None),
+    },
+    EVENT_COMPLETED: {
+        "chunk": (int, None),
+        "digest": (str, None),
+        "n_results": (int, 0),
+        "n_failures": (int, 0),
+        "elapsed": (float, 0.0),
+    },
+    EVENT_ERROR: {"chunk": (int, None)},
+}
+
+
+def _field_ok(value: object, kind: type) -> bool:
+    if kind is str:
+        return isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind is int:
+        return isinstance(value, int)
+    return math.isfinite(value) and value >= 0.0
+
+
 class CampaignRunner:
     """Runs a :class:`CampaignManifest` durably inside a directory.
+
+    One class, two transports.  ``n_workers=1`` runs chunks in this
+    process; ``n_workers > 1`` runs a fleet of shard worker
+    subprocesses under leases.  The lifecycle (start and fingerprint
+    refusals, journal replay, drain, finalisation, report) is shared, so
+    the two are resume-compatible in both directions and produce the
+    same ``aggregate.json`` bytes.
 
     Parameters
     ----------
@@ -243,7 +382,9 @@ class CampaignRunner:
         Campaign home: ``manifest.json``, ``journal.jsonl``, ``chunks/``
         and ``aggregate.json`` live here.  One directory, one campaign.
     n_workers:
-        Worker processes per chunk (operational — not fingerprinted).
+        ``1`` runs chunks in this process; ``N > 1`` spawns ``N``
+        ``python -m repro.campaign.shard.worker`` subprocesses
+        (operational — not fingerprinted).
     max_retries:
         Per-index retry budget inside the batch layer.
     timeout_per_sim:
@@ -253,18 +394,34 @@ class CampaignRunner:
         its workers are terminated and the indices retried.
     backoff:
         Chunk-level retry policy for transient (worker/timeout)
-        failures.
+        failures (:func:`run_chunk_attempts`); the fleet also draws its
+        re-dispatch delays and its per-chunk error budget from it.
     sleep:
-        Injectable wait primitive; tests pass a recorder so the backoff
-        schedule is asserted without actually sleeping.
+        Injectable wait primitive of the in-process transport; tests
+        pass a recorder so the backoff schedule is asserted without
+        actually sleeping.
     chunk_executor:
-        Test hook replacing the batch layer entirely.
+        Test hook replacing the batch layer of the in-process transport.
     observer:
         Optional :class:`~repro.obs.observer.Observer`; records chunk
-        spans, retry counters and journal fsync latency.  Write-only —
-        every campaign artifact except ``metrics.json`` is byte-identical
-        with or without it (and ``metrics.json`` is derived from the
-        journal, which always carries chunk wall times).
+        spans, retry counters, journal fsync latency and the fleet's
+        lease churn.  Write-only — every campaign artifact except
+        ``metrics.json`` is byte-identical with or without it (and
+        ``metrics.json`` is derived from the journal, which always
+        carries chunk wall times).
+    lease_ttl:
+        Fleet only: seconds of heartbeat silence after which a lease
+        expires and its chunk is re-dispatched.
+    heartbeat_interval:
+        Fleet only: seconds between worker liveness heartbeats (must be
+        below ``lease_ttl``).
+    straggler_factor:
+        Fleet only: lease age multiple of ``lease_ttl`` beyond which an
+        idle worker may speculatively duplicate a straggling chunk.
+    tick_hook:
+        Test-only callable ``(runner, now) -> None`` invoked once per
+        fleet event-loop iteration; the chaos suite uses it to SIGKILL
+        workers at precise protocol states.
     """
 
     def __init__(
@@ -278,7 +435,41 @@ class CampaignRunner:
         sleep: Callable[[float], None] = time.sleep,
         chunk_executor: Optional[ChunkExecutor] = None,
         observer=None,
+        lease_ttl: float = 30.0,
+        heartbeat_interval: float = 1.0,
+        straggler_factor: float = 4.0,
+        tick_hook: Optional[Callable[["CampaignRunner", float], None]] = None,
     ) -> None:
+        if not isinstance(n_workers, int) or n_workers < 1:
+            raise CampaignError(f"n_workers must be >= 1, got {n_workers!r}")
+        if not isinstance(max_retries, int) or max_retries < 0:
+            raise CampaignError(
+                f"max_retries must be >= 0, got {max_retries!r}"
+            )
+        if timeout_per_sim is not None and not timeout_per_sim > 0.0:
+            raise CampaignError(
+                f"timeout_per_sim must be > 0, got {timeout_per_sim}"
+            )
+        if not lease_ttl > 0.0:
+            raise CampaignError(f"lease_ttl must be > 0, got {lease_ttl}")
+        if not heartbeat_interval > 0.0:
+            raise CampaignError(
+                f"heartbeat_interval must be > 0, got {heartbeat_interval}"
+            )
+        if heartbeat_interval >= lease_ttl:
+            raise CampaignError(
+                f"heartbeat_interval ({heartbeat_interval}) must be below "
+                f"lease_ttl ({lease_ttl}); every healthy lease would expire"
+            )
+        if not straggler_factor >= 1.0:
+            raise CampaignError(
+                f"straggler_factor must be >= 1, got {straggler_factor}"
+            )
+        if chunk_executor is not None and n_workers > 1:
+            raise CampaignError(
+                "chunk_executor replaces the in-process batch layer; "
+                f"it cannot run under n_workers={n_workers}"
+            )
         self._manifest = manifest
         self._directory = Path(directory)
         self._fingerprint = manifest.fingerprint
@@ -289,13 +480,28 @@ class CampaignRunner:
         self._sleep = sleep
         self._executor = chunk_executor
         self._obs = resolve_observer(observer)
+        self._lease_ttl = lease_ttl
+        self._heartbeat_interval = heartbeat_interval
+        self._straggler_factor = straggler_factor
+        self._tick_hook = tick_hook
         self._stop_requested = False
         self._recorder: Optional[FlightRecorder] = None
+        self._workers: Dict[str, _WorkerHandle] = {}
+        # The fleet registry is always on (independent of the optional
+        # observer): workers stream metric deltas on their heartbeats
+        # and the fleet transport merges them here with exact-sum
+        # semantics (see repro.obs.fleet).
+        self._fleet = MetricsRegistry()
 
     @property
     def telemetry_recorder(self) -> Optional[FlightRecorder]:
         """The run's flight recorder (``None`` before :meth:`run`)."""
         return self._recorder
+
+    @property
+    def fleet_registry(self) -> MetricsRegistry:
+        """The always-on fleet registry (merged worker deltas)."""
+        return self._fleet
 
     @property
     def manifest(self) -> CampaignManifest:
@@ -312,9 +518,17 @@ class CampaignRunner:
         """The manifest's canonical content hash."""
         return self._fingerprint
 
+    def worker_pids(self) -> Dict[str, int]:
+        """Live worker ids to OS pids (chaos hooks kill through this)."""
+        return {
+            handle.worker_id: handle.process.pid
+            for handle in self._workers.values()
+            if handle.alive
+        }
+
     def request_stop(self) -> None:
-        """Ask the run loop to drain: finish the in-flight chunk, journal
-        an ``interrupted`` marker, and return an interrupted report."""
+        """Ask the run to drain: finish the in-flight chunks, journal an
+        ``interrupted`` marker, and return an interrupted report."""
         self._stop_requested = True
 
     # ------------------------------------------------------------------
@@ -346,19 +560,7 @@ class CampaignRunner:
                 )
         self._directory.mkdir(parents=True, exist_ok=True)
         self._manifest.save(manifest_path)
-        state = CampaignProgress(fingerprint=self._fingerprint)
-        with JournalWriter(
-            journal_path, next_seq=0, observer=self._obs
-        ) as journal:
-            journal.append(
-                "campaign_started",
-                fingerprint=self._fingerprint,
-                name=self._manifest.name,
-                n_sims=self._manifest.n_sims,
-                n_chunks=self._manifest.n_chunks,
-            )
-            state.next_seq = journal.next_seq
-            return self._execute(state, journal)
+        return self._open_and_execute([])
 
     def resume(self) -> CampaignReport:
         """Continue a campaign after a crash, kill, or drain.
@@ -366,8 +568,9 @@ class CampaignRunner:
         Recovers the journal (truncating a torn final record), refuses a
         manifest whose fingerprint differs from the journaled one, skips
         chunks whose ``chunk_completed`` record survived, and re-runs
-        everything else.  Already-finished campaigns return the existing
-        aggregate without running anything.
+        everything else — with any worker count, whichever transport
+        wrote the journal.  Already-finished campaigns return the
+        existing aggregate without running anything.
         """
         manifest_path = self._directory / MANIFEST_FILE
         if manifest_path.exists():
@@ -387,13 +590,22 @@ class CampaignRunner:
                 "campaign"
             )
         records = recover_journal(journal_path)
-        state = replay_progress(records, self._fingerprint)
         if not manifest_path.exists():
             # The crash hit between mkdir and manifest.save; re-write it.
             self._directory.mkdir(parents=True, exist_ok=True)
             self._manifest.save(manifest_path)
+        return self._open_and_execute(records)
+
+    def _open_and_execute(self, records: List[dict]) -> CampaignReport:
+        """Replay ``records``, open the journal after them, and execute."""
+        state = replay_progress(records, self._fingerprint)
+        epoch = 1 + sum(
+            1 for r in records if r.get("type") == "coordinator_started"
+        )
         with JournalWriter(
-            journal_path, next_seq=state.next_seq, observer=self._obs
+            self._directory / JOURNAL_FILE,
+            next_seq=state.next_seq,
+            observer=self._obs,
         ) as journal:
             if not records:
                 journal.append(
@@ -404,19 +616,90 @@ class CampaignRunner:
                     n_chunks=self._manifest.n_chunks,
                 )
                 state.next_seq = journal.next_seq
-            return self._execute(state, journal)
+            return self._execute(state, journal, epoch)
 
-    # ------------------------------------------------------------------
-    # The chunk loop
-    # ------------------------------------------------------------------
     def _execute(
-        self, state: CampaignProgress, journal: JournalWriter
+        self, state: CampaignProgress, journal: JournalWriter, epoch: int
     ) -> CampaignReport:
         manifest = self._manifest
         if state.finished:
-            return self._report_from_aggregate(state, chunks_run=0)
-        previous_handlers = self._install_signal_handlers()
-        chunks_run = 0
+            return self._report_from_aggregate(state)
+        chunks_before = len(state.completed)
+        previous_handlers = install_drain_handlers(self.request_stop)
+        try:
+            if self._n_workers == 1:
+                interrupted = self._run_in_process(state, journal)
+            else:
+                interrupted = self._run_fleet(state, journal, epoch)
+        finally:
+            restore_drain_handlers(previous_handlers)
+            # Final frame regardless of how the run ended (finished,
+            # drained, or crashed).
+            if self._recorder is not None:
+                self._recorder.tick(force=True)
+        chunks_run = len(state.completed) - chunks_before
+        if interrupted:
+            journal.append(
+                "interrupted",
+                fingerprint=self._fingerprint,
+                completed_chunks=len(state.completed),
+            )
+            return CampaignReport(
+                status="interrupted",
+                fingerprint=self._fingerprint,
+                n_chunks=manifest.n_chunks,
+                completed_chunks=len(state.completed),
+                chunks_run=chunks_run,
+            )
+        return finalise_campaign(
+            manifest, self._directory, state, chunks_run, journal
+        )
+
+    def _report_from_aggregate(self, state: CampaignProgress) -> CampaignReport:
+        document = load_json(self._directory / AGGREGATE_FILE)
+        if not isinstance(document, dict):
+            raise SerializationError("aggregate document is not an object")
+        return CampaignReport(
+            status="completed",
+            fingerprint=self._fingerprint,
+            n_chunks=self._manifest.n_chunks,
+            completed_chunks=len(state.completed),
+            chunks_run=0,
+            n_failed=int(document.get("n_failed", 0)),
+            aggregate=document.get("aggregate"),
+            results_digest=document.get("results_digest"),
+        )
+
+    def _journal_retry(
+        self,
+        journal: JournalWriter,
+        chunk: int,
+        attempt: int,
+        delay: float,
+        **extra,
+    ) -> None:
+        journal.append(
+            "chunk_retry",
+            fingerprint=self._fingerprint,
+            chunk=chunk,
+            attempt=attempt,
+            delay=delay,
+            **extra,
+        )
+        if self._obs.enabled:
+            self._obs.count("campaign.chunk_retries")
+            self._obs.instant(
+                "campaign.chunk_retry", chunk=chunk, attempt=attempt
+            )
+
+    # ------------------------------------------------------------------
+    # In-process transport (n_workers == 1)
+    # ------------------------------------------------------------------
+    def _run_in_process(
+        self, state: CampaignProgress, journal: JournalWriter
+    ) -> bool:
+        """Run every pending chunk here; ``True`` when a drain stopped it."""
+        manifest = self._manifest
         # Telemetry sidecar: per-run operational frames (see
         # repro.obs.recorder).  Shares the observer's registry when one
         # is attached, so frames carry engine/channel/shield series
@@ -431,108 +714,63 @@ class CampaignRunner:
             sidecar=self._directory / TELEMETRY_FILE,
             min_interval=1.0,
         )
-        try:
-            for chunk in range(manifest.n_chunks):
-                if chunk in state.completed:
-                    continue
-                if self._stop_requested:
-                    journal.append(
-                        "interrupted",
-                        fingerprint=self._fingerprint,
-                        completed_chunks=len(state.completed),
-                    )
-                    return CampaignReport(
-                        status="interrupted",
-                        fingerprint=self._fingerprint,
-                        n_chunks=manifest.n_chunks,
-                        completed_chunks=len(state.completed),
-                        chunks_run=chunks_run,
-                    )
-                # Chunk wall time is journaled unconditionally (readers
-                # ignore unknown fields; journal bytes are never part of
-                # the bit-identity contract) so `repro-campaign status`
-                # can summarise elapsed time on plain, untraced runs too.
-                handle = (
-                    self._obs.begin("campaign.chunk", chunk=chunk)
-                    if self._obs.enabled
-                    else -1
-                )
-                started = perf_now()
-                chunk_result = self._run_chunk_with_retries(chunk, journal)
-                elapsed = max(perf_now() - started, 0.0)
-                if self._obs.enabled:
-                    self._obs.end(handle, n_results=len(chunk_result.results))
-                    self._obs.observe("campaign.chunk_seconds", elapsed)
-                digest = self._persist_chunk(chunk, chunk_result)
-                journal.append(
-                    "chunk_completed",
-                    fingerprint=self._fingerprint,
-                    chunk=chunk,
-                    n_results=len(chunk_result.results),
-                    n_failures=chunk_result.n_failed,
-                    digest=digest,
-                    elapsed=round(elapsed, 6),
-                )
-                state.completed[chunk] = digest
-                chunks_run += 1
-                telemetry.count("campaign.chunks_completed")
-                telemetry.count(
-                    "campaign.sims_completed", len(chunk_result.results)
-                )
-                telemetry.count(
-                    "campaign.sim_failures", chunk_result.n_failed
-                )
-                self._recorder.tick()
-        finally:
-            self._restore_signal_handlers(previous_handlers)
-            # Final frame regardless of how the loop ended.
-            self._recorder.tick(force=True)
-        report = self._finalise(state, chunks_run, journal)
-        return report
-
-    def _run_chunk_with_retries(
-        self, chunk: int, journal: JournalWriter
-    ) -> ChunkResult:
-        """Execute one chunk, retrying transient failures with backoff.
-
-        ``stage == "simulation"`` failures are deterministic (same seed,
-        same exception) and accepted; worker deaths and timeouts get up
-        to ``backoff.max_attempts`` full-chunk attempts — harmless to
-        repeat, since re-running completed indices reproduces their
-        results bit-identically.
-        """
-        indices = self._manifest.chunk_indices(chunk)
-        executor = self._chunk_executor()
-        last: Optional[ChunkResult] = None
-        for attempt in range(1, self._backoff.max_attempts + 1):
-            if attempt > 1:
-                delay = self._backoff.delay(
-                    self._fingerprint, chunk, attempt - 1
-                )
-                journal.append(
-                    "chunk_retry",
-                    fingerprint=self._fingerprint,
-                    chunk=chunk,
-                    attempt=attempt,
-                    delay=delay,
-                )
-                if self._obs.enabled:
-                    self._obs.count("campaign.chunk_retries")
-                    self._obs.instant(
-                        "campaign.chunk_retry", chunk=chunk, attempt=attempt
-                    )
-                self._sleep(delay)
-            last = executor(indices, self._manifest.n_sims, self._manifest.seed)
-            if not last.transient_failures:
-                return last
-        assert last is not None
-        return last
+        for chunk in range(manifest.n_chunks):
+            if chunk in state.completed:
+                continue
+            if self._stop_requested:
+                return True
+            # Chunk wall time is journaled unconditionally (readers
+            # ignore unknown fields; journal bytes are never part of the
+            # bit-identity contract) so `repro-campaign status` can
+            # summarise elapsed time on plain, untraced runs too.
+            handle = (
+                self._obs.begin("campaign.chunk", chunk=chunk)
+                if self._obs.enabled
+                else -1
+            )
+            started = perf_now()
+            chunk_result = run_chunk_attempts(
+                lambda indices: self._chunk_executor()(
+                    indices, manifest.n_sims, manifest.seed
+                ),
+                manifest.chunk_indices(chunk),
+                self._fingerprint,
+                chunk,
+                self._backoff,
+                self._sleep,
+                lambda attempt, delay: self._journal_retry(
+                    journal, chunk, attempt, delay
+                ),
+            )
+            elapsed = max(perf_now() - started, 0.0)
+            if self._obs.enabled:
+                self._obs.end(handle, n_results=len(chunk_result.results))
+                self._obs.observe("campaign.chunk_seconds", elapsed)
+            digest = persist_chunk_snapshot(
+                self._directory, self._fingerprint, chunk, chunk_result
+            )
+            journal.append(
+                "chunk_completed",
+                fingerprint=self._fingerprint,
+                chunk=chunk,
+                n_results=len(chunk_result.results),
+                n_failures=chunk_result.n_failed,
+                digest=digest,
+                elapsed=round(elapsed, 6),
+            )
+            state.completed[chunk] = digest
+            telemetry.count("campaign.chunks_completed")
+            telemetry.count(
+                "campaign.sims_completed", len(chunk_result.results)
+            )
+            telemetry.count("campaign.sim_failures", chunk_result.n_failed)
+            self._recorder.tick()
+        return False
 
     def _chunk_executor(self) -> ChunkExecutor:
         if self._executor is None:
             self._executor = workload_executor(
                 self._manifest,
-                n_workers=self._n_workers,
                 max_retries=self._max_retries,
                 timeout_per_sim=self._timeout_per_sim,
                 observer=(self._obs if self._obs.enabled else None),
@@ -540,53 +778,470 @@ class CampaignRunner:
         return self._executor
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Fleet transport (n_workers > 1)
     # ------------------------------------------------------------------
-    def _persist_chunk(self, chunk: int, result: ChunkResult) -> str:
-        return persist_chunk_snapshot(
-            self._directory, self._fingerprint, chunk, result
-        )
+    def _run_fleet(
+        self, state: CampaignProgress, journal: JournalWriter, epoch: int
+    ) -> bool:
+        """Run every pending chunk on a worker fleet; ``True`` if drained.
 
-    def _load_chunk(self, chunk: int, expected_digest: str) -> dict:
-        return load_chunk_snapshot(self._directory, chunk, expected_digest)
-
-    def _finalise(
-        self, state: CampaignProgress, chunks_run: int, journal: JournalWriter
-    ) -> CampaignReport:
-        return finalise_campaign(
-            self._manifest, self._directory, state, chunks_run, journal
-        )
-
-    def _report_from_aggregate(
-        self, state: CampaignProgress, chunks_run: int
-    ) -> CampaignReport:
-        document = load_json(self._directory / AGGREGATE_FILE)
-        if not isinstance(document, dict):
-            raise SerializationError("aggregate document is not an object")
-        return CampaignReport(
-            status="completed",
+        The runner stays the campaign's only journal writer: workers
+        persist chunk snapshots and report digests over the line
+        protocol, and this loop turns the reports into journal records.
+        Every record of an epoch is reconstructable from the journal, so
+        a SIGKILLed coordinator resumes by replay under a new
+        ``coordinator_started`` epoch.
+        """
+        pending = [
+            chunk
+            for chunk in range(self._manifest.n_chunks)
+            if chunk not in state.completed
+        ]
+        journal.append(
+            "coordinator_started",
             fingerprint=self._fingerprint,
-            n_chunks=self._manifest.n_chunks,
-            completed_chunks=len(state.completed),
-            chunks_run=chunks_run,
-            n_failed=int(document.get("n_failed", 0)),
-            aggregate=document.get("aggregate"),
-            results_digest=document.get("results_digest"),
+            epoch=epoch,
+            n_workers=self._n_workers,
+            pending_chunks=len(pending),
+        )
+        if not pending:
+            # Every chunk was journaled before the previous coordinator
+            # died; only finalisation is left — no workers needed.
+            return False
+        worker_ids = [f"w{i}" for i in range(self._n_workers)]
+        table = LeaseTable(
+            pending,
+            worker_ids,
+            self._fingerprint,
+            backoff=self._backoff,
+            ttl=self._lease_ttl,
+            straggler_factor=self._straggler_factor,
+        )
+        loop = _LoopState(progress=state, table=table, journal=journal)
+        selector = selectors.DefaultSelector()
+        self._workers = {}
+        # The flight recorder snapshots the fleet registry into the
+        # telemetry.jsonl sidecar — a per-run operational artifact,
+        # never part of the aggregate's bit-identity contract.
+        self._recorder = FlightRecorder(
+            self._fleet,
+            sidecar=self._directory / TELEMETRY_FILE,
+            min_interval=max(self._heartbeat_interval, 0.5),
+        )
+        try:
+            for worker_id in worker_ids:
+                self._spawn_worker(worker_id, selector, journal)
+            self._loop(loop, selector)
+            self._shutdown_workers(selector, journal)
+            return self._stop_requested and table.outstanding() > 0
+        finally:
+            self._kill_remaining_workers()
+            selector.close()
+
+    def _loop(self, state: _LoopState, selector: selectors.DefaultSelector) -> None:
+        poll = max(0.01, min(self._heartbeat_interval, self._lease_ttl / 4.0))
+        while state.table.outstanding() > 0:
+            if self._stop_requested and self._all_idle():
+                return
+            for key, _ in selector.select(timeout=poll):
+                self._drain_pipe(key.data, key.fd, selector, state)
+            now = perf_now()
+            self._expire_leases(state, now)
+            if not any(h.alive for h in self._workers.values()):
+                if state.table.outstanding() > 0 and not self._stop_requested:
+                    raise CampaignError(
+                        "all shard workers died; the journal is intact — "
+                        "resume to re-dispatch the remaining chunks"
+                    )
+                return
+            if not self._stop_requested:
+                self._dispatch(state, now)
+            if self._recorder is not None:
+                self._recorder.tick()
+            if self._tick_hook is not None:
+                self._tick_hook(self, now)
+
+    def _all_idle(self) -> bool:
+        return all(
+            handle.busy_chunk is None
+            for handle in self._workers.values()
+            if handle.alive
         )
 
-    # ------------------------------------------------------------------
-    # Signals
-    # ------------------------------------------------------------------
-    def _install_signal_handlers(self) -> Optional[dict]:
-        return install_drain_handlers(self.request_stop)
+    def _worker_command(self, worker_id: str) -> List[str]:
+        command = [
+            sys.executable,
+            "-m",
+            "repro.campaign.shard.worker",
+            str(self._directory),
+            worker_id,
+            "--heartbeat-interval",
+            str(self._heartbeat_interval),
+            "--max-retries",
+            str(self._max_retries),
+        ]
+        if self._timeout_per_sim is not None:
+            command += ["--timeout-per-sim", str(self._timeout_per_sim)]
+        return command
 
     @staticmethod
-    def _restore_signal_handlers(previous: Optional[dict]) -> None:
-        restore_drain_handlers(previous)
+    def _worker_env() -> Dict[str, str]:
+        env = dict(os.environ)
+        src_root = str(Path(repro.__file__).resolve().parents[1])
+        existing = env.get("PYTHONPATH", "")
+        if src_root not in existing.split(os.pathsep):
+            env["PYTHONPATH"] = (
+                src_root + os.pathsep + existing if existing else src_root
+            )
+        return env
+
+    def _spawn_worker(
+        self,
+        worker_id: str,
+        selector: selectors.DefaultSelector,
+        journal: JournalWriter,
+    ) -> None:
+        process = subprocess.Popen(
+            self._worker_command(worker_id),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=self._worker_env(),
+        )
+        handle = _WorkerHandle(worker_id=worker_id, process=process)
+        self._workers[worker_id] = handle
+        os.set_blocking(process.stdout.fileno(), False)
+        selector.register(process.stdout.fileno(), selectors.EVENT_READ, handle)
+        journal.append(
+            "worker_spawned",
+            fingerprint=self._fingerprint,
+            worker=worker_id,
+            pid=process.pid,
+        )
+        if self._obs.enabled:
+            self._obs.count("shard.workers_spawned")
+
+    def _drain_pipe(
+        self,
+        handle: _WorkerHandle,
+        fd: int,
+        selector: selectors.DefaultSelector,
+        state: _LoopState,
+    ) -> None:
+        try:
+            data = os.read(fd, 65536)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if data == b"":
+            selector.unregister(fd)
+            self._on_worker_gone(handle, state)
+            return
+        handle.buffer += data
+        while b"\n" in handle.buffer:
+            line, handle.buffer = handle.buffer.split(b"\n", 1)
+            event = decode_line(line)
+            if event is not None:
+                self._handle_event(handle, event, state)
+
+    def _on_worker_gone(self, handle: _WorkerHandle, state: _LoopState) -> None:
+        """EOF on a worker's stdout: reap it and release its leases."""
+        handle.alive = False
+        handle.busy_chunk = None
+        if handle.process.poll() is None:
+            handle.process.kill()
+        returncode = handle.process.wait()
+        if not handle.exit_journaled:
+            handle.exit_journaled = True
+            state.journal.append(
+                "worker_exited",
+                fingerprint=self._fingerprint,
+                worker=handle.worker_id,
+                returncode=returncode,
+            )
+        now = perf_now()
+        for lease, delay in state.table.release_worker(handle.worker_id, now):
+            self._journal_lease_release(
+                state, lease, delay, now, reason="worker_exited"
+            )
+        self._fleet.gauge("fleet.worker_up", 0.0, worker=handle.worker_id)
+        if self._obs.enabled:
+            self._obs.count("shard.worker_deaths")
+
+    def _shutdown_workers(
+        self, selector: selectors.DefaultSelector, journal: JournalWriter
+    ) -> None:
+        """Graceful fleet shutdown; journals every worker's exit."""
+        for handle in self._workers.values():
+            if not handle.alive:
+                continue
+            try:
+                handle.process.stdin.write(
+                    encode_message({"cmd": COMMAND_SHUTDOWN})
+                )
+                handle.process.stdin.flush()
+                handle.process.stdin.close()
+            except (BrokenPipeError, OSError, ValueError):  # safelint: disable=SFL010 - best-effort goodbye; wait() below settles the worker either way
+                pass
+        for handle in self._workers.values():
+            if not handle.alive:
+                continue
+            try:
+                returncode = handle.process.wait(timeout=_SHUTDOWN_GRACE)
+            except subprocess.TimeoutExpired:
+                handle.process.kill()
+                returncode = handle.process.wait()
+            handle.alive = False
+            self._fleet.gauge(
+                "fleet.worker_up", 0.0, worker=handle.worker_id
+            )
+            try:
+                selector.unregister(handle.process.stdout.fileno())
+            except (KeyError, ValueError):  # safelint: disable=SFL010 - EOF already unregistered this pipe; nothing to clean up
+                pass
+            if not handle.exit_journaled:
+                handle.exit_journaled = True
+                journal.append(
+                    "worker_exited",
+                    fingerprint=self._fingerprint,
+                    worker=handle.worker_id,
+                    returncode=returncode,
+                )
+
+    def _kill_remaining_workers(self) -> None:
+        """Last-resort cleanup: no child outlives the runner call."""
+        for handle in self._workers.values():
+            if handle.process.poll() is None:
+                handle.process.kill()
+                handle.process.wait()
+
+    def _well_formed(self, event: dict) -> bool:
+        """Whether every field the event's kind uses has its type (and
+        ``chunk`` names a chunk of this manifest)."""
+        fields = _EVENT_FIELDS.get(event.get("event"), {})
+        for key, (kind, default) in fields.items():
+            if not _field_ok(event.get(key, default), kind):
+                return False
+        return "chunk" not in fields or (
+            0 <= event["chunk"] < self._manifest.n_chunks
+        )
+
+    def _handle_event(
+        self, handle: _WorkerHandle, event: dict, state: _LoopState
+    ) -> None:
+        """Act on one worker event; a malformed event is dropped whole.
+
+        A dropped event changes nothing — no journal record, no lease
+        renewal, no merged metrics — and lease expiry covers its chunk.
+        """
+        if not self._well_formed(event):
+            return
+        kind = event.get("event")
+        now = perf_now()
+        self._absorb_worker_metrics(handle, event)
+        if kind == EVENT_READY:
+            handle.ready = True
+            self._fleet.gauge(
+                "fleet.worker_up", 1.0, worker=handle.worker_id
+            )
+        elif kind in (EVENT_STARTED, EVENT_HEARTBEAT, EVENT_RETRY):
+            chunk = event["chunk"]
+            handle.heartbeats += 1
+            renewed = state.table.heartbeat(handle.worker_id, chunk, now)
+            if kind == EVENT_RETRY:
+                self._journal_retry(
+                    state.journal,
+                    chunk,
+                    event["attempt"],
+                    float(event["delay"]),
+                    worker=handle.worker_id,
+                )
+            elif renewed:
+                state.journal.append(
+                    "lease_heartbeat",
+                    fingerprint=self._fingerprint,
+                    worker=handle.worker_id,
+                    chunk=chunk,
+                    done=event.get("done", 0),
+                )
+        elif kind == EVENT_COMPLETED:
+            self._handle_completed(handle, event, state, now)
+        elif kind == EVENT_ERROR:
+            self._handle_error(handle, event, state, now)
+
+    def _absorb_worker_metrics(
+        self, handle: _WorkerHandle, event: dict
+    ) -> None:
+        """Merge a piggybacked metric delta into the fleet registry.
+
+        Every merged counter lands twice — in the unlabelled fleet
+        total and in a ``worker=<id>`` labelled series — which is the
+        structural form of the exact-sum acceptance invariant:
+        ``fleet.x == sum over workers of fleet.x{worker=w}``.
+        """
+        delta = event.get("metrics")
+        if not isinstance(delta, dict):
+            return
+        merge_delta(self._fleet, delta, worker=handle.worker_id)
+        self._fleet.count("fleet.metric_reports")
+        self._fleet.count("fleet.metric_reports", worker=handle.worker_id)
+        self._fleet.gauge("fleet.worker_up", 1.0, worker=handle.worker_id)
+
+    def _handle_completed(
+        self,
+        handle: _WorkerHandle,
+        event: dict,
+        state: _LoopState,
+        now: float,
+    ) -> None:
+        chunk = event["chunk"]
+        digest = event["digest"]
+        elapsed = float(event.get("elapsed", 0.0))
+        handle.busy_chunk = None
+        handle.completions += 1
+        previous = state.progress.completed.get(chunk)
+        if previous is not None and previous != digest:
+            raise JournalCorruptionError(
+                f"worker {handle.worker_id} completed chunk {chunk} with "
+                f"digest {digest[:12]}... but an earlier completion "
+                f"journaled {previous[:12]}...; the workload is not "
+                "content-deterministic"
+            )
+        duplicate = previous is not None
+        # Duplicates are journaled too: replay is idempotent, and the
+        # record is the audit trail that a speculative twin raced.
+        state.journal.append(
+            "chunk_completed",
+            fingerprint=self._fingerprint,
+            chunk=chunk,
+            n_results=event.get("n_results", 0),
+            n_failures=event.get("n_failures", 0),
+            digest=digest,
+            elapsed=elapsed,
+            worker=handle.worker_id,
+            duplicate=duplicate,
+        )
+        state.progress.completed[chunk] = digest
+        state.table.complete(chunk)
+        state.redispatch_pending.pop(chunk, None)
+        if self._obs.enabled:
+            self._obs.count("shard.chunks_completed")
+            self._obs.observe("shard.chunk_seconds", elapsed)
+            if duplicate:
+                self._obs.count("shard.duplicate_completions")
+
+    def _handle_error(
+        self,
+        handle: _WorkerHandle,
+        event: dict,
+        state: _LoopState,
+        now: float,
+    ) -> None:
+        """An exception escaped the worker's executor: spend the lease
+        table's per-chunk budget and re-dispatch with backoff."""
+        chunk = event["chunk"]
+        handle.busy_chunk = None
+        delay = state.table.fail(handle.worker_id, chunk, now)
+        state.journal.append(
+            "chunk_failed",
+            fingerprint=self._fingerprint,
+            worker=handle.worker_id,
+            chunk=chunk,
+            error_type=str(event.get("error_type", "unknown")),
+            message=str(event.get("message", ""))[:500],
+            attempt=state.table.attempts(chunk),
+            delay=delay,
+        )
+        if delay is not None:
+            state.redispatch_pending[chunk] = now
+        if self._obs.enabled:
+            self._obs.count("shard.chunk_errors")
+
+    def _expire_leases(self, state: _LoopState, now: float) -> None:
+        # The holder may still be computing (hung or merely slow); its
+        # slot stays busy until it reports or dies, but the chunk itself
+        # becomes claimable elsewhere — a late completion is absorbed as
+        # a byte-identical duplicate.
+        for lease, delay in state.table.expire(now):
+            self._journal_lease_release(
+                state, lease, delay, now, reason="ttl"
+            )
+
+    def _journal_lease_release(
+        self,
+        state: _LoopState,
+        lease: Lease,
+        delay: Optional[float],
+        now: float,
+        reason: str,
+    ) -> None:
+        state.journal.append(
+            "lease_expired",
+            fingerprint=self._fingerprint,
+            worker=lease.worker,
+            chunk=lease.chunk,
+            attempt=lease.attempt,
+            delay=delay,
+            reason=reason,
+        )
+        if delay is not None:
+            state.redispatch_pending[lease.chunk] = now
+        if self._obs.enabled:
+            self._obs.count("shard.lease_expirations")
+
+    def _dispatch(self, state: _LoopState, now: float) -> None:
+        for handle in self._workers.values():
+            if not handle.alive or not handle.ready:
+                continue
+            if handle.busy_chunk is not None:
+                continue
+            lease = state.table.claim(handle.worker_id, now)
+            if lease is None:
+                continue
+            try:
+                handle.process.stdin.write(
+                    encode_message(
+                        {
+                            "cmd": COMMAND_RUN,
+                            "chunk": lease.chunk,
+                            "backoff": asdict(self._backoff),
+                        }
+                    )
+                )
+                handle.process.stdin.flush()
+            except (BrokenPipeError, OSError, ValueError):
+                # The worker died between EOF and our write; give the
+                # lease straight back — the EOF path will also release
+                # anything the table still holds for this worker.
+                state.table.release_worker(handle.worker_id, now)
+                handle.alive = False
+                continue
+            handle.busy_chunk = lease.chunk
+            state.journal.append(
+                "lease_claimed",
+                fingerprint=self._fingerprint,
+                worker=handle.worker_id,
+                chunk=lease.chunk,
+                attempt=lease.attempt,
+                origin=lease.origin,
+                speculative=lease.speculative,
+            )
+            if self._obs.enabled:
+                self._obs.count("shard.lease_claims")
+                if lease.origin == "steal":
+                    self._obs.count("shard.steals")
+                if lease.speculative:
+                    self._obs.count("shard.speculations")
+            issued_at = state.redispatch_pending.pop(lease.chunk, None)
+            if issued_at is not None and self._obs.enabled:
+                self._obs.observe(
+                    "shard.redispatch_seconds", max(now - issued_at, 0.0)
+                )
 
 
 # ----------------------------------------------------------------------
-# Shared drain-on-signal plumbing (runner and shard coordinator)
+# Drain-on-signal plumbing
 # ----------------------------------------------------------------------
 def install_drain_handlers(request_stop: Callable[[], None]) -> Optional[dict]:
     """Route SIGINT/SIGTERM to ``request_stop``; ``None`` off the main thread."""
@@ -616,7 +1271,7 @@ def restore_drain_handlers(previous: Optional[dict]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Finalisation (shared by CampaignRunner and the shard coordinator)
+# Finalisation (shared by both transports)
 # ----------------------------------------------------------------------
 def finalise_campaign(
     manifest: CampaignManifest,
@@ -629,8 +1284,8 @@ def finalise_campaign(
 
     Reading the snapshots back (instead of using in-memory results)
     means an uninterrupted run, any interrupt/resume sequence, and any
-    worker-count/sharding configuration aggregate from byte-identical
-    inputs — the aggregate document depends only on the manifest.
+    worker count aggregate from byte-identical inputs — the aggregate
+    document depends only on the manifest.
     """
     directory = Path(directory)
     fingerprint = manifest.fingerprint
@@ -753,8 +1408,11 @@ def campaign_status(directory: Union[str, Path]) -> dict:
 
     Works on a live, killed, or damaged campaign: a torn journal tail is
     reported, not repaired.  Besides progress, the summary carries the
-    journal's operational fields: per-chunk retry counts and an elapsed
-    wall-time summary over completed chunks.
+    journal's operational fields — per-chunk retry counts and an elapsed
+    wall-time summary over completed chunks — and the fleet's forensics:
+    coordinator epochs, per-worker lease/heartbeat/steal/completion
+    counts, lease expirations, duplicate completions, and the newest
+    telemetry frame (``workers`` is empty for in-process runs).
     """
     directory = Path(directory)
     manifest = CampaignManifest.load(directory / MANIFEST_FILE)
@@ -763,10 +1421,68 @@ def campaign_status(directory: Union[str, Path]) -> dict:
     torn = False
     if journal_path.exists():
         records, torn = read_journal(journal_path)
-    completed = {
-        int(r["chunk"]) for r in records if r.get("type") == "chunk_completed"
-    }
-    finished = any(r.get("type") == "campaign_finished" for r in records)
+    workers: Dict[str, dict] = {}
+
+    def worker_entry(worker: object) -> dict:
+        return workers.setdefault(
+            str(worker),
+            {
+                "pid": None,
+                "alive": False,
+                "leases": 0,
+                "steals": 0,
+                "speculative": 0,
+                "heartbeats": 0,
+                "completions": 0,
+                "expirations": 0,
+                "errors": 0,
+                "last_heartbeat_seq": None,
+            },
+        )
+
+    completed: set = set()
+    epochs = 0
+    duplicates = 0
+    expirations = 0
+    finished = False
+    for record in records:
+        record_type = record.get("type")
+        if record_type == "chunk_completed":
+            chunk = int(record.get("chunk", -1))
+            if chunk in completed:
+                duplicates += 1
+            completed.add(chunk)
+            if record.get("worker") is not None:
+                worker_entry(record["worker"])["completions"] += 1
+        elif record_type == "campaign_finished":
+            finished = True
+        elif record_type == "coordinator_started":
+            epochs += 1
+            # A new epoch means the previous fleet is gone.
+            for entry in workers.values():
+                entry["alive"] = False
+        elif record_type == "worker_spawned":
+            entry = worker_entry(record.get("worker"))
+            entry["pid"] = record.get("pid")
+            entry["alive"] = True
+        elif record_type == "worker_exited":
+            worker_entry(record.get("worker"))["alive"] = False
+        elif record_type == "lease_claimed":
+            entry = worker_entry(record.get("worker"))
+            entry["leases"] += 1
+            if record.get("origin") == "steal":
+                entry["steals"] += 1
+            if record.get("speculative"):
+                entry["speculative"] += 1
+        elif record_type == "lease_heartbeat":
+            entry = worker_entry(record.get("worker"))
+            entry["heartbeats"] += 1
+            entry["last_heartbeat_seq"] = record.get("seq")
+        elif record_type == "lease_expired":
+            worker_entry(record.get("worker"))["expirations"] += 1
+            expirations += 1
+        elif record_type == "chunk_failed":
+            worker_entry(record.get("worker"))["errors"] += 1
     interrupted = (
         len(records) > 0 and records[-1].get("type") == "interrupted"
     )
@@ -780,9 +1496,34 @@ def campaign_status(directory: Union[str, Path]) -> dict:
         "torn_tail": torn,
         "finished": finished,
         "interrupted": interrupted,
+        "coordinator_epochs": epochs,
+        "workers": workers,
+        "lease_expirations": expirations,
+        "duplicate_completions": duplicates,
+        "telemetry": _telemetry_summary(directory),
     }
     status.update(_operational_summary(records))
     return status
+
+
+def _telemetry_summary(directory: Path) -> Optional[dict]:
+    """The newest telemetry frame of a campaign, for ``status``.
+
+    ``None`` when the campaign never wrote one.  Otherwise the frame
+    count and the newest frame's counters, gauges and histograms
+    (fleet counters and per-worker liveness gauges on fleet runs).
+    """
+    frames = read_telemetry(directory / TELEMETRY_FILE)
+    if not frames:
+        return None
+    newest = frames[-1]
+    return {
+        "frames": len(frames),
+        "last_wall": newest.get("wall"),
+        "counters": dict(newest.get("counters", {})),
+        "gauges": dict(newest.get("gauges", {})),
+        "histograms": dict(newest.get("histograms", {})),
+    }
 
 
 def verify_campaign(directory: Union[str, Path]) -> dict:

@@ -49,7 +49,7 @@ class Lease:
     (across all workers); ``speculative`` marks a duplicate lease
     granted against a straggler; ``origin`` records how the claim was
     satisfied (``"range"``, ``"retry"``, ``"steal"``, or
-    ``"speculation"``) for the shard-status report.
+    ``"speculation"``) for the campaign status report.
     Units: granted_at [s], last_heartbeat [s]
     """
 
@@ -131,7 +131,7 @@ class LeaseTable:
         self._retry: List[Tuple[float, int]] = []
         self._attempts: Dict[int, int] = {}
         self._outstanding = set(ordered)
-        # Operational counters, surfaced via shard-status and repro.obs.
+        # Operational counters, surfaced via campaign status and repro.obs.
         self.claims = 0
         self.steals = 0
         self.speculations = 0

@@ -1,29 +1,38 @@
-"""The coordinator ↔ worker wire protocol: one JSON object per line.
+"""The runner ↔ shard worker wire protocol: one JSON object per line.
 
 The shard layer deliberately reuses the journal's framing philosophy:
 every message is a single newline-terminated canonical JSON line, and a
 line that fails to parse is *dropped*, never guessed at.  A SIGKILLed
-worker can leave a torn final line in its stdout pipe; the coordinator
+worker can leave a torn final line in its stdout pipe; the runner
 treats it exactly like the journal treats a torn tail — the chunk the
 worker was running simply has no ``completed`` event, its lease expires,
 and it is re-dispatched.
 
-Commands (coordinator → worker stdin)
-    ``{"cmd": "run", "chunk": k}``   — run chunk ``k`` of the manifest.
-    ``{"cmd": "shutdown"}``          — exit cleanly after the reply.
+Commands (runner → worker stdin)
+    ``{"cmd": "run", "chunk": k, "backoff": {...}}`` — run chunk ``k``
+        of the manifest under the runner's
+        :class:`~repro.campaign.backoff.BackoffPolicy` fields.
+    ``{"cmd": "shutdown"}`` — exit cleanly after the reply.
 
-Events (worker → coordinator stdout)
+Events (worker → runner stdout)
     ``ready``      — worker booted and loaded the manifest (carries pid).
     ``started``    — chunk execution began (implicit first heartbeat).
     ``heartbeat``  — liveness during a chunk (``done`` = sims finished).
-    ``completed``  — snapshot durably persisted; carries the content
-                     digest the coordinator journals.
-    ``error``      — the chunk attempt failed in the worker's batch
-                     layer; the coordinator re-dispatches with backoff.
+    ``retry``      — an attempt of the chunk had transient failures and
+                     is re-run after ``delay`` seconds (``attempt`` is
+                     the next attempt's number); journaled as
+                     ``chunk_retry`` and counted as a heartbeat.
+    ``completed``  — snapshot durably persisted (its last attempt, with
+                     any failures); carries the content digest the
+                     runner journals.
+    ``error``      — an exception escaped the worker's executor; the
+                     runner re-dispatches with backoff, within the lease
+                     table's per-chunk attempt budget.
 
-Messages are data, not trust: the coordinator validates digests against
-snapshots at finalisation, so a malicious or corrupt event can delay a
-campaign but never alter its aggregate bytes.
+Messages are data, not trust: the runner type-checks every field it
+uses and drops a malformed event whole, and it validates digests
+against snapshots at finalisation, so a malicious or corrupt event can
+delay a campaign but never alter its aggregate bytes.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ __all__ = [
     "EVENT_READY",
     "EVENT_STARTED",
     "EVENT_HEARTBEAT",
+    "EVENT_RETRY",
     "EVENT_COMPLETED",
     "EVENT_ERROR",
 ]
@@ -49,6 +59,7 @@ COMMAND_SHUTDOWN = "shutdown"
 EVENT_READY = "ready"
 EVENT_STARTED = "started"
 EVENT_HEARTBEAT = "heartbeat"
+EVENT_RETRY = "retry"
 EVENT_COMPLETED = "completed"
 EVENT_ERROR = "error"
 

@@ -1,24 +1,27 @@
 """The shard worker: runs leased chunks, persists snapshots, heartbeats.
 
-Spawned by the coordinator as ``python -m repro.campaign.shard.worker
-<directory> <worker-id>``.  The worker is deliberately dumb: it owns no
+Spawned by the fleet transport of
+:class:`~repro.campaign.runner.CampaignRunner` as ``python -m
+repro.campaign.shard.worker <directory> <worker-id>``.  The worker is deliberately dumb: it owns no
 scheduling state, never touches the journal, and trusts nothing beyond
 the manifest on disk.  Its whole contract is
 
 1. read one command line from stdin,
 2. run the named chunk with the *manifest's* seeds (simulation ``k``
    uses child ``k`` of the batch seed — which worker runs it is
-   irrelevant by construction),
+   irrelevant by construction), through the same
+   :func:`~repro.campaign.runner.run_chunk_attempts` rule as the
+   in-process transport, reporting each transient retry,
 3. atomically persist the snapshot via the same
-   :func:`~repro.campaign.runner.persist_chunk_snapshot` the sequential
-   runner uses, then report the content digest,
-4. emit throttled heartbeats *during* the chunk so the coordinator can
+   :func:`~repro.campaign.runner.persist_chunk_snapshot` the in-process
+   transport uses, then report the content digest,
+4. emit throttled heartbeats *during* the chunk so the runner can
    tell a long chunk from a dead worker.
 
 Crash-anywhere safety: the worker can be SIGKILLed at any byte.  Before
 the snapshot rename there is nothing to clean up; after it, the
 re-dispatched duplicate writes byte-identical content.  An orphaned
-worker (coordinator died) sees EOF on stdin and exits — and if it was
+worker (runner died) sees EOF on stdin and exits — and if it was
 mid-chunk, its final atomic snapshot write is harmless for the same
 reason.
 """
@@ -28,12 +31,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro.campaign.backoff import BackoffPolicy
 from repro.campaign.builders import workload_executor
 from repro.campaign.manifest import CampaignManifest
-from repro.campaign.runner import MANIFEST_FILE, persist_chunk_snapshot
+from repro.campaign.runner import (
+    MANIFEST_FILE,
+    persist_chunk_snapshot,
+    run_chunk_attempts,
+)
 from repro.campaign.shard.protocol import (
     COMMAND_RUN,
     COMMAND_SHUTDOWN,
@@ -41,6 +50,7 @@ from repro.campaign.shard.protocol import (
     EVENT_ERROR,
     EVENT_HEARTBEAT,
     EVENT_READY,
+    EVENT_RETRY,
     EVENT_STARTED,
     decode_line,
     encode_message,
@@ -70,7 +80,7 @@ def worker_main(
     # The worker's own registry: engine/channel/shield series via the
     # in-process batch path plus worker.* bookkeeping.  Deltas against
     # the last reported snapshot piggyback on heartbeat/completed
-    # events so the coordinator can merge a fleet-wide view without a
+    # events so the runner can merge a fleet-wide view without a
     # second channel (see repro.obs.fleet).  Metrics-only: a tracer
     # would grow one record per engine step for the campaign's
     # lifetime.
@@ -108,7 +118,7 @@ def worker_main(
     while True:
         line = stdin.readline()
         if not line:
-            # Coordinator gone (EOF): orphaned workers exit instead of
+            # Runner gone (EOF): orphaned workers exit instead of
             # computing results nobody will journal.
             return 0
         command = decode_line(line)
@@ -139,33 +149,34 @@ def worker_main(
                     }
                 )
 
+        def on_retry(attempt: int, delay: float) -> None:
+            emit_with_metrics(
+                {
+                    "event": EVENT_RETRY,
+                    "worker": worker_id,
+                    "chunk": chunk,
+                    "attempt": attempt,
+                    "delay": delay,
+                }
+            )
+
         # Fault boundary: a chunk that blows up in the batch layer is
-        # reported as an error event and re-dispatched by the
-        # coordinator; the worker itself survives to run other chunks.
+        # reported as an error event and re-dispatched by the runner;
+        # the worker itself survives to run other chunks.
         try:
             started = perf_now()
-            result = execute(
+            result = run_chunk_attempts(
+                lambda indices: execute(
+                    indices, manifest.n_sims, manifest.seed, progress
+                ),
                 manifest.chunk_indices(chunk),
-                manifest.n_sims,
-                manifest.seed,
-                progress,
+                fingerprint,
+                chunk,
+                BackoffPolicy(**command["backoff"]),
+                time.sleep,
+                on_retry,
             )
             elapsed = max(perf_now() - started, 0.0)
-            if result.transient_failures:
-                failed = sorted(
-                    {failure.index for failure in result.transient_failures}
-                )
-                observer.count("worker.chunk_errors")
-                emit_with_metrics(
-                    {
-                        "event": EVENT_ERROR,
-                        "worker": worker_id,
-                        "chunk": chunk,
-                        "error_type": "TransientChunkFailure",
-                        "message": f"transient failures at indices {failed}",
-                    }
-                )
-                continue
             digest = persist_chunk_snapshot(
                 directory, fingerprint, chunk, result
             )
@@ -182,7 +193,7 @@ def worker_main(
                     "elapsed": round(elapsed, 6),
                 }
             )
-        except Exception as exc:  # safelint: disable=SFL003 - reported as error event; coordinator re-dispatches
+        except Exception as exc:  # safelint: disable=SFL003 - reported as error event; the runner re-dispatches
             observer.count("worker.chunk_errors")
             emit_with_metrics(
                 {
@@ -199,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro.campaign.shard.worker`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro-shard-worker",
-        description="Shard worker process (spawned by the coordinator).",
+        description="Shard worker process (spawned by a campaign runner).",
     )
     parser.add_argument("directory", help="campaign directory")
-    parser.add_argument("worker_id", help="worker id assigned by the coordinator")
+    parser.add_argument("worker_id", help="worker id assigned by the runner")
     parser.add_argument(
         "--heartbeat-interval",
         type=float,

@@ -2,9 +2,11 @@
 
 Renders a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` — or any
 structurally identical dict, such as a flight-recorder frame or the
-fleet registry a :class:`~repro.campaign.shard.coordinator.ShardCoordinator`
-merges — into the plain-text format every Prometheus-compatible scraper
-understands::
+fleet registry the fleet transport of
+:class:`~repro.campaign.runner.CampaignRunner` merges — into the
+plain-text format every Prometheus-compatible scraper understands
+(``repro-obs expo <campaign-dir>/telemetry.jsonl`` renders a campaign's
+newest telemetry frame)::
 
     # TYPE repro_serve_offered counter
     repro_serve_offered 42

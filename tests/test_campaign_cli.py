@@ -167,22 +167,22 @@ class TestFlagValidation:
             ("run", ["--chunk-attempts", "0"], "--chunk-attempts"),
             ("run", ["--chunk-timeout", "0"], "--chunk-timeout"),
             ("run", ["--chunk-timeout", "-2.5"], "--chunk-timeout"),
-            ("shard-run", ["--lease-ttl", "0"], "--lease-ttl"),
-            ("shard-run", ["--lease-ttl", "nan"], "--lease-ttl"),
-            ("shard-run", ["--lease-ttl", "-3"], "--lease-ttl"),
-            ("shard-run", ["--heartbeat-interval", "0"], "--heartbeat-interval"),
+            ("run", ["--lease-ttl", "0"], "--lease-ttl"),
+            ("run", ["--lease-ttl", "nan"], "--lease-ttl"),
+            ("run", ["--lease-ttl", "-3"], "--lease-ttl"),
+            ("run", ["--heartbeat-interval", "0"], "--heartbeat-interval"),
             (
-                "shard-run",
+                "run",
                 ["--heartbeat-interval", "nan"],
                 "--heartbeat-interval",
             ),
             (
-                "shard-run",
+                "run",
                 ["--lease-ttl", "1", "--heartbeat-interval", "2"],
                 "--heartbeat-interval",
             ),
-            ("shard-run", ["--straggler-factor", "0.5"], "--straggler-factor"),
-            ("shard-run", ["--workers", "-3"], "--workers"),
+            ("run", ["--straggler-factor", "0.5"], "--straggler-factor"),
+            ("run", ["--workers", "-3"], "--workers"),
         ],
     )
     def test_bad_flag_is_error(

@@ -388,3 +388,26 @@ class TestVerifyDetectsTampering:
         (target / "chunks" / "chunk-00002.json").unlink()
         outcome = verify_campaign(target)
         assert not outcome["ok"]
+
+
+class TestKnobValidation:
+    """A bad knob raises at construction, before anything touches disk."""
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"n_workers": 0},
+            {"timeout_per_sim": 0.0},
+            {"max_retries": -1},
+            {"lease_ttl": 0.0},
+            {"heartbeat_interval": 0.0},
+            {"lease_ttl": 1.0, "heartbeat_interval": 2.0},
+            {"straggler_factor": 0.5},
+            {"n_workers": 2, "chunk_executor": _fake_executor},
+        ],
+    )
+    def test_bad_knob_never_starts_a_campaign(self, tmp_path, knobs):
+        directory = tmp_path / "campaign"
+        with pytest.raises(CampaignError):
+            CampaignRunner(_manifest(), directory, **knobs)
+        assert not directory.exists()

@@ -15,8 +15,12 @@ import pytest
 
 from repro.campaign.journal import read_journal
 from repro.campaign.manifest import CampaignManifest
-from repro.campaign.runner import AGGREGATE_FILE, JOURNAL_FILE, CampaignRunner
-from repro.campaign.shard import ShardCoordinator, shard_status
+from repro.campaign.runner import (
+    AGGREGATE_FILE,
+    JOURNAL_FILE,
+    CampaignRunner,
+    campaign_status,
+)
 
 
 def _manifest(n_sims=8, name="shard-chaos"):
@@ -61,7 +65,7 @@ class TestWorkerKill:
                 os.kill(pids[victim], signal.SIGKILL)
                 state["killed"] = True
 
-        report = ShardCoordinator(
+        report = CampaignRunner(
             manifest,
             directory,
             n_workers=3,
@@ -72,7 +76,7 @@ class TestWorkerKill:
         assert state["killed"]
         assert report.status == "completed"
         assert (directory / AGGREGATE_FILE).read_bytes() == reference
-        summary = shard_status(directory)
+        summary = campaign_status(directory)
         # The victim's death is journaled, and the survivors absorbed
         # its leases/range.
         exited = [
@@ -92,7 +96,7 @@ class TestWorkerKill:
                 os.kill(pid, signal.SIGKILL)
 
         with pytest.raises(Exception, match="all shard workers died"):
-            ShardCoordinator(
+            CampaignRunner(
                 manifest,
                 directory,
                 n_workers=2,
@@ -102,7 +106,7 @@ class TestWorkerKill:
             ).run()
         # The journal survived; a fresh fleet finishes the campaign.
         reference = _reference_bytes(manifest, tmp_path)
-        report = ShardCoordinator(
+        report = CampaignRunner(
             manifest, directory, n_workers=2, heartbeat_interval=0.2
         ).resume()
         assert report.status == "completed"
@@ -127,7 +131,7 @@ class TestCoordinatorCrash:
                 raise _CrashCoordinator("chaos: abandoning coordinator")
 
         with pytest.raises(_CrashCoordinator):
-            ShardCoordinator(
+            CampaignRunner(
                 manifest,
                 directory,
                 n_workers=3,
@@ -137,13 +141,13 @@ class TestCoordinatorCrash:
             ).run()
         before = _completed_chunks(directory)
         assert 3 <= before < 8
-        report = ShardCoordinator(
+        report = CampaignRunner(
             manifest, directory, n_workers=3, heartbeat_interval=0.2
         ).resume()
         assert report.status == "completed"
         assert report.completed_chunks == 8
         assert (directory / AGGREGATE_FILE).read_bytes() == reference
-        assert shard_status(directory)["coordinator_epochs"] == 2
+        assert campaign_status(directory)["coordinator_epochs"] == 2
 
     def test_repeated_crashes_converge(self, tmp_path):
         """Crash after every couple of chunks until the campaign finishes."""
@@ -159,7 +163,7 @@ class TestCoordinatorCrash:
                 raise _CrashCoordinator("chaos: abandoning coordinator")
 
         with pytest.raises(_CrashCoordinator):
-            ShardCoordinator(
+            CampaignRunner(
                 manifest,
                 directory,
                 n_workers=2,
@@ -170,7 +174,7 @@ class TestCoordinatorCrash:
         while True:
             attempts += 1
             assert attempts <= 10, "resume never converged"
-            coordinator = ShardCoordinator(
+            coordinator = CampaignRunner(
                 manifest,
                 directory,
                 n_workers=2,
@@ -184,4 +188,4 @@ class TestCoordinatorCrash:
             break
         assert report.status == "completed"
         assert (directory / AGGREGATE_FILE).read_bytes() == reference
-        assert shard_status(directory)["coordinator_epochs"] >= 2
+        assert campaign_status(directory)["coordinator_epochs"] >= 2

@@ -1,4 +1,5 @@
-"""Shard coordinator: bit-identity, degradation, duplicates, status.
+"""The fleet transport of CampaignRunner: bit-identity, the in-process
+transport at one worker, duplicates, status.
 
 These tests run real worker subprocesses (spawned via ``python -m
 repro.campaign.shard.worker``) against tiny manifests; the chaos-grade
@@ -16,10 +17,12 @@ from repro.campaign.runner import (
     JOURNAL_FILE,
     CampaignProgress,
     CampaignRunner,
+    _LoopState,
+    _WorkerHandle,
+    campaign_status,
     replay_progress,
 )
-from repro.campaign.shard import LeaseTable, ShardCoordinator, shard_status
-from repro.campaign.shard.coordinator import _LoopState, _WorkerHandle
+from repro.campaign.shard import LeaseTable
 from repro.errors import CampaignError, JournalCorruptionError
 from repro.obs.observer import Observer
 
@@ -48,7 +51,7 @@ class TestBitIdentity:
     def test_sharded_aggregate_matches_sequential(self, tmp_path):
         manifest = _manifest(n_sims=5)
         reference = _reference_bytes(manifest, tmp_path)
-        coordinator = ShardCoordinator(
+        coordinator = CampaignRunner(
             manifest,
             tmp_path / "sharded",
             n_workers=3,
@@ -65,7 +68,7 @@ class TestBitIdentity:
         manifest = _manifest(n_sims=3)
         reference = _reference_bytes(manifest, tmp_path)
         observer = Observer()
-        coordinator = ShardCoordinator(
+        coordinator = CampaignRunner(
             manifest,
             tmp_path / "traced",
             n_workers=2,
@@ -84,7 +87,7 @@ class TestDegradation:
     def test_single_worker_uses_campaign_runner(self, tmp_path):
         manifest = _manifest(n_sims=3)
         reference = _reference_bytes(manifest, tmp_path)
-        coordinator = ShardCoordinator(
+        coordinator = CampaignRunner(
             manifest, tmp_path / "solo", n_workers=1
         )
         report = coordinator.run()
@@ -99,10 +102,10 @@ class TestDegradation:
     def test_resume_of_finished_campaign_runs_nothing(self, tmp_path):
         manifest = _manifest(n_sims=3)
         directory = tmp_path / "campaign"
-        ShardCoordinator(
+        CampaignRunner(
             manifest, directory, n_workers=2, heartbeat_interval=0.2
         ).run()
-        report = ShardCoordinator(
+        report = CampaignRunner(
             manifest, directory, n_workers=2, heartbeat_interval=0.2
         ).resume()
         assert report.status == "completed"
@@ -111,11 +114,11 @@ class TestDegradation:
     def test_run_refuses_started_directory(self, tmp_path):
         manifest = _manifest(n_sims=2)
         directory = tmp_path / "campaign"
-        ShardCoordinator(
+        CampaignRunner(
             manifest, directory, n_workers=2, heartbeat_interval=0.2
         ).run()
-        with pytest.raises(CampaignError, match="shard-resume"):
-            ShardCoordinator(
+        with pytest.raises(CampaignError, match="resume"):
+            CampaignRunner(
                 manifest, directory, n_workers=2, heartbeat_interval=0.2
             ).run()
 
@@ -124,15 +127,15 @@ class TestValidation:
     def test_rejects_bad_knobs(self, tmp_path):
         manifest = _manifest()
         with pytest.raises(CampaignError, match="n_workers"):
-            ShardCoordinator(manifest, tmp_path, n_workers=0)
+            CampaignRunner(manifest, tmp_path, n_workers=0)
         with pytest.raises(CampaignError, match="lease_ttl"):
-            ShardCoordinator(manifest, tmp_path, lease_ttl=0.0)
+            CampaignRunner(manifest, tmp_path, lease_ttl=0.0)
         with pytest.raises(CampaignError, match="heartbeat_interval"):
-            ShardCoordinator(
+            CampaignRunner(
                 manifest, tmp_path, lease_ttl=1.0, heartbeat_interval=2.0
             )
         with pytest.raises(CampaignError, match="timeout_per_sim"):
-            ShardCoordinator(manifest, tmp_path, timeout_per_sim=0.0)
+            CampaignRunner(manifest, tmp_path, timeout_per_sim=0.0)
 
 
 class TestDuplicateCompletions:
@@ -148,7 +151,7 @@ class TestDuplicateCompletions:
 
     def test_equal_digest_duplicate_is_idempotent(self, tmp_path):
         manifest = _manifest(n_sims=2)
-        coordinator = ShardCoordinator(
+        coordinator = CampaignRunner(
             manifest, tmp_path / "c", n_workers=2
         )
         state = self._state(tmp_path, manifest)
@@ -169,7 +172,7 @@ class TestDuplicateCompletions:
 
     def test_conflicting_digest_duplicate_raises(self, tmp_path):
         manifest = _manifest(n_sims=2)
-        coordinator = ShardCoordinator(
+        coordinator = CampaignRunner(
             manifest, tmp_path / "c", n_workers=2
         )
         state = self._state(tmp_path, manifest)
@@ -191,10 +194,10 @@ class TestShardStatus:
     def test_per_worker_summary(self, tmp_path):
         manifest = _manifest(n_sims=4)
         directory = tmp_path / "campaign"
-        ShardCoordinator(
+        CampaignRunner(
             manifest, directory, n_workers=2, heartbeat_interval=0.2
         ).run()
-        summary = shard_status(directory)
+        summary = campaign_status(directory)
         assert summary["finished"] is True
         assert summary["completed_chunks"] == 4
         assert summary["coordinator_epochs"] == 1
@@ -206,3 +209,63 @@ class TestShardStatus:
         for entry in summary["workers"].values():
             assert entry["pid"] is not None
             assert entry["alive"] is False  # fleet shut down cleanly
+
+
+class TestMalformedEvents:
+    """A corrupt worker event is dropped: no exception, no journal record."""
+
+    def _fixture(self, tmp_path):
+        manifest = _manifest(n_sims=2)
+        runner = CampaignRunner(manifest, tmp_path / "c", n_workers=2)
+        table = LeaseTable(
+            range(manifest.n_chunks), ["w0", "w1"], manifest.fingerprint
+        )
+        lease = table.claim("w0", 0.0)
+        state = _LoopState(
+            progress=CampaignProgress(fingerprint=manifest.fingerprint),
+            table=table,
+            journal=JournalWriter(tmp_path / JOURNAL_FILE),
+        )
+        handle = _WorkerHandle(worker_id="w0", process=None)
+        handle.busy_chunk = lease.chunk
+        return runner, state, handle, lease
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"event": "heartbeat", "chunk": "x"},
+            {"event": "heartbeat", "chunk": 0, "done": "many"},
+            {"event": "error", "chunk": None},
+            {
+                "event": "completed",
+                "chunk": 0,
+                "digest": "d" * 64,
+                "n_results": "?",
+            },
+            {"event": "retry", "chunk": 0, "attempt": "2", "delay": 0.0},
+            {"event": "retry", "chunk": 0, "attempt": 2, "delay": -1.0},
+            {"event": "completed", "chunk": 7, "digest": "d" * 64},
+        ],
+    )
+    def test_dropped_without_a_trace(self, tmp_path, event):
+        runner, state, handle, lease = self._fixture(tmp_path)
+        runner._handle_event(handle, dict(event), state)
+        state.journal.close()
+        records, _ = read_journal(tmp_path / JOURNAL_FILE)
+        assert records == []
+        assert handle.heartbeats == 0
+        assert handle.busy_chunk == lease.chunk
+        assert state.progress.completed == {}
+        assert state.table.outstanding() == 2
+
+    def test_retry_event_is_journaled_and_renews_the_lease(self, tmp_path):
+        runner, state, handle, lease = self._fixture(tmp_path)
+        event = {"event": "retry", "chunk": 0, "attempt": 2, "delay": 0.25}
+        runner._handle_event(handle, event, state)
+        state.journal.close()
+        records, _ = read_journal(tmp_path / JOURNAL_FILE)
+        assert [r["type"] for r in records] == ["chunk_retry"]
+        assert records[0]["attempt"] == 2
+        assert records[0]["delay"] == 0.25
+        assert handle.heartbeats == 1
+        assert lease.last_heartbeat > 0.0

@@ -5,7 +5,7 @@ a campaign while piggybacking metric deltas on their heartbeats; the
 coordinator must merge them so that every unlabelled ``fleet.*``
 counter equals the *exact sum* of its per-worker series, write a
 ``telemetry.jsonl`` sidecar, and surface the whole thing through
-``shard-status`` (including ``--expo``).
+``status`` (and ``repro-obs expo`` over the sidecar).
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import pytest
 
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.manifest import CampaignManifest
-from repro.campaign.shard import ShardCoordinator, shard_status
+from repro.campaign.runner import CampaignRunner, campaign_status
 from repro.obs.metrics import parse_series_key
+from repro.obs.obs_cli import main as obs_main
 from repro.obs.recorder import TELEMETRY_FILE, read_telemetry
 
 
@@ -36,7 +37,7 @@ def _manifest(n_sims=6, chunk_size=1, name="fleet-test"):
 def fleet_run(tmp_path_factory):
     """One three-worker campaign shared by every assertion below."""
     directory = tmp_path_factory.mktemp("fleet") / "campaign"
-    coordinator = ShardCoordinator(
+    coordinator = CampaignRunner(
         _manifest(),
         directory,
         n_workers=3,
@@ -126,7 +127,7 @@ class TestTelemetrySidecar:
 class TestShardStatusSurface:
     def test_summary_includes_telemetry(self, fleet_run):
         directory, _ = fleet_run
-        summary = shard_status(directory)
+        summary = campaign_status(directory)
         telemetry = summary["telemetry"]
         assert telemetry is not None
         assert telemetry["frames"] >= 1
@@ -134,7 +135,7 @@ class TestShardStatusSurface:
 
     def test_cli_prints_fleet_counters(self, fleet_run, capsys):
         directory, _ = fleet_run
-        code = campaign_main(["shard-status", "--dir", str(directory)])
+        code = campaign_main(["status", "--dir", str(directory)])
         assert code == 0
         text = capsys.readouterr().out
         assert "telemetry:" in text
@@ -142,9 +143,7 @@ class TestShardStatusSurface:
 
     def test_cli_expo_renders_prometheus(self, fleet_run, capsys):
         directory, _ = fleet_run
-        code = campaign_main(
-            ["shard-status", "--dir", str(directory), "--expo"]
-        )
+        code = obs_main(["expo", str(directory / TELEMETRY_FILE)])
         assert code == 0
         text = capsys.readouterr().out
         assert "# TYPE repro_fleet_worker_chunks_completed counter" in text
@@ -153,12 +152,8 @@ class TestShardStatusSurface:
 
     def test_cli_expo_without_telemetry_is_an_error(self, tmp_path, capsys):
         directory = tmp_path / "plain"
-        from repro.campaign.runner import CampaignRunner
-
         CampaignRunner(_manifest(n_sims=1), directory).run()
         (directory / TELEMETRY_FILE).unlink()
-        code = campaign_main(
-            ["shard-status", "--dir", str(directory), "--expo"]
-        )
+        code = obs_main(["expo", str(directory / TELEMETRY_FILE)])
         assert code == 2
         assert "no telemetry frames" in capsys.readouterr().err
