@@ -52,17 +52,20 @@ mypy:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Fast-path differential tests (~25 s): every fast path against the
+# Fast-path differential tests (~35 s): every fast path against the
 # slow oracle it replaced (the Kalman filter against its matrix form,
 # the fused estimate against its Interval form, the block-buffered RNG
 # stream against the unbuffered one, the planner's NN inference against
 # Sequential.forward, the fused training step against the per-layer
-# loop), with exact or 1e-9 agreement case by case and identical
-# episodes and trained weights.  See docs/ROBUSTNESS.md section 8.
+# loop, the float left-turn shield against its Interval form, the lean
+# engine loop against the one it replaced), with exact or 1e-9
+# agreement case by case and identical episodes and trained weights.
+# See docs/ROBUSTNESS.md section 8.
 oracles:
 	$(PYTHON) -m pytest tests/test_kalman_oracle.py tests/test_estimate_oracle.py \
 		tests/test_rng_oracle.py tests/test_nn_inference_oracle.py \
-		tests/test_training_oracle.py -q
+		tests/test_training_oracle.py tests/test_shield_oracle.py \
+		tests/test_engine_oracle.py -q
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

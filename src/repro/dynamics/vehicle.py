@@ -21,6 +21,7 @@ with respect to these dynamics — a property the test suite checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.dynamics.state import VehicleState
@@ -137,7 +138,9 @@ class VehicleModel:
             portion only in the sense that velocity no longer changes; the
             *command* is what is stored).
         """
-        dt = check_positive(dt, "dt")
+        if not 0.0 < dt < math.inf:
+            check_positive(dt, "dt")  # raises: NaN, infinite or <= 0
+        dt = float(dt)
         a = self._limits.clip_acceleration(acceleration)
         p0 = state.position
         v0 = state.velocity

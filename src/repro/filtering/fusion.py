@@ -64,7 +64,10 @@ class FusedEstimate:
     message_age: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.position.is_empty or self.velocity.is_empty:
+        position = self.position
+        velocity = self.velocity
+        # Interval.is_empty on both bands, without the property calls.
+        if position.lo > position.hi or velocity.lo > velocity.hi:
             raise FilterError(
                 "FusedEstimate requires non-empty position/velocity bands"
             )

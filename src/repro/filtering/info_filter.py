@@ -38,7 +38,7 @@ from repro.filtering.replay import ReplayKalmanFilter
 from repro.obs.observer import resolve_observer
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
-from repro.utils.intervals import Interval
+from repro.utils.intervals import Interval, band_midpoint
 
 __all__ = [
     "EstimateProvider",
@@ -454,8 +454,8 @@ class InformationFilter:
             position = Interval(p_lo, p_hi)
             velocity = Interval(v_lo, v_hi)
             nominal = VehicleState(
-                position=position.midpoint,
-                velocity=velocity.midpoint,
+                position=band_midpoint(position.lo, position.hi),
+                velocity=band_midpoint(velocity.lo, velocity.hi),
                 acceleration=accel,
             )
         if self._obs.enabled:
@@ -545,8 +545,8 @@ class RawEstimator:
         position = Interval(p_lo, p_hi)
         velocity = Interval(v_lo, v_hi)
         nominal = VehicleState(
-            position=position.midpoint,
-            velocity=velocity.midpoint,
+            position=band_midpoint(position.lo, position.hi),
+            velocity=band_midpoint(velocity.lo, velocity.hi),
             acceleration=accel,
         )
         message_age = (

@@ -209,12 +209,9 @@ class NNPlanner:
     # ------------------------------------------------------------------
     def plan(self, context: PlanningContext) -> float:
         """Window features -> scaled inference -> clipped acceleration."""
-        window = self._windows.window(
-            context.estimate_of(self._oncoming_index)
-        )
-        return self.plan_from_window(
-            context.time, context.ego.position, context.ego.velocity, window
-        )
+        lo, hi = self._windows.bounds(context.estimate_of(self._oncoming_index))
+        ego = context.ego
+        return self._infer(context.time, ego.position, ego.velocity, lo, hi)
 
     def plan_from_window(
         self, time: float, position: float, velocity: float, window: Interval
@@ -223,12 +220,22 @@ class NNPlanner:
 
         Units: time [s], position [m], velocity [m/s] -> [m/s^2]
         """
+        return self._infer(time, position, velocity, window.lo, window.hi)
+
+    def _infer(
+        self, time: float, position: float, velocity: float, lo: float, hi: float
+    ) -> float:
+        """Inference on the window's float bounds (empty if ``lo > hi``).
+
+        Units: time [s], position [m], velocity [m/s], lo [s], hi [s]
+        Units: -> [m/s^2]
+        """
         # planner_features and FeatureScaler.transform, in floats.
-        if window.is_empty:
+        if lo > hi:
             rel_lo = rel_hi = WINDOW_PAST
         else:
-            rel_lo = min(max(window.lo - time, WINDOW_PAST), WINDOW_FAR)
-            rel_hi = min(max(window.hi - time, WINDOW_PAST), WINDOW_FAR)
+            rel_lo = min(max(lo - time, WINDOW_PAST), WINDOW_FAR)
+            rel_hi = min(max(hi - time, WINDOW_PAST), WINDOW_FAR)
         mean, std = self._mean, self._std
         x = np.array(
             [

@@ -42,7 +42,9 @@ from repro.utils.validation import check_positive
 __all__ = [
     "LeftTurnGeometry",
     "earliest_arrival_time",
+    "earliest_arrival_unchecked",
     "latest_arrival_time",
+    "latest_arrival_unchecked",
     "traversal_window",
 ]
 
@@ -83,8 +85,24 @@ def earliest_arrival_time(
     check_positive(v_cap, "v_cap")
     if a_cap < 0.0:
         raise ScenarioError(f"a_cap must be >= 0, got {a_cap}")
+    return earliest_arrival_unchecked(distance, velocity, v_cap, a_cap)
+
+
+def earliest_arrival_unchecked(
+    distance: float, velocity: float, v_cap: float, a_cap: float
+) -> float:
+    """:func:`earliest_arrival_time` without its argument checks.
+
+    The one implementation of the minimum arrival time, for callers that
+    validated ``v_cap`` (finite, > 0) and ``a_cap`` (>= 0) once, up front.
+    A cap of zero or less never arrives.
+
+    Units: distance [m], velocity [m/s], v_cap [m/s], a_cap [m/s^2] -> [s]
+    """
     if distance <= 0.0:
         return 0.0
+    if v_cap <= 0.0:
+        return NEVER
     v = max(0.0, min(velocity, v_cap))
     if a_cap == 0.0:
         if v <= 0.0:
@@ -127,6 +145,20 @@ def latest_arrival_time(
         raise ScenarioError(f"v_floor must be >= 0, got {v_floor}")
     if a_floor > 0.0:
         raise ScenarioError(f"a_floor must be <= 0, got {a_floor}")
+    return latest_arrival_unchecked(distance, velocity, v_floor, a_floor)
+
+
+def latest_arrival_unchecked(
+    distance: float, velocity: float, v_floor: float, a_floor: float
+) -> float:
+    """:func:`latest_arrival_time` without its argument checks.
+
+    The one implementation of the maximum arrival time, for callers that
+    validated ``v_floor`` (>= 0) and ``a_floor`` (<= 0) once, up front.
+
+    Units: distance [m], velocity [m/s], v_floor [m/s], a_floor [m/s^2]
+    Units: -> [s]
+    """
     if distance <= 0.0:
         return 0.0
     v = max(velocity, v_floor)
@@ -180,9 +212,13 @@ def arrival_time_under(
     if accel > 0.0:
         if v_hi <= 0.0:
             return NEVER
-        return earliest_arrival_time(distance, v, v_hi, accel)
+        if not v_hi < NEVER:
+            # An infinite or NaN cap: the checked primitive raises.
+            return earliest_arrival_time(distance, v, v_hi, accel)
+        return earliest_arrival_unchecked(distance, v, v_hi, accel)
     if accel < 0.0:
-        return latest_arrival_time(distance, v, max(v_lo, 0.0), accel)
+        # Floor >= 0 and a negative accel: the checks cannot fail.
+        return latest_arrival_unchecked(distance, v, max(v_lo, 0.0), accel)
     if v <= 0.0:
         return NEVER
     return distance / v

@@ -25,7 +25,9 @@ the area sits at ``[5, 15] m``).  All window algebra below works in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple, Tuple
 
 from repro.dynamics.vehicle import VehicleLimits
 from repro.filtering.fusion import FusedEstimate
@@ -34,37 +36,68 @@ from repro.scenarios.left_turn.geometry import (
     LeftTurnGeometry,
     arrival_time_under,
     earliest_arrival_time,
+    earliest_arrival_unchecked,
     latest_arrival_time,
+    latest_arrival_unchecked,
 )
-from repro.utils.intervals import Interval
+from repro.utils.intervals import Interval, nan_bounds_error
 from repro.utils.validation import check_nonnegative
 
 __all__ = [
+    "EMPTY_BOUNDS",
+    "SpeedLimits",
+    "speed_limits",
+    "conservative_bounds",
     "conservative_window",
+    "aggressive_bounds",
     "aggressive_window",
     "PassingWindowEstimator",
 ]
 
+#: The empty window as float bounds (any ``lo > hi`` is empty).
+EMPTY_BOUNDS: Tuple[float, float] = (math.inf, -math.inf)
 
-def _speed_quantities(limits: VehicleLimits):
-    """Map the oncoming vehicle's raw limits into speed terms.
+
+class SpeedLimits(NamedTuple):
+    """The oncoming vehicle's raw limits mapped into speed terms.
 
     Raw velocities are negative (coordinate decreases along travel), so
     raw ``v_min = -max_speed`` and ``v_max = -min_speed``; raw ``a_min``
     is the strongest speed-up and raw ``a_max`` the strongest braking.
+    ``checked`` records whether the Eq. (7) arrival-time primitives
+    accept these constants; when they do not, the window calls the
+    checked primitives, which raise their usual errors.
+
+    Units: max_speed [m/s], min_speed [m/s], max_speedup [m/s^2]
+    Units: max_brake [m/s^2]
+    """
+
+    max_speed: float
+    min_speed: float
+    max_speedup: float
+    max_brake: float  # negative number in speed terms
+    checked: bool
+
+
+def speed_limits(limits: VehicleLimits) -> SpeedLimits:
+    """Map raw oncoming-vehicle limits into :class:`SpeedLimits`.
+
+    Computed once per window estimator or safety model.
     """
     max_speed = -limits.v_min
     min_speed = -limits.v_max
     max_speedup = -limits.a_min
-    max_brake = -limits.a_max  # negative number in speed terms
-    return max_speed, min_speed, max_speedup, max_brake
+    max_brake = -limits.a_max
+    # VehicleLimits already fixes the signs of the accelerations.
+    checked = 0.0 < max_speed < math.inf and min_speed >= 0.0
+    return SpeedLimits(max_speed, min_speed, max_speedup, max_brake, checked)
 
 
-def conservative_window(
+def conservative_bounds(
     estimate: FusedEstimate,
     geometry: LeftTurnGeometry,
-    limits: VehicleLimits,
-) -> Interval:
+    speeds: SpeedLimits,
+) -> Tuple[float, float]:
     """Sound occupancy window of the unsafe area (Eq. (7) over the band).
 
     The earliest entry combines the band edge *closest* to the area with
@@ -73,61 +106,87 @@ def conservative_window(
     braking down to the speed floor.  The result contains the true
     passing window whenever the fused band contains the true state.
 
+    Returns absolute-time ``(lo, hi)`` bounds, empty (``lo > hi``) when
+    the whole band has already cleared the area.  This is the only
+    implementation of Eq. (7); :func:`conservative_window` wraps it.
+
+    Units: -> [s]
+    """
+    max_speed, min_speed, max_speedup, max_brake, checked = speeds
+    position = estimate.position
+
+    # Pessimistic clearance check: the farthest band edge must be past
+    # the back line for the window to be closed for good.
+    d_back_far = position.hi - geometry.oncoming_back
+    if d_back_far <= 0.0:
+        return EMPTY_BOUNDS
+
+    d_front_near = position.lo - geometry.oncoming_front
+    velocity = estimate.velocity
+    fastest_speed = -velocity.lo
+    slowest_speed = -velocity.hi
+
+    earliest, latest = (
+        (earliest_arrival_unchecked, latest_arrival_unchecked)
+        if checked
+        else (earliest_arrival_time, latest_arrival_time)
+    )
+    entry = earliest(d_front_near, fastest_speed, max_speed, max_speedup)
+    exit_ = latest(d_back_far, slowest_speed, min_speed, max_brake)
+    if entry == NEVER:
+        return EMPTY_BOUNDS
+    time = estimate.time
+    lo = time + entry
+    hi = time + max(exit_, entry)
+    if math.isnan(lo) or math.isnan(hi):
+        raise nan_bounds_error(lo, hi)
+    return lo, hi
+
+
+def conservative_window(
+    estimate: FusedEstimate,
+    geometry: LeftTurnGeometry,
+    limits: VehicleLimits,
+) -> Interval:
+    """:func:`conservative_bounds` as an :class:`Interval` (Eq. (7)).
+
     Returns an *absolute-time* interval; empty when the whole band has
     already cleared the area.
 
     Units: -> [s]
     """
-    max_speed, min_speed, max_speedup, max_brake = _speed_quantities(limits)
-
-    # Pessimistic clearance check: the farthest band edge must be past
-    # the back line for the window to be closed for good.
-    d_back_far = geometry.oncoming_distance_to_back(estimate.position.hi)
-    if d_back_far <= 0.0:
-        return Interval.EMPTY
-
-    d_front_near = geometry.oncoming_distance_to_front(estimate.position.lo)
-    fastest_speed = -estimate.velocity.lo
-    slowest_speed = -estimate.velocity.hi
-
-    entry = earliest_arrival_time(
-        d_front_near, fastest_speed, max_speed, max_speedup
-    )
-    exit_ = latest_arrival_time(d_back_far, slowest_speed, min_speed, max_brake)
-    if entry == NEVER:
-        return Interval.EMPTY
-    return Interval(estimate.time + entry, estimate.time + max(exit_, entry))
+    return Interval(*conservative_bounds(estimate, geometry, speed_limits(limits)))
 
 
-def aggressive_window(
+def aggressive_bounds(
     estimate: FusedEstimate,
     geometry: LeftTurnGeometry,
-    limits: VehicleLimits,
+    speeds: SpeedLimits,
     a_buf: float,
     v_buf: float,
-) -> Interval:
+) -> Tuple[float, float]:
     """Compact occupancy window from buffered nominal behaviour (Eq. (8)).
 
     Units: a_buf [m/s^2], v_buf [m/s] -> [s]
-
-    Both buffers are nonnegative; the returned interval holds absolute
-    times in seconds.
 
     Evaluated at the nominal point estimate with assumed acceleration and
     speed within ``a_buf``/``v_buf`` of the currently observed values
     (clipped at the physical limits).  The window is *not* sound — that
     is the point: the runtime monitor retains the conservative window, so
     feeding this one to the NN planner trades no safety for efficiency.
+
+    Returns absolute-time ``(lo, hi)`` bounds, empty when ``lo > hi``.
+    The buffers are not checked here: :func:`aggressive_window` checks
+    them per call, :class:`PassingWindowEstimator` once at construction.
+    This is the only implementation of Eq. (8).
     """
-    check_nonnegative(a_buf, "a_buf")
-    check_nonnegative(v_buf, "v_buf")
-    max_speed, min_speed, max_speedup, max_brake = _speed_quantities(limits)
+    max_speed, min_speed, max_speedup, max_brake, _ = speeds
 
     nominal = estimate.nominal
-    d_back = geometry.oncoming_distance_to_back(nominal.position)
+    d_back = nominal.position - geometry.oncoming_back
     if d_back <= 0.0:
-        return Interval.EMPTY
-    d_front = geometry.oncoming_distance_to_front(nominal.position)
+        return EMPTY_BOUNDS
+    d_front = nominal.position - geometry.oncoming_front
     speed = -nominal.velocity
     accel = -nominal.acceleration
 
@@ -139,7 +198,7 @@ def aggressive_window(
         d_front, speed, a_entry, max(v_entry_cap, min_speed), min_speed
     )
     if entry == NEVER:
-        return Interval.EMPTY
+        return EMPTY_BOUNDS
 
     # Exit: at most a_buf more braking and v_buf less speed.
     a_exit = max(accel - a_buf, max_brake)
@@ -147,7 +206,33 @@ def aggressive_window(
     exit_ = arrival_time_under(
         d_back, speed, a_exit, max_speed, min(v_exit_floor, max_speed)
     )
-    return Interval(estimate.time + entry, estimate.time + max(exit_, entry))
+    time = estimate.time
+    lo = time + entry
+    hi = time + max(exit_, entry)
+    if math.isnan(lo) or math.isnan(hi):
+        raise nan_bounds_error(lo, hi)
+    return lo, hi
+
+
+def aggressive_window(
+    estimate: FusedEstimate,
+    geometry: LeftTurnGeometry,
+    limits: VehicleLimits,
+    a_buf: float,
+    v_buf: float,
+) -> Interval:
+    """:func:`aggressive_bounds` as an :class:`Interval` (Eq. (8)).
+
+    Units: a_buf [m/s^2], v_buf [m/s] -> [s]
+
+    Both buffers are nonnegative; the returned interval holds absolute
+    times in seconds.
+    """
+    check_nonnegative(a_buf, "a_buf")
+    check_nonnegative(v_buf, "v_buf")
+    return Interval(
+        *aggressive_bounds(estimate, geometry, speed_limits(limits), a_buf, v_buf)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,9 +249,10 @@ class PassingWindowEstimator:
         Whether to produce the Eq. (8) buffered window instead of the
         sound Eq. (7) window.
     a_buf, v_buf:
-        Buffers for the aggressive mode (ignored otherwise).  The paper
-        leaves the values user-defined; the experiment defaults live in
-        :mod:`repro.experiments.config`.
+        Buffers for the aggressive mode (ignored otherwise; checked to be
+        finite and nonnegative at construction when ``aggressive``).  The
+        paper leaves the values user-defined; the experiment defaults
+        live in :mod:`repro.experiments.config`.
 
     Units: a_buf [m/s^2], v_buf [m/s]
     """
@@ -176,14 +262,29 @@ class PassingWindowEstimator:
     aggressive: bool = False
     a_buf: float = 0.5
     v_buf: float = 1.0
+    #: ``speed_limits(limits)``, derived once at construction.
+    _speeds: SpeedLimits = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.aggressive:
+            check_nonnegative(self.a_buf, "a_buf")
+            check_nonnegative(self.v_buf, "v_buf")
+        object.__setattr__(self, "_speeds", speed_limits(self.limits))
+
+    def bounds(self, estimate: FusedEstimate) -> Tuple[float, float]:
+        """Absolute-time occupancy window as ``(lo, hi)``; empty if ``lo > hi``.
+
+        Units: -> [s]
+        """
+        if self.aggressive:
+            return aggressive_bounds(
+                estimate, self.geometry, self._speeds, self.a_buf, self.v_buf
+            )
+        return conservative_bounds(estimate, self.geometry, self._speeds)
 
     def window(self, estimate: FusedEstimate) -> Interval:
         """Absolute-time occupancy window for the given estimate.
 
         Units: -> [s]
         """
-        if self.aggressive:
-            return aggressive_window(
-                estimate, self.geometry, self.limits, self.a_buf, self.v_buf
-            )
-        return conservative_window(estimate, self.geometry, self.limits)
+        return Interval(*self.bounds(estimate))

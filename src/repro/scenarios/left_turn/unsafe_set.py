@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Tuple
 
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
@@ -35,13 +35,19 @@ from repro.filtering.fusion import FusedEstimate
 from repro.scenarios.left_turn.geometry import (
     LeftTurnGeometry,
     earliest_arrival_time,
+    earliest_arrival_unchecked,
 )
-from repro.scenarios.left_turn.passing_time import conservative_window
-from repro.utils.intervals import Interval
+from repro.scenarios.left_turn.passing_time import (
+    EMPTY_BOUNDS,
+    conservative_bounds,
+    speed_limits,
+)
+from repro.utils.intervals import Interval, bounds_overlap, nan_bounds_error
 from repro.utils.validation import check_positive
 
 __all__ = [
     "slack",
+    "ego_passing_bounds",
     "ego_passing_window",
     "boundary_slack_margin",
     "LeftTurnSafetyModel",
@@ -74,18 +80,18 @@ def slack(
     return math.inf
 
 
-def ego_passing_window(
+def ego_passing_bounds(
     time: float,
     position: float,
     velocity: float,
     geometry: LeftTurnGeometry,
-) -> Interval:
+) -> Tuple[float, float]:
     """Projected occupancy window of the ego at its current velocity.
 
     Units: time [s], position [m], velocity [m/s] -> [s]
 
-    ``time`` is the absolute timestamp; the window holds absolute
-    seconds.
+    ``time`` is the absolute timestamp; the window is returned as
+    absolute ``(lo, hi)`` seconds, empty when ``lo > hi``.
 
     Mirrors the paper's three cases: before the front line the window is
     ``[t + d_f/v, t + d_b/v]``; inside the area it opens now and closes
@@ -94,17 +100,36 @@ def ego_passing_window(
     area occupies it indefinitely (``[t, inf)``).
     """
     if position > geometry.p_back:
-        return Interval.EMPTY
+        return EMPTY_BOUNDS
     v = max(velocity, 0.0)
-    d_back = geometry.ego_distance_to_back(position)
+    d_back = geometry.p_back - position
     if position <= geometry.p_front:
         if v <= 0.0:
-            return Interval.EMPTY
-        d_front = geometry.ego_distance_to_front(position)
-        return Interval(time + d_front / v, time + d_back / v)
-    if v <= 0.0:
-        return Interval(time, math.inf)
-    return Interval(time, time + d_back / v)
+            return EMPTY_BOUNDS
+        lo = time + (geometry.p_front - position) / v
+        hi = time + d_back / v
+    elif v <= 0.0:
+        lo = time
+        hi = math.inf
+    else:
+        lo = time
+        hi = time + d_back / v
+    if math.isnan(lo) or math.isnan(hi):
+        raise nan_bounds_error(lo, hi)
+    return lo, hi
+
+
+def ego_passing_window(
+    time: float,
+    position: float,
+    velocity: float,
+    geometry: LeftTurnGeometry,
+) -> Interval:
+    """:func:`ego_passing_bounds` as an :class:`Interval`.
+
+    Units: time [s], position [m], velocity [m/s] -> [s]
+    """
+    return Interval(*ego_passing_bounds(time, position, velocity, geometry))
 
 
 def boundary_slack_margin(
@@ -120,9 +145,29 @@ def boundary_slack_margin(
     one step.
     """
     check_positive(dt_c, "dt_c")
-    v = max(velocity, 0.0)
-    travel = v * dt_c + 0.5 * ego_limits.a_max * dt_c * dt_c
+    half_a_dt2, factor = _margin_terms(dt_c, ego_limits)
+    return _slack_margin(max(velocity, 0.0), dt_c, half_a_dt2, factor)
+
+
+def _margin_terms(dt_c: float, ego_limits: VehicleLimits) -> Tuple[float, float]:
+    """The velocity-free terms of the ``X_b`` margin.
+
+    Units: dt_c [s]
+
+    Returns ``a_max dt_c^2 / 2`` (metres) and the dimensionless factor
+    ``1 - a_max / a_min``.
+    """
+    half_a_dt2 = 0.5 * ego_limits.a_max * dt_c * dt_c
     factor = 1.0 - ego_limits.a_max / ego_limits.a_min
+    return half_a_dt2, factor
+
+
+def _slack_margin(v: float, dt_c: float, half_a_dt2: float, factor: float) -> float:
+    """``(v dt_c + a_max dt_c^2 / 2)(1 - a_max / a_min)`` for ``v >= 0``.
+
+    Units: v [m/s], dt_c [s], half_a_dt2 [m] -> [m]
+    """
+    travel = v * dt_c + half_a_dt2
     return travel * factor
 
 
@@ -134,6 +179,15 @@ class LeftTurnSafetyModel:
     for the left-turn scenario: the oncoming vehicle's occupancy window
     is estimated conservatively (Eq. (7) over the fused band) and
     combined with the ego's slack and projected window.
+
+    The predicates run on floats.  The window comes from
+    :meth:`oncoming_bounds`, the one override point for where the
+    conflict window comes from (:meth:`oncoming_window` wraps it).  The
+    constants of the frozen model -- the oncoming limits in speed terms,
+    the boundary-margin terms and the lookahead steps' ``a dt`` and
+    ``a dt^2 / 2`` -- are derived once, at construction, and are not
+    dataclass fields, so equality, repr and pickling see only the
+    fields below.
 
     Attributes
     ----------
@@ -163,28 +217,61 @@ class LeftTurnSafetyModel:
             raise ScenarioError(
                 f"oncoming_index must be >= 1, got {self.oncoming_index}"
             )
+        ego = self.ego_limits
+        dt = self.dt_c
+        half_a_dt2, factor = _margin_terms(dt, ego)
+        constants = {
+            "_speeds": speed_limits(self.oncoming_limits),
+            "_half_a_dt2": half_a_dt2,
+            "_margin_factor": factor,
+            # (a dt, a dt^2 / 2) of full brake, coast and full throttle.
+            "_lookahead": tuple(
+                (accel * dt, 0.5 * accel * dt * dt)
+                for accel in (ego.a_min, 0.0, ego.a_max)
+            ),
+            "_v_floor": max(ego.v_min, 0.0),
+            # The full-throttle arrival primitive; the checked one when
+            # the ego's v_max is not a valid cap, so it raises as before.
+            "_full_throttle_arrival": (
+                earliest_arrival_unchecked
+                if 0.0 < ego.v_max < math.inf
+                else earliest_arrival_time
+            ),
+        }
+        for name, value in constants.items():
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # Window plumbing
     # ------------------------------------------------------------------
-    def oncoming_window(
+    def oncoming_bounds(
         self, time: float, estimates: Mapping[int, FusedEstimate]
-    ) -> Interval:
-        """Conservative occupancy window from the current estimates.
+    ) -> Tuple[float, float]:
+        """Conservative occupancy window as ``(lo, hi)``; empty if ``lo > hi``.
 
         Units: time [s] -> [s]
 
         ``time`` is unused here; subclasses whose window depends on the
-        clock (a signal schedule) read it.
+        clock (a signal schedule) read it.  This is the override point
+        every predicate reads the conflict window through.
         """
         if self.oncoming_index not in estimates:
             raise ScenarioError(
                 f"no estimate for the oncoming vehicle "
                 f"(index {self.oncoming_index})"
             )
-        return conservative_window(
-            estimates[self.oncoming_index], self.geometry, self.oncoming_limits
+        return conservative_bounds(
+            estimates[self.oncoming_index], self.geometry, self._speeds
         )
+
+    def oncoming_window(
+        self, time: float, estimates: Mapping[int, FusedEstimate]
+    ) -> Interval:
+        """:meth:`oncoming_bounds` as an :class:`Interval`.
+
+        Units: time [s] -> [s]
+        """
+        return Interval(*self.oncoming_bounds(time, estimates))
 
     # ------------------------------------------------------------------
     # Observability hooks (telemetry only — the monitor never calls these)
@@ -233,13 +320,14 @@ class LeftTurnSafetyModel:
 
         Units: time [s]
         """
-        s = slack(ego.position, ego.velocity, self.geometry, self.ego_limits)
+        position = ego.position
+        velocity = ego.velocity
+        s = slack(position, velocity, self.geometry, self.ego_limits)
         if s >= 0.0:
             return False
-        ego_window = ego_passing_window(
-            time, ego.position, ego.velocity, self.geometry
-        )
-        return ego_window.overlaps(self.oncoming_window(time, estimates))
+        ego_lo, ego_hi = ego_passing_bounds(time, position, velocity, self.geometry)
+        lo, hi = self.oncoming_bounds(time, estimates)
+        return bounds_overlap(ego_lo, ego_hi, lo, hi)
 
     def in_boundary_safe_set(
         self,
@@ -266,23 +354,23 @@ class LeftTurnSafetyModel:
           lingering becomes a possibility.
         """
         position = ego.position
-        if position > self.geometry.p_back:
+        geometry = self.geometry
+        if position > geometry.p_back:
             return False
-        oncoming = self.oncoming_window(time, estimates)
-        if oncoming.is_empty or oncoming.hi <= time:
+        lo, hi = self.oncoming_bounds(time, estimates)
+        if lo > hi or hi <= time:
             return False
-        s = slack(position, ego.velocity, self.geometry, self.ego_limits)
-        if position > self.geometry.p_front or s < 0.0:
-            return self._committed_needs_escape(time, ego, oncoming)
-        if 0.0 <= s < boundary_slack_margin(
-            ego.velocity, self.dt_c, self.ego_limits
+        velocity = ego.velocity
+        s = slack(position, velocity, geometry, self.ego_limits)
+        if position > geometry.p_front or s < 0.0:
+            return self._committed_needs_escape(time, position, velocity, hi)
+        if 0.0 <= s < _slack_margin(
+            max(velocity, 0.0), self.dt_c, self._half_a_dt2, self._margin_factor
         ):
-            ego_window = ego_passing_window(
-                time, position, ego.velocity, self.geometry
-            )
-            if ego_window.overlaps(oncoming):
+            ego_lo, ego_hi = ego_passing_bounds(time, position, velocity, geometry)
+            if bounds_overlap(ego_lo, ego_hi, lo, hi):
                 return True
-        return self._some_step_commits_unsafely(time, ego, oncoming)
+        return self._some_step_commits_unsafely(time, position, velocity, lo, hi)
 
     # ------------------------------------------------------------------
     # Full-throttle commit invariant
@@ -303,32 +391,19 @@ class LeftTurnSafetyModel:
         never advanced past ``entry_ff``).
         """
         v = max(velocity, 0.0)
-        d_front = self.geometry.ego_distance_to_front(position)
-        d_back = self.geometry.ego_distance_to_back(position)
-        entry = time + earliest_arrival_time(
-            d_front, v, self.ego_limits.v_max, self.ego_limits.a_max
-        )
-        exit_ = time + earliest_arrival_time(
-            d_back, v, self.ego_limits.v_max, self.ego_limits.a_max
-        )
+        v_max = self.ego_limits.v_max
+        a_max = self.ego_limits.a_max
+        arrival = self._full_throttle_arrival
+        entry = time + arrival(self.geometry.p_front - position, v, v_max, a_max)
+        exit_ = time + arrival(self.geometry.p_back - position, v, v_max, a_max)
         return entry, exit_
 
-    def _committed_safe(
-        self, time: float, position: float, velocity: float, oncoming: Interval
-    ) -> bool:
-        """The commit invariant at one state.
-
-        Units: time [s], position [m], velocity [m/s]
-        """
-        entry_ff, exit_ff = self._full_throttle_times(time, position, velocity)
-        return exit_ff <= oncoming.lo or entry_ff >= oncoming.hi
-
     def _committed_needs_escape(
-        self, time: float, ego: VehicleState, oncoming: Interval
+        self, time: float, position: float, velocity: float, window_hi: float
     ) -> bool:
         """Committed/inside branch of ``X_b``.
 
-        Units: time [s]
+        Units: time [s], position [m], velocity [m/s], window_hi [s]
 
         Once stopping before the area is impossible, the only safe plans
         are "outrun the window" (requires flooring the throttle — hand
@@ -336,39 +411,47 @@ class LeftTurnSafetyModel:
         "out-wait the window" (the earliest possible entry is after the
         window closes, so *any* control is safe and the NN planner may
         keep control).  The monitor therefore escalates exactly when the
-        full-throttle entry could still fall inside the window.
+        full-throttle entry could still fall inside the window, which
+        closes at ``window_hi``.
         """
-        entry_ff, _ = self._full_throttle_times(
-            time, ego.position, ego.velocity
-        )
-        return entry_ff < oncoming.hi
+        entry_ff, _ = self._full_throttle_times(time, position, velocity)
+        return entry_ff < window_hi
 
     def _some_step_commits_unsafely(
-        self, time: float, ego: VehicleState, oncoming: Interval
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        window_lo: float,
+        window_hi: float,
     ) -> bool:
         """Eq. (3) lookahead on the approach side.
 
-        Units: time [s]
+        Units: time [s], position [m], velocity [m/s], window_lo [s]
+        Units: window_hi [s]
 
         Tests the extremal admissible next steps (full brake, coast,
         full throttle): if any of them loses the ability to stop
-        (``s < 0``) while violating the commit invariant, the current
-        state is one step from the unsafe set and the emergency planner
-        must take over now, while stopping is still possible.  This also
-        covers the (near-)stationary ego at the front line, whose
-        current-velocity projected window is degenerate.
+        (``s < 0``) while violating the commit invariant -- the
+        full-throttle exit after the window opens and the entry before
+        it closes -- the current state is one step from the unsafe set
+        and the emergency planner must take over now, while stopping is
+        still possible.  This also covers the (near-)stationary ego at
+        the front line, whose current-velocity projected window is
+        degenerate.
         """
         dt = self.dt_c
-        v = max(ego.velocity, 0.0)
-        for accel in (self.ego_limits.a_min, 0.0, self.ego_limits.a_max):
-            v_next = min(
-                max(v + accel * dt, max(self.ego_limits.v_min, 0.0)),
-                self.ego_limits.v_max,
-            )
-            p_next = ego.position + v * dt + 0.5 * accel * dt * dt
+        v = max(velocity, 0.0)
+        v_floor = self._v_floor
+        v_max = self.ego_limits.v_max
+        for a_dt, half_a_dt2 in self._lookahead:
+            v_next = min(max(v + a_dt, v_floor), v_max)
+            p_next = position + v * dt + half_a_dt2
             s_next = slack(p_next, v_next, self.geometry, self.ego_limits)
-            if s_next < 0.0 and not self._committed_safe(
-                time + dt, p_next, v_next, oncoming
-            ):
-                return True
+            if s_next < 0.0:
+                entry_ff, exit_ff = self._full_throttle_times(
+                    time + dt, p_next, v_next
+                )
+                if not (exit_ff <= window_lo or entry_ff >= window_hi):
+                    return True
         return False

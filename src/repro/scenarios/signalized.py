@@ -38,7 +38,7 @@ from repro.scenarios.left_turn.geometry import (
     earliest_arrival_time,
 )
 from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
-from repro.utils.intervals import Interval
+from repro.utils.intervals import Interval, nan_bounds_error
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 
@@ -87,23 +87,33 @@ class TrafficLight:
             return False
         return (phase % self.cycle) < self.green
 
-    def next_red_interval(self, time: float) -> Interval:
-        """The first red interval that has not fully passed at ``time``.
+    def next_red_bounds(self, time: float) -> Tuple[float, float]:
+        """The first red interval not fully passed at ``time``, as floats.
 
-        Returns absolute times; the pre-``offset`` red is
-        ``[-inf, offset]``.
+        Returns absolute ``(start, end)`` times; the pre-``offset`` red is
+        ``(-inf, offset)``.
 
         Units: time [s] -> [s]
         """
         if time < self.offset:
-            return Interval(-math.inf, self.offset)
-        phase = (time - self.offset) % self.cycle
-        cycle_start = time - phase
-        red_start = cycle_start + self.green
-        red_end = cycle_start + self.cycle
-        if phase < self.green:
-            return Interval(red_start, red_end)
-        return Interval(red_start, red_end)  # currently inside this red
+            lo, hi = -math.inf, self.offset
+        else:
+            # Whether the light is green now or this red is under way,
+            # the red phase of the current cycle is the one not passed.
+            phase = (time - self.offset) % self.cycle
+            cycle_start = time - phase
+            lo = cycle_start + self.green
+            hi = cycle_start + self.cycle
+        if math.isnan(lo) or math.isnan(hi):
+            raise nan_bounds_error(lo, hi)
+        return lo, hi
+
+    def next_red_interval(self, time: float) -> Interval:
+        """:meth:`next_red_bounds` as an :class:`Interval`.
+
+        Units: time [s] -> [s]
+        """
+        return Interval(*self.next_red_bounds(time))
 
     def next_green_start(self, time: float) -> float:
         """When the current/next green phase begins (at or before ``time``
@@ -131,8 +141,10 @@ class TrafficLight:
 class SignalizedSafetyModel(LeftTurnSafetyModel):
     """The left-turn monitor algebra with the light's red as the window.
 
-    Overrides :meth:`oncoming_window` to return the next red interval
-    (a deterministic schedule, ignoring estimates entirely); everything
+    Overrides :meth:`~LeftTurnSafetyModel.oncoming_bounds`, the one
+    override point of the left-turn predicates, to return the next red
+    interval (a deterministic schedule, ignoring estimates entirely);
+    :meth:`~LeftTurnSafetyModel.oncoming_window` wraps it.  Everything
     else — slack band, one-step lookahead, the full-throttle commit
     invariant — is inherited unchanged, which is the point: the monitor
     is generic over where the conflict window comes from.
@@ -142,15 +154,15 @@ class SignalizedSafetyModel(LeftTurnSafetyModel):
         default_factory=lambda: TrafficLight(green=6.0, red=8.0)
     )
 
-    def oncoming_window(
+    def oncoming_bounds(
         self, time: float, estimates: Mapping[int, FusedEstimate]
-    ) -> Interval:
+    ) -> Tuple[float, float]:
         """The next red interval — no estimates involved.
 
         Units: time [s] -> [s]
         """
         del estimates
-        return self.light.next_red_interval(time)
+        return self.light.next_red_bounds(time)
 
 
 class GreenWavePlanner:

@@ -28,7 +28,7 @@ over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, List, Optional
 
 from repro.comm.channel import Channel
 from repro.comm.disturbance import DisturbanceModel, no_disturbance
@@ -248,43 +248,58 @@ class SimulationEngine:
 
         if hasattr(planner, "reset"):
             planner.reset()
+        # Only the compound planner exposes its monitor decision.
+        probe_decision = hasattr(planner, "last_decision")
 
-        trajectories = (
-            [Trajectory() for _ in range(n)]
-            if self._config.record_trajectories
-            else []
-        )
+        record = self._config.record_trajectories
+        trajectories = [Trajectory() for _ in range(n)] if record else []
         emergency_steps = 0
         planned_steps = 0
         outcome = Outcome.TIMEOUT
         collision_time: Optional[float] = None
         reaching_time: Optional[float] = None
 
-        dt = self._clock.dt_c
+        clock = self._clock
+        dt = clock.dt_c
+        message_every = clock.message_every
+        sensor_every = clock.sensor_every
         n_steps = int(round(self._config.max_time / dt))
+        ego_limits = scenario.vehicle_limits(0)
+        strict = self._config.strict_safety
+
+        # Per-episode lists indexed by vehicle (entry 0 is the ego's),
+        # overwritten every step.  The methods are bound per episode, so
+        # a class attribute patched before the run is what gets called.
+        step_fns = [self._models[i].step for i in range(n)]
+        commands = [0.0] * n
+        stamped: List[Optional[VehicleState]] = [None] * n
 
         run_handle = obs.begin("engine.run", n_steps=n_steps) if traced else -1
         step_handle = -1
         for step in range(n_steps + 1):
-            t = self._clock.time_of(step)
+            t = step * dt  # MultiRateClock.time_of
             if traced:
                 step_handle = obs.begin("engine.step", step=step, t=t)
+            vehicles = state.vehicles
+            sensing = step % sensor_every == 0
+            messaging = step % message_every == 0
 
             # 1. Non-ego commands for the coming step stamp the content
-            #    of this step's messages and sensor readings.
+            #    of this step's messages and sensor readings, built only
+            #    on steps that sense, send or record.
             stage = obs.begin("engine.profile") if traced else -1
-            commands: Dict[int, float] = {}
-            stamped: Dict[int, VehicleState] = {}
             for i in others:
-                commands[i] = profiles[i](step, t, state.vehicle(i))
-                stamped[i] = state.vehicle(i).with_acceleration(commands[i])
+                commands[i] = profiles[i](step, t, vehicles[i])
+            if sensing or messaging or record:
+                for i in others:
+                    stamped[i] = vehicles[i].with_acceleration(commands[i])
             if traced:
                 obs.end(stage)
 
             # 2-4. Sensing, transmission, delivery.  Faulted sensors still
             # draw their noise (the reading is taken, then filtered), so a
             # dropout never shifts the random sequence of later readings.
-            if self._clock.is_sensor_step(step):
+            if sensing:
                 stage = obs.begin("engine.sense") if traced else -1
                 for i in others:
                     reading = sensors[i].measure(t, stamped[i])
@@ -297,7 +312,7 @@ class SimulationEngine:
                 if traced:
                     obs.end(stage)
             stage = obs.begin("engine.comm") if traced else -1
-            if self._clock.is_message_step(step):
+            if messaging:
                 for i in others:
                     channels[i].send(i, t, stamped[i])
             for i in others:
@@ -310,11 +325,12 @@ class SimulationEngine:
             if scenario.is_collision(state):
                 collision_time = t
                 outcome = Outcome.COLLISION
-                self._record(trajectories, t, state.ego, stamped, terminal=True)
+                if record:
+                    self._record(trajectories, t, vehicles[0], stamped)
                 if traced:
                     obs.instant("engine.collision", t=t)
                     obs.end(step_handle)
-                if self._config.strict_safety:
+                if strict:
                     raise SafetyViolationError(
                         f"planner entered the unsafe set at t={t:.3f}s"
                     )
@@ -322,59 +338,58 @@ class SimulationEngine:
             if scenario.reached_target(state):
                 reaching_time = t
                 outcome = Outcome.REACHED
-                self._record(trajectories, t, state.ego, stamped, terminal=True)
+                if record:
+                    self._record(trajectories, t, vehicles[0], stamped)
                 if traced:
                     obs.instant("engine.reached", t=t)
                     obs.end(step_handle)
                 break
             if step == n_steps:
-                self._record(trajectories, t, state.ego, stamped, terminal=True)
+                if record:
+                    self._record(trajectories, t, vehicles[0], stamped)
                 if traced:
                     obs.end(step_handle)
                 break
 
             # 6. Plan.
             stage = obs.begin("engine.estimate") if traced else -1
-            estimates = {i: estimators[i].estimate(t) for i in others}
+            estimates = {}
+            for i in others:
+                estimates[i] = estimators[i].estimate(t)
             if traced:
                 obs.end(stage)
             stage = obs.begin("engine.plan") if traced else -1
-            context = PlanningContext(time=t, ego=state.ego, estimates=estimates)
+            ego = vehicles[0]
+            context = PlanningContext(time=t, ego=ego, estimates=estimates)
             if injector is not None:
                 ego_command, planner_called = injector.plan(
-                    step, planner, context, scenario.vehicle_limits(0)
+                    step, planner, context, ego_limits
                 )
                 # Injected NaN (and any out-of-range fault command) must
                 # not corrupt the dynamics: sanitise like the compound
                 # planner does.
-                ego_command = clipped(ego_command, scenario.vehicle_limits(0))
+                ego_command = clipped(ego_command, ego_limits)
             else:
                 ego_command = planner.plan(context)
                 planner_called = True
             if traced:
                 obs.end(stage)
             planned_steps += 1
-            decision = (
-                getattr(planner, "last_decision", None) if planner_called else None
-            )
-            if decision is not None and decision.use_emergency:
-                emergency_steps += 1
+            if probe_decision and planner_called:
+                decision = planner.last_decision
+                if decision is not None and decision.use_emergency:
+                    emergency_steps += 1
 
-            self._record(
-                trajectories,
-                t,
-                state.ego.with_acceleration(ego_command),
-                stamped,
-                terminal=False,
-            )
+            if record:
+                self._record(
+                    trajectories, t, ego.with_acceleration(ego_command), stamped
+                )
 
             # 7. Step the dynamics.
             stage = obs.begin("engine.act") if traced else -1
-            new_vehicles = [self._models[0].step(state.ego, ego_command, dt)]
+            new_vehicles = [step_fns[0](ego, ego_command, dt)]
             for i in others:
-                new_vehicles.append(
-                    self._models[i].step(state.vehicle(i), commands[i], dt)
-                )
+                new_vehicles.append(step_fns[i](vehicles[i], commands[i], dt))
             state = SystemState(time=t + dt, vehicles=tuple(new_vehicles))
             if traced:
                 obs.end(stage)
@@ -407,19 +422,17 @@ class SimulationEngine:
         )
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _record(
-        self,
-        trajectories,
+        trajectories: List[Trajectory],
         t: float,
         ego: VehicleState,
-        stamped: Dict[int, VehicleState],
-        terminal: bool,
+        stamped: List[Optional[VehicleState]],
     ) -> None:
-        if not self._config.record_trajectories:
-            return
+        """Append one sample per vehicle: the ego's, then the stamped ones."""
         trajectories[0].append(t, ego)
-        for i, vehicle_state in stamped.items():
-            trajectories[i].append(t, vehicle_state)
+        for i in range(1, len(trajectories)):
+            trajectories[i].append(t, stamped[i])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,41 @@ from typing import ClassVar, Iterable, Iterator
 
 from repro.errors import EmptyIntervalError, IntervalError
 
-__all__ = ["Interval"]
+__all__ = ["Interval", "band_midpoint", "bounds_overlap", "nan_bounds_error"]
+
+
+def nan_bounds_error(lo: float, hi: float) -> IntervalError:
+    """The error :class:`Interval` raises for a NaN endpoint.
+
+    Float code that returns ``(lo, hi)`` bounds instead of an interval
+    raises this after its own ``math.isnan`` check, so the two paths fail
+    alike.
+    """
+    return IntervalError(f"interval endpoints must not be NaN: [{lo}, {hi}]")
+
+
+def bounds_overlap(lo: float, hi: float, other_lo: float, other_hi: float) -> bool:
+    """:meth:`Interval.overlaps` on float bounds (``lo > hi`` is empty)."""
+    if lo > hi or other_lo > other_hi:
+        return False
+    return lo <= other_hi and other_lo <= hi
+
+
+def band_midpoint(lo: float, hi: float) -> float:
+    """:attr:`Interval.midpoint` on float bounds, with the same two checks.
+
+    Raises
+    ------
+    EmptyIntervalError
+        If ``lo > hi``.
+    IntervalError
+        If either bound is infinite or NaN.
+    """
+    if lo > hi:
+        raise EmptyIntervalError("empty interval has no midpoint")
+    if not (-math.inf < lo and hi < math.inf):
+        raise IntervalError("unbounded interval has no midpoint")
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +85,7 @@ class Interval:
         lo = float(self.lo)
         hi = float(self.hi)
         if math.isnan(lo) or math.isnan(hi):
-            raise IntervalError(f"interval endpoints must not be NaN: [{lo}, {hi}]")
+            raise nan_bounds_error(lo, hi)
         if lo > hi:
             lo, hi = math.inf, -math.inf
         object.__setattr__(self, "lo", lo)
@@ -134,9 +168,7 @@ class Interval:
         This is the predicate the unsafe set of Eq. (6) uses on the
         projected passing-time windows of the two vehicles.
         """
-        if self.is_empty or other.is_empty:
-            return False
-        return self.lo <= other.hi and other.lo <= self.hi
+        return bounds_overlap(self.lo, self.hi, other.lo, other.hi)
 
     # ------------------------------------------------------------------
     # Measures
@@ -159,11 +191,7 @@ class Interval:
         IntervalError
             If the interval is unbounded.
         """
-        if self.is_empty:
-            raise EmptyIntervalError("empty interval has no midpoint")
-        if not self.is_bounded:
-            raise IntervalError("unbounded interval has no midpoint")
-        return 0.5 * (self.lo + self.hi)
+        return band_midpoint(self.lo, self.hi)
 
     # ------------------------------------------------------------------
     # Algebra

@@ -1,0 +1,280 @@
+"""Test-only oracle: the engine loop the lean one replaced.
+
+This is ``SimulationEngine.run`` as it stood before the control step was
+rewritten to build only the objects a public boundary needs: per-step
+``commands``/``stamped`` dicts, a stamped state for every vehicle on
+every step, the ego's recorded state built whether or not trajectories
+are kept, clock arithmetic through ``MultiRateClock`` and the planner's
+``last_decision`` probed with ``getattr`` on every step.  It is kept
+unchanged as the slow counterpart of the fast path;
+``tests/test_engine_oracle.py`` checks the two against each other
+episode by episode.
+
+:func:`run` has the signature of ``SimulationEngine.run`` and reads the
+engine's private state, so it can be called on any engine (or patched
+onto the class).
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Optional
+
+from repro.comm.channel import Channel
+from repro.dynamics.state import SystemState, VehicleState
+from repro.dynamics.trajectory import Trajectory
+from repro.errors import SafetyViolationError, SimulationError
+from repro.faults.plan import FaultInjector
+from repro.obs.observer import resolve_observer
+from repro.planners.base import Planner, PlanningContext, clipped
+from repro.sensing.sensor import Sensor
+from repro.sim.engine import EstimatorFactory
+from repro.sim.results import Outcome, SimulationResult
+from repro.utils.rng import RngStream
+
+__all__ = ["run"]
+
+
+def run(
+    self,
+    planner: Planner,
+    estimator_factory: EstimatorFactory,
+    rng: RngStream,
+    observer=None,
+) -> SimulationResult:
+    """Execute one full episode (``SimulationEngine.run``).
+
+    Parameters
+    ----------
+    planner:
+        The ego planner; if it exposes ``reset()`` (the compound
+        planner does) it is reset first, and if it exposes
+        ``last_decision`` the emergency step counter is derived from
+        it.
+    estimator_factory:
+        Builds one fresh estimator per observed vehicle.
+    rng:
+        The run's seed stream; all stochastic components draw from
+        independent children of it.
+    observer:
+        Optional :class:`~repro.obs.observer.Observer`; records
+        per-step spans and per-stage timing.  Observation is
+        write-only — traced runs are bit-identical to untraced ones.
+
+    Effects: mutates-args, draws-rng
+    """
+    obs = resolve_observer(observer)
+    traced = obs.enabled
+    scenario = self._scenario
+    n = scenario.n_vehicles
+    others = range(1, n)
+
+    # Child 4 feeds fault-plan activation; spawning it unconditionally
+    # keeps children 0-3 (and so every fault-free run) byte-identical
+    # to the pre-fault engine.
+    init_rng, profile_rng, channel_rng, sensor_rng, fault_rng = rng.spawn(5)
+    profile_streams = profile_rng.spawn(n)
+    channel_streams = channel_rng.spawn(n)
+    sensor_streams = sensor_rng.spawn(n)
+
+    state = scenario.initial_state(init_rng)
+    profiles = {i: scenario.profile_for(i, profile_streams[i]) for i in others}
+    channels = {
+        i: Channel(
+            period=self._comm.dt_m,
+            rng=channel_streams[i],
+            faults=self._faults,
+            observer=obs,
+            name=f"veh{i}",
+        )
+        for i in others
+    }
+    injector: Optional[FaultInjector] = None
+    if self._config.fault_plan is not None and not self._config.fault_plan.is_empty:
+        injector = self._config.fault_plan.compile(fault_rng)
+    sensors = {
+        i: Sensor(
+            target=i,
+            period=self._comm.dt_s,
+            bounds=self._comm.sensor_bounds,
+            rng=sensor_streams[i],
+        )
+        for i in others
+    }
+    estimators = {i: estimator_factory(i) for i in others}
+
+    if hasattr(planner, "reset"):
+        planner.reset()
+
+    trajectories = (
+        [Trajectory() for _ in range(n)]
+        if self._config.record_trajectories
+        else []
+    )
+    emergency_steps = 0
+    planned_steps = 0
+    outcome = Outcome.TIMEOUT
+    collision_time: Optional[float] = None
+    reaching_time: Optional[float] = None
+
+    dt = self._clock.dt_c
+    n_steps = int(round(self._config.max_time / dt))
+
+    run_handle = obs.begin("engine.run", n_steps=n_steps) if traced else -1
+    step_handle = -1
+    for step in range(n_steps + 1):
+        t = self._clock.time_of(step)
+        if traced:
+            step_handle = obs.begin("engine.step", step=step, t=t)
+
+        # 1. Non-ego commands for the coming step stamp the content
+        #    of this step's messages and sensor readings.
+        stage = obs.begin("engine.profile") if traced else -1
+        commands: Dict[int, float] = {}
+        stamped: Dict[int, VehicleState] = {}
+        for i in others:
+            commands[i] = profiles[i](step, t, state.vehicle(i))
+            stamped[i] = state.vehicle(i).with_acceleration(commands[i])
+        if traced:
+            obs.end(stage)
+
+        # 2-4. Sensing, transmission, delivery.  Faulted sensors still
+        # draw their noise (the reading is taken, then filtered), so a
+        # dropout never shifts the random sequence of later readings.
+        if self._clock.is_sensor_step(step):
+            stage = obs.begin("engine.sense") if traced else -1
+            for i in others:
+                reading = sensors[i].measure(t, stamped[i])
+                if injector is not None:
+                    faulted = injector.apply_sensor(step, i, reading)
+                    if faulted is None:
+                        continue
+                    reading = faulted
+                estimators[i].on_sensor_reading(reading)
+            if traced:
+                obs.end(stage)
+        stage = obs.begin("engine.comm") if traced else -1
+        if self._clock.is_message_step(step):
+            for i in others:
+                channels[i].send(i, t, stamped[i])
+        for i in others:
+            for message in channels[i].receive(t):
+                estimators[i].on_message(message, t)
+        if traced:
+            obs.end(stage)
+
+        # 5. Terminal checks on the true joint state.
+        if scenario.is_collision(state):
+            collision_time = t
+            outcome = Outcome.COLLISION
+            _record(self, trajectories, t, state.ego, stamped, terminal=True)
+            if traced:
+                obs.instant("engine.collision", t=t)
+                obs.end(step_handle)
+            if self._config.strict_safety:
+                raise SafetyViolationError(
+                    f"planner entered the unsafe set at t={t:.3f}s"
+                )
+            break
+        if scenario.reached_target(state):
+            reaching_time = t
+            outcome = Outcome.REACHED
+            _record(self, trajectories, t, state.ego, stamped, terminal=True)
+            if traced:
+                obs.instant("engine.reached", t=t)
+                obs.end(step_handle)
+            break
+        if step == n_steps:
+            _record(self, trajectories, t, state.ego, stamped, terminal=True)
+            if traced:
+                obs.end(step_handle)
+            break
+
+        # 6. Plan.
+        stage = obs.begin("engine.estimate") if traced else -1
+        estimates = {i: estimators[i].estimate(t) for i in others}
+        if traced:
+            obs.end(stage)
+        stage = obs.begin("engine.plan") if traced else -1
+        context = PlanningContext(time=t, ego=state.ego, estimates=estimates)
+        if injector is not None:
+            ego_command, planner_called = injector.plan(
+                step, planner, context, scenario.vehicle_limits(0)
+            )
+            # Injected NaN (and any out-of-range fault command) must
+            # not corrupt the dynamics: sanitise like the compound
+            # planner does.
+            ego_command = clipped(ego_command, scenario.vehicle_limits(0))
+        else:
+            ego_command = planner.plan(context)
+            planner_called = True
+        if traced:
+            obs.end(stage)
+        planned_steps += 1
+        decision = (
+            getattr(planner, "last_decision", None) if planner_called else None
+        )
+        if decision is not None and decision.use_emergency:
+            emergency_steps += 1
+
+        _record(
+            self,
+            trajectories,
+            t,
+            state.ego.with_acceleration(ego_command),
+            stamped,
+            terminal=False,
+        )
+
+        # 7. Step the dynamics.
+        stage = obs.begin("engine.act") if traced else -1
+        new_vehicles = [self._models[0].step(state.ego, ego_command, dt)]
+        for i in others:
+            new_vehicles.append(
+                self._models[i].step(state.vehicle(i), commands[i], dt)
+            )
+        state = SystemState(time=t + dt, vehicles=tuple(new_vehicles))
+        if traced:
+            obs.end(stage)
+            obs.end(step_handle)
+
+    if traced:
+        obs.end(
+            run_handle, outcome=outcome.value, planned_steps=planned_steps
+        )
+        obs.count("engine.runs")
+        obs.count("engine.planned_steps", planned_steps)
+
+    if planned_steps == 0 and outcome is Outcome.TIMEOUT:
+        raise SimulationError("simulation ended without planning any step")
+
+    return SimulationResult(
+        outcome=outcome,
+        reaching_time=reaching_time,
+        collision_time=collision_time,
+        steps=planned_steps,
+        emergency_steps=emergency_steps,
+        trajectories=trajectories,
+        channel_stats={i: channels[i].stats for i in others},
+        sensor_faults_injected=(
+            0 if injector is None else injector.sensor_faults_injected
+        ),
+        planner_faults_injected=(
+            0 if injector is None else injector.planner_faults_injected
+        ),
+    )
+
+
+def _record(
+    self,
+    trajectories,
+    t: float,
+    ego: VehicleState,
+    stamped: Dict[int, VehicleState],
+    terminal: bool,
+) -> None:
+    if not self._config.record_trajectories:
+        return
+    trajectories[0].append(t, ego)
+    for i, vehicle_state in stamped.items():
+        trajectories[i].append(t, vehicle_state)
+

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits, VehicleModel
+from repro.errors import ConfigurationError
 from repro.filtering.fusion import FusedEstimate
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 from repro.scenarios.left_turn.passing_time import (
@@ -166,3 +167,51 @@ class TestEstimatorBundle:
         assert aggr.window(est) == aggressive_window(
             est, GEOMETRY, LIMITS, 0.5, 1.0
         )
+
+    def test_bounds_match_window(self):
+        est = _estimate(1.0, 50.0, -10.0, accel=0.5, p_rad=1.0, v_rad=0.5)
+        for aggressive in (False, True):
+            estimator = PassingWindowEstimator(GEOMETRY, LIMITS, aggressive)
+            assert Interval(*estimator.bounds(est)) == estimator.window(est)
+        cleared = _estimate(1.0, 0.0, -10.0)
+        lo, hi = PassingWindowEstimator(GEOMETRY, LIMITS).bounds(cleared)
+        assert lo > hi
+
+
+class TestEstimatorBuffers:
+    """Bad Eq. (8) buffers fail at construction, not per planned step."""
+
+    @pytest.mark.parametrize(
+        "a_buf, v_buf, message",
+        [
+            (-0.5, 1.0, "a_buf must be >= 0, got -0.5"),
+            (float("nan"), 1.0, "a_buf must be finite, got nan"),
+            (0.5, -1.0, "v_buf must be >= 0, got -1.0"),
+            (0.5, float("nan"), "v_buf must be finite, got nan"),
+            (0.5, float("inf"), "v_buf must be finite, got inf"),
+        ],
+    )
+    def test_aggressive_rejects_bad_buffer(self, a_buf, v_buf, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            PassingWindowEstimator(
+                GEOMETRY, LIMITS, aggressive=True, a_buf=a_buf, v_buf=v_buf
+            )
+        assert str(excinfo.value) == message
+        # The same error the per-call window check raises.
+        with pytest.raises(ConfigurationError, match=message.split(",")[0]):
+            aggressive_window(_estimate(0.0, 50.0, -10.0), GEOMETRY, LIMITS, a_buf, v_buf)
+
+    @pytest.mark.parametrize("a_buf, v_buf", [(0.0, 0.0), (0.5, 1.0), (2.0, 5.0)])
+    def test_aggressive_accepts_valid_buffers(self, a_buf, v_buf):
+        estimator = PassingWindowEstimator(
+            GEOMETRY, LIMITS, aggressive=True, a_buf=a_buf, v_buf=v_buf
+        )
+        est = _estimate(0.0, 50.0, -10.0)
+        assert estimator.window(est) == aggressive_window(
+            est, GEOMETRY, LIMITS, a_buf, v_buf
+        )
+
+    def test_conservative_ignores_buffers(self):
+        estimator = PassingWindowEstimator(GEOMETRY, LIMITS, a_buf=-0.5, v_buf=float("nan"))
+        est = _estimate(0.0, 50.0, -10.0)
+        assert estimator.window(est) == conservative_window(est, GEOMETRY, LIMITS)

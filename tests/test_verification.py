@@ -11,6 +11,8 @@ from repro.core.verification import (
     certify,
 )
 from repro.scenarios.car_following import CarFollowingScenario
+from repro.scenarios.left_turn.multi import MultiOncomingLeftTurnScenario
+from repro.scenarios.signalized import SignalizedCrossingScenario
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup
 from repro.sim.runner import EstimatorKind
@@ -81,6 +83,28 @@ class TestCertifyCarFollowing:
             max_time=15.0,
         )
         assert report.certified
+
+
+class TestCertifyMultiOncoming:
+    def test_certified(self):
+        report = certify(
+            MultiOncomingLeftTurnScenario(),
+            _comms(),
+            n_runs=3,
+            seed=5,
+            max_time=15.0,
+        )
+        assert report.episodes_run == 2 * 2 * 5 * 3
+        assert report.certified, report.render()
+
+
+class TestCertifySignalized:
+    @pytest.mark.parametrize("offset", [0.0, 2.5, 5.0, 9.0])
+    def test_certified(self, offset):
+        # The scenario is deterministic: the light's phase is what varies.
+        scenario = SignalizedCrossingScenario().with_offset(offset)
+        report = certify(scenario, [_comms()[0]], n_runs=1, seed=3, max_time=20.0)
+        assert report.certified, report.render()
 
 
 class TestFailureReporting:
