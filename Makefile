@@ -93,17 +93,19 @@ bench-engine:
 # with REPRO_BENCH_DIR=$(BENCH_DIR) first); exit 1 on any violated
 # objective.  See the SLO section of docs/OBSERVABILITY.md.
 slo:
-	$(PYTHON) -m repro.obs.obs_cli slo check $(BENCH_DIR)/BENCH_serve.json \
+	$(PYTHON) -m repro.obs slo check $(BENCH_DIR)/BENCH_serve.json \
 		--spec slo/serve_bench.json
 
-# Chaos suite (~30 s): fault-model, fault-plan and crash-tolerance tests,
-# the batch runner against its test-side reference, plus the chaos
-# certification benchmark (zero collisions for the shielded planner
-# across the fault grid, bit-identical process-pool results under
-# injected worker crashes).  See docs/ROBUSTNESS.md.
+# Chaos suite (~30 s): fault-model, fault-plan and crash-tolerance tests
+# (the batch runner's watchdog and the run_chunk_attempts retry rule
+# with its backoff schedule), the batch runner against its test-side
+# reference, plus the chaos certification benchmark (zero collisions
+# for the shielded planner across the fault grid, bit-identical
+# recovery from an injected worker crash).  See docs/ROBUSTNESS.md.
 chaos:
 	$(PYTHON) -m pytest tests/test_comm_faults.py tests/test_fault_plan.py \
-		tests/test_parallel_faults.py tests/test_runner_reference.py -q
+		tests/test_parallel_faults.py tests/test_runner_reference.py \
+		tests/test_campaign_backoff.py -q
 	$(PYTHON) -m pytest benchmarks/test_bench_chaos.py \
 		benchmarks/test_bench_campaign.py --benchmark-only -q
 

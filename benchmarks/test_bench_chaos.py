@@ -4,9 +4,10 @@ Sweeps the compound planner (information filter + monitor + emergency
 planner, with a fault-injected embedded planner) across a grid of
 channel fault models and engine-level sensor dropout — the fault
 classes the paper's guarantee covers — and asserts **zero collisions**
-in every cell.  A final cell re-runs one configuration through the
-batch runner's process pool with an injected worker crash and asserts
-the results are bit-identical to the in-process reference.
+in every cell.  A final cell re-runs one configuration under the batch
+runner's watchdog with an injected worker crash, recovered by the
+campaign retry rule, and asserts the results are bit-identical to the
+in-process reference.
 
 Run via ``make chaos`` (~30 s at the default batch size); scale with
 ``REPRO_BENCH_SIMS`` like the other benchmarks.
@@ -14,6 +15,8 @@ Run via ``make chaos`` (~30 s at the default batch size); scale with
 
 import pytest
 
+from repro.campaign.backoff import BackoffPolicy
+from repro.campaign.runner import run_chunk_attempts
 from repro.comm.disturbance import no_disturbance
 from repro.comm.faults import (
     Duplication,
@@ -196,7 +199,8 @@ def test_chaos_grid_zero_collisions(benchmark, run_once):
 
 @pytest.mark.benchmark(group="chaos")
 def test_chaos_parallel_bit_identity_under_crash(benchmark, run_once, tmp_path):
-    """Sequential vs parallel-with-worker-crash on the storm cell."""
+    """In-process vs watchdog-with-worker-crash on the storm cell, the
+    crashed index recovered by :func:`run_chunk_attempts`."""
     scenario = LeftTurnScenario()
     _, faults = FAULT_GRID[-1]
     chaos = WorkerChaosOnce(str(tmp_path / "crash"), mode="exit")
@@ -206,16 +210,29 @@ def test_chaos_parallel_bit_identity_under_crash(benchmark, run_once, tmp_path):
             SimulationEngine(scenario, _comm(faults), _config()),
             EstimatorKind.FILTERED,
         ).run_batch(_shielded_planner(scenario), CHAOS_SIMS, seed=31)
-        parallel = BatchRunner(
+        watched = BatchRunner(
             SimulationEngine(scenario, _comm(faults), _config()),
             estimator_kind=EstimatorKind.FILTERED,
-            n_workers=2,
             chaos=chaos,
-        ).run_batch(_shielded_planner(scenario), CHAOS_SIMS, seed=31)
-        return sequential, parallel
+        )
+        planner = _shielded_planner(scenario)
+        recovered = run_chunk_attempts(
+            lambda indices: watched.run_indices_detailed(
+                planner, indices, CHAOS_SIMS, 31
+            ),
+            list(range(CHAOS_SIMS)),
+            "0" * 64,
+            0,
+            BackoffPolicy(base_delay=0.0, jitter=0.0),
+            lambda delay: None,
+            lambda attempt, delay: None,
+        )
+        return sequential, recovered
 
-    sequential, parallel = run_once(benchmark, _both)
+    sequential, recovered = run_once(benchmark, _both)
     assert not chaos.armed()  # the worker crash really fired
+    assert recovered.n_failed == 0
+    parallel = recovered.completed
     assert [_fingerprint(r) for r in parallel] == [
         _fingerprint(r) for r in sequential
     ]

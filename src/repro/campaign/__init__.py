@@ -14,7 +14,7 @@ makes the batch layer durable:
   of completed chunks;
 * :class:`CampaignRunner` — runs chunks through
   :class:`~repro.sim.runner.BatchRunner`, journals progress,
-  retries transient chunk failures with deterministic seeded backoff,
+  re-runs transiently failed indices with deterministic seeded backoff,
   drains cleanly on SIGINT/SIGTERM, and resumes a killed campaign to
   aggregate results **bit-identical** to an uninterrupted run.  With
   ``n_workers=1`` it runs chunks in-process; with ``n_workers > 1`` it

@@ -29,7 +29,8 @@ class BackoffPolicy:
     Attributes
     ----------
     max_attempts:
-        Total attempts per chunk, including the first (1 = no retries).
+        Total attempts per transiently failing index, and per chunk
+        lease on a fleet, including the first (1 = no retries).
     base_delay:
         Delay before the first retry [s].
     cap:

@@ -344,7 +344,6 @@ def build_workload(
 
 def workload_executor(
     manifest,
-    max_retries: int = 2,
     timeout_per_sim: Optional[float] = None,
     observer=None,
 ) -> Callable[..., ChunkResult]:
@@ -353,10 +352,12 @@ def workload_executor(
     Returns ``execute(indices, n_sims, seed, progress=None)``: the first
     call builds the workload (:func:`build_workload`) behind a
     :class:`~repro.sim.runner.BatchRunner`, and every call runs
-    :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed` on one
-    worker (a pool only under ``timeout_per_sim``).  The campaign
-    runner's in-process transport and the shard worker both execute
-    chunks through it; campaign parallelism is the shard fleet.
+    :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed`:
+    in-process, or under ``timeout_per_sim`` in a watchdog worker
+    process, each index once.  The campaign runner's in-process
+    transport and the shard worker both execute chunks through it and
+    retry through :func:`~repro.campaign.runner.run_chunk_attempts`;
+    campaign parallelism is the shard fleet.
 
     Units: timeout_per_sim [s]
     """
@@ -373,7 +374,6 @@ def workload_executor(
             runner = BatchRunner(
                 SimulationEngine(scenario, comm, config),
                 kind,
-                max_retries=max_retries,
                 timeout_per_sim=timeout_per_sim,
                 observer=observer,
             )

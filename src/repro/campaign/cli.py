@@ -99,16 +99,13 @@ def _add_exec_options(sub: argparse.ArgumentParser) -> None:
         help="shard worker processes (1: run chunks in this process)",
     )
     sub.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="per-index retry budget inside the batch layer",
-    )
-    sub.add_argument(
         "--chunk-attempts",
         type=int,
         default=3,
-        help="full-chunk attempts for transient (worker/timeout) failures",
+        help=(
+            "attempts for transient (worker/timeout) failures: per "
+            "index, and per chunk re-dispatch on a fleet"
+        ),
     )
     sub.add_argument(
         "--chunk-timeout",
@@ -144,7 +141,6 @@ def _validate_exec_options(args: argparse.Namespace) -> None:
     uses — so NaN/zero/negative values fail identically everywhere.
     """
     check_flag_count(args.workers, "--workers", minimum=1)
-    check_flag_count(args.max_retries, "--max-retries", minimum=0)
     check_flag_count(args.chunk_attempts, "--chunk-attempts", minimum=1)
     if args.chunk_timeout is not None:
         check_flag_positive(args.chunk_timeout, "--chunk-timeout")
@@ -165,7 +161,6 @@ def _runner(args: argparse.Namespace, manifest: CampaignManifest) -> CampaignRun
         manifest,
         args.dir,
         n_workers=args.workers,
-        max_retries=args.max_retries,
         timeout_per_sim=args.chunk_timeout,
         backoff=BackoffPolicy(max_attempts=args.chunk_attempts),
         lease_ttl=args.lease_ttl,

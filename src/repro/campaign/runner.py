@@ -9,7 +9,7 @@ each chunk the runner
 
 1. executes the chunk's indices through
    :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed`
-   (retrying transiently failed chunks with deterministic seeded
+   (re-running transiently failed indices with deterministic seeded
    backoff, :func:`run_chunk_attempts`),
 2. persists the chunk snapshot atomically (tmp + fsync + rename), then
 3. appends a ``chunk_completed`` record to the write-ahead journal.
@@ -53,7 +53,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -280,29 +280,44 @@ def run_chunk_attempts(
     sleep: Callable[[float], None],
     on_retry: Callable[[int, float], None],
 ) -> ChunkResult:
-    """Execute one chunk, retrying transient failures with backoff.
+    """Execute one chunk, re-running transiently failed indices.
 
-    The one chunk-attempt rule of both transports: the in-process loop
-    and every shard worker call it.  ``stage == "simulation"`` failures
-    are deterministic (same seed, same exception) and accepted; worker
-    deaths and timeouts get up to ``backoff.max_attempts`` full-chunk
-    attempts — harmless to repeat, since re-running completed indices
-    reproduces their results bit-identically.  Before attempt ``a > 1``
-    it calls ``on_retry(a, delay)`` and then ``sleep(delay)`` with
-    ``delay = backoff.delay(fingerprint, chunk, a - 1)``.  The last
-    attempt is returned with its failures, to be persisted as they are.
+    The one retry rule: both transports call it, and the batch layer
+    below attempts each index once.  ``stage == "simulation"`` failures
+    are deterministic (same seed, same exception) and kept; indices that
+    failed with a worker death or a timeout — only those — are re-run
+    with the same seeds, up to ``backoff.max_attempts`` attempts in all,
+    and merged.  Before attempt ``a > 1`` it calls ``on_retry(a, delay)``
+    and ``sleep(delay)``, ``delay = backoff.delay(fingerprint, chunk,
+    a - 1)``.  A failure first seen on attempt ``a`` carries
+    ``attempts == a``; a first attempt without transient failures is
+    returned as it is.
     """
-    last: Optional[ChunkResult] = None
-    for attempt in range(1, backoff.max_attempts + 1):
-        if attempt > 1:
-            delay = backoff.delay(fingerprint, chunk, attempt - 1)
-            on_retry(attempt, delay)
-            sleep(delay)
-        last = execute(indices)
-        if not last.transient_failures:
-            return last
-    assert last is not None
-    return last
+    first = execute(indices)
+    pending = [f.index for f in first.transient_failures]
+    if not pending:
+        return first
+    results = dict(first.results)
+    failures = {f.index: f for f in first.failures}
+    for attempt in range(2, backoff.max_attempts + 1):
+        delay = backoff.delay(fingerprint, chunk, attempt - 1)
+        on_retry(attempt, delay)
+        sleep(delay)
+        retry = execute(pending)
+        for index in pending:
+            del failures[index]
+        results.update(retry.results)
+        failures.update(
+            (f.index, replace(f, attempts=attempt)) for f in retry.failures
+        )
+        pending = [f.index for f in retry.transient_failures]
+        if not pending:
+            break
+    return ChunkResult(
+        indices=first.indices,
+        results=results,
+        failures=list(failures.values()),
+    )
 
 
 @dataclass
@@ -385,17 +400,16 @@ class CampaignRunner:
         ``1`` runs chunks in this process; ``N > 1`` spawns ``N``
         ``python -m repro.campaign.shard.worker`` subprocesses
         (operational — not fingerprinted).
-    max_retries:
-        Per-index retry budget inside the batch layer.
     timeout_per_sim:
         Optional per-simulation time budget [s] forwarded to
-        :class:`~repro.sim.runner.BatchRunner`; a chunk of
-        ``m`` indices is given ``m * timeout_per_sim`` seconds before
-        its workers are terminated and the indices retried.
+        :class:`~repro.sim.runner.BatchRunner`: each index runs in a
+        watchdog worker process that is SIGKILLed once its budget
+        expires, leaving a transient ``"timeout"`` failure.
     backoff:
-        Chunk-level retry policy for transient (worker/timeout)
-        failures (:func:`run_chunk_attempts`); the fleet also draws its
-        re-dispatch delays and its per-chunk error budget from it.
+        The retry policy for transient (worker/timeout) failures
+        (:func:`run_chunk_attempts`, the only retry rule); the fleet
+        also draws its re-dispatch delays and its per-chunk error
+        budget from it.
     sleep:
         Injectable wait primitive of the in-process transport; tests
         pass a recorder so the backoff schedule is asserted without
@@ -429,7 +443,6 @@ class CampaignRunner:
         manifest: CampaignManifest,
         directory: Union[str, Path],
         n_workers: int = 1,
-        max_retries: int = 2,
         timeout_per_sim: Optional[float] = None,
         backoff: Optional[BackoffPolicy] = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -442,10 +455,6 @@ class CampaignRunner:
     ) -> None:
         if not isinstance(n_workers, int) or n_workers < 1:
             raise CampaignError(f"n_workers must be >= 1, got {n_workers!r}")
-        if not isinstance(max_retries, int) or max_retries < 0:
-            raise CampaignError(
-                f"max_retries must be >= 0, got {max_retries!r}"
-            )
         if timeout_per_sim is not None and not timeout_per_sim > 0.0:
             raise CampaignError(
                 f"timeout_per_sim must be > 0, got {timeout_per_sim}"
@@ -474,7 +483,6 @@ class CampaignRunner:
         self._directory = Path(directory)
         self._fingerprint = manifest.fingerprint
         self._n_workers = n_workers
-        self._max_retries = max_retries
         self._timeout_per_sim = timeout_per_sim
         self._backoff = backoff if backoff is not None else BackoffPolicy()
         self._sleep = sleep
@@ -771,7 +779,6 @@ class CampaignRunner:
         if self._executor is None:
             self._executor = workload_executor(
                 self._manifest,
-                max_retries=self._max_retries,
                 timeout_per_sim=self._timeout_per_sim,
                 observer=(self._obs if self._obs.enabled else None),
             )
@@ -877,8 +884,6 @@ class CampaignRunner:
             worker_id,
             "--heartbeat-interval",
             str(self._heartbeat_interval),
-            "--max-retries",
-            str(self._max_retries),
         ]
         if self._timeout_per_sim is not None:
             command += ["--timeout-per-sim", str(self._timeout_per_sim)]

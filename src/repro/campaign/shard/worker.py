@@ -71,7 +71,6 @@ def worker_main(
     directory: Path,
     worker_id: str,
     heartbeat_interval: float = 1.0,
-    max_retries: int = 2,
     timeout_per_sim: Optional[float] = None,
 ) -> int:
     """Run the worker loop until shutdown or stdin EOF; returns 0."""
@@ -102,7 +101,6 @@ def worker_main(
 
     execute = workload_executor(
         manifest,
-        max_retries=max_retries,
         timeout_per_sim=timeout_per_sim,
         observer=observer,
     )
@@ -221,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between liveness heartbeats during a chunk",
     )
     parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="per-index retry budget inside the batch layer",
-    )
-    parser.add_argument(
         "--timeout-per-sim",
         type=float,
         default=None,
@@ -242,7 +234,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         Path(args.directory),
         args.worker_id,
         heartbeat_interval=args.heartbeat_interval,
-        max_retries=args.max_retries,
         timeout_per_sim=args.timeout_per_sim,
     )
 

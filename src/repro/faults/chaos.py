@@ -5,24 +5,25 @@ disturbs the *infrastructure* running it, so the crash tolerance of
 :class:`~repro.sim.runner.BatchRunner` can be exercised
 deterministically in tests and benchmarks.
 
-:class:`WorkerChaosOnce` misbehaves in exactly one worker invocation per
-sentinel file: the first worker chunk to atomically create the sentinel
+:class:`WorkerChaosOnce` misbehaves in exactly one watchdog worker call
+per sentinel file: the first call to atomically create the sentinel
 suffers the configured failure mode, and every retry after that runs
-clean.  Because the runner retries failed chunks with the same seeds, a
-batch run under ``WorkerChaosOnce`` must produce results bit-identical
-to an undisturbed run — which is what the chaos certification benchmark
-asserts.
+clean.  Because
+:func:`~repro.campaign.runner.run_chunk_attempts` re-runs transiently
+failed indices with the same seeds, a batch recovered through it under
+``WorkerChaosOnce`` must be bit-identical to an undisturbed run — which
+is what the chaos certification benchmark asserts.
 
 Failure modes
 -------------
 
 * ``"exit"`` — the worker dies via ``os._exit`` (no cleanup, no
   exception; indistinguishable from an OOM kill or segfault from the
-  parent's point of view, surfacing as ``BrokenProcessPool``).
+  parent's point of view, surfacing as an ``EOFError`` on its pipe).
 * ``"garbage"`` — the worker returns a malformed payload instead of its
   result list (exercising the parent's result validation).
 * ``"hang"`` — the worker sleeps far past any per-simulation timeout
-  (exercising the parent's timeout/terminate path).
+  (exercising the parent's timeout/SIGKILL path).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _MODES = ("exit", "garbage", "hang")
 
 @dataclass(frozen=True)
 class WorkerChaosOnce:
-    """Make the first worker chunk that claims the sentinel misbehave.
+    """Make the first worker call that claims the sentinel misbehave.
 
     Attributes
     ----------

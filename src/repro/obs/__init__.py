@@ -22,9 +22,8 @@ layers:
 * :mod:`repro.obs.fleet` — exact-sum merging of per-worker metric
   deltas into a fleet registry;
 * :mod:`repro.obs.slo` — declarative SLO specs and their evaluator;
-* :mod:`repro.obs.cli` — the ``repro-trace`` command line;
-* :mod:`repro.obs.obs_cli` — the ``repro-obs`` command line (top /
-  expo / slo check).
+* :mod:`repro.obs.cli` — the ``repro-obs`` command line (trace record /
+  summarize / convert / margins; telemetry top / expo / slo check).
 
 The contract, enforced by tests and safelint rule SFL011: observation
 is write-only from the system's point of view — a traced run produces a

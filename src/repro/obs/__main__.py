@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — the ``repro-trace`` command line."""
+"""``python -m repro.obs`` — the ``repro-obs`` command line."""
 
 import sys
 

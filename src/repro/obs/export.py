@@ -6,7 +6,7 @@ Two on-disk shapes:
   JSON object per line: a schema-versioned header, every tracer event
   in completion order, and a final ``metrics`` record holding the
   registry snapshot.  This is the lossless archival format the
-  ``repro-trace`` CLI consumes.
+  ``repro-obs`` CLI consumes.
 * **Chrome trace-event JSON** (:func:`to_chrome_trace`) — the
   ``traceEvents`` document Perfetto and ``chrome://tracing`` load:
   spans become complete (``"ph": "X"``) events, instants become

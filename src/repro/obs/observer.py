@@ -12,7 +12,7 @@ The load-bearing invariant — **observation must not perturb the
 system** — is structural: the façade exposes only *write* operations
 (``begin``/``end``/``span``/``instant``/``sample``/``count``/``gauge``/
 ``observe``); reading recorded values back belongs to the exporters and
-the ``repro-trace`` CLI, and any dataflow from an observation value
+the ``repro-obs`` CLI, and any dataflow from an observation value
 into planner/dynamics/filter arguments is flagged by safelint rule
 SFL011.  Tests enforce the invariant end to end by byte-comparing
 traced and untraced :class:`~repro.sim.results.SimulationResult`

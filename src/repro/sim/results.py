@@ -103,9 +103,10 @@ class SimulationResult:
 class FailureRecord:
     """Why one simulation of a batch produced no result.
 
-    Produced by the fault-tolerant batch runners when an episode is
-    irrecoverable after bounded retries; surviving episodes keep their
-    results instead of the whole batch raising.
+    Produced by the batch runner when an episode fails, and kept by
+    the campaign retry rule when it stays failed after bounded retries;
+    surviving episodes keep their results instead of the whole batch
+    raising.
 
     Attributes
     ----------

@@ -6,45 +6,36 @@ component of simulation ``k`` from child ``k`` of the batch seed — so two
 batches with the same seed see the same oncoming-vehicle behaviour, the
 same message drops and the same sensor noise, and the paired "winning
 percentage" statistic is exact.  The seeding does not depend on which
-process runs simulation ``k`` (or how often it is retried), so batches
-over worker processes are bit-identical to in-process ones.
+process runs simulation ``k`` (or how often it is re-run), so an episode
+run under the watchdog is bit-identical to one run in-process.
 
-The paper runs 80 000 simulations per (setting, planner) cell; at
-~10 ms/episode a single process needs ~15 minutes per cell, hence the
-optional process pool (``n_workers > 1``).
+Campaign-sized batches (the paper runs 80 000 simulations per cell) run
+as journaled chunks of a :mod:`repro.campaign`, whose shard worker fleet
+is the parallel path.
 
 Failure containment
 -------------------
 
-A cell-sized batch must survive faults without discarding completed
-episodes.  :meth:`BatchRunner.run_indices_detailed` isolates every
-failure to the chunk it occurred in:
-
-* an exception *inside* one simulation is caught and returned as a
-  tagged error entry — sibling simulations in the chunk are unaffected,
-  and the error is final (same seed, same exception);
-* a dying worker (``BrokenProcessPool``), an unpicklable or malformed
-  payload, and an expired per-simulation time budget fail only that
-  chunk's indices, which are retried in later rounds as single-index
-  chunks with the *same* seeds (each round gets a fresh pool — a broken
-  pool cannot run further work);
-* indices still failing after ``max_retries`` extra attempts surface as
-  :class:`~repro.sim.results.FailureRecord` entries, never as a
-  batch-wide raise.
-
-:meth:`BatchRunner.run_batch` keeps the all-or-raise contract on top of
-the same machinery.
-
-Everything shipped to workers (engine, planner) must be picklable; all
-planners and scenarios in this library are.
+:meth:`BatchRunner.run_indices_detailed` attempts every index once and
+returns each failure as data.  An exception inside a simulation is a
+final ``"simulation"`` :class:`~repro.sim.results.FailureRecord` (same
+seed, same exception).  Under the watchdog (``timeout_per_sim`` or a
+chaos hook) a worker that dies, overruns its per-index budget or returns
+a malformed payload is SIGKILLed and replaced, and only its index gets a
+transient ``"worker"`` or ``"timeout"`` record, which
+:func:`repro.campaign.runner.run_chunk_attempts` — the one retry rule —
+re-runs with the same seed.  The watchdog's engine and planner must be
+picklable under a non-``fork`` start method; all planners and scenarios
+in this library are.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+import multiprocessing
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.faults.chaos import WorkerChaosOnce
@@ -119,7 +110,6 @@ def run_chunk(
     seed: int,
     indices: Sequence[int],
     n_sims: int,
-    chaos: Optional[WorkerChaosOnce] = None,
     observer=None,
     progress: Optional[Callable[[int], None]] = None,
 ) -> List[tuple]:
@@ -130,26 +120,21 @@ def run_chunk(
     ``(index, "ok", result)`` for a completed simulation or
     ``(index, "error", error_type, message)`` when that simulation
     raised (siblings in the chunk still run).  Module-level (not a
-    closure) so it pickles under the default start method; the same
-    function runs in-process and in pool workers.
-
-    ``chaos`` is the test/benchmark hook that makes the first claiming
-    invocation misbehave (crash / garbage payload / hang); production
-    batches leave it ``None``.
+    closure) so it pickles under any start method; the same function
+    runs in-process and in the watchdog worker.
 
     ``observer`` is only ever passed on the in-process path — observers
-    are not picklable and never cross a process boundary, so pool
-    workers always run untraced (which is bit-identical anyway).
+    are not picklable and never cross a process boundary, so the
+    watchdog worker always runs untraced (which is bit-identical
+    anyway).
 
     ``progress`` is called with each index as it finishes (ok or error)
     — the shard worker's liveness hook: heartbeats are emitted *during*
     a chunk, not just between chunks.  In-process path only, like
-    ``observer``; on the pool path the parent reports indices as it
-    harvests them.  Write-only with respect to results: the callback
+    ``observer``; under the watchdog the parent reports each index as
+    its reply arrives.  Write-only with respect to results: the callback
     sees only the index, so it cannot perturb the bit-identity contract.
     """
-    if chaos is not None and chaos.apply():
-        return ["chaos: malformed payload"]  # type: ignore[list-item]
     obs = resolve_observer(observer)
     factory = make_estimator_factory(estimator_kind, engine, observer=observer)
     streams = RngStream(seed).spawn(n_sims)
@@ -174,21 +159,58 @@ def run_chunk(
     return out
 
 
-def _parse_payload(payload: object, chunk: List[int]) -> Optional[List[tuple]]:
-    """A worker payload's tagged entries, or ``None`` if malformed."""
-    if not isinstance(payload, list) or len(payload) != len(chunk):
+def _watchdog_worker(
+    conn: Connection,
+    engine: SimulationEngine,
+    planner: Planner,
+    estimator_kind: EstimatorKind,
+    seed: int,
+    n_sims: int,
+    chaos: Optional[WorkerChaosOnce],
+) -> None:
+    """Watchdog worker body: run each index received, reply with its entry.
+
+    Returns (and the process exits) when the parent closes the pipe.
+    ``chaos`` (tests and the chaos benchmark only) makes the first call
+    that claims it crash, hang, or reply with garbage.
+    """
+    while True:
+        try:
+            index = conn.recv()
+        except EOFError:
+            return
+        if chaos is not None and chaos.apply():
+            conn.send("chaos: malformed payload")
+        else:
+            conn.send(
+                run_chunk(engine, planner, estimator_kind, seed, [index], n_sims)
+            )
+
+
+def _kill(process: BaseProcess, conn: Connection) -> None:
+    """SIGKILL a watchdog worker and reap it.
+
+    SIGKILL, not SIGTERM: a forked worker inherits its parent's signal
+    handlers — the campaign runner's SIGTERM drain handler among them —
+    so a hung worker would outlive ``terminate()``.
+    """
+    conn.close()
+    process.kill()
+    process.join()
+
+
+def _parse_payload(payload: object, index: int) -> Optional[tuple]:
+    """A worker reply's tagged entry for ``index``, or ``None`` if malformed."""
+    if not isinstance(payload, list) or len(payload) != 1:
         return None
-    expected = set(chunk)
-    for entry in payload:
-        if not isinstance(entry, tuple) or len(entry) < 3:
-            return None
-        if entry[0] not in expected:
-            return None
-        expected.discard(entry[0])
-        ok = entry[1] == "ok" and isinstance(entry[2], SimulationResult)
-        if not ok and not (entry[1] == "error" and len(entry) == 4):
-            return None
-    return payload
+    entry = payload[0]
+    if not isinstance(entry, tuple) or len(entry) < 3 or entry[0] != index:
+        return None
+    if entry[1] == "ok" and isinstance(entry[2], SimulationResult):
+        return entry
+    if entry[1] == "error" and len(entry) == 4:
+        return entry
+    return None
 
 
 class BatchRunner:
@@ -197,39 +219,30 @@ class BatchRunner:
     Parameters
     ----------
     engine:
-        The simulation setup (pickled to every worker on the pool path).
+        The simulation setup (handed to the watchdog worker when armed).
     estimator_kind:
         Which estimate provider each run uses.
-    n_workers:
-        Process count.  With one worker, no chaos hook and no watchdog
-        the batch runs in-process, calling ``engine.run`` directly.
-    max_retries:
-        Extra attempts granted to indices whose *chunk* failed (worker
-        death, malformed payload, timeout) before they become
-        :class:`~repro.sim.results.FailureRecord` entries.  In-episode
-        exceptions are deterministic under the seeding scheme and are
-        never retried.
     timeout_per_sim:
-        Optional per-simulation time budget; a chunk of ``m`` indices is
-        given ``m * timeout_per_sim`` seconds before its workers are
-        terminated and the indices retried.  ``None`` disables the
-        watchdog.  Arming it moves even a one-worker runner onto the
-        process pool, one index per chunk.
+        Optional per-simulation time budget.  Arming it runs every
+        index in a watchdog worker process, which is SIGKILLed and
+        replaced when the budget expires; the index gets a
+        ``"timeout"`` :class:`~repro.sim.results.FailureRecord`.
+        ``None`` (the default) runs the batch in-process.
     chaos:
         Optional :class:`~repro.faults.chaos.WorkerChaosOnce` hook
-        injected into every chunk (tests / chaos benchmark only).
+        injected into the watchdog worker (tests / chaos benchmark
+        only); it arms the watchdog even without a time budget.
     observer:
         Optional :class:`~repro.obs.observer.Observer`.  Reaches the
-        simulation engine only on the in-process path — observers never
-        cross a process boundary; on pool runs it still records
-        parent-side round spans and retry counters.
+        simulation engine on the in-process path only — observers never
+        cross a process boundary.
 
     Notes
     -----
-    Results are returned in simulation order regardless of worker
-    scheduling, so ``winning_percentage`` and friends work unchanged.
-    Pool batches ship every result back through pickling; give the
-    engine a config with ``record_trajectories=False`` for large ones.
+    Each index is attempted once (retries are
+    :func:`repro.campaign.runner.run_chunk_attempts`).  Results come back
+    in simulation order; the watchdog pickles them across, so give the
+    engine ``record_trajectories=False`` for large batches.
 
     Units: timeout_per_sim [s]
     """
@@ -238,26 +251,16 @@ class BatchRunner:
         self,
         engine: SimulationEngine,
         estimator_kind: EstimatorKind = EstimatorKind.FILTERED,
-        n_workers: int = 1,
-        max_retries: int = 2,
         timeout_per_sim: Optional[float] = None,
         chaos: Optional[WorkerChaosOnce] = None,
         observer=None,
     ) -> None:
-        if n_workers < 1:
-            raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
-        if max_retries < 0:
-            raise SimulationError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
         if timeout_per_sim is not None and timeout_per_sim <= 0.0:
             raise SimulationError(
                 f"timeout_per_sim must be > 0, got {timeout_per_sim}"
             )
         self._engine = engine
         self._kind = estimator_kind
-        self._n_workers = n_workers
-        self._max_retries = max_retries
         self._timeout_per_sim = timeout_per_sim
         self._chaos = chaos
         self._obs = resolve_observer(observer)
@@ -271,16 +274,6 @@ class BatchRunner:
     def estimator_kind(self) -> EstimatorKind:
         """Which estimator this runner hands to every run."""
         return self._kind
-
-    @property
-    def n_workers(self) -> int:
-        """Worker process count."""
-        return self._n_workers
-
-    @property
-    def max_retries(self) -> int:
-        """Extra attempts granted to chunk-level failures."""
-        return self._max_retries
 
     # ------------------------------------------------------------------
     # Public API: thin wrappers over run_indices_detailed
@@ -305,7 +298,7 @@ class BatchRunner:
             any planner, enabling paired comparisons.
 
         Raises :class:`~repro.errors.SimulationError` summarising the
-        failures if any simulation is irrecoverable; use
+        failures if any simulation failed; use
         :meth:`run_batch_detailed` to keep the surviving episodes
         instead.
         """
@@ -317,10 +310,9 @@ class BatchRunner:
         """Fault-tolerant batch: a failing episode becomes a record.
 
         Simulation ``k`` either yields the identical result it yields in
-        any other batch with this seed (even when its chunk was retried
-        after a worker crash) or a
+        any other batch with this seed or a
         :class:`~repro.sim.results.FailureRecord` at index ``k`` —
-        surviving episodes are never discarded because a sibling raised.
+        surviving episodes are never discarded because a sibling failed.
         """
         chunk = self.run_indices_detailed(planner, range(n_sims), n_sims, seed)
         return BatchResult(
@@ -336,7 +328,7 @@ class BatchRunner:
         seed: int = 0,
         progress: Optional[Callable[[int], None]] = None,
     ) -> ChunkResult:
-        """Run a *subset* of a batch's indices with full fault tolerance.
+        """Run a *subset* of a batch's indices, each exactly once.
 
         The campaign layer's chunk primitive: simulation ``k`` of the
         conceptual ``n_sims``-sized batch is seeded from child ``k`` of
@@ -345,10 +337,9 @@ class BatchRunner:
         processes, interruptions, or machines — concatenates to results
         bit-identical to one uninterrupted batch.
 
-        ``progress`` (optional) is called with each finished index (ok
-        or error): as it finishes on the in-process path, as its chunk
-        is harvested on the pool path.  Indices whose chunk failed are
-        reported when their retry completes, or never.
+        ``progress`` (optional) is called with each index that finished
+        (ok or error), as it finishes; an index that failed transiently
+        is not reported.
         """
         if n_sims <= 0:
             raise SimulationError(f"n_sims must be > 0, got {n_sims}")
@@ -363,12 +354,7 @@ class BatchRunner:
                     f"index {index} outside batch of {n_sims}"
                 )
         idx.sort()
-        if (
-            min(self._n_workers, len(idx)) == 1
-            and self._chaos is None
-            and self._timeout_per_sim is None
-        ):
-            # In-process path: no pool to crash, no watchdog to arm.
+        if self._chaos is None and self._timeout_per_sim is None:
             payload = run_chunk(
                 self._engine,
                 planner,
@@ -379,191 +365,98 @@ class BatchRunner:
                 observer=(self._obs if self._obs.enabled else None),
                 progress=progress,
             )
-            results = {entry[0]: entry[2] for entry in payload if entry[1] == "ok"}
-            failures = [
-                FailureRecord(
-                    index=entry[0],
-                    stage="simulation",
-                    error_type=entry[2],
-                    message=entry[3],
-                    attempts=1,
-                )
-                for entry in payload
-                if entry[1] != "ok"
-            ]
         else:
-            results, failures = self._run_pool(
-                planner, idx, n_sims, seed, progress
+            payload = self._run_watched(planner, idx, n_sims, seed, progress)
+        results = {entry[0]: entry[2] for entry in payload if entry[1] == "ok"}
+        failures = [
+            FailureRecord(
+                index=entry[0],
+                stage="simulation" if entry[1] == "error" else entry[1],
+                error_type=entry[2],
+                message=entry[3],
+                attempts=1,
             )
+            for entry in payload
+            if entry[1] != "ok"
+        ]
         return ChunkResult(indices=idx, results=results, failures=failures)
 
     # ------------------------------------------------------------------
-    # Process-pool retry rounds
+    # The watchdog: one worker process, replaced when condemned
     # ------------------------------------------------------------------
-    def _run_pool(
+    def _run_watched(
         self,
         planner: Planner,
         indices: List[int],
         n_sims: int,
         seed: int,
         progress: Optional[Callable[[int], None]],
-    ) -> Tuple[Dict[int, SimulationResult], List[FailureRecord]]:
-        """Run ``indices`` in pool rounds; results keyed by global index."""
-        results: Dict[int, SimulationResult] = {}
-        attempts: Dict[int, int] = {index: 0 for index in indices}
-        #: index -> (stage, error_type, message) of its latest failure.
-        last_error: Dict[int, Tuple[str, str, str]] = {}
-        final: set = set()  # indices whose failure is not retryable
+    ) -> List[tuple]:
+        """Run each index once in a watchdog worker; tagged entries.
 
-        def harvest(chunk: List[int], outcome) -> None:
-            """Record one chunk: its payload entries or its failure."""
-            for index in chunk:
-                attempts[index] += 1
-            if isinstance(outcome, tuple):
-                for index in chunk:
-                    last_error[index] = outcome
-                return
-            for entry in outcome:
-                if entry[1] == "ok":
-                    results[entry[0]] = entry[2]
-                else:
-                    # In-episode exceptions are deterministic (same
-                    # seed, same planner state machine) — final, never
-                    # retried.
-                    last_error[entry[0]] = ("simulation", entry[2], entry[3])
-                    final.add(entry[0])
-                if progress is not None:
-                    progress(entry[0])
-
-        # Round 0: round-robin chunks, one per worker, so long and short
-        # episodes interleave evenly — except that a single worker under
-        # a watchdog gets one index per chunk, so every episode is
-        # harvested (and budgeted) on its own.  Later rounds re-run
-        # failed indices as single-index chunks for maximum isolation.
-        workers = min(self._n_workers, len(indices))
-        if workers == 1 and self._timeout_per_sim is not None:
-            pending = [[index] for index in indices]
-        else:
-            pending = [indices[i::workers] for i in range(workers)]
-        round_no = 0
-        while pending:
-            with self._obs.span(
-                "batch.round", round=round_no, chunks=len(pending)
-            ):
-                self._run_round(pending, planner, seed, n_sims, harvest)
-            retry: List[int] = []
-            for chunk in pending:
-                for index in chunk:
-                    if index in results or index in final:
-                        continue
-                    if attempts[index] <= self._max_retries:
-                        retry.append(index)
-                    else:
-                        final.add(index)
-            if retry:
-                self._obs.count("batch.retries", len(retry))
-            pending = [[index] for index in sorted(retry)]
-            round_no += 1
-
-        failures = [
-            FailureRecord(
-                index=index,
-                stage=last_error[index][0],
-                error_type=last_error[index][1],
-                message=last_error[index][2],
-                attempts=attempts[index],
-            )
-            for index in sorted(final)
-        ]
-        return results, failures
-
-    def _run_round(
-        self,
-        chunks: List[List[int]],
-        planner: Planner,
-        seed: int,
-        n_sims: int,
-        harvest: Callable[[List[int], object], None],
-    ) -> None:
-        """Run one round of chunks on a fresh pool, harvesting in order.
-
-        ``harvest(chunk, outcome)`` receives the chunk's validated
-        payload entries, or the ``(stage, error_type, message)`` its
-        indices failed with.
-
-        A fresh :class:`ProcessPoolExecutor` per round is deliberate: a
-        ``BrokenProcessPool`` poisons the pool it happened in, and a
-        timed-out worker may hold the pool's queue hostage — both are
-        abandoned wholesale instead of reused.
+        One worker serves the indices in turn.  A worker that dies,
+        overruns ``timeout_per_sim`` or replies with a malformed payload
+        is SIGKILLed and replaced, and only its index gets a
+        ``"worker"`` or ``"timeout"`` entry.
         """
-        pool = ProcessPoolExecutor(max_workers=min(self._n_workers, len(chunks)))
-        hung = False
+        payload: List[tuple] = []
+        worker: Optional[Tuple[BaseProcess, Connection]] = None
         try:
-            futures = [
-                (
-                    pool.submit(
-                        run_chunk,
-                        self._engine,
-                        planner,
-                        self._kind,
-                        seed,
-                        chunk,
-                        n_sims,
-                        self._chaos,
-                    ),
-                    chunk,
-                )
-                for chunk in chunks
-            ]
-            for future, chunk in futures:
-                budget: Optional[float] = None
-                if self._timeout_per_sim is not None:
-                    # After the first expiry the pool is condemned; only
-                    # harvest chunks that are already done (zero budget).
-                    budget = (
-                        0.0 if hung else self._timeout_per_sim * len(chunk)
-                    )
-                try:
-                    payload = future.result(timeout=budget)
-                except FuturesTimeoutError:
-                    hung = True
-                    harvest(
-                        chunk,
-                        (
-                            "timeout",
-                            "TimeoutError",
-                            f"chunk of {len(chunk)} exceeded its "
-                            f"{budget:.3g}s budget",
-                        ),
-                    )
-                # Fault-tolerance boundary: whatever killed the chunk
-                # (BrokenProcessPool, pickling error, a raising worker)
-                # is recorded against its indices and retried; sibling
-                # chunks keep their results.
-                except Exception as exc:  # safelint: disable=SFL003 - recorded per chunk, chunk retried
-                    harvest(chunk, ("worker", type(exc).__name__, str(exc)))
-                else:
-                    entries = _parse_payload(payload, chunk)
-                    if entries is None:
-                        harvest(
-                            chunk,
-                            (
-                                "worker",
-                                "MalformedPayload",
-                                f"worker returned {type(payload).__name__} "
-                                "instead of tagged result entries",
-                            ),
-                        )
-                    else:
-                        harvest(chunk, entries)
+            for index in indices:
+                if worker is None:
+                    worker = self._spawn(planner, n_sims, seed)
+                entry = self._ask(worker[1], index)
+                if entry[1] in ("worker", "timeout"):
+                    _kill(*worker)
+                    worker = None
+                elif progress is not None:
+                    progress(index)
+                payload.append(entry)
         finally:
-            if hung:
-                self._terminate_workers(pool)
-            pool.shutdown(wait=not hung, cancel_futures=True)
+            if worker is not None:
+                _kill(*worker)  # idle between indices: nothing is lost
+        return payload
 
-    @staticmethod
-    def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-        """Hard-kill a condemned pool's workers (hung beyond budget)."""
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            process.terminate()
+    def _spawn(
+        self, planner: Planner, n_sims: int, seed: int
+    ) -> Tuple[BaseProcess, Connection]:
+        conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_watchdog_worker,
+            args=(
+                child_conn, self._engine, planner, self._kind, seed, n_sims,
+                self._chaos,
+            ),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()  # else a dead worker would never read as EOF
+        return process, conn
+
+    def _ask(self, conn: Connection, index: int) -> tuple:
+        """Send ``index`` to a worker; its entry, or a transient one."""
+        try:
+            conn.send(index)
+            if not conn.poll(self._timeout_per_sim):
+                budget = f"{self._timeout_per_sim:.3g}s"
+                return (
+                    index,
+                    "timeout",
+                    "TimeoutError",
+                    f"simulation exceeded its {budget} budget",
+                )
+            reply = conn.recv()
+        # Fault-tolerance boundary: whatever broke the exchange (a dead
+        # worker's EOF, a broken pipe, an unpicklable reply) is recorded
+        # against this index only.
+        except Exception as exc:  # safelint: disable=SFL003 - recorded as a transient "worker" entry
+            message = str(exc) or "worker process died before replying"
+            return (index, "worker", type(exc).__name__, message)
+        entry = _parse_payload(reply, index)
+        if entry is None:
+            message = (
+                f"worker returned {type(reply).__name__} instead of a "
+                "tagged result entry"
+            )
+            return (index, "worker", "MalformedPayload", message)
+        return entry

@@ -163,7 +163,7 @@ class TestFlagValidation:
         ("command", "flags", "message"),
         [
             ("run", ["--workers", "0"], "--workers"),
-            ("run", ["--max-retries", "-1"], "--max-retries"),
+            ("run", ["--chunk-attempts", "-1"], "--chunk-attempts"),
             ("run", ["--chunk-attempts", "0"], "--chunk-attempts"),
             ("run", ["--chunk-timeout", "0"], "--chunk-timeout"),
             ("run", ["--chunk-timeout", "-2.5"], "--chunk-timeout"),

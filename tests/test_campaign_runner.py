@@ -398,7 +398,7 @@ class TestKnobValidation:
         [
             {"n_workers": 0},
             {"timeout_per_sim": 0.0},
-            {"max_retries": -1},
+            {"timeout_per_sim": float("nan")},
             {"lease_ttl": 0.0},
             {"heartbeat_interval": 0.0},
             {"lease_ttl": 1.0, "heartbeat_interval": 2.0},

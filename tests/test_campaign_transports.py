@@ -74,7 +74,6 @@ class TestTransientExhaustion:
 
     KNOBS = dict(
         timeout_per_sim=1e-6,
-        max_retries=0,
         backoff=BackoffPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
         heartbeat_interval=0.2,
     )

@@ -3,7 +3,7 @@
 The identity tests prove tracing changes nothing; these prove it
 records what ``docs/OBSERVABILITY.md`` promises — per-step engine
 spans, shield switches with cause, filter replay/width telemetry, and
-per-stage channel fault counters — and that the ``repro-trace``
+per-stage channel fault counters — and that the ``repro-obs``
 subcommands consume the streams end to end.
 """
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import SloError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.obs_cli import main as obs_main
+from repro.obs.cli import main as obs_main
 from repro.obs.recorder import TELEMETRY_FORMAT
 from repro.obs.slo import (
     SloRule,

@@ -1,17 +1,28 @@
-"""Failure-path tests for the crash-tolerant batch runner.
+"""Failure-path tests for the batch runner's watchdog and the retry rule.
 
 Each test injects one of the infrastructure failures the runner must
 contain — an in-episode exception, a dying worker, a garbage payload, a
-hung worker — and asserts the contract: surviving episodes are
-bit-identical to a plain ``engine.run`` loop's, failed episodes surface as
-structured records, and bounded retries with the same seeds recover
-transient failures exactly.
+hung worker — and asserts the contract: :class:`BatchRunner` attempts
+every index once and gives only the failed index a structured record,
+surviving episodes are bit-identical to a plain ``engine.run`` loop's,
+and :func:`run_chunk_attempts` — the one retry rule — re-runs only the
+transient indices, with the same seeds, recovering them exactly.
 """
 
+import json
+import multiprocessing
 import time
 
 import pytest
 
+from repro.campaign.backoff import BackoffPolicy
+from repro.campaign.manifest import CampaignManifest
+from repro.campaign.runner import (
+    CampaignRunner,
+    campaign_status,
+    chunk_path,
+    run_chunk_attempts,
+)
 from repro.comm.disturbance import messages_delayed
 from repro.errors import PlannerError, SimulationError
 from repro.faults import WorkerChaosOnce
@@ -49,9 +60,8 @@ class FlakyPlanner:
     """Raises for a deterministic, seed-derived subset of episodes.
 
     The failure decision hashes the first step's fused estimate — a pure
-    function of the episode seed — so sequential and parallel execution
-    fail exactly the same episodes regardless of worker scheduling or
-    retry order.
+    function of the episode seed — so in-process and watchdog execution
+    fail exactly the same episodes regardless of process or retry order.
     """
 
     def __init__(self, acceleration=2.0, threshold=0.5):
@@ -87,7 +97,6 @@ def _engine(scenario):
 
 def _runner(scenario, **kwargs):
     kwargs.setdefault("estimator_kind", EstimatorKind.RAW)
-    kwargs.setdefault("n_workers", 2)
     return BatchRunner(_engine(scenario), **kwargs)
 
 
@@ -97,11 +106,48 @@ def _reference(scenario, planner, n_sims, seed):
     )
 
 
+class _CallLog:
+    """A chunk executor over one runner that logs every call."""
+
+    def __init__(self, runner, planner, n_sims, seed):
+        self._runner = runner
+        self._planner = planner
+        self._n_sims = n_sims
+        self._seed = seed
+        #: ``(indices, ChunkResult)`` per call, in call order.
+        self.calls = []
+
+    def __call__(self, indices):
+        result = self._runner.run_indices_detailed(
+            self._planner, indices, self._n_sims, self._seed
+        )
+        self.calls.append((list(indices), result))
+        return result
+
+
+def _attempts(execute, n_sims, max_attempts=3):
+    """:func:`run_chunk_attempts` over ``range(n_sims)``, without waits.
+
+    Returns the merged chunk and the attempt numbers that were retried.
+    """
+    retried = []
+    result = run_chunk_attempts(
+        execute,
+        list(range(n_sims)),
+        "0" * 64,
+        0,
+        BackoffPolicy(max_attempts=max_attempts, base_delay=0.0, jitter=0.0),
+        lambda delay: None,
+        lambda attempt, delay: retried.append(attempt),
+    )
+    return result, retried
+
+
 class TestSimulationErrors:
     def test_matches_sequential_failures_and_survivors(self, scenario):
         planner = FlakyPlanner()
         reference = _reference(scenario, planner, 8, 11)
-        batch = _runner(scenario, n_workers=3).run_batch_detailed(
+        batch = _runner(scenario, timeout_per_sim=60.0).run_batch_detailed(
             planner, 8, seed=11
         )
         # The probe threshold must actually split the batch.
@@ -116,18 +162,19 @@ class TestSimulationErrors:
                 assert _fingerprint(mine) == _fingerprint(ref)
 
     def test_in_episode_errors_are_not_retried(self, scenario):
-        batch = _runner(scenario, max_retries=3).run_batch_detailed(
-            FlakyPlanner(), 6, seed=11
-        )
-        assert batch.n_failed > 0
-        assert all(f.attempts == 1 for f in batch.failures)
+        log = _CallLog(_runner(scenario), FlakyPlanner(), 6, 11)
+        chunk, retried = _attempts(log, 6)
+        assert chunk.n_failed > 0
+        assert all(f.attempts == 1 for f in chunk.failures)
+        assert len(log.calls) == 1 and retried == []
 
     def test_run_batch_raises_with_failure_summary(self, scenario):
         with pytest.raises(SimulationError, match="simulations failed"):
             _runner(scenario).run_batch(FlakyPlanner(), 6, seed=11)
 
     def test_single_worker_path_records_failures(self, scenario):
-        batch = _runner(scenario, n_workers=1).run_batch_detailed(
+        """The in-process path records in-episode errors too."""
+        batch = _runner(scenario).run_batch_detailed(
             FlakyPlanner(), 6, seed=11
         )
         reference = _reference(scenario, FlakyPlanner(), 6, 11)
@@ -139,9 +186,12 @@ class TestWorkerCrash:
         chaos = WorkerChaosOnce(str(tmp_path / "crash"), mode="exit")
         planner = ConstantPlanner(2.0)
         clean = _runner(scenario).run_batch(planner, 6, seed=3)
-        crashed = _runner(scenario, chaos=chaos).run_batch(planner, 6, seed=3)
+        log = _CallLog(_runner(scenario, chaos=chaos), planner, 6, 3)
+        crashed, retried = _attempts(log, 6)
         assert not chaos.armed()  # the crash really happened
-        assert [_fingerprint(r) for r in crashed] == [
+        assert retried == [2]
+        assert crashed.n_failed == 0
+        assert [_fingerprint(crashed.results[k]) for k in range(6)] == [
             _fingerprint(r) for r in clean
         ]
 
@@ -149,14 +199,15 @@ class TestWorkerCrash:
         self, scenario, tmp_path
     ):
         chaos = WorkerChaosOnce(str(tmp_path / "crash"), mode="exit")
-        batch = _runner(scenario, chaos=chaos, max_retries=0).run_batch_detailed(
-            ConstantPlanner(2.0), 6, seed=3
+        log = _CallLog(
+            _runner(scenario, chaos=chaos), ConstantPlanner(2.0), 6, 3
         )
+        batch, _ = _attempts(log, 6, max_attempts=1)
         assert not chaos.armed()
-        # A worker death marks the whole pool broken, so with zero
-        # retries every chunk of the round fails (retries are how
-        # siblings normally recover — see the test above).
+        # Only the crashed index fails: its worker is replaced and the
+        # siblings run on the replacement.
         assert batch.n_failed > 0
+        assert [f.index for f in batch.failures] == [0]
         assert all(f.stage == "worker" for f in batch.failures)
         assert all(f.attempts == 1 for f in batch.failures)
 
@@ -168,9 +219,12 @@ class TestGarbagePayload:
         chaos = WorkerChaosOnce(str(tmp_path / "garbage"), mode="garbage")
         planner = ConstantPlanner(2.0)
         clean = _runner(scenario).run_batch(planner, 6, seed=3)
-        garbled = _runner(scenario, chaos=chaos).run_batch(planner, 6, seed=3)
+        log = _CallLog(_runner(scenario, chaos=chaos), planner, 6, 3)
+        garbled, retried = _attempts(log, 6)
         assert not chaos.armed()
-        assert [_fingerprint(r) for r in garbled] == [
+        assert retried == [2]
+        assert garbled.n_failed == 0
+        assert [_fingerprint(garbled.results[k]) for k in range(6)] == [
             _fingerprint(r) for r in clean
         ]
 
@@ -178,42 +232,127 @@ class TestGarbagePayload:
         self, scenario, tmp_path
     ):
         chaos = WorkerChaosOnce(str(tmp_path / "garbage"), mode="garbage")
-        batch = _runner(scenario, chaos=chaos, max_retries=0).run_batch_detailed(
-            ConstantPlanner(2.0), 6, seed=3
+        log = _CallLog(
+            _runner(scenario, chaos=chaos), ConstantPlanner(2.0), 6, 3
         )
+        batch, _ = _attempts(log, 6, max_attempts=1)
         assert not chaos.armed()
         assert batch.n_failed > 0
+        assert [f.index for f in batch.failures] == [0]
         assert all(f.stage == "worker" for f in batch.failures)
         assert any("MalformedPayload" == f.error_type for f in batch.failures)
 
 
 class TestTimeout:
     def test_hung_simulations_surface_timeout_records(self, scenario):
-        batch = _runner(
-            scenario, timeout_per_sim=0.75, max_retries=0
-        ).run_batch_detailed(SleepyPlanner(), 2, seed=0)
+        batch = _runner(scenario, timeout_per_sim=0.75).run_batch_detailed(
+            SleepyPlanner(), 2, seed=0
+        )
         assert batch.n_failed == 2
         assert all(f.stage == "timeout" for f in batch.failures)
         assert batch.completed == []
+        assert multiprocessing.active_children() == []
 
     def test_timeout_budget_scales_with_chunk_size(self, scenario):
-        """A healthy batch under a generous per-sim budget completes."""
-        batch = _runner(
-            scenario, timeout_per_sim=120.0, max_retries=0
-        ).run_batch_detailed(ConstantPlanner(2.0), 4, seed=1)
+        """A healthy batch under a generous per-sim budget completes:
+        every index gets its own budget, however long the chunk."""
+        batch = _runner(scenario, timeout_per_sim=120.0).run_batch_detailed(
+            ConstantPlanner(2.0), 4, seed=1
+        )
         assert batch.n_failed == 0
         assert len(batch.completed) == 4
+
+    def test_wedged_campaign_chunk_leaves_no_live_workers(
+        self, scenario, tmp_path
+    ):
+        """A hung episode's worker dies with it, even when forked from a
+        campaign runner whose SIGTERM drain handler it inherits."""
+        manifest = CampaignManifest(
+            name="wedged",
+            scenario={"kind": "left_turn"},
+            comm={"sensor_noise": 0.3},
+            planner={"kind": "constant", "acceleration": 2.0},
+            n_sims=4,
+            seed=5,
+            chunk_size=4,
+            config={"max_time": 8.0},
+        )
+        runner = _runner(scenario, timeout_per_sim=0.2)
+
+        def execute(indices, n_sims, seed):
+            return runner.run_indices_detailed(
+                SleepyPlanner(), indices, n_sims, seed
+            )
+
+        directory = tmp_path / "campaign"
+        report = CampaignRunner(
+            manifest, directory, chunk_executor=execute
+        ).run()
+        assert multiprocessing.active_children() == []
+        assert report.status == "completed"
+        assert report.n_failed == 4
+        assert campaign_status(directory)["chunk_retries"] == {"0": 2}
+        snapshot = json.loads(chunk_path(directory, 0).read_text())
+        assert [f["stage"] for f in snapshot["failures"]] == ["timeout"] * 4
+        assert [f["attempts"] for f in snapshot["failures"]] == [3] * 4
+
+
+class TestRetryRule:
+    def test_retry_receives_only_transient_indices(self, scenario, tmp_path):
+        """A crashed index is re-run alone; the deterministic in-episode
+        failures of the first attempt are kept, not re-run."""
+        chaos = WorkerChaosOnce(str(tmp_path / "crash"), mode="exit")
+        planner = FlakyPlanner()
+        reference = _reference(scenario, planner, 8, 11)
+        log = _CallLog(_runner(scenario, chaos=chaos), planner, 8, 11)
+        chunk, retried = _attempts(log, 8)
+        assert [indices for indices, _ in log.calls] == [list(range(8)), [0]]
+        assert retried == [2]
+        assert [f.index for f in chunk.failures] == reference.failed_indices
+        assert all(f.stage == "simulation" for f in chunk.failures)
+        for k, ref in enumerate(reference.results):
+            if ref is not None:
+                assert _fingerprint(chunk.results[k]) == _fingerprint(ref)
+
+    def test_exhausted_records_carry_max_attempts(self, scenario):
+        log = _CallLog(
+            _runner(scenario, timeout_per_sim=0.1), SleepyPlanner(), 2, 0
+        )
+        chunk, retried = _attempts(log, 2, max_attempts=3)
+        assert [indices for indices, _ in log.calls] == [[0, 1]] * 3
+        assert retried == [2, 3]
+        assert chunk.n_failed == 2
+        assert all(f.stage == "timeout" for f in chunk.failures)
+        assert all(f.attempts == 3 for f in chunk.failures)
+
+    @pytest.mark.parametrize("mode", ["hang", "exit"])
+    def test_neighbours_of_a_failed_index_complete_first_time(
+        self, scenario, tmp_path, mode
+    ):
+        chaos = WorkerChaosOnce(str(tmp_path / mode), mode=mode)
+        planner = ConstantPlanner(2.0)
+        clean = _runner(scenario).run_batch(planner, 4, seed=3)
+        log = _CallLog(
+            _runner(scenario, timeout_per_sim=1.0, chaos=chaos), planner, 4, 3
+        )
+        chunk, retried = _attempts(log, 4)
+        _, first = log.calls[0]
+        assert [f.index for f in first.failures] == [0]
+        assert sorted(first.results) == [1, 2, 3]
+        assert [indices for indices, _ in log.calls[1:]] == [[0]]
+        assert chunk.n_failed == 0
+        assert [_fingerprint(chunk.results[k]) for k in range(4)] == [
+            _fingerprint(r) for r in clean
+        ]
 
 
 class TestProgress:
     def test_watchdog_path_reports_every_index(self, scenario):
-        """One worker under a watchdog runs on the pool, yet every
-        finished index still reaches ``progress`` — the shard worker's
-        heartbeat hook under ``--chunk-timeout``."""
+        """Under a watchdog every finished index still reaches
+        ``progress`` — the shard worker's heartbeat hook under
+        ``--chunk-timeout``."""
         seen = []
-        chunk = _runner(
-            scenario, n_workers=1, timeout_per_sim=60.0
-        ).run_indices_detailed(
+        chunk = _runner(scenario, timeout_per_sim=60.0).run_indices_detailed(
             ConstantPlanner(2.0), [0, 1, 2], 3, progress=seen.append
         )
         assert chunk.n_failed == 0
@@ -221,9 +360,9 @@ class TestProgress:
 
 
 class TestValidation:
-    def test_negative_max_retries_rejected(self, scenario):
+    def test_bad_batch_size(self, scenario):
         with pytest.raises(SimulationError):
-            _runner(scenario, max_retries=-1)
+            _runner(scenario).run_batch(ConstantPlanner(0.0), 0)
 
     def test_nonpositive_timeout_rejected(self, scenario):
         with pytest.raises(SimulationError):

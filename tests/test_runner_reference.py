@@ -1,12 +1,14 @@
 """The batch runner against an independent reference (the oracle rule).
 
 Every execution path of :class:`~repro.sim.runner.BatchRunner` — the
-in-process loop, the process pool, a pool whose worker crashes, a batch
+in-process loop, the watchdog worker, a watchdog whose worker crashes,
+returns garbage or hangs (recovered by the
+:func:`~repro.campaign.runner.run_chunk_attempts` retry rule), a batch
 run chunk by chunk, and a single episode — must reproduce
-:func:`tests.batch_reference.reference_batch` record for record.  Records
-are compared by the content digest of the full ``result_to_dict``
-record (channel statistics and fault counters included), not just by
-outcome and step count.
+:func:`tests.batch_reference.reference_batch` record for record.
+Records are compared by the content digest of the full
+``result_to_dict`` record (channel statistics and fault counters
+included), not just by outcome and step count.
 
 The workload is the campaign-storm stack: the shielded compound planner
 around a faulty embedded planner, with the information filter, on a
@@ -16,12 +18,14 @@ the filter replays deeply and irregularly.
 
 import pytest
 
+from repro.campaign.backoff import BackoffPolicy
 from repro.campaign.builders import (
     build_comm,
     build_config,
     build_planner,
     build_scenario,
 )
+from repro.campaign.runner import run_chunk_attempts
 from repro.faults import WorkerChaosOnce
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import BatchRunner, EstimatorKind
@@ -70,6 +74,25 @@ def _digests(results):
     return [content_digest(result_to_dict(r)) for r in results]
 
 
+def _retried(storm, chaos):
+    """The batch under ``chaos``, recovered by the one retry rule."""
+    engine, planner = storm
+    runner = BatchRunner(engine, KIND, timeout_per_sim=1.0, chaos=chaos)
+    chunk = run_chunk_attempts(
+        lambda indices: runner.run_indices_detailed(
+            planner, indices, N_SIMS, SEED
+        ),
+        list(range(N_SIMS)),
+        "0" * 64,
+        0,
+        BackoffPolicy(base_delay=0.0, jitter=0.0),
+        lambda delay: None,
+        lambda attempt, delay: None,
+    )
+    assert chunk.n_failed == 0
+    return [chunk.results[k] for k in range(N_SIMS)]
+
+
 @pytest.fixture(scope="module")
 def storm():
     scenario = build_scenario({"kind": "left_turn"})
@@ -95,22 +118,26 @@ class TestAgainstReference:
         assert sum(s.out_of_order for s in stats) > 0
         assert sum(r.sensor_faults_injected for r in results) > 0
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_run_batch(self, storm, reference, n_workers):
+    @pytest.mark.parametrize(
+        "timeout_per_sim", [None, 60.0], ids=["in-process", "watchdog"]
+    )
+    def test_run_batch(self, storm, reference, timeout_per_sim):
         engine, planner = storm
-        results = BatchRunner(engine, KIND, n_workers=n_workers).run_batch(
-            planner, N_SIMS, seed=SEED
-        )
+        results = BatchRunner(
+            engine, KIND, timeout_per_sim=timeout_per_sim
+        ).run_batch(planner, N_SIMS, seed=SEED)
         assert _digests(results) == reference
 
     def test_run_batch_through_a_worker_crash(self, storm, reference, tmp_path):
-        engine, planner = storm
         chaos = WorkerChaosOnce(str(tmp_path / "crash"), mode="exit")
-        results = BatchRunner(
-            engine, KIND, n_workers=2, chaos=chaos
-        ).run_batch(planner, N_SIMS, seed=SEED)
+        assert _digests(_retried(storm, chaos)) == reference
         assert not chaos.armed()  # the crash really happened
-        assert _digests(results) == reference
+
+    @pytest.mark.parametrize("mode", ["garbage", "hang"])
+    def test_run_batch_through_chaos(self, storm, reference, tmp_path, mode):
+        chaos = WorkerChaosOnce(str(tmp_path / mode), mode=mode)
+        assert _digests(_retried(storm, chaos)) == reference
+        assert not chaos.armed()
 
     def test_union_of_three_chunks(self, storm, reference):
         engine, planner = storm

@@ -16,7 +16,7 @@ from repro.campaign.cli import main as campaign_main
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.runner import CampaignRunner, campaign_status
 from repro.obs.metrics import parse_series_key
-from repro.obs.obs_cli import main as obs_main
+from repro.obs.cli import main as obs_main
 from repro.obs.recorder import TELEMETRY_FILE, read_telemetry
 
 
