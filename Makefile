@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test oracles benchmarks bench-record bench-compare bench-engine slo chaos campaign-smoke shard-smoke trace-smoke serve-smoke baseline
+.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test oracles benchmarks bench-record bench-compare bench-engine chaos campaign-smoke shard-smoke trace-smoke baseline
 
 lint: safelint ruff mypy
 
@@ -60,7 +60,7 @@ test:
 # loop, the float left-turn shield against its Interval form, the lean
 # engine loop against the one it replaced), with exact or 1e-9
 # agreement case by case and identical episodes and trained weights.
-# See docs/ROBUSTNESS.md section 8.
+# See docs/ROBUSTNESS.md section 7.
 oracles:
 	$(PYTHON) -m pytest tests/test_kalman_oracle.py tests/test_estimate_oracle.py \
 		tests/test_rng_oracle.py tests/test_nn_inference_oracle.py \
@@ -88,13 +88,6 @@ bench-compare:
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/engine -q
 	$(PYTHON) benchmarks/engine/run.py --workload all --smoke --seed 1
-
-# SLO gate over the freshly recorded serve benchmark (run bench-record
-# with REPRO_BENCH_DIR=$(BENCH_DIR) first); exit 1 on any violated
-# objective.  See the SLO section of docs/OBSERVABILITY.md.
-slo:
-	$(PYTHON) -m repro.obs slo check $(BENCH_DIR)/BENCH_serve.json \
-		--spec slo/serve_bench.json
 
 # Chaos suite (~30 s): fault-model, fault-plan and crash-tolerance tests
 # (the batch runner's watchdog and the run_chunk_attempts retry rule
@@ -132,14 +125,6 @@ shard-smoke:
 # REPRO_TRACE_TOL to widen on noisy machines).  See docs/OBSERVABILITY.md.
 trace-smoke:
 	$(PYTHON) scripts/trace_smoke.py
-
-# Serving chaos smoke (~15 s): streams ~200 decisions through the
-# repro-serve CLI — healthy planner, injected hung planner, SIGKILL
-# mid-stream + restart — and requires every reply at every ladder
-# level to be shield-verified safe with exact serve.* accounting.
-# See docs/ROBUSTNESS.md.
-serve-smoke:
-	$(PYTHON) scripts/serve_smoke.py
 
 # Regenerate the safelint baseline (see docs/LINTING.md before using).
 baseline:

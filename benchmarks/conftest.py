@@ -18,9 +18,8 @@ to regress against — the trace-smoke overhead gate reads
 
 Benchmarks can attach domain numbers beyond wall time via the
 ``bench_extra`` fixture (``bench_extra(p99_ms=1.7, shed=0.0)``); the
-values land in the entry's ``extra`` mapping, where the SLO layer
-(``repro-obs slo check``) reads them as ``bench.<field>{test=...}``
-gauges.
+values land in the entry's ``extra`` mapping, which ``repro-obs expo``
+renders as ``bench.<field>{test=...}`` gauges.
 """
 
 from __future__ import annotations

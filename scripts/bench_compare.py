@@ -5,8 +5,7 @@ CI's bench-record job runs ``make bench-record`` into a scratch
 directory and then calls this script to compare the recording against
 the baselines checked into ``benchmarks/``.  The comparison is
 structural, not a latency gate (shared CI runners are far too noisy
-for absolute wall-time thresholds — latency SLOs live in
-``repro-obs slo check`` over the *extras*, not the durations):
+for absolute wall-time thresholds):
 
 * every benchmark in a baselined area must have run (node-id sets
   match exactly — a silently skipped or deleted benchmark fails);

@@ -137,7 +137,7 @@ def _validate_exec_options(args: argparse.Namespace) -> None:
     """Reject nonsensical knob values before anything touches disk.
 
     All numeric knobs go through the shared flag validators in
-    :mod:`repro.utils.validation` — the same helpers the serve CLI
+    :mod:`repro.utils.validation` — the same helpers ``repro-obs top``
     uses — so NaN/zero/negative values fail identically everywhere.
     """
     check_flag_count(args.workers, "--workers", minimum=1)

@@ -116,14 +116,6 @@ class CompoundPlanner:
         falls back to the emergency command without voiding the theorem.
 
         Effects: mutates-args, draws-rng
-
-        (The declared spec is the boundary for the effect inference:
-        the syntactic call graph aliases ``self._nn.plan`` with *every*
-        ``plan`` method in the tree, including the serve-only
-        wall-clock :class:`~repro.faults.planner_wrapper.StallingPlanner`.
-        No engine-built compound ever contains one — wall-clock stalls
-        are banned from the deterministic simulation — so this planner
-        is clock-free in every simulated composition.)
         """
         decision = self._monitor.evaluate(context)
         if self._obs.enabled:

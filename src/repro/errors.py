@@ -52,37 +52,6 @@ class PlannerFaultError(PlannerError):
     """
 
 
-class TransientPlannerFaultError(PlannerFaultError):
-    """An injected planner failure that may clear on retry.
-
-    Models recoverable conditions — a timed-out RPC, a transient
-    resource spike — that a caller with remaining deadline budget may
-    retry once before degrading.  Subclasses
-    :class:`PlannerFaultError`, so every legacy containment path
-    (compound planner, engine watchdog) treats it exactly as before.
-    """
-
-
-class FatalPlannerFaultError(PlannerFaultError):
-    """An injected planner failure that no retry can clear.
-
-    Models a crashed or wedged planner process: retrying burns deadline
-    budget for nothing, so callers that know about the taxonomy (the
-    serve degradation ladder) must degrade to their shield action
-    immediately.  Subclasses :class:`PlannerFaultError`, so legacy
-    containment paths are unchanged.
-    """
-
-
-class ServeError(ReproError):
-    """The decision server was misconfigured or received a bad request.
-
-    Malformed observations never raise out of the request loop — they
-    degrade to a safe braking response — but programmatic misuse of the
-    serve API (invalid limits, a non-finite deadline) surfaces as this.
-    """
-
-
 class FaultInjectionError(ReproError):
     """A fault plan is inconsistent or was applied to an unsupported hook."""
 
@@ -124,16 +93,6 @@ class JournalCorruptionError(CampaignError):
     (checksum mismatch, out-of-sequence record, invalid JSON followed by
     further records) means the file was edited or the storage corrupted,
     and is surfaced instead of guessed around.
-    """
-
-
-class SloError(ReproError):
-    """An SLO specification is invalid or cannot be evaluated.
-
-    Raised for malformed spec files (unknown rule types, missing
-    fields) and for documents whose shape no adapter recognises.  Rule
-    *violations* are never exceptions — they are report entries the
-    ``repro-obs slo check`` gate turns into an exit code.
     """
 
 

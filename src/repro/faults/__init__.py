@@ -25,17 +25,11 @@ from repro.faults.plan import (
     FaultPlan,
     PlannerFault,
     PlannerFaultKind,
-    PlannerFaultSeverity,
     SensorFault,
     SensorFaultKind,
     StepWindow,
 )
-from repro.faults.planner_wrapper import (
-    FaultyPlanner,
-    StallingPlanner,
-    call_contained,
-    classify_planner_failure,
-)
+from repro.faults.planner_wrapper import FaultyPlanner
 from repro.faults.chaos import WorkerChaosOnce
 
 __all__ = [
@@ -43,13 +37,9 @@ __all__ = [
     "SensorFaultKind",
     "SensorFault",
     "PlannerFaultKind",
-    "PlannerFaultSeverity",
     "PlannerFault",
     "FaultPlan",
     "FaultInjector",
     "FaultyPlanner",
-    "StallingPlanner",
-    "call_contained",
-    "classify_planner_failure",
     "WorkerChaosOnce",
 ]

@@ -60,7 +60,6 @@ __all__ = [
     "SensorFaultKind",
     "SensorFault",
     "PlannerFaultKind",
-    "PlannerFaultSeverity",
     "PlannerFault",
     "FaultPlan",
     "FaultInjector",
@@ -159,24 +158,6 @@ class PlannerFaultKind(str, Enum):
     LATENCY = "latency"
 
 
-class PlannerFaultSeverity(str, Enum):
-    """Whether a raising planner fault may clear on retry.
-
-    The severity only matters for ``EXCEPTION`` faults (the raising
-    kind): a ``TRANSIENT`` exception models a recoverable hiccup a
-    caller may retry within its deadline budget, a ``FATAL`` one models
-    a crashed planner process that retrying cannot resurrect.  The
-    serve degradation ladder retries transients once and degrades on
-    fatals immediately; legacy containment paths catch the shared
-    :class:`~repro.errors.PlannerFaultError` base and are unaffected.
-    """
-
-    #: May clear on retry (default — matches the legacy behaviour).
-    TRANSIENT = "transient"
-    #: Will not clear on retry; degrade immediately.
-    FATAL = "fatal"
-
-
 @dataclass(frozen=True)
 class PlannerFault:
     """One scheduled planner fault.
@@ -187,9 +168,6 @@ class PlannerFault:
     window: StepWindow
     kind: PlannerFaultKind
     probability: float = 1.0
-    #: Retry class of a raising (``EXCEPTION``) fault; ignored by the
-    #: non-raising kinds.  Defaults to transient, the legacy behaviour.
-    severity: PlannerFaultSeverity = PlannerFaultSeverity.TRANSIENT
 
     def __post_init__(self) -> None:
         check_probability(self.probability, "probability")

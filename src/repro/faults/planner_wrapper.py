@@ -14,92 +14,18 @@ matter which worker runs which episode or in what order.  Stochastic
 *activation* belongs in the engine-level
 :class:`~repro.faults.plan.FaultPlan`, which draws from the episode's
 seed stream.
-
-Raising faults carry a **severity taxonomy**: a
-:attr:`~repro.faults.plan.PlannerFaultSeverity.TRANSIENT` exception
-(the default, bit-identical to the legacy behaviour) surfaces as
-:class:`~repro.errors.TransientPlannerFaultError` and may be retried by
-callers with deadline budget to spare; a
-:attr:`~repro.faults.plan.PlannerFaultSeverity.FATAL` one surfaces as
-:class:`~repro.errors.FatalPlannerFaultError` and means the planner
-process is gone — retrying burns budget for nothing.  Both derive from
-:class:`~repro.errors.PlannerFaultError`, so every legacy containment
-path (compound planner, engine watchdog, batch retry) is unchanged.
-:func:`classify_planner_failure` maps any raised exception back onto
-the taxonomy, and :func:`call_contained` is the single sanctioned
-point where an *arbitrary* planner crash is converted into data — the
-serve degradation ladder runs every planner invocation through it.
-
-:class:`StallingPlanner` is the wall-clock cousin of the ``LATENCY``
-fault kind: instead of repeating a stale command it genuinely blocks
-inside ``plan()`` for a configured number of seconds, which is what a
-deadline-enforcing caller (the decision server) needs to observe a
-*hung* planner rather than a merely wrong one.  It must never be used
-inside the deterministic simulation engine — wall-clock stalls there
-would make runs machine-dependent.
 """
 
 from __future__ import annotations
 
 import math
-import time as _time
 from typing import Optional, Sequence, Tuple
 
-from repro.errors import (
-    FatalPlannerFaultError,
-    FaultInjectionError,
-    PlannerFaultError,
-    TransientPlannerFaultError,
-)
-from repro.faults.plan import (
-    PlannerFault,
-    PlannerFaultKind,
-    PlannerFaultSeverity,
-    StepWindow,
-)
+from repro.errors import FaultInjectionError, PlannerFaultError
+from repro.faults.plan import PlannerFault, PlannerFaultKind
 from repro.planners.base import Planner, PlanningContext
 
-__all__ = [
-    "FaultyPlanner",
-    "StallingPlanner",
-    "classify_planner_failure",
-    "call_contained",
-]
-
-
-def classify_planner_failure(error: BaseException) -> PlannerFaultSeverity:
-    """Retry class of a failed planner invocation.
-
-    :class:`~repro.errors.FatalPlannerFaultError` is the only failure
-    declared unrecoverable; everything else — genuine
-    :class:`~repro.errors.PlannerError`, injected transients, and
-    arbitrary programming errors from a misbehaving planner — is
-    classified transient, because a caller cannot distinguish a
-    one-off crash from a persistent one without spending a retry.
-    """
-    if isinstance(error, FatalPlannerFaultError):
-        return PlannerFaultSeverity.FATAL
-    return PlannerFaultSeverity.TRANSIENT
-
-
-def call_contained(
-    planner: Planner, context: PlanningContext
-) -> Tuple[Optional[float], Optional[BaseException]]:
-    """Invoke ``planner.plan`` and convert any crash into data.
-
-    Returns ``(command, None)`` on success and ``(None, error)`` on any
-    raised exception.  This is the one sanctioned broad-containment
-    point for planner invocations: a decision *server* must survive an
-    arbitrarily buggy planner (the degradation ladder supplies the safe
-    command), so unlike the in-simulation paths — which catch only
-    :class:`~repro.errors.PlannerError` and let programming errors
-    falsify the run loudly — this helper swallows everything and hands
-    the exception object back for classification and telemetry.
-    """
-    try:
-        return float(planner.plan(context)), None
-    except Exception as error:  # the one sanctioned broad catch, see docstring
-        return None, error
+__all__ = ["FaultyPlanner"]
 
 
 class FaultyPlanner:
@@ -113,10 +39,6 @@ class FaultyPlanner:
         Planner faults to apply by step window.  Probabilities other
         than 1.0 are rejected — per-episode randomness must come from
         the engine-level fault plan (seeded), not from planner state.
-        A raising (``EXCEPTION``) fault surfaces as
-        :class:`~repro.errors.TransientPlannerFaultError` or
-        :class:`~repro.errors.FatalPlannerFaultError` according to its
-        :attr:`~repro.faults.plan.PlannerFault.severity`.
     """
 
     def __init__(self, inner: Planner, faults: Sequence[PlannerFault]) -> None:
@@ -153,14 +75,6 @@ class FaultyPlanner:
         """One control step: fault if scheduled, else delegate.
 
         Effects: mutates-args, draws-rng
-
-        (Declared boundary for the effect inference: the syntactic
-        call graph aliases ``self._inner.plan`` with every ``plan``
-        method in the tree, including the wall-clock
-        :class:`StallingPlanner`.  In the chaos wiring the stall
-        decorator is always *outermost*, and the deterministic engine
-        never composes either around a clock-reading planner, so this
-        wrapper is clock-free in every simulated composition.)
         """
         step = self._step
         self._step += 1
@@ -178,86 +92,13 @@ class FaultyPlanner:
                     "injected latency fault before any command existed"
                 )
             return self._last_command
-        message = (
-            f"injected {fault.severity.value} planner exception at step "
-            f"{step} (window [{fault.window.start}, {fault.window.stop}))"
+        raise PlannerFaultError(
+            f"injected planner exception at step {step} "
+            f"(window [{fault.window.start}, {fault.window.stop}))"
         )
-        if fault.severity is PlannerFaultSeverity.FATAL:
-            raise FatalPlannerFaultError(message)
-        raise TransientPlannerFaultError(message)
 
     def _fault_at(self, step: int) -> Optional[PlannerFault]:
         for fault in self._faults:
             if fault.window.contains(step):
                 return fault
         return None
-
-
-class StallingPlanner:
-    """Wall-clock-stalling decorator: a planner that genuinely hangs.
-
-    Sleeps ``stall_seconds`` of real time inside every ``plan()`` call
-    whose step index falls in ``windows`` before delegating.  A
-    deadline-enforcing caller observes exactly what a wedged planner
-    process looks like from the outside: the call does not return in
-    budget.  The serve chaos tests and the serve CLI's
-    ``--inject-stall-*`` flags use this wrapper; the deterministic
-    simulation engine must never see it (wall-clock stalls there make
-    runs machine-dependent — model compute overruns with the
-    ``LATENCY`` fault kind instead).
-
-    Parameters
-    ----------
-    inner:
-        The planner being delayed.
-    stall_seconds:
-        Real-time sleep applied on each stalled call.
-        Units: stall_seconds [s]
-    windows:
-        Step windows (by invocation index) that stall; an empty
-        sequence stalls every call.
-    """
-
-    def __init__(
-        self,
-        inner: Planner,
-        stall_seconds: float,
-        windows: Sequence[StepWindow] = (),
-    ) -> None:
-        if not math.isfinite(stall_seconds) or stall_seconds < 0.0:
-            raise FaultInjectionError(
-                f"stall_seconds must be finite and >= 0, got {stall_seconds!r}"
-            )
-        self._inner = inner
-        self._stall = float(stall_seconds)
-        self._windows = tuple(windows)
-        self._step = 0
-        self._stalled = 0
-
-    @property
-    def inner(self) -> Planner:
-        """The wrapped planner."""
-        return self._inner
-
-    @property
-    def stalls_injected(self) -> int:
-        """Stalled calls so far (across the planner's lifetime)."""
-        return self._stalled
-
-    def reset(self) -> None:
-        """Restart the step schedule."""
-        self._step = 0
-        if hasattr(self._inner, "reset"):
-            self._inner.reset()
-
-    def plan(self, context: PlanningContext) -> float:
-        """One control step: stall if scheduled, then delegate."""
-        step = self._step
-        self._step += 1
-        if self._stall > 0.0 and (
-            not self._windows
-            or any(window.contains(step) for window in self._windows)
-        ):
-            self._stalled += 1
-            _time.sleep(self._stall)
-        return self._inner.plan(context)

@@ -21,9 +21,8 @@ layers:
   ``telemetry.jsonl`` sidecar;
 * :mod:`repro.obs.fleet` — exact-sum merging of per-worker metric
   deltas into a fleet registry;
-* :mod:`repro.obs.slo` — declarative SLO specs and their evaluator;
 * :mod:`repro.obs.cli` — the ``repro-obs`` command line (trace record /
-  summarize / convert / margins; telemetry top / expo / slo check).
+  summarize / convert / margins; telemetry top / expo).
 
 The contract, enforced by tests and safelint rule SFL011: observation
 is write-only from the system's point of view — a traced run produces a
@@ -50,12 +49,6 @@ from repro.obs.recorder import (
     FlightRecorder,
     frame_rates,
     read_telemetry,
-)
-from repro.obs.slo import (
-    SloReport,
-    SloSpec,
-    evaluate_slo,
-    load_slo_spec,
 )
 from repro.obs.observer import (
     NULL_OBSERVER,
@@ -113,10 +106,6 @@ __all__ = [
     "FlightRecorder",
     "frame_rates",
     "read_telemetry",
-    "SloSpec",
-    "SloReport",
-    "load_slo_spec",
-    "evaluate_slo",
     "write_jsonl",
     "read_jsonl",
     "to_chrome_trace",

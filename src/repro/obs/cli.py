@@ -8,17 +8,12 @@ per-name event counts, span timings and metric totals of a stream
 trace-event JSON (Perfetto-loadable); ``margins`` charts the shield
 engage/release timeline and the safety-margin series.
 
-Telemetry: ``top`` is a live terminal dashboard (see
-:mod:`repro.obs.top`) over a campaign telemetry sidecar
-(``--dir``/``--file``) or a decision server's ``metrics`` probe
-(``--socket``/``--connect``); ``expo`` prints a document (sidecar,
-metrics snapshot or serve stats) as Prometheus text exposition v0.0.4;
-``slo check`` evaluates a declarative SLO spec (see
-:mod:`repro.obs.slo`) against a document — the CI gate over
-``BENCH_serve.json``.
+Telemetry: ``top`` is a terminal dashboard (see :mod:`repro.obs.top`)
+over a campaign telemetry sidecar (``--dir``/``--file``); ``expo``
+prints a document (sidecar, metrics snapshot or ``BENCH_<area>.json``)
+as Prometheus text exposition v0.0.4.
 
-Exit codes: 0 success; 1 an SLO check failed; 2 a bad stream, spec,
-document or configuration, or an unreachable server.
+Exit codes: 0 success; 2 a bad stream, document or flag value.
 """
 
 from __future__ import annotations
@@ -27,56 +22,42 @@ import argparse
 import json
 import sys
 import time
-from collections import deque
 from pathlib import Path
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from repro.comm.disturbance import no_disturbance
 from repro.comm.faults import Duplication, IndependentLoss, UniformJitter, compose
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
-from repro.errors import ReproError, SloError
+from repro.errors import ReproError, SerializationError
 from repro.obs.export import (
     read_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.expo import render_prometheus
+from repro.obs.expo import measurements_from_document, render_prometheus
 from repro.obs.observer import Observer
-from repro.obs.recorder import (
-    TELEMETRY_FILE,
-    TELEMETRY_FORMAT,
-    read_telemetry,
-)
-from repro.obs.slo import (
-    evaluate_slo,
-    load_slo_spec,
-    measurements_from_document,
-    render_report,
-)
+from repro.obs.recorder import TELEMETRY_FILE, read_telemetry
 from repro.obs.top import render_dashboard
-from repro.obs.trace import perf_now, wall_now
 from repro.planners.constant import FullThrottlePlanner
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.runner import EstimatorKind, make_estimator_factory
 from repro.utils.rng import RngStream
+from repro.utils.validation import check_flag_count, check_flag_positive
 
 __all__ = [
     "main",
     "build_parser",
     "record_trace",
     "EXIT_OK",
-    "EXIT_FAIL",
     "EXIT_ERROR",
 ]
 
-#: Success (or every SLO check passed).
+#: Success.
 EXIT_OK = 0
-#: At least one SLO check failed.
-EXIT_FAIL = 1
-#: Bad stream, spec or document; unreachable server.
+#: Bad stream, document or flag value.
 EXIT_ERROR = 2
 
 #: ANSI clear-screen + home, used by ``top --follow``.
@@ -374,49 +355,21 @@ def _load_document(path: Path) -> dict:
     if path.suffix == ".jsonl":
         frames = read_telemetry(path)
         if not frames:
-            raise SloError(f"no telemetry frames in {path}")
+            raise SerializationError(f"no telemetry frames in {path}")
         return frames[-1]
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise SloError(f"cannot read document {path}: {exc}") from exc
+        raise SerializationError(
+            f"cannot read document {path}: {exc}"
+        ) from exc
     except json.JSONDecodeError as exc:
-        raise SloError(f"document {path} is not valid JSON: {exc}") from exc
+        raise SerializationError(
+            f"document {path} is not valid JSON: {exc}"
+        ) from exc
     if not isinstance(raw, dict):
-        raise SloError(f"document {path} must hold a JSON object")
+        raise SerializationError(f"document {path} must hold a JSON object")
     return raw
-
-
-def _probe_frame(args: argparse.Namespace) -> dict:
-    """One recorder-shaped frame from a live server's metrics probe."""
-    from repro.serve.client import ServeClient
-
-    if args.socket:
-        client = ServeClient(path=args.socket, timeout=args.timeout)
-    else:
-        host, _, port = args.connect.partition(":")
-        client = ServeClient(
-            host=host or "127.0.0.1",
-            port=int(port or 0),
-            timeout=args.timeout,
-        )
-    try:
-        payload = client.metrics()
-    finally:
-        client.close()
-    snapshot = payload.get("snapshot") or {
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-    }
-    return {
-        "format": TELEMETRY_FORMAT,
-        "t": perf_now(),
-        "wall": wall_now(),
-        "counters": snapshot.get("counters", {}),
-        "gauges": snapshot.get("gauges", {}),
-        "histograms": snapshot.get("histograms", {}),
-    }
 
 
 def _telemetry_path(args: argparse.Namespace) -> Path:
@@ -426,21 +379,13 @@ def _telemetry_path(args: argparse.Namespace) -> Path:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    live = bool(args.socket or args.connect)
-    frames: Deque[dict] = deque(maxlen=args.window)
-    if live:
-        frames.append(_probe_frame(args))
+    check_flag_count(args.window, "--window", minimum=1)
+    check_flag_positive(args.interval, "--interval")
 
     def refresh() -> List[dict]:
-        if live:
-            frames.append(_probe_frame(args))
-            return list(frames)
         return read_telemetry(_telemetry_path(args))[-args.window :]
 
     if not args.follow:
-        if live:
-            # Two samples give the dashboard one rate window.
-            time.sleep(args.interval)
         print(render_dashboard(refresh()))
         return EXIT_OK
     try:
@@ -462,24 +407,13 @@ def _cmd_expo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_slo_check(args: argparse.Namespace) -> int:
-    spec = load_slo_spec(args.spec)
-    document = _load_document(Path(args.document))
-    report = evaluate_slo(spec, document)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(render_report(report))
-    return EXIT_OK if report.passed else EXIT_FAIL
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro-obs`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro-obs",
         description=(
             "Observability: record and inspect traces; telemetry "
-            "dashboard, exposition and SLO gates."
+            "dashboard and exposition."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -530,10 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir", help="campaign/shard directory holding telemetry.jsonl"
     )
     source.add_argument("--file", help="telemetry sidecar path")
-    source.add_argument("--socket", help="decision-server unix socket")
-    source.add_argument(
-        "--connect", help="decision-server host:port to poll"
-    )
     top.add_argument(
         "--follow",
         action="store_true",
@@ -543,19 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--interval",
         type=float,
         default=1.0,
-        help="refresh/poll period, seconds (default 1.0)",
+        help="refresh period, seconds (default 1.0)",
     )
     top.add_argument(
         "--window",
         type=int,
         default=120,
         help="frames kept for the rate sparklines (default 120)",
-    )
-    top.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        help="server probe timeout, seconds",
     )
     top.set_defaults(func=_cmd_top)
 
@@ -564,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     expo.add_argument(
         "document",
-        help="telemetry .jsonl (newest frame), snapshot/stats/bench .json",
+        help="telemetry .jsonl (newest frame), snapshot/bench .json",
     )
     expo.add_argument(
         "--namespace",
@@ -572,25 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="metric name prefix (default: repro)",
     )
     expo.set_defaults(func=_cmd_expo)
-
-    slo = sub.add_parser("slo", help="SLO spec operations")
-    slo_sub = slo.add_subparsers(dest="slo_command", required=True)
-    check = slo_sub.add_parser(
-        "check", help="evaluate a spec against a document"
-    )
-    check.add_argument(
-        "document",
-        help="metrics snapshot / BENCH_*.json / stats payload / .jsonl",
-    )
-    check.add_argument(
-        "--spec", required=True, help="SLO spec JSON file"
-    )
-    check.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable report on stdout",
-    )
-    check.set_defaults(func=_cmd_slo_check)
 
     return parser
 

@@ -8,14 +8,14 @@ plain-text format every Prometheus-compatible scraper understands
 (``repro-obs expo <campaign-dir>/telemetry.jsonl`` renders a campaign's
 newest telemetry frame)::
 
-    # TYPE repro_serve_offered counter
-    repro_serve_offered 42
-    # TYPE repro_serve_decision_seconds histogram
-    repro_serve_decision_seconds_bucket{le="0.0005"} 3
+    # TYPE repro_engine_runs counter
+    repro_engine_runs 42
+    # TYPE repro_campaign_chunk_seconds histogram
+    repro_campaign_chunk_seconds_bucket{le="0.0005"} 3
     ...
-    repro_serve_decision_seconds_bucket{le="+Inf"} 7
-    repro_serve_decision_seconds_sum 0.0042
-    repro_serve_decision_seconds_count 7
+    repro_campaign_chunk_seconds_bucket{le="+Inf"} 7
+    repro_campaign_chunk_seconds_sum 0.0042
+    repro_campaign_chunk_seconds_count 7
 
 Design points:
 
@@ -28,8 +28,8 @@ Design points:
 * **Read side only.** This module consumes snapshots; it never touches
   a live registry's write API, keeping the write-only observation
   contract (safelint SFL011) intact.
-* Dotted metric names (``serve.offered``) sanitise to the Prometheus
-  grammar (``serve_offered``) under a configurable namespace prefix.
+* Dotted metric names (``engine.runs``) sanitise to the Prometheus
+  grammar (``engine_runs``) under a configurable namespace prefix.
   Counter names are exposed as-is (no ``_total`` suffix) so they map
   1:1 back to the registry series documented in OBSERVABILITY.md.
 """
@@ -40,17 +40,18 @@ import math
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import parse_series_key
+from repro.errors import SerializationError
+from repro.obs.metrics import metric_key, parse_series_key
 
 __all__ = [
     "CONTENT_TYPE",
+    "measurements_from_document",
     "render_prometheus",
     "render_registry",
 ]
 
-#: The HTTP content type of exposition format v0.0.4 — carried in the
-#: decision server's ``metrics`` probe reply so HTTP front-ends can
-#: forward it verbatim.
+#: The HTTP content type of exposition format v0.0.4, for front-ends
+#: that serve the rendered text.
 CONTENT_TYPE = "text/plain; version=0.0.4"
 
 _INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
@@ -58,10 +59,10 @@ _INVALID_LABEL_CHARS = re.compile(r"[^a-zA-Z0-9_]")
 
 
 def _sanitize_name(name: str, namespace: str) -> str:
-    """Map a dotted registry name onto the Prometheus metric grammar."""
-    flat = _INVALID_NAME_CHARS.sub("_", name)
-    if namespace:
-        flat = f"{namespace}_{flat}"
+    """Map a namespaced dotted registry name onto the Prometheus grammar."""
+    flat = _INVALID_NAME_CHARS.sub(
+        "_", f"{namespace}_{name}" if namespace else name
+    )
     if not flat or flat[0].isdigit():
         flat = f"_{flat}"
     return flat
@@ -201,3 +202,54 @@ def render_prometheus(
 def render_registry(registry, namespace: str = "repro") -> str:
     """Convenience: snapshot a registry and render it."""
     return render_prometheus(registry.snapshot(), namespace=namespace)
+
+
+def _bench_measurements(document: dict) -> dict:
+    counters: Dict[str, float] = {"bench.recorded": 0, "bench.failed": 0}
+    gauges: Dict[str, float] = {}
+    for entry in document.get("benchmarks", []):
+        nodeid = str(entry.get("nodeid", ""))
+        test = nodeid.rsplit("::", 1)[-1] or "unknown"
+        counters["bench.recorded"] += 1
+        if entry.get("outcome") != "passed":
+            counters["bench.failed"] += 1
+        duration = entry.get("duration_seconds")
+        if duration is not None:
+            gauges[metric_key("bench.duration_seconds", {"test": test})] = (
+                float(duration)
+            )
+        extra = entry.get("extra")
+        if isinstance(extra, dict):
+            for name, value in extra.items():
+                if isinstance(value, (int, float)) and not isinstance(
+                    value, bool
+                ):
+                    gauges[metric_key(f"bench.{name}", {"test": test})] = (
+                        float(value)
+                    )
+    return {"counters": counters, "gauges": gauges, "histograms": {}}
+
+
+def measurements_from_document(document: dict) -> dict:
+    """Normalise a metrics snapshot or ``BENCH_<area>.json`` document.
+
+    Snapshots (and telemetry frames) pass through as their three
+    sections; a benchmark document becomes ``bench.recorded`` /
+    ``bench.failed`` counters plus one ``bench.<field>{test=...}``
+    gauge per duration and numeric extra.  Anything else raises
+    :class:`~repro.errors.SerializationError`.
+    """
+    if not isinstance(document, dict):
+        raise SerializationError("document must be a JSON object")
+    if "counters" in document or "histograms" in document:
+        return {
+            "counters": dict(document.get("counters", {})),
+            "gauges": dict(document.get("gauges", {})),
+            "histograms": dict(document.get("histograms", {})),
+        }
+    if "benchmarks" in document:
+        return _bench_measurements(document)
+    raise SerializationError(
+        "unrecognised document: expected a metrics snapshot or a "
+        "BENCH_<area>.json document"
+    )

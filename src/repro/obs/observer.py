@@ -152,10 +152,9 @@ class MetricsOnlyObserver(Observer):
     Counters, gauges, and histograms aggregate in O(1) memory, while
     the :class:`Tracer` appends one record per span/instant — unbounded
     over a long run.  Long-lived processes that only need the metric
-    side (shard workers streaming deltas to the coordinator, servers
-    exposing the ``metrics`` probe for days) use this variant: every
-    tracing operation is a no-op, every metric operation aggregates as
-    usual.  Still write-only (SFL011 applies unchanged).
+    side (shard workers streaming deltas to the coordinator) use this
+    variant: every tracing operation is a no-op, every metric operation
+    aggregates as usual.  Still write-only (SFL011 applies unchanged).
     """
 
     __slots__ = ()

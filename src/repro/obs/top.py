@@ -5,29 +5,26 @@ Turns a sequence of flight-recorder frames (see
 the repo's own terminal charts (:mod:`repro.analysis.text_plot`) — no
 plotting dependency, works over ssh:
 
-* throughput sparklines (decisions/sec, sims/sec, channel drops/sec)
+* throughput sparklines (sims/sec, chunks/sec, channel drops/sec)
   from per-frame counter deltas;
-* p50/p99 decision latency from the newest latency histogram;
-* the degradation-ladder mix and shield engagements;
+* shield engagements;
 * per-worker liveness from the ``fleet.worker_up`` gauges.
 
-Pure rendering: frames in, text out.  The CLI owns reading sidecars or
-polling a live server.
+Pure rendering: frames in, text out.  The CLI owns reading sidecars.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.text_plot import sparkline
-from repro.obs.metrics import histogram_quantile, parse_series_key
+from repro.obs.metrics import parse_series_key
 from repro.obs.recorder import frame_rates
 
 __all__ = ["render_dashboard"]
 
 #: (label, counter names tried in order) rows of the throughput panel.
 _RATE_ROWS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("decisions/s", ("serve.offered", "fleet.serve.offered")),
     (
         "sims/s",
         ("fleet.engine.runs", "engine.runs", "campaign.sims_completed"),
@@ -38,13 +35,6 @@ _RATE_ROWS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ),
     ("drops/s", ("channel.dropped", "fleet.channel.dropped")),
 )
-
-#: Histogram names probed for the latency panel, first match wins.
-_LATENCY_HISTOGRAMS = (
-    "serve.decision_seconds",
-    "fleet.serve.decision_seconds",
-)
-
 
 def _counter_total(frame: dict, name: str) -> Optional[float]:
     """Sum every series of counter ``name`` across its label sets."""
@@ -77,21 +67,6 @@ def _pick_counter(frame: dict, names: Sequence[str]) -> Optional[str]:
         if _counter_total(frame, name) is not None:
             return name
     return None
-
-
-def _ladder_mix(frame: dict) -> Dict[str, float]:
-    mix: Dict[str, float] = {}
-    for key, value in frame.get("counters", {}).items():
-        base, labels = parse_series_key(key)
-        if base not in ("serve.decisions", "fleet.serve.decisions"):
-            continue
-        label_map = dict(labels)
-        if "worker" in label_map:
-            continue
-        level = label_map.get("ladder")
-        if level is not None:
-            mix[level] = mix.get(level, 0.0) + float(value)
-    return mix
 
 
 def _worker_liveness(frame: dict) -> List[Tuple[str, bool]]:
@@ -147,34 +122,6 @@ def render_dashboard(
             f"  {label:<12} {_fmt(current, '/s'):>12}  "
             f"total {_fmt(total):>12}  {sparkline(rates[-40:])}"
         )
-
-    histograms = newest.get("histograms", {})
-    for name in _LATENCY_HISTOGRAMS:
-        hist = histograms.get(name)
-        if hist is None:
-            continue
-        p50 = histogram_quantile(hist, 0.5)
-        p99 = histogram_quantile(hist, 0.99)
-        lines.append("")
-        lines.append(f"latency ({name})")
-        lines.append(
-            f"  p50 {_fmt(None if p50 is None else p50 * 1000.0, 'ms'):>10}"
-            f"   p99 {_fmt(None if p99 is None else p99 * 1000.0, 'ms'):>10}"
-            f"   n={int(hist.get('count', 0))}"
-        )
-        break
-
-    mix = _ladder_mix(newest)
-    if mix:
-        total = sum(mix.values())
-        lines.append("")
-        lines.append("ladder mix")
-        for level in sorted(mix):
-            share = mix[level] / total if total else 0.0
-            bar = "#" * int(round(share * 30))
-            lines.append(
-                f"  L{level:<3} {mix[level]:>10.0f}  {share:6.1%}  {bar}"
-            )
 
     shield = _counter_total(newest, "shield.engagements")
     if shield is None:

@@ -107,12 +107,12 @@ def check_optional_positive(value: Optional[float], name: str) -> Optional[float
 # ---------------------------------------------------------------------------
 # Command-line flag validation.
 #
-# Every CLI in the repo (repro-campaign, repro-serve) funnels its numeric
+# Every CLI in the repo (repro-campaign, repro-obs) funnels its numeric
 # knobs through these helpers so a nonsensical value — NaN smuggled
-# through ``--deadline-ms nan``, a zero queue depth, a negative lease
+# through ``--chunk-timeout nan``, a zero worker count, a negative lease
 # TTL — fails fast with the *flag name* in the message, before anything
-# touches disk or binds a socket.  They raise ConfigurationError, which
-# every CLI maps to its "invalid flag" exit code.
+# touches disk.  They raise ConfigurationError, which every CLI maps to
+# its "invalid flag" exit code.
 # ---------------------------------------------------------------------------
 def check_flag_positive(value: float, flag: str) -> float:
     """Validate a strictly positive, finite command-line flag value.

@@ -343,11 +343,26 @@ class TestCompoundContainment:
         _run(scenario, planner=compound)
         assert compound.embedded_failures == first
 
-    def test_nan_embedded_planner_safe_across_seeds(self, scenario):
+    @pytest.mark.parametrize(
+        "kind, window",
+        [
+            pytest.param(PlannerFaultKind.NAN, StepWindow(0, 200), id="nan"),
+            pytest.param(
+                PlannerFaultKind.EXCEPTION, StepWindow(0, 200), id="exception"
+            ),
+            # Opens after the first command, so every later call repeats
+            # that stale command instead of braking for lack of one.
+            pytest.param(
+                PlannerFaultKind.LATENCY, StepWindow(1, 200), id="latency"
+            ),
+        ],
+    )
+    def test_faulty_embedded_planner_safe_across_seeds(
+        self, scenario, kind, window
+    ):
         for seed in range(5):
             embedded = FaultyPlanner(
-                ConstantPlanner(2.0),
-                [PlannerFault(StepWindow(0, 200), PlannerFaultKind.NAN)],
+                ConstantPlanner(2.0), [PlannerFault(window, kind)]
             )
             result = _run(
                 scenario,
@@ -356,3 +371,4 @@ class TestCompoundContainment:
                 max_time=12.0,
             )
             assert result.outcome is not Outcome.COLLISION
+            assert embedded.faults_injected > 0

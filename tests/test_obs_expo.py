@@ -1,4 +1,5 @@
-"""Metric series ordering, quantile edges, and Prometheus exposition.
+"""Metric series ordering, quantile edges, Prometheus exposition, and
+the ``repro-obs expo`` / ``top`` commands.
 
 The exposition contract is *byte determinism*: the same registry
 content must render the same bytes no matter the order series were
@@ -10,11 +11,19 @@ formatting.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.obs.expo import CONTENT_TYPE, render_prometheus, render_registry
+from repro.errors import ConfigurationError, SerializationError
+from repro.obs.cli import main as obs_main
+from repro.obs.expo import (
+    CONTENT_TYPE,
+    measurements_from_document,
+    render_prometheus,
+    render_registry,
+)
+from repro.obs.recorder import TELEMETRY_FORMAT
 from repro.obs.metrics import (
     MetricsRegistry,
     histogram_quantile,
@@ -234,6 +243,14 @@ class TestExposition:
         text = render_registry(registry)
         assert 'repro_channel_stage_dropped{stage="lo\\"ss"} 1' in text
 
+    def test_namespace_is_sanitised(self):
+        text = render_prometheus(
+            {"counters": {"engine.runs": 3}}, namespace="my-app"
+        )
+        assert text == "# TYPE my_app_engine_runs counter\nmy_app_engine_runs 3\n"
+        exposed = text.splitlines()[1].split()[0]
+        assert re.fullmatch(r"[a-zA-Z_:][a-zA-Z0-9_:]*", exposed)
+
     def test_namespace_disabled(self):
         text = render_prometheus(
             {"counters": {"x": 1}}, namespace=""
@@ -254,3 +271,140 @@ class TestExposition:
 
     def test_content_type_pinned(self):
         assert CONTENT_TYPE == "text/plain; version=0.0.4"
+
+
+def _healthy_bench_document() -> dict:
+    """A ``BENCH_<area>.json`` shaped document with numeric extras."""
+
+    def entry(test, duration, extra):
+        return {
+            "nodeid": f"benchmarks/test_bench_serve.py::{test}",
+            "outcome": "passed",
+            "duration_seconds": duration,
+            "extra": extra,
+        }
+
+    return {
+        "schema_version": "1.0",
+        "area": "serve",
+        "context": {},
+        "benchmarks": [
+            entry(
+                "test_bench_serve_throughput",
+                24.5,
+                {
+                    "p50_ms": 1.2,
+                    "p99_ms": 4.8,
+                    "shed_rate": 0.0,
+                    "verify_replaced": 0,
+                    "shed": 0,
+                    "offered": 400,
+                },
+            ),
+            entry(
+                "test_bench_serve_degraded_ladder",
+                3.4,
+                {
+                    "p50_ms": 10.0,
+                    "p99_ms": 11.2,
+                    "shed_rate": 0.0,
+                    "verify_replaced": 0,
+                    "shed": 0,
+                    "offered": 20,
+                },
+            ),
+        ],
+    }
+
+
+class TestDocumentAdapters:
+    def test_snapshot_passthrough(self):
+        registry = MetricsRegistry()
+        registry.count("serve.offered", 3)
+        measurements = measurements_from_document(registry.snapshot())
+        assert measurements["counters"]["serve.offered"] == 3
+
+    def test_bench_document_adapter(self):
+        measurements = measurements_from_document(_healthy_bench_document())
+        assert measurements["counters"]["bench.recorded"] == 2
+        assert measurements["counters"]["bench.failed"] == 0
+        gauges = measurements["gauges"]
+        assert (
+            gauges["bench.p99_ms{test=test_bench_serve_throughput}"] == 4.8
+        )
+        assert (
+            gauges[
+                "bench.duration_seconds{test=test_bench_serve_throughput}"
+            ]
+            == 24.5
+        )
+
+    def test_unrecognised_document_raises(self):
+        with pytest.raises(SerializationError, match="unrecognised"):
+            measurements_from_document({"hello": "world"})
+
+
+class TestObsCli:
+    def test_expo_renders_document(self, tmp_path, capsys):
+        registry = MetricsRegistry()
+        registry.count("serve.offered", 7)
+        snapshot_path = tmp_path / "snapshot.json"
+        snapshot_path.write_text(
+            json.dumps(registry.snapshot()), encoding="utf-8"
+        )
+        assert obs_main(["expo", str(snapshot_path)]) == 0
+        out = capsys.readouterr().out
+        assert "# TYPE repro_serve_offered counter" in out
+        assert "repro_serve_offered 7" in out
+
+    def test_top_renders_sidecar(self, tmp_path, capsys):
+        frames = []
+        for i in range(3):
+            frames.append(
+                {
+                    "format": TELEMETRY_FORMAT,
+                    "t": float(i),
+                    "wall": 1000.0 + i,
+                    "counters": {
+                        "fleet.engine.runs": 10.0 * i,
+                        "fleet.engine.runs{worker=w0}": 10.0 * i,
+                        "fleet.worker.chunks_completed{worker=w0}": float(i),
+                        "fleet.worker.chunks_completed": float(i),
+                    },
+                    "gauges": {"fleet.worker_up{worker=w0}": 1.0},
+                    "histograms": {},
+                }
+            )
+        sidecar = tmp_path / "telemetry.jsonl"
+        sidecar.write_text(
+            "".join(json.dumps(frame) + "\n" for frame in frames),
+            encoding="utf-8",
+        )
+        assert obs_main(["top", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "repro fleet telemetry" in out
+        assert "sims/s" in out
+        assert "w0" in out and "up" in out
+
+    def test_top_empty_sidecar_still_renders(self, tmp_path, capsys):
+        assert obs_main(["top", "--dir", str(tmp_path)]) == 0
+        assert "no telemetry frames yet" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--window", "-1"], "--window"),
+            (["--window", "0"], "--window"),
+            (["--follow", "--interval", "-1"], "--interval"),
+        ],
+        ids=["negative-window", "zero-window", "negative-interval"],
+    )
+    def test_top_rejects_bad_flag_values(self, tmp_path, capsys, flags, flag):
+        code = obs_main(["top", "--dir", str(tmp_path), *flags])
+        assert code == 2
+        assert f"repro-obs: error: {flag} " in capsys.readouterr().err
+
+    def test_expo_missing_document_is_exit_2(self, tmp_path, capsys):
+        code = obs_main(["expo", str(tmp_path / "absent.json")])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
