@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test oracles benchmarks bench-record bench-compare bench-engine chaos campaign-smoke shard-smoke trace-smoke baseline
+.PHONY: lint safelint safedim lint-shape lint-flow gates ruff mypy precommit test oracles benchmarks bench-record bench-compare bench-engine golden-update chaos campaign-smoke shard-smoke trace-smoke baseline
 
 lint: safelint ruff mypy
 
@@ -66,6 +66,13 @@ oracles:
 		tests/test_rng_oracle.py tests/test_nn_inference_oracle.py \
 		tests/test_training_oracle.py tests/test_shield_oracle.py \
 		tests/test_engine_oracle.py -q
+
+# Rerun the golden behaviour corpus (tests/golden.py), print a per-field
+# diff of every cell that moved, and rewrite tests/data/golden_episodes.json.
+# Only for a change that alters episode behaviour on purpose; show the
+# diff in CHANGES.md.
+golden-update:
+	$(PYTHON) -m tests.golden
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -25,34 +25,34 @@ def scenario() -> LeftTurnScenario:
     return LeftTurnScenario()
 
 
-@pytest.fixture(scope="session")
-def tiny_conservative_spec(scenario) -> TrainedPlannerSpec:
-    """A cheaply trained conservative planner (seconds, not calibrated)."""
+#: Training seed of each tiny planner style.
+TINY_SEEDS = {"conservative": 11, "aggressive": 12}
+
+
+def train_tiny_spec(style: str, scenario: LeftTurnScenario) -> TrainedPlannerSpec:
+    """A cheaply trained planner of ``style`` (seconds, not calibrated)."""
     return train_left_turn_planner(
-        "conservative",
+        style,
         scenario.geometry,
         scenario.ego_limits,
         scenario.oncoming_limits,
-        seed=11,
+        seed=TINY_SEEDS[style],
         demo_config=TINY_DEMO,
         epochs=15,
         hidden=16,
     )
+
+
+@pytest.fixture(scope="session")
+def tiny_conservative_spec(scenario) -> TrainedPlannerSpec:
+    """A cheaply trained conservative planner (seconds, not calibrated)."""
+    return train_tiny_spec("conservative", scenario)
 
 
 @pytest.fixture(scope="session")
 def tiny_aggressive_spec(scenario) -> TrainedPlannerSpec:
     """A cheaply trained aggressive planner (seconds, not calibrated)."""
-    return train_left_turn_planner(
-        "aggressive",
-        scenario.geometry,
-        scenario.ego_limits,
-        scenario.oncoming_limits,
-        seed=12,
-        demo_config=TINY_DEMO,
-        epochs=15,
-        hidden=16,
-    )
+    return train_tiny_spec("aggressive", scenario)
 
 
 @pytest.fixture()

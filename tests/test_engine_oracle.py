@@ -24,85 +24,31 @@ changes nothing in ``result_to_dict`` but the trajectories.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.campaign.builders import build_config
-from repro.core.compound import CompoundPlanner
-from repro.core.monitor import RuntimeMonitor
-from repro.core.verification import adversarial_suite
-from repro.experiments.config import SETTING_NAMES, ExperimentConfig
-from repro.experiments.harness import build_trio
+from repro.experiments.config import SETTING_NAMES
 from repro.obs.observer import Observer
 from repro.obs.trace import Tracer
-from repro.scenarios.car_following import CarFollowingScenario
-from repro.scenarios.left_turn.multi import MultiOncomingLeftTurnScenario
-from repro.scenarios.signalized import SignalizedCrossingScenario
-from repro.sim.engine import SimulationConfig, SimulationEngine
-from repro.sim.runner import EstimatorKind, make_estimator_factory
+from repro.sim.engine import SimulationEngine
+from repro.sim.runner import make_estimator_factory
 from repro.sim.serialization import result_to_dict
 from repro.utils.rng import spawn_streams
 from tests import engine_oracle
+from tests.golden import CONFIGS, engine_cases
+from tests.golden import sim_config as _config
 from tests.test_kalman_oracle import _comm
 
-PAPER = ExperimentConfig()
 SETTINGS = [*SETTING_NAMES, "comm_storm"]
 N_EPISODES = 3
 SEED = 31
-MAX_TIME = 12.0
-
-#: Sensor dropout plus every planner fault kind, early enough to fire.
-FAULT_PLAN = {
-    "sensor_faults": [{"window": [10, 60], "kind": "dropout", "probability": 0.5}],
-    "planner_faults": [
-        {"window": [15, 20], "kind": "exception"},
-        {"window": [30, 33], "kind": "nan"},
-        {"window": [45, 50], "kind": "latency"},
-    ],
-}
-
-
-def _config(faults: bool = False, record: bool = True) -> SimulationConfig:
-    """The test horizon, with or without the fault plan and trajectories."""
-    spec = {"max_time": MAX_TIME}
-    if faults:
-        spec["fault_plan"] = FAULT_PLAN
-    return replace(build_config(spec), record_trajectories=record)
-
-
-def _compound(scenario, embedded) -> CompoundPlanner:
-    return CompoundPlanner(
-        nn_planner=embedded,
-        emergency_planner=scenario.emergency_planner(),
-        monitor=RuntimeMonitor(scenario.safety_model()),
-        limits=scenario.vehicle_limits(0),
-    )
 
 
 @pytest.fixture(scope="module")
 def cases(tiny_conservative_spec, scenario) -> Dict[str, Tuple]:
     """(scenario, planner, estimator kind) per configuration."""
-    trio = build_trio(tiny_conservative_spec, scenario, PAPER)
-    multi = MultiOncomingLeftTurnScenario()
-    signalized = SignalizedCrossingScenario().with_offset(3.0)
-    following = CarFollowingScenario()
-    bang = adversarial_suite(following.vehicle_limits(0))[-1]
-    assert bang.name == "random_bang"
-    return {
-        "left turn basic": (scenario, trio.basic, EstimatorKind.RAW),
-        "left turn ultimate": (scenario, trio.ultimate, EstimatorKind.FILTERED),
-        "multi-oncoming": (
-            multi, _compound(multi, multi.gap_expert()), EstimatorKind.FILTERED
-        ),
-        "signalized": (
-            signalized,
-            _compound(signalized, signalized.green_wave_planner()),
-            EstimatorKind.RAW,
-        ),
-        "car following": (following, _compound(following, bang), EstimatorKind.FILTERED),
-    }
+    return engine_cases(tiny_conservative_spec, scenario)
 
 
 def _episodes(run, case, comm, config, traced=False) -> List[dict]:
@@ -132,10 +78,6 @@ def _assert_same(fast: List[dict], slow: List[dict], label: str) -> None:
         if ours != theirs
     ]
     assert len(fast) == len(slow) and not differing, "\n".join(differing[:3])
-
-
-CONFIGS = ["left turn basic", "left turn ultimate", "multi-oncoming",
-           "signalized", "car following"]
 
 
 class TestEngineOracle:
