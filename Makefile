@@ -89,12 +89,14 @@ BENCH_DIR ?= /tmp/repro-bench
 bench-compare:
 	$(PYTHON) scripts/bench_compare.py --recorded $(BENCH_DIR)
 
-# Engine benchmark self-check (~1.5 min): the harness tests, then one
-# smoke round of every workload (checks the harness and the correctness
-# gates, not speed).  Timed runs and comparisons: benchmarks/engine/README.md.
+# Engine benchmark self-check (~2 min): the harness tests, then one
+# smoke round of every workload untraced and one traced (checks the
+# harness, the correctness gates and that traced outcomes equal untraced
+# ones, not speed).  Timed runs and comparisons: benchmarks/engine/README.md.
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/engine -q
 	$(PYTHON) benchmarks/engine/run.py --workload all --smoke --seed 1
+	$(PYTHON) benchmarks/engine/run.py --workload all --smoke --trace 1 --seed 1
 
 # Chaos suite (~30 s): fault-model, fault-plan and crash-tolerance tests
 # (the batch runner's watchdog and the run_chunk_attempts retry rule

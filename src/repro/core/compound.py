@@ -19,13 +19,15 @@ frequency" column.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.core.monitor import MonitorDecision, RuntimeMonitor
+from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import PlannerError
-from repro.obs.observer import resolve_observer
-from repro.planners.base import Planner, PlanningContext, clipped
+from repro.filtering.fusion import FusedEstimate
+from repro.obs.observer import resolve_observer, traced_call
+from repro.planners.base import Planner, PlanningContext, clipped, context_of
 
 __all__ = ["CompoundPlanner"]
 
@@ -66,6 +68,13 @@ class CompoundPlanner:
         self._monitor = monitor
         self._limits = limits
         self._obs = resolve_observer(observer)
+        # Which planners take the float entry point; decided once.
+        self._nn_floats = hasattr(nn_planner, "plan_floats")
+        shares = getattr(nn_planner, "shares_window_with", None)
+        self._nn_shares_window = shares is not None and shares(
+            monitor.safety_model
+        )
+        self._emergency_floats = hasattr(emergency_planner, "plan_floats")
         self._last_decision: Optional[MonitorDecision] = None
         self._embedded_failures = 0
 
@@ -106,7 +115,26 @@ class CompoundPlanner:
     # Planner protocol
     # ------------------------------------------------------------------
     def plan(self, context: PlanningContext) -> float:
-        """One monitored control step.
+        """One monitored control step (see :meth:`plan_floats`).
+
+        Effects: mutates-args, draws-rng
+        """
+        ego = context.ego
+        return self.plan_floats(
+            context.time, ego.position, ego.velocity, context.estimates
+        )
+
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """One monitored control step on the ego's floats.
+
+        Units: time [s], position [m], velocity [m/s] -> [m/s^2]
 
         A raising embedded planner is contained: the monitor only ever
         admits states from which the emergency planner keeps the system
@@ -115,31 +143,78 @@ class CompoundPlanner:
         an injected :class:`~repro.errors.PlannerFaultError` — the step
         falls back to the emergency command without voiding the theorem.
 
+        The embedded and emergency planners are called through their
+        own ``plan_floats`` where they have one, and otherwise through
+        ``plan`` on the context :func:`~repro.planners.base.context_of`
+        builds.  An NN planner whose window is the monitor's receives the
+        window the monitor already evaluated.  With a ``tracer`` the
+        monitor runs in a ``shield.monitor`` span and the float planners
+        time themselves.
+
         Effects: mutates-args, draws-rng
         """
-        decision = self._monitor.evaluate(context)
+        if tracer is None:
+            decision, window = self._monitor.decide(time, position, velocity, estimates)
+        else:
+            decision, window = traced_call(
+                tracer, "shield.monitor", self._monitor.decide,
+                time, position, velocity, estimates,
+            )
         if self._obs.enabled:
-            self._observe_decision(context, decision)
+            self._observe_decision(time, position, velocity, estimates, decision)
         self._last_decision = decision
         if decision.use_emergency:
-            command = self._emergency.plan(context)
+            command = self._emergency_command(time, position, velocity, estimates, tracer)
         else:
+            nn = self._nn
             try:
-                command = self._nn.plan(context)
+                if self._nn_shares_window:
+                    command = nn.plan_floats(
+                        time, position, velocity, estimates, tracer, window
+                    )
+                elif self._nn_floats:
+                    command = nn.plan_floats(time, position, velocity, estimates, tracer)
+                else:
+                    command = nn.plan(context_of(time, position, velocity, estimates))
             except PlannerError:
                 self._embedded_failures += 1
                 if self._obs.enabled:
-                    self._obs.instant(
-                        "shield.embedded_failure", t=context.time
-                    )
+                    self._obs.instant("shield.embedded_failure", t=time)
                     self._obs.count("shield.embedded_failures")
-                command = self._emergency.plan(context)
+                command = self._emergency_command(
+                    time, position, velocity, estimates, tracer
+                )
         return clipped(command, self._limits)
 
+    def _emergency_command(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer,
+    ) -> float:
+        """The emergency planner's raw command for this step.
+
+        Units: time [s], position [m], velocity [m/s] -> [m/s^2]
+        """
+        if self._emergency_floats:
+            return self._emergency.plan_floats(
+                time, position, velocity, estimates, tracer
+            )
+        return self._emergency.plan(context_of(time, position, velocity, estimates))
+
     def _observe_decision(
-        self, context: PlanningContext, decision: MonitorDecision
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        estimates: Mapping[int, FusedEstimate],
+        decision: MonitorDecision,
     ) -> None:
         """Emit shield telemetry for one step (enabled observers only).
+
+        Units: time [s], position [m], velocity [m/s]
 
         Called *before* ``self._last_decision`` is overwritten so
         engage/release transitions compare against the previous step.
@@ -151,29 +226,30 @@ class CompoundPlanner:
         if decision.use_emergency and not was_emergency:
             obs.instant(
                 "shield.engage",
-                t=context.time,
+                t=time,
                 cause="unsafe" if decision.in_unsafe else "boundary",
             )
             obs.count("shield.engagements")
         elif was_emergency and not decision.use_emergency:
-            obs.instant("shield.release", t=context.time)
+            obs.instant("shield.release", t=time)
         obs.count("shield.steps")
         if decision.use_emergency:
             obs.count("shield.emergency_steps")
         model = self._monitor.safety_model
         margin_of = getattr(model, "safety_margin", None)
-        if margin_of is not None:
-            margin = margin_of(context.time, context.ego, context.estimates)
-            if math.isfinite(margin):
-                obs.sample("shield.margin", margin, t=context.time)
-                obs.gauge("shield.margin", margin)
         boundary_of = getattr(model, "boundary_distance", None)
+        if margin_of is None and boundary_of is None:
+            return
+        ego = VehicleState(position, velocity)
+        if margin_of is not None:
+            margin = margin_of(time, ego, estimates)
+            if math.isfinite(margin):
+                obs.sample("shield.margin", margin, t=time)
+                obs.gauge("shield.margin", margin)
         if boundary_of is not None:
-            distance = boundary_of(
-                context.time, context.ego, context.estimates
-            )
+            distance = boundary_of(time, ego, estimates)
             if math.isfinite(distance):
-                obs.sample("shield.boundary_distance", distance, t=context.time)
+                obs.sample("shield.boundary_distance", distance, t=time)
 
     def reset(self) -> None:
         """Clear per-run telemetry (engine calls this between runs)."""

@@ -21,8 +21,11 @@ commanded by the emergency planner).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Optional, Tuple
 
 from repro.core.unsafe_set import SafetyModel
+from repro.dynamics.state import VehicleState
+from repro.filtering.fusion import FusedEstimate
 from repro.planners.base import PlanningContext
 
 __all__ = ["MonitorDecision", "RuntimeMonitor"]
@@ -31,6 +34,9 @@ __all__ = ["MonitorDecision", "RuntimeMonitor"]
 @dataclass(frozen=True, slots=True)
 class MonitorDecision:
     """Outcome of one monitor evaluation.
+
+    There are four possible decisions; the monitor hands out one shared
+    instance of each.
 
     Attributes
     ----------
@@ -49,11 +55,25 @@ class MonitorDecision:
     in_unsafe: bool
 
 
+#: The four decisions, keyed by ``(in_boundary, in_unsafe)``.
+_DECISIONS = {
+    (in_boundary, in_unsafe): MonitorDecision(
+        use_emergency=in_boundary or in_unsafe,
+        in_boundary=in_boundary,
+        in_unsafe=in_unsafe,
+    )
+    for in_boundary in (False, True)
+    for in_unsafe in (False, True)
+}
+
+
 class RuntimeMonitor:
     """Selects between the NN-based and the emergency planner each step."""
 
     def __init__(self, safety_model: SafetyModel) -> None:
         self._model = safety_model
+        #: Both predicates in one call, where the model offers it.
+        self._model_decide = getattr(safety_model, "decide", None)
         self._decisions = 0
         self._emergency_decisions = 0
         self._unsafe_decisions = 0
@@ -68,23 +88,47 @@ class RuntimeMonitor:
     # ------------------------------------------------------------------
     def evaluate(self, context: PlanningContext) -> MonitorDecision:
         """Evaluate both predicates and record the decision."""
-        in_boundary = self._model.in_boundary_safe_set(
-            context.time, context.ego, context.estimates
-        )
-        in_unsafe = self._model.in_estimated_unsafe_set(
-            context.time, context.ego, context.estimates
-        )
-        decision = MonitorDecision(
-            use_emergency=in_boundary or in_unsafe,
-            in_boundary=in_boundary,
-            in_unsafe=in_unsafe,
-        )
+        ego = context.ego
+        return self.decide(
+            context.time, ego.position, ego.velocity, context.estimates, ego
+        )[0]
+
+    def decide(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        estimates: Mapping[int, FusedEstimate],
+        ego: Optional[VehicleState] = None,
+    ) -> Tuple[MonitorDecision, Optional[Tuple[float, float]]]:
+        """:meth:`evaluate` on the ego's floats, plus the conflict window.
+
+        Units: time [s], position [m], velocity [m/s]
+
+        A safety model with a ``decide(time, position, velocity,
+        estimates)`` method (the left-turn family) answers both
+        predicates in one call and returns the ``(lo, hi)`` window it
+        evaluated, or ``None``.  Any other model is asked each predicate
+        in turn on ``ego`` (built from ``position`` and ``velocity`` when
+        not given), and no window is returned.
+        """
+        decide = self._model_decide
+        if decide is not None:
+            in_boundary, in_unsafe, window = decide(time, position, velocity, estimates)
+        else:
+            model = self._model
+            if ego is None:
+                ego = VehicleState(position, velocity)
+            in_boundary = bool(model.in_boundary_safe_set(time, ego, estimates))
+            in_unsafe = bool(model.in_estimated_unsafe_set(time, ego, estimates))
+            window = None
+        decision = _DECISIONS[in_boundary, in_unsafe]
         self._decisions += 1
         if decision.use_emergency:
             self._emergency_decisions += 1
         if in_unsafe:
             self._unsafe_decisions += 1
-        return decision
+        return decision, window
 
     # ------------------------------------------------------------------
     # Counters

@@ -12,15 +12,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["VehicleState", "SystemState"]
+__all__ = ["VehicleState", "SystemState", "nan_state_error"]
 
 _isnan = math.isnan
+
+
+def nan_state_error(
+    position: float, velocity: float, acceleration: float
+) -> Optional[ConfigurationError]:
+    """The error :class:`VehicleState` raises for the first NaN field.
+
+    Float code that keeps a state as three numbers raises this after its
+    own NaN test, so the two paths fail alike.  Returns ``None`` when no
+    field is NaN.
+
+    Units: position [m], velocity [m/s], acceleration [m/s^2]
+    """
+    for name, value in (
+        ("position", position),
+        ("velocity", velocity),
+        ("acceleration", acceleration),
+    ):
+        if math.isnan(float(value)):
+            return ConfigurationError(f"VehicleState.{name} must not be NaN")
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,12 +69,12 @@ class VehicleState:
     acceleration: float = 0.0
 
     def __post_init__(self) -> None:
-        if _isnan(float(self.position)):
-            raise ConfigurationError("VehicleState.position must not be NaN")
-        if _isnan(float(self.velocity)):
-            raise ConfigurationError("VehicleState.velocity must not be NaN")
-        if _isnan(float(self.acceleration)):
-            raise ConfigurationError("VehicleState.acceleration must not be NaN")
+        if (
+            _isnan(float(self.position))
+            or _isnan(float(self.velocity))
+            or _isnan(float(self.acceleration))
+        ):
+            raise nan_state_error(self.position, self.velocity, self.acceleration)
 
     def as_vector(self) -> np.ndarray:
         """Return the ``[p, v]`` column vector used by the Kalman filter.
@@ -124,6 +145,11 @@ class SystemState:
     def others(self) -> Tuple[VehicleState, ...]:
         """States of all non-ego vehicles (``C_1 .. C_{n-1}``)."""
         return self.vehicles[1:]
+
+    @property
+    def positions(self) -> Tuple[float, ...]:
+        """Every vehicle's position, in index order."""
+        return tuple(vehicle.position for vehicle in self.vehicles)
 
     @property
     def n_vehicles(self) -> int:

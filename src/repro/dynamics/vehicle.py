@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
-from repro.dynamics.state import VehicleState
+from repro.dynamics.state import VehicleState, nan_state_error
 from repro.errors import ConfigurationError
 from repro.utils.validation import check_positive, check_range
 
 __all__ = ["VehicleLimits", "VehicleModel"]
+
+_INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +76,13 @@ class VehicleLimits:
 
         Units: a [m/s^2] -> [m/s^2]
         """
-        return min(max(float(a), self.a_min), self.a_max)
+        # min(max(a, a_min), a_max) as conditionals: the same result,
+        # NaN included, without two builtin calls per control step.
+        a = float(a)
+        a_min = self.a_min
+        a = a_min if a_min > a else a
+        a_max = self.a_max
+        return a_max if a_max < a else a
 
     def clip_velocity(self, v: float) -> float:
         """Clip a velocity to ``[v_min, v_max]``.
@@ -127,6 +136,7 @@ class VehicleModel:
         If the velocity would cross ``v_min``/``v_max`` mid-step, the step
         is split at the crossing instant and the remainder integrated at
         the saturated velocity, so the returned position is exact.
+        :meth:`advance` is the integrator; this wraps it.
 
         Units: acceleration [m/s^2], dt [s]
 
@@ -138,38 +148,58 @@ class VehicleModel:
             portion only in the sense that velocity no longer changes; the
             *command* is what is stored).
         """
+        return VehicleState(
+            *self.advance(state.position, state.velocity, acceleration, dt)
+        )
+
+    def advance(
+        self, position: float, velocity: float, acceleration: float, dt: float
+    ) -> Tuple[float, float, float]:
+        """:meth:`step` on plain floats: ``(position, velocity, command)``.
+
+        Units: position [m], velocity [m/s], acceleration [m/s^2], dt [s]
+
+        The one implementation of the saturating double integrator.  A
+        non-positive, infinite or NaN ``dt`` raises as
+        :func:`~repro.utils.validation.check_positive` does, and a NaN in
+        the result raises the :class:`ConfigurationError` a
+        :class:`VehicleState` holding it would.
+        """
         if not 0.0 < dt < math.inf:
             check_positive(dt, "dt")  # raises: NaN, infinite or <= 0
         dt = float(dt)
-        a = self._limits.clip_acceleration(acceleration)
-        p0 = state.position
-        v0 = state.velocity
+        limits = self._limits
+        a = limits.clip_acceleration(acceleration)
+        p0 = position
+        v0 = velocity
 
         if a == 0.0:
             v1 = v0
             p1 = p0 + v0 * dt
-            return VehicleState(position=p1, velocity=v1, acceleration=a)
-
-        v_unclipped = v0 + a * dt
-        bound = self._limits.v_max if a > 0.0 else self._limits.v_min
-
-        if (a > 0.0 and v_unclipped <= bound) or (a < 0.0 and v_unclipped >= bound):
-            # No saturation: plain double-integrator update.
-            p1 = p0 + v0 * dt + 0.5 * a * dt * dt
-            return VehicleState(position=p1, velocity=v_unclipped, acceleration=a)
-
-        # Saturates at `bound` after t_hit; beyond that, constant velocity.
-        if (a > 0.0 and v0 >= bound) or (a < 0.0 and v0 <= bound):
-            t_hit = 0.0  # already at (or beyond) the bound
-            v_start = bound
-            p_hit = p0
         else:
-            t_hit = (bound - v0) / a
-            v_start = v0
-            p_hit = p0 + v0 * t_hit + 0.5 * a * t_hit * t_hit
-        del v_start  # position at the hit is all that matters afterwards
-        p1 = p_hit + bound * (dt - t_hit)
-        return VehicleState(position=p1, velocity=bound, acceleration=a)
+            v_unclipped = v0 + a * dt
+            bound = limits.v_max if a > 0.0 else limits.v_min
+            if (a > 0.0 and v_unclipped <= bound) or (
+                a < 0.0 and v_unclipped >= bound
+            ):
+                # No saturation: plain double-integrator update.
+                p1 = p0 + v0 * dt + 0.5 * a * dt * dt
+                v1 = v_unclipped
+            else:
+                # Saturates at `bound` after t_hit; beyond that, constant
+                # velocity.
+                if (a > 0.0 and v0 >= bound) or (a < 0.0 and v0 <= bound):
+                    t_hit = 0.0  # already at (or beyond) the bound
+                    p_hit = p0
+                else:
+                    t_hit = (bound - v0) / a
+                    p_hit = p0 + v0 * t_hit + 0.5 * a * t_hit * t_hit
+                p1 = p_hit + bound * (dt - t_hit)
+                v1 = bound
+        # NaN fails every comparison, infinities pass this one.
+        if not (p1 <= _INF and v1 <= _INF and a <= _INF):
+            raise nan_state_error(p1, v1, a)
+        return p1, v1, a
 
     def simulate(
         self,

@@ -20,13 +20,13 @@ over :class:`~repro.utils.intervals.Interval` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import math
+from typing import NamedTuple, Optional, Tuple
 
-from repro.dynamics.state import VehicleState
+from repro.dynamics.state import VehicleState, nan_state_error
 from repro.errors import FilterError
 from repro.filtering.reachability import ReachBand
-from repro.utils.intervals import Interval
+from repro.utils.intervals import Interval, nan_bounds_error
 
 __all__ = [
     "FusedEstimate",
@@ -35,52 +35,136 @@ __all__ = [
     "join_or_fallback",
 ]
 
+_INF = math.inf
 
-@dataclass(frozen=True, slots=True)
-class FusedEstimate:
+
+class _EstimateFields(NamedTuple):
+    time: float
+    p_lo: float
+    p_hi: float
+    v_lo: float
+    v_hi: float
+    p: float
+    v: float
+    a: float
+    message_age: Optional[float]
+
+
+class FusedEstimate(_EstimateFields):
     """The information available about one remote vehicle at one instant.
 
-    Attributes
-    ----------
+    One flat, immutable record of floats, checked on construction:
+
     time:
         The instant the estimate refers to.
-    position, velocity:
-        Intervals believed to contain the vehicle's true position and
+    p_lo, p_hi, v_lo, v_hi:
+        The bands believed to contain the vehicle's true position and
         velocity.  For the monitor's safety reasoning these must be sound
         over-approximations (they are, up to the Kalman band confidence).
-    nominal:
-        A point estimate (Kalman mean when available, band midpoint
-        otherwise) used by the aggressive unsafe-set estimation and as the
-        NN planner's feature input.
+    p, v, a:
+        The nominal point estimate (Kalman mean when available, band
+        midpoint otherwise) used by the aggressive unsafe-set estimation
+        and as the NN planner's feature input.
     message_age:
         Seconds since the stamp of the newest received message, or
         ``None`` when no message has ever arrived.
+
+    ``FusedEstimate(time, position, velocity, nominal, message_age)``
+    builds one from :class:`~repro.utils.intervals.Interval` bands and a
+    :class:`~repro.dynamics.state.VehicleState`; :meth:`of` builds one
+    from the floats.  Both raise what the objects would: an
+    :class:`~repro.errors.IntervalError` for a NaN band endpoint, a
+    :class:`~repro.errors.ConfigurationError` for a NaN nominal field and
+    a :class:`~repro.errors.FilterError` for an empty band.  The
+    :attr:`position`, :attr:`velocity` and :attr:`nominal` objects are
+    built only when read.
+
+    Units: time [s], p_lo [m], p_hi [m], v_lo [m/s], v_hi [m/s], p [m]
+    Units: v [m/s], a [m/s^2], message_age [s]
     """
 
-    time: float
-    position: Interval
-    velocity: Interval
-    nominal: VehicleState
-    message_age: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        position = self.position
-        velocity = self.velocity
-        # Interval.is_empty on both bands, without the property calls.
-        if position.lo > position.hi or velocity.lo > velocity.hi:
+    def __new__(
+        cls,
+        time: float,
+        position: Interval,
+        velocity: Interval,
+        nominal: VehicleState,
+        message_age: Optional[float] = None,
+    ) -> "FusedEstimate":
+        return cls.of(
+            time,
+            position.lo,
+            position.hi,
+            velocity.lo,
+            velocity.hi,
+            nominal.position,
+            nominal.velocity,
+            nominal.acceleration,
+            message_age,
+        )
+
+    @classmethod
+    def of(
+        cls,
+        time: float,
+        p_lo: float,
+        p_hi: float,
+        v_lo: float,
+        v_hi: float,
+        p: float,
+        v: float,
+        a: float,
+        message_age: Optional[float] = None,
+    ) -> "FusedEstimate":
+        """The estimate with these fields, checked as the objects would be.
+
+        Units: time [s], p_lo [m], p_hi [m], v_lo [m/s], v_hi [m/s], p [m]
+        Units: v [m/s], a [m/s^2], message_age [s]
+        """
+        # NaN fails every comparison; infinities pass these.
+        if not (p_lo <= _INF and p_hi <= _INF):
+            raise nan_bounds_error(float(p_lo), float(p_hi))
+        if not (v_lo <= _INF and v_hi <= _INF):
+            raise nan_bounds_error(float(v_lo), float(v_hi))
+        if not (p <= _INF and v <= _INF and a <= _INF):
+            raise nan_state_error(p, v, a)
+        if p_lo > p_hi or v_lo > v_hi:
             raise FilterError(
                 "FusedEstimate requires non-empty position/velocity bands"
             )
+        return tuple.__new__(
+            cls, (time, p_lo, p_hi, v_lo, v_hi, p, v, a, message_age)
+        )
+
+    def __reduce__(self):
+        return (_estimate_of, tuple(self))
+
+    @property
+    def position(self) -> Interval:
+        """The position band as an :class:`Interval`."""
+        return Interval(self.p_lo, self.p_hi)
+
+    @property
+    def velocity(self) -> Interval:
+        """The velocity band as an :class:`Interval`."""
+        return Interval(self.v_lo, self.v_hi)
+
+    @property
+    def nominal(self) -> VehicleState:
+        """The nominal point estimate as a :class:`VehicleState`."""
+        return VehicleState(self.p, self.v, self.a)
 
     @property
     def position_uncertainty(self) -> float:
         """Width of the position band."""
-        return self.position.width
+        return self.p_hi - self.p_lo
 
     @property
     def velocity_uncertainty(self) -> float:
         """Width of the velocity band."""
-        return self.velocity.width
+        return self.v_hi - self.v_lo
 
     def __str__(self) -> str:
         age = "-" if self.message_age is None else f"{self.message_age:.2f}s"
@@ -88,6 +172,11 @@ class FusedEstimate:
             f"est[t={self.time:.3f}s p in {self.position} v in "
             f"{self.velocity} msg_age={age}]"
         )
+
+
+def _estimate_of(*fields) -> FusedEstimate:
+    """Unpickle a :class:`FusedEstimate` from its fields."""
+    return FusedEstimate.of(*fields)
 
 
 def join_or_fallback(
@@ -102,8 +191,11 @@ def join_or_fallback(
     """
     if sound_lo > sound_hi:
         raise FilterError("the guaranteed band must be non-empty")
-    lo = max(sound_lo, refining_lo)
-    hi = min(sound_hi, refining_hi)
+    # max(sound_lo, refining_lo) and min(sound_hi, refining_hi) written
+    # as conditionals: the same result (a NaN refining bound loses), at
+    # no builtin call, on the hottest path of every estimate.
+    lo = refining_lo if refining_lo > sound_lo else sound_lo
+    hi = refining_hi if refining_hi < sound_hi else sound_hi
     if lo > hi:
         return sound_lo, sound_hi
     return lo, hi

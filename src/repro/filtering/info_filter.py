@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Tuple
 
 from repro.comm.message import Message
-from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FilterError, IntervalError
 from repro.filtering.fusion import FusedEstimate, join_or_fallback
@@ -38,7 +37,7 @@ from repro.filtering.replay import ReplayKalmanFilter
 from repro.obs.observer import resolve_observer
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
-from repro.utils.intervals import Interval, band_midpoint
+from repro.utils.intervals import band_midpoint
 
 __all__ = [
     "EstimateProvider",
@@ -52,7 +51,7 @@ __all__ = [
 #: pure float roundoff.
 _WATCHDOG_SLACK = 1e-6
 
-_isnan = math.isnan
+_INF = math.inf
 
 
 @dataclass
@@ -104,17 +103,17 @@ class EstimateProvider(Protocol):
         ...
 
 
-def _checked_box(
-    box: Tuple[float, float, float, float], what: str
-) -> Tuple[float, float, float, float]:
-    """``box`` unchanged; raises :class:`IntervalError` if it holds a NaN."""
-    p_lo, p_hi, v_lo, v_hi = box
-    if _isnan(p_lo) or _isnan(p_hi) or _isnan(v_lo) or _isnan(v_hi):
-        raise IntervalError(
-            f"{what} band must not be NaN: p in [{p_lo}, {p_hi}], "
-            f"v in [{v_lo}, {v_hi}]"
-        )
-    return box
+def _nan_band(
+    what: str, p_lo: float, p_hi: float, v_lo: float, v_hi: float
+) -> IntervalError:
+    """The error for a band holding a NaN.
+
+    Units: p_lo [m], p_hi [m], v_lo [m/s], v_hi [m/s]
+    """
+    return IntervalError(
+        f"{what} band must not be NaN: p in [{p_lo}, {p_hi}], "
+        f"v in [{v_lo}, {v_hi}]"
+    )
 
 
 def _guaranteed_band(
@@ -132,59 +131,64 @@ def _guaranteed_band(
     newest reading's measurement band (velocity clipped to the physical
     range) is propagated from its sample time.  Where both exist the
     sensor band refines the message band by intersection, falling back
-    to the message band when the two are disjoint.  A band with
+    to the message band when the two are disjoint
+    (:func:`~repro.filtering.fusion.join_or_fallback`).  A band with
     ``lo > hi`` is empty; an empty message band raises
-    :class:`FilterError` when the sensor band is joined to it.  A NaN
-    reading raises :class:`IntervalError`.
+    :class:`FilterError` when the sensor band is joined to it.  A NaN in
+    either band, or in the reading, raises :class:`IntervalError`.
+
+    NaN fails every comparison and infinities pass ``x <= inf``, which
+    is how the NaN tests below read.
     """
-    band = None
     if message is not None:
         state = message.state
-        band = _checked_box(
-            reach.reach_box(
-                state.position,
-                state.position,
-                state.velocity,
-                state.velocity,
-                message.stamp,
-                now,
-            ),
-            "message",
+        p_lo, p_hi, v_lo, v_hi = reach.reach_box(
+            state.position,
+            state.position,
+            state.velocity,
+            state.velocity,
+            message.stamp,
+            now,
         )
-    if reading is not None:
-        position = reading.position
-        velocity = reading.velocity
-        if _isnan(position) or _isnan(velocity):
-            raise IntervalError(
-                f"sensor reading must not be NaN: p={position}, v={velocity}"
-            )
-        limits = reach.limits
-        delta_v = bounds.delta_v
-        v_lo = max(velocity - delta_v, limits.v_min)
-        v_hi = min(velocity + delta_v, limits.v_max)
-        if v_lo > v_hi:
-            # Measurement pushed entirely outside the physical range; clip
-            # to the nearest physical velocity.
-            v_lo = v_hi = limits.clip_velocity(velocity)
-        delta_p = bounds.delta_p
-        sensed = _checked_box(
-            reach.reach_box(
-                position - delta_p, position + delta_p, v_lo, v_hi, reading.time, now
-            ),
-            "sensor",
-        )
-        if band is None:
-            band = sensed
-        else:
-            p_lo, p_hi = join_or_fallback(band[0], band[1], sensed[0], sensed[1])
-            v_lo, v_hi = join_or_fallback(band[2], band[3], sensed[2], sensed[3])
-            band = (p_lo, p_hi, v_lo, v_hi)
-    if band is None:
+        if not (p_lo <= _INF and p_hi <= _INF and v_lo <= _INF and v_hi <= _INF):
+            raise _nan_band("message", p_lo, p_hi, v_lo, v_hi)
+        if reading is None:
+            return p_lo, p_hi, v_lo, v_hi
+    elif reading is None:
         raise FilterError(
             "no information yet: neither a sensor reading nor a message "
             "has been ingested"
         )
-    return band
+    position = reading.position
+    velocity = reading.velocity
+    if not (position <= _INF and velocity <= _INF):
+        raise IntervalError(
+            f"sensor reading must not be NaN: p={position}, v={velocity}"
+        )
+    limits = reach.limits
+    delta_v = bounds.delta_v
+    # max(velocity - delta_v, v_min) and min(velocity + delta_v, v_max).
+    r_lo = velocity - delta_v
+    r_hi = velocity + delta_v
+    r_lo = limits.v_min if limits.v_min > r_lo else r_lo
+    r_hi = limits.v_max if limits.v_max < r_hi else r_hi
+    if r_lo > r_hi:
+        # Measurement pushed entirely outside the physical range; clip
+        # to the nearest physical velocity.
+        r_lo = r_hi = limits.clip_velocity(velocity)
+    delta_p = bounds.delta_p
+    s_p_lo, s_p_hi, s_v_lo, s_v_hi = reach.reach_box(
+        position - delta_p, position + delta_p, r_lo, r_hi, reading.time, now
+    )
+    if not (
+        s_p_lo <= _INF and s_p_hi <= _INF and s_v_lo <= _INF and s_v_hi <= _INF
+    ):
+        raise _nan_band("sensor", s_p_lo, s_p_hi, s_v_lo, s_v_hi)
+    if message is None:
+        return s_p_lo, s_p_hi, s_v_lo, s_v_hi
+    p_lo, p_hi = join_or_fallback(p_lo, p_hi, s_p_lo, s_p_hi)
+    v_lo, v_hi = join_or_fallback(v_lo, v_hi, s_v_lo, s_v_hi)
+    return p_lo, p_hi, v_lo, v_hi
 
 
 class InformationFilter:
@@ -241,9 +245,10 @@ class InformationFilter:
         observer=None,
         label: str = "",
     ) -> None:
-        if n_sigma <= 0.0:
+        # ``not x > 0`` rather than ``x <= 0``, so NaN is rejected too.
+        if not n_sigma > 0.0:
             raise FilterError(f"n_sigma must be > 0, got {n_sigma}")
-        if watchdog_sigma is not None and watchdog_sigma <= 0.0:
+        if watchdog_sigma is not None and not watchdog_sigma > 0.0:
             raise FilterError(
                 f"watchdog_sigma must be > 0 or None, got {watchdog_sigma}"
             )
@@ -408,31 +413,27 @@ class InformationFilter:
         Requires at least one sensor reading or one message; the
         simulation engine guarantees a sensor sample at ``t = 0``.
         """
+        message = self._latest_message
         p_lo, p_hi, v_lo, v_hi = _guaranteed_band(
-            self._reach, self._bounds, self._latest_message, self._latest_reading, now
+            self._reach, self._bounds, message, self._latest_reading, now
         )
-        message_age = (
-            None
-            if self._latest_message is None
-            else float(now) - self._latest_message.stamp
-        )
+        now = float(now)
+        message_age = None if message is None else now - message.stamp
 
-        if self._replay.is_initialized and not self._watchdog.diverged:
-            kf = self._replay.estimate_at(now)
-            kf_p = kf.position
-            kf_v = kf.velocity
-            half_p = self._n_sigma * math.sqrt(max(kf.p00, 0.0))
-            half_v = self._n_sigma * math.sqrt(max(kf.p11, 0.0))
+        replay = self._replay
+        if replay.is_initialized and not self._watchdog.diverged:
+            _, kf_p, kf_v, p00, _, p11 = replay.estimate_fields(now)
+            # sqrt(max(var, 0.0)), the max as a conditional.
+            half_p = self._n_sigma * math.sqrt(0.0 if 0.0 > p00 else p00)
+            half_v = self._n_sigma * math.sqrt(0.0 if 0.0 > p11 else p11)
             p_lo, p_hi = join_or_fallback(p_lo, p_hi, kf_p - half_p, kf_p + half_p)
             v_lo, v_hi = join_or_fallback(v_lo, v_hi, kf_v - half_v, kf_v + half_v)
-            position = Interval(p_lo, p_hi)
-            velocity = Interval(v_lo, v_hi)
             # The Kalman mean clamped into the joined (non-empty) band.
-            nominal = VehicleState(
-                position=min(max(kf_p, position.lo), position.hi),
-                velocity=min(max(kf_v, velocity.lo), velocity.hi),
-                acceleration=self._replay.current_accel,
-            )
+            p = p_lo if p_lo > kf_p else kf_p
+            p = p_hi if p_hi < p else p
+            v = v_lo if v_lo > kf_v else kf_v
+            v = v_hi if v_hi < v else v
+            a = replay.current_accel
         else:
             # Reachability-only: before the first sensor reading, or the
             # watchdog tripped and the Kalman band is quarantined.
@@ -441,47 +442,36 @@ class InformationFilter:
                 if self._watchdog.diverged:
                     self._obs.instant(
                         "filter.fallback",
-                        t=float(now),
+                        t=now,
                         cause="watchdog",
                         filter=self._label,
                     )
-            if self._replay.is_initialized:
-                accel = self._replay.current_accel
-            elif self._latest_message is not None:
-                accel = self._latest_message.state.acceleration
+            if replay.is_initialized:
+                a = replay.current_accel
+            elif message is not None:
+                a = message.state.acceleration
             else:
-                accel = 0.0
-            position = Interval(p_lo, p_hi)
-            velocity = Interval(v_lo, v_hi)
-            nominal = VehicleState(
-                position=band_midpoint(position.lo, position.hi),
-                velocity=band_midpoint(velocity.lo, velocity.hi),
-                acceleration=accel,
-            )
+                a = 0.0
+            p = band_midpoint(p_lo, p_hi)
+            v = band_midpoint(v_lo, v_hi)
         if self._obs.enabled:
-            p_width = position.width
-            v_width = velocity.width
-            if math.isfinite(p_width):
-                self._obs.gauge(
-                    "filter.position_width", p_width, filter=self._label
-                )
-                self._obs.observe(
-                    "filter.position_width", p_width, filter=self._label
-                )
-            if math.isfinite(v_width):
-                self._obs.gauge(
-                    "filter.velocity_width", v_width, filter=self._label
-                )
-                self._obs.observe(
-                    "filter.velocity_width", v_width, filter=self._label
-                )
-        return FusedEstimate(
-            time=float(now),
-            position=position,
-            velocity=velocity,
-            nominal=nominal,
-            message_age=message_age,
+            self._observe_widths(p_hi - p_lo, v_hi - v_lo)
+        return FusedEstimate.of(
+            now, p_lo, p_hi, v_lo, v_hi, p=p, v=v, a=a, message_age=message_age
         )
+
+    def _observe_widths(self, p_width: float, v_width: float) -> None:
+        """Emit the fused band widths (telemetry only).
+
+        Units: p_width [m], v_width [m/s]
+        """
+        obs = self._obs
+        if math.isfinite(p_width):
+            obs.gauge("filter.position_width", p_width, filter=self._label)
+            obs.observe("filter.position_width", p_width, filter=self._label)
+        if math.isfinite(v_width):
+            obs.gauge("filter.velocity_width", v_width, filter=self._label)
+            obs.observe("filter.velocity_width", v_width, filter=self._label)
 
 
 class RawEstimator:
@@ -529,35 +519,27 @@ class RawEstimator:
 
         Units: now [s]
         """
+        message = self._latest_message
+        reading = self._latest_reading
         p_lo, p_hi, v_lo, v_hi = _guaranteed_band(
-            self._reach, self._bounds, self._latest_message, self._latest_reading, now
+            self._reach, self._bounds, message, reading, now
         )
-        accel = 0.0
-        accel_time = float("-inf")
-        if self._latest_reading is not None:
-            accel = self._latest_reading.acceleration
-            accel_time = self._latest_reading.time
-        if (
-            self._latest_message is not None
-            and self._latest_message.stamp > accel_time
-        ):
-            accel = self._latest_message.state.acceleration
-        position = Interval(p_lo, p_hi)
-        velocity = Interval(v_lo, v_hi)
-        nominal = VehicleState(
-            position=band_midpoint(position.lo, position.hi),
-            velocity=band_midpoint(velocity.lo, velocity.hi),
-            acceleration=accel,
-        )
-        message_age = (
-            None
-            if self._latest_message is None
-            else float(now) - self._latest_message.stamp
-        )
-        return FusedEstimate(
-            time=float(now),
-            position=position,
-            velocity=velocity,
-            nominal=nominal,
-            message_age=message_age,
+        a = 0.0
+        accel_time = -_INF
+        if reading is not None:
+            a = reading.acceleration
+            accel_time = reading.time
+        if message is not None and message.stamp > accel_time:
+            a = message.state.acceleration
+        now = float(now)
+        return FusedEstimate.of(
+            now,
+            p_lo,
+            p_hi,
+            v_lo,
+            v_hi,
+            p=band_midpoint(p_lo, p_hi),
+            v=band_midpoint(v_lo, v_hi),
+            a=a,
+            message_age=None if message is None else now - message.stamp,
         )

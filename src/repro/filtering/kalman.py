@@ -44,9 +44,6 @@ from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["KalmanState", "KalmanFilter", "symmetrize_psd"]
 
-_isfinite = math.isfinite
-
-
 def _project_psd(
     p00: float, p01: float, p11: float, floor: float = 0.0
 ) -> Tuple[float, float, float]:
@@ -89,6 +86,53 @@ def symmetrize_psd(covariance: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return np.array([[p00, p01], [p01, p11]])
 
 
+#: Finite floats lie strictly between these; NaN fails both comparisons.
+_INF = math.inf
+
+
+def _checked(
+    fields: Tuple[float, float, float, float, float, float]
+) -> Tuple[float, float, float, float, float, float]:
+    """``fields`` of a state unchanged; raises as :class:`KalmanState` does.
+
+    The fields are those of :class:`KalmanState`, in its order.
+    """
+    _, position, velocity, p00, p01, p11 = fields
+    if not (-_INF < position < _INF and -_INF < velocity < _INF):
+        raise FilterError(f"non-finite state estimate: [{position}, {velocity}]")
+    if not (-_INF < p00 < _INF and -_INF < p01 < _INF and -_INF < p11 < _INF):
+        raise FilterError(f"non-finite covariance: [{p00}, {p01}, {p11}]")
+    return fields
+
+
+def _extrapolated(
+    state: Tuple[float, float, float, float, float, float],
+    accel: float,
+    dt: float,
+    accel_var: float,
+) -> Tuple[float, float, float, float, float, float]:
+    """``F x + G a`` and ``F P F' + Q`` over a horizon ``dt > 0``, unchecked.
+
+    Units: accel [m/s^2], dt [s], accel_var [m^2/s^4]
+
+    The one implementation of the prediction arithmetic, on the six
+    fields of a state (a :class:`KalmanState` or a plain tuple in its
+    order); ``F``, ``G`` and ``Q`` are those of the horizon.
+    """
+    time, x_p, x_v, p00, p01, p11 = state
+    dt2 = dt * dt
+    # F P F' + Q with F = [[1, dt], [0, 1]].
+    p01_dt = p01 + dt * p11
+    return (
+        time + dt,
+        x_p + dt * x_v + 0.5 * dt2 * accel,
+        x_v + dt * accel,
+        p00 + dt * p01 + dt * p01_dt + 0.25 * dt2 * dt2 * accel_var,
+        p01_dt + 0.5 * dt2 * dt * accel_var,
+        p11 + dt2 * accel_var,
+    )
+
+
 class _StateFields(NamedTuple):
     time: float
     position: float
@@ -122,11 +166,9 @@ class KalmanState(_StateFields):
         p01: float,
         p11: float,
     ) -> "KalmanState":
-        if not (_isfinite(position) and _isfinite(velocity)):
-            raise FilterError(f"non-finite state estimate: [{position}, {velocity}]")
-        if not (_isfinite(p00) and _isfinite(p01) and _isfinite(p11)):
-            raise FilterError(f"non-finite covariance: [{p00}, {p01}, {p11}]")
-        return tuple.__new__(cls, (time, position, velocity, p00, p01, p11))
+        return tuple.__new__(
+            cls, _checked((time, position, velocity, p00, p01, p11))
+        )
 
     @property
     def x_hat(self) -> np.ndarray:
@@ -380,19 +422,30 @@ class KalmanFilter:
             raise FilterError(f"extrapolation horizon must be >= 0, got {dt}")
         if dt == 0.0:
             return state
-        time, x_p, x_v, p00, p01, p11 = state
-        a = float(accel_measured)
-        dt2 = dt * dt
-        var = self._accel_var
-        # F P F' + Q with F = [[1, dt], [0, 1]].
-        p01_dt = p01 + dt * p11
         return KalmanState(
-            time + dt,
-            x_p + dt * x_v + 0.5 * dt2 * a,
-            x_v + dt * a,
-            p00 + dt * p01 + dt * p01_dt + 0.25 * dt2 * dt2 * var,
-            p01_dt + 0.5 * dt2 * dt * var,
-            p11 + dt2 * var,
+            *_extrapolated(state, float(accel_measured), dt, self._accel_var)
+        )
+
+    def extrapolate_fields(
+        self, state: KalmanState, accel_measured: float, dt: float
+    ) -> Tuple[float, float, float, float, float, float]:
+        """:meth:`extrapolate` as the six fields, without the state object.
+
+        Units: accel_measured [m/s^2], dt [s]
+
+        Effects: pure
+
+        Same arithmetic and the same checks (horizon, finite estimate,
+        finite covariance) with the same errors; for callers that read
+        the prediction once and do not keep it.
+        """
+        dt = float(dt)
+        if dt < 0.0:
+            raise FilterError(f"extrapolation horizon must be >= 0, got {dt}")
+        if dt == 0.0:
+            return state
+        return _checked(
+            _extrapolated(state, float(accel_measured), dt, self._accel_var)
         )
 
     def exact_state(

@@ -112,13 +112,24 @@ class ReachabilityAnalyzer:
         limits = self._limits
         v_min = limits.v_min
         v_max = limits.v_max
-        v0_lo = min(max(float(v_lo), v_min), v_max)
-        v0_hi = min(max(float(v_hi), v_min), v_max)
+        a_min = limits.a_min
+        a_max = limits.a_max
+        # The clips below are min/max written as conditionals (same
+        # result, NaN included: the first operand wins unless the
+        # comparison holds).
+        v0_lo = float(v_lo)
+        v0_lo = v_min if v_min > v0_lo else v0_lo
+        v0_lo = v_max if v_max < v0_lo else v0_lo
+        v0_hi = float(v_hi)
+        v0_hi = v_min if v_min > v0_hi else v0_hi
+        v0_hi = v_max if v_max < v0_hi else v0_hi
+        reach_lo = v0_lo + a_min * elapsed
+        reach_hi = v0_hi + a_max * elapsed
         return (
-            _extremal_position(p_lo, v0_lo, elapsed, limits.a_min, v_min),
-            _extremal_position(p_hi, v0_hi, elapsed, limits.a_max, v_max),
-            max(v0_lo + limits.a_min * elapsed, v_min),
-            min(v0_hi + limits.a_max * elapsed, v_max),
+            _extremal_position(p_lo, v0_lo, elapsed, a_min, v_min),
+            _extremal_position(p_hi, v0_hi, elapsed, a_max, v_max),
+            v_min if v_min > reach_lo else reach_lo,
+            v_max if v_max < reach_hi else reach_hi,
         )
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.comm.message import Message
 from repro.errors import FilterError, ReplayError
@@ -45,17 +45,21 @@ _KEY_SCALE = 1e6
 Gate = Callable[[SensorReading, KalmanState], None]
 
 
+_INF = math.inf
+
+
 def _key(time: float) -> int:
     return int(round(time * _KEY_SCALE))
 
 
 def _check_reading(reading: SensorReading) -> None:
     """Reject a reading with a non-finite field before it touches any state."""
+    # Finite floats lie strictly between the infinities; NaN fails both.
     if not (
-        math.isfinite(reading.time)
-        and math.isfinite(reading.position)
-        and math.isfinite(reading.velocity)
-        and math.isfinite(reading.acceleration)
+        -_INF < reading.time < _INF
+        and -_INF < reading.position < _INF
+        and -_INF < reading.velocity < _INF
+        and -_INF < reading.acceleration < _INF
     ):
         raise FilterError(f"non-finite sensor reading: {reading}")
 
@@ -74,7 +78,7 @@ class ReplayKalmanFilter:
     """
 
     def __init__(self, kalman: KalmanFilter, history_horizon: float = 30.0) -> None:
-        if history_horizon <= 0.0:
+        if not history_horizon > 0.0:
             raise FilterError(
                 f"history_horizon must be > 0, got {history_horizon}"
             )
@@ -267,16 +271,29 @@ class ReplayKalmanFilter:
         FilterError
             If the filter has no posterior yet or ``now`` precedes it.
         """
-        if self._posterior is None:
+        return KalmanState(*self.estimate_fields(now))
+
+    def estimate_fields(
+        self, now: float
+    ) -> Tuple[float, float, float, float, float, float]:
+        """:meth:`estimate_at` as the six state fields, without the object.
+
+        Units: now [s]
+
+        Same checks and errors; what the information filter reads every
+        control step.
+        """
+        posterior = self._posterior
+        if posterior is None:
             raise FilterError("filter not initialised: no sensor reading yet")
-        gap = float(now) - self._posterior.time
+        gap = float(now) - posterior.time
         if gap < -1e-9:
             raise FilterError(
                 f"cannot estimate before the posterior: now={now} < "
-                f"t={self._posterior.time}"
+                f"t={posterior.time}"
             )
-        return self._kalman.extrapolate(
-            self._posterior, self._current_accel, max(gap, 0.0)
+        return self._kalman.extrapolate_fields(
+            posterior, self._current_accel, max(gap, 0.0)
         )
 
     # ------------------------------------------------------------------

@@ -33,6 +33,7 @@ __all__ = [
     "NullObserver",
     "NULL_OBSERVER",
     "resolve_observer",
+    "traced_call",
 ]
 
 
@@ -189,3 +190,16 @@ def resolve_observer(observer) -> object:
         self._obs = resolve_observer(observer)
     """
     return NULL_OBSERVER if observer is None else observer
+
+
+def traced_call(observer, name: str, fn, *args):
+    """``fn(*args)`` inside an observer span called ``name``.
+
+    The span closes even when ``fn`` raises.  For call sites that time
+    one layer only when an observer was handed to them.
+    """
+    handle = observer.begin(name)
+    try:
+        return fn(*args)
+    finally:
+        observer.end(handle)

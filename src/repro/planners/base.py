@@ -23,7 +23,18 @@ from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import PlannerError
 from repro.filtering.fusion import FusedEstimate
 
-__all__ = ["PlanningContext", "Planner", "clipped"]
+__all__ = [
+    "PlanningContext",
+    "Planner",
+    "clipped",
+    "context_of",
+    "no_estimate_error",
+]
+
+
+def no_estimate_error(index: int) -> PlannerError:
+    """The error a planner raises when vehicle ``index`` has no estimate."""
+    return PlannerError(f"no estimate available for vehicle {index}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +67,38 @@ class PlanningContext:
         try:
             return self.estimates[index]
         except KeyError as exc:
-            raise PlannerError(
-                f"no estimate available for vehicle {index}"
-            ) from exc
+            raise no_estimate_error(index) from exc
+
+
+def context_of(
+    time: float,
+    position: float,
+    velocity: float,
+    estimates: Mapping[int, FusedEstimate],
+) -> PlanningContext:
+    """The context a float entry point hands a planner that has none.
+
+    Units: time [s], position [m], velocity [m/s]
+
+    The float entries carry the ego's position and velocity only, so the
+    ego state's acceleration is 0.
+    """
+    return PlanningContext(
+        time=time, ego=VehicleState(position, velocity), estimates=estimates
+    )
 
 
 @runtime_checkable
 class Planner(Protocol):
-    """Protocol every planner implements."""
+    """Protocol every planner implements.
+
+    A planner may also offer the float entry point
+    ``plan_floats(time, position, velocity, estimates, tracer=None)``,
+    which returns what ``plan`` returns for the context
+    :func:`context_of` builds, and times itself in a span on ``tracer``
+    when one is given.  The engine and the compound planner call it
+    instead of building a context.
+    """
 
     def plan(self, context: PlanningContext) -> float:
         """Return the ego acceleration command for the coming step."""

@@ -80,8 +80,8 @@ class IDMPlanner:
         """IDM acceleration from the leader's nominal estimate."""
         estimate = context.estimate_of(self._leader)
         v = max(context.ego.velocity, 0.0)
-        gap = max(estimate.nominal.position - context.ego.position, 0.1)
-        dv = v - estimate.nominal.velocity
+        gap = max(estimate.p - context.ego.position, 0.1)
+        dv = v - estimate.v
         a_max = self._limits.a_max
         s_star = self._s0 + v * self._t + v * dv / (
             2.0 * math.sqrt(a_max * self._b)
@@ -126,7 +126,7 @@ class GapChaserPlanner:
         """Chase the desired speed; brake only on acute gap deficit."""
         estimate = context.estimate_of(self._leader)
         v = max(context.ego.velocity, 0.0)
-        gap = estimate.nominal.position - context.ego.position
+        gap = estimate.p - context.ego.position
         command = self._gain * (self._v0 - v)
         if v > 0.0 and gap / max(v, 1e-6) < self._headway:
             command = self._limits.a_min

@@ -19,15 +19,18 @@ ultimate compound configurations without retraining.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
 from repro.nn.layers import Sequential, chain_steps, layer_chain
-from repro.planners.base import PlanningContext
+from repro.filtering.fusion import FusedEstimate
+from repro.obs.observer import traced_call
+from repro.planners.base import PlanningContext, no_estimate_error
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
+from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
 from repro.utils.intervals import Interval
 
 __all__ = [
@@ -209,9 +212,59 @@ class NNPlanner:
     # ------------------------------------------------------------------
     def plan(self, context: PlanningContext) -> float:
         """Window features -> scaled inference -> clipped acceleration."""
-        lo, hi = self._windows.bounds(context.estimate_of(self._oncoming_index))
         ego = context.ego
-        return self._infer(context.time, ego.position, ego.velocity, lo, hi)
+        return self.plan_floats(
+            context.time, ego.position, ego.velocity, context.estimates
+        )
+
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+        window: Optional[Tuple[float, float]] = None,
+    ) -> float:
+        """:meth:`plan` on the ego's floats; a ``shield.nn`` span on ``tracer``.
+
+        Units: time [s], position [m], velocity [m/s] -> [m/s^2]
+
+        ``window`` is the oncoming window as ``(lo, hi)`` when the caller
+        already evaluated it with this planner's estimator (see
+        :meth:`shares_window_with`); otherwise it is computed here.
+        """
+        if tracer is not None:
+            return traced_call(
+                tracer, "shield.nn", self.plan_floats,
+                time, position, velocity, estimates, None, window,
+            )
+        if window is None:
+            try:
+                estimate = estimates[self._oncoming_index]
+            except KeyError as exc:
+                raise no_estimate_error(self._oncoming_index) from exc
+            window = self._windows.bounds(estimate)
+        return self._infer(time, position, velocity, window[0], window[1])
+
+    def shares_window_with(self, model) -> bool:
+        """Whether ``model``'s conflict window is this planner's window.
+
+        True for a :class:`LeftTurnSafetyModel` whose window is Eq. (7)
+        (not overridden) over the same geometry, oncoming limits and
+        vehicle index as this planner's conservative estimator: the
+        window the monitor evaluates is then the one :meth:`plan_floats`
+        would compute, and a caller may pass it in.
+        """
+        windows = self._windows
+        return (
+            isinstance(model, LeftTurnSafetyModel)
+            and type(model).oncoming_bounds is LeftTurnSafetyModel.oncoming_bounds
+            and not windows.aggressive
+            and model.geometry == windows.geometry
+            and model.oncoming_limits == windows.limits
+            and model.oncoming_index == self._oncoming_index
+        )
 
     def plan_from_window(
         self, time: float, position: float, velocity: float, window: Interval

@@ -11,7 +11,7 @@ case study and the car-following extension.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from repro.core.unsafe_set import SafetyModel
 from repro.dynamics.profiles import AccelerationProfile
@@ -55,6 +55,24 @@ class Scenario(Protocol):
 
     def reached_target(self, state: SystemState) -> bool:
         """Ground-truth target-set membership."""
+        ...
+
+    def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`is_collision` of the state at ``time`` with these positions.
+
+        Units: time [s], positions [m]
+
+        ``positions`` holds every vehicle's position in index order.  The
+        engine's terminal check: it keeps the state as floats and builds
+        no :class:`~repro.dynamics.state.SystemState`.
+        """
+        ...
+
+    def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`reached_target` of the state at ``time`` with these positions.
+
+        Units: time [s], positions [m]
+        """
         ...
 
     def safety_model(self) -> SafetyModel:

@@ -24,7 +24,7 @@ The safety algebra is the classic braking-envelope argument:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.core.unsafe_set import SafetyModel
 from repro.dynamics.profiles import AccelerationProfile, RandomWalkProfile
@@ -91,8 +91,8 @@ class CarFollowingSafetyModel:
         estimate = estimates[self.leader_index]
         return following_slack(
             ego,
-            estimate.position.lo,
-            estimate.velocity.lo,
+            estimate.p_lo,
+            estimate.v_lo,
             self.p_gap,
             self.ego_limits,
             self.leader_limits,
@@ -110,7 +110,7 @@ class CarFollowingSafetyModel:
             2.0 * b_e
         )
         # The leader's braking-credit term can shrink by at most v_l * dt.
-        leader_credit_loss = max(estimate.velocity.hi, 0.0) * dt
+        leader_credit_loss = max(estimate.v_hi, 0.0) * dt
         return ego_travel + ego_stop_growth + leader_credit_loss
 
     # ------------------------------------------------------------------
@@ -239,12 +239,26 @@ class CarFollowingScenario:
 
     def is_collision(self, state: SystemState) -> bool:
         """The true gap dropped below ``p_gap``."""
-        gap = state.vehicle(1).position - state.ego.position
-        return gap < self.p_gap
+        return self.is_collision_at(state.time, state.positions)
 
     def reached_target(self, state: SystemState) -> bool:
         """The ego covered the required distance."""
-        return state.ego.position >= self.travel_distance
+        return self.reached_target_at(state.time, state.positions)
+
+    def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`is_collision` on the vehicles' positions.
+
+        Units: time [s], positions [m]
+        """
+        gap = positions[1] - positions[0]
+        return gap < self.p_gap
+
+    def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`reached_target` on the vehicles' positions.
+
+        Units: time [s], positions [m]
+        """
+        return positions[0] >= self.travel_distance
 
     def safety_model(self) -> SafetyModel:
         """The braking-envelope safety model."""

@@ -26,7 +26,11 @@ refinement), and all commands are clipped to the actuation limits.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.dynamics.vehicle import VehicleLimits
+from repro.filtering.fusion import FusedEstimate
+from repro.obs.observer import traced_call
 from repro.planners.base import PlanningContext
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 
@@ -80,8 +84,31 @@ class LeftTurnEmergencyPlanner:
         would only stretch the ego's exposure inside the area: there the
         right move is full throttle, exactly as past the front line.
         """
-        position = context.ego.position
-        velocity = max(context.ego.velocity, 0.0)
+        ego = context.ego
+        return self.plan_floats(
+            context.time, ego.position, ego.velocity, context.estimates
+        )
+
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """:meth:`plan` on the ego's floats; a ``shield.emergency`` span on ``tracer``.
+
+        Units: time [s], position [m], velocity [m/s] -> [m/s^2]
+
+        The law reads only the ego's position and velocity.
+        """
+        if tracer is not None:
+            return traced_call(
+                tracer, "shield.emergency", self.plan_floats,
+                time, position, velocity, estimates,
+            )
+        velocity = max(velocity, 0.0)
         front_gap = self._geometry.ego_distance_to_front(position)
         if front_gap > 0.0:
             braking_distance = (

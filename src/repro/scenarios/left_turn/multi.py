@@ -313,16 +313,30 @@ class MultiOncomingLeftTurnScenario:
 
     def is_collision(self, state: SystemState) -> bool:
         """The ego shares the area with any platoon member."""
-        if not self.geometry.ego_inside(state.ego.position):
-            return False
-        return any(
-            self.geometry.oncoming_inside(state.vehicle(i).position)
-            for i in self.oncoming_indices
-        )
+        return self.is_collision_at(state.time, state.positions)
 
     def reached_target(self, state: SystemState) -> bool:
         """The ego completed the turn."""
-        return self.geometry.ego_reached_target(state.ego.position)
+        return self.reached_target_at(state.time, state.positions)
+
+    def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`is_collision` on the vehicles' positions.
+
+        Units: time [s], positions [m]
+        """
+        if not self.geometry.ego_inside(positions[0]):
+            return False
+        return any(
+            self.geometry.oncoming_inside(positions[i])
+            for i in self.oncoming_indices
+        )
+
+    def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`reached_target` on the vehicles' positions.
+
+        Units: time [s], positions [m]
+        """
+        return self.geometry.ego_reached_target(positions[0])
 
     def safety_model(self) -> SafetyModel:
         """The disjunctive per-vehicle safety model."""

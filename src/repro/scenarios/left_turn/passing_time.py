@@ -113,18 +113,16 @@ def conservative_bounds(
     Units: -> [s]
     """
     max_speed, min_speed, max_speedup, max_brake, checked = speeds
-    position = estimate.position
 
     # Pessimistic clearance check: the farthest band edge must be past
     # the back line for the window to be closed for good.
-    d_back_far = position.hi - geometry.oncoming_back
+    d_back_far = estimate.p_hi - geometry.oncoming_back
     if d_back_far <= 0.0:
         return EMPTY_BOUNDS
 
-    d_front_near = position.lo - geometry.oncoming_front
-    velocity = estimate.velocity
-    fastest_speed = -velocity.lo
-    slowest_speed = -velocity.hi
+    d_front_near = estimate.p_lo - geometry.oncoming_front
+    fastest_speed = -estimate.v_lo
+    slowest_speed = -estimate.v_hi
 
     earliest, latest = (
         (earliest_arrival_unchecked, latest_arrival_unchecked)
@@ -182,13 +180,13 @@ def aggressive_bounds(
     """
     max_speed, min_speed, max_speedup, max_brake, _ = speeds
 
-    nominal = estimate.nominal
-    d_back = nominal.position - geometry.oncoming_back
+    position = estimate.p
+    d_back = position - geometry.oncoming_back
     if d_back <= 0.0:
         return EMPTY_BOUNDS
-    d_front = nominal.position - geometry.oncoming_front
-    speed = -nominal.velocity
-    accel = -nominal.acceleration
+    d_front = position - geometry.oncoming_front
+    speed = -estimate.v
+    accel = -estimate.a
 
     # Entry: at most a_buf more acceleration and v_buf more speed than
     # currently observed (Eq. (8)).

@@ -11,7 +11,7 @@ velocity) and follows a random acceleration sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from repro.core.unsafe_set import SafetyModel
 from repro.dynamics.profiles import AccelerationProfile, RandomSequenceProfile
@@ -142,13 +142,25 @@ class LeftTurnScenario:
 
     def is_collision(self, state: SystemState) -> bool:
         """Both vehicles inside the unsafe area (the paper's ground truth)."""
-        return self.geometry.collision(
-            state.ego.position, state.vehicle(1).position
-        )
+        return self.is_collision_at(state.time, state.positions)
 
     def reached_target(self, state: SystemState) -> bool:
         """The ego crossed the target line (left turn completed)."""
-        return self.geometry.ego_reached_target(state.ego.position)
+        return self.reached_target_at(state.time, state.positions)
+
+    def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`is_collision` on the vehicles' positions.
+
+        Units: time [s], positions [m]
+        """
+        return self.geometry.collision(positions[0], positions[1])
+
+    def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`reached_target` on the vehicles' positions.
+
+        Units: time [s], positions [m]
+        """
+        return self.geometry.ego_reached_target(positions[0])
 
     def safety_model(self) -> SafetyModel:
         """Conservative safety model for the runtime monitor."""

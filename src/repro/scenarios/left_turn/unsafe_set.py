@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
@@ -71,7 +71,7 @@ def slack(
     ``d_b = -v^2 / (2 a_min)`` (``a_min < 0``).  Inside the area: the
     (negative) penetration past the back line.  Past the area: ``inf``.
     """
-    v = max(velocity, 0.0)
+    v = 0.0 if 0.0 > velocity else velocity  # max(velocity, 0.0)
     if position <= geometry.p_front:
         braking = -0.5 * v * v / ego_limits.a_min
         return geometry.p_front - braking - position
@@ -323,11 +323,7 @@ class LeftTurnSafetyModel:
         position = ego.position
         velocity = ego.velocity
         s = slack(position, velocity, self.geometry, self.ego_limits)
-        if s >= 0.0:
-            return False
-        ego_lo, ego_hi = ego_passing_bounds(time, position, velocity, self.geometry)
-        lo, hi = self.oncoming_bounds(time, estimates)
-        return bounds_overlap(ego_lo, ego_hi, lo, hi)
+        return self._unsafe(time, position, velocity, s, None, estimates)[0]
 
     def in_boundary_safe_set(
         self,
@@ -354,14 +350,79 @@ class LeftTurnSafetyModel:
           lingering becomes a possibility.
         """
         position = ego.position
-        geometry = self.geometry
-        if position > geometry.p_back:
+        if position > self.geometry.p_back:
             return False
-        lo, hi = self.oncoming_bounds(time, estimates)
+        window = self.oncoming_bounds(time, estimates)
+        velocity = ego.velocity
+        s = slack(position, velocity, self.geometry, self.ego_limits)
+        return self._boundary(time, position, velocity, s, window)
+
+    def decide(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        estimates: Mapping[int, FusedEstimate],
+    ) -> Tuple[bool, bool, Optional[Tuple[float, float]]]:
+        """Both predicates at once, with the window evaluated at most once.
+
+        Units: time [s], position [m], velocity [m/s]
+
+        Returns ``(in_boundary, in_unsafe, window)``: exactly what
+        :meth:`in_boundary_safe_set` and then
+        :meth:`in_estimated_unsafe_set` return for the ego at
+        ``(position, velocity)``, or the error the first of them raises,
+        and the conflict window as ``(lo, hi)`` seconds when either
+        needed it (``None`` otherwise).
+        """
+        s = slack(position, velocity, self.geometry, self.ego_limits)
+        window = None
+        in_boundary = False
+        if not position > self.geometry.p_back:
+            window = self.oncoming_bounds(time, estimates)
+            in_boundary = self._boundary(time, position, velocity, s, window)
+        in_unsafe, window = self._unsafe(time, position, velocity, s, window, estimates)
+        return in_boundary, in_unsafe, window
+
+    def _unsafe(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        s: float,
+        window: Optional[Tuple[float, float]],
+        estimates: Mapping[int, FusedEstimate],
+    ) -> Tuple[bool, Optional[Tuple[float, float]]]:
+        """Eq. (6) at slack ``s``, reading ``window`` if already computed.
+
+        Units: time [s], position [m], velocity [m/s], s [m]
+
+        Returns the membership and the window, computed here when the
+        test needed it and ``window`` was ``None``.
+        """
+        if s >= 0.0:
+            return False, window
+        ego_lo, ego_hi = ego_passing_bounds(time, position, velocity, self.geometry)
+        if window is None:
+            window = self.oncoming_bounds(time, estimates)
+        return bounds_overlap(ego_lo, ego_hi, window[0], window[1]), window
+
+    def _boundary(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        s: float,
+        window: Tuple[float, float],
+    ) -> bool:
+        """``X_b`` for an ego at or before the back line, given the window.
+
+        Units: time [s], position [m], velocity [m/s], s [m]
+        """
+        lo, hi = window
         if lo > hi or hi <= time:
             return False
-        velocity = ego.velocity
-        s = slack(position, velocity, geometry, self.ego_limits)
+        geometry = self.geometry
         if position > geometry.p_front or s < 0.0:
             return self._committed_needs_escape(time, position, velocity, hi)
         if 0.0 <= s < _slack_margin(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.core.unsafe_set import SafetyModel
 from repro.dynamics.profiles import AccelerationProfile
@@ -330,13 +330,27 @@ class SignalizedCrossingScenario:
 
     def is_collision(self, state: SystemState) -> bool:
         """Red-light violation: inside the box while the light is red."""
-        return self.geometry.ego_inside(
-            state.ego.position
-        ) and not self.light.is_green(state.time)
+        return self.is_collision_at(state.time, state.positions)
 
     def reached_target(self, state: SystemState) -> bool:
         """The ego crossed the target line."""
-        return self.geometry.ego_reached_target(state.ego.position)
+        return self.reached_target_at(state.time, state.positions)
+
+    def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`is_collision` on the clock and the ego's position.
+
+        Units: time [s], positions [m]
+        """
+        return self.geometry.ego_inside(positions[0]) and not self.light.is_green(
+            time
+        )
+
+    def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
+        """:meth:`reached_target` on the ego's position.
+
+        Units: time [s], positions [m]
+        """
+        return self.geometry.ego_reached_target(positions[0])
 
     def safety_model(self) -> SafetyModel:
         """Monitor over the deterministic red-phase schedule."""

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional
 from repro.comm.channel import Channel
 from repro.comm.disturbance import DisturbanceModel, no_disturbance
 from repro.comm.faults import FaultModel
-from repro.dynamics.state import SystemState, VehicleState
+from repro.dynamics.state import VehicleState
 from repro.dynamics.trajectory import Trajectory
 from repro.dynamics.vehicle import VehicleModel
 from repro.errors import SafetyViolationError, SimulationError
@@ -250,6 +250,16 @@ class SimulationEngine:
             planner.reset()
         # Only the compound planner exposes its monitor decision.
         probe_decision = hasattr(planner, "last_decision")
+        # The planner's float entry point, unless a fault plan needs the
+        # context (it may call, skip or replace the planner).  A traced
+        # run hands the fault plan the float entry behind ``plan`` so
+        # the layers still report their spans.
+        plan_floats = getattr(planner, "plan_floats", None)
+        fault_target = planner
+        if injector is not None:
+            if traced and plan_floats is not None:
+                fault_target = _TracedFloatPlanner(plan_floats, obs)
+            plan_floats = None
 
         record = self._config.record_trajectories
         trajectories = [Trajectory() for _ in range(n)] if record else []
@@ -267,12 +277,18 @@ class SimulationEngine:
         ego_limits = scenario.vehicle_limits(0)
         strict = self._config.strict_safety
 
-        # Per-episode lists indexed by vehicle (entry 0 is the ego's),
-        # overwritten every step.  The methods are bound per episode, so
-        # a class attribute patched before the run is what gets called.
-        step_fns = [self._models[i].step for i in range(n)]
+        # The episode's float record, one entry per vehicle (index 0 is
+        # the ego): position, velocity, the acceleration applied over
+        # the last step, and the command for the coming one.  The
+        # integrators are bound per episode, so a class attribute
+        # patched before the run is what gets called.
+        positions = [vehicle.position for vehicle in state.vehicles]
+        velocities = [vehicle.velocity for vehicle in state.vehicles]
+        accels = [vehicle.acceleration for vehicle in state.vehicles]
         commands = [0.0] * n
+        advance = [self._models[i].advance for i in range(n)]
         stamped: List[Optional[VehicleState]] = [None] * n
+        state_time = state.time
 
         run_handle = obs.begin("engine.run", n_steps=n_steps) if traced else -1
         step_handle = -1
@@ -280,7 +296,6 @@ class SimulationEngine:
             t = step * dt  # MultiRateClock.time_of
             if traced:
                 step_handle = obs.begin("engine.step", step=step, t=t)
-            vehicles = state.vehicles
             sensing = step % sensor_every == 0
             messaging = step % message_every == 0
 
@@ -289,10 +304,14 @@ class SimulationEngine:
             #    on steps that sense, send or record.
             stage = obs.begin("engine.profile") if traced else -1
             for i in others:
-                commands[i] = profiles[i](step, t, vehicles[i])
+                commands[i] = profiles[i](
+                    step, t, VehicleState(positions[i], velocities[i], accels[i])
+                )
             if sensing or messaging or record:
                 for i in others:
-                    stamped[i] = vehicles[i].with_acceleration(commands[i])
+                    stamped[i] = VehicleState(
+                        positions[i], velocities[i], float(commands[i])
+                    )
             if traced:
                 obs.end(stage)
 
@@ -322,33 +341,34 @@ class SimulationEngine:
                 obs.end(stage)
 
             # 5. Terminal checks on the true joint state.
-            if scenario.is_collision(state):
-                collision_time = t
-                outcome = Outcome.COLLISION
+            collided = scenario.is_collision_at(state_time, positions)
+            reached = not collided and scenario.reached_target_at(
+                state_time, positions
+            )
+            if collided or reached or step == n_steps:
+                if collided:
+                    collision_time = t
+                    outcome = Outcome.COLLISION
+                elif reached:
+                    reaching_time = t
+                    outcome = Outcome.REACHED
                 if record:
-                    self._record(trajectories, t, vehicles[0], stamped)
+                    self._record(
+                        trajectories,
+                        t,
+                        VehicleState(positions[0], velocities[0], accels[0]),
+                        stamped,
+                    )
                 if traced:
-                    obs.instant("engine.collision", t=t)
+                    if collided:
+                        obs.instant("engine.collision", t=t)
+                    elif reached:
+                        obs.instant("engine.reached", t=t)
                     obs.end(step_handle)
-                if strict:
+                if collided and strict:
                     raise SafetyViolationError(
                         f"planner entered the unsafe set at t={t:.3f}s"
                     )
-                break
-            if scenario.reached_target(state):
-                reaching_time = t
-                outcome = Outcome.REACHED
-                if record:
-                    self._record(trajectories, t, vehicles[0], stamped)
-                if traced:
-                    obs.instant("engine.reached", t=t)
-                    obs.end(step_handle)
-                break
-            if step == n_steps:
-                if record:
-                    self._record(trajectories, t, vehicles[0], stamped)
-                if traced:
-                    obs.end(step_handle)
                 break
 
             # 6. Plan.
@@ -359,19 +379,31 @@ class SimulationEngine:
             if traced:
                 obs.end(stage)
             stage = obs.begin("engine.plan") if traced else -1
-            ego = vehicles[0]
-            context = PlanningContext(time=t, ego=ego, estimates=estimates)
-            if injector is not None:
-                ego_command, planner_called = injector.plan(
-                    step, planner, context, ego_limits
-                )
-                # Injected NaN (and any out-of-range fault command) must
-                # not corrupt the dynamics: sanitise like the compound
-                # planner does.
-                ego_command = clipped(ego_command, ego_limits)
-            else:
-                ego_command = planner.plan(context)
+            if plan_floats is not None:
+                if traced:
+                    ego_command = plan_floats(
+                        t, positions[0], velocities[0], estimates, obs
+                    )
+                else:
+                    ego_command = plan_floats(t, positions[0], velocities[0], estimates)
                 planner_called = True
+            else:
+                context = PlanningContext(
+                    time=t,
+                    ego=VehicleState(positions[0], velocities[0], accels[0]),
+                    estimates=estimates,
+                )
+                if injector is not None:
+                    ego_command, planner_called = injector.plan(
+                        step, fault_target, context, ego_limits
+                    )
+                    # Injected NaN (and any out-of-range fault command)
+                    # must not corrupt the dynamics: sanitise like the
+                    # compound planner does.
+                    ego_command = clipped(ego_command, ego_limits)
+                else:
+                    ego_command = planner.plan(context)
+                    planner_called = True
             if traced:
                 obs.end(stage)
             planned_steps += 1
@@ -382,15 +414,24 @@ class SimulationEngine:
 
             if record:
                 self._record(
-                    trajectories, t, ego.with_acceleration(ego_command), stamped
+                    trajectories,
+                    t,
+                    VehicleState(positions[0], velocities[0], float(ego_command)),
+                    stamped,
                 )
 
             # 7. Step the dynamics.
             stage = obs.begin("engine.act") if traced else -1
-            new_vehicles = [step_fns[0](ego, ego_command, dt)]
-            for i in others:
-                new_vehicles.append(step_fns[i](vehicles[i], commands[i], dt))
-            state = SystemState(time=t + dt, vehicles=tuple(new_vehicles))
+            commands[0] = ego_command
+            for i in range(n):
+                if traced:
+                    handle = obs.begin("dynamics.step")
+                positions[i], velocities[i], accels[i] = advance[i](
+                    positions[i], velocities[i], commands[i], dt
+                )
+                if traced:
+                    obs.end(handle)
+            state_time = t + dt
             if traced:
                 obs.end(stage)
                 obs.end(step_handle)
@@ -433,6 +474,24 @@ class SimulationEngine:
         trajectories[0].append(t, ego)
         for i in range(1, len(trajectories)):
             trajectories[i].append(t, stamped[i])
+
+
+class _TracedFloatPlanner:
+    """A planner's ``plan_floats`` behind ``plan(context)``, with a tracer.
+
+    Write-only: the command is the one ``plan(context)`` returns.
+    """
+
+    def __init__(self, plan_floats: Callable[..., float], tracer) -> None:
+        self._plan_floats = plan_floats
+        self._tracer = tracer
+
+    def plan(self, context: PlanningContext) -> float:
+        """``plan_floats`` on the context's floats, timed on the tracer."""
+        ego = context.ego
+        return self._plan_floats(
+            context.time, ego.position, ego.velocity, context.estimates, self._tracer
+        )
 
 
 # ---------------------------------------------------------------------------

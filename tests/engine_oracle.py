@@ -1,12 +1,12 @@
-"""Test-only oracle: the engine loop the lean one replaced.
+"""Test-only oracle: the engine loop the flat-float one replaced.
 
 This is ``SimulationEngine.run`` as it stood before the control step was
-rewritten to build only the objects a public boundary needs: per-step
-``commands``/``stamped`` dicts, a stamped state for every vehicle on
-every step, the ego's recorded state built whether or not trajectories
-are kept, clock arithmetic through ``MultiRateClock`` and the planner's
-``last_decision`` probed with ``getattr`` on every step.  It is kept
-unchanged as the slow counterpart of the fast path;
+rewritten on a per-episode float record: every vehicle's state a
+:class:`~repro.dynamics.state.VehicleState` stepped by
+``VehicleModel.step``, a :class:`~repro.dynamics.state.SystemState` built
+every step for ``is_collision``/``reached_target``, and the planner
+called through ``plan`` on a :class:`PlanningContext` every step.  It is
+kept unchanged as the slow counterpart of the fast path;
 ``tests/test_engine_oracle.py`` checks the two against each other
 episode by episode.
 
@@ -17,7 +17,7 @@ onto the class).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import List, Optional
 
 from repro.comm.channel import Channel
 from repro.dynamics.state import SystemState, VehicleState
@@ -41,7 +41,7 @@ def run(
     rng: RngStream,
     observer=None,
 ) -> SimulationResult:
-    """Execute one full episode (``SimulationEngine.run``).
+    """Execute one full episode.
 
     Parameters
     ----------
@@ -104,43 +104,58 @@ def run(
 
     if hasattr(planner, "reset"):
         planner.reset()
+    # Only the compound planner exposes its monitor decision.
+    probe_decision = hasattr(planner, "last_decision")
 
-    trajectories = (
-        [Trajectory() for _ in range(n)]
-        if self._config.record_trajectories
-        else []
-    )
+    record = self._config.record_trajectories
+    trajectories = [Trajectory() for _ in range(n)] if record else []
     emergency_steps = 0
     planned_steps = 0
     outcome = Outcome.TIMEOUT
     collision_time: Optional[float] = None
     reaching_time: Optional[float] = None
 
-    dt = self._clock.dt_c
+    clock = self._clock
+    dt = clock.dt_c
+    message_every = clock.message_every
+    sensor_every = clock.sensor_every
     n_steps = int(round(self._config.max_time / dt))
+    ego_limits = scenario.vehicle_limits(0)
+    strict = self._config.strict_safety
+
+    # Per-episode lists indexed by vehicle (entry 0 is the ego's),
+    # overwritten every step.  The methods are bound per episode, so
+    # a class attribute patched before the run is what gets called.
+    step_fns = [self._models[i].step for i in range(n)]
+    commands = [0.0] * n
+    stamped: List[Optional[VehicleState]] = [None] * n
 
     run_handle = obs.begin("engine.run", n_steps=n_steps) if traced else -1
     step_handle = -1
     for step in range(n_steps + 1):
-        t = self._clock.time_of(step)
+        t = step * dt  # MultiRateClock.time_of
         if traced:
             step_handle = obs.begin("engine.step", step=step, t=t)
+        vehicles = state.vehicles
+        sensing = step % sensor_every == 0
+        messaging = step % message_every == 0
 
         # 1. Non-ego commands for the coming step stamp the content
-        #    of this step's messages and sensor readings.
+        #    of this step's messages and sensor readings, built only
+        #    on steps that sense, send or record.
         stage = obs.begin("engine.profile") if traced else -1
-        commands: Dict[int, float] = {}
-        stamped: Dict[int, VehicleState] = {}
         for i in others:
-            commands[i] = profiles[i](step, t, state.vehicle(i))
-            stamped[i] = state.vehicle(i).with_acceleration(commands[i])
+            commands[i] = profiles[i](step, t, vehicles[i])
+        if sensing or messaging or record:
+            for i in others:
+                stamped[i] = vehicles[i].with_acceleration(commands[i])
         if traced:
             obs.end(stage)
 
         # 2-4. Sensing, transmission, delivery.  Faulted sensors still
         # draw their noise (the reading is taken, then filtered), so a
         # dropout never shifts the random sequence of later readings.
-        if self._clock.is_sensor_step(step):
+        if sensing:
             stage = obs.begin("engine.sense") if traced else -1
             for i in others:
                 reading = sensors[i].measure(t, stamped[i])
@@ -153,7 +168,7 @@ def run(
             if traced:
                 obs.end(stage)
         stage = obs.begin("engine.comm") if traced else -1
-        if self._clock.is_message_step(step):
+        if messaging:
             for i in others:
                 channels[i].send(i, t, stamped[i])
         for i in others:
@@ -166,11 +181,12 @@ def run(
         if scenario.is_collision(state):
             collision_time = t
             outcome = Outcome.COLLISION
-            _record(self, trajectories, t, state.ego, stamped, terminal=True)
+            if record:
+                self._record(trajectories, t, vehicles[0], stamped)
             if traced:
                 obs.instant("engine.collision", t=t)
                 obs.end(step_handle)
-            if self._config.strict_safety:
+            if strict:
                 raise SafetyViolationError(
                     f"planner entered the unsafe set at t={t:.3f}s"
                 )
@@ -178,60 +194,58 @@ def run(
         if scenario.reached_target(state):
             reaching_time = t
             outcome = Outcome.REACHED
-            _record(self, trajectories, t, state.ego, stamped, terminal=True)
+            if record:
+                self._record(trajectories, t, vehicles[0], stamped)
             if traced:
                 obs.instant("engine.reached", t=t)
                 obs.end(step_handle)
             break
         if step == n_steps:
-            _record(self, trajectories, t, state.ego, stamped, terminal=True)
+            if record:
+                self._record(trajectories, t, vehicles[0], stamped)
             if traced:
                 obs.end(step_handle)
             break
 
         # 6. Plan.
         stage = obs.begin("engine.estimate") if traced else -1
-        estimates = {i: estimators[i].estimate(t) for i in others}
+        estimates = {}
+        for i in others:
+            estimates[i] = estimators[i].estimate(t)
         if traced:
             obs.end(stage)
         stage = obs.begin("engine.plan") if traced else -1
-        context = PlanningContext(time=t, ego=state.ego, estimates=estimates)
+        ego = vehicles[0]
+        context = PlanningContext(time=t, ego=ego, estimates=estimates)
         if injector is not None:
             ego_command, planner_called = injector.plan(
-                step, planner, context, scenario.vehicle_limits(0)
+                step, planner, context, ego_limits
             )
             # Injected NaN (and any out-of-range fault command) must
             # not corrupt the dynamics: sanitise like the compound
             # planner does.
-            ego_command = clipped(ego_command, scenario.vehicle_limits(0))
+            ego_command = clipped(ego_command, ego_limits)
         else:
             ego_command = planner.plan(context)
             planner_called = True
         if traced:
             obs.end(stage)
         planned_steps += 1
-        decision = (
-            getattr(planner, "last_decision", None) if planner_called else None
-        )
-        if decision is not None and decision.use_emergency:
-            emergency_steps += 1
+        if probe_decision and planner_called:
+            decision = planner.last_decision
+            if decision is not None and decision.use_emergency:
+                emergency_steps += 1
 
-        _record(
-            self,
-            trajectories,
-            t,
-            state.ego.with_acceleration(ego_command),
-            stamped,
-            terminal=False,
-        )
+        if record:
+            self._record(
+                trajectories, t, ego.with_acceleration(ego_command), stamped
+            )
 
         # 7. Step the dynamics.
         stage = obs.begin("engine.act") if traced else -1
-        new_vehicles = [self._models[0].step(state.ego, ego_command, dt)]
+        new_vehicles = [step_fns[0](ego, ego_command, dt)]
         for i in others:
-            new_vehicles.append(
-                self._models[i].step(state.vehicle(i), commands[i], dt)
-            )
+            new_vehicles.append(step_fns[i](vehicles[i], commands[i], dt))
         state = SystemState(time=t + dt, vehicles=tuple(new_vehicles))
         if traced:
             obs.end(stage)
@@ -262,19 +276,3 @@ def run(
             0 if injector is None else injector.planner_faults_injected
         ),
     )
-
-
-def _record(
-    self,
-    trajectories,
-    t: float,
-    ego: VehicleState,
-    stamped: Dict[int, VehicleState],
-    terminal: bool,
-) -> None:
-    if not self._config.record_trajectories:
-        return
-    trajectories[0].append(t, ego)
-    for i, vehicle_state in stamped.items():
-        trajectories[i].append(t, vehicle_state)
-

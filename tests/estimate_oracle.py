@@ -5,9 +5,13 @@ the band join was rewritten on plain floats: Eq. (2) written as four
 scalar extremal trajectories, every band an
 :class:`~repro.utils.intervals.Interval`, the message/sensor/Kalman join
 through :func:`intersect_or_fallback` and :func:`fuse_bands` on
-:class:`ReachBand` objects.  It is kept unchanged as the slow
-counterpart of the fast path; ``tests/test_estimate_oracle.py`` checks
-the two against each other band by band and episode by episode.
+:class:`ReachBand` objects, and the result the four-object
+:class:`ObjectEstimate` -- two ``Interval`` bands and a
+:class:`~repro.dynamics.state.VehicleState` nominal inside a checked
+record -- that ``FusedEstimate`` was before it became one flat record.
+It is kept unchanged as the slow counterpart of the fast path;
+``tests/test_estimate_oracle.py`` checks the two against each other
+band by band, record by record and episode by episode.
 
 :func:`information_filter_estimate` and :func:`raw_estimate` have the
 signature of ``InformationFilter.estimate`` / ``RawEstimator.estimate``
@@ -24,12 +28,12 @@ from repro.comm.message import Message
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError, FilterError
-from repro.filtering.fusion import FusedEstimate
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
 from repro.utils.intervals import Interval
 
 __all__ = [
+    "ObjectEstimate",
     "ReachBand",
     "ReachabilityAnalyzer",
     "fuse_bands",
@@ -38,6 +42,23 @@ __all__ = [
     "intersect_or_fallback",
     "raw_estimate",
 ]
+
+
+@dataclass(frozen=True, slots=True)
+class ObjectEstimate:
+    """``FusedEstimate`` as four objects: two bands, a nominal state, the record."""
+
+    time: float
+    position: Interval
+    velocity: Interval
+    nominal: VehicleState
+    message_age: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.position.is_empty or self.velocity.is_empty:
+            raise FilterError(
+                "FusedEstimate requires non-empty position/velocity bands"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +227,7 @@ def guaranteed_band(
     return band
 
 
-def information_filter_estimate(self, now: float) -> FusedEstimate:
+def information_filter_estimate(self, now: float) -> ObjectEstimate:
     """``InformationFilter.estimate`` on the oracle path (telemetry omitted)."""
     reach = ReachabilityAnalyzer(self._reach.limits)
     guaranteed = guaranteed_band(
@@ -243,7 +264,7 @@ def information_filter_estimate(self, now: float) -> FusedEstimate:
             velocity=fused.velocity.midpoint,
             acceleration=accel,
         )
-    return FusedEstimate(
+    return ObjectEstimate(
         time=float(now),
         position=fused.position,
         velocity=fused.velocity,
@@ -252,7 +273,7 @@ def information_filter_estimate(self, now: float) -> FusedEstimate:
     )
 
 
-def raw_estimate(self, now: float) -> FusedEstimate:
+def raw_estimate(self, now: float) -> ObjectEstimate:
     """``RawEstimator.estimate`` on the oracle path."""
     reach = ReachabilityAnalyzer(self._reach.limits)
     fused = guaranteed_band(
@@ -278,7 +299,7 @@ def raw_estimate(self, now: float) -> FusedEstimate:
         if self._latest_message is None
         else float(now) - self._latest_message.stamp
     )
-    return FusedEstimate(
+    return ObjectEstimate(
         time=float(now),
         position=fused.position,
         velocity=fused.velocity,

@@ -10,7 +10,11 @@ one-step lookahead recomputed from the limits on every call, and the NN
 planner reading its features from :meth:`PassingWindowEstimator.window`.
 It is kept unchanged as the slow counterpart of the fast path;
 ``tests/test_shield_oracle.py`` checks the two against each other case
-by case.
+by case.  The emergency planner, the monitor's evaluation and the
+compound planner's step are kept as they were before the float entry
+points (``plan_floats``, ``decide``) replaced them on the control path:
+each reads its ego state from a :class:`PlanningContext` and the monitor
+evaluates each predicate in turn.
 
 The predicates take the safety model as their first argument and
 :func:`nn_plan` the planner, so they have the signatures of the methods
@@ -22,16 +26,18 @@ on the oracle.  :func:`oncoming_window` dispatches on the model's type
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Tuple
 
 import numpy as np
 
+from repro.core.compound import CompoundPlanner
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
-from repro.errors import ScenarioError
+from repro.errors import PlannerError, ScenarioError
 from repro.filtering.fusion import FusedEstimate
-from repro.planners.base import PlanningContext
+from repro.planners.base import PlanningContext, clipped
 from repro.planners.nn_planner import WINDOW_FAR, WINDOW_PAST, NNPlanner
+from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
 from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
@@ -42,13 +48,16 @@ from repro.utils.validation import check_nonnegative, check_positive
 __all__ = [
     "aggressive_window",
     "boundary_slack_margin",
+    "compound_plan",
     "conservative_window",
     "earliest_arrival_time",
     "ego_passing_window",
+    "emergency_plan",
     "estimator_window",
     "in_boundary_safe_set",
     "in_estimated_unsafe_set",
     "latest_arrival_time",
+    "monitor_decision",
     "nn_plan",
     "oncoming_window",
     "slack",
@@ -404,3 +413,75 @@ def nn_plan(self: NNPlanner, context: PlanningContext) -> float:
         else:
             x = x @ dense.weight + dense.bias
     return self._limits.clip_acceleration(float(x[0, 0]))
+
+
+# ----------------------------------------------------------------------
+# Emergency planner (emergency.py)
+# ----------------------------------------------------------------------
+def emergency_plan(self: LeftTurnEmergencyPlanner, context: PlanningContext) -> float:
+    """``LeftTurnEmergencyPlanner.plan`` reading the context's ego state."""
+    position = context.ego.position
+    velocity = max(context.ego.velocity, 0.0)
+    front_gap = self.geometry.ego_distance_to_front(position)
+    limits = self._limits
+    if front_gap > 0.0:
+        braking_distance = -0.5 * velocity * velocity / limits.a_min
+        if braking_distance > front_gap:
+            return limits.a_max
+        if velocity == 0.0:
+            return 0.0
+        target_gap = front_gap - self.stop_margin
+        if target_gap <= 0.0:
+            return limits.a_min
+        required = -velocity * velocity / (2.0 * target_gap)
+        return limits.clip_acceleration(required)
+    if front_gap == 0.0:
+        return limits.a_min if velocity > 0.0 else 0.0
+    return limits.a_max
+
+
+# ----------------------------------------------------------------------
+# Monitor and compound planner (monitor.py, compound.py)
+# ----------------------------------------------------------------------
+def monitor_decision(
+    model: LeftTurnSafetyModel, context: PlanningContext
+) -> Tuple[bool, bool, bool]:
+    """``RuntimeMonitor.evaluate``: each predicate in turn, on the context.
+
+    Returns ``(use_emergency, in_boundary, in_unsafe)``.
+    """
+    in_boundary = in_boundary_safe_set(model, context.time, context.ego, context.estimates)
+    in_unsafe = in_estimated_unsafe_set(
+        model, context.time, context.ego, context.estimates
+    )
+    return (in_boundary or in_unsafe, in_boundary, in_unsafe)
+
+
+def compound_plan(
+    self: CompoundPlanner, context: PlanningContext
+) -> Tuple[float, Tuple[bool, bool, bool]]:
+    """``CompoundPlanner.plan`` with every layer on its oracle path.
+
+    Returns the command and the monitor's decision as
+    ``(use_emergency, in_boundary, in_unsafe)``.
+    """
+
+    def emergency() -> float:
+        planner = self.emergency_planner
+        if isinstance(planner, LeftTurnEmergencyPlanner):
+            return emergency_plan(planner, context)
+        return planner.plan(context)
+
+    decision = monitor_decision(self.monitor.safety_model, context)
+    if decision[0]:
+        command = emergency()
+    else:
+        try:
+            embedded = self.nn_planner
+            if isinstance(embedded, NNPlanner):
+                command = nn_plan(embedded, context)
+            else:
+                command = embedded.plan(context)
+        except PlannerError:
+            command = emergency()
+    return clipped(command, self._limits), decision

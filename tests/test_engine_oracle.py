@@ -1,12 +1,13 @@
-"""Differential test: the lean engine loop against its oracle.
+"""Differential test: the flat-float engine loop against its oracle.
 
-``SimulationEngine.run`` builds only the objects a public boundary
-needs: stamped states on steps that sense, send or record, the ego's
-recorded state only when trajectories are kept, per-episode lists for
-the commands, inline clock arithmetic and one ``last_decision`` probe per
-episode.  ``tests/engine_oracle.py`` keeps the loop it replaced.  The
-two must produce the same ``result_to_dict`` -- trajectories included
--- episode by episode, exactly, over:
+``SimulationEngine.run`` keeps each episode as floats: positions,
+velocities, applied accelerations and commands per vehicle, stepped by
+``VehicleModel.advance``, terminal checks through the scenario's float
+hooks and the planner called through ``plan_floats``; value objects are
+built only for profiles, stamped states, contexts of planners without a
+float entry and recorded trajectories.  ``tests/engine_oracle.py`` keeps
+the loop it replaced.  The two must produce the same ``result_to_dict``
+-- trajectories included -- episode by episode, exactly, over:
 
 * the four scenarios (left turn with the basic and the ultimate
   compound planner, multi-oncoming, signalized, car following) under
@@ -15,7 +16,11 @@ two must produce the same ``result_to_dict`` -- trajectories included
 * an engine fault plan (sensor dropout plus planner exception, NaN and
   latency faults);
 * traced runs, whose trace events (under a counting clock) must match
-  too.
+  too.  The flat loop also emits the layer spans of the calls it no
+  longer makes through the wrapped public methods
+  (:data:`KERNEL_SPANS`); the oracle cannot, so the comparison drops
+  those four span names at the source, before they reach the clock, and
+  a separate test counts them.
 
 The record on/off parity test checks that switching trajectories off
 changes nothing in ``result_to_dict`` but the trajectories.
@@ -24,6 +29,7 @@ changes nothing in ``result_to_dict`` but the trajectories.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Dict, List, Tuple
 
 import pytest
@@ -44,6 +50,26 @@ SETTINGS = [*SETTING_NAMES, "comm_storm"]
 N_EPISODES = 3
 SEED = 31
 
+#: Layer spans the flat loop emits from ``src`` and the oracle does not.
+KERNEL_SPANS = frozenset(
+    {"shield.monitor", "shield.nn", "shield.emergency", "dynamics.step"}
+)
+
+
+class _WithoutKernelSpans(Observer):
+    """An observer that never opens a :data:`KERNEL_SPANS` span.
+
+    Dropping them in ``begin`` keeps them off the counting clock, so
+    every other event keeps the timestamps the oracle gives it.
+    """
+
+    __slots__ = ()
+
+    def begin(self, name: str, **attrs) -> int:
+        if name in KERNEL_SPANS:
+            return -1
+        return super().begin(name, **attrs)
+
 
 @pytest.fixture(scope="module")
 def cases(tiny_conservative_spec, scenario) -> Dict[str, Tuple]:
@@ -51,7 +77,7 @@ def cases(tiny_conservative_spec, scenario) -> Dict[str, Tuple]:
     return engine_cases(tiny_conservative_spec, scenario)
 
 
-def _episodes(run, case, comm, config, traced=False) -> List[dict]:
+def _episodes(run, case, comm, config, traced=False, observer_type=Observer):
     """``result_to_dict`` of every episode, plus trace events if traced."""
     scenario, planner, kind = case
     engine = SimulationEngine(scenario, comm, config)
@@ -60,7 +86,7 @@ def _episodes(run, case, comm, config, traced=False) -> List[dict]:
     for stream in spawn_streams(SEED, N_EPISODES):
         observer = None
         if traced:
-            observer = Observer(tracer=Tracer(clock=itertools.count().__next__))
+            observer = observer_type(tracer=Tracer(clock=itertools.count().__next__))
         record = result_to_dict(
             run(engine, planner, factory, stream, observer=observer),
             include_trajectories=True,
@@ -103,10 +129,40 @@ class TestEngineOracle:
     def test_traced_identical(self, name, cases):
         config = _config(faults=True)
         comm = _comm("messages_delayed")
-        fast = _episodes(SimulationEngine.run, cases[name], comm, config, True)
+        fast = _episodes(
+            SimulationEngine.run, cases[name], comm, config, True, _WithoutKernelSpans
+        )
         slow = _episodes(engine_oracle.run, cases[name], comm, config, True)
         assert all(record["events"] and record["trajectories"] for record in fast)
         _assert_same(fast, slow, f"{name} traced")
+
+    @pytest.mark.parametrize("faults", [False, True])
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_kernel_spans_counted(self, name, faults, cases):
+        """One span per call the flat loop makes in place of a public method.
+
+        Under the fault plan the planner is not called on faulted steps.
+        """
+        _, planner, _ = cases[name]
+        comm = _comm("messages_delayed")
+        for record in _episodes(
+            SimulationEngine.run, cases[name], comm, _config(faults), True
+        ):
+            names = Counter(
+                event["name"] for event in record["events"]
+                if event["kind"] == "span"
+            )
+            steps = record["steps"] - record["planner_faults_injected"]
+            emergency = record["emergency_steps"]
+            n_vehicles = len(record["trajectories"])
+            assert names["dynamics.step"] == n_vehicles * record["steps"]
+            assert names["shield.monitor"] == steps
+            floats_nn = hasattr(planner.nn_planner, "plan_floats")
+            floats_emergency = hasattr(planner.emergency_planner, "plan_floats")
+            assert names["shield.nn"] == (steps - emergency if floats_nn else 0)
+            assert names["shield.emergency"] == (
+                emergency if floats_emergency else 0
+            )
 
 
 class TestRecordParity:

@@ -15,6 +15,12 @@ tolerance):
   outside the physical range, disjoint message/sensor bands, disjoint
   Kalman bands, the watchdog fallback, NaN readings and queries before
   a stamp; the test counts each and requires all of them;
+* **record level** -- 10 000 random field tuples, some with a NaN
+  field, an infinite bound or an empty band, through the flat
+  ``FusedEstimate.of`` and through the four-object record
+  (``estimate_oracle.ObjectEstimate`` over two ``Interval`` bands and a
+  ``VehicleState``): the same bands and nominal state, or the same
+  exception type and message;
 * **episode level** -- the ultimate compound planner (information
   filter) and the basic one (raw estimator) under the paper's three
   communication settings and the comm-storm fault stack, 20 seeds each:
@@ -27,6 +33,7 @@ disagreed.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from typing import List, Optional
@@ -41,12 +48,14 @@ from repro.errors import ReproError
 from repro.experiments.config import SETTING_NAMES, ExperimentConfig
 from repro.experiments.harness import build_trio
 from repro.filtering import info_filter
+from repro.filtering.fusion import FusedEstimate
 from repro.filtering.info_filter import InformationFilter, RawEstimator
 from repro.filtering.kalman import KalmanState
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.runner import BatchRunner, EstimatorKind
+from repro.utils.intervals import Interval
 from tests import estimate_oracle
 from tests.test_kalman_oracle import _comm
 
@@ -71,13 +80,36 @@ class _StubReplay:
         assert self._state is not None
         return self._state
 
+    def estimate_fields(self, now: float) -> tuple:
+        return tuple(self.estimate_at(now))
+
+
+def _objects(estimate) -> tuple:
+    """An estimate's time, bands, nominal state and message age."""
+    return (
+        estimate.time,
+        estimate.position,
+        estimate.velocity,
+        estimate.nominal,
+        estimate.message_age,
+    )
+
 
 def _outcome(estimate, estimator, now: float):
-    """The estimate, or the type of the exception it raised."""
+    """The estimate as objects, or the type of the exception it raised."""
     try:
-        return estimate(estimator, now)
+        return _objects(estimate(estimator, now))
     except ReproError as exc:
         return type(exc)
+
+
+def _fused(oracle):
+    """An oracle estimate method that hands out a ``FusedEstimate``."""
+
+    def estimate(self, now: float) -> FusedEstimate:
+        return FusedEstimate(*_objects(oracle(self, now)))
+
+    return estimate
 
 
 def _random_case(seed: int, seen: Counter) -> List[str]:
@@ -262,6 +294,102 @@ class TestBandLevel:
 
 
 # ----------------------------------------------------------------------
+# Record level
+# ----------------------------------------------------------------------
+def _error(build):
+    """The built record, or the type and message of the error raised."""
+    try:
+        return build()
+    except ReproError as exc:
+        return (type(exc), str(exc))
+
+
+def _record_case(gen: np.random.Generator, seen: Counter):
+    """Random record fields: mostly valid, some NaN, infinite or empty."""
+    p_lo, p_hi = sorted(gen.uniform(-100.0, 100.0, size=2).tolist())
+    v_lo, v_hi = sorted(gen.uniform(-30.0, 30.0, size=2).tolist())
+    fields = [float(gen.uniform(0.0, 30.0)), p_lo, p_hi, v_lo, v_hi]
+    fields += [float(gen.uniform(p_lo, p_hi)), float(gen.uniform(v_lo, v_hi))]
+    fields += [float(gen.uniform(-5.0, 5.0))]
+    draw = gen.random()
+    if draw < 0.15:
+        fields[int(gen.integers(1, 8))] = math.nan
+        seen["NaN field"] += 1
+    elif draw < 0.25:
+        fields[int(gen.integers(1, 5))] = float(gen.choice([-math.inf, math.inf]))
+        seen["infinite bound"] += 1
+    elif draw < 0.35:
+        if gen.random() < 0.5:
+            fields[1], fields[2] = fields[2] + 1.0, fields[1]
+        else:
+            fields[3], fields[4] = fields[4] + 1.0, fields[3]
+        seen["empty band"] += 1
+    age = None if gen.random() < 0.2 else float(gen.uniform(0.0, 3.0))
+    return (*fields, age)
+
+
+class TestRecordLevel:
+    """The flat record checks its fields as the four objects did."""
+
+    def test_random_records_match_objects(self):
+        seen: Counter = Counter()
+        disagreements = []
+        for seed in range(N_CASES):
+            time, p_lo, p_hi, v_lo, v_hi, p, v, a, age = _record_case(
+                np.random.default_rng(seed), seen
+            )
+            ours = _error(
+                lambda: _objects(
+                    FusedEstimate.of(time, p_lo, p_hi, v_lo, v_hi, p, v, a, age)
+                )
+            )
+            theirs = _error(
+                lambda: _objects(
+                    estimate_oracle.ObjectEstimate(
+                        time,
+                        Interval(p_lo, p_hi),
+                        Interval(v_lo, v_hi),
+                        VehicleState(p, v, a),
+                        age,
+                    )
+                )
+            )
+            if ours != theirs:
+                disagreements.append(f"case seed={seed}: flat={ours} objects={theirs}")
+        assert not disagreements, "\n".join(disagreements[:5])
+        thin = {
+            name: seen[name]
+            for name in ("NaN field", "infinite bound", "empty band")
+            if seen[name] < MIN_COVERAGE
+        }
+        assert not thin, f"situations reached too rarely: {thin}"
+
+    def test_object_call_form(self):
+        estimate = FusedEstimate(
+            time=1.5,
+            position=Interval(2.0, 4.0),
+            velocity=Interval(-1.0, 1.0),
+            nominal=VehicleState(3.0, 0.5, -0.25),
+            message_age=0.2,
+        )
+        assert estimate == FusedEstimate.of(1.5, 2.0, 4.0, -1.0, 1.0, 3.0, 0.5, -0.25, 0.2)
+        assert _objects(estimate) == (
+            1.5,
+            Interval(2.0, 4.0),
+            Interval(-1.0, 1.0),
+            VehicleState(3.0, 0.5, -0.25),
+            0.2,
+        )
+        assert (estimate.position_uncertainty, estimate.velocity_uncertainty) == (
+            2.0,
+            2.0,
+        )
+        # deepcopy goes through __reduce_ex__, as pickling does.
+        assert copy.deepcopy(estimate) == estimate
+        assert str(estimate) == "est[t=1.500s p in [2, 4] v in [-1, 1] msg_age=0.20s]"
+
+
+# ----------------------------------------------------------------------
 # Episode level
 # ----------------------------------------------------------------------
 PAPER = ExperimentConfig()
@@ -311,10 +439,12 @@ class TestEpisodeLevel:
         monkeypatch.setattr(
             info_filter.InformationFilter,
             "estimate",
-            estimate_oracle.information_filter_estimate,
+            _fused(estimate_oracle.information_filter_estimate),
         )
         monkeypatch.setattr(
-            info_filter.RawEstimator, "estimate", estimate_oracle.raw_estimate
+            info_filter.RawEstimator,
+            "estimate",
+            _fused(estimate_oracle.raw_estimate),
         )
         slow = _fingerprints(planner, kind, scenario, setting)
         differing = [

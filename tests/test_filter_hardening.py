@@ -20,6 +20,7 @@ from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FilterError
 from repro.filtering.info_filter import InformationFilter, WatchdogStats
 from repro.filtering.kalman import KalmanFilter, KalmanState, symmetrize_psd
+from repro.filtering.replay import ReplayKalmanFilter
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
 
@@ -253,3 +254,54 @@ class TestDivergenceWatchdog:
         self._feed_consistent(info, 1, 3, 0.0, 8.0)
         info.on_sensor_reading(_reading(4 * DT, 900.0, 8.0))
         assert stats.breaches == 1
+
+
+class TestFilterKnobs:
+    """NaN or non-positive widths, gates and horizons are rejected.
+
+    ``x <= 0`` is False for NaN, so a check written that way let a NaN
+    knob through: ``n_sigma=nan`` silently dropped the Kalman band from
+    the fusion, ``watchdog_sigma=nan`` never breached and
+    ``history_horizon=nan`` never pruned.
+    """
+
+    BOUNDS = NoiseBounds(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "knob, message",
+        [
+            ("n_sigma", "n_sigma must be > 0"),
+            ("watchdog_sigma", "watchdog_sigma must be > 0 or None"),
+            ("history_horizon", "history_horizon must be > 0"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+    def test_invalid_value_rejected(self, knob, message, value):
+        with pytest.raises(FilterError, match=message):
+            InformationFilter(LIMITS, self.BOUNDS, DT, **{knob: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -2.0])
+    def test_replay_horizon_rejected(self, value):
+        with pytest.raises(FilterError, match="history_horizon must be > 0"):
+            ReplayKalmanFilter(KalmanFilter(DT, self.BOUNDS), history_horizon=value)
+
+    @pytest.mark.parametrize(
+        "knob", ["n_sigma", "watchdog_sigma", "history_horizon"]
+    )
+    def test_valid_value_accepted(self, knob):
+        info = InformationFilter(LIMITS, self.BOUNDS, DT, **{knob: 2.5})
+        for i in range(5):
+            info.on_sensor_reading(_reading(i * DT, 45.0 + 0.1 * i, 1.0))
+        estimate = info.estimate(0.45)
+        assert estimate.p_lo <= estimate.p <= estimate.p_hi
+
+    def test_n_sigma_narrows_the_fused_band(self):
+        """A finite width joins the Kalman band: narrower than 3 sigma at 1."""
+        bands = {}
+        for n_sigma in (1.0, 3.0):
+            info = InformationFilter(LIMITS, self.BOUNDS, DT, n_sigma=n_sigma)
+            for i in range(5):
+                info.on_sensor_reading(_reading(i * DT, 45.0 + 0.1 * i, 1.0))
+            estimate = info.estimate(0.45)
+            bands[n_sigma] = estimate.p_hi - estimate.p_lo
+        assert bands[1.0] < bands[3.0]

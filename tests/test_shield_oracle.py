@@ -11,7 +11,13 @@ tolerance): 10 000 random geometries, limits, estimates and ego states
 through both windows, the window estimator in both modes, both
 predicates of the left-turn and the signalized model, and
 ``NNPlanner.plan``, with equal results or the same exception type and
-message.  The cases cover both branches of Eq. (7)'s earliest arrival,
+message.  The float entry points are held to the same standard:
+``decide`` equals the two predicates in the monitor's order (and any
+window it returns is the conflict window), and ``plan_floats`` of
+``NNPlanner``, ``LeftTurnEmergencyPlanner`` and ``CompoundPlanner``
+equals the oracle's ``plan`` on the context -- the compound's command
+and decision both, whether its NN reads the monitor's window or its
+own -- while ``plan(context)`` equals ``plan_floats`` on its floats.  The cases cover both branches of Eq. (7)'s earliest arrival,
 empty and never-entered windows, every branch of the boundary set
 (committed, margin, lookahead), invalid limits and buffers, NaN
 clocks and a missing estimate; the test counts each and requires all
@@ -30,6 +36,8 @@ from typing import List
 
 import numpy as np
 
+from repro.core.compound import CompoundPlanner
+from repro.core.monitor import RuntimeMonitor
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ReproError
@@ -37,6 +45,7 @@ from repro.filtering.fusion import FusedEstimate
 from repro.nn.layers import Dense, ReLU, Sequential, Tanh
 from repro.planners.base import PlanningContext
 from repro.planners.nn_planner import FeatureScaler, NNPlanner
+from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 from repro.scenarios.left_turn.passing_time import (
     PassingWindowEstimator,
@@ -225,6 +234,7 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
         offset=float(gen.uniform(-5.0, 10.0)),
     )
     aggressive = bool(gen.random() < 0.5)
+    stop_margin = float(gen.uniform(0.0, 0.2))
 
     _tally(seen, geometry, limits, ego_limits, dt_c, time, estimate, ego)
     if estimate.nominal.position > geometry.oncoming_back:
@@ -233,6 +243,7 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
         )
         if eq8_window == Interval.EMPTY:
             seen["Eq. (8) never entered"] += 1
+    disagreements = []
     left_turn = LeftTurnSafetyModel(geometry, ego_limits, limits, dt_c)
     signalized = SignalizedSafetyModel(
         geometry, ego_limits, limits, dt_c, light=light
@@ -258,6 +269,16 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
         )
     else:
         planner = _PLANNER.with_window_estimator(estimator)
+        emergency = LeftTurnEmergencyPlanner(geometry, ego_limits, stop_margin)
+        compound = CompoundPlanner(
+            planner, emergency, RuntimeMonitor(left_turn), ego_limits
+        )
+        checks += [
+            (name, fast, slow, (context,))
+            for name, fast, slow in _float_entry_checks(
+                planner, emergency, compound, seen
+            )
+        ]
         checks += [
             ("estimator.window", estimator.window,
              partial(shield_oracle.estimator_window, estimator), (estimate,)),
@@ -267,6 +288,12 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
              partial(shield_oracle.nn_plan, planner), (context,)),
         ]
     for name, model in (("left turn", left_turn), ("signalized", signalized)):
+        checks.append(
+            (f"{name} decide", partial(_decide, model),
+             partial(_predicates, model), (time, ego, estimates))
+        )
+        if not _window_consistent(model, time, ego, estimates, seen):
+            disagreements.append(f"case seed={seed} {name} decide window")
         for method in (
             "oncoming_window", "in_estimated_unsafe_set", "in_boundary_safe_set"
         ):
@@ -277,7 +304,6 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
                 (f"{name} {method}", getattr(model, method),
                  partial(getattr(shield_oracle, method), model), args)
             )
-    disagreements = []
     for name, fast, slow, args in checks:
         ours = _outcome(fast, *args)
         theirs = _outcome(slow, *args)
@@ -288,6 +314,79 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
         elif isinstance(theirs, tuple):
             seen["raised"] += 1
     return disagreements
+
+
+def _decide(model, time, ego, estimates):
+    """``decide`` on the ego's floats: the two memberships."""
+    in_boundary, in_unsafe, _ = model.decide(
+        time, ego.position, ego.velocity, estimates
+    )
+    return in_boundary, in_unsafe
+
+
+def _predicates(model, time, ego, estimates):
+    """The oracle's two predicates, in the monitor's order."""
+    return (
+        shield_oracle.in_boundary_safe_set(model, time, ego, estimates),
+        shield_oracle.in_estimated_unsafe_set(model, time, ego, estimates),
+    )
+
+
+def _window_consistent(model, time, ego, estimates, seen) -> bool:
+    """A window ``decide`` returns is the oracle's conflict window."""
+    try:
+        _, _, window = model.decide(time, ego.position, ego.velocity, estimates)
+    except ReproError:
+        return True
+    if window is None:
+        return True
+    seen["decide: window evaluated"] += 1
+    return Interval(*window) == shield_oracle.oncoming_window(model, time, estimates)
+
+
+def _floats(planner):
+    """``planner.plan_floats`` on the floats of a context."""
+
+    def plan(context):
+        ego = context.ego
+        return planner.plan_floats(
+            context.time, ego.position, ego.velocity, context.estimates
+        )
+
+    return plan
+
+
+def _float_entry_checks(planner, emergency, compound, seen) -> list:
+    """``plan_floats`` of the three float planners against their oracles.
+
+    Each also checks that ``plan(context)`` is ``plan_floats`` on the
+    context's floats.
+    """
+
+    def compound_floats(context):
+        command = _floats(compound)(context)
+        decision = compound.last_decision
+        if decision.use_emergency:
+            seen["compound: emergency"] += 1
+        elif compound._nn_shares_window:
+            seen["compound: NN on the monitor's window"] += 1
+        else:
+            seen["compound: NN on its own window"] += 1
+        return command, (
+            decision.use_emergency, decision.in_boundary, decision.in_unsafe
+        )
+
+    return [
+        ("NNPlanner.plan_floats", _floats(planner),
+         partial(shield_oracle.nn_plan, planner)),
+        ("NNPlanner.plan", planner.plan, _floats(planner)),
+        ("LeftTurnEmergencyPlanner.plan_floats", _floats(emergency),
+         partial(shield_oracle.emergency_plan, emergency)),
+        ("LeftTurnEmergencyPlanner.plan", emergency.plan, _floats(emergency)),
+        ("CompoundPlanner.plan_floats", compound_floats,
+         partial(shield_oracle.compound_plan, compound)),
+        ("CompoundPlanner.plan", compound.plan, _floats(compound)),
+    ]
 
 
 def _tally(seen, geometry, limits, ego_limits, dt_c, time, estimate, ego) -> None:
@@ -357,6 +456,10 @@ class TestShieldOracle:
             "boundary: margin decides",
             "boundary: lookahead",
             "boundary: safe approach",
+            "decide: window evaluated",
+            "compound: emergency",
+            "compound: NN on the monitor's window",
+            "compound: NN on its own window",
         ]
         thin = {name: seen[name] for name in required if seen[name] < MIN_COVERAGE}
         assert not thin, f"situations reached too rarely: {thin}"
