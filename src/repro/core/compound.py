@@ -121,7 +121,8 @@ class CompoundPlanner:
         """
         ego = context.ego
         return self.plan_floats(
-            context.time, ego.position, ego.velocity, context.estimates
+            context.time, ego.position, ego.velocity, ego.acceleration,
+            context.estimates,
         )
 
     def plan_floats(
@@ -129,12 +130,14 @@ class CompoundPlanner:
         time: float,
         position: float,
         velocity: float,
+        acceleration: float,
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
         """One monitored control step on the ego's floats.
 
-        Units: time [s], position [m], velocity [m/s] -> [m/s^2]
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
 
         A raising embedded planner is contained: the monitor only ever
         admits states from which the emergency planner keeps the system
@@ -154,35 +157,46 @@ class CompoundPlanner:
         Effects: mutates-args, draws-rng
         """
         if tracer is None:
-            decision, window = self._monitor.decide(time, position, velocity, estimates)
+            decision, window = self._monitor.decide(
+                time, position, velocity, acceleration, estimates
+            )
         else:
             decision, window = traced_call(
                 tracer, "shield.monitor", self._monitor.decide,
-                time, position, velocity, estimates,
+                time, position, velocity, acceleration, estimates,
             )
         if self._obs.enabled:
-            self._observe_decision(time, position, velocity, estimates, decision)
+            self._observe_decision(
+                time, position, velocity, acceleration, estimates, decision
+            )
         self._last_decision = decision
         if decision.use_emergency:
-            command = self._emergency_command(time, position, velocity, estimates, tracer)
+            command = self._emergency_command(
+                time, position, velocity, acceleration, estimates, tracer
+            )
         else:
             nn = self._nn
             try:
                 if self._nn_shares_window:
                     command = nn.plan_floats(
-                        time, position, velocity, estimates, tracer, window
+                        time, position, velocity, acceleration, estimates,
+                        tracer, window,
                     )
                 elif self._nn_floats:
-                    command = nn.plan_floats(time, position, velocity, estimates, tracer)
+                    command = nn.plan_floats(
+                        time, position, velocity, acceleration, estimates, tracer
+                    )
                 else:
-                    command = nn.plan(context_of(time, position, velocity, estimates))
+                    command = nn.plan(
+                        context_of(time, position, velocity, acceleration, estimates)
+                    )
             except PlannerError:
                 self._embedded_failures += 1
                 if self._obs.enabled:
                     self._obs.instant("shield.embedded_failure", t=time)
                     self._obs.count("shield.embedded_failures")
                 command = self._emergency_command(
-                    time, position, velocity, estimates, tracer
+                    time, position, velocity, acceleration, estimates, tracer
                 )
         return clipped(command, self._limits)
 
@@ -191,30 +205,35 @@ class CompoundPlanner:
         time: float,
         position: float,
         velocity: float,
+        acceleration: float,
         estimates: Mapping[int, FusedEstimate],
         tracer,
     ) -> float:
         """The emergency planner's raw command for this step.
 
-        Units: time [s], position [m], velocity [m/s] -> [m/s^2]
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
         """
         if self._emergency_floats:
             return self._emergency.plan_floats(
-                time, position, velocity, estimates, tracer
+                time, position, velocity, acceleration, estimates, tracer
             )
-        return self._emergency.plan(context_of(time, position, velocity, estimates))
+        return self._emergency.plan(
+            context_of(time, position, velocity, acceleration, estimates)
+        )
 
     def _observe_decision(
         self,
         time: float,
         position: float,
         velocity: float,
+        acceleration: float,
         estimates: Mapping[int, FusedEstimate],
         decision: MonitorDecision,
     ) -> None:
         """Emit shield telemetry for one step (enabled observers only).
 
-        Units: time [s], position [m], velocity [m/s]
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
 
         Called *before* ``self._last_decision`` is overwritten so
         engage/release transitions compare against the previous step.
@@ -240,7 +259,7 @@ class CompoundPlanner:
         boundary_of = getattr(model, "boundary_distance", None)
         if margin_of is None and boundary_of is None:
             return
-        ego = VehicleState(position, velocity)
+        ego = VehicleState(position, velocity, acceleration)
         if margin_of is not None:
             margin = margin_of(time, ego, estimates)
             if math.isfinite(margin):

@@ -67,13 +67,29 @@ _DECISIONS = {
 }
 
 
+def _joint_decide(model: SafetyModel):
+    """``model.decide`` if it answers the model's own predicates, else None.
+
+    A subclass that overrides a predicate below the class defining
+    ``decide`` is asked each predicate in turn, so the override is seen.
+    """
+    cls = type(model)
+    owner = next((c for c in cls.__mro__ if "decide" in vars(c)), None)
+    if owner is None:
+        return None
+    for name in ("in_boundary_safe_set", "in_estimated_unsafe_set"):
+        if getattr(cls, name, None) is not getattr(owner, name, None):
+            return None
+    return model.decide
+
+
 class RuntimeMonitor:
     """Selects between the NN-based and the emergency planner each step."""
 
     def __init__(self, safety_model: SafetyModel) -> None:
         self._model = safety_model
         #: Both predicates in one call, where the model offers it.
-        self._model_decide = getattr(safety_model, "decide", None)
+        self._model_decide = _joint_decide(safety_model)
         self._decisions = 0
         self._emergency_decisions = 0
         self._unsafe_decisions = 0
@@ -90,7 +106,8 @@ class RuntimeMonitor:
         """Evaluate both predicates and record the decision."""
         ego = context.ego
         return self.decide(
-            context.time, ego.position, ego.velocity, context.estimates, ego
+            context.time, ego.position, ego.velocity, ego.acceleration,
+            context.estimates,
         )[0]
 
     def decide(
@@ -98,27 +115,27 @@ class RuntimeMonitor:
         time: float,
         position: float,
         velocity: float,
+        acceleration: float,
         estimates: Mapping[int, FusedEstimate],
-        ego: Optional[VehicleState] = None,
     ) -> Tuple[MonitorDecision, Optional[Tuple[float, float]]]:
         """:meth:`evaluate` on the ego's floats, plus the conflict window.
 
-        Units: time [s], position [m], velocity [m/s]
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
 
         A safety model with a ``decide(time, position, velocity,
         estimates)`` method (the left-turn family) answers both
         predicates in one call and returns the ``(lo, hi)`` window it
-        evaluated, or ``None``.  Any other model is asked each predicate
-        in turn on ``ego`` (built from ``position`` and ``velocity`` when
-        not given), and no window is returned.
+        evaluated, or ``None``.  Any other model, or a subclass that
+        overrides a predicate but not ``decide``, is asked each
+        predicate in turn on the ego state the floats make, and no
+        window is returned.
         """
         decide = self._model_decide
         if decide is not None:
             in_boundary, in_unsafe, window = decide(time, position, velocity, estimates)
         else:
             model = self._model
-            if ego is None:
-                ego = VehicleState(position, velocity)
+            ego = VehicleState(position, velocity, acceleration)
             in_boundary = bool(model.in_boundary_safe_set(time, ego, estimates))
             in_unsafe = bool(model.in_estimated_unsafe_set(time, ego, estimates))
             window = None

@@ -422,7 +422,11 @@ class InformationFilter:
 
         replay = self._replay
         if replay.is_initialized and not self._watchdog.diverged:
-            _, kf_p, kf_v, p00, _, p11 = replay.estimate_fields(now)
+            kf = replay.estimate_at(now)
+            kf_p = kf.position
+            kf_v = kf.velocity
+            p00 = kf.p00
+            p11 = kf.p11
             # sqrt(max(var, 0.0)), the max as a conditional.
             half_p = self._n_sigma * math.sqrt(0.0 if 0.0 > p00 else p00)
             half_v = self._n_sigma * math.sqrt(0.0 if 0.0 > p11 else p11)

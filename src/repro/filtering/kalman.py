@@ -105,34 +105,6 @@ def _checked(
     return fields
 
 
-def _extrapolated(
-    state: Tuple[float, float, float, float, float, float],
-    accel: float,
-    dt: float,
-    accel_var: float,
-) -> Tuple[float, float, float, float, float, float]:
-    """``F x + G a`` and ``F P F' + Q`` over a horizon ``dt > 0``, unchecked.
-
-    Units: accel [m/s^2], dt [s], accel_var [m^2/s^4]
-
-    The one implementation of the prediction arithmetic, on the six
-    fields of a state (a :class:`KalmanState` or a plain tuple in its
-    order); ``F``, ``G`` and ``Q`` are those of the horizon.
-    """
-    time, x_p, x_v, p00, p01, p11 = state
-    dt2 = dt * dt
-    # F P F' + Q with F = [[1, dt], [0, 1]].
-    p01_dt = p01 + dt * p11
-    return (
-        time + dt,
-        x_p + dt * x_v + 0.5 * dt2 * accel,
-        x_v + dt * accel,
-        p00 + dt * p01 + dt * p01_dt + 0.25 * dt2 * dt2 * accel_var,
-        p01_dt + 0.5 * dt2 * dt * accel_var,
-        p11 + dt2 * accel_var,
-    )
-
-
 class _StateFields(NamedTuple):
     time: float
     position: float
@@ -422,30 +394,25 @@ class KalmanFilter:
             raise FilterError(f"extrapolation horizon must be >= 0, got {dt}")
         if dt == 0.0:
             return state
-        return KalmanState(
-            *_extrapolated(state, float(accel_measured), dt, self._accel_var)
-        )
-
-    def extrapolate_fields(
-        self, state: KalmanState, accel_measured: float, dt: float
-    ) -> Tuple[float, float, float, float, float, float]:
-        """:meth:`extrapolate` as the six fields, without the state object.
-
-        Units: accel_measured [m/s^2], dt [s]
-
-        Effects: pure
-
-        Same arithmetic and the same checks (horizon, finite estimate,
-        finite covariance) with the same errors; for callers that read
-        the prediction once and do not keep it.
-        """
-        dt = float(dt)
-        if dt < 0.0:
-            raise FilterError(f"extrapolation horizon must be >= 0, got {dt}")
-        if dt == 0.0:
-            return state
-        return _checked(
-            _extrapolated(state, float(accel_measured), dt, self._accel_var)
+        time, x_p, x_v, p00, p01, p11 = state
+        a = float(accel_measured)
+        dt2 = dt * dt
+        var = self._accel_var
+        # F P F' + Q with F = [[1, dt], [0, 1]].
+        p01_dt = p01 + dt * p11
+        # The checks KalmanState makes, without its constructor frame.
+        return tuple.__new__(
+            KalmanState,
+            _checked(
+                (
+                    time + dt,
+                    x_p + dt * x_v + 0.5 * dt2 * a,
+                    x_v + dt * a,
+                    p00 + dt * p01 + dt * p01_dt + 0.25 * dt2 * dt2 * var,
+                    p01_dt + 0.5 * dt2 * dt * var,
+                    p11 + dt2 * var,
+                )
+            ),
         )
 
     def exact_state(

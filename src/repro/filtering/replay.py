@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.comm.message import Message
 from repro.errors import FilterError, ReplayError
@@ -271,18 +271,6 @@ class ReplayKalmanFilter:
         FilterError
             If the filter has no posterior yet or ``now`` precedes it.
         """
-        return KalmanState(*self.estimate_fields(now))
-
-    def estimate_fields(
-        self, now: float
-    ) -> Tuple[float, float, float, float, float, float]:
-        """:meth:`estimate_at` as the six state fields, without the object.
-
-        Units: now [s]
-
-        Same checks and errors; what the information filter reads every
-        control step.
-        """
         posterior = self._posterior
         if posterior is None:
             raise FilterError("filter not initialised: no sensor reading yet")
@@ -292,7 +280,7 @@ class ReplayKalmanFilter:
                 f"cannot estimate before the posterior: now={now} < "
                 f"t={posterior.time}"
             )
-        return self._kalman.extrapolate_fields(
+        return self._kalman.extrapolate(
             posterior, self._current_accel, max(gap, 0.0)
         )
 

@@ -5,14 +5,16 @@ The safety theorem treats the planner output as an acceleration in
 but the *monitor's one-step reachability margin* is computed from the
 commanded value, so an out-of-range command desynchronises "what the
 monitor certified" from "what the plant does".  The codebase's idiom is
-that every ``plan()``/``plan_from_window()`` return site is one of:
+that every ``plan()``/``plan_floats()``/``plan_from_window()`` return
+site is one of:
 
 * a call through ``limits.clip_acceleration(...)`` or
   :func:`repro.planners.base.clipped`;
 * a limit attribute itself (``limits.a_min`` / ``limits.a_max``);
 * a numeric literal (``0.0`` — hold);
 * delegation to a method reached through ``self`` (the delegate's own
-  return sites are then subject to this rule where applicable);
+  return sites are then subject to this rule where applicable), also
+  when timed in a span: ``traced_call(tracer, name, self.<method>, ...)``;
 * a conditional expression whose branches are each of the above.
 
 Anything else — raw arithmetic, a bare variable — is flagged.
@@ -29,10 +31,12 @@ from repro.lint.rules.base import Rule, function_returns
 
 __all__ = ["PlanClampRule"]
 
-_PLAN_METHODS = frozenset({"plan", "plan_from_window"})
+_PLAN_METHODS = frozenset({"plan", "plan_floats", "plan_from_window"})
 _CLAMP_CALLS = frozenset({"clip_acceleration", "clip"})
 _CLAMP_FUNCS = frozenset({"clipped"})
 _LIMIT_ATTRS = frozenset({"a_min", "a_max"})
+#: Calls ``fn(*args)`` in a span: ``traced_call(tracer, name, fn, *args)``.
+_TRACED_CALL = "traced_call"
 
 
 def _rooted_at_self(node: ast.expr) -> bool:
@@ -58,6 +62,8 @@ def _is_bounded(node: ast.expr) -> bool:
         func = node.func
         if isinstance(func, ast.Name) and func.id in _CLAMP_FUNCS:
             return True
+        if isinstance(func, ast.Name) and func.id == _TRACED_CALL:
+            return len(node.args) > 2 and _rooted_at_self(node.args[2])
         if isinstance(func, ast.Attribute):
             if func.attr in _CLAMP_CALLS:
                 return True

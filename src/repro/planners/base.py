@@ -74,17 +74,17 @@ def context_of(
     time: float,
     position: float,
     velocity: float,
+    acceleration: float,
     estimates: Mapping[int, FusedEstimate],
 ) -> PlanningContext:
     """The context a float entry point hands a planner that has none.
 
-    Units: time [s], position [m], velocity [m/s]
-
-    The float entries carry the ego's position and velocity only, so the
-    ego state's acceleration is 0.
+    Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
     """
     return PlanningContext(
-        time=time, ego=VehicleState(position, velocity), estimates=estimates
+        time=time,
+        ego=VehicleState(position, velocity, acceleration),
+        estimates=estimates,
     )
 
 
@@ -92,12 +92,12 @@ def context_of(
 class Planner(Protocol):
     """Protocol every planner implements.
 
-    A planner may also offer the float entry point
-    ``plan_floats(time, position, velocity, estimates, tracer=None)``,
-    which returns what ``plan`` returns for the context
-    :func:`context_of` builds, and times itself in a span on ``tracer``
-    when one is given.  The engine and the compound planner call it
-    instead of building a context.
+    A planner may also offer the float entry point ``plan_floats(time,
+    position, velocity, acceleration, estimates, tracer=None)``, which
+    returns what ``plan`` returns for the context :func:`context_of`
+    builds, and times itself in a span on ``tracer`` when one is given.
+    The engine and the compound planner call it instead of building a
+    context.
     """
 
     def plan(self, context: PlanningContext) -> float:

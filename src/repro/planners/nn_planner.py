@@ -214,7 +214,8 @@ class NNPlanner:
         """Window features -> scaled inference -> clipped acceleration."""
         ego = context.ego
         return self.plan_floats(
-            context.time, ego.position, ego.velocity, context.estimates
+            context.time, ego.position, ego.velocity, ego.acceleration,
+            context.estimates,
         )
 
     def plan_floats(
@@ -222,13 +223,17 @@ class NNPlanner:
         time: float,
         position: float,
         velocity: float,
+        acceleration: float,
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
         window: Optional[Tuple[float, float]] = None,
     ) -> float:
         """:meth:`plan` on the ego's floats; a ``shield.nn`` span on ``tracer``.
 
-        Units: time [s], position [m], velocity [m/s] -> [m/s^2]
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+
+        The features do not include the ego's acceleration.
 
         ``window`` is the oncoming window as ``(lo, hi)`` when the caller
         already evaluated it with this planner's estimator (see
@@ -237,7 +242,7 @@ class NNPlanner:
         if tracer is not None:
             return traced_call(
                 tracer, "shield.nn", self.plan_floats,
-                time, position, velocity, estimates, None, window,
+                time, position, velocity, acceleration, estimates, None, window,
             )
         if window is None:
             try:

@@ -86,7 +86,8 @@ class LeftTurnEmergencyPlanner:
         """
         ego = context.ego
         return self.plan_floats(
-            context.time, ego.position, ego.velocity, context.estimates
+            context.time, ego.position, ego.velocity, ego.acceleration,
+            context.estimates,
         )
 
     def plan_floats(
@@ -94,19 +95,21 @@ class LeftTurnEmergencyPlanner:
         time: float,
         position: float,
         velocity: float,
+        acceleration: float,
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
         """:meth:`plan` on the ego's floats; a ``shield.emergency`` span on ``tracer``.
 
-        Units: time [s], position [m], velocity [m/s] -> [m/s^2]
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
 
         The law reads only the ego's position and velocity.
         """
         if tracer is not None:
             return traced_call(
                 tracer, "shield.emergency", self.plan_floats,
-                time, position, velocity, estimates,
+                time, position, velocity, acceleration, estimates,
             )
         velocity = max(velocity, 0.0)
         front_gap = self._geometry.ego_distance_to_front(position)

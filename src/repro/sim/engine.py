@@ -382,10 +382,12 @@ class SimulationEngine:
             if plan_floats is not None:
                 if traced:
                     ego_command = plan_floats(
-                        t, positions[0], velocities[0], estimates, obs
+                        t, positions[0], velocities[0], accels[0], estimates, obs
                     )
                 else:
-                    ego_command = plan_floats(t, positions[0], velocities[0], estimates)
+                    ego_command = plan_floats(
+                        t, positions[0], velocities[0], accels[0], estimates
+                    )
                 planner_called = True
             else:
                 context = PlanningContext(
@@ -490,7 +492,12 @@ class _TracedFloatPlanner:
         """``plan_floats`` on the context's floats, timed on the tracer."""
         ego = context.ego
         return self._plan_floats(
-            context.time, ego.position, ego.velocity, context.estimates, self._tracer
+            context.time,
+            ego.position,
+            ego.velocity,
+            ego.acceleration,
+            context.estimates,
+            self._tracer,
         )
 
 

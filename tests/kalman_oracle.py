@@ -317,17 +317,6 @@ class KalmanFilter:
         p_pred = f @ state.covariance @ f.T + q
         return KalmanState(time=state.time + dt, x_hat=x_pred, covariance=p_pred)
 
-    def extrapolate_fields(
-        self, state: KalmanState, accel_measured: float, dt: float
-    ) -> tuple:
-        """:meth:`extrapolate` as the six fields the scalar filter reads.
-
-        An adapter, so the replay filter's float query path runs on this
-        oracle too; the arithmetic is :meth:`extrapolate`'s.
-        """
-        s = self.extrapolate(state, accel_measured, dt)
-        return (s.time, s.position, s.velocity, s.p00, s.p01, s.p11)
-
     def exact_state(
         self, time: float, position: float, velocity: float
     ) -> KalmanState:

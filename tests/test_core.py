@@ -1,5 +1,6 @@
 """Tests for the runtime monitor and the compound planner."""
 
+import dataclasses
 import math
 
 import pytest
@@ -43,6 +44,34 @@ def _context():
     return PlanningContext(
         time=0.0, ego=VehicleState(position=0.0, velocity=5.0)
     )
+
+
+class RecordingPlanner:
+    """A context-only planner: records the ego acceleration it is shown."""
+
+    def __init__(self, commands):
+        self.commands = list(commands)
+        self.seen = []
+
+    def plan(self, context):
+        self.seen.append(context.ego.acceleration)
+        return self.commands[len(self.seen) % len(self.commands)]
+
+
+class RecordingSafetyModel(ScriptedSafetyModel):
+    """A scripted model without ``decide``: records the ego accelerations."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.seen = []
+
+    def in_boundary_safe_set(self, time, ego, estimates):
+        self.seen.append(ego.acceleration)
+        return super().in_boundary_safe_set(time, ego, estimates)
+
+    def in_estimated_unsafe_set(self, time, ego, estimates):
+        self.seen.append(ego.acceleration)
+        return super().in_estimated_unsafe_set(time, ego, estimates)
 
 
 class TestAggressiveConfig:
@@ -150,3 +179,48 @@ class TestCompoundPlanner:
         assert isinstance(planner.nn_planner, ConstantPlanner)
         assert isinstance(planner.emergency_planner, ConstantPlanner)
         assert isinstance(planner.monitor, RuntimeMonitor)
+
+
+class TestEgoAccelerationPassedOn:
+    """Context planners and models behind the float entries see the ego's acceleration."""
+
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_compound_plan(self, boundary):
+        nn = RecordingPlanner([1.0])
+        emergency = RecordingPlanner([-2.0])
+        model = RecordingSafetyModel([(boundary, False)])
+        compound = CompoundPlanner(nn, emergency, RuntimeMonitor(model), LIMITS)
+        context = PlanningContext(time=0.0, ego=VehicleState(0.0, 5.0, 1.5))
+        compound.plan(context)
+        assert model.seen == [1.5, 1.5]
+        assert (emergency if boundary else nn).seen == [1.5]
+        assert (nn if boundary else emergency).seen == []
+
+    def test_monitor_evaluate(self):
+        model = RecordingSafetyModel([(False, False)])
+        context = PlanningContext(time=0.0, ego=VehicleState(0.0, 5.0, -3.25))
+        RuntimeMonitor(model).evaluate(context)
+        assert model.seen == [-3.25, -3.25]
+
+
+class TestPredicateOverrides:
+    """A model subclass overriding a predicate, not ``decide``, is heard."""
+
+    @pytest.mark.parametrize(
+        "predicate, field",
+        [("in_boundary_safe_set", "in_boundary"),
+         ("in_estimated_unsafe_set", "in_unsafe")],
+    )
+    def test_override_reaches_monitor(self, scenario, predicate, field):
+        base = scenario.safety_model()
+        flagged = type(
+            "Flagged", (type(base),), {predicate: lambda self, t, ego, est: True}
+        )
+        model = flagged(
+            **{f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+        )
+        # Past the area: neither predicate of the base model holds.
+        context = PlanningContext(time=0.0, ego=VehicleState(1000.0, 0.0))
+        assert not RuntimeMonitor(base).evaluate(context).use_emergency
+        decision = RuntimeMonitor(model).evaluate(context)
+        assert decision.use_emergency and getattr(decision, field)

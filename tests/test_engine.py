@@ -3,6 +3,8 @@
 import pytest
 
 from repro.comm.disturbance import messages_delayed
+from repro.core.compound import CompoundPlanner
+from repro.core.monitor import RuntimeMonitor
 from repro.planners.constant import ConstantPlanner, FullBrakePlanner
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
 from repro.sensing.noise import NoiseBounds
@@ -11,6 +13,8 @@ from repro.sim.results import Outcome
 from repro.sim.runner import BatchRunner, EstimatorKind, make_estimator_factory
 from repro.errors import SafetyViolationError, SimulationError
 from repro.utils.rng import RngStream, spawn_streams
+from tests import engine_oracle
+from tests.test_core import RecordingPlanner, RecordingSafetyModel
 
 
 def _engine(scenario, max_time=30.0, **kwargs):
@@ -160,3 +164,25 @@ class TestBatchRunner:
         runner = BatchRunner(engine, EstimatorKind.FILTERED)
         result = runner.run_one(ConstantPlanner(2.0), seed=4)
         assert result.steps > 0
+
+
+class TestEgoAcceleration:
+    def test_compound_context_planners_see_applied_acceleration(self, scenario):
+        """The float loop hands a compound the acceleration the context loop did."""
+        engine = _engine(scenario, max_time=3.0)
+        factory = make_estimator_factory(EstimatorKind.RAW, engine)
+
+        def run(loop):
+            nn = RecordingPlanner([2.0, -1.0, 0.5])
+            model = RecordingSafetyModel([(False, False)])
+            compound = CompoundPlanner(
+                nn, RecordingPlanner([0.0]), RuntimeMonitor(model),
+                scenario.ego_limits,
+            )
+            loop(engine, compound, factory, RngStream(3))
+            return nn.seen, model.seen
+
+        ours = run(SimulationEngine.run)
+        theirs = run(engine_oracle.run)
+        assert ours == theirs
+        assert len(set(ours[0])) == 4  # 0 at the start, then each command

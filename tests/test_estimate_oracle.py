@@ -80,9 +80,6 @@ class _StubReplay:
         assert self._state is not None
         return self._state
 
-    def estimate_fields(self, now: float) -> tuple:
-        return tuple(self.estimate_at(now))
-
 
 def _objects(estimate) -> tuple:
     """An estimate's time, bands, nominal state and message age."""

@@ -184,43 +184,6 @@ class TestExtrapolate:
             kf.extrapolate(s, 0.0, -0.1)
 
 
-class TestExtrapolateFields:
-    """``extrapolate_fields`` is ``extrapolate`` without the state object."""
-
-    @staticmethod
-    def _outcome(fn, *args):
-        try:
-            return tuple(fn(*args))
-        except FilterError as exc:
-            return (type(exc), str(exc))
-
-    def test_random_horizons_match(self):
-        kf = _filter()
-        gen = np.random.default_rng(5)
-        for _ in range(2000):
-            s = KalmanState(
-                time=float(gen.uniform(0.0, 10.0)),
-                position=float(gen.uniform(-100.0, 100.0)),
-                velocity=float(gen.uniform(-20.0, 20.0)),
-                p00=float(gen.uniform(0.0, 3.0)),
-                p01=float(gen.uniform(-0.5, 0.5)),
-                p11=float(gen.uniform(0.0, 3.0)),
-            )
-            a = float(gen.uniform(-3.0, 3.0))
-            dt = float(gen.choice([0.0, -0.1, 1e300, float("nan"), gen.exponential(0.5)]))
-            assert self._outcome(kf.extrapolate_fields, s, a, dt) == self._outcome(
-                kf.extrapolate, s, a, dt
-            )
-
-    def test_non_finite_prediction_rejected(self):
-        kf = _filter()
-        s = KalmanState(
-            time=0.0, position=1e308, velocity=1e308, p00=1.0, p01=0.0, p11=1.0
-        )
-        with pytest.raises(FilterError, match="non-finite state estimate"):
-            kf.extrapolate_fields(s, 0.0, 10.0)
-
-
 class TestConvergence:
     def test_tracks_constant_velocity_target(self):
         """RMSE after filtering must beat the raw measurement RMSE."""

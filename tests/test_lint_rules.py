@@ -140,6 +140,19 @@ def test_plan_clamp_ignores_module_level_plan_function():
     assert not [f for f in findings if f.rule_id == "SFL007"]
 
 
+def test_plan_clamp_checks_float_entry_points():
+    """plan_floats() is a plan method: its raw return and a traced call
+    of a method not reached through self are both flagged."""
+    findings = _findings_for("SFL007", "plan_clamp_bad", "repro.planners.fixture")
+    flagged = sorted(f.line for f in findings if "plan_floats()" in f.message)
+    source = (FIXTURES / "plan_clamp_bad.py").read_text(encoding="utf-8")
+    lines = source.splitlines()
+    assert [lines[n - 1].strip()[:24] for n in flagged] == [
+        "return traced_call(trace",
+        "return self._gain * (sel",
+    ]
+
+
 def test_division_guard_propagates_through_assignment():
     source = (
         "def f(a_floor, distance):\n"

@@ -350,7 +350,8 @@ def _floats(planner):
     def plan(context):
         ego = context.ego
         return planner.plan_floats(
-            context.time, ego.position, ego.velocity, context.estimates
+            context.time, ego.position, ego.velocity, ego.acceleration,
+            context.estimates,
         )
 
     return plan
