@@ -52,14 +52,15 @@ mypy:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Fast-path differential tests (~35 s): every fast path against the
-# slow oracle it replaced (the Kalman filter against its matrix form,
-# the fused estimate against its Interval form, the block-buffered RNG
-# stream against the unbuffered one, the planner's NN inference against
-# Sequential.forward, the fused training step against the per-layer
-# loop, the float left-turn shield against its Interval form, the lean
-# engine loop against the one it replaced), with exact or 1e-9
-# agreement case by case and identical episodes and trained weights.
+# Fast-path differential tests (~40 s): every fast path against the
+# slow oracle it replaced (the Kalman filter against its matrix form and
+# its field helpers against the scalar object path, the fused estimate
+# against its Interval form, the block-buffered RNG stream against the
+# unbuffered one, the planner's 1-D NN row against Sequential.forward,
+# the fused training step against the per-layer loop, the float
+# left-turn shield against its Interval form, the lean engine loop
+# against the one it replaced), with exact or 1e-9 agreement case by
+# case and identical episodes and trained weights.
 # See docs/ROBUSTNESS.md section 7.
 oracles:
 	$(PYTHON) -m pytest tests/test_kalman_oracle.py tests/test_estimate_oracle.py \

@@ -33,7 +33,7 @@ from repro.errors import FilterError, IntervalError
 from repro.filtering.fusion import FusedEstimate, join_or_fallback
 from repro.filtering.kalman import KalmanFilter, KalmanState
 from repro.filtering.reachability import ReachabilityAnalyzer
-from repro.filtering.replay import ReplayKalmanFilter
+from repro.filtering.replay import ReplayKalmanFilter, estimate_before_posterior
 from repro.obs.observer import resolve_observer
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
@@ -257,9 +257,9 @@ class InformationFilter:
                 f"watchdog_consecutive must be >= 1, got {watchdog_consecutive}"
             )
         self._reach = ReachabilityAnalyzer(limits)
+        self._kalman = KalmanFilter(sensing_period, sensor_bounds)
         self._replay = ReplayKalmanFilter(
-            KalmanFilter(sensing_period, sensor_bounds),
-            history_horizon=history_horizon,
+            self._kalman, history_horizon=history_horizon
         )
         self._bounds = sensor_bounds
         #: Diagonal of R, read by the watchdog gate.
@@ -380,8 +380,12 @@ class InformationFilter:
         filter trips; one consistent reading recovers it.
         """
         sigma = self._watchdog_sigma
-        gate_p = sigma * math.sqrt(max(predicted.p00 + self._r_p, 0.0)) + _WATCHDOG_SLACK
-        gate_v = sigma * math.sqrt(max(predicted.p11 + self._r_v, 0.0)) + _WATCHDOG_SLACK
+        # sqrt(max(var, 0.0)) of each innovation variance, the max as a
+        # conditional.
+        s_p = predicted.p00 + self._r_p
+        s_v = predicted.p11 + self._r_v
+        gate_p = sigma * math.sqrt(0.0 if 0.0 > s_p else s_p) + _WATCHDOG_SLACK
+        gate_v = sigma * math.sqrt(0.0 if 0.0 > s_v else s_v) + _WATCHDOG_SLACK
         breach = (
             abs(reading.position - predicted.position) > gate_p
             or abs(reading.velocity - predicted.velocity) > gate_v
@@ -421,12 +425,16 @@ class InformationFilter:
         message_age = None if message is None else now - message.stamp
 
         replay = self._replay
-        if replay.is_initialized and not self._watchdog.diverged:
-            kf = replay.estimate_at(now)
-            kf_p = kf.position
-            kf_v = kf.velocity
-            p00 = kf.p00
-            p11 = kf.p11
+        posterior = replay.posterior
+        if posterior is not None and not self._watchdog.diverged:
+            # ReplayKalmanFilter.estimate_at on the posterior's fields.
+            gap = now - posterior.time
+            if gap < -1e-9:
+                raise estimate_before_posterior(now, posterior.time)
+            a = replay.current_accel
+            _, kf_p, kf_v, p00, _, p11 = self._kalman.extrapolate_floats(
+                posterior, a, 0.0 if 0.0 > gap else gap
+            )
             # sqrt(max(var, 0.0)), the max as a conditional.
             half_p = self._n_sigma * math.sqrt(0.0 if 0.0 > p00 else p00)
             half_v = self._n_sigma * math.sqrt(0.0 if 0.0 > p11 else p11)
@@ -437,7 +445,6 @@ class InformationFilter:
             p = p_hi if p_hi < p else p
             v = v_lo if v_lo > kf_v else kf_v
             v = v_hi if v_hi < v else v
-            a = replay.current_accel
         else:
             # Reachability-only: before the first sensor reading, or the
             # watchdog tripped and the Kalman band is quarantined.
@@ -450,7 +457,7 @@ class InformationFilter:
                         cause="watchdog",
                         filter=self._label,
                     )
-            if replay.is_initialized:
+            if posterior is not None:
                 a = replay.current_accel
             elif message is not None:
                 a = message.state.acceleration

@@ -44,6 +44,11 @@ from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["KalmanState", "KalmanFilter", "symmetrize_psd"]
 
+#: The six fields of a :class:`KalmanState`, in its order, as floats:
+#: time, the two means and the three distinct covariance entries.
+Fields = Tuple[float, float, float, float, float, float]
+
+
 def _project_psd(
     p00: float, p01: float, p11: float, floor: float = 0.0
 ) -> Tuple[float, float, float]:
@@ -51,11 +56,18 @@ def _project_psd(
 
     Both variances are raised to at least ``floor`` and the covariance
     term is clipped to the Cauchy-Schwarz bound ``sqrt(p00 * p11)``.
+    The clamps are ``max``/``min`` written as conditionals, with the
+    same result: a tie keeps the first argument (so ``-0.0`` survives
+    ``max(-0.0, 0.0)``) and a NaN first argument comes back unchanged.
     """
-    p00 = max(p00, floor)
-    p11 = max(p11, floor)
+    # max(p00, floor) and max(p11, floor).
+    p00 = floor if floor > p00 else p00
+    p11 = floor if floor > p11 else p11
     cross = math.sqrt(p00 * p11)
-    return p00, min(max(p01, -cross), cross), p11
+    # min(max(p01, -cross), cross).
+    low = -cross
+    p01 = low if low > p01 else p01
+    return p00, cross if cross < p01 else p01, p11
 
 
 def symmetrize_psd(covariance: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -90,9 +102,7 @@ def symmetrize_psd(covariance: np.ndarray, floor: float = 0.0) -> np.ndarray:
 _INF = math.inf
 
 
-def _checked(
-    fields: Tuple[float, float, float, float, float, float]
-) -> Tuple[float, float, float, float, float, float]:
+def _checked(fields: Fields) -> Fields:
     """``fields`` of a state unchanged; raises as :class:`KalmanState` does.
 
     The fields are those of :class:`KalmanState`, in its order.
@@ -321,8 +331,30 @@ class KalmanFilter:
         Effects: pure
 
         Uses the paper's gain ``K = P (P + R)^{-1}`` (the measurement
-        matrix is the identity) and the Joseph-form covariance update,
-        both expanded for ``2x2`` matrices with a diagonal ``R``.
+        matrix is the identity) and the Joseph-form covariance update;
+        the arithmetic is :meth:`update_floats`.
+        """
+        return tuple.__new__(
+            KalmanState,
+            self.update_floats(predicted, position_measured, velocity_measured),
+        )
+
+    def update_floats(
+        self,
+        predicted: Fields,
+        position_measured: float,
+        velocity_measured: float,
+    ) -> Fields:
+        """:meth:`update` on a state's six fields; the posterior's fields.
+
+        Units: position_measured [m], velocity_measured [m/s]
+
+        Effects: pure
+
+        ``predicted`` is a :class:`KalmanState` or any tuple of its
+        fields.  The gain and the Joseph form are expanded for ``2x2``
+        matrices with a diagonal ``R``; the result is checked finite as
+        :class:`KalmanState` checks it, with the same errors.
         """
         r_p = self._r_p
         r_v = self._r_v
@@ -331,8 +363,8 @@ class KalmanFilter:
             # Noiseless sensing (R = 0): the measurement is exact and the
             # posterior is the measurement with zero uncertainty.  This
             # keeps the perfect-communication test setups working.
-            return KalmanState(
-                time, float(position_measured), float(velocity_measured), 0.0, 0.0, 0.0
+            return _checked(
+                (time, float(position_measured), float(velocity_measured), 0.0, 0.0, 0.0)
             )
         # S = P + R and its determinant; K = P S^{-1} with the explicit
         # 2x2 inverse S^{-1} = [[s11, -p01], [-p01, s00]] / det.
@@ -365,13 +397,15 @@ class KalmanFilter:
         # out the roundoff so long replayed chains cannot accumulate an
         # indefinite covariance (negative variance -> NaN bands).
         q00, q01, q11 = _project_psd(j00, 0.5 * (j01 + j10), j11)
-        return KalmanState(
-            time,
-            x_p + (k00 * y_p + k01 * y_v),
-            x_v + (k10 * y_p + k11 * y_v),
-            q00,
-            q01,
-            q11,
+        return _checked(
+            (
+                time,
+                x_p + (k00 * y_p + k01 * y_v),
+                x_v + (k10 * y_p + k11 * y_v),
+                q00,
+                q01,
+                q11,
+            )
         )
 
     def extrapolate(
@@ -386,8 +420,28 @@ class KalmanFilter:
         Used for (a) estimates between sensor samples — the runtime
         monitor runs every control step ``dt_c`` which is finer than the
         sensing period — and (b) message replay when the message stamp is
-        not aligned with the sensing schedule.  ``F``, ``G`` and ``Q``
-        are those of the requested horizon, with ``F P F'`` written out.
+        not aligned with the sensing schedule.  The arithmetic is
+        :meth:`extrapolate_floats`; a zero horizon returns ``state``.
+        """
+        fields = self.extrapolate_floats(state, accel_measured, dt)
+        if fields is state:
+            return state
+        return tuple.__new__(KalmanState, fields)
+
+    def extrapolate_floats(
+        self, state: Fields, accel_measured: float, dt: float
+    ) -> Fields:
+        """:meth:`extrapolate` on a state's six fields; the prediction's fields.
+
+        Units: accel_measured [m/s^2], dt [s]
+
+        Effects: pure
+
+        ``state`` is a :class:`KalmanState` or any tuple of its fields,
+        and comes back as it is over a zero horizon.  ``F``, ``G`` and
+        ``Q`` are those of the requested horizon, with ``F P F'``
+        written out; the result is checked finite as
+        :class:`KalmanState` checks it, with the same errors.
         """
         dt = float(dt)
         if dt < 0.0:
@@ -400,19 +454,15 @@ class KalmanFilter:
         var = self._accel_var
         # F P F' + Q with F = [[1, dt], [0, 1]].
         p01_dt = p01 + dt * p11
-        # The checks KalmanState makes, without its constructor frame.
-        return tuple.__new__(
-            KalmanState,
-            _checked(
-                (
-                    time + dt,
-                    x_p + dt * x_v + 0.5 * dt2 * a,
-                    x_v + dt * a,
-                    p00 + dt * p01 + dt * p01_dt + 0.25 * dt2 * dt2 * var,
-                    p01_dt + 0.5 * dt2 * dt * var,
-                    p11 + dt2 * var,
-                )
-            ),
+        return _checked(
+            (
+                time + dt,
+                x_p + dt * x_v + 0.5 * dt2 * a,
+                x_v + dt * a,
+                p00 + dt * p01 + dt * p01_dt + 0.25 * dt2 * dt2 * var,
+                p01_dt + 0.5 * dt2 * dt * var,
+                p11 + dt2 * var,
+            )
         )
 
     def exact_state(

@@ -48,6 +48,17 @@ Gate = Callable[[SensorReading, KalmanState], None]
 _INF = math.inf
 
 
+def estimate_before_posterior(now: float, time: float) -> FilterError:
+    """The error for an estimate asked for at ``now`` seconds, before the
+    posterior's ``time``.
+
+    Units: now [s], time [s]
+    """
+    return FilterError(
+        f"cannot estimate before the posterior: now={now} < t={time}"
+    )
+
+
 def _key(time: float) -> int:
     return int(round(time * _KEY_SCALE))
 
@@ -165,10 +176,11 @@ class ReplayKalmanFilter:
         """
         _check_reading(reading)
         posterior = self._posterior
+        time = reading.time
         if posterior is None:
             bounds = self._kalman.bounds
             self._posterior = KalmanFilter.initial_state(
-                time=reading.time,
+                time=time,
                 position=reading.position,
                 velocity=reading.velocity,
                 position_var=bounds.position_variance,
@@ -176,25 +188,31 @@ class ReplayKalmanFilter:
             )
             checkpoint = None
         else:
-            gap = reading.time - posterior.time
+            gap = time - posterior.time
             if gap <= 0.0:
                 raise FilterError(
-                    f"sensor readings must advance in time: got t={reading.time}"
+                    f"sensor readings must advance in time: got t={time}"
                     f" after t={posterior.time}"
                 )
-            checkpoint = self._kalman.extrapolate(
-                posterior, self._current_accel, gap
+            kalman = self._kalman
+            checkpoint = tuple.__new__(
+                KalmanState,
+                kalman.extrapolate_floats(posterior, self._current_accel, gap),
             )
             if gate is not None:
                 gate(reading, checkpoint)
-            self._posterior = self._kalman.update(
-                checkpoint, reading.position, reading.velocity
+            self._posterior = tuple.__new__(
+                KalmanState,
+                kalman.update_floats(checkpoint, reading.position, reading.velocity),
             )
         self._current_accel = reading.acceleration
         self._readings.append(reading)
-        self._reading_times.append(reading.time)
+        times = self._reading_times
+        times.append(time)
         self._checkpoints.append(checkpoint)
-        self._prune(reading.time)
+        cutoff = time - self._horizon
+        if times[0] < cutoff:
+            self._prune(cutoff)
         return self._posterior
 
     # ------------------------------------------------------------------
@@ -232,25 +250,32 @@ class ReplayKalmanFilter:
                 f"message from the future: stamp={stamp} > now={now}"
             )
 
-        exact = self._kalman.exact_state(
+        kalman = self._kalman
+        exact = kalman.exact_state(
             stamp, message.state.position, message.state.velocity
         )
-        state = exact
         accel = message.state.acceleration
 
-        # Replay every logged reading strictly after the stamp, in order.
+        # Replay every logged reading strictly after the stamp, in order,
+        # on the states' fields; a KalmanState is built for each stored
+        # checkpoint and for the posterior.
         readings = self._readings
         checkpoints = self._checkpoints
-        extrapolate = self._kalman.extrapolate
-        update = self._kalman.update
+        extrapolate_floats = kalman.extrapolate_floats
+        update_floats = kalman.update_floats
         first = bisect.bisect_right(self._reading_times, stamp + 1e-12)
         self._last_replay_depth = len(readings) - first
+        state = exact
+        time = exact.time
         for index in range(first, len(readings)):
             reading = readings[index]
-            predicted = extrapolate(state, accel, reading.time - state.time)
-            checkpoints[index] = predicted
-            state = update(predicted, reading.position, reading.velocity)
+            predicted = extrapolate_floats(state, accel, reading.time - time)
+            checkpoints[index] = tuple.__new__(KalmanState, predicted)
+            state = update_floats(predicted, reading.position, reading.velocity)
+            time = state[0]
             accel = reading.acceleration
+        if state is not exact:
+            state = tuple.__new__(KalmanState, state)
 
         self._posterior = state
         self._current_accel = accel
@@ -276,23 +301,22 @@ class ReplayKalmanFilter:
             raise FilterError("filter not initialised: no sensor reading yet")
         gap = float(now) - posterior.time
         if gap < -1e-9:
-            raise FilterError(
-                f"cannot estimate before the posterior: now={now} < "
-                f"t={posterior.time}"
-            )
+            raise estimate_before_posterior(now, posterior.time)
+        # max(gap, 0.0) as a conditional.
         return self._kalman.extrapolate(
-            posterior, self._current_accel, max(gap, 0.0)
+            posterior, self._current_accel, 0.0 if 0.0 > gap else gap
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _prune(self, now: float) -> None:
-        """Drop readings and checkpoints older than the history horizon."""
-        cutoff = now - self._horizon
+    def _prune(self, cutoff: float) -> None:
+        """Drop readings and checkpoints older than ``cutoff``.
+
+        Units: cutoff [s]
+        """
         times = self._reading_times
-        if times[0] < cutoff:
-            cut = bisect.bisect_left(times, cutoff)
-            del times[:cut]
-            del self._readings[:cut]
-            del self._checkpoints[:cut]
+        cut = bisect.bisect_left(times, cutoff)
+        del times[:cut]
+        del self._readings[:cut]
+        del self._checkpoints[:cut]

@@ -132,9 +132,10 @@ class NNPlanner:
     """A trained regression network behind the planner protocol.
 
     Inference computes the features and their standardisation in floats
-    and runs the layers as bare ``x @ W + b`` and activation calls on the
-    model's live arrays: exactly :meth:`Sequential.forward`'s arithmetic,
-    without its input checks or training caches.  The scaler is read once,
+    and runs the layers on one 1-D row as bare ``x @ W``, an in-place
+    ``+= b`` and activation calls on the model's live arrays: exactly
+    :meth:`Sequential.forward`'s arithmetic on a batch of one, without
+    its input checks or training caches.  The scaler is read once,
     at construction.
 
     Parameters
@@ -288,27 +289,33 @@ class NNPlanner:
         Units: time [s], position [m], velocity [m/s], lo [s], hi [s]
         Units: -> [m/s^2]
         """
-        # planner_features and FeatureScaler.transform, in floats.
+        # planner_features and FeatureScaler.transform, in floats; the
+        # clips min(max(rel, WINDOW_PAST), WINDOW_FAR) as conditionals.
         if lo > hi:
             rel_lo = rel_hi = WINDOW_PAST
         else:
-            rel_lo = min(max(lo - time, WINDOW_PAST), WINDOW_FAR)
-            rel_hi = min(max(hi - time, WINDOW_PAST), WINDOW_FAR)
+            rel_lo = lo - time
+            rel_lo = WINDOW_PAST if WINDOW_PAST > rel_lo else rel_lo
+            rel_lo = WINDOW_FAR if WINDOW_FAR < rel_lo else rel_lo
+            rel_hi = hi - time
+            rel_hi = WINDOW_PAST if WINDOW_PAST > rel_hi else rel_hi
+            rel_hi = WINDOW_FAR if WINDOW_FAR < rel_hi else rel_hi
         mean, std = self._mean, self._std
+        # One 1-D row: ``x @ W`` on it is the batch-of-one row of
+        # Sequential.forward, and the bias goes onto the fresh product.
         x = np.array(
             [
-                [
-                    (time - mean[0]) / std[0],
-                    (position - mean[1]) / std[1],
-                    (velocity - mean[2]) / std[2],
-                    (rel_lo - mean[3]) / std[3],
-                    (rel_hi - mean[4]) / std[4],
-                ]
+                (time - mean[0]) / std[0],
+                (position - mean[1]) / std[1],
+                (velocity - mean[2]) / std[2],
+                (rel_lo - mean[3]) / std[3],
+                (rel_hi - mean[4]) / std[4],
             ]
         )
         for dense, activation in self._steps:
             if dense is None:
                 x = activation(x)
             else:
-                x = x @ dense.weight + dense.bias
-        return self._limits.clip_acceleration(float(x[0, 0]))
+                x = x @ dense.weight
+                x += dense.bias
+        return self._limits.clip_acceleration(float(x[0]))

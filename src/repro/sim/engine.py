@@ -221,9 +221,13 @@ class SimulationEngine:
         sensor_streams = sensor_rng.spawn(n)
 
         state = scenario.initial_state(init_rng)
-        profiles = {i: scenario.profile_for(i, profile_streams[i]) for i in others}
-        channels = {
-            i: Channel(
+        # Per-vehicle objects in lists indexed by vehicle; the ego (index
+        # 0) has none, so its slot holds None.
+        profiles = [None] + [
+            scenario.profile_for(i, profile_streams[i]) for i in others
+        ]
+        channels = [None] + [
+            Channel(
                 period=self._comm.dt_m,
                 rng=channel_streams[i],
                 faults=self._faults,
@@ -231,32 +235,32 @@ class SimulationEngine:
                 name=f"veh{i}",
             )
             for i in others
-        }
+        ]
         injector: Optional[FaultInjector] = None
         if self._config.fault_plan is not None and not self._config.fault_plan.is_empty:
             injector = self._config.fault_plan.compile(fault_rng)
-        sensors = {
-            i: Sensor(
+        sensors = [None] + [
+            Sensor(
                 target=i,
                 period=self._comm.dt_s,
                 bounds=self._comm.sensor_bounds,
                 rng=sensor_streams[i],
             )
             for i in others
-        }
-        estimators = {i: estimator_factory(i) for i in others}
+        ]
+        estimators = [None] + [estimator_factory(i) for i in others]
 
         if hasattr(planner, "reset"):
             planner.reset()
         # Only the compound planner exposes its monitor decision.
         probe_decision = hasattr(planner, "last_decision")
-        # The planner's float entry point, unless a fault plan needs the
-        # context (it may call, skip or replace the planner).  A traced
-        # run hands the fault plan the float entry behind ``plan`` so
-        # the layers still report their spans.
+        # The planner's float entry point, unless an active planner
+        # fault needs the context (it may call, skip or replace the
+        # planner).  A traced run hands the fault plan the float entry
+        # behind ``plan`` so the layers still report their spans.
         plan_floats = getattr(planner, "plan_floats", None)
         fault_target = planner
-        if injector is not None:
+        if injector is not None and injector.planner_faults:
             if traced and plan_floats is not None:
                 fault_target = _TracedFloatPlanner(plan_floats, obs)
             plan_floats = None

@@ -5,24 +5,39 @@ rewritten as closed-form scalar arithmetic, kept unchanged (the
 matrices, ``np.linalg.inv``, the Joseph form, ``symmetrize_psd``) as the
 slow counterpart of the fast path.  ``tests/test_kalman_oracle.py``
 checks the fast filter against it state by state and episode by
-episode.  The only addition is the scalar covariance view
-(``p00``/``p01``/``p11``) the information filter's watchdog reads, so
-the oracle can stand in for the fast filter inside whole episodes.
+episode.  The only additions are the scalar covariance view
+(``p00``/``p01``/``p11``) the information filter's watchdog reads and
+the two field-level entry points the replay filter and the information
+filter call (``extrapolate_floats``/``update_floats``, each one call of
+the matrix method), so the oracle can stand in for the fast filter
+inside whole episodes.
+
+:class:`ScalarKalmanFilter` keeps the scalar object path the field
+helpers replaced: ``update`` and ``extrapolate`` on
+:class:`repro.filtering.kalman.KalmanState` values, the PSD projection
+through the ``max``/``min`` builtins and every result built through the
+checked constructor.  The helpers must match it bit for bit, or raise
+the same error with the same message.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from repro.dynamics.state import VehicleState
 from repro.errors import FilterError
+from repro.filtering import kalman as fast
 from repro.sensing.noise import NoiseBounds
 from repro.utils.intervals import Interval
 from repro.utils.validation import check_nonnegative, check_positive
 
-__all__ = ["KalmanState", "KalmanFilter", "symmetrize_psd"]
+__all__ = ["KalmanState", "KalmanFilter", "ScalarKalmanFilter", "symmetrize_psd"]
+
+Fields = Tuple[float, float, float, float, float, float]
 
 _EYE2 = np.eye(2)
 
@@ -331,4 +346,122 @@ class KalmanFilter:
             time=float(time),
             x_hat=np.array([[position], [velocity]]),
             covariance=np.zeros((2, 2)),
+        )
+
+    # ------------------------------------------------------------------
+    # Field-level entry points (the fast filter's call surface)
+    # ------------------------------------------------------------------
+    def extrapolate_floats(self, state, accel_measured: float, dt: float) -> Fields:
+        """:meth:`extrapolate` on a state of either filter or six fields."""
+        return _fields(self.extrapolate(_state(state), accel_measured, dt))
+
+    def update_floats(
+        self, predicted, position_measured: float, velocity_measured: float
+    ) -> Fields:
+        """:meth:`update` on a state of either filter or six fields."""
+        return _fields(
+            self.update(_state(predicted), position_measured, velocity_measured)
+        )
+
+
+def _state(state) -> KalmanState:
+    """``state`` as this module's state (a tuple holds the six fields)."""
+    if isinstance(state, KalmanState):
+        return state
+    time, position, velocity, p00, p01, p11 = state
+    return KalmanState(
+        time=time,
+        x_hat=np.array([[position], [velocity]]),
+        covariance=np.array([[p00, p01], [p01, p11]]),
+    )
+
+
+def _fields(state: KalmanState) -> Fields:
+    return (state.time, state.position, state.velocity, state.p00, state.p01, state.p11)
+
+
+# ----------------------------------------------------------------------
+# The scalar object path the field helpers replaced
+# ----------------------------------------------------------------------
+def _project_psd(p00, p01, p11, floor=0.0):
+    """The PSD projection through the ``max``/``min`` builtins."""
+    p00 = max(p00, floor)
+    p11 = max(p11, floor)
+    cross = math.sqrt(p00 * p11)
+    return p00, min(max(p01, -cross), cross), p11
+
+
+class ScalarKalmanFilter:
+    """``update``/``extrapolate`` as closed-form scalars on checked states.
+
+    Results are :class:`repro.filtering.kalman.KalmanState` values built
+    through the checked constructor, so they raise what it raises.
+    """
+
+    def __init__(self, dt: float, bounds: NoiseBounds) -> None:
+        self._dt = check_positive(dt, "dt")
+        self._accel_var = bounds.acceleration_variance
+        self._r_p = bounds.position_variance
+        self._r_v = bounds.velocity_variance
+
+    def update(self, predicted, position_measured, velocity_measured):
+        r_p = self._r_p
+        r_v = self._r_v
+        time, x_p, x_v, p00, p01, p11 = predicted
+        if r_p == 0.0 and r_v == 0.0:
+            return fast.KalmanState(
+                time, float(position_measured), float(velocity_measured), 0.0, 0.0, 0.0
+            )
+        s00 = p00 + r_p
+        s11 = p11 + r_v
+        det = s00 * s11 - p01 * p01
+        if det == 0.0:
+            raise FilterError(
+                "singular innovation covariance; use a nonzero noise bound "
+                "or a nonzero prior variance"
+            )
+        k00 = (p00 * s11 - p01 * p01) / det
+        k01 = (p01 * s00 - p00 * p01) / det
+        k10 = (p01 * s11 - p11 * p01) / det
+        k11 = (p11 * s00 - p01 * p01) / det
+        y_p = float(position_measured) - x_p
+        y_v = float(velocity_measured) - x_v
+        a00 = 1.0 - k00
+        a11 = 1.0 - k11
+        ap00 = a00 * p00 - k01 * p01
+        ap01 = a00 * p01 - k01 * p11
+        ap10 = a11 * p01 - k10 * p00
+        ap11 = a11 * p11 - k10 * p01
+        j00 = ap00 * a00 - ap01 * k01 + (k00 * k00 * r_p + k01 * k01 * r_v)
+        j01 = -ap00 * k10 + ap01 * a11 + (k00 * k10 * r_p + k01 * k11 * r_v)
+        j10 = ap10 * a00 - ap11 * k01 + (k10 * k00 * r_p + k11 * k01 * r_v)
+        j11 = -ap10 * k10 + ap11 * a11 + (k10 * k10 * r_p + k11 * k11 * r_v)
+        q00, q01, q11 = _project_psd(j00, 0.5 * (j01 + j10), j11)
+        return fast.KalmanState(
+            time,
+            x_p + (k00 * y_p + k01 * y_v),
+            x_v + (k10 * y_p + k11 * y_v),
+            q00,
+            q01,
+            q11,
+        )
+
+    def extrapolate(self, state, accel_measured, dt):
+        dt = float(dt)
+        if dt < 0.0:
+            raise FilterError(f"extrapolation horizon must be >= 0, got {dt}")
+        if dt == 0.0:
+            return state
+        time, x_p, x_v, p00, p01, p11 = state
+        a = float(accel_measured)
+        dt2 = dt * dt
+        var = self._accel_var
+        p01_dt = p01 + dt * p11
+        return fast.KalmanState(
+            time + dt,
+            x_p + dt * x_v + 0.5 * dt2 * a,
+            x_v + dt * a,
+            p00 + dt * p01 + dt * p01_dt + 0.25 * dt2 * dt2 * var,
+            p01_dt + 0.5 * dt2 * dt * var,
+            p11 + dt2 * var,
         )

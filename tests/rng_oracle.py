@@ -74,6 +74,10 @@ class RngStream:
         """Uniform draw(s) on ``[0, 1)``."""
         return self._generator.random(size=size)
 
+    def doubles(self, count: int) -> List[float]:
+        """``count`` draws of :meth:`random` as a list."""
+        return [self._generator.random() for _ in range(count)]
+
     def integers(self, low: int, high: Optional[int] = None, size=None):
         """Integer draw(s) on ``[low, high)``."""
         return self._generator.integers(low, high, size=size)

@@ -33,16 +33,16 @@ IN_PROCESS_RECORDS = {
 }
 
 
-def _manifest(n_sims=4, name="transport-test"):
+def _manifest(n_sims=4, name="transport-test", planner=None, config=None):
     return CampaignManifest(
         name=name,
         scenario={"kind": "left_turn"},
         comm={"sensor_noise": 0.3},
-        planner={"kind": "constant", "acceleration": 2.0},
+        planner=planner or {"kind": "constant", "acceleration": 2.0},
         n_sims=n_sims,
         seed=5,
         chunk_size=1,
-        config={"max_time": 8.0},
+        config=config or {"max_time": 8.0},
     )
 
 
@@ -70,7 +70,13 @@ def reference(tmp_path_factory):
 
 
 class TestTransientExhaustion:
-    """Every episode times out and every chunk exhausts its attempts."""
+    """Every episode times out and every chunk exhausts its attempts.
+
+    The budget (1e-6 s, which a pipe poll rounds up to 1 ms) cannot be
+    met by construction: a braking ego never reaches its target, so each
+    episode runs its full hour-long horizon (72 000 control steps,
+    seconds of work) unless the watchdog kills it first.
+    """
 
     KNOBS = dict(
         timeout_per_sim=1e-6,
@@ -79,7 +85,9 @@ class TestTransientExhaustion:
     )
 
     def _run(self, directory, n_workers):
-        manifest = _manifest(n_sims=3)
+        manifest = _manifest(
+            n_sims=3, planner={"kind": "full_brake"}, config={"max_time": 3600.0}
+        )
         report = CampaignRunner(
             manifest, directory, n_workers=n_workers, **self.KNOBS
         ).run()

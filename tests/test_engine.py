@@ -12,6 +12,14 @@ from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.results import Outcome
 from repro.sim.runner import BatchRunner, EstimatorKind, make_estimator_factory
 from repro.errors import SafetyViolationError, SimulationError
+from repro.faults.plan import (
+    FaultPlan,
+    PlannerFault,
+    PlannerFaultKind,
+    SensorFault,
+    SensorFaultKind,
+    StepWindow,
+)
 from repro.utils.rng import RngStream, spawn_streams
 from tests import engine_oracle
 from tests.test_core import RecordingPlanner, RecordingSafetyModel
@@ -186,3 +194,41 @@ class TestEgoAcceleration:
         theirs = run(engine_oracle.run)
         assert ours == theirs
         assert len(set(ours[0])) == 4  # 0 at the start, then each command
+
+
+class _FloatOnlyPlanner:
+    """Constant braking through ``plan_floats``; ``plan`` must not be used."""
+
+    def __init__(self) -> None:
+        self.float_calls = 0
+
+    def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None):
+        self.float_calls += 1
+        return -1.0
+
+    def plan(self, context):
+        raise AssertionError("the engine built a context for a float planner")
+
+
+class TestFaultPlanFloatPath:
+    def _run(self, scenario, fault_plan):
+        engine = _engine(scenario, max_time=2.0, fault_plan=fault_plan)
+        factory = make_estimator_factory(EstimatorKind.RAW, engine)
+        planner = _FloatOnlyPlanner()
+        result = engine.run(planner, factory, RngStream(4))
+        return planner, result
+
+    def test_sensor_faults_keep_the_float_entry(self, scenario):
+        plan = FaultPlan(
+            sensor_faults=(SensorFault(StepWindow(5, 30), SensorFaultKind.DROPOUT),)
+        )
+        planner, result = self._run(scenario, plan)
+        assert result.sensor_faults_injected > 0
+        assert planner.float_calls == result.steps
+
+    def test_planner_faults_take_the_context_path(self, scenario):
+        plan = FaultPlan(
+            planner_faults=(PlannerFault(StepWindow(5, 8), PlannerFaultKind.NAN),)
+        )
+        with pytest.raises(AssertionError, match="built a context"):
+            self._run(scenario, plan)

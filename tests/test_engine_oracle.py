@@ -14,7 +14,8 @@ the loop it replaced.  The two must produce the same ``result_to_dict``
   the paper's three communication settings and the comm-storm fault
   stack;
 * an engine fault plan (sensor dropout plus planner exception, NaN and
-  latency faults);
+  latency faults), and one with sensor faults only, under which the
+  flat loop keeps the planner's float entry point;
 * traced runs, whose trace events (under a counting clock) must match
   too.  The flat loop also emits the layer spans of the calls it no
   longer makes through the wrapped public methods
@@ -34,6 +35,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from repro.campaign.builders import build_config
 from repro.experiments.config import SETTING_NAMES
 from repro.obs.observer import Observer
 from repro.obs.trace import Tracer
@@ -42,13 +44,22 @@ from repro.sim.runner import make_estimator_factory
 from repro.sim.serialization import result_to_dict
 from repro.utils.rng import spawn_streams
 from tests import engine_oracle
-from tests.golden import CONFIGS, engine_cases
+from tests.golden import CONFIGS, MAX_TIME, engine_cases
 from tests.golden import sim_config as _config
 from tests.test_kalman_oracle import _comm
 
 SETTINGS = [*SETTING_NAMES, "comm_storm"]
 N_EPISODES = 3
 SEED = 31
+
+#: Sensor faults only (dropout, freeze, stuck-at): no planner fault.
+SENSOR_FAULT_PLAN = {
+    "sensor_faults": [
+        {"window": [10, 40], "kind": "dropout", "probability": 0.7},
+        {"window": [40, 60], "kind": "freeze"},
+        {"window": [60, 70], "kind": "stuck", "stuck_position": 0.0},
+    ]
+}
 
 #: Layer spans the flat loop emits from ``src`` and the oracle does not.
 KERNEL_SPANS = frozenset(
@@ -124,6 +135,23 @@ class TestEngineOracle:
         slow = _episodes(engine_oracle.run, cases[name], comm, config)
         assert any(record["planner_faults_injected"] for record in fast)
         _assert_same(fast, slow, f"{name} fault plan")
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_sensor_fault_plan_identical(self, name, traced, cases):
+        # No planner fault: the flat loop keeps the float entry point
+        # where the oracle asks the injector with a context.
+        config = build_config({"max_time": MAX_TIME, "fault_plan": SENSOR_FAULT_PLAN})
+        comm = _comm("comm_storm")
+        fast = _episodes(
+            SimulationEngine.run, cases[name], comm, config, traced, _WithoutKernelSpans
+        )
+        slow = _episodes(engine_oracle.run, cases[name], comm, config, traced)
+        # The signalized crossing has no other vehicle to sense.
+        assert name == "signalized" or any(
+            record["sensor_faults_injected"] for record in fast
+        )
+        _assert_same(fast, slow, f"{name} sensor fault plan")
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_traced_identical(self, name, cases):

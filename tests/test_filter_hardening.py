@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.message import Message
+from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FilterError
 from repro.filtering.info_filter import InformationFilter, WatchdogStats
@@ -246,6 +248,45 @@ class TestDivergenceWatchdog:
         with pytest.raises(FilterError):
             info.on_sensor_reading(_reading(12 * DT, position, 8.0))
         assert info.watchdog == before
+
+    def test_singular_update_keeps_the_gate_it_ran(self):
+        # Exact position sensing and no acceleration noise: after a
+        # message restarts the filter with zero covariance, P + R of the
+        # next reading is singular.  The gate sees the prediction before
+        # the update refuses it, so its counters move; the posterior,
+        # the log and the latest reading do not.
+        info = InformationFilter(
+            LIMITS, NoiseBounds(delta_p=0.0, delta_v=1.0, delta_a=0.0),
+            sensing_period=DT,
+        )
+        info.on_sensor_reading(_reading(0.0, 5.0, 10.0))
+        info.on_message(
+            Message(sender=1, stamp=0.05, state=VehicleState(5.5, 10.0, 0.0)), 0.05
+        )
+        replay = info.replay_filter
+        posterior = replay.posterior
+        expected = [
+            # (position, breaches, consecutive, trips, diverged)
+            (7.0, 1, 1, 0, False),
+            (9.0, 2, 2, 0, False),
+            (11.0, 3, 3, 1, True),
+        ]
+        for step, (position, breaches, consecutive, trips, diverged) in enumerate(
+            expected, start=1
+        ):
+            with pytest.raises(FilterError, match="singular innovation covariance"):
+                info.on_sensor_reading(_reading(step * DT, position, 10.0))
+            assert info.watchdog == WatchdogStats(
+                breaches=breaches,
+                consecutive=consecutive,
+                trips=trips,
+                recoveries=0,
+                diverged=diverged,
+            )
+            assert replay.posterior is posterior
+            assert replay.checkpoint_at(step * DT) is None
+        estimate = info.estimate(0.4)
+        assert estimate.position.lo <= estimate.position.hi
 
     def test_stats_object_is_live(self):
         info = self._filter()

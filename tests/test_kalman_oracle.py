@@ -9,6 +9,12 @@ filter it replaced.  Two levels of agreement are checked:
   noiseless-R and 2000-step cases of ``test_filter_hardening.py``: every
   intermediate state agrees to a relative 1e-9, and every covariance is
   symmetric positive-semidefinite;
+* **field helpers** -- ``extrapolate_floats``/``update_floats`` against
+  the scalar object path they replaced (``kalman_oracle.
+  ScalarKalmanFilter``) over irregular gaps, R = 0, a singular
+  innovation covariance, non-finite and signed-zero inputs, and the PSD
+  projection against ``max``/``min`` on NaN, infinities and ``-0.0``:
+  the same fields bit for bit, or the same error and message;
 * **episode level** -- the ultimate compound planner under the paper's
   three communication settings and the comm-storm fault stack, 20
   seeds each: outcome, steps, emergency steps, reaching and collision
@@ -31,7 +37,7 @@ from repro.campaign.builders import build_comm
 from repro.errors import FilterError
 from repro.experiments.config import SETTING_NAMES, ExperimentConfig
 from repro.experiments.harness import build_trio
-from repro.filtering import info_filter
+from repro.filtering import info_filter, kalman
 from repro.filtering.kalman import KalmanFilter, KalmanState
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import SimulationConfig, SimulationEngine
@@ -243,6 +249,156 @@ class TestStateLevel:
             kalman_oracle.KalmanFilter(0.1, bounds).update(
                 _oracle_state(fast), 1.0, 2.0
             )
+
+
+# ----------------------------------------------------------------------
+# Field helpers against the scalar object path they replaced
+# ----------------------------------------------------------------------
+#: Values that stress the projection and the finiteness checks.
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e-300, 1e300, math.inf, -math.inf, math.nan]
+N_HELPER_CHAINS = 2000
+
+
+def _bits(values) -> Tuple:
+    """Each value's type and exact bits (``-0.0`` and NaN told apart)."""
+    return tuple((type(v).__name__, float(v).hex()) for v in values)
+
+
+def _result(call):
+    """The fields ``call`` returned as bits, or its error type and message."""
+    try:
+        return _bits(call())
+    except FilterError as exc:
+        return (type(exc), str(exc))
+
+
+def _helper_pair(bounds: NoiseBounds, dt: float = 0.1):
+    return KalmanFilter(dt, bounds), kalman_oracle.ScalarKalmanFilter(dt, bounds)
+
+
+def _special_fields(rng: np.random.Generator) -> Tuple[float, ...]:
+    """Six state fields, each a special value or an ordinary one."""
+    return tuple(
+        SPECIAL[int(rng.integers(len(SPECIAL)))]
+        if rng.random() < 0.3
+        else float(rng.uniform(-3.0, 3.0))
+        for _ in range(6)
+    )
+
+
+class TestFieldHelpers:
+    """``extrapolate_floats``/``update_floats`` bit for bit, or the same error.
+
+    The reference is :class:`tests.kalman_oracle.ScalarKalmanFilter`, the
+    scalar path on checked ``KalmanState`` values with the projection
+    through ``max``/``min``.
+    """
+
+    def test_irregular_chains(self):
+        mismatches: List[str] = []
+        for seed in range(N_HELPER_CHAINS):
+            rng = np.random.default_rng(seed)
+            deltas = 10.0 ** rng.uniform(-3.0, 1.0, size=3)
+            fast, slow = _helper_pair(NoiseBounds(*deltas), float(rng.uniform(0.02, 0.5)))
+            fields = KalmanFilter.initial_state(
+                float(rng.uniform(0.0, 5.0)),
+                float(rng.uniform(-10.0, 10.0)),
+                float(rng.uniform(-5.0, 5.0)),
+                *(10.0 ** rng.uniform(-4.0, 2.0, size=2)),
+            )
+            state = fields
+            for step in range(int(rng.integers(2, 12))):
+                if rng.random() < 0.5:
+                    # Irregular gaps, some of them exactly zero.
+                    gap = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 1.0))
+                    accel = float(rng.uniform(-6.0, 6.0))
+                    ours = _result(lambda: fast.extrapolate_floats(fields, accel, gap))
+                    theirs = _result(lambda: slow.extrapolate(state, accel, gap))
+                    fields = fast.extrapolate_floats(fields, accel, gap)
+                    state = slow.extrapolate(state, accel, gap)
+                else:
+                    z_p = state.position + float(rng.uniform(-2.0, 2.0)) * deltas[0]
+                    z_v = state.velocity + float(rng.uniform(-2.0, 2.0)) * deltas[1]
+                    ours = _result(lambda: fast.update_floats(fields, z_p, z_v))
+                    theirs = _result(lambda: slow.update(state, z_p, z_v))
+                    fields = fast.update_floats(fields, z_p, z_v)
+                    state = slow.update(state, z_p, z_v)
+                if ours != theirs:
+                    mismatches.append(f"seed={seed} step={step}: {ours} != {theirs}")
+                    break
+        _assert_none(mismatches, "helper steps differ from the scalar path")
+
+    def test_noiseless_r(self):
+        fast, slow = _helper_pair(NoiseBounds(delta_p=0.0, delta_v=0.0, delta_a=0.7))
+        for fields in [(0.1, 5.0, 8.0, 1.0, 0.5, 2.0), (3, -0.0, 1, 0.0, 0.0, 0.0)]:
+            for z_p, z_v in [(5.5, 8.5), (-0.0, 3), (math.nan, 1.0), (1.0, math.inf)]:
+                ours = _result(lambda: fast.update_floats(fields, z_p, z_v))
+                theirs = _result(lambda: slow.update(fields, z_p, z_v))
+                assert ours == theirs, (fields, z_p, z_v)
+
+    def test_singular_innovation(self):
+        fast, slow = _helper_pair(NoiseBounds(delta_p=0.0, delta_v=1.0, delta_a=1.0))
+        for fields in [(0.0, 1.0, 2.0, 0.0, 0.0, 1.0), (0.0, 1.0, 2.0, -0.0, 0.0, 0.0)]:
+            ours = _result(lambda: fast.update_floats(fields, 1.0, 2.0))
+            theirs = _result(lambda: slow.update(fields, 1.0, 2.0))
+            assert ours == theirs
+            assert ours[0] is FilterError and "singular" in ours[1]
+
+    def test_special_inputs(self):
+        # Non-finite and signed-zero fields, accelerations, horizons and
+        # measurements: the same fields or the same error and message.
+        rng = np.random.default_rng(7)
+        raised = finished = 0
+        for case in range(3000):
+            fast, slow = _helper_pair(
+                NoiseBounds(*[SPECIAL[int(rng.integers(7))] ** 2 for _ in range(3)])
+                if rng.random() < 0.5
+                else NoiseBounds.uniform_all(float(rng.uniform(0.1, 2.0)))
+            )
+            fields = _special_fields(rng)
+            a, dt, z_p, z_v = (
+                SPECIAL[int(rng.integers(len(SPECIAL)))]
+                if rng.random() < 0.3
+                else float(rng.uniform(-1.0, 1.0))
+                for _ in range(4)
+            )
+            for ours, theirs in [
+                (
+                    _result(lambda: fast.extrapolate_floats(fields, a, dt)),
+                    _result(lambda: slow.extrapolate(fields, a, dt)),
+                ),
+                (
+                    _result(lambda: fast.update_floats(fields, z_p, z_v)),
+                    _result(lambda: slow.update(fields, z_p, z_v)),
+                ),
+            ]:
+                assert ours == theirs, f"case {case}: {ours} != {theirs}"
+                if ours and ours[0] is FilterError:
+                    raised += 1
+                else:
+                    finished += 1
+        assert raised >= 500 and finished >= 500, (raised, finished)
+
+    def test_projection_keeps_max_min_semantics(self):
+        values = SPECIAL + [3.0, -2.0]
+        for p00 in values:
+            for p01 in values:
+                for p11 in values:
+                    for floor in (0.0, -0.0, 0.5):
+                        ours = kalman._project_psd(p00, p01, p11, floor)
+                        theirs = kalman_oracle._project_psd(p00, p01, p11, floor)
+                        assert _bits(ours) == _bits(theirs), (p00, p01, p11, floor)
+
+    def test_wrappers_return_the_helpers_fields(self):
+        fast, _ = _helper_pair(NoiseBounds.uniform_all(0.8))
+        state = KalmanState(0.5, 1.0, 2.0, 0.3, 0.1, 0.2)
+        predicted = fast.extrapolate(state, 0.4, 0.07)
+        assert type(predicted) is KalmanState
+        assert _bits(predicted) == _bits(fast.extrapolate_floats(state, 0.4, 0.07))
+        assert fast.extrapolate(state, 0.4, 0.0) is state
+        updated = fast.update(predicted, 1.1, 2.1)
+        assert type(updated) is KalmanState
+        assert _bits(updated) == _bits(fast.update_floats(predicted, 1.1, 2.1))
 
 
 # ----------------------------------------------------------------------
