@@ -33,7 +33,7 @@ from repro.errors import FilterError, IntervalError
 from repro.filtering.fusion import FusedEstimate, join_or_fallback
 from repro.filtering.kalman import KalmanFilter, KalmanState
 from repro.filtering.reachability import ReachabilityAnalyzer
-from repro.filtering.replay import ReplayKalmanFilter, estimate_before_posterior
+from repro.filtering.replay import ReplayKalmanFilter
 from repro.obs.observer import resolve_observer
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
@@ -257,9 +257,9 @@ class InformationFilter:
                 f"watchdog_consecutive must be >= 1, got {watchdog_consecutive}"
             )
         self._reach = ReachabilityAnalyzer(limits)
-        self._kalman = KalmanFilter(sensing_period, sensor_bounds)
         self._replay = ReplayKalmanFilter(
-            self._kalman, history_horizon=history_horizon
+            KalmanFilter(sensing_period, sensor_bounds),
+            history_horizon=history_horizon,
         )
         self._bounds = sensor_bounds
         #: Diagonal of R, read by the watchdog gate.
@@ -425,16 +425,12 @@ class InformationFilter:
         message_age = None if message is None else now - message.stamp
 
         replay = self._replay
-        posterior = replay.posterior
-        if posterior is not None and not self._watchdog.diverged:
-            # ReplayKalmanFilter.estimate_at on the posterior's fields.
-            gap = now - posterior.time
-            if gap < -1e-9:
-                raise estimate_before_posterior(now, posterior.time)
-            a = replay.current_accel
-            _, kf_p, kf_v, p00, _, p11 = self._kalman.extrapolate_floats(
-                posterior, a, 0.0 if 0.0 > gap else gap
-            )
+        if replay.is_initialized and not self._watchdog.diverged:
+            kf = replay.estimate_at(now)
+            kf_p = kf.position
+            kf_v = kf.velocity
+            p00 = kf.p00
+            p11 = kf.p11
             # sqrt(max(var, 0.0)), the max as a conditional.
             half_p = self._n_sigma * math.sqrt(0.0 if 0.0 > p00 else p00)
             half_v = self._n_sigma * math.sqrt(0.0 if 0.0 > p11 else p11)
@@ -445,6 +441,7 @@ class InformationFilter:
             p = p_hi if p_hi < p else p
             v = v_lo if v_lo > kf_v else kf_v
             v = v_hi if v_hi < v else v
+            a = replay.current_accel
         else:
             # Reachability-only: before the first sensor reading, or the
             # watchdog tripped and the Kalman band is quarantined.
@@ -457,7 +454,7 @@ class InformationFilter:
                         cause="watchdog",
                         filter=self._label,
                     )
-            if posterior is not None:
+            if replay.is_initialized:
                 a = replay.current_accel
             elif message is not None:
                 a = message.state.acceleration

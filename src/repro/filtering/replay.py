@@ -48,17 +48,6 @@ Gate = Callable[[SensorReading, KalmanState], None]
 _INF = math.inf
 
 
-def estimate_before_posterior(now: float, time: float) -> FilterError:
-    """The error for an estimate asked for at ``now`` seconds, before the
-    posterior's ``time``.
-
-    Units: now [s], time [s]
-    """
-    return FilterError(
-        f"cannot estimate before the posterior: now={now} < t={time}"
-    )
-
-
 def _key(time: float) -> int:
     return int(round(time * _KEY_SCALE))
 
@@ -195,15 +184,11 @@ class ReplayKalmanFilter:
                     f" after t={posterior.time}"
                 )
             kalman = self._kalman
-            checkpoint = tuple.__new__(
-                KalmanState,
-                kalman.extrapolate_floats(posterior, self._current_accel, gap),
-            )
+            checkpoint = kalman.extrapolate(posterior, self._current_accel, gap)
             if gate is not None:
                 gate(reading, checkpoint)
-            self._posterior = tuple.__new__(
-                KalmanState,
-                kalman.update_floats(checkpoint, reading.position, reading.velocity),
+            self._posterior = kalman.update(
+                checkpoint, reading.position, reading.velocity
             )
         self._current_accel = reading.acceleration
         self._readings.append(reading)
@@ -301,7 +286,10 @@ class ReplayKalmanFilter:
             raise FilterError("filter not initialised: no sensor reading yet")
         gap = float(now) - posterior.time
         if gap < -1e-9:
-            raise estimate_before_posterior(now, posterior.time)
+            raise FilterError(
+                f"cannot estimate before the posterior: now={now} < "
+                f"t={posterior.time}"
+            )
         # max(gap, 0.0) as a conditional.
         return self._kalman.extrapolate(
             posterior, self._current_accel, 0.0 if 0.0 > gap else gap

@@ -10,17 +10,13 @@ Section III-B.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.utils.intervals import Interval
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_nonnegative
 
 __all__ = ["NoiseBounds", "UniformNoise"]
-
-_MAX_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,47 +80,11 @@ class UniformNoise:
     def __init__(self, bounds: NoiseBounds, rng: RngStream) -> None:
         self._bounds = bounds
         self._rng = rng
-        # The (low, span) RngStream.uniform(-delta, delta) computes, per
-        # channel.  When every bound is nonzero and every span finite,
-        # perturb takes its three doubles in one call.
-        spans = []
-        for delta in (bounds.delta_p, bounds.delta_v, bounds.delta_a):
-            low = -delta
-            spans.append((low, delta - low))
-        self._spans = (
-            spans if all(0.0 < span <= _MAX_FLOAT for _, span in spans) else None
-        )
 
     @property
     def bounds(self) -> NoiseBounds:
         """The bounds errors are drawn within."""
         return self._bounds
-
-    def perturb(
-        self, position: float, velocity: float, acceleration: float
-    ) -> Tuple[float, float, float]:
-        """The three perturbed values ``(p, v, a)``, drawn in channel order.
-
-        Units: position [m], velocity [m/s], acceleration [m/s^2]
-
-        Bit for bit :meth:`perturb_position`, :meth:`perturb_velocity`
-        and :meth:`perturb_acceleration` called in that order.
-        """
-        spans = self._spans
-        if spans is None:
-            return (
-                self.perturb_position(position),
-                self.perturb_velocity(velocity),
-                self.perturb_acceleration(acceleration),
-            )
-        (low_p, span_p), (low_v, span_v), (low_a, span_a) = spans
-        u_p, u_v, u_a = self._rng.doubles(3)
-        # RngStream.uniform's scalar draw: low + span * random().
-        return (
-            position + (low_p + span_p * u_p),
-            velocity + (low_v + span_v * u_v),
-            acceleration + (low_a + span_a * u_a),
-        )
 
     def perturb_position(self, true_value: float) -> float:
         """True position plus a uniform error in ``±delta_p``."""

@@ -121,11 +121,12 @@ class Sensor:
         only at schedule instants; the sensor itself just perturbs and
         records.
         """
-        position, velocity, acceleration = self._noise.perturb(
-            true_state.position, true_state.velocity, true_state.acceleration
-        )
         reading = SensorReading(
-            self._target, float(time), position, velocity, acceleration
+            target=self._target,
+            time=float(time),
+            position=self._noise.perturb_position(true_state.position),
+            velocity=self._noise.perturb_velocity(true_state.velocity),
+            acceleration=self._noise.perturb_acceleration(true_state.acceleration),
         )
         self._history.append(reading)
         return reading

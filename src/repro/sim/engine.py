@@ -46,7 +46,7 @@ from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import Sensor
 from repro.sim.clock import MultiRateClock
 from repro.sim.results import Outcome, SimulationResult
-from repro.utils.rng import RngStream
+from repro.utils.rng import RngStream, child_seed
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -212,24 +212,29 @@ class SimulationEngine:
         n = scenario.n_vehicles
         others = range(1, n)
 
-        # Child 4 feeds fault-plan activation; spawning it unconditionally
-        # keeps children 0-3 (and so every fault-free run) byte-identical
-        # to the pre-fault engine.
-        init_rng, profile_rng, channel_rng, sensor_rng, fault_rng = rng.spawn(5)
-        profile_streams = profile_rng.spawn(n)
-        channel_streams = channel_rng.spawn(n)
-        sensor_streams = sensor_rng.spawn(n)
+        # Children 0-4 of the run's stream seed the initial state, the
+        # profiles, the channels, the sensors and fault-plan activation;
+        # spawning child 4 unconditionally keeps children 0-3 (and so
+        # every fault-free run) byte-identical to the pre-fault engine.
+        # Vehicle i's profile, channel and sensor streams are child i of
+        # children 1-3.  Only the streams the episode draws from are
+        # built: the ego has none of the three, and the fault stream is
+        # drawn from only under a fault plan.
+        init_seed, profile_seed, channel_seed, sensor_seed, fault_seed = (
+            rng.spawn_seeds(5)
+        )
 
-        state = scenario.initial_state(init_rng)
+        state = scenario.initial_state(RngStream(init_seed))
         # Per-vehicle objects in lists indexed by vehicle; the ego (index
         # 0) has none, so its slot holds None.
         profiles = [None] + [
-            scenario.profile_for(i, profile_streams[i]) for i in others
+            scenario.profile_for(i, RngStream(child_seed(profile_seed, i)))
+            for i in others
         ]
         channels = [None] + [
             Channel(
                 period=self._comm.dt_m,
-                rng=channel_streams[i],
+                rng=RngStream(child_seed(channel_seed, i)),
                 faults=self._faults,
                 observer=obs,
                 name=f"veh{i}",
@@ -238,13 +243,13 @@ class SimulationEngine:
         ]
         injector: Optional[FaultInjector] = None
         if self._config.fault_plan is not None and not self._config.fault_plan.is_empty:
-            injector = self._config.fault_plan.compile(fault_rng)
+            injector = self._config.fault_plan.compile(RngStream(fault_seed))
         sensors = [None] + [
             Sensor(
                 target=i,
                 period=self._comm.dt_s,
                 bounds=self._comm.sensor_bounds,
-                rng=sensor_streams[i],
+                rng=RngStream(child_seed(sensor_seed, i)),
             )
             for i in others
         ]
@@ -393,6 +398,10 @@ class SimulationEngine:
                         t, positions[0], velocities[0], accels[0], estimates
                     )
                 planner_called = True
+                if injector is not None:
+                    # A fault plan sanitises the command whichever path
+                    # planned it.
+                    ego_command = clipped(ego_command, ego_limits)
             else:
                 context = PlanningContext(
                     time=t,

@@ -12,15 +12,12 @@ Streams are thin wrappers around :class:`numpy.random.Generator` seeded via
 :class:`numpy.random.SeedSequence`, which provides high-quality independent
 substreams through ``spawn``.
 
-Scalar ``uniform``/``random``/``bernoulli`` draws, and ``doubles`` (a run
-of ``random`` draws), are served from a block of :data:`BLOCK_SIZE`
-doubles taken by one ``Generator.random`` call, which takes numpy's
-per-call overhead off the control step.  Every other draw,
+Scalar ``uniform``/``random``/``bernoulli`` draws are served from a block
+of :data:`BLOCK_SIZE` doubles taken by one ``Generator.random`` call, which
+takes numpy's per-call overhead off the control step.  Every other draw,
 and every access to :attr:`RngStream.generator`, first re-syncs the
 generator to where the same scalar draws made one by one would have left
 it, so a stream yields bit for bit the sequence of an unbuffered one.
-The generator itself is built on a stream's first draw, so a stream that
-only spawns children never builds one.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["BLOCK_SIZE", "RngStream", "spawn_streams"]
+__all__ = ["BLOCK_SIZE", "RngStream", "child_seed", "spawn_streams"]
 
 SeedLike = Union[int, Sequence[int], np.random.SeedSequence, None]
 
@@ -66,26 +63,12 @@ class RngStream:
             self._seed_seq = seed
         else:
             self._seed_seq = np.random.SeedSequence(seed)
-        # The generator is built from the seed sequence on first use (see
-        # __getattr__): an episode spawns streams it never draws from.
+        self._generator = np.random.default_rng(self._seed_seq)
         # The current block, how much of it is used, and the bit-generator
         # state it was drawn from.
         self._block: List[float] = []
         self._used = 0
         self._state_at_fill: Optional[dict] = None
-
-    def __getattr__(self, name: str):
-        # Reached only when normal lookup fails: the generator before its
-        # first use.  It depends on the seed sequence alone, so building it
-        # late (after spawns, or after a pickle round trip) draws the same
-        # numbers.
-        if name != "_generator" or "_seed_seq" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        generator = np.random.default_rng(self._seed_seq)
-        self._generator = generator
-        return generator
 
     @property
     def generator(self) -> np.random.Generator:
@@ -128,6 +111,15 @@ class RngStream:
         """Create ``n`` statistically independent child streams."""
         return [RngStream(ss) for ss in self._seed_seq.spawn(n)]
 
+    def spawn_seeds(self, n: int) -> List[np.random.SeedSequence]:
+        """The seeds of the ``n`` children :meth:`spawn` would create.
+
+        ``RngStream(seed)`` of each is the stream :meth:`spawn` returns in
+        its place; a caller that draws from only some children builds
+        only those streams.
+        """
+        return self._seed_seq.spawn(n)
+
     def child(self) -> "RngStream":
         """Create a single independent child stream."""
         return self.spawn(1)[0]
@@ -168,18 +160,6 @@ class RngStream:
             return self._next_double()
         self._sync()
         return self._generator.random(size=size)
-
-    def doubles(self, count: int) -> List[float]:
-        """``count`` draws of :meth:`random` as a list, in one call.
-
-        Effects: draws-rng
-        """
-        used = self._used
-        end = used + count
-        if used <= end <= len(self._block):
-            self._used = end
-            return self._block[used:end]
-        return [self._next_double() for _ in range(count)]
 
     def integers(self, low: int, high: Optional[int] = None, size=None):
         """Integer draw(s) on ``[low, high)``.
@@ -225,6 +205,18 @@ class RngStream:
         """
         self._sync()
         return self._generator.permutation(n)
+
+
+def child_seed(seed: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
+    """Child ``index`` of a seed that has spawned no children yet.
+
+    Equal to ``seed.spawn(index + 1)[index]``: numpy derives a child from
+    its parent's entropy, spawn key and pool size alone.  Built without
+    the children before it.
+    """
+    return np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key + (index,), pool_size=seed.pool_size
+    )
 
 
 def spawn_streams(seed: SeedLike, n: int) -> List[RngStream]:

@@ -3,8 +3,10 @@
 This is ``repro.utils.rng.RngStream`` as it stood before scalar draws
 were served from blocks: every draw is one call into
 :class:`numpy.random.Generator`.  It is kept unchanged as the slow
-counterpart of the fast path; ``tests/test_rng_oracle.py`` checks the
-buffered stream against it draw by draw and episode by episode.
+counterpart of the fast path, apart from ``spawn_seeds``, which the
+engine spawns an episode's streams with; ``tests/test_rng_oracle.py``
+checks the buffered stream against it draw by draw and episode by
+episode.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ class RngStream:
         """Create ``n`` statistically independent child streams."""
         return [RngStream(ss) for ss in self._seed_seq.spawn(n)]
 
+    def spawn_seeds(self, n: int) -> List[np.random.SeedSequence]:
+        """The seeds of the ``n`` children :meth:`spawn` would create."""
+        return self._seed_seq.spawn(n)
+
     def child(self) -> "RngStream":
         """Create a single independent child stream."""
         return self.spawn(1)[0]
@@ -73,10 +79,6 @@ class RngStream:
     def random(self, size=None):
         """Uniform draw(s) on ``[0, 1)``."""
         return self._generator.random(size=size)
-
-    def doubles(self, count: int) -> List[float]:
-        """``count`` draws of :meth:`random` as a list."""
-        return [self._generator.random() for _ in range(count)]
 
     def integers(self, low: int, high: Optional[int] = None, size=None):
         """Integer draw(s) on ``[low, high)``."""

@@ -29,9 +29,9 @@ from repro.utils.rng import RngStream
 PAPER = ExperimentConfig()
 SEED = 17
 
-#: Calls per planned step of each configuration's episode (116.6 and
-#: 88.8 as measured on CPython 3.11 with numpy 2.4), plus 5 %.
-BUDGETS = {"ultimate": 122.4, "basic": 93.2}
+#: Calls per planned step of each configuration's episode (127.3 and
+#: 96.0 as measured on CPython 3.11 with numpy 2.4), plus 5 %.
+BUDGETS = {"ultimate": 133.7, "basic": 100.8}
 
 
 def _calls_per_step(planner, kind) -> float:

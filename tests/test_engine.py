@@ -1,5 +1,7 @@
 """Tests for the closed-loop simulation engine."""
 
+import math
+
 import pytest
 
 from repro.comm.disturbance import messages_delayed
@@ -197,34 +199,48 @@ class TestEgoAcceleration:
 
 
 class _FloatOnlyPlanner:
-    """Constant braking through ``plan_floats``; ``plan`` must not be used."""
+    """A constant command through ``plan_floats``; ``plan`` must not be used."""
 
-    def __init__(self) -> None:
+    def __init__(self, command: float = -1.0) -> None:
+        self.command = command
         self.float_calls = 0
 
     def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None):
         self.float_calls += 1
-        return -1.0
+        return self.command
 
     def plan(self, context):
         raise AssertionError("the engine built a context for a float planner")
 
 
 class TestFaultPlanFloatPath:
-    def _run(self, scenario, fault_plan):
+    _SENSOR_ONLY = FaultPlan(
+        sensor_faults=(SensorFault(StepWindow(5, 30), SensorFaultKind.DROPOUT),)
+    )
+
+    def _run(self, scenario, fault_plan, command=-1.0):
         engine = _engine(scenario, max_time=2.0, fault_plan=fault_plan)
         factory = make_estimator_factory(EstimatorKind.RAW, engine)
-        planner = _FloatOnlyPlanner()
+        planner = _FloatOnlyPlanner(command)
         result = engine.run(planner, factory, RngStream(4))
         return planner, result
 
     def test_sensor_faults_keep_the_float_entry(self, scenario):
-        plan = FaultPlan(
-            sensor_faults=(SensorFault(StepWindow(5, 30), SensorFaultKind.DROPOUT),)
-        )
-        planner, result = self._run(scenario, plan)
+        planner, result = self._run(scenario, self._SENSOR_ONLY)
         assert result.sensor_faults_injected > 0
         assert planner.float_calls == result.steps
+
+    @pytest.mark.parametrize(
+        "command, limit", [(math.nan, "a_min"), (math.inf, "a_max"), (-1e9, "a_min")]
+    )
+    def test_sensor_faults_still_sanitise_the_command(self, scenario, command, limit):
+        # A fault plan clips the float entry's command as it clips the
+        # context path's: a NaN brakes at a_min instead of reaching the
+        # dynamics.
+        planner, result = self._run(scenario, self._SENSOR_ONLY, command)
+        assert planner.float_calls == result.steps
+        applied = result.trajectories[0].accelerations()[1:]
+        assert set(applied.tolist()) == {getattr(scenario.ego_limits, limit)}
 
     def test_planner_faults_take_the_context_path(self, scenario):
         plan = FaultPlan(

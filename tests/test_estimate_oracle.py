@@ -66,19 +66,11 @@ MIN_COVERAGE = 50
 
 
 class _StubReplay:
-    """Stands in for the replay filter: a fixed Kalman estimate.
-
-    The fast path reads ``posterior``, the oracle ``is_initialized`` and
-    ``estimate_at``; the state is stamped ``now``, so both see it as is.
-    """
+    """Stands in for the replay filter: a fixed Kalman estimate."""
 
     def __init__(self, state: Optional[KalmanState], accel: float) -> None:
         self._state = state
         self.current_accel = accel
-
-    @property
-    def posterior(self) -> Optional[KalmanState]:
-        return self._state
 
     @property
     def is_initialized(self) -> bool:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngStream, spawn_streams
+from repro.utils.rng import RngStream, child_seed, spawn_streams
 
 
 class TestReproducibility:
@@ -33,6 +33,27 @@ class TestReproducibility:
         assert len(streams) == 4
         draws = {float(s.uniform()) for s in streams}
         assert len(draws) == 4
+
+    def test_spawn_seeds_are_the_spawned_streams(self):
+        # spawn_seeds continues the same child count spawn does.
+        a = RngStream(7)
+        b = RngStream(7)
+        for _ in range(2):
+            ours = [RngStream(seed) for seed in a.spawn_seeds(3)]
+            theirs = b.spawn(3)
+            for x, y in zip(ours, theirs):
+                assert list(x.random(size=4)) == list(y.random(size=4))
+
+    @pytest.mark.parametrize("index", [0, 1, 4])
+    def test_child_seed_is_the_spawned_child(self, index):
+        parent = RngStream(11).spawn_seeds(2)[1]
+        spawned = np.random.SeedSequence(
+            parent.entropy, spawn_key=parent.spawn_key, pool_size=parent.pool_size
+        ).spawn(index + 1)[index]
+        ours = child_seed(parent, index)
+        assert ours.spawn_key == spawned.spawn_key == parent.spawn_key + (index,)
+        assert list(ours.generate_state(4)) == list(spawned.generate_state(4))
+        assert parent.n_children_spawned == 0
 
     def test_child_differs_from_parent_sequence(self):
         parent = RngStream(9)

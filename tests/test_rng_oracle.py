@@ -1,17 +1,15 @@
 """Differential test: the block-buffered ``RngStream`` against its oracle.
 
 ``repro.utils.rng.RngStream`` serves scalar ``uniform``/``random``/
-``bernoulli`` draws and ``doubles`` runs from a block of doubles and
-re-syncs its generator
+``bernoulli`` draws from a block of doubles and re-syncs its generator
 before any other draw and before ``.generator`` access.
 ``tests/rng_oracle.py`` keeps the unbuffered stream it replaced.  Two
 levels of agreement are checked, both exact:
 
 * **draw level** -- random interleavings of every draw method (scalar
-  and sized draws, ``doubles``, ``normal``, ``integers``, ``choice``, ``shuffle``,
+  and sized draws, ``normal``, ``integers``, ``choice``, ``shuffle``,
   ``permutation``, draws through ``.generator``, ``spawn``/``child``,
-  pickle and deep-copy round trips mid-block and before the generator
-  is first built, bad ``uniform``/
+  pickle and deep-copy round trips mid-block, bad ``uniform``/
   ``bernoulli`` arguments) on a buffered stream and an oracle stream of
   the same seed: equal values of the same type, or the same exception
   type and message.  The test counts, and requires, block refills,
@@ -76,7 +74,7 @@ BAD_UNIFORM = [
 BAD_BERNOULLI = [-0.1, 1.5, math.nan, math.inf]
 
 #: Draws served from the block.
-SCALAR_DRAWS = ("uniform", "uniform_default", "random", "bernoulli", "burst", "doubles")
+SCALAR_DRAWS = ("uniform", "uniform_default", "random", "bernoulli", "burst")
 
 
 def _same(fast, slow) -> bool:
@@ -119,11 +117,7 @@ def _scalar_bound(gen: np.random.Generator):
 
 def _draw_op(gen: np.random.Generator):
     """A random draw: ``(name, draw)`` with ``draw(stream) -> value``."""
-    kind = int(gen.integers(18))
-    if kind == 17:
-        # Counts from -1 (no draw, like a negative range) to two blocks.
-        n = int(gen.integers(-1, 2 * BLOCK_SIZE))
-        return "doubles", lambda s: s.doubles(n)
+    kind = int(gen.integers(17))
     if kind == 16:
         n = int(gen.integers(1, 3 * BLOCK_SIZE))
         return "burst", lambda s: [s.uniform(-3.0, 4.0) for _ in range(n)]
@@ -255,7 +249,6 @@ def test_draws_match_the_unbuffered_oracle():
         "generator",
         "spawn",
         "burst",
-        "doubles",
         "round_trip",
         "refill",
         "sync_mid_block",
@@ -324,22 +317,3 @@ def test_episodes_match_with_the_oracle_stream(scenario_name):
         fast = _episode_bytes(scenario_name, RngStream(seed))
         slow = _episode_bytes(scenario_name, rng_oracle.RngStream(seed))
         assert fast == slow, f"{scenario_name} episode {seed} differs"
-
-
-@pytest.mark.parametrize("round_trip", ["none", "pickle", "deepcopy", "spawn"])
-def test_stream_unused_until_first_draw(round_trip):
-    # A stream builds its generator on first use; pickled, copied or
-    # spawned from before that, it still draws the oracle's numbers.
-    fast = RngStream(11)
-    slow = rng_oracle.RngStream(11)
-    if round_trip == "pickle":
-        fast = pickle.loads(pickle.dumps(fast))
-    elif round_trip == "deepcopy":
-        fast = copy.deepcopy(fast)
-    elif round_trip == "spawn":
-        for ours, theirs in zip(fast.spawn(3), slow.spawn(3)):
-            assert _same(ours.doubles(5), theirs.doubles(5))
-    assert _same(fast.uniform(-1.0, 2.0), slow.uniform(-1.0, 2.0))
-    assert _same(fast.generator.random(3), slow.generator.random(3))
-    with pytest.raises(AttributeError, match="no attribute 'missing'"):
-        fast.missing

@@ -50,39 +50,6 @@ class TestUniformNoise:
         noise = UniformNoise(NoiseBounds.noiseless(), RngStream(2))
         assert noise.perturb_position(7.0) == 7.0
 
-    @pytest.mark.parametrize(
-        "bounds",
-        [
-            NoiseBounds.uniform_all(1.0),
-            NoiseBounds(delta_p=0.3, delta_v=2.5, delta_a=1e-9),
-            NoiseBounds(delta_p=0.0, delta_v=1.0, delta_a=0.5),
-            NoiseBounds.noiseless(),
-        ],
-    )
-    def test_perturb_is_the_three_channel_draws(self, bounds):
-        # One call of perturb equals perturb_position, perturb_velocity
-        # and perturb_acceleration in that order, bit for bit, and leaves
-        # the stream where they leave it (across block refills too).
-        fast = UniformNoise(bounds, RngStream(9))
-        slow = UniformNoise(bounds, RngStream(9))
-        for step in range(100):
-            truth = (0.1 * step, -3.0 + step, 2.0 - 0.01 * step)
-            ours = fast.perturb(*truth)
-            theirs = (
-                slow.perturb_position(truth[0]),
-                slow.perturb_velocity(truth[1]),
-                slow.perturb_acceleration(truth[2]),
-            )
-            assert [x.hex() for x in ours] == [x.hex() for x in theirs], step
-
-    def test_perturb_too_wide_raises_like_the_channel_draw(self):
-        bounds = NoiseBounds.uniform_all(1e308)
-        with pytest.raises(OverflowError) as ours:
-            UniformNoise(bounds, RngStream(9)).perturb(0.0, 0.0, 0.0)
-        with pytest.raises(OverflowError) as theirs:
-            UniformNoise(bounds, RngStream(9)).perturb_position(0.0)
-        assert str(ours.value) == str(theirs.value)
-
     def test_roughly_uniform(self):
         noise = UniformNoise(NoiseBounds.uniform_all(1.0), RngStream(3))
         samples = np.array(
