@@ -27,7 +27,7 @@ from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import PlannerError
 from repro.filtering.fusion import FusedEstimate
 from repro.obs.observer import resolve_observer, traced_call
-from repro.planners.base import Planner, PlanningContext, clipped, context_of
+from repro.planners.base import Planner, PlanningContext, clipped, float_entry
 
 __all__ = ["CompoundPlanner"]
 
@@ -68,13 +68,13 @@ class CompoundPlanner:
         self._monitor = monitor
         self._limits = limits
         self._obs = resolve_observer(observer)
-        # Which planners take the float entry point; decided once.
-        self._nn_floats = hasattr(nn_planner, "plan_floats")
+        # Each planner's float entry, taken once.
+        self._plan_nn = float_entry(nn_planner)
+        self._plan_emergency = float_entry(emergency_planner)
         shares = getattr(nn_planner, "shares_window_with", None)
         self._nn_shares_window = shares is not None and shares(
             monitor.safety_model
         )
-        self._emergency_floats = hasattr(emergency_planner, "plan_floats")
         self._last_decision: Optional[MonitorDecision] = None
         self._embedded_failures = 0
 
@@ -147,12 +147,10 @@ class CompoundPlanner:
         falls back to the emergency command without voiding the theorem.
 
         The embedded and emergency planners are called through their
-        own ``plan_floats`` where they have one, and otherwise through
-        ``plan`` on the context :func:`~repro.planners.base.context_of`
-        builds.  An NN planner whose window is the monitor's receives the
-        window the monitor already evaluated.  With a ``tracer`` the
-        monitor runs in a ``shield.monitor`` span and the float planners
-        time themselves.
+        float entries (:func:`~repro.planners.base.float_entry`).  An NN
+        planner whose window is the monitor's receives the window the
+        monitor already evaluated.  With a ``tracer`` the monitor runs in
+        a ``shield.monitor`` span and the float planners time themselves.
 
         Effects: mutates-args, draws-rng
         """
@@ -171,56 +169,29 @@ class CompoundPlanner:
             )
         self._last_decision = decision
         if decision.use_emergency:
-            command = self._emergency_command(
+            command = self._plan_emergency(
                 time, position, velocity, acceleration, estimates, tracer
             )
         else:
-            nn = self._nn
             try:
                 if self._nn_shares_window:
-                    command = nn.plan_floats(
+                    command = self._nn.plan_floats(
                         time, position, velocity, acceleration, estimates,
                         tracer, window,
                     )
-                elif self._nn_floats:
-                    command = nn.plan_floats(
-                        time, position, velocity, acceleration, estimates, tracer
-                    )
                 else:
-                    command = nn.plan(
-                        context_of(time, position, velocity, acceleration, estimates)
+                    command = self._plan_nn(
+                        time, position, velocity, acceleration, estimates, tracer
                     )
             except PlannerError:
                 self._embedded_failures += 1
                 if self._obs.enabled:
                     self._obs.instant("shield.embedded_failure", t=time)
                     self._obs.count("shield.embedded_failures")
-                command = self._emergency_command(
+                command = self._plan_emergency(
                     time, position, velocity, acceleration, estimates, tracer
                 )
         return clipped(command, self._limits)
-
-    def _emergency_command(
-        self,
-        time: float,
-        position: float,
-        velocity: float,
-        acceleration: float,
-        estimates: Mapping[int, FusedEstimate],
-        tracer,
-    ) -> float:
-        """The emergency planner's raw command for this step.
-
-        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
-        Units: -> [m/s^2]
-        """
-        if self._emergency_floats:
-            return self._emergency.plan_floats(
-                time, position, velocity, acceleration, estimates, tracer
-            )
-        return self._emergency.plan(
-            context_of(time, position, velocity, acceleration, estimates)
-        )
 
     def _observe_decision(
         self,

@@ -46,11 +46,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FaultInjectionError
-from repro.planners.base import Planner, PlanningContext
+from repro.filtering.fusion import FusedEstimate
+from repro.planners.base import FloatEntry, clipped
 from repro.sensing.sensor import SensorReading
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_finite, check_probability
@@ -234,6 +235,7 @@ class FaultInjector:
     planner_faults_injected: int = 0
     _last_clean: Dict[int, SensorReading] = field(default_factory=dict)
     _last_command: Optional[float] = None
+    _planner_step: int = 0
 
     # ------------------------------------------------------------------
     # Sensor hook
@@ -273,34 +275,54 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Planner hook
     # ------------------------------------------------------------------
-    def plan(
-        self,
-        step: int,
-        planner: Planner,
-        context: PlanningContext,
-        limits: VehicleLimits,
-    ) -> Tuple[float, bool]:
-        """Run one (possibly faulted) planner invocation.
+    def planner_entry(self, plan: FloatEntry, limits: VehicleLimits) -> FloatEntry:
+        """``plan`` under this episode's planner faults, its command clipped.
 
-        Units: step [1]
-
-        Returns ``(command, planner_was_called)``; the flag lets the
-        engine skip decision telemetry for steps the planner never saw.
+        The returned entry has ``plan``'s signature.  The engine calls it
+        once per planned step from step 0, so its call count is the step
+        the faults are scheduled on.  On a faulted step ``plan`` is not
+        called.  Every command is sanitised with
+        :func:`~repro.planners.base.clipped`, so an injected NaN (or any
+        out-of-range command) brakes instead of corrupting the dynamics.
         """
-        fault = self._active_planner_fault(step)
-        if fault is None:
-            command = planner.plan(context)
-            self._last_command = command
-            return command, True
-        self.planner_faults_injected += 1
-        if fault.kind is PlannerFaultKind.NAN:
-            return math.nan, False
-        if fault.kind is PlannerFaultKind.LATENCY:
-            if self._last_command is None:
-                return limits.a_min, False
-            return self._last_command, False
-        # EXCEPTION: the planner process is down; watchdog brakes.
-        return limits.a_min, False
+
+        def faulted(
+            time: float,
+            position: float,
+            velocity: float,
+            acceleration: float,
+            estimates: Mapping[int, FusedEstimate],
+            tracer=None,
+        ) -> float:
+            """One (possibly faulted) planner invocation.
+
+            Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+            Units: -> [m/s^2]
+
+            Effects: mutates-args, draws-rng
+            """
+            step = self._planner_step
+            self._planner_step = step + 1
+            fault = self._active_planner_fault(step)
+            if fault is None:
+                command = plan(time, position, velocity, acceleration, estimates, tracer)
+                self._last_command = command
+            else:
+                self.planner_faults_injected += 1
+                if fault.kind is PlannerFaultKind.NAN:
+                    command = math.nan
+                elif (
+                    fault.kind is PlannerFaultKind.LATENCY
+                    and self._last_command is not None
+                ):
+                    command = self._last_command
+                else:
+                    # EXCEPTION (the planner process is down), or LATENCY
+                    # before any command exists: the watchdog brakes.
+                    command = limits.a_min
+            return clipped(command, limits)
+
+        return faulted
 
     def _active_planner_fault(self, step: int) -> Optional[PlannerFault]:
         for fault in self.planner_faults:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Callable, Mapping, Protocol, runtime_checkable
 
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
@@ -26,8 +26,10 @@ from repro.filtering.fusion import FusedEstimate
 __all__ = [
     "PlanningContext",
     "Planner",
+    "FloatEntry",
     "clipped",
     "context_of",
+    "float_entry",
     "no_estimate_error",
 ]
 
@@ -96,13 +98,51 @@ class Planner(Protocol):
     position, velocity, acceleration, estimates, tracer=None)``, which
     returns what ``plan`` returns for the context :func:`context_of`
     builds, and times itself in a span on ``tracer`` when one is given.
-    The engine and the compound planner call it instead of building a
-    context.
+    Callers take a planner's entry from :func:`float_entry`.
     """
 
     def plan(self, context: PlanningContext) -> float:
         """Return the ego acceleration command for the coming step."""
         ...
+
+
+#: A planner's float entry point: ``(time, position, velocity,
+#: acceleration, estimates, tracer=None) -> command``.
+FloatEntry = Callable[..., float]
+
+
+def float_entry(planner: Planner) -> FloatEntry:
+    """The one way to call ``planner``: its float entry point.
+
+    That is ``planner.plan_floats`` where the planner has one, and
+    otherwise a function of the same signature that calls ``plan`` on
+    the context :func:`context_of` builds (and ignores the tracer).  The
+    engine and the compound planner take each planner's entry once and
+    call nothing else.
+    """
+    plan_floats = getattr(planner, "plan_floats", None)
+    if plan_floats is not None:
+        return plan_floats
+    plan = planner.plan
+
+    def plan_on_context(
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """``plan`` on the context of the ego's floats.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+
+        Effects: mutates-args, draws-rng
+        """
+        return plan(context_of(time, position, velocity, acceleration, estimates))
+
+    return plan_on_context
 
 
 def clipped(acceleration: float, limits: VehicleLimits) -> float:

@@ -40,7 +40,7 @@ from repro.errors import SafetyViolationError, SimulationError
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.filtering.info_filter import EstimateProvider
 from repro.obs.observer import resolve_observer
-from repro.planners.base import Planner, PlanningContext, clipped
+from repro.planners.base import Planner, float_entry
 from repro.scenarios.base import Scenario
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import Sensor
@@ -190,10 +190,12 @@ class SimulationEngine:
         Parameters
         ----------
         planner:
-            The ego planner; if it exposes ``reset()`` (the compound
-            planner does) it is reset first, and if it exposes
-            ``last_decision`` the emergency step counter is derived from
-            it.
+            The ego planner, called through its float entry
+            (:func:`~repro.planners.base.float_entry`); if it exposes
+            ``reset()`` (the compound planner does) it is reset first,
+            and if it exposes a ``monitor`` (the compound planner does)
+            the episode's emergency steps are that monitor's
+            ``emergency_decisions``.
         estimator_factory:
             Builds one fresh estimator per observed vehicle.
         rng:
@@ -257,22 +259,17 @@ class SimulationEngine:
 
         if hasattr(planner, "reset"):
             planner.reset()
-        # Only the compound planner exposes its monitor decision.
-        probe_decision = hasattr(planner, "last_decision")
-        # The planner's float entry point, unless an active planner
-        # fault needs the context (it may call, skip or replace the
-        # planner).  A traced run hands the fault plan the float entry
-        # behind ``plan`` so the layers still report their spans.
-        plan_floats = getattr(planner, "plan_floats", None)
-        fault_target = planner
-        if injector is not None and injector.planner_faults:
-            if traced and plan_floats is not None:
-                fault_target = _TracedFloatPlanner(plan_floats, obs)
-            plan_floats = None
+        ego_limits = scenario.vehicle_limits(0)
+        # The planner's one entry, under a fault plan behind its planner
+        # faults and command clipping.  A traced run hands it the
+        # observer, so the layers report their spans.
+        plan = float_entry(planner)
+        if injector is not None:
+            plan = injector.planner_entry(plan, ego_limits)
+        tracer = obs if traced else None
 
         record = self._config.record_trajectories
         trajectories = [Trajectory() for _ in range(n)] if record else []
-        emergency_steps = 0
         planned_steps = 0
         outcome = Outcome.TIMEOUT
         collision_time: Optional[float] = None
@@ -283,7 +280,6 @@ class SimulationEngine:
         message_every = clock.message_every
         sensor_every = clock.sensor_every
         n_steps = int(round(self._config.max_time / dt))
-        ego_limits = scenario.vehicle_limits(0)
         strict = self._config.strict_safety
 
         # The episode's float record, one entry per vehicle (index 0 is
@@ -388,44 +384,12 @@ class SimulationEngine:
             if traced:
                 obs.end(stage)
             stage = obs.begin("engine.plan") if traced else -1
-            if plan_floats is not None:
-                if traced:
-                    ego_command = plan_floats(
-                        t, positions[0], velocities[0], accels[0], estimates, obs
-                    )
-                else:
-                    ego_command = plan_floats(
-                        t, positions[0], velocities[0], accels[0], estimates
-                    )
-                planner_called = True
-                if injector is not None:
-                    # A fault plan sanitises the command whichever path
-                    # planned it.
-                    ego_command = clipped(ego_command, ego_limits)
-            else:
-                context = PlanningContext(
-                    time=t,
-                    ego=VehicleState(positions[0], velocities[0], accels[0]),
-                    estimates=estimates,
-                )
-                if injector is not None:
-                    ego_command, planner_called = injector.plan(
-                        step, fault_target, context, ego_limits
-                    )
-                    # Injected NaN (and any out-of-range fault command)
-                    # must not corrupt the dynamics: sanitise like the
-                    # compound planner does.
-                    ego_command = clipped(ego_command, ego_limits)
-                else:
-                    ego_command = planner.plan(context)
-                    planner_called = True
+            ego_command = plan(
+                t, positions[0], velocities[0], accels[0], estimates, tracer
+            )
             if traced:
                 obs.end(stage)
             planned_steps += 1
-            if probe_decision and planner_called:
-                decision = planner.last_decision
-                if decision is not None and decision.use_emergency:
-                    emergency_steps += 1
 
             if record:
                 self._record(
@@ -460,6 +424,10 @@ class SimulationEngine:
 
         if planned_steps == 0 and outcome is Outcome.TIMEOUT:
             raise SimulationError("simulation ended without planning any step")
+        # The compound planner's monitor counted the steps it handed to
+        # the emergency planner; it was reset with the planner above.
+        monitor = getattr(planner, "monitor", None)
+        emergency_steps = 0 if monitor is None else monitor.emergency_decisions
 
         return SimulationResult(
             outcome=outcome,
@@ -489,29 +457,6 @@ class SimulationEngine:
         trajectories[0].append(t, ego)
         for i in range(1, len(trajectories)):
             trajectories[i].append(t, stamped[i])
-
-
-class _TracedFloatPlanner:
-    """A planner's ``plan_floats`` behind ``plan(context)``, with a tracer.
-
-    Write-only: the command is the one ``plan(context)`` returns.
-    """
-
-    def __init__(self, plan_floats: Callable[..., float], tracer) -> None:
-        self._plan_floats = plan_floats
-        self._tracer = tracer
-
-    def plan(self, context: PlanningContext) -> float:
-        """``plan_floats`` on the context's floats, timed on the tracer."""
-        ego = context.ego
-        return self._plan_floats(
-            context.time,
-            ego.position,
-            ego.velocity,
-            ego.acceleration,
-            context.estimates,
-            self._tracer,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ rewritten on a per-episode float record: every vehicle's state a
 :class:`~repro.dynamics.state.VehicleState` stepped by
 ``VehicleModel.step``, a :class:`~repro.dynamics.state.SystemState` built
 every step for ``is_collision``/``reached_target``, and the planner
-called through ``plan`` on a :class:`PlanningContext` every step.  It is
-kept unchanged as the slow counterpart of the fast path;
+called through ``plan`` on a :class:`PlanningContext` every step, under
+a fault plan through the context-taking planner hook :func:`faulted_plan`
+the engine's fault plan had before it wrapped the planner's float entry.
+It is kept unchanged as the slow counterpart of the fast path;
 ``tests/test_engine_oracle.py`` checks the two against each other
 episode by episode.
 
@@ -17,13 +19,15 @@ onto the class).
 
 from __future__ import annotations
 
-from typing import List, Optional
+import math
+from typing import List, Optional, Tuple
 
 from repro.comm.channel import Channel
 from repro.dynamics.state import SystemState, VehicleState
 from repro.dynamics.trajectory import Trajectory
 from repro.errors import SafetyViolationError, SimulationError
-from repro.faults.plan import FaultInjector
+from repro.dynamics.vehicle import VehicleLimits
+from repro.faults.plan import FaultInjector, PlannerFaultKind
 from repro.obs.observer import resolve_observer
 from repro.planners.base import Planner, PlanningContext, clipped
 from repro.sensing.sensor import Sensor
@@ -31,7 +35,37 @@ from repro.sim.engine import EstimatorFactory
 from repro.sim.results import Outcome, SimulationResult
 from repro.utils.rng import RngStream
 
-__all__ = ["run"]
+__all__ = ["faulted_plan", "run"]
+
+
+def faulted_plan(
+    injector: FaultInjector,
+    step: int,
+    planner: Planner,
+    context: PlanningContext,
+    limits: VehicleLimits,
+) -> Tuple[float, bool]:
+    """Run one (possibly faulted) planner invocation.
+
+    Returns ``(command, planner_was_called)``; the flag lets the loop
+    skip decision telemetry for steps the planner never saw.  The
+    command is not clipped.  Updates the injector's counter and last
+    command as ``FaultInjector.planner_entry`` does.
+    """
+    fault = injector._active_planner_fault(step)
+    if fault is None:
+        command = planner.plan(context)
+        injector._last_command = command
+        return command, True
+    injector.planner_faults_injected += 1
+    if fault.kind is PlannerFaultKind.NAN:
+        return math.nan, False
+    if fault.kind is PlannerFaultKind.LATENCY:
+        if injector._last_command is None:
+            return limits.a_min, False
+        return injector._last_command, False
+    # EXCEPTION: the planner process is down; watchdog brakes.
+    return limits.a_min, False
 
 
 def run(
@@ -218,8 +252,8 @@ def run(
         ego = vehicles[0]
         context = PlanningContext(time=t, ego=ego, estimates=estimates)
         if injector is not None:
-            ego_command, planner_called = injector.plan(
-                step, planner, context, ego_limits
+            ego_command, planner_called = faulted_plan(
+                injector, step, planner, context, ego_limits
             )
             # Injected NaN (and any out-of-range fault command) must
             # not corrupt the dynamics: sanitise like the compound

@@ -204,9 +204,11 @@ class _FloatOnlyPlanner:
     def __init__(self, command: float = -1.0) -> None:
         self.command = command
         self.float_calls = 0
+        self.times = []
 
     def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None):
         self.float_calls += 1
+        self.times.append(time)
         return self.command
 
     def plan(self, context):
@@ -242,9 +244,12 @@ class TestFaultPlanFloatPath:
         applied = result.trajectories[0].accelerations()[1:]
         assert set(applied.tolist()) == {getattr(scenario.ego_limits, limit)}
 
-    def test_planner_faults_take_the_context_path(self, scenario):
+    def test_planner_faults_call_the_float_entry_on_unfaulted_steps(self, scenario):
         plan = FaultPlan(
             planner_faults=(PlannerFault(StepWindow(5, 8), PlannerFaultKind.NAN),)
         )
-        with pytest.raises(AssertionError, match="built a context"):
-            self._run(scenario, plan)
+        planner, result = self._run(scenario, plan)
+        dt = scenario.dt_c
+        called = [round(time / dt) for time in planner.times]
+        assert result.planner_faults_injected == 3
+        assert called == [s for s in range(result.steps) if not 5 <= s < 8]

@@ -3,9 +3,10 @@
 ``SimulationEngine.run`` keeps each episode as floats: positions,
 velocities, applied accelerations and commands per vehicle, stepped by
 ``VehicleModel.advance``, terminal checks through the scenario's float
-hooks and the planner called through ``plan_floats``; value objects are
-built only for profiles, stamped states, contexts of planners without a
-float entry and recorded trajectories.  ``tests/engine_oracle.py`` keeps
+hooks and the planner called through its float entry
+(``float_entry``); value objects are built only for profiles, stamped
+states, contexts of planners without ``plan_floats`` and recorded
+trajectories.  ``tests/engine_oracle.py`` keeps
 the loop it replaced.  The two must produce the same ``result_to_dict``
 -- trajectories included -- episode by episode, exactly, over:
 
@@ -14,8 +15,9 @@ the loop it replaced.  The two must produce the same ``result_to_dict``
   the paper's three communication settings and the comm-storm fault
   stack;
 * an engine fault plan (sensor dropout plus planner exception, NaN and
-  latency faults), and one with sensor faults only, under which the
-  flat loop keeps the planner's float entry point;
+  latency faults), and one with sensor faults only;
+* a top-level planner without ``plan_floats``, with no plan, the
+  sensor-only plan and the planner-fault plan, untraced and traced;
 * traced runs, whose trace events (under a counting clock) must match
   too.  The flat loop also emits the layer spans of the calls it no
   longer makes through the wrapped public methods
@@ -191,6 +193,47 @@ class TestEngineOracle:
             assert names["shield.emergency"] == (
                 emergency if floats_emergency else 0
             )
+
+
+class _ContextOnly:
+    """A top-level planner without ``plan_floats``: the inner one's ``plan``."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def reset(self) -> None:
+        self._inner.reset()
+
+    def plan(self, context):
+        return self._inner.plan(context)
+
+
+class TestContextOnlyPlanner:
+    """The engine's float entry for a planner that only has ``plan``."""
+
+    PLANS = {
+        "no plan": _config,
+        "sensor faults": lambda: build_config(
+            {"max_time": MAX_TIME, "fault_plan": SENSOR_FAULT_PLAN}
+        ),
+        "planner faults": lambda: _config(faults=True),
+    }
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("plan", list(PLANS))
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_episodes_identical(self, name, plan, traced, cases):
+        scenario, planner, kind = cases[name]
+        case = (scenario, _ContextOnly(planner), kind)
+        config = self.PLANS[plan]()
+        comm = _comm("comm_storm")
+        fast = _episodes(
+            SimulationEngine.run, case, comm, config, traced, _WithoutKernelSpans
+        )
+        slow = _episodes(engine_oracle.run, case, comm, config, traced)
+        if plan == "planner faults":
+            assert any(record["planner_faults_injected"] for record in fast)
+        _assert_same(fast, slow, f"{name} context-only {plan}")
 
 
 class TestRecordParity:
