@@ -18,7 +18,9 @@ control step.  Two providers implement the common
 Both providers produce sound position/velocity bands (up to the Kalman
 confidence level for the information filter, whose band is intersected
 with the guaranteed reachability band and falls back to it when
-inconsistent).
+inconsistent).  During a sensor dropout -- the newest reading more than
+one sensing period old -- the information filter uses the guaranteed
+band alone: a Kalman prediction over a long gap can exclude the truth.
 """
 
 from __future__ import annotations
@@ -203,7 +205,10 @@ class InformationFilter:
     sensor_bounds:
         Noise bounds of the ego's sensor; fix the Kalman matrices.
     sensing_period:
-        ``dt_s``; the Kalman filter's native step.
+        ``dt_s``; the Kalman filter's native step, and the age of the
+        newest reading past which :meth:`estimate` leaves the Kalman
+        band out (in normal operation the newest reading is younger by
+        at least one control step).
     n_sigma:
         Half-width of the Kalman confidence band in standard deviations
         (3 by default).
@@ -262,6 +267,7 @@ class InformationFilter:
             history_horizon=history_horizon,
         )
         self._bounds = sensor_bounds
+        self._sensing_period = float(sensing_period)
         #: Diagonal of R, read by the watchdog gate.
         self._r_p = sensor_bounds.position_variance
         self._r_v = sensor_bounds.velocity_variance
@@ -415,7 +421,10 @@ class InformationFilter:
         Units: now [s]
 
         Requires at least one sensor reading or one message; the
-        simulation engine guarantees a sensor sample at ``t = 0``.
+        simulation engine guarantees a sensor sample at ``t = 0``.  The
+        Kalman band is intersected only while the newest reading is at
+        most one sensing period old; otherwise the estimate is the
+        guaranteed band with its midpoint as the nominal state.
         """
         message = self._latest_message
         p_lo, p_hi, v_lo, v_hi = _guaranteed_band(
@@ -425,7 +434,13 @@ class InformationFilter:
         message_age = None if message is None else now - message.stamp
 
         replay = self._replay
-        if replay.is_initialized and not self._watchdog.diverged:
+        reading = self._latest_reading
+        if (
+            replay.is_initialized
+            and not self._watchdog.diverged
+            and reading is not None
+            and now - reading.time <= self._sensing_period
+        ):
             kf = replay.estimate_at(now)
             kf_p = kf.position
             kf_v = kf.velocity
@@ -443,7 +458,9 @@ class InformationFilter:
             v = v_hi if v_hi < v else v
             a = replay.current_accel
         else:
-            # Reachability-only: before the first sensor reading, or the
+            # Reachability-only: before the first sensor reading, while
+            # the newest reading is more than one sensing period old (a
+            # dropout: a long prediction can exclude the truth), or the
             # watchdog tripped and the Kalman band is quarantined.
             if self._obs.enabled:
                 self._obs.count("filter.fallback", filter=self._label)

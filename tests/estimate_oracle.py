@@ -239,7 +239,11 @@ def information_filter_estimate(self, now: float) -> ObjectEstimate:
         else float(now) - self._latest_message.stamp
     )
     replay = self._replay
-    if replay.is_initialized and not self._watchdog.diverged:
+    reading = self._latest_reading
+    fresh = (
+        reading is not None and float(now) - reading.time <= self._sensing_period
+    )
+    if replay.is_initialized and not self._watchdog.diverged and fresh:
         kf = replay.estimate_at(now)
         fused = fuse_bands(
             guaranteed,

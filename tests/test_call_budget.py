@@ -8,10 +8,11 @@ counted with ``sys.setprofile`` the way cProfile counts them: one per
 builtin).  One seeded episode each of the ultimate configuration (the
 information filter on the paper's messages-delayed channel) and of the
 basic one (raw estimates on the same channel), with the cheaply trained
-planners of ``tests/conftest.py``, and of the campaign-storm shape (a
-compound over a context-only ``FaultyPlanner``, filtered estimates on
-the comm-storm channel, an engine fault plan with sensor dropout) must
-stay within :data:`BUDGETS`: the counts this code makes plus 5 %.
+planners of ``tests/conftest.py``, and of the campaign-storm workload
+(``tests/storm.py``: a compound over a context-only ``FaultyPlanner``,
+filtered estimates on the comm-storm channel, an engine fault plan with
+sensor dropout) must stay within :data:`BUDGETS`: the counts this code
+makes plus 5 %.
 
 A change that lowers a count should lower its budget with it.
 """
@@ -22,46 +23,21 @@ import sys
 
 import pytest
 
-from repro.campaign.builders import build_comm, build_config, build_planner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import PlannerTrio, build_trio
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.runner import EstimatorKind, make_estimator_factory
 from repro.utils.rng import RngStream
+from tests import storm
 
 PAPER = ExperimentConfig()
 SEED = 17
 
 #: Calls per planned step of each configuration's episode (126.1, 94.8
-#: and 130.3 as measured on CPython 3.11 with numpy 2.4), plus 5 %.
-BUDGETS = {"ultimate": 132.4, "basic": 99.5, "storm": 136.8}
+#: and 127.5 as measured on CPython 3.11 with numpy 2.4), plus 5 %.
+BUDGETS = {"ultimate": 132.4, "basic": 99.5, "storm": 133.9}
 
-#: The campaign-storm shape: a shielded constant planner whose embedded
-#: planner raises, returns NaN and lags on schedule, on a channel with
-#: burst loss, delay, jitter and duplication, and a sensor dropout.
-STORM_PLANNER = {
-    "kind": "compound",
-    "embedded": {
-        "kind": "constant",
-        "acceleration": 2.0,
-        "faults": [
-            {"window": [20, 35], "kind": "exception"},
-            {"window": [60, 75], "kind": "nan"},
-            {"window": [90, 100], "kind": "latency"},
-        ],
-    },
-}
-STORM_COMM = {
-    "dt_m": 0.1,
-    "dt_s": 0.1,
-    "sensor_noise": 1.0,
-    "faults": [
-        {"kind": "gilbert_elliott_loss", "p_enter_burst": 0.1, "p_exit_burst": 0.3},
-        {"kind": "fixed_delay", "delay": 0.2},
-        {"kind": "uniform_jitter", "low": 0.0, "high": 0.3},
-        {"kind": "duplication", "probability": 0.2, "lag": 0.1},
-    ],
-}
+#: The campaign-storm workload with its sensor dropout always active.
 STORM_CONFIG = {
     "max_time": 10.0,
     "fault_plan": {"sensor_faults": [{"window": [20, 120], "kind": "dropout"}]},
@@ -109,10 +85,7 @@ def test_calls_per_planned_step_within_budget(name, trios):
 
 
 def test_storm_calls_per_planned_step_within_budget(scenario):
-    engine = SimulationEngine(
-        scenario, build_comm(STORM_COMM), build_config(STORM_CONFIG)
-    )
-    planner = build_planner(STORM_PLANNER, scenario)
+    engine, planner = storm.build(scenario, STORM_CONFIG)
     measured = _calls_per_step(planner, EstimatorKind.FILTERED, engine)
     name = "storm"
     assert measured <= BUDGETS[name], (

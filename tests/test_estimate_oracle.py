@@ -13,8 +13,9 @@ tolerance):
   fused estimates, or the same exception type.  The cases cover both
   Eq. (2) branches on both sides, zero elapsed time, velocity readings
   outside the physical range, disjoint message/sensor bands, disjoint
-  Kalman bands, the watchdog fallback, NaN readings and queries before
-  a stamp; the test counts each and requires all of them;
+  Kalman bands, the watchdog fallback, readings more than one sensing
+  period old (no Kalman band), NaN readings and queries before a stamp;
+  the test counts each and requires all of them;
 * **record level** -- 10 000 random field tuples, some with a NaN
   field, an infinite bound or an empty band, through the flat
   ``FusedEstimate.of`` and through the four-object record
@@ -241,6 +242,9 @@ def _tally(seen, limits, bounds, message, reading, now, kalman, filt) -> None:
             seen[f"{kind} {side} Eq. (2)"] += 1
     if filt._watchdog.diverged:
         seen["watchdog fallback"] += 1
+    fresh = reading is not None and now - reading.time <= filt._sensing_period
+    if kalman is not None and not fresh:
+        seen["stale reading"] += 1
     try:
         guaranteed = estimate_oracle.guaranteed_band(
             reach, bounds, message, reading, now
@@ -255,7 +259,7 @@ def _tally(seen, limits, bounds, message, reading, now, kalman, filt) -> None:
                 seen["disjoint message/sensor bands"] += 1
     except ReproError:
         return
-    if kalman is not None and not filt._watchdog.diverged:
+    if kalman is not None and not filt._watchdog.diverged and fresh:
         if not (
             guaranteed.position.overlaps(kalman.position_band(filt._n_sigma))
             and guaranteed.velocity.overlaps(kalman.velocity_band(filt._n_sigma))
@@ -282,6 +286,7 @@ class TestBandLevel:
             "disjoint message/sensor bands",
             "disjoint Kalman band",
             "watchdog fallback",
+            "stale reading",
             "nan reading",
             "query before stamp",
             "no information",

@@ -21,7 +21,11 @@ from repro.errors import FilterError, IntervalError
 from repro.filtering.info_filter import InformationFilter, RawEstimator
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import Sensor, SensorReading
+from repro.scenarios.left_turn.scenario import LeftTurnScenario
+from repro.sim.results import Outcome
+from repro.sim.runner import EstimatorKind, make_estimator_factory
 from repro.utils.rng import RngStream
+from tests import storm
 
 LIMITS = VehicleLimits(v_min=-20.0, v_max=-2.0, a_min=-3.0, a_max=3.0)
 BOUNDS = NoiseBounds.uniform_all(1.5)
@@ -101,6 +105,86 @@ class TestSoundness:
         _, raw_w = _drive(_make_raw(), 42)
         _, filt_w = _drive(_make_filtered(), 42)
         assert sum(filt_w) <= sum(raw_w) + 1e-9
+
+
+class _Recorder:
+    """An estimator that logs ``(now, estimate)`` of the one it wraps."""
+
+    def __init__(self, inner, log) -> None:
+        self._inner = inner
+        self._log = log
+
+    def on_sensor_reading(self, reading) -> None:
+        self._inner.on_sensor_reading(reading)
+
+    def on_message(self, message, now) -> None:
+        self._inner.on_message(message, now)
+
+    def estimate(self, now):
+        estimate = self._inner.estimate(now)
+        self._log.append((now, estimate))
+        return estimate
+
+
+class TestSensorDropout:
+    """Past one sensing period without a reading only the guaranteed band is used.
+
+    Over a long prediction gap the Kalman band can exclude the truth, so
+    the filter stops intersecting it once the newest reading is more
+    than one sensing period old.
+    """
+
+    def test_stale_reading_leaves_the_guaranteed_band(self):
+        filt, raw = _make_filtered(), _make_raw()
+        rng = RngStream(5)
+        for k in range(10):
+            reading = SensorReading(
+                target=1,
+                time=k * DT_S,
+                position=50.0 - 12.0 * k * DT_S + float(rng.uniform(-1, 1)),
+                velocity=-12.0 + float(rng.uniform(-1, 1)),
+                acceleration=0.0,
+            )
+            filt.on_sensor_reading(reading)
+            raw.on_sensor_reading(reading)
+        last = 9 * DT_S
+        fresh = filt.estimate(last + DT_C)
+        assert fresh.position.width < raw.estimate(last + DT_C).position.width
+        for now in (last + DT_S + DT_C, last + 1.0):
+            stale, guaranteed = filt.estimate(now), raw.estimate(now)
+            assert stale.position == guaranteed.position
+            assert stale.velocity == guaranteed.velocity
+
+    def test_campaign_storm_dropout_episode(self):
+        """Batch seed 2312, episode 7 of the campaign-storm benchmark.
+
+        With the Kalman band intersected through the dropout of steps
+        20-120, the truth left the fused band on 22 of 57 dropout steps
+        and the compound planner collided at t = 3.85 s.
+        """
+        scenario = LeftTurnScenario()
+        engine, planner = storm.build(scenario, record=True)
+        filtered = make_estimator_factory(EstimatorKind.FILTERED, engine)
+        log = []
+        result = engine.run(
+            planner,
+            lambda index: _Recorder(filtered(index), log),
+            RngStream(2312).spawn(storm.ROUND_SIZE)[7],
+        )
+        assert result.sensor_faults_injected > 0
+        assert result.outcome is Outcome.REACHED
+        truth = {point.time: point for point in result.trajectories[1]}
+        dt = scenario.dt_c
+        dropout = [(now, est) for now, est in log if 20 <= round(now / dt) < 120]
+        assert len(dropout) == 100
+        outside = [
+            now for now, est in dropout
+            if not (
+                est.position.contains(truth[now].position)
+                and est.velocity.contains(truth[now].velocity)
+            )
+        ]
+        assert not outside
 
 
 class TestNoInformation:
