@@ -37,6 +37,8 @@ from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.faults.chaos import WorkerChaosOnce
 from repro.filtering.info_filter import (
@@ -53,7 +55,7 @@ from repro.sim.results import (
     FailureRecord,
     SimulationResult,
 )
-from repro.utils.rng import RngStream
+from repro.utils.rng import RngStream, child_seed
 
 __all__ = [
     "EstimatorKind",
@@ -115,8 +117,10 @@ def run_chunk(
 ) -> List[tuple]:
     """Run the given simulation indices of a batch — the one episode loop.
 
-    Re-derives the batch's seed sequence locally and runs only the
-    requested indices, returning one tagged tuple per index —
+    Derives the streams of the requested indices alone — simulation
+    ``k`` runs on ``RngStream(seed).spawn(n_sims)[k]``, built with
+    :func:`~repro.utils.rng.child_seed` so a chunk costs nothing per
+    simulation it does not run — returning one tagged tuple per index —
     ``(index, "ok", result)`` for a completed simulation or
     ``(index, "error", error_type, message)`` when that simulation
     raised (siblings in the chunk still run).  Module-level (not a
@@ -137,20 +141,23 @@ def run_chunk(
     """
     obs = resolve_observer(observer)
     factory = make_estimator_factory(estimator_kind, engine, observer=observer)
-    streams = RngStream(seed).spawn(n_sims)
+    root = np.random.SeedSequence(seed)
     out: List[tuple] = []
     for index in indices:
         # Fault-tolerance boundary: one blown-up episode must not take
         # its chunk siblings down with it; the error is shipped back as
         # data and recorded by the caller.
         try:
+            if not 0 <= index < n_sims:
+                raise IndexError(
+                    f"simulation index {index} outside a batch of {n_sims}"
+                )
+            stream = RngStream(child_seed(root, index))
             if obs.enabled:
                 with obs.span("batch.sim", index=index, seed=seed):
-                    result = engine.run(
-                        planner, factory, streams[index], observer=obs
-                    )
+                    result = engine.run(planner, factory, stream, observer=obs)
             else:
-                result = engine.run(planner, factory, streams[index])
+                result = engine.run(planner, factory, stream)
             out.append((index, "ok", result))
         except Exception as exc:  # safelint: disable=SFL003 - returned as tagged error entry
             out.append((index, "error", type(exc).__name__, str(exc)))

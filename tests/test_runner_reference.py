@@ -28,26 +28,18 @@ from repro.campaign.builders import (
 from repro.campaign.runner import run_chunk_attempts
 from repro.faults import WorkerChaosOnce
 from repro.sim.engine import SimulationEngine
-from repro.sim.runner import BatchRunner, EstimatorKind
+from repro.sim.runner import BatchRunner, EstimatorKind, run_chunk
 from repro.sim.serialization import content_digest, result_to_dict
+from repro.utils.rng import RngStream
+from tests import storm as storm_specs
 from tests.batch_reference import reference_batch
 
 KIND = EstimatorKind.FILTERED
 N_SIMS = 6
 SEED = 17
 
-STORM_COMM = {
-    "dt_m": 0.1,
-    "dt_s": 0.1,
-    "sensor_noise": 1.0,
-    "faults": [
-        {"kind": "gilbert_elliott_loss", "p_enter_burst": 0.1, "p_exit_burst": 0.3},
-        {"kind": "fixed_delay", "delay": 0.2},
-        {"kind": "uniform_jitter", "low": 0.0, "high": 0.3},
-        {"kind": "duplication", "probability": 0.2, "lag": 0.1},
-    ],
-}
-
+#: The campaign-storm planner (``tests/storm.py``) without its latency
+#: fault, on the same channel and fault plan.
 STORM_PLANNER = {
     "kind": "compound",
     "embedded": {
@@ -57,15 +49,6 @@ STORM_PLANNER = {
             {"window": [20, 35], "kind": "exception"},
             {"window": [60, 75], "kind": "nan"},
         ],
-    },
-}
-
-STORM_CONFIG = {
-    "max_time": 10.0,
-    "fault_plan": {
-        "sensor_faults": [
-            {"window": [20, 120], "kind": "dropout", "probability": 0.5}
-        ]
     },
 }
 
@@ -97,7 +80,7 @@ def _retried(storm, chaos):
 def storm():
     scenario = build_scenario({"kind": "left_turn"})
     engine = SimulationEngine(
-        scenario, build_comm(STORM_COMM), build_config(STORM_CONFIG)
+        scenario, build_comm(storm_specs.COMM), build_config(storm_specs.CONFIG)
     )
     return engine, build_planner(STORM_PLANNER, scenario)
 
@@ -153,3 +136,30 @@ class TestAgainstReference:
         engine, planner = storm
         result = BatchRunner(engine, KIND).run_one(planner, SEED)
         assert _digests([result]) == reference[:1]
+
+
+class TestChunkStreams:
+    """A chunk builds the streams of its own indices, not the whole batch's."""
+
+    def test_no_batch_spawn(self, storm, reference, monkeypatch):
+        spawned = []
+        spawn = RngStream.spawn
+
+        def counting_spawn(self, n):
+            spawned.append(n)
+            return spawn(self, n)
+
+        monkeypatch.setattr(RngStream, "spawn", counting_spawn)
+        engine, planner = storm
+        chunk = run_chunk(engine, planner, KIND, SEED, [4, 1], N_SIMS)
+        assert spawned == []
+        assert [entry[:2] for entry in chunk] == [(4, "ok"), (1, "ok")]
+        assert _digests([entry[2] for entry in chunk]) == [
+            reference[4], reference[1]
+        ]
+
+    @pytest.mark.parametrize("index", [-1, N_SIMS])
+    def test_index_outside_the_batch(self, storm, index):
+        engine, planner = storm
+        [entry] = run_chunk(engine, planner, KIND, SEED, [index], N_SIMS)
+        assert entry[:3] == (index, "error", "IndexError")
