@@ -235,7 +235,7 @@ class FaultInjector:
     planner_faults_injected: int = 0
     _last_clean: Dict[int, SensorReading] = field(default_factory=dict)
     _last_command: Optional[float] = None
-    _planner_step: int = 0
+    _planner_step: int = field(default=0, init=False)
 
     # ------------------------------------------------------------------
     # Sensor hook
@@ -294,13 +294,7 @@ class FaultInjector:
             estimates: Mapping[int, FusedEstimate],
             tracer=None,
         ) -> float:
-            """One (possibly faulted) planner invocation.
-
-            Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
-            Units: -> [m/s^2]
-
-            Effects: mutates-args, draws-rng
-            """
+            """One (possibly faulted) planner invocation."""
             step = self._planner_step
             self._planner_step = step + 1
             fault = self._active_planner_fault(step)

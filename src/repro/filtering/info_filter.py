@@ -18,9 +18,8 @@ control step.  Two providers implement the common
 Both providers produce sound position/velocity bands (up to the Kalman
 confidence level for the information filter, whose band is intersected
 with the guaranteed reachability band and falls back to it when
-inconsistent).  During a sensor dropout -- the newest reading more than
-one sensing period old -- the information filter uses the guaranteed
-band alone: a Kalman prediction over a long gap can exclude the truth.
+inconsistent, or when the newest reading is more than one sensing
+period old).
 """
 
 from __future__ import annotations
@@ -205,10 +204,8 @@ class InformationFilter:
     sensor_bounds:
         Noise bounds of the ego's sensor; fix the Kalman matrices.
     sensing_period:
-        ``dt_s``; the Kalman filter's native step, and the age of the
-        newest reading past which :meth:`estimate` leaves the Kalman
-        band out (in normal operation the newest reading is younger by
-        at least one control step).
+        ``dt_s``; the Kalman filter's native step, and the reading age
+        past which :meth:`estimate` leaves the Kalman band out.
     n_sigma:
         Half-width of the Kalman confidence band in standard deviations
         (3 by default).
@@ -423,8 +420,8 @@ class InformationFilter:
         Requires at least one sensor reading or one message; the
         simulation engine guarantees a sensor sample at ``t = 0``.  The
         Kalman band is intersected only while the newest reading is at
-        most one sensing period old; otherwise the estimate is the
-        guaranteed band with its midpoint as the nominal state.
+        most one sensing period old (in normal operation it is younger by
+        at least one control step).
         """
         message = self._latest_message
         p_lo, p_hi, v_lo, v_hi = _guaranteed_band(

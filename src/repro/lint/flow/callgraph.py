@@ -251,7 +251,7 @@ class _CallCollector(ast.NodeVisitor):
                 continue
             self._pin_receiver_type(arg.arg, arg.annotation, imports)
         # Annotated local assignments pin the same way (``injector:
-        # Optional[FaultInjector] = None`` resolves ``injector.plan``
+        # Optional[FaultInjector] = None`` resolves ``injector.planner_entry``
         # to that class).  A parameter annotation wins over a local
         # one of the same name; nested defs are folded into the
         # enclosing node by the fact extractor, so their annotated

@@ -28,7 +28,6 @@ __all__ = [
     "Planner",
     "FloatEntry",
     "clipped",
-    "context_of",
     "float_entry",
     "no_estimate_error",
 ]
@@ -72,33 +71,15 @@ class PlanningContext:
             raise no_estimate_error(index) from exc
 
 
-def context_of(
-    time: float,
-    position: float,
-    velocity: float,
-    acceleration: float,
-    estimates: Mapping[int, FusedEstimate],
-) -> PlanningContext:
-    """The context a float entry point hands a planner that has none.
-
-    Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
-    """
-    return PlanningContext(
-        time=time,
-        ego=VehicleState(position, velocity, acceleration),
-        estimates=estimates,
-    )
-
-
 @runtime_checkable
 class Planner(Protocol):
     """Protocol every planner implements.
 
     A planner may also offer the float entry point ``plan_floats(time,
     position, velocity, acceleration, estimates, tracer=None)``, which
-    returns what ``plan`` returns for the context :func:`context_of`
-    builds, and times itself in a span on ``tracer`` when one is given.
-    Callers take a planner's entry from :func:`float_entry`.
+    returns what ``plan`` returns for the context of those floats, and
+    times itself in a span on ``tracer`` when one is given.  Callers
+    take a planner's entry from :func:`float_entry`.
     """
 
     def plan(self, context: PlanningContext) -> float:
@@ -116,9 +97,9 @@ def float_entry(planner: Planner) -> FloatEntry:
 
     That is ``planner.plan_floats`` where the planner has one, and
     otherwise a function of the same signature that calls ``plan`` on
-    the context :func:`context_of` builds (and ignores the tracer).  The
-    engine and the compound planner take each planner's entry once and
-    call nothing else.
+    the context of the floats (and ignores the tracer).  The engine and
+    the compound planner take each planner's entry once and call nothing
+    else.
     """
     plan_floats = getattr(planner, "plan_floats", None)
     if plan_floats is not None:
@@ -133,14 +114,9 @@ def float_entry(planner: Planner) -> FloatEntry:
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
-        """``plan`` on the context of the ego's floats.
-
-        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
-        Units: -> [m/s^2]
-
-        Effects: mutates-args, draws-rng
-        """
-        return plan(context_of(time, position, velocity, acceleration, estimates))
+        """``plan`` on the context of the ego's floats."""
+        ego = VehicleState(position, velocity, acceleration)
+        return plan(PlanningContext(time, ego, estimates))
 
     return plan_on_context
 
