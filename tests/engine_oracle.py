@@ -5,10 +5,10 @@ rewritten on a per-episode float record: every vehicle's state a
 :class:`~repro.dynamics.state.VehicleState` stepped by
 ``VehicleModel.step``, a :class:`~repro.dynamics.state.SystemState` built
 every step for ``is_collision``/``reached_target``, and the planner
-called through ``plan`` on a :class:`PlanningContext` every step, under
-a fault plan through the context-taking planner hook :func:`faulted_plan`
-the engine's fault plan had before it wrapped the planner's float entry.
-It is kept unchanged as the slow counterpart of the fast path;
+called through ``plan`` on a :class:`PlanningContext` every step (under a
+fault plan through :func:`faulted_plan`, the context-taking planner hook
+the fault plan had before it wrapped the planner's float entry).  It is
+kept unchanged as the slow counterpart of the fast path;
 ``tests/test_engine_oracle.py`` checks the two against each other
 episode by episode.
 
@@ -25,8 +25,8 @@ from typing import List, Optional, Tuple
 from repro.comm.channel import Channel
 from repro.dynamics.state import SystemState, VehicleState
 from repro.dynamics.trajectory import Trajectory
-from repro.errors import SafetyViolationError, SimulationError
 from repro.dynamics.vehicle import VehicleLimits
+from repro.errors import SafetyViolationError, SimulationError
 from repro.faults.plan import FaultInjector, PlannerFaultKind
 from repro.obs.observer import resolve_observer
 from repro.planners.base import Planner, PlanningContext, clipped

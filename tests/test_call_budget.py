@@ -87,7 +87,6 @@ def test_calls_per_planned_step_within_budget(name, trios):
 def test_storm_calls_per_planned_step_within_budget(scenario):
     engine, planner = storm.build(scenario, STORM_CONFIG)
     measured = _calls_per_step(planner, EstimatorKind.FILTERED, engine)
-    name = "storm"
-    assert measured <= BUDGETS[name], (
-        f"{name}: {measured:.1f} calls per planned step, budget {BUDGETS[name]}"
+    assert measured <= BUDGETS["storm"], (
+        f"storm: {measured:.1f} calls per planned step, budget {BUDGETS['storm']}"
     )
