@@ -221,10 +221,11 @@ class InformationFilter:
         Consecutive breaching updates before the filter *trips*: its
         Kalman band is considered untrustworthy and :meth:`estimate`
         falls back to the guaranteed reachability-only band until a
-        consistent update recovers it.  Soundness never depended on the
-        Kalman band (the fusion intersects it with the guaranteed band);
-        the watchdog protects the *efficiency* claim from a silently
-        diverged filter steering the nominal estimate.
+        consistent update recovers it.  The fused band is sound only up
+        to the Kalman confidence level either way (the fusion narrows
+        the guaranteed band with the Kalman one); the watchdog protects
+        the *efficiency* claim from a silently diverged filter steering
+        the nominal estimate.
     observer:
         Optional :class:`~repro.obs.observer.Observer`; records replay
         depth, watchdog breaches/trips/recoveries, fused band widths,
