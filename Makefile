@@ -10,7 +10,7 @@ export PYTHONPATH := src
 lint: safelint ruff mypy
 
 safelint:
-	$(PYTHON) -m repro.lint src tests benchmarks
+	$(PYTHON) -m repro.lint src tests benchmarks examples scripts
 
 # The dimensional-analysis family alone (SFL100-SFL105), baseline-free:
 # a unit violation in src/ can never be grandfathered.
@@ -36,7 +36,7 @@ gates:
 
 # What CI's lint job runs; mirror of .pre-commit-config.yaml.  The
 # per-family gates run through `gates` (one process); the full-tree
-# safelint pass still covers tests/ and benchmarks/.
+# safelint pass still covers tests/, benchmarks/, examples/ and scripts/.
 precommit: safelint gates ruff mypy
 
 ruff:

@@ -7,7 +7,7 @@ scenarios come out CERTIFIED under good and degraded communication.
 
 import pytest
 
-from repro.comm.disturbance import messages_delayed, messages_lost
+from repro.comm.faults import messages_delayed, messages_lost
 from repro.core.verification import certify
 from repro.scenarios.car_following import CarFollowingScenario
 from repro.scenarios.left_turn.scenario import LeftTurnScenario

@@ -17,7 +17,6 @@ import pytest
 
 from repro.campaign.backoff import BackoffPolicy
 from repro.campaign.runner import run_chunk_attempts
-from repro.comm.disturbance import no_disturbance
 from repro.comm.faults import (
     Duplication,
     FixedDelay,
@@ -82,7 +81,6 @@ def _comm(faults):
     return CommSetup(
         dt_m=0.1,
         dt_s=0.1,
-        disturbance=no_disturbance(),
         sensor_bounds=NoiseBounds.uniform_all(1.0),
         faults=faults,
     )

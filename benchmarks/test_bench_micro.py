@@ -10,7 +10,7 @@ verification during runtime").
 
 import pytest
 
-from repro.comm.disturbance import messages_delayed
+from repro.comm.faults import messages_delayed
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleModel
 from repro.filtering.fusion import FusedEstimate

@@ -11,7 +11,7 @@ Shape assertions:
 
 import pytest
 
-from repro.comm.disturbance import messages_delayed
+from repro.comm.faults import messages_delayed
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
 from repro.scenarios.left_turn.multi import MultiOncomingLeftTurnScenario

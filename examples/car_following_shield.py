@@ -45,7 +45,7 @@ def main() -> None:
         CommSetup(
             dt_m=0.1,
             dt_s=0.1,
-            disturbance=messages_delayed(0.25, 0.3),
+            faults=messages_delayed(0.25, 0.3),
             sensor_bounds=NoiseBounds.uniform_all(0.5),
         ),
         SimulationConfig(max_time=30.0, record_trajectories=False),

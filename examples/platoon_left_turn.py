@@ -40,7 +40,7 @@ def main() -> None:
         CommSetup(
             dt_m=0.1,
             dt_s=0.1,
-            disturbance=messages_delayed(0.25, 0.3),
+            faults=messages_delayed(0.25, 0.3),
             sensor_bounds=NoiseBounds.uniform_all(1.0),
         ),
         SimulationConfig(max_time=40.0),

@@ -61,7 +61,7 @@ def main() -> None:
         CommSetup(
             dt_m=0.1,
             dt_s=0.1,
-            disturbance=messages_delayed(0.25, 0.5),
+            faults=messages_delayed(0.25, 0.5),
             sensor_bounds=NoiseBounds.uniform_all(1.0),
         ),
     )

@@ -41,7 +41,7 @@ from repro.campaign.runner import (  # noqa: E402
     CampaignRunner,
     campaign_status,
 )
-from repro.comm.disturbance import no_disturbance  # noqa: E402
+from repro.comm.faults import no_disturbance  # noqa: E402
 from repro.obs.bench_record import write_bench_documents  # noqa: E402
 from repro.obs.cli import record_trace  # noqa: E402
 from repro.obs.export import validate_chrome_trace  # noqa: E402
@@ -162,7 +162,7 @@ def _micro_batch(observer) -> None:
     comm = CommSetup(
         dt_m=0.1,
         dt_s=0.1,
-        disturbance=no_disturbance(),
+        faults=no_disturbance(),
         sensor_bounds=NoiseBounds.uniform_all(0.5),
     )
     engine = SimulationEngine(

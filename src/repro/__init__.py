@@ -40,7 +40,6 @@ reproduction results.
 from repro.comm import (
     Channel,
     ComposedFaults,
-    DisturbanceModel,
     Duplication,
     FaultModel,
     FixedDelay,
@@ -123,7 +122,6 @@ __all__ = [
     # comm
     "Message",
     "Channel",
-    "DisturbanceModel",
     "no_disturbance",
     "messages_delayed",
     "messages_lost",

@@ -16,9 +16,9 @@ offending spec.
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.comm.disturbance import DisturbanceModel, no_disturbance
 from repro.comm.faults import (
     Duplication,
     FaultModel,
@@ -55,6 +55,7 @@ from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.results import ChunkResult
 from repro.sim.runner import BatchRunner, EstimatorKind
+from repro.utils.validation import check_positive
 
 __all__ = [
     "build_scenario",
@@ -123,58 +124,64 @@ def _build_fault_model(stages: List[dict]) -> FaultModel:
     return compose(*built)
 
 
+#: The keys a manifest ``comm`` spec may carry.
+_COMM_KEYS = ("dt_m", "dt_s", "sensor_noise", "faults")
+
+
+def _retired_disturbance(spec) -> CampaignError:
+    """The error naming the ``faults`` stages a ``disturbance`` spec meant."""
+    values = spec if isinstance(spec, dict) else {}
+    stages = []
+    if values.get("drop_probability"):
+        stages.append(
+            {"kind": "independent_loss", "probability": values["drop_probability"]}
+        )
+    if values.get("delay"):
+        stages.append({"kind": "fixed_delay", "delay": values["delay"]})
+    return CampaignError(
+        "comm 'disturbance' is not a manifest key; write the same channel "
+        f"as \"faults\": {json.dumps(stages)}"
+    )
+
+
 def build_comm(spec: dict) -> CommSetup:
     """Build a :class:`CommSetup` from a manifest ``comm`` spec.
 
-    Recognised fields: ``dt_m``/``dt_s`` [s] (default 0.1),
-    ``sensor_noise`` (uniform half-width on all three channels, default
-    0 = noiseless), ``disturbance`` (``{"delay": s, "drop_probability":
-    p}`` preset) and ``faults`` (ordered stage list composed left to
-    right; replaces the preset on every channel when present).
+    Recognised fields: ``dt_m``/``dt_s`` [s] (default 0.1; ``dt_s``
+    defaults to ``dt_m``), ``sensor_noise`` (uniform half-width on all
+    three channels, default 0 = noiseless) and ``faults`` (ordered stage
+    list composed left to right, default ``[]`` = no fault).  Any other
+    key, or a value of the wrong type or range, is a
+    :class:`~repro.errors.CampaignError`.
     """
     if not isinstance(spec, dict):
         raise CampaignError(
             f"comm spec must be a JSON object, got {type(spec).__name__}"
         )
-    dt_m = float(spec.get("dt_m", 0.1))
-    dt_s = float(spec.get("dt_s", dt_m))
-    noise = float(spec.get("sensor_noise", 0.0))
-    bounds = (
-        NoiseBounds.uniform_all(noise) if noise > 0.0 else NoiseBounds.noiseless()
-    )
-    disturbance_spec = spec.get("disturbance")
-    if disturbance_spec is None:
-        disturbance = no_disturbance()
-    else:
-        try:
-            disturbance = DisturbanceModel(
-                delay=float(disturbance_spec.get("delay", 0.0)),
-                drop_probability=float(
-                    disturbance_spec.get("drop_probability", 0.0)
-                ),
-            )
-        except ReproError as exc:
-            raise CampaignError(
-                f"invalid disturbance spec {disturbance_spec}: {exc}"
-            ) from exc
-    faults_spec = spec.get("faults")
-    faults = None
-    if faults_spec is not None:
-        if not isinstance(faults_spec, list):
-            raise CampaignError(
-                "comm faults must be a list of stage specs, got "
-                f"{type(faults_spec).__name__}"
-            )
-        faults = _build_fault_model(faults_spec)
+    if "disturbance" in spec:
+        raise _retired_disturbance(spec["disturbance"])
+    unknown = sorted(set(spec) - set(_COMM_KEYS))
+    if unknown:
+        raise CampaignError(
+            f"unknown comm spec keys {unknown}; expected some of "
+            f"{list(_COMM_KEYS)}"
+        )
+    faults_spec = spec.get("faults", [])
+    if not isinstance(faults_spec, list):
+        raise CampaignError(
+            "comm faults must be a list of stage specs, got "
+            f"{type(faults_spec).__name__}"
+        )
+    faults = _build_fault_model(faults_spec)
     try:
+        dt_m = check_positive(spec.get("dt_m", 0.1), "dt_m")
         return CommSetup(
             dt_m=dt_m,
-            dt_s=dt_s,
-            disturbance=disturbance,
-            sensor_bounds=bounds,
+            dt_s=check_positive(spec.get("dt_s", dt_m), "dt_s"),
             faults=faults,
+            sensor_bounds=NoiseBounds.uniform_all(spec.get("sensor_noise", 0.0)),
         )
-    except ReproError as exc:
+    except (TypeError, ValueError, ReproError) as exc:
         raise CampaignError(f"invalid comm spec {spec}: {exc}") from exc
 
 
@@ -328,18 +335,28 @@ def build_planner(spec: dict, scenario: Scenario) -> Planner:
 
 def build_workload(
     manifest,
-) -> Tuple[Scenario, CommSetup, SimulationConfig, Planner, EstimatorKind]:
-    """Instantiate everything a manifest's chunks execute against."""
+) -> Tuple[SimulationEngine, Planner, EstimatorKind]:
+    """Instantiate everything a manifest's chunks execute against.
+
+    Any part that cannot be built raises
+    :class:`~repro.errors.CampaignError`, the engine's own checks (the
+    periods must be multiples of the scenario's control period)
+    included.
+    """
     scenario = build_scenario(manifest.scenario)
     comm = build_comm(manifest.comm)
     config = build_config(manifest.config)
     planner = build_planner(manifest.planner, scenario)
+    try:
+        engine = SimulationEngine(scenario, comm, config)
+    except ReproError as exc:
+        raise CampaignError(f"invalid comm spec {manifest.comm}: {exc}") from exc
     kind = (
         EstimatorKind.FILTERED
         if manifest.estimator == "filtered"
         else EstimatorKind.RAW
     )
-    return scenario, comm, config, planner, kind
+    return engine, planner, kind
 
 
 def workload_executor(
@@ -370,9 +387,9 @@ def workload_executor(
         progress: Optional[Callable[[int], None]] = None,
     ) -> ChunkResult:
         if not built:
-            scenario, comm, config, planner, kind = build_workload(manifest)
+            engine, planner, kind = build_workload(manifest)
             runner = BatchRunner(
-                SimulationEngine(scenario, comm, config),
+                engine,
                 kind,
                 timeout_per_sim=timeout_per_sim,
                 observer=observer,

@@ -49,8 +49,8 @@ class CampaignManifest:
     comm:
         Communication spec: ``dt_m``/``dt_s`` [s], ``sensor_noise``
         (uniform half-width [m]/[m/s]/[m/s^2] applied to all three
-        channels), optional ``disturbance`` preset and composable
-        ``faults`` stage list.
+        channels) and the ``faults`` stage list, the channel's only
+        configuration (see :func:`repro.campaign.builders.build_comm`).
     planner:
         Planner spec, e.g. ``{"kind": "constant", "acceleration": 2.0}``
         or a ``compound`` wrapper with embedded fault windows.

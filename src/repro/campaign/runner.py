@@ -59,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import repro
 from repro.campaign.backoff import BackoffPolicy
-from repro.campaign.builders import workload_executor
+from repro.campaign.builders import build_workload, workload_executor
 from repro.campaign.journal import JournalWriter, read_journal, recover_journal
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.shard.leases import Lease, LeaseTable
@@ -545,10 +545,13 @@ class CampaignRunner:
     def run(self) -> CampaignReport:
         """Start the campaign from scratch.
 
-        Refuses a directory that already holds journal records (use
-        :meth:`resume`) or a ``manifest.json`` with a different
-        fingerprint (that directory belongs to another campaign).
+        Refuses a manifest that cannot be built (before anything touches
+        disk, so no unfinishable campaign is journaled), a directory that
+        already holds journal records (use :meth:`resume`) or a
+        ``manifest.json`` with a different fingerprint (that directory
+        belongs to another campaign).
         """
+        build_workload(self._manifest)
         journal_path = self._directory / JOURNAL_FILE
         if journal_path.exists():
             records, _ = read_journal(journal_path)

@@ -1,13 +1,7 @@
-"""V2V communication substrate: messages, disturbed channels, fault models."""
+"""V2V communication substrate: messages, channels and their fault models."""
 
 from repro.comm.message import Message
 from repro.comm.channel import Channel, ChannelStats
-from repro.comm.disturbance import (
-    DisturbanceModel,
-    messages_delayed,
-    messages_lost,
-    no_disturbance,
-)
 from repro.comm.faults import (
     ComposedFaults,
     Duplication,
@@ -20,13 +14,15 @@ from repro.comm.faults import (
     NoFault,
     UniformJitter,
     compose,
+    messages_delayed,
+    messages_lost,
+    no_disturbance,
 )
 
 __all__ = [
     "Message",
     "Channel",
     "ChannelStats",
-    "DisturbanceModel",
     "no_disturbance",
     "messages_delayed",
     "messages_lost",

@@ -3,9 +3,8 @@
 A :class:`Channel` connects one broadcasting vehicle to the ego receiver.
 Every ``dt_m`` seconds the simulation engine offers the sender's exact
 state to the channel; the channel applies its fault pipeline (a
-composable :class:`~repro.comm.faults.FaultModel`; the paper's
-:class:`~repro.comm.disturbance.DisturbanceModel` presets convert to one
-via ``as_fault_model``) and queues the surviving copies for delivery.
+composable :class:`~repro.comm.faults.FaultModel`, of which the paper's
+three settings are presets) and queues the surviving copies for delivery.
 The receiver polls :meth:`Channel.receive` each control step and gets
 every copy whose delivery time has passed, in delivery order.
 

@@ -1,12 +1,14 @@
-"""Composable channel fault models.
+"""Composable channel fault models and the paper's three presets.
 
-The paper evaluates three communication settings (independent drop plus a
-fixed delay, see :mod:`repro.comm.disturbance`), but real V2V channels
-misbehave in richer ways: losses arrive in *bursts* (fading), delays
-*jitter* (queueing), jitter induces *out-of-order* delivery, and link
-retransmission produces *duplicates*.  This module models each of those
-as a small immutable :class:`FaultModel` and lets them be stacked with
-:func:`compose`, so a channel condition is written declaratively::
+The paper evaluates three communication settings, each an independent
+drop followed by a fixed delay (:func:`no_disturbance`,
+:func:`messages_delayed`, :func:`messages_lost` at the end of this
+module), but real V2V channels misbehave in richer ways: losses arrive
+in *bursts* (fading), delays *jitter* (queueing), jitter induces
+*out-of-order* delivery, and link retransmission produces
+*duplicates*.  This module models each of those as a small immutable
+:class:`FaultModel` and lets them be stacked with :func:`compose`, so a
+channel condition is written declaratively::
 
     faults = compose(
         GilbertElliottLoss(p_enter_burst=0.05, p_exit_burst=0.4),
@@ -72,6 +74,9 @@ __all__ = [
     "Duplication",
     "ComposedFaults",
     "compose",
+    "no_disturbance",
+    "messages_delayed",
+    "messages_lost",
 ]
 
 
@@ -551,3 +556,46 @@ def compose(*models: FaultModel) -> FaultModel:
     if len(flat) == 1:
         return flat[0]
     return ComposedFaults(stages=tuple(flat))
+
+
+# ---------------------------------------------------------------------------
+# The paper's Section V settings.
+# ---------------------------------------------------------------------------
+def no_disturbance() -> FaultModel:
+    """The paper's "no disturbance" setting: immediate, lossless delivery."""
+    return NoFault()
+
+
+def messages_delayed(
+    delay: float = 0.25, drop_probability: float = 0.0
+) -> FaultModel:
+    """The paper's "messages delayed" setting: loss ``p_d``, then delay ``dt_d``.
+
+    Both stages are built (and so validated) before a zero-valued one is
+    left out; with both zero the channel is :class:`NoFault`.  A zero
+    loss stage is never kept, so this setting draws from the channel's
+    random stream only when ``0 < drop_probability < 1``.
+
+    Parameters
+    ----------
+    delay:
+        Fixed delay ``dt_d``; the paper uses 0.25 s.
+    drop_probability:
+        Independent drop probability ``p_d``; the paper sweeps
+        ``{0.05 j | j = 0..19}``.
+
+    Units: delay [s], drop_probability [1]
+    """
+    loss = IndependentLoss(float(drop_probability))
+    fixed = FixedDelay(float(delay))
+    stages = [
+        stage
+        for stage in (loss, fixed)
+        if stage not in (IndependentLoss(0.0), FixedDelay(0.0))
+    ]
+    return compose(*stages) if stages else NoFault()
+
+
+def messages_lost() -> FaultModel:
+    """The paper's "messages lost" setting: no message ever arrives."""
+    return IndependentLoss(1.0)

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from repro.comm.disturbance import (
-    DisturbanceModel,
+from repro.comm.faults import (
+    FaultModel,
     messages_delayed,
     messages_lost,
     no_disturbance,
@@ -102,7 +102,7 @@ class ExperimentConfig:
 
     def comm_setting(self, name: str) -> CommSetup:
         """One of the three table communication settings by name."""
-        disturbances: Dict[str, Tuple[DisturbanceModel, float]] = {
+        settings: Dict[str, Tuple[FaultModel, float]] = {
             "no_disturbance": (no_disturbance(), self.base_sensor_delta),
             "messages_delayed": (
                 messages_delayed(
@@ -112,15 +112,15 @@ class ExperimentConfig:
             ),
             "messages_lost": (messages_lost(), self.lost_sensor_delta),
         }
-        if name not in disturbances:
+        if name not in settings:
             raise KeyError(
                 f"unknown setting {name!r}; expected one of {SETTING_NAMES}"
             )
-        disturbance, delta = disturbances[name]
+        faults, delta = settings[name]
         return CommSetup(
             dt_m=self.dt_m,
             dt_s=self.dt_s,
-            disturbance=disturbance,
+            faults=faults,
             sensor_bounds=NoiseBounds.uniform_all(delta),
         )
 

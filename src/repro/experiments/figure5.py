@@ -22,7 +22,7 @@ import argparse
 from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
-from repro.comm.disturbance import (
+from repro.comm.faults import (
     messages_delayed,
     messages_lost,
     no_disturbance,
@@ -82,7 +82,7 @@ def sweep_transmission(
         CommSetup(
             dt_m=step,
             dt_s=step,
-            disturbance=no_disturbance(),
+            faults=no_disturbance(),
             sensor_bounds=NoiseBounds.uniform_all(config.base_sensor_delta),
         )
         for step in steps
@@ -99,7 +99,7 @@ def sweep_drop(
         CommSetup(
             dt_m=config.dt_m,
             dt_s=config.dt_s,
-            disturbance=messages_delayed(config.message_delay, p),
+            faults=messages_delayed(config.message_delay, p),
             sensor_bounds=NoiseBounds.uniform_all(config.base_sensor_delta),
         )
         for p in probabilities
@@ -116,7 +116,7 @@ def sweep_sensor(
         CommSetup(
             dt_m=config.dt_m,
             dt_s=config.dt_s,
-            disturbance=messages_lost(),
+            faults=messages_lost(),
             sensor_bounds=NoiseBounds.uniform_all(delta),
         )
         for delta in deltas

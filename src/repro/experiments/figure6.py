@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.comm.channel import Channel
-from repro.comm.disturbance import messages_delayed
+from repro.comm.faults import messages_delayed
 from repro.dynamics.profiles import RandomSequenceProfile
 from repro.dynamics.vehicle import VehicleModel
 from repro.experiments.config import ExperimentConfig
@@ -91,7 +91,7 @@ def _one_trajectory(
     channel = Channel(
         period=config.dt_m,
         rng=channel_rng,
-        faults=messages_delayed(config.message_delay, 0.3).as_fault_model(),
+        faults=messages_delayed(config.message_delay, 0.3),
     )
     rkf = ReplayKalmanFilter(KalmanFilter(config.dt_s, bounds))
 

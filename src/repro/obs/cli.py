@@ -25,8 +25,13 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.comm.disturbance import no_disturbance
-from repro.comm.faults import Duplication, IndependentLoss, UniformJitter, compose
+from repro.comm.faults import (
+    Duplication,
+    IndependentLoss,
+    NoFault,
+    UniformJitter,
+    compose,
+)
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
 from repro.errors import ReproError, SerializationError
@@ -94,14 +99,13 @@ def _comm(faults: str) -> CommSetup:
             Duplication(0.2, lag=0.05),
         )
         if faults == "storm"
-        else None
+        else NoFault()
     )
     return CommSetup(
         dt_m=0.1,
         dt_s=0.1,
-        disturbance=no_disturbance(),
-        sensor_bounds=NoiseBounds.uniform_all(0.5),
         faults=fault_model,
+        sensor_bounds=NoiseBounds.uniform_all(0.5),
     )
 
 

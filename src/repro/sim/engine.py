@@ -31,12 +31,15 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.comm.channel import Channel
-from repro.comm.disturbance import DisturbanceModel, no_disturbance
-from repro.comm.faults import FaultModel
+from repro.comm.faults import FaultModel, NoFault
 from repro.dynamics.state import VehicleState
 from repro.dynamics.trajectory import Trajectory
 from repro.dynamics.vehicle import VehicleModel
-from repro.errors import SafetyViolationError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    SafetyViolationError,
+    SimulationError,
+)
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.filtering.info_filter import EstimateProvider
 from repro.obs.observer import resolve_observer
@@ -69,24 +72,28 @@ class CommSetup:
     dt_m, dt_s:
         Transmission and sensing periods (multiples of the control
         period; the paper sets ``dt_m = dt_s``).
-    disturbance:
-        The channel's drop/delay model (the paper's presets).
+    faults:
+        The fault model of every channel (:mod:`repro.comm.faults`):
+        one of the paper's presets (:func:`~repro.comm.faults.no_disturbance`,
+        :func:`~repro.comm.faults.messages_delayed`,
+        :func:`~repro.comm.faults.messages_lost`) or any composition of
+        loss, delay, jitter and duplication stages.
     sensor_bounds:
         Uniform noise bounds of the onboard sensor.
-    faults:
-        Optional composable channel fault model
-        (:mod:`repro.comm.faults`); when set it *replaces* the
-        ``disturbance`` preset on every channel (burst loss, jitter,
-        duplication, and compositions thereof).
 
     Units: dt_m [s], dt_s [s]
     """
 
     dt_m: float
     dt_s: float
-    disturbance: DisturbanceModel
+    faults: FaultModel
     sensor_bounds: NoiseBounds
-    faults: Optional[FaultModel] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.faults, FaultModel):
+            raise ConfigurationError(
+                f"comm faults must be a FaultModel, got {self.faults!r}"
+            )
 
     @classmethod
     def perfect(cls, dt_m: float = 0.1) -> "CommSetup":
@@ -94,7 +101,7 @@ class CommSetup:
         return cls(
             dt_m=dt_m,
             dt_s=dt_m,
-            disturbance=no_disturbance(),
+            faults=NoFault(),
             sensor_bounds=NoiseBounds.noiseless(),
         )
 
@@ -145,11 +152,6 @@ class SimulationEngine:
         self._comm = comm
         self._config = config if config is not None else SimulationConfig()
         self._clock = MultiRateClock(scenario.dt_c, comm.dt_m, comm.dt_s)
-        self._faults: FaultModel = (
-            comm.faults
-            if comm.faults is not None
-            else comm.disturbance.as_fault_model()
-        )
         self._models = {
             i: VehicleModel(scenario.vehicle_limits(i))
             for i in range(scenario.n_vehicles)
@@ -237,7 +239,7 @@ class SimulationEngine:
             Channel(
                 period=self._comm.dt_m,
                 rng=RngStream(child_seed(channel_seed, i)),
-                faults=self._faults,
+                faults=self._comm.faults,
                 observer=obs,
                 name=f"veh{i}",
             )

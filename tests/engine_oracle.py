@@ -116,7 +116,7 @@ def run(
         i: Channel(
             period=self._comm.dt_m,
             rng=channel_streams[i],
-            faults=self._faults,
+            faults=self._comm.faults,
             observer=obs,
             name=f"veh{i}",
         )

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.campaign.builders import build_comm
 from repro.campaign.manifest import CampaignManifest
+from repro.comm.faults import NoFault
 from repro.errors import CampaignError, SerializationError
+from repro.sensing.noise import NoiseBounds
 
 
 def _manifest(**overrides):
@@ -128,3 +133,34 @@ class TestPersistence:
         del record["planner"]
         with pytest.raises(CampaignError, match="missing required field"):
             CampaignManifest.from_dict(record)
+
+
+class TestCommSpec:
+    def test_defaults_are_noiseless_and_fault_free(self):
+        comm = build_comm({})
+        assert (comm.dt_m, comm.dt_s) == (0.1, 0.1)
+        assert comm.faults == NoFault()
+        assert comm.sensor_bounds == NoiseBounds.noiseless()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"dt_m": "abc"},
+            {"dt_s": None},
+            {"dt_m": 0.0},
+            {"sensor_noise": -1},
+            {"sensor_noise": math.nan},
+            {"sensor_noise": "loud"},
+            {"sensor_nosie": 1.0},
+            {"faults": None},
+            {"faults": [{"kind": "fixed_delay", "delay": -0.1}]},
+            {"disturbance": {"drop_probability": 0.5}, "faults": []},
+        ],
+    )
+    def test_malformed_comm_spec_rejected(self, spec):
+        with pytest.raises(CampaignError):
+            build_comm(spec)
+
+    def test_disturbance_key_names_its_faults(self):
+        with pytest.raises(CampaignError, match='"kind": "fixed_delay"'):
+            build_comm({"disturbance": {"delay": 0.25, "drop_probability": 0.3}})

@@ -411,3 +411,20 @@ class TestKnobValidation:
         with pytest.raises(CampaignError):
             CampaignRunner(_manifest(), directory, **knobs)
         assert not directory.exists()
+
+    @pytest.mark.parametrize(
+        "comm",
+        [
+            {"dt_m": "abc"},
+            {"dt_s": None},
+            {"dt_m": 0.07},
+            {"sensor_noise": -1},
+            {"sensor_nosie": 1.0},
+            {"disturbance": {"drop_probability": 1.0}, "faults": []},
+        ],
+    )
+    def test_unbuildable_manifest_never_starts_a_campaign(self, tmp_path, comm):
+        directory = tmp_path / "campaign"
+        with pytest.raises(CampaignError):
+            CampaignRunner(_manifest(comm=comm), directory).run()
+        assert not directory.exists()

@@ -1,12 +1,15 @@
-"""Tests for messages, disturbance models, and the disturbed channel."""
+"""Tests for messages, the paper's channel presets, and the channel."""
 
 import math
 
 import pytest
 
 from repro.comm.channel import Channel
-from repro.comm.disturbance import (
-    DisturbanceModel,
+from repro.comm.faults import (
+    FixedDelay,
+    IndependentLoss,
+    NoFault,
+    compose,
     messages_delayed,
     messages_lost,
     no_disturbance,
@@ -19,9 +22,9 @@ from repro.utils.rng import RngStream
 STATE = VehicleState(position=50.0, velocity=-12.0, acceleration=0.5)
 
 
-def _sends(disturbance, rng, n=1):
+def _sends(faults, rng, n=1):
     """Whether each of ``n`` sends through the preset's channel survives."""
-    ch = Channel(period=0.1, faults=disturbance.as_fault_model(), rng=rng)
+    ch = Channel(period=0.1, faults=faults, rng=rng)
     return [ch.send(1, i * 0.1, STATE) for i in range(n)]
 
 
@@ -45,39 +48,40 @@ class TestMessage:
             Message(sender=0, stamp=math.nan, state=STATE)
 
 
-class TestDisturbanceModels:
+class TestPresets:
+    """The paper's three settings are plain fault models."""
+
+    def test_preset_mapping(self):
+        assert no_disturbance() == NoFault()
+        assert messages_delayed(0.25, 0.3) == compose(
+            IndependentLoss(0.3), FixedDelay(0.25)
+        )
+        assert messages_delayed(0.25, 0.0) == FixedDelay(0.25)
+        assert messages_lost() == IndependentLoss(1.0)
+
     def test_no_disturbance(self):
-        d = no_disturbance()
-        assert d.delay == 0.0
-        assert d.drop_probability == 0.0
-        assert not d.always_drops
+        assert _sends(no_disturbance(), None) == [True]
 
     def test_messages_delayed_defaults(self):
-        d = messages_delayed()
-        assert d.delay == 0.25
+        assert messages_delayed() == FixedDelay(0.25)
 
     def test_messages_lost(self):
-        d = messages_lost()
-        assert d.always_drops
-        assert _sends(d, RngStream(0)) == [False]
+        assert _sends(messages_lost(), RngStream(0)) == [False]
 
     def test_drop_decision_extremes(self):
         rng = RngStream(1)
-        assert _sends(DisturbanceModel(drop_probability=0.0), rng) == [True]
-        assert _sends(DisturbanceModel(drop_probability=1.0), rng) == [False]
+        assert _sends(messages_delayed(0.0, 0.0), rng) == [True]
+        assert _sends(messages_delayed(0.0, 1.0), rng) == [False]
 
     def test_invalid_probability_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DisturbanceModel(drop_probability=1.5)
+        for probability in (1.5, -0.1, math.nan):
+            with pytest.raises(ConfigurationError):
+                messages_delayed(0.25, probability)
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DisturbanceModel(delay=-0.1)
-
-    def test_describe(self):
-        assert "no disturbance" in no_disturbance().describe()
-        assert "lost" in messages_lost().describe()
-        assert "0.25" in messages_delayed(0.25, 0.1).describe()
+        for delay in (-0.1, math.nan):
+            with pytest.raises(ConfigurationError):
+                messages_delayed(delay, 0.3)
 
 
 class TestChannelPerfect:
@@ -109,7 +113,7 @@ class TestChannelPerfect:
 
 class TestChannelDelay:
     def test_delayed_delivery(self):
-        ch = Channel(period=0.1, faults=messages_delayed(0.25).as_fault_model())
+        ch = Channel(period=0.1, faults=messages_delayed(0.25))
         ch.send(1, 1.0, STATE)
         assert ch.receive(1.2) == []
         delivered = ch.receive(1.25)
@@ -117,13 +121,13 @@ class TestChannelDelay:
         assert delivered[0].stamp == 1.0
 
     def test_peek_next_delivery(self):
-        ch = Channel(period=0.1, faults=messages_delayed(0.25).as_fault_model())
+        ch = Channel(period=0.1, faults=messages_delayed(0.25))
         assert ch.peek_next_delivery() is None
         ch.send(1, 2.0, STATE)
         assert ch.peek_next_delivery() == pytest.approx(2.25)
 
     def test_stats_track_delay(self):
-        ch = Channel(period=0.1, faults=messages_delayed(0.25).as_fault_model())
+        ch = Channel(period=0.1, faults=messages_delayed(0.25))
         ch.send(1, 0.0, STATE)
         ch.receive(0.25)
         assert ch.stats.mean_delay == pytest.approx(0.25)
@@ -131,7 +135,7 @@ class TestChannelDelay:
 
 class TestChannelDrop:
     def test_always_drop(self):
-        ch = Channel(period=0.1, faults=messages_lost().as_fault_model())
+        ch = Channel(period=0.1, faults=messages_lost())
         assert ch.send(1, 0.0, STATE) is False
         assert ch.receive(100.0) == []
         assert ch.stats.dropped == 1
@@ -139,7 +143,7 @@ class TestChannelDrop:
     def test_probabilistic_drop_rate(self):
         ch = Channel(
             period=0.1,
-            faults=messages_delayed(0.0, 0.4).as_fault_model(),
+            faults=messages_delayed(0.0, 0.4),
             rng=RngStream(9),
         )
         n = 2000
@@ -149,13 +153,13 @@ class TestChannelDrop:
 
     def test_probabilistic_drop_requires_rng(self):
         with pytest.raises(ConfigurationError):
-            Channel(period=0.1, faults=messages_delayed(0.0, 0.5).as_fault_model())
+            Channel(period=0.1, faults=messages_delayed(0.0, 0.5))
 
     def test_drop_sequence_reproducible(self):
         def run(seed):
             ch = Channel(
                 period=0.1,
-                faults=messages_delayed(0.0, 0.5).as_fault_model(),
+                faults=messages_delayed(0.0, 0.5),
                 rng=RngStream(seed),
             )
             return [ch.send(1, i * 0.1, STATE) for i in range(50)]
@@ -166,7 +170,7 @@ class TestChannelDrop:
 
 class TestChannelStats:
     def test_counters(self):
-        ch = Channel(period=0.1, faults=messages_delayed(0.5).as_fault_model())
+        ch = Channel(period=0.1, faults=messages_delayed(0.5))
         ch.send(1, 0.0, STATE)
         ch.send(1, 0.1, STATE)
         assert ch.stats.sent == 2

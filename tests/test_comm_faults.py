@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.comm.channel import Channel
-from repro.comm.disturbance import messages_delayed, messages_lost, no_disturbance
 from repro.comm.faults import (
     ComposedFaults,
     Duplication,
@@ -18,6 +17,9 @@ from repro.comm.faults import (
     NoFault,
     UniformJitter,
     compose,
+    messages_delayed,
+    messages_lost,
+    no_disturbance,
 )
 from repro.comm.message import Message
 from repro.dynamics.state import VehicleState
@@ -126,11 +128,11 @@ class TestCompose:
 
 class TestPresetEquivalence:
     def test_no_disturbance_maps_to_identity(self):
-        assert isinstance(no_disturbance().as_fault_model(), NoFault)
+        assert isinstance(no_disturbance(), NoFault)
 
     def test_messages_lost_always_drops(self):
         channel, drained = _run_channel(
-            messages_lost().as_fault_model(), n_sends=20
+            messages_lost(), n_sends=20
         )
         assert drained == []
         assert channel.stats.dropped == 20
@@ -139,7 +141,7 @@ class TestPresetEquivalence:
         """Preset channel and explicit fault channel draw identically."""
         preset = Channel(
             period=DT,
-            faults=messages_delayed(0.25, 0.3).as_fault_model(),
+            faults=messages_delayed(0.25, 0.3),
             rng=RngStream(9),
         )
         explicit = Channel(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.comm.disturbance import messages_delayed
+from repro.comm.faults import messages_delayed
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
 from repro.planners.constant import ConstantPlanner, FullBrakePlanner
@@ -31,7 +31,7 @@ def _engine(scenario, max_time=30.0, **kwargs):
     comm = CommSetup(
         dt_m=0.1,
         dt_s=0.1,
-        disturbance=messages_delayed(0.25, 0.2),
+        faults=messages_delayed(0.25, 0.2),
         sensor_bounds=NoiseBounds.uniform_all(1.0),
     )
     return SimulationEngine(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.comm.disturbance import no_disturbance
+from repro.comm.faults import NoFault, no_disturbance
 from repro.errors import ConfigurationError, SimulationError
 from repro.planners.constant import ConstantPlanner
 from repro.sensing.noise import NoiseBounds
@@ -16,7 +16,7 @@ def _comm(dt_m=0.1, dt_s=0.1):
     return CommSetup(
         dt_m=dt_m,
         dt_s=dt_s,
-        disturbance=no_disturbance(),
+        faults=no_disturbance(),
         sensor_bounds=NoiseBounds.uniform_all(1.0),
     )
 
@@ -30,10 +30,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SimulationEngine(scenario, _comm(dt_m=0.07))
 
+    def test_missing_faults_rejected(self):
+        with pytest.raises(ConfigurationError):
+            CommSetup(0.1, 0.1, None, NoiseBounds.noiseless())
+
     def test_comm_perfect_factory(self):
         comm = CommSetup.perfect(dt_m=0.2)
         assert comm.dt_m == comm.dt_s == 0.2
-        assert comm.disturbance.drop_probability == 0.0
+        assert comm.faults == NoFault()
         assert comm.sensor_bounds.delta_p == 0.0
 
 

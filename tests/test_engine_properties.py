@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.disturbance import messages_delayed
+from repro.comm.faults import messages_delayed
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleModel
 from repro.dynamics.profiles import RandomSequenceProfile
@@ -24,7 +24,7 @@ ENGINE = SimulationEngine(
     CommSetup(
         dt_m=0.1,
         dt_s=0.1,
-        disturbance=messages_delayed(0.25, 0.3),
+        faults=messages_delayed(0.25, 0.3),
         sensor_bounds=NoiseBounds.uniform_all(1.0),
     ),
     SimulationConfig(max_time=12.0),

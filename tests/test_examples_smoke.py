@@ -63,3 +63,8 @@ class TestExamplesRun:
     def test_communication_disturbance(self):
         out = _run("communication_disturbance.py", "--sims", "4")
         assert "Takeaway" in out
+
+    def test_unprotected_left_turn(self):
+        out = _run("unprotected_left_turn.py", "--sims", "2")
+        assert "Table I shape" in out
+        assert "outcome:" in out

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.comm.faults import IndependentLoss, NoFault
 from repro.experiments.config import SETTING_NAMES, ExperimentConfig
 from repro.experiments.figure6 import run_filter_study, run_window_study
 from repro.experiments.harness import (
@@ -43,8 +44,8 @@ class TestConfig:
         for name in SETTING_NAMES:
             comm = cfg.comm_setting(name)
             assert comm.dt_m == cfg.dt_m
-        assert cfg.comm_setting("messages_lost").disturbance.always_drops
-        assert cfg.comm_setting("no_disturbance").disturbance.drop_probability == 0
+        assert cfg.comm_setting("messages_lost").faults == IndependentLoss(1.0)
+        assert cfg.comm_setting("no_disturbance").faults == NoFault()
 
     def test_unknown_setting_rejected(self):
         with pytest.raises(KeyError):

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.comm.disturbance import messages_lost, no_disturbance
+from repro.comm.faults import messages_lost, no_disturbance
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
 from repro.planners.base import PlanningContext
@@ -183,7 +183,7 @@ class TestSlowSchedules:
         comm = CommSetup(
             dt_m=1.6,
             dt_s=1.6,
-            disturbance=no_disturbance(),
+            faults=no_disturbance(),
             sensor_bounds=NoiseBounds.uniform_all(2.0),
         )
         planner = _compound(scenario, AdversarialMonitorProbe(scenario))

@@ -24,14 +24,14 @@ from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.results import Outcome
 from repro.sim.runner import BatchRunner, EstimatorKind
 from repro.utils.rng import RngStream
-from repro.comm.disturbance import no_disturbance
+from repro.comm.faults import no_disturbance
 
 
 def _comm():
     return CommSetup(
         dt_m=0.1,
         dt_s=0.1,
-        disturbance=no_disturbance(),
+        faults=no_disturbance(),
         sensor_bounds=NoiseBounds.uniform_all(1.0),
     )
 

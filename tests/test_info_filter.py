@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro.comm.channel import Channel
-from repro.comm.disturbance import messages_delayed, messages_lost
+from repro.comm.faults import messages_delayed, messages_lost
 from repro.comm.message import Message
 from repro.dynamics.profiles import RandomSequenceProfile
 from repro.dynamics.state import VehicleState
@@ -46,7 +46,7 @@ def _drive(estimator, seed, n_steps=120, drop_p=0.3, delay=0.25):
     channel = Channel(
         period=DT_S,
         rng=channel_rng,
-        faults=messages_delayed(delay, drop_p).as_fault_model(),
+        faults=messages_delayed(delay, drop_p),
     )
     sensor_every = int(round(DT_S / DT_C))
     containment = []
@@ -152,8 +152,9 @@ class TestSensorDropout:
         assert fresh.position.width < raw.estimate(last + DT_C).position.width
         for now in (last + DT_S + DT_C, last + 1.0):
             stale, guaranteed = filt.estimate(now), raw.estimate(now)
-            assert stale.position == guaranteed.position
-            assert stale.velocity == guaranteed.velocity
+            # Exact: during a dropout the fused band is the guaranteed one.
+            assert stale.position == guaranteed.position  # safelint: disable=SFL001 - exact band identity
+            assert stale.velocity == guaranteed.velocity  # safelint: disable=SFL001 - exact band identity
 
     def test_campaign_storm_dropout_episode(self):
         """Batch seed 2312, episode 7 of the campaign-storm benchmark.

@@ -18,7 +18,7 @@ larger, calibrated versions.
 
 import pytest
 
-from repro.comm.disturbance import (
+from repro.comm.faults import (
     messages_delayed,
     messages_lost,
     no_disturbance,

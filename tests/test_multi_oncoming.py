@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.comm.disturbance import messages_delayed
+from repro.comm.faults import messages_delayed
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
 from repro.dynamics.state import VehicleState

@@ -11,10 +11,10 @@ invalidate a certificate.
 
 import pytest
 
-from repro.comm.disturbance import no_disturbance
 from repro.comm.faults import (
     Duplication,
     IndependentLoss,
+    NoFault,
     UniformJitter,
     compose,
 )
@@ -44,7 +44,7 @@ SCENARIOS = {
     "signalized": SignalizedCrossingScenario,
 }
 
-FAULTS = {"no_faults": None, "chaos_grid": STORM}
+FAULTS = {"no_faults": NoFault(), "chaos_grid": STORM}
 
 
 def _run(scenario_name, faults, seed, observer=None):
@@ -52,7 +52,6 @@ def _run(scenario_name, faults, seed, observer=None):
     comm = CommSetup(
         dt_m=0.1,
         dt_s=0.1,
-        disturbance=no_disturbance(),
         sensor_bounds=NoiseBounds.uniform_all(0.5),
         faults=faults,
     )

@@ -23,7 +23,7 @@ from repro.campaign.runner import (
     chunk_path,
     run_chunk_attempts,
 )
-from repro.comm.disturbance import messages_delayed
+from repro.comm.faults import messages_delayed
 from repro.errors import PlannerError, SimulationError
 from repro.faults import WorkerChaosOnce
 from repro.planners.constant import ConstantPlanner
@@ -37,7 +37,7 @@ def _comm():
     return CommSetup(
         dt_m=0.1,
         dt_s=0.1,
-        disturbance=messages_delayed(0.25, 0.3),
+        faults=messages_delayed(0.25, 0.3),
         sensor_bounds=NoiseBounds.uniform_all(1.0),
     )
 

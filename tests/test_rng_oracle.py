@@ -32,7 +32,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.comm.disturbance import no_disturbance
 from repro.comm.faults import (
     Duplication,
     GaussianJitter,
@@ -295,7 +294,6 @@ def _episode_bytes(scenario_name: str, stream) -> str:
     comm = CommSetup(
         dt_m=0.1,
         dt_s=0.1,
-        disturbance=no_disturbance(),
         sensor_bounds=NoiseBounds.uniform_all(0.5),
         faults=CHANNEL,
     )

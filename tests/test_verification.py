@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.comm.disturbance import messages_lost, no_disturbance
+from repro.comm.faults import messages_lost, no_disturbance
 from repro.core.verification import (
     AdversarialPlanner,
     CertificationReport,
