@@ -18,8 +18,8 @@ makes the batch layer durable:
   drains cleanly on SIGINT/SIGTERM, and resumes a killed campaign to
   aggregate results **bit-identical** to an uninterrupted run.  With
   ``n_workers=1`` it runs chunks in-process; with ``n_workers > 1`` it
-  distributes them over worker subprocesses with lease-based claims
-  journaled in the same write-ahead journal (the
+  distributes them over worker subprocesses that take chunks from one
+  queue, every claim journaled in the same write-ahead journal (the
   :mod:`repro.campaign.shard` pieces) — kill-anywhere workers *and*
   runner, byte-identical aggregates for every worker count.
 
@@ -41,7 +41,6 @@ from repro.campaign.runner import (
     replay_progress,
     verify_campaign,
 )
-from repro.campaign.shard import LeaseTable
 from repro.campaign.store import atomic_write_json, load_json
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "CampaignReport",
     "CampaignRunner",
     "JournalWriter",
-    "LeaseTable",
     "atomic_write_json",
     "campaign_status",
     "finalise_campaign",

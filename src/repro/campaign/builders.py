@@ -10,13 +10,15 @@ builds nothing beyond these factories.
 
 Parameter validation is delegated to the target constructors (they
 already check probabilities, signs and units); a wrong or missing
-parameter surfaces as :class:`~repro.errors.CampaignError` naming the
-offending spec.
+parameter, a value of the wrong type and an unknown key all surface as
+:class:`~repro.errors.CampaignError` naming the offending spec (and,
+for an unknown key, the keys it takes).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.faults import (
@@ -96,6 +98,30 @@ def _kind_of(spec: dict, what: str, registry: Dict[str, Callable]) -> str:
     return kind
 
 
+def _check_keys(spec: dict, keys: Sequence[str], what: str) -> None:
+    """Refuse a key of ``spec`` outside ``keys``, naming ``keys``."""
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise CampaignError(
+            f"unknown {what} spec keys {unknown}; expected some of "
+            f"{list(keys)}"
+        )
+
+
+def _finite(spec: dict, key: str, what: str, default: float = 0.0) -> float:
+    """``spec[key]`` (``default`` when absent) as a finite float."""
+    value = spec.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise CampaignError(
+            f"{what} {key} must be a finite number, got {value!r}"
+        )
+    return number
+
+
 def _construct(factory: Callable, spec: dict, what: str):
     params = {key: value for key, value in spec.items() if key != "kind"}
     try:
@@ -160,12 +186,7 @@ def build_comm(spec: dict) -> CommSetup:
         )
     if "disturbance" in spec:
         raise _retired_disturbance(spec["disturbance"])
-    unknown = sorted(set(spec) - set(_COMM_KEYS))
-    if unknown:
-        raise CampaignError(
-            f"unknown comm spec keys {unknown}; expected some of "
-            f"{list(_COMM_KEYS)}"
-        )
+    _check_keys(spec, _COMM_KEYS, "comm")
     faults_spec = spec.get("faults", [])
     if not isinstance(faults_spec, list):
         raise CampaignError(
@@ -194,45 +215,78 @@ def _build_step_window(raw, what: str) -> StepWindow:
         raise CampaignError(
             f"{what} window must be a [start, stop] integer pair, got {raw!r}"
         )
-    return StepWindow(raw[0], raw[1])
+    try:
+        return StepWindow(raw[0], raw[1])
+    except ReproError as exc:
+        raise CampaignError(f"invalid {what} window {raw!r}: {exc}") from exc
+
+
+#: Per fault list of a ``fault_plan`` spec: what a fault is called, its
+#: type, its kind enum, and the keys it may carry besides ``window`` and
+#: ``kind`` (finite numbers, except a sensor fault's vehicle ``target``).
+_FAULT_LISTS = {
+    "sensor_faults": (
+        "sensor fault",
+        SensorFault,
+        SensorFaultKind,
+        ("target", "probability", "stuck_position", "stuck_velocity",
+         "stuck_acceleration"),
+    ),
+    "planner_faults": (
+        "planner fault", PlannerFault, PlannerFaultKind, ("probability",)
+    ),
+}
+
+
+def _build_faults(
+    faults, what: str, factory, enum, keys: Sequence[str]
+) -> list:
+    """Build each ``{"window": [a, b], "kind": ..., **keys}`` fault."""
+    if not isinstance(faults, list) or not all(
+        isinstance(fault, dict) for fault in faults
+    ):
+        raise CampaignError(
+            f"{what}s must be a list of objects, got {faults!r}"
+        )
+    built = []
+    for fault in faults:
+        _check_keys(fault, ("window", "kind", *keys), what)
+        params = {
+            key: fault[key] if key == "target" else _finite(fault, key, what)
+            for key in keys
+            if key in fault
+        }
+        window = _build_step_window(fault.get("window"), what)
+        try:
+            kind = enum(fault.get("kind", ""))
+        except ValueError as exc:
+            raise CampaignError(
+                f"unknown {what} kind {fault.get('kind')!r}; expected one of "
+                f"{[member.value for member in enum]}"
+            ) from exc
+        try:
+            built.append(factory(window=window, kind=kind, **params))
+        except ReproError as exc:
+            raise CampaignError(f"invalid {what} {fault}: {exc}") from exc
+    return built
 
 
 def _build_fault_plan(spec: dict) -> FaultPlan:
-    sensor = []
-    for fault in spec.get("sensor_faults", []):
-        try:
-            kind = SensorFaultKind(fault.get("kind", ""))
-        except ValueError as exc:
-            raise CampaignError(
-                f"unknown sensor fault kind {fault.get('kind')!r}"
-            ) from exc
-        sensor.append(
-            SensorFault(
-                window=_build_step_window(fault.get("window"), "sensor fault"),
-                kind=kind,
-                target=fault.get("target"),
-                probability=float(fault.get("probability", 1.0)),
-                stuck_position=float(fault.get("stuck_position", 0.0)),
-                stuck_velocity=float(fault.get("stuck_velocity", 0.0)),
-                stuck_acceleration=float(fault.get("stuck_acceleration", 0.0)),
-            )
+    if not isinstance(spec, dict):
+        raise CampaignError(
+            f"fault_plan spec must be a JSON object, got {type(spec).__name__}"
         )
-    planner = []
-    for fault in spec.get("planner_faults", []):
-        try:
-            kind = PlannerFaultKind(fault.get("kind", ""))
-        except ValueError as exc:
-            raise CampaignError(
-                f"unknown planner fault kind {fault.get('kind')!r}"
-            ) from exc
-        planner.append(
-            PlannerFault(
-                window=_build_step_window(fault.get("window"), "planner fault"),
-                kind=kind,
-                probability=float(fault.get("probability", 1.0)),
-            )
-        )
-    return FaultPlan(sensor_faults=tuple(sensor), planner_faults=tuple(planner))
+    _check_keys(spec, tuple(_FAULT_LISTS), "fault_plan")
+    return FaultPlan(
+        **{
+            key: _build_faults(spec.get(key, []), *entry)
+            for key, entry in _FAULT_LISTS.items()
+        }
+    )
+
+
+#: The keys a manifest ``config`` spec may carry.
+_CONFIG_KEYS = ("max_time", "strict_safety", "fault_plan")
 
 
 def build_config(spec: dict) -> SimulationConfig:
@@ -241,19 +295,28 @@ def build_config(spec: dict) -> SimulationConfig:
     Recognised fields: ``max_time`` [s] (default 30), ``strict_safety``
     (default false) and ``fault_plan`` (sensor/planner fault schedules).
     Trajectory recording is always off — campaign chunks persist result
-    records, not trajectories.
+    records, not trajectories.  Any other key, or a value of the wrong
+    type or range, is a :class:`~repro.errors.CampaignError`.
     """
     if not isinstance(spec, dict):
         raise CampaignError(
             f"config spec must be a JSON object, got {type(spec).__name__}"
         )
+    _check_keys(spec, _CONFIG_KEYS, "config")
+    strict_safety = spec.get("strict_safety", False)
+    if not isinstance(strict_safety, bool):
+        raise CampaignError(
+            "config strict_safety must be true or false, got "
+            f"{strict_safety!r}"
+        )
+    max_time = _finite(spec, "max_time", "config", 30.0)
     fault_plan = None
     if spec.get("fault_plan") is not None:
         fault_plan = _build_fault_plan(spec["fault_plan"])
     try:
         return SimulationConfig(
-            max_time=float(spec.get("max_time", 30.0)),
-            strict_safety=bool(spec.get("strict_safety", False)),
+            max_time=max_time,
+            strict_safety=strict_safety,
             record_trajectories=False,
             fault_plan=fault_plan,
         )
@@ -262,24 +325,21 @@ def build_config(spec: dict) -> SimulationConfig:
 
 
 def _wrap_planner_faults(planner: Planner, spec: dict) -> Planner:
-    faults_spec = spec.get("faults")
-    if not faults_spec:
+    if not spec.get("faults"):
         return planner
-    faults = []
-    for fault in faults_spec:
-        try:
-            kind = PlannerFaultKind(fault.get("kind", ""))
-        except ValueError as exc:
-            raise CampaignError(
-                f"unknown planner fault kind {fault.get('kind')!r}"
-            ) from exc
-        faults.append(
-            PlannerFault(
-                window=_build_step_window(fault.get("window"), "planner fault"),
-                kind=kind,
-            )
-        )
+    faults = _build_faults(
+        spec["faults"], "planner fault", PlannerFault, PlannerFaultKind, ()
+    )
     return FaultyPlanner(planner, faults)
+
+
+#: The keys each planner kind's spec may carry.
+_PLANNER_KEYS: Dict[str, Tuple[str, ...]] = {
+    "constant": ("kind", "acceleration", "faults"),
+    "full_brake": ("kind", "faults"),
+    "full_throttle": ("kind", "faults"),
+    "compound": ("kind", "embedded", "faults"),
+}
 
 
 def build_planner(spec: dict, scenario: Scenario) -> Planner:
@@ -291,22 +351,21 @@ def build_planner(spec: dict, scenario: Scenario) -> Planner:
     and runtime monitor.  Any spec may carry ``faults``: a list of
     ``{"window": [a, b], "kind": "exception" | "nan" | "latency"}``
     windows wrapped via :class:`~repro.faults.planner_wrapper.FaultyPlanner`
-    (deterministic, so parallel chunks stay bit-identical).
+    (deterministic, so parallel chunks stay bit-identical).  Any other
+    key, or a value of the wrong type, is a
+    :class:`~repro.errors.CampaignError`.
     """
-    registry = {
-        "constant": None,
-        "full_brake": None,
-        "full_throttle": None,
-        "compound": None,
-    }
-    kind = _kind_of(spec, "planner", registry)
+    kind = _kind_of(spec, "planner", _PLANNER_KEYS)
+    _check_keys(spec, _PLANNER_KEYS[kind], f"{kind} planner")
     ego_limits = scenario.vehicle_limits(0)
     if kind == "constant":
         if "acceleration" not in spec:
             raise CampaignError(
                 "constant planner spec requires an 'acceleration' field"
             )
-        planner: Planner = ConstantPlanner(float(spec["acceleration"]))
+        planner: Planner = ConstantPlanner(
+            _finite(spec, "acceleration", "constant planner")
+        )
     elif kind == "full_brake":
         planner = FullBrakePlanner(ego_limits)
     elif kind == "full_throttle":
@@ -317,7 +376,10 @@ def build_planner(spec: dict, scenario: Scenario) -> Planner:
             raise CampaignError(
                 "compound planner spec requires an 'embedded' planner spec"
             )
-        if embedded_spec.get("kind") == "compound":
+        if (
+            isinstance(embedded_spec, dict)
+            and embedded_spec.get("kind") == "compound"
+        ):
             raise CampaignError("compound planners cannot nest")
         embedded = build_planner(embedded_spec, scenario)
         try:

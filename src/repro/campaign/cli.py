@@ -6,19 +6,20 @@ Subcommands
 ``run``
     Start a campaign from a manifest JSON file into a directory.
     ``--workers 1`` (the default) runs chunks in this process;
-    ``--workers N`` shards them across N worker processes with
-    lease-based chunk claims (``--lease-ttl``,
-    ``--heartbeat-interval``, ``--straggler-factor``).
+    ``--workers N`` shards them across N worker processes that take
+    chunks from one queue (``--heartbeat-interval``; a busy worker
+    silent for ``--lease-ttl`` seconds is killed and its chunk
+    requeued).
 ``resume``
     Continue a killed or drained campaign from its directory, with any
     worker count — after any crash of a worker *or* of the runner;
     progress is replayed purely from the journal.
 ``status``
     Read-only progress summary (safe while a campaign is running),
-    with per-worker leases, heartbeats, steals, speculative dispatches
-    and duplicate completions of sharded runs, plus the newest
-    telemetry frame (``repro-obs expo <dir>/telemetry.jsonl`` renders
-    it as Prometheus text).
+    with per-worker leases, heartbeats, completions, expirations and
+    errors of sharded runs, plus the newest telemetry frame
+    (``repro-obs expo <dir>/telemetry.jsonl`` renders it as Prometheus
+    text).
 ``verify``
     Cross-check journal, chunk snapshots, and aggregate digests.
 
@@ -46,7 +47,6 @@ from repro.campaign.runner import (
 )
 from repro.errors import ReproError
 from repro.utils.validation import (
-    check_flag_at_least,
     check_flag_below,
     check_flag_count,
     check_flag_positive,
@@ -117,19 +117,16 @@ def _add_exec_options(sub: argparse.ArgumentParser) -> None:
         "--lease-ttl",
         type=float,
         default=30.0,
-        help="seconds of heartbeat silence before a lease expires",
+        help=(
+            "seconds a busy worker may stay silent before it is killed "
+            "and its chunk requeued"
+        ),
     )
     sub.add_argument(
         "--heartbeat-interval",
         type=float,
         default=1.0,
         help="seconds between worker liveness heartbeats",
-    )
-    sub.add_argument(
-        "--straggler-factor",
-        type=float,
-        default=4.0,
-        help="lease-age multiple of the TTL before speculative re-dispatch",
     )
 
 
@@ -153,7 +150,6 @@ def _validate_exec_options(args: argparse.Namespace) -> None:
         "--lease-ttl",
         reason="every healthy lease would expire",
     )
-    check_flag_at_least(args.straggler_factor, 1.0, "--straggler-factor")
 
 
 def _runner(args: argparse.Namespace, manifest: CampaignManifest) -> CampaignRunner:
@@ -165,7 +161,6 @@ def _runner(args: argparse.Namespace, manifest: CampaignManifest) -> CampaignRun
         backoff=BackoffPolicy(max_attempts=args.chunk_attempts),
         lease_ttl=args.lease_ttl,
         heartbeat_interval=args.heartbeat_interval,
-        straggler_factor=args.straggler_factor,
     )
 
 
@@ -200,9 +195,7 @@ def _print_status(summary: dict) -> None:
     for worker, entry in sorted(summary["workers"].items()):
         print(
             f"worker {worker}: pid={entry['pid']} alive={entry['alive']} "
-            f"leases={entry['leases']} steals={entry['steals']} "
-            f"speculative={entry['speculative']} "
-            f"heartbeats={entry['heartbeats']} "
+            f"leases={entry['leases']} heartbeats={entry['heartbeats']} "
             f"completions={entry['completions']} "
             f"expirations={entry['expirations']} errors={entry['errors']}"
         )

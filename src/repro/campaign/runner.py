@@ -27,13 +27,14 @@ Transports
 
 ``n_workers=1`` runs the chunks in this process.  ``n_workers > 1``
 runs them on a fleet of ``python -m repro.campaign.shard.worker``
-subprocesses: a :class:`~repro.campaign.shard.leases.LeaseTable` deals
-chunks out as heartbeat-renewed leases, workers persist the snapshots
-and report digests over the line protocol of
-:mod:`repro.campaign.shard.protocol`, and the runner stays the only
-journal writer.  A dead worker's leases are re-dealt to the survivors;
-a SIGKILLed runner resumes by journal replay under a new
-``coordinator_started`` epoch.  Both transports run the same
+subprocesses: idle workers take chunks from one queue in ascending
+order, workers persist the snapshots and report digests over the line
+protocol of :mod:`repro.campaign.shard.protocol`, and the runner stays
+the only journal writer.  A worker that dies, or that holds a chunk
+without a word for ``lease_ttl`` (stopped: workers heartbeat from a
+timer) and is SIGKILLed for it, hands its chunk back to the queue with
+seeded backoff; a SIGKILLed runner resumes by journal replay under a
+new ``coordinator_started`` epoch.  Both transports run the same
 :func:`run_chunk_attempts` and finalise through the same
 :func:`finalise_campaign`, so a campaign may be resumed with any worker
 count and ends at the same ``aggregate.json`` bytes.
@@ -53,16 +54,16 @@ import signal
 import subprocess
 import sys
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import repro
 from repro.campaign.backoff import BackoffPolicy
 from repro.campaign.builders import build_workload, workload_executor
 from repro.campaign.journal import JournalWriter, read_journal, recover_journal
 from repro.campaign.manifest import CampaignManifest
-from repro.campaign.shard.leases import Lease, LeaseTable
 from repro.campaign.shard.protocol import (
     COMMAND_RUN,
     COMMAND_SHUTDOWN,
@@ -144,9 +145,9 @@ def persist_chunk_snapshot(
 
     The snapshot layout is canonical (sorted keys, fixed float encoding),
     so any process that runs chunk ``chunk`` of the same manifest —
-    sequential runner, shard worker, speculative duplicate — writes
-    byte-identical files and computes the same digest.  That idempotency
-    is what makes duplicate completions harmless.
+    in-process runner or shard worker, first run or re-run after a
+    crash — writes byte-identical files and computes the same digest.
+    That idempotency is what makes a re-run chunk harmless.
     """
     snapshot = {
         "schema_version": SCHEMA_VERSION,
@@ -234,10 +235,10 @@ def replay_progress(records: List[dict], fingerprint: str) -> CampaignProgress:
 
     Shared by both transports.  Checks every record's fingerprint
     against ``fingerprint`` and is **idempotent over duplicate**
-    ``chunk_completed`` records: the fleet's speculative re-dispatch may
-    journal the same chunk twice (two workers raced it to completion),
-    and because chunk ``k`` is content-deterministic both records must
-    carry the same digest.  A
+    ``chunk_completed`` records: journals written by earlier fleets,
+    which re-dispatched chunks that were still running, can complete
+    the same chunk twice, and because chunk ``k`` is
+    content-deterministic both records must carry the same digest.  A
     duplicate with a *different* digest means the workload is not
     deterministic (or a snapshot was forged) and raises
     :class:`~repro.errors.JournalCorruptionError` rather than letting
@@ -322,7 +323,10 @@ def run_chunk_attempts(
 
 @dataclass
 class _WorkerHandle:
-    """Coordinator-side state of one shard worker subprocess."""
+    """Coordinator-side state of one shard worker subprocess.
+
+    Units: last_event [s] (chunk handed out, or last event about it)
+    """
 
     worker_id: str
     process: subprocess.Popen
@@ -330,21 +334,88 @@ class _WorkerHandle:
     ready: bool = False
     alive: bool = True
     busy_chunk: Optional[int] = None
-    exit_journaled: bool = False
-    heartbeats: int = 0
-    completions: int = 0
+    last_event: float = 0.0
+
+    def silent(self, now: float, ttl: float) -> bool:
+        """Whether the worker has held a chunk without a word for ``ttl``.
+
+        Units: now [s], ttl [s]
+        """
+        return self.busy_chunk is not None and now - self.last_event > ttl
 
 
 @dataclass
 class _LoopState:
-    """Mutable per-run state threaded through the fleet event loop."""
+    """Mutable per-run state threaded through the fleet event loop.
+
+    It holds the chunk queue: ``pending`` chunks in ascending order and
+    the ``retry`` pool of ``(eligible_at [s], chunk)`` for chunks a dead
+    worker or a reported error handed back.  A chunk is pending, in the
+    pool, held by exactly one busy worker, or completed.  The queue
+    methods take ``now``, so tests drive them with a synthetic clock.
+    """
 
     progress: CampaignProgress
-    table: LeaseTable
     journal: JournalWriter
-    #: chunk -> perf_now() at the moment its lease was released, for the
+    fingerprint: str
+    backoff: BackoffPolicy
+    pending: Deque[int] = field(default_factory=deque)
+    retry: List[Tuple[float, int]] = field(default_factory=list)
+    #: chunk -> attempts handed out so far, across workers and deaths.
+    attempts: Dict[int, int] = field(default_factory=dict)
+    #: chunk -> perf_now() at the moment it was handed back, for the
     #: re-dispatch latency metric.
     redispatch_pending: Dict[int, float] = field(default_factory=dict)
+
+    def claim(self, now: float) -> Optional[Tuple[int, int]]:
+        """The lowest retry whose backoff has elapsed, else the next
+        pending chunk, as ``(chunk, attempt)``; ``None`` if neither.
+
+        Units: now [s]
+        """
+        eligible = [entry for entry in self.retry if entry[0] <= now]
+        if eligible:
+            entry = min(eligible, key=lambda item: item[1])
+            self.retry.remove(entry)
+            chunk = entry[1]
+        elif self.pending:
+            chunk = self.pending.popleft()
+        else:
+            return None
+        attempt = self.attempts.get(chunk, 0) + 1
+        self.attempts[chunk] = attempt
+        return chunk, attempt
+
+    def requeue(self, chunk: int, now: float) -> float:
+        """Hand a released chunk back after the seeded delay
+        ``backoff.delay(fingerprint, chunk, attempt)``; returns it [s].
+
+        Units: now [s]
+        """
+        delay = self.backoff.delay(
+            self.fingerprint, chunk, max(self.attempts.get(chunk, 0), 1)
+        )
+        self.retry.append((now + delay, chunk))
+        return delay
+
+    def fail(self, chunk: int, now: float) -> float:
+        """Requeue a chunk whose worker reported an error; raises
+        :class:`~repro.errors.CampaignError` once it has used its
+        attempt budget (a chunk that fails every attempt needs a human).
+
+        Units: now [s]
+        """
+        attempts = self.attempts.get(chunk, 0)
+        if attempts >= self.backoff.max_attempts:
+            raise CampaignError(
+                f"chunk {chunk} failed {attempts} attempts "
+                f"(budget {self.backoff.max_attempts}); giving up"
+            )
+        return self.requeue(chunk, now)
+
+    def complete(self, chunk: int) -> None:
+        """Drop ``chunk`` from the retry pool: completion beats a retry."""
+        self.retry = [entry for entry in self.retry if entry[1] != chunk]
 
 
 #: The fields each worker event must carry, as ``name -> (type,
@@ -384,10 +455,10 @@ class CampaignRunner:
 
     One class, two transports.  ``n_workers=1`` runs chunks in this
     process; ``n_workers > 1`` runs a fleet of shard worker
-    subprocesses under leases.  The lifecycle (start and fingerprint
-    refusals, journal replay, drain, finalisation, report) is shared, so
-    the two are resume-compatible in both directions and produce the
-    same ``aggregate.json`` bytes.
+    subprocesses fed from one chunk queue.  The lifecycle (start and
+    fingerprint refusals, journal replay, drain, finalisation, report) is
+    shared, so the two are resume-compatible in both directions and
+    produce the same ``aggregate.json`` bytes.
 
     Parameters
     ----------
@@ -419,23 +490,23 @@ class CampaignRunner:
     observer:
         Optional :class:`~repro.obs.observer.Observer`; records chunk
         spans, retry counters, journal fsync latency and the fleet's
-        lease churn.  Write-only — every campaign artifact except
+        claims and deaths.  Write-only — every campaign artifact except
         ``metrics.json`` is byte-identical with or without it (and
         ``metrics.json`` is derived from the journal, which always
         carries chunk wall times).
     lease_ttl:
-        Fleet only: seconds of heartbeat silence after which a lease
-        expires and its chunk is re-dispatched.
+        Fleet only: seconds a busy worker may go without an event before
+        it is SIGKILLed and its chunk requeued with backoff.  Workers
+        heartbeat from a timer while they hold a chunk, so a long
+        simulation, watchdog wait or retry backoff does not count as
+        silence; a kill spends one of the chunk's attempts.
     heartbeat_interval:
         Fleet only: seconds between worker liveness heartbeats (must be
         below ``lease_ttl``).
-    straggler_factor:
-        Fleet only: lease age multiple of ``lease_ttl`` beyond which an
-        idle worker may speculatively duplicate a straggling chunk.
     tick_hook:
         Test-only callable ``(runner, now) -> None`` invoked once per
         fleet event-loop iteration; the chaos suite uses it to SIGKILL
-        workers at precise protocol states.
+        or SIGSTOP workers at precise protocol states.
     """
 
     def __init__(
@@ -450,7 +521,6 @@ class CampaignRunner:
         observer=None,
         lease_ttl: float = 30.0,
         heartbeat_interval: float = 1.0,
-        straggler_factor: float = 4.0,
         tick_hook: Optional[Callable[["CampaignRunner", float], None]] = None,
     ) -> None:
         if not isinstance(n_workers, int) or n_workers < 1:
@@ -470,10 +540,6 @@ class CampaignRunner:
                 f"heartbeat_interval ({heartbeat_interval}) must be below "
                 f"lease_ttl ({lease_ttl}); every healthy lease would expire"
             )
-        if not straggler_factor >= 1.0:
-            raise CampaignError(
-                f"straggler_factor must be >= 1, got {straggler_factor}"
-            )
         if chunk_executor is not None and n_workers > 1:
             raise CampaignError(
                 "chunk_executor replaces the in-process batch layer; "
@@ -490,7 +556,6 @@ class CampaignRunner:
         self._obs = resolve_observer(observer)
         self._lease_ttl = lease_ttl
         self._heartbeat_interval = heartbeat_interval
-        self._straggler_factor = straggler_factor
         self._tick_hook = tick_hook
         self._stop_requested = False
         self._recorder: Optional[FlightRecorder] = None
@@ -500,11 +565,6 @@ class CampaignRunner:
         # and the fleet transport merges them here with exact-sum
         # semantics (see repro.obs.fleet).
         self._fleet = MetricsRegistry()
-
-    @property
-    def telemetry_recorder(self) -> Optional[FlightRecorder]:
-        """The run's flight recorder (``None`` before :meth:`run`)."""
-        return self._recorder
 
     @property
     def fleet_registry(self) -> MetricsRegistry:
@@ -818,16 +878,13 @@ class CampaignRunner:
             # Every chunk was journaled before the previous coordinator
             # died; only finalisation is left — no workers needed.
             return False
-        worker_ids = [f"w{i}" for i in range(self._n_workers)]
-        table = LeaseTable(
-            pending,
-            worker_ids,
-            self._fingerprint,
+        loop = _LoopState(
+            progress=state,
+            journal=journal,
+            fingerprint=self._fingerprint,
             backoff=self._backoff,
-            ttl=self._lease_ttl,
-            straggler_factor=self._straggler_factor,
+            pending=deque(pending),
         )
-        loop = _LoopState(progress=state, table=table, journal=journal)
         selector = selectors.DefaultSelector()
         self._workers = {}
         # The flight recorder snapshots the fleet registry into the
@@ -839,33 +896,40 @@ class CampaignRunner:
             min_interval=max(self._heartbeat_interval, 0.5),
         )
         try:
-            for worker_id in worker_ids:
-                self._spawn_worker(worker_id, selector, journal)
+            for i in range(self._n_workers):
+                self._spawn_worker(f"w{i}", selector, journal)
             self._loop(loop, selector)
             self._shutdown_workers(selector, journal)
-            return self._stop_requested and table.outstanding() > 0
+            return self._stop_requested and self._outstanding(state)
         finally:
             self._kill_remaining_workers()
             selector.close()
 
+    def _outstanding(self, progress: CampaignProgress) -> bool:
+        return len(progress.completed) < self._manifest.n_chunks
+
     def _loop(self, state: _LoopState, selector: selectors.DefaultSelector) -> None:
         poll = max(0.01, min(self._heartbeat_interval, self._lease_ttl / 4.0))
-        while state.table.outstanding() > 0:
+        while self._outstanding(state.progress):
             if self._stop_requested and self._all_idle():
                 return
             for key, _ in selector.select(timeout=poll):
-                self._drain_pipe(key.data, key.fd, selector, state)
+                self._drain_pipe(key.data, selector, state)
             now = perf_now()
-            self._expire_leases(state, now)
+            for handle in self._workers.values():
+                if handle.silent(now, self._lease_ttl):
+                    # Hung or stopped: the chunk goes back to the queue
+                    # through the same path as any other death.
+                    self._on_worker_gone(handle, selector, state, "ttl")
             if not any(h.alive for h in self._workers.values()):
-                if state.table.outstanding() > 0 and not self._stop_requested:
+                if not self._stop_requested:
                     raise CampaignError(
                         "all shard workers died; the journal is intact — "
                         "resume to re-dispatch the remaining chunks"
                     )
                 return
             if not self._stop_requested:
-                self._dispatch(state, now)
+                self._dispatch(state, selector, now)
             if self._recorder is not None:
                 self._recorder.tick()
             if self._tick_hook is not None:
@@ -932,19 +996,17 @@ class CampaignRunner:
     def _drain_pipe(
         self,
         handle: _WorkerHandle,
-        fd: int,
         selector: selectors.DefaultSelector,
         state: _LoopState,
     ) -> None:
         try:
-            data = os.read(fd, 65536)
+            data = os.read(handle.process.stdout.fileno(), 65536)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
             data = b""
         if data == b"":
-            selector.unregister(fd)
-            self._on_worker_gone(handle, state)
+            self._on_worker_gone(handle, selector, state)
             return
         handle.buffer += data
         while b"\n" in handle.buffer:
@@ -953,29 +1015,61 @@ class CampaignRunner:
             if event is not None:
                 self._handle_event(handle, event, state)
 
-    def _on_worker_gone(self, handle: _WorkerHandle, state: _LoopState) -> None:
-        """EOF on a worker's stdout: reap it and release its leases."""
-        handle.alive = False
-        handle.busy_chunk = None
-        if handle.process.poll() is None:
-            handle.process.kill()
-        returncode = handle.process.wait()
-        if not handle.exit_journaled:
-            handle.exit_journaled = True
+    def _on_worker_gone(
+        self,
+        handle: _WorkerHandle,
+        selector: selectors.DefaultSelector,
+        state: _LoopState,
+        reason: str = "worker_exited",
+    ) -> None:
+        """Reap a dead (or, for ``reason="ttl"``, silent) worker and
+        requeue the chunk it held; a second call is a no-op."""
+        if not handle.alive:
+            return
+        chunk, handle.busy_chunk = handle.busy_chunk, None
+        self._reap(handle, selector, state.journal)
+        if chunk is not None:
+            now = perf_now()
+            # A hang spends the budget like an error: a chunk that
+            # silences every worker it reaches raises for itself.
+            release = state.fail if reason == "ttl" else state.requeue
+            delay = release(chunk, now)
             state.journal.append(
-                "worker_exited",
+                "lease_expired",
                 fingerprint=self._fingerprint,
                 worker=handle.worker_id,
-                returncode=returncode,
+                chunk=chunk,
+                attempt=state.attempts[chunk],
+                delay=delay,
+                reason=reason,
             )
-        now = perf_now()
-        for lease, delay in state.table.release_worker(handle.worker_id, now):
-            self._journal_lease_release(
-                state, lease, delay, now, reason="worker_exited"
-            )
-        self._fleet.gauge("fleet.worker_up", 0.0, worker=handle.worker_id)
+            state.redispatch_pending[chunk] = now
+            if self._obs.enabled:
+                self._obs.count("shard.lease_expirations")
         if self._obs.enabled:
             self._obs.count("shard.worker_deaths")
+
+    def _reap(
+        self,
+        handle: _WorkerHandle,
+        selector: selectors.DefaultSelector,
+        journal: JournalWriter,
+    ) -> None:
+        """Stop watching the worker's stdout, SIGKILL it if it still
+        runs, and journal its exit."""
+        handle.alive = False
+        fd = handle.process.stdout.fileno()
+        if fd in selector.get_map():
+            selector.unregister(fd)
+        if handle.process.poll() is None:
+            handle.process.kill()
+        journal.append(
+            "worker_exited",
+            fingerprint=self._fingerprint,
+            worker=handle.worker_id,
+            returncode=handle.process.wait(),
+        )
+        self._fleet.gauge("fleet.worker_up", 0.0, worker=handle.worker_id)
 
     def _shutdown_workers(
         self, selector: selectors.DefaultSelector, journal: JournalWriter
@@ -996,26 +1090,10 @@ class CampaignRunner:
             if not handle.alive:
                 continue
             try:
-                returncode = handle.process.wait(timeout=_SHUTDOWN_GRACE)
+                handle.process.wait(timeout=_SHUTDOWN_GRACE)
             except subprocess.TimeoutExpired:
                 handle.process.kill()
-                returncode = handle.process.wait()
-            handle.alive = False
-            self._fleet.gauge(
-                "fleet.worker_up", 0.0, worker=handle.worker_id
-            )
-            try:
-                selector.unregister(handle.process.stdout.fileno())
-            except (KeyError, ValueError):  # safelint: disable=SFL010 - EOF already unregistered this pipe; nothing to clean up
-                pass
-            if not handle.exit_journaled:
-                handle.exit_journaled = True
-                journal.append(
-                    "worker_exited",
-                    fingerprint=self._fingerprint,
-                    worker=handle.worker_id,
-                    returncode=returncode,
-                )
+            self._reap(handle, selector, journal)
 
     def _kill_remaining_workers(self) -> None:
         """Last-resort cleanup: no child outlives the runner call."""
@@ -1040,8 +1118,9 @@ class CampaignRunner:
     ) -> None:
         """Act on one worker event; a malformed event is dropped whole.
 
-        A dropped event changes nothing — no journal record, no lease
-        renewal, no merged metrics — and lease expiry covers its chunk.
+        A dropped event changes nothing — no journal record, no renewal
+        of ``last_event``, no merged metrics — and if the worker goes
+        silent over it, the ``lease_ttl`` kill covers its chunk.
         """
         if not self._well_formed(event):
             return
@@ -1055,8 +1134,9 @@ class CampaignRunner:
             )
         elif kind in (EVENT_STARTED, EVENT_HEARTBEAT, EVENT_RETRY):
             chunk = event["chunk"]
-            handle.heartbeats += 1
-            renewed = state.table.heartbeat(handle.worker_id, chunk, now)
+            renewed = chunk == handle.busy_chunk
+            if renewed:
+                handle.last_event = now
             if kind == EVENT_RETRY:
                 self._journal_retry(
                     state.journal,
@@ -1106,8 +1186,8 @@ class CampaignRunner:
         chunk = event["chunk"]
         digest = event["digest"]
         elapsed = float(event.get("elapsed", 0.0))
-        handle.busy_chunk = None
-        handle.completions += 1
+        if chunk == handle.busy_chunk:
+            handle.busy_chunk = None
         previous = state.progress.completed.get(chunk)
         if previous is not None and previous != digest:
             raise JournalCorruptionError(
@@ -1117,8 +1197,7 @@ class CampaignRunner:
                 "content-deterministic"
             )
         duplicate = previous is not None
-        # Duplicates are journaled too: replay is idempotent, and the
-        # record is the audit trail that a speculative twin raced.
+        # Journaled too: replay is idempotent over equal digests.
         state.journal.append(
             "chunk_completed",
             fingerprint=self._fingerprint,
@@ -1131,7 +1210,7 @@ class CampaignRunner:
             duplicate=duplicate,
         )
         state.progress.completed[chunk] = digest
-        state.table.complete(chunk)
+        state.complete(chunk)
         state.redispatch_pending.pop(chunk, None)
         if self._obs.enabled:
             self._obs.count("shard.chunks_completed")
@@ -1146,11 +1225,13 @@ class CampaignRunner:
         state: _LoopState,
         now: float,
     ) -> None:
-        """An exception escaped the worker's executor: spend the lease
-        table's per-chunk budget and re-dispatch with backoff."""
+        """An exception escaped the worker's executor: spend the chunk's
+        attempt budget and re-dispatch with backoff."""
         chunk = event["chunk"]
-        handle.busy_chunk = None
-        delay = state.table.fail(handle.worker_id, chunk, now)
+        delay = None
+        if chunk == handle.busy_chunk:
+            handle.busy_chunk = None
+            delay = state.fail(chunk, now)
         state.journal.append(
             "chunk_failed",
             fingerprint=self._fingerprint,
@@ -1158,7 +1239,7 @@ class CampaignRunner:
             chunk=chunk,
             error_type=str(event.get("error_type", "unknown")),
             message=str(event.get("message", ""))[:500],
-            attempt=state.table.attempts(chunk),
+            attempt=state.attempts.get(chunk, 0),
             delay=delay,
         )
         if delay is not None:
@@ -1166,86 +1247,52 @@ class CampaignRunner:
         if self._obs.enabled:
             self._obs.count("shard.chunk_errors")
 
-    def _expire_leases(self, state: _LoopState, now: float) -> None:
-        # The holder may still be computing (hung or merely slow); its
-        # slot stays busy until it reports or dies, but the chunk itself
-        # becomes claimable elsewhere — a late completion is absorbed as
-        # a byte-identical duplicate.
-        for lease, delay in state.table.expire(now):
-            self._journal_lease_release(
-                state, lease, delay, now, reason="ttl"
-            )
-
-    def _journal_lease_release(
+    def _dispatch(
         self,
         state: _LoopState,
-        lease: Lease,
-        delay: Optional[float],
+        selector: selectors.DefaultSelector,
         now: float,
-        reason: str,
     ) -> None:
-        state.journal.append(
-            "lease_expired",
-            fingerprint=self._fingerprint,
-            worker=lease.worker,
-            chunk=lease.chunk,
-            attempt=lease.attempt,
-            delay=delay,
-            reason=reason,
-        )
-        if delay is not None:
-            state.redispatch_pending[lease.chunk] = now
-        if self._obs.enabled:
-            self._obs.count("shard.lease_expirations")
-
-    def _dispatch(self, state: _LoopState, now: float) -> None:
         for handle in self._workers.values():
             if not handle.alive or not handle.ready:
                 continue
             if handle.busy_chunk is not None:
                 continue
-            lease = state.table.claim(handle.worker_id, now)
-            if lease is None:
-                continue
+            claimed = state.claim(now)
+            if claimed is None:
+                return
+            chunk, attempt = claimed
+            handle.busy_chunk = chunk
+            handle.last_event = now
+            state.journal.append(
+                "lease_claimed",
+                fingerprint=self._fingerprint,
+                worker=handle.worker_id,
+                chunk=chunk,
+                attempt=attempt,
+            )
+            if self._obs.enabled:
+                self._obs.count("shard.lease_claims")
+            issued_at = state.redispatch_pending.pop(chunk, None)
+            if issued_at is not None and self._obs.enabled:
+                self._obs.observe(
+                    "shard.redispatch_seconds", max(now - issued_at, 0.0)
+                )
             try:
                 handle.process.stdin.write(
                     encode_message(
                         {
                             "cmd": COMMAND_RUN,
-                            "chunk": lease.chunk,
+                            "chunk": chunk,
                             "backoff": asdict(self._backoff),
                         }
                     )
                 )
                 handle.process.stdin.flush()
             except (BrokenPipeError, OSError, ValueError):
-                # The worker died between EOF and our write; give the
-                # lease straight back — the EOF path will also release
-                # anything the table still holds for this worker.
-                state.table.release_worker(handle.worker_id, now)
-                handle.alive = False
-                continue
-            handle.busy_chunk = lease.chunk
-            state.journal.append(
-                "lease_claimed",
-                fingerprint=self._fingerprint,
-                worker=handle.worker_id,
-                chunk=lease.chunk,
-                attempt=lease.attempt,
-                origin=lease.origin,
-                speculative=lease.speculative,
-            )
-            if self._obs.enabled:
-                self._obs.count("shard.lease_claims")
-                if lease.origin == "steal":
-                    self._obs.count("shard.steals")
-                if lease.speculative:
-                    self._obs.count("shard.speculations")
-            issued_at = state.redispatch_pending.pop(lease.chunk, None)
-            if issued_at is not None and self._obs.enabled:
-                self._obs.observe(
-                    "shard.redispatch_seconds", max(now - issued_at, 0.0)
-                )
+                # The worker died before reading the command: the death
+                # path hands the chunk back.
+                self._on_worker_gone(handle, selector, state)
 
 
 # ----------------------------------------------------------------------
@@ -1418,9 +1465,10 @@ def campaign_status(directory: Union[str, Path]) -> dict:
     reported, not repaired.  Besides progress, the summary carries the
     journal's operational fields — per-chunk retry counts and an elapsed
     wall-time summary over completed chunks — and the fleet's forensics:
-    coordinator epochs, per-worker lease/heartbeat/steal/completion
-    counts, lease expirations, duplicate completions, and the newest
-    telemetry frame (``workers`` is empty for in-process runs).
+    coordinator epochs, per-worker lease/heartbeat/completion counts,
+    lease expirations, duplicate completions (journals of earlier fleets
+    can hold them), and the newest telemetry frame (``workers`` is empty
+    for in-process runs).
     """
     directory = Path(directory)
     manifest = CampaignManifest.load(directory / MANIFEST_FILE)
@@ -1438,8 +1486,6 @@ def campaign_status(directory: Union[str, Path]) -> dict:
                 "pid": None,
                 "alive": False,
                 "leases": 0,
-                "steals": 0,
-                "speculative": 0,
                 "heartbeats": 0,
                 "completions": 0,
                 "expirations": 0,
@@ -1476,12 +1522,7 @@ def campaign_status(directory: Union[str, Path]) -> dict:
         elif record_type == "worker_exited":
             worker_entry(record.get("worker"))["alive"] = False
         elif record_type == "lease_claimed":
-            entry = worker_entry(record.get("worker"))
-            entry["leases"] += 1
-            if record.get("origin") == "steal":
-                entry["steals"] += 1
-            if record.get("speculative"):
-                entry["speculative"] += 1
+            worker_entry(record.get("worker"))["leases"] += 1
         elif record_type == "lease_heartbeat":
             entry = worker_entry(record.get("worker"))
             entry["heartbeats"] += 1

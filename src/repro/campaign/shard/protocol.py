@@ -5,8 +5,8 @@ every message is a single newline-terminated canonical JSON line, and a
 line that fails to parse is *dropped*, never guessed at.  A SIGKILLed
 worker can leave a torn final line in its stdout pipe; the runner
 treats it exactly like the journal treats a torn tail — the chunk the
-worker was running simply has no ``completed`` event, its lease expires,
-and it is re-dispatched.
+worker was running simply has no ``completed`` event, the worker's EOF
+hands it back, and it is re-dispatched.
 
 Commands (runner → worker stdin)
     ``{"cmd": "run", "chunk": k, "backoff": {...}}`` — run chunk ``k``
@@ -26,8 +26,8 @@ Events (worker → runner stdout)
                      any failures); carries the content digest the
                      runner journals.
     ``error``      — an exception escaped the worker's executor; the
-                     runner re-dispatches with backoff, within the lease
-                     table's per-chunk attempt budget.
+                     runner re-dispatches with backoff, within the
+                     chunk's attempt budget.
 
 Messages are data, not trust: the runner type-checks every field it
 uses and drops a malformed event whole, and it validates digests
@@ -76,7 +76,7 @@ def decode_line(line: bytes) -> Optional[dict]:
 
     Torn lines (a SIGKILL mid-write), stray prints from user code, and
     non-object JSON all map to ``None`` — the caller drops them and
-    relies on lease expiry, never on guessing.
+    relies on the worker's EOF or ``lease_ttl`` kill, never on guessing.
     """
     try:
         message = json.loads(line.decode("utf-8"))

@@ -15,8 +15,10 @@ the manifest on disk.  Its whole contract is
 3. atomically persist the snapshot via the same
    :func:`~repro.campaign.runner.persist_chunk_snapshot` the in-process
    transport uses, then report the content digest,
-4. emit throttled heartbeats *during* the chunk so the runner can
-   tell a long chunk from a dead worker.
+4. emit throttled heartbeats *during* the chunk — after simulations
+   (with metric deltas) and from a timer thread whenever the chunk has
+   been quiet for the interval — so only a stopped or dead worker goes
+   silent for the runner's ``lease_ttl``.
 
 Crash-anywhere safety: the worker can be SIGKILLed at any byte.  Before
 the snapshot rename there is nothing to clean up; after it, the
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import List, Optional
@@ -85,26 +88,48 @@ def worker_main(
     # lifetime.
     observer = MetricsOnlyObserver()
     reported = empty_snapshot()
+    # Both threads write through send() (module docstring, point 4).
+    lock = threading.Lock()
+    beat = {"chunk": None, "done": 0, "written": perf_now()}
 
-    def metric_delta() -> Optional[dict]:
+    def send(message: dict) -> None:
+        with lock:
+            _emit(message)
+            beat["written"] = perf_now()
+
+    def pulse() -> None:
+        while True:
+            time.sleep(heartbeat_interval / 2.0)
+            chunk = beat["chunk"]
+            if chunk is not None and (
+                perf_now() - beat["written"] >= heartbeat_interval
+            ):
+                send(
+                    {
+                        "event": EVENT_HEARTBEAT,
+                        "worker": worker_id,
+                        "chunk": chunk,
+                        "done": beat["done"],
+                    }
+                )
+
+    threading.Thread(target=pulse, daemon=True).start()
+
+    def emit_with_metrics(message: dict) -> None:
         nonlocal reported
         current = observer.metrics.snapshot()
         delta = snapshot_delta(reported, current)
         reported = current
-        return None if delta_is_empty(delta) else delta
-
-    def emit_with_metrics(message: dict) -> None:
-        delta = metric_delta()
-        if delta is not None:
+        if not delta_is_empty(delta):
             message["metrics"] = delta
-        _emit(message)
+        send(message)
 
     execute = workload_executor(
         manifest,
         timeout_per_sim=timeout_per_sim,
         observer=observer,
     )
-    _emit(
+    send(
         {
             "event": EVENT_READY,
             "worker": worker_id,
@@ -127,13 +152,13 @@ def worker_main(
         if command.get("cmd") != COMMAND_RUN:
             continue
         chunk = int(command["chunk"])
-        _emit({"event": EVENT_STARTED, "worker": worker_id, "chunk": chunk})
-        done = 0
+        send({"event": EVENT_STARTED, "worker": worker_id, "chunk": chunk})
+        beat["done"], beat["chunk"] = 0, chunk
         last_beat = perf_now()
 
         def progress(index: int) -> None:
-            nonlocal done, last_beat
-            done += 1
+            nonlocal last_beat
+            beat["done"] += 1
             observer.count("worker.sims_completed")
             now = perf_now()
             if now - last_beat >= heartbeat_interval:
@@ -143,7 +168,7 @@ def worker_main(
                         "event": EVENT_HEARTBEAT,
                         "worker": worker_id,
                         "chunk": chunk,
-                        "done": done,
+                        "done": beat["done"],
                     }
                 )
 
@@ -180,6 +205,7 @@ def worker_main(
             )
             observer.count("worker.chunks_completed")
             observer.observe("worker.chunk_seconds", elapsed)
+            beat["chunk"] = None
             emit_with_metrics(
                 {
                     "event": EVENT_COMPLETED,
@@ -193,6 +219,7 @@ def worker_main(
             )
         except Exception as exc:  # safelint: disable=SFL003 - reported as error event; the runner re-dispatches
             observer.count("worker.chunk_errors")
+            beat["chunk"] = None
             emit_with_metrics(
                 {
                     "event": EVENT_ERROR,

@@ -136,6 +136,13 @@ class SensorFault:
 
     def __post_init__(self) -> None:
         check_probability(self.probability, "probability")
+        if self.target is not None and (
+            isinstance(self.target, bool) or not isinstance(self.target, int)
+        ):
+            raise FaultInjectionError(
+                "SensorFault.target must be a vehicle index, got "
+                f"{self.target!r}"
+            )
         if self.kind is SensorFaultKind.STUCK:
             check_finite(self.stuck_position, "stuck_position")
             check_finite(self.stuck_velocity, "stuck_velocity")

@@ -22,7 +22,6 @@ __all__ = [
     "check_range",
     "check_multiple",
     "check_flag_positive",
-    "check_flag_at_least",
     "check_flag_count",
     "check_flag_below",
 ]
@@ -124,16 +123,6 @@ def check_flag_positive(value: float, flag: str) -> float:
     if not math.isfinite(v) or v <= 0.0:
         raise ConfigurationError(
             f"{flag} must be a finite number > 0, got {value!r}"
-        )
-    return v
-
-
-def check_flag_at_least(value: float, minimum: float, flag: str) -> float:
-    """Validate a finite command-line flag value with a lower bound."""
-    v = float(value)
-    if not math.isfinite(v) or v < minimum:
-        raise ConfigurationError(
-            f"{flag} must be a finite number >= {minimum:g}, got {value!r}"
         )
     return v
 

@@ -181,7 +181,7 @@ class TestFlagValidation:
                 ["--lease-ttl", "1", "--heartbeat-interval", "2"],
                 "--heartbeat-interval",
             ),
-            ("run", ["--straggler-factor", "0.5"], "--straggler-factor"),
+            ("run", ["--chunk-timeout", "nan"], "--chunk-timeout"),
             ("run", ["--workers", "-3"], "--workers"),
         ],
     )

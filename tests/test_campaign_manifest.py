@@ -6,7 +6,12 @@ import math
 
 import pytest
 
-from repro.campaign.builders import build_comm
+from repro.campaign.builders import (
+    build_comm,
+    build_config,
+    build_planner,
+    build_scenario,
+)
 from repro.campaign.manifest import CampaignManifest
 from repro.comm.faults import NoFault
 from repro.errors import CampaignError, SerializationError
@@ -164,3 +169,60 @@ class TestCommSpec:
     def test_disturbance_key_names_its_faults(self):
         with pytest.raises(CampaignError, match='"kind": "fixed_delay"'):
             build_comm({"disturbance": {"delay": 0.25, "drop_probability": 0.3}})
+
+
+def _with_sensor_fault(**fields):
+    fault = {"window": [0, 5], "kind": "dropout", **fields}
+    return {"fault_plan": {"sensor_faults": [fault]}}
+
+
+def _with_planner_fault(**fields):
+    fault = {"window": [0, 5], "kind": "nan", **fields}
+    return {"fault_plan": {"planner_faults": [fault]}}
+
+
+def _planner(spec):
+    return build_planner(spec, build_scenario({"kind": "left_turn"}))
+
+
+class TestConfigAndPlannerSpec:
+    @pytest.mark.parametrize(
+        ("build", "spec", "message"),
+        [
+            (build_config, {"max_time": "abc"}, "max_time"),
+            (build_config, {"max_time": math.inf}, "max_time"),
+            (build_config, {"max_tme": 5.0}, "expected some of"),
+            (build_config, {"strict_safety": "no"}, "strict_safety"),
+            (build_config, {"fault_plan": []}, "fault_plan"),
+            (build_config, {"fault_plan": {"sensor": []}}, "expected some of"),
+            (build_config, _with_sensor_fault(probability="x"), "probability"),
+            (build_config, _with_sensor_fault(probabilty=0.5), "expected some"),
+            (build_config, _with_sensor_fault(target="lead"), "target"),
+            (build_config, _with_sensor_fault(window=[5, 2]), "window"),
+            (build_config, _with_planner_fault(probability=None), "probability"),
+            (build_config, _with_planner_fault(kind="late"), "kind"),
+            (_planner, {"kind": "constant", "acceleration": "fast"}, "accel"),
+            (_planner, {"kind": "constant", "acceleration": 1.0, "a": 2}, "some"),
+            (_planner, {"kind": "full_brake", "acceleration": 1.0}, "some"),
+            (_planner, {"kind": "compound", "embedded": "constant"}, "planner"),
+            (
+                _planner,
+                {
+                    "kind": "full_brake",
+                    "faults": [{"window": [0, 5], "kind": "nan", "p": 1}],
+                },
+                "expected some of",
+            ),
+        ],
+    )
+    def test_malformed_spec_rejected(self, build, spec, message):
+        with pytest.raises(CampaignError, match=message):
+            build(spec)
+
+    def test_well_formed_specs_build(self):
+        config = build_config(
+            {"max_time": 5, "strict_safety": True, **_with_sensor_fault()}
+        )
+        assert config.max_time == 5.0 and config.strict_safety
+        assert len(config.fault_plan.sensor_faults) == 1
+        assert _planner({"kind": "constant", "acceleration": 1.5}) is not None

@@ -402,7 +402,7 @@ class TestKnobValidation:
             {"lease_ttl": 0.0},
             {"heartbeat_interval": 0.0},
             {"lease_ttl": 1.0, "heartbeat_interval": 2.0},
-            {"straggler_factor": 0.5},
+            {"lease_ttl": float("nan")},
             {"n_workers": 2, "chunk_executor": _fake_executor},
         ],
     )

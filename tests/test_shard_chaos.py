@@ -1,15 +1,16 @@
 """Kill-anywhere chaos for the shard layer.
 
-SIGKILLs real worker subprocesses and abandons the coordinator
-mid-campaign, then requires resumed aggregates to stay byte-identical
-to an uninterrupted single-process reference — the acceptance contract
-of the distribution layer.
+SIGKILLs and SIGSTOPs real worker subprocesses and abandons the
+coordinator mid-campaign, then requires resumed aggregates to stay
+byte-identical to an uninterrupted single-process reference — the
+acceptance contract of the distribution layer.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.campaign.runner import (
     CampaignRunner,
     campaign_status,
 )
+from repro.errors import CampaignError
 
 
 def _manifest(n_sims=8, name="shard-chaos"):
@@ -49,6 +51,57 @@ def _completed_chunks(directory):
 
 class _CrashCoordinator(RuntimeError):
     """Marker the tick hook raises to abandon the coordinator mid-run."""
+
+
+class _Deadline:
+    """Makes a run that hangs on stopped workers fail instead of hang.
+
+    :meth:`arm` starts a timer; when it fires before :meth:`disarm` it
+    marks the deadline missed, asks the runner to stop and SIGKILLs the
+    runner's workers — stopped ones included — so ``run()`` returns and
+    the test fails on ``missed``.  :meth:`disarm` kills whatever worker
+    is still running, so no stopped process outlives the test.
+    ``Popen.kill`` polls first and never signals a reaped pid.
+    """
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+        self.missed = False
+        self._runner = None
+        self._timer = None
+
+    def arm(self, runner):
+        self._runner = runner
+        self._timer = threading.Timer(self.seconds, self._expire)
+        self._timer.start()
+
+    def _expire(self):
+        self.missed = True
+        self._runner.request_stop()
+        self._kill_workers()
+
+    def _kill_workers(self):
+        for handle in self._runner._workers.values():
+            handle.process.kill()
+
+    def disarm(self):
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer.join()
+            self._kill_workers()
+
+
+def _busy_workers(coordinator):
+    return [
+        handle
+        for handle in coordinator._workers.values()
+        if handle.busy_chunk is not None
+    ]
+
+
+def _journaled(directory, record_type):
+    records, _ = read_journal(directory / JOURNAL_FILE)
+    return [r for r in records if r.get("type") == record_type]
 
 
 class TestWorkerKill:
@@ -111,6 +164,128 @@ class TestWorkerKill:
         ).resume()
         assert report.status == "completed"
         assert (directory / AGGREGATE_FILE).read_bytes() == reference
+
+
+class TestWorkerHang:
+    """A SIGSTOPped holder is SIGKILLed after ``lease_ttl`` of silence and
+    its chunk requeued; nothing waits on a stopped process."""
+
+    #: Seconds from the first SIGSTOP to a returned ``run()``.  Covers
+    #: the TTL kill and the few remaining chunks, and stays below the
+    #: runner's shutdown grace for a worker that never exits.
+    DEADLINE = 7.0
+
+    def test_stopped_worker_is_killed_and_its_chunk_requeued(self, tmp_path):
+        manifest = _manifest(n_sims=6)
+        reference = _reference_bytes(manifest, tmp_path)
+        directory = tmp_path / "sharded"
+        deadline = _Deadline(self.DEADLINE)
+        stopped = {}
+
+        def hook(coordinator, now):
+            busy = _busy_workers(coordinator)
+            if not stopped and busy:
+                victim = busy[0]
+                deadline.arm(coordinator)
+                os.kill(victim.process.pid, signal.SIGSTOP)
+                stopped[victim.worker_id] = victim.busy_chunk
+
+        try:
+            report = CampaignRunner(
+                manifest,
+                directory,
+                n_workers=3,
+                lease_ttl=2.0,
+                heartbeat_interval=0.2,
+                tick_hook=hook,
+            ).run()
+        finally:
+            deadline.disarm()
+        assert stopped
+        assert not deadline.missed, "run() hung on a stopped worker"
+        assert report.status == "completed"
+        assert (directory / AGGREGATE_FILE).read_bytes() == reference
+        (worker, chunk), = stopped.items()
+        exits = [
+            r for r in _journaled(directory, "worker_exited")
+            if r["worker"] == worker
+        ]
+        assert [r["returncode"] for r in exits] == [-signal.SIGKILL]
+        expiries = _journaled(directory, "lease_expired")
+        assert [(r["worker"], r["chunk"], r["reason"]) for r in expiries] == [
+            (worker, chunk, "ttl")
+        ]
+
+    def test_all_workers_stopped_raises_resumable_error(self, tmp_path):
+        manifest = _manifest(n_sims=6)
+        directory = tmp_path / "sharded"
+        deadline = _Deadline(self.DEADLINE)
+        stopped = set()
+
+        def hook(coordinator, now):
+            # Each worker is stopped while it holds a chunk: a worker
+            # that starts late still gets one once the others hang.
+            for handle in _busy_workers(coordinator):
+                if handle.worker_id not in stopped:
+                    if not stopped:
+                        deadline.arm(coordinator)
+                    stopped.add(handle.worker_id)
+                    os.kill(handle.process.pid, signal.SIGSTOP)
+
+        try:
+            with pytest.raises(CampaignError, match="all shard workers died"):
+                CampaignRunner(
+                    manifest,
+                    directory,
+                    n_workers=2,
+                    lease_ttl=2.0,
+                    heartbeat_interval=0.2,
+                    tick_hook=hook,
+                ).run()
+        finally:
+            deadline.disarm()
+            # Checked first: a run the deadline stopped does not raise.
+            assert not deadline.missed, "run() hung on stopped workers"
+        assert stopped == {"w0", "w1"}
+        assert len(_journaled(directory, "worker_exited")) == 2
+        reference = _reference_bytes(manifest, tmp_path)
+        report = CampaignRunner(
+            manifest, directory, n_workers=2, heartbeat_interval=0.2
+        ).resume()
+        assert report.status == "completed"
+        assert (directory / AGGREGATE_FILE).read_bytes() == reference
+
+
+class TestLongSimulation:
+    def test_simulation_slower_than_lease_ttl_keeps_its_lease(self, tmp_path):
+        # Each full-brake episode runs to max_time, several times
+        # lease_ttl; only the workers' timer heartbeats keep them alive.
+        manifest = CampaignManifest(
+            name="shard-long",
+            scenario={"kind": "left_turn"},
+            comm={"sensor_noise": 0.3},
+            planner={"kind": "full_brake"},
+            n_sims=2,
+            seed=5,
+            chunk_size=1,
+            config={"max_time": 1500.0},
+        )
+        reference = _reference_bytes(manifest, tmp_path)
+        directory = tmp_path / "sharded"
+        report = CampaignRunner(
+            manifest,
+            directory,
+            n_workers=2,
+            lease_ttl=0.5,
+            heartbeat_interval=0.1,
+        ).run()
+        assert report.status == "completed"
+        assert (directory / AGGREGATE_FILE).read_bytes() == reference
+        assert _journaled(directory, "lease_expired") == []
+        exits = _journaled(directory, "worker_exited")
+        assert [r["returncode"] for r in exits] == [0, 0]
+        beats = _journaled(directory, "lease_heartbeat")
+        assert {r["chunk"] for r in beats if r["done"] == 0} == {0, 1}
 
 
 class TestCoordinatorCrash:

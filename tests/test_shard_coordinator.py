@@ -1,5 +1,5 @@
 """The fleet transport of CampaignRunner: bit-identity, the in-process
-transport at one worker, duplicates, status.
+transport at one worker, duplicates, status, malformed events.
 
 These tests run real worker subprocesses (spawned via ``python -m
 repro.campaign.shard.worker``) against tiny manifests; the chaos-grade
@@ -8,13 +8,17 @@ kill tests live in ``test_shard_chaos.py``.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
+from repro.campaign.backoff import BackoffPolicy
 from repro.campaign.journal import JournalWriter, read_journal
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.runner import (
     AGGREGATE_FILE,
     JOURNAL_FILE,
+    MANIFEST_FILE,
     CampaignProgress,
     CampaignRunner,
     _LoopState,
@@ -22,7 +26,6 @@ from repro.campaign.runner import (
     campaign_status,
     replay_progress,
 )
-from repro.campaign.shard import LeaseTable
 from repro.errors import CampaignError, JournalCorruptionError
 from repro.obs.observer import Observer
 
@@ -38,6 +41,58 @@ def _manifest(n_sims=4, chunk_size=1, name="shard-test"):
         chunk_size=chunk_size,
         config={"max_time": 8.0},
     )
+
+
+def _loop_state(manifest, journal_path):
+    """Fresh fleet loop state: every chunk pending, nothing completed."""
+    return _LoopState(
+        progress=CampaignProgress(fingerprint=manifest.fingerprint),
+        journal=JournalWriter(journal_path),
+        fingerprint=manifest.fingerprint,
+        backoff=BackoffPolicy(),
+        pending=deque(range(manifest.n_chunks)),
+    )
+
+
+def _old_fleet_journal(directory, manifest):
+    """A journal as fleets with work stealing and speculative twins
+    wrote it: claims carry ``origin``/``speculative`` and a twin's
+    completion of chunk 0 is journaled twice with equal digests."""
+    directory.mkdir()
+    manifest.save(directory / MANIFEST_FILE)
+    fp = manifest.fingerprint
+    with JournalWriter(directory / JOURNAL_FILE) as journal:
+        journal.append(
+            "campaign_started", fingerprint=fp, name=manifest.name,
+            n_sims=manifest.n_sims, n_chunks=manifest.n_chunks,
+        )
+        journal.append(
+            "coordinator_started", fingerprint=fp, epoch=1, n_workers=2,
+            pending_chunks=2,
+        )
+        for worker, pid in (("w0", 101), ("w1", 102)):
+            journal.append(
+                "worker_spawned", fingerprint=fp, worker=worker, pid=pid
+            )
+        for worker, chunk, attempt, origin, speculative in (
+            ("w0", 0, 1, "range", False),
+            ("w1", 1, 1, "steal", False),
+            ("w1", 0, 2, "speculation", True),
+        ):
+            journal.append(
+                "lease_claimed", fingerprint=fp, worker=worker, chunk=chunk,
+                attempt=attempt, origin=origin, speculative=speculative,
+            )
+        for worker, chunk, digest, duplicate in (
+            ("w1", 1, "b" * 64, False),
+            ("w1", 0, "a" * 64, False),
+            ("w0", 0, "a" * 64, True),
+        ):
+            journal.append(
+                "chunk_completed", fingerprint=fp, chunk=chunk, n_results=1,
+                n_failures=0, digest=digest, elapsed=0.1, worker=worker,
+                duplicate=duplicate,
+            )
 
 
 def _reference_bytes(manifest, tmp_path):
@@ -139,15 +194,10 @@ class TestValidation:
 
 
 class TestDuplicateCompletions:
-    """The speculative-twin race, driven deterministically."""
+    """A second completion of one chunk, driven deterministically."""
 
     def _state(self, tmp_path, manifest):
-        journal = JournalWriter(tmp_path / JOURNAL_FILE)
-        progress = CampaignProgress(fingerprint=manifest.fingerprint)
-        table = LeaseTable(
-            range(manifest.n_chunks), ["w0", "w1"], manifest.fingerprint
-        )
-        return _LoopState(progress=progress, table=table, journal=journal)
+        return _loop_state(manifest, tmp_path / JOURNAL_FILE)
 
     def test_equal_digest_duplicate_is_idempotent(self, tmp_path):
         manifest = _manifest(n_sims=2)
@@ -189,6 +239,14 @@ class TestDuplicateCompletions:
             )
         state.journal.close()
 
+    def test_old_journal_duplicate_replays_idempotently(self, tmp_path):
+        manifest = _manifest(n_sims=2)
+        directory = tmp_path / "old"
+        _old_fleet_journal(directory, manifest)
+        records, _ = read_journal(directory / JOURNAL_FILE)
+        progress = replay_progress(records, manifest.fingerprint)
+        assert progress.completed == {0: "a" * 64, 1: "b" * 64}
+
 
 class TestShardStatus:
     def test_per_worker_summary(self, tmp_path):
@@ -210,6 +268,20 @@ class TestShardStatus:
             assert entry["pid"] is not None
             assert entry["alive"] is False  # fleet shut down cleanly
 
+    def test_old_journal_with_steals_and_twins_parses(self, tmp_path):
+        manifest = _manifest(n_sims=2)
+        directory = tmp_path / "old"
+        _old_fleet_journal(directory, manifest)
+        summary = campaign_status(directory)
+        assert summary["completed_chunks"] == 2
+        assert summary["duplicate_completions"] == 1
+        assert summary["coordinator_epochs"] == 1
+        assert summary["workers"]["w0"]["leases"] == 1
+        assert summary["workers"]["w1"]["leases"] == 2
+        assert summary["workers"]["w0"]["completions"] == 1
+        assert summary["workers"]["w1"]["completions"] == 2
+        assert summary["workers"]["w1"]["alive"] is True
+
 
 class TestMalformedEvents:
     """A corrupt worker event is dropped: no exception, no journal record."""
@@ -217,18 +289,11 @@ class TestMalformedEvents:
     def _fixture(self, tmp_path):
         manifest = _manifest(n_sims=2)
         runner = CampaignRunner(manifest, tmp_path / "c", n_workers=2)
-        table = LeaseTable(
-            range(manifest.n_chunks), ["w0", "w1"], manifest.fingerprint
-        )
-        lease = table.claim("w0", 0.0)
-        state = _LoopState(
-            progress=CampaignProgress(fingerprint=manifest.fingerprint),
-            table=table,
-            journal=JournalWriter(tmp_path / JOURNAL_FILE),
-        )
+        state = _loop_state(manifest, tmp_path / JOURNAL_FILE)
+        chunk, _ = state.claim(0.0)
         handle = _WorkerHandle(worker_id="w0", process=None)
-        handle.busy_chunk = lease.chunk
-        return runner, state, handle, lease
+        handle.busy_chunk = chunk
+        return runner, state, handle, chunk
 
     @pytest.mark.parametrize(
         "event",
@@ -248,18 +313,20 @@ class TestMalformedEvents:
         ],
     )
     def test_dropped_without_a_trace(self, tmp_path, event):
-        runner, state, handle, lease = self._fixture(tmp_path)
+        runner, state, handle, chunk = self._fixture(tmp_path)
         runner._handle_event(handle, dict(event), state)
         state.journal.close()
         records, _ = read_journal(tmp_path / JOURNAL_FILE)
         assert records == []
-        assert handle.heartbeats == 0
-        assert handle.busy_chunk == lease.chunk
+        assert handle.last_event == 0.0
+        assert handle.busy_chunk == chunk
         assert state.progress.completed == {}
-        assert state.table.outstanding() == 2
+        # Neither chunk left the queue's hands: one held, one pending.
+        assert list(state.pending) == [1]
+        assert state.retry == []
 
     def test_retry_event_is_journaled_and_renews_the_lease(self, tmp_path):
-        runner, state, handle, lease = self._fixture(tmp_path)
+        runner, state, handle, chunk = self._fixture(tmp_path)
         event = {"event": "retry", "chunk": 0, "attempt": 2, "delay": 0.25}
         runner._handle_event(handle, event, state)
         state.journal.close()
@@ -267,5 +334,4 @@ class TestMalformedEvents:
         assert [r["type"] for r in records] == ["chunk_retry"]
         assert records[0]["attempt"] == 2
         assert records[0]["delay"] == 0.25
-        assert handle.heartbeats == 1
-        assert lease.last_heartbeat > 0.0
+        assert handle.last_event > 0.0

@@ -1,175 +1,217 @@
-"""Lease table scheduling: claims, expiry, stealing, speculation.
+"""The fleet's chunk queue: claim order, backoff, budget, death, completion.
 
-The :class:`~repro.campaign.shard.LeaseTable` is clock-free, so every
-failure interleaving here runs with a synthetic clock and zero sleeping.
+The queue lives in the fleet loop's state and its methods take the
+clock as an argument, so every interleaving here runs with a synthetic
+clock and zero sleeping.  The runner-level cases drive the event
+handlers with handles whose process is never started.
 """
 
 from __future__ import annotations
 
+import selectors
+from collections import deque
+
 import pytest
 
 from repro.campaign.backoff import BackoffPolicy
-from repro.campaign.shard import LeaseTable
+from repro.campaign.journal import JournalWriter, read_journal
+from repro.campaign.manifest import CampaignManifest
+from repro.campaign.runner import (
+    JOURNAL_FILE,
+    CampaignProgress,
+    CampaignRunner,
+    _LoopState,
+    _WorkerHandle,
+)
 from repro.errors import CampaignError
 
 FP = "deadbeefcafe0123" * 4  # any 64-hex-ish fingerprint works
 
 
-def _table(chunks=range(6), workers=("w0", "w1"), ttl=10.0, **kwargs):
-    return LeaseTable(list(chunks), list(workers), FP, ttl=ttl, **kwargs)
+def _queue(chunks=range(6), backoff=None, journal=None):
+    return _LoopState(
+        progress=CampaignProgress(fingerprint=FP),
+        journal=journal,
+        fingerprint=FP,
+        backoff=backoff if backoff is not None else BackoffPolicy(),
+        pending=deque(chunks),
+    )
+
+
+class _ExitedProcess:
+    """A worker process that has already died: stdout at EOF, reaped."""
+
+    class _Pipe:
+        def fileno(self):
+            return 0
+
+    stdout = _Pipe()
+
+    def poll(self):
+        return -9
+
+    def wait(self):
+        return -9
+
+
+def _runner(tmp_path):
+    manifest = CampaignManifest(
+        name="queue",
+        scenario={"kind": "left_turn"},
+        comm={},
+        planner={"kind": "constant", "acceleration": 1.0},
+        n_sims=4,
+        seed=1,
+        chunk_size=1,
+    )
+    return CampaignRunner(manifest, tmp_path / "c", n_workers=2)
 
 
 class TestClaims:
-    def test_contiguous_ranges_front_first(self):
-        table = _table()
-        # w0 owns [0,1,2], w1 owns [3,4,5]; each drains its own front.
-        assert table.claim("w0", 0.0).chunk == 0
-        assert table.claim("w1", 0.0).chunk == 3
-        assert table.claim("w0", 0.0).chunk == 1
-
-    def test_unknown_worker_rejected(self):
-        with pytest.raises(CampaignError, match="unknown worker"):
-            _table().claim("nobody", 0.0)
+    def test_chunks_come_out_in_ascending_order(self):
+        queue = _queue(chunks=[2, 3, 5, 8])
+        claimed = [queue.claim(0.0)[0] for _ in range(4)]
+        assert claimed == [2, 3, 5, 8]
 
     def test_claims_exhaust_then_none(self):
-        table = _table(chunks=range(2), workers=("w0",), straggler_factor=100.0)
-        assert table.claim("w0", 0.0) is not None
-        assert table.claim("w0", 0.0) is not None
-        assert table.claim("w0", 0.0) is None
+        queue = _queue(chunks=range(2))
+        assert queue.claim(0.0) is not None
+        assert queue.claim(0.0) is not None
+        assert queue.claim(0.0) is None
 
     def test_attempt_numbers_increment_across_grants(self):
-        table = _table(chunks=[7], workers=("w0", "w1"))
-        first = table.claim("w0", 0.0)
-        assert first.attempt == 1
-        table.expire(20.0)  # ttl=10: the lease is silent past budget
-        second = table.claim("w1", 100.0)
-        assert second.chunk == 7
-        assert second.attempt == 2
+        queue = _queue(chunks=[7])
+        assert queue.claim(0.0) == (7, 1)
+        queue.requeue(7, 20.0)  # its worker died
+        assert queue.claim(100.0) == (7, 2)
+
+    def test_eligible_retry_comes_before_pending(self):
+        queue = _queue(chunks=range(4))
+        queue.claim(0.0)
+        queue.claim(0.0)
+        queue.requeue(1, 0.0)
+        queue.requeue(0, 0.0)
+        assert [queue.claim(100.0)[0] for _ in range(4)] == [0, 1, 2, 3]
 
 
-class TestStealing:
-    def test_idle_worker_steals_from_longest_range_tail(self):
-        table = _table(chunks=range(6), workers=("w0", "w1"))
-        # w0 drains its whole range...
-        for expected in (0, 1, 2):
-            assert table.claim("w0", 0.0).chunk == expected
-        # ...then steals w1's *tail*, leaving w1 its front.
-        lease = table.claim("w0", 0.0)
-        assert lease.chunk == 5
-        assert lease.origin == "steal"
-        assert table.steals == 1
-        assert table.claim("w1", 0.0).chunk == 3
-
-    def test_dead_workers_range_redistributed(self):
-        table = _table(chunks=range(6), workers=("w0", "w1"))
-        released = table.release_worker("w1", 0.0)
-        assert released == []  # held no leases yet
-        # w0 can now claim all six chunks without stealing.
-        claimed = [table.claim("w0", 0.0).chunk for _ in range(6)]
-        assert sorted(claimed) == list(range(6))
-
-
-class TestExpiry:
-    def test_silent_lease_expires_with_deterministic_backoff(self):
+class TestBackoff:
+    def test_retry_eligible_after_deterministic_backoff(self):
         backoff = BackoffPolicy(max_attempts=5)
-        table = _table(chunks=[0], workers=("w0", "w1"), backoff=backoff)
-        lease = table.claim("w0", 0.0)
-        expired = table.expire(10.0 + 1e-9)
-        assert len(expired) == 1
-        _, delay = expired[0]
+        queue = _queue(chunks=[0, 1], backoff=backoff)
+        assert queue.claim(0.0) == (0, 1)
+        delay = queue.requeue(0, 10.0)
         assert delay == backoff.delay(FP, 0, 1)
-        assert table.expirations == 1
-        # Not claimable until the backoff delay elapses.
-        assert table.claim("w1", 10.0) is None
-        reclaimed = table.claim("w1", 10.0 + delay + 1e-9)
-        assert reclaimed.chunk == lease.chunk
-        assert reclaimed.origin == "retry"
-
-    def test_heartbeat_renews_lease(self):
-        table = _table(chunks=[0], workers=("w0", "w1"))
-        table.claim("w0", 0.0)
-        assert table.heartbeat("w0", 0, 9.0)
-        assert table.expire(15.0) == []  # silence is only 6 s
-        assert table.expire(19.5) != []
-
-    def test_late_heartbeat_after_expiry_is_harmless(self):
-        table = _table(chunks=[0], workers=("w0", "w1"))
-        table.claim("w0", 0.0)
-        table.expire(20.0)
-        assert table.heartbeat("w0", 0, 21.0) is False
-
-
-class TestSpeculation:
-    def test_straggler_gets_speculative_twin(self):
-        table = _table(
-            chunks=[0], workers=("w0", "w1"), ttl=10.0, straggler_factor=2.0
-        )
-        table.claim("w0", 0.0)
-        # Heartbeats keep the lease alive, but it never completes.
-        table.heartbeat("w0", 0, 19.0)
-        assert table.claim("w1", 19.0) is None  # age 19 < 2*ttl
-        table.heartbeat("w0", 0, 21.0)
-        twin = table.claim("w1", 21.0)
-        assert twin is not None and twin.speculative
-        assert twin.chunk == 0 and twin.attempt == 2
-        assert table.speculations == 1
-        # No triple-leasing, and a worker never speculates on itself.
-        assert table.claim("w0", 30.0) is None
-        assert table.claim("w1", 30.0) is None
-
-    def test_first_completion_wins_releases_both(self):
-        table = _table(
-            chunks=[0], workers=("w0", "w1"), ttl=1.0, straggler_factor=1.0
-        )
-        table.claim("w0", 0.0)
-        table.heartbeat("w0", 0, 1.01)
-        twin = table.claim("w1", 1.02)
-        assert twin is not None and twin.speculative
-        released = table.complete(0)
-        assert {lease.worker for lease in released} == {"w0", "w1"}
-        assert table.outstanding() == 0
-        # Duplicate completion (the loser reporting) is a no-op.
-        assert table.complete(0) == []
+        # Before the delay elapses the pending chunk goes out instead...
+        assert queue.claim(10.0) == (1, 1)
+        assert queue.claim(10.0 + delay - 1e-9) is None
+        # ...and the retry once it has.
+        assert queue.claim(10.0 + delay) == (0, 2)
+        assert queue.requeue(0, 20.0) == backoff.delay(FP, 0, 2)
 
 
 class TestCompletionAndFailure:
-    def test_complete_scrubs_retry_pool_and_ranges(self):
-        table = _table(chunks=range(4), workers=("w0", "w1"))
-        table.claim("w0", 0.0)
-        table.expire(20.0)  # chunk 0 now waits in the retry pool
-        table.complete(0)   # ...but a late twin completed it anyway
-        table.complete(3)   # never claimed: scrubbed from w1's range
-        remaining = set()
-        while True:
-            lease = table.claim("w0", 1000.0)
-            if lease is None:
-                break
-            remaining.add(lease.chunk)
-        assert remaining == {1, 2}
+    def test_complete_scrubs_retry_pool(self):
+        queue = _queue(chunks=range(2))
+        queue.claim(0.0)
+        queue.requeue(0, 0.0)
+        queue.complete(0)
+        assert queue.retry == []
+        assert queue.claim(1000.0) == (1, 1)
+        assert queue.claim(1000.0) is None
 
     def test_error_budget_exhaustion_raises(self):
         backoff = BackoffPolicy(max_attempts=2)
-        table = _table(chunks=[0], workers=("w0", "w1"), backoff=backoff)
-        table.claim("w0", 0.0)
-        delay = table.fail("w0", 0, 1.0)
-        assert delay is not None
-        lease = table.claim("w1", 1.0 + delay + 1e-9)
-        assert lease.attempt == 2
+        queue = _queue(chunks=[0], backoff=backoff)
+        queue.claim(0.0)
+        delay = queue.fail(0, 1.0)
+        assert delay == backoff.delay(FP, 0, 1)
+        assert queue.claim(1.0 + delay) == (0, 2)
         with pytest.raises(CampaignError, match="giving up"):
-            table.fail("w1", 0, 5.0)
+            queue.fail(0, 5.0)
 
-    def test_fail_without_lease_is_noop(self):
-        table = _table()
-        assert table.fail("w0", 0, 0.0) is None
+    def test_fail_without_lease_is_noop(self, tmp_path):
+        runner = _runner(tmp_path)
+        queue = _queue(journal=JournalWriter(tmp_path / JOURNAL_FILE))
+        handle = _WorkerHandle(worker_id="w0", process=None)
+        runner._handle_error(handle, {"chunk": 0}, queue, 0.0)
+        queue.journal.close()
+        assert queue.retry == []
+        assert list(queue.pending) == list(range(6))
+        records, _ = read_journal(tmp_path / JOURNAL_FILE)
+        assert [(r["type"], r["delay"]) for r in records] == [
+            ("chunk_failed", None)
+        ]
 
 
-class TestValidation:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(CampaignError, match="at least one worker"):
-            LeaseTable([0], [], FP)
-        with pytest.raises(CampaignError, match="unique"):
-            LeaseTable([0], ["w0", "w0"], FP)
-        with pytest.raises(CampaignError, match="ttl"):
-            LeaseTable([0], ["w0"], FP, ttl=0.0)
-        with pytest.raises(CampaignError, match="straggler_factor"):
-            LeaseTable([0], ["w0"], FP, straggler_factor=0.5)
+class TestDeath:
+    def test_dead_workers_chunk_requeued(self, tmp_path):
+        runner = _runner(tmp_path)
+        queue = _queue(journal=JournalWriter(tmp_path / JOURNAL_FILE))
+        chunk, _ = queue.claim(0.0)
+        handle = _WorkerHandle(worker_id="w1", process=_ExitedProcess())
+        handle.busy_chunk = chunk
+        selector = selectors.DefaultSelector()
+        runner._on_worker_gone(handle, selector, queue)
+        runner._on_worker_gone(handle, selector, queue)  # EOF after it
+        queue.journal.close()
+        selector.close()
+        assert not handle.alive and handle.busy_chunk is None
+        assert [entry[1] for entry in queue.retry] == [chunk]
+        records, _ = read_journal(tmp_path / JOURNAL_FILE)
+        assert [r["type"] for r in records] == [
+            "worker_exited",
+            "lease_expired",
+        ]
+        assert records[1]["chunk"] == chunk
+        assert records[1]["reason"] == "worker_exited"
+        assert records[1]["delay"] == BackoffPolicy().delay(FP, chunk, 1)
+
+    @pytest.mark.parametrize("reason", ["worker_exited", "ttl"])
+    def test_only_a_silent_worker_spends_the_budget(self, tmp_path, reason):
+        runner = _runner(tmp_path)
+        queue = _queue(
+            backoff=BackoffPolicy(max_attempts=1),
+            journal=JournalWriter(tmp_path / JOURNAL_FILE),
+        )
+        chunk, _ = queue.claim(0.0)
+        handle = _WorkerHandle(worker_id="w1", process=_ExitedProcess())
+        handle.busy_chunk = chunk
+        selector = selectors.DefaultSelector()
+        try:
+            if reason == "ttl":
+                with pytest.raises(CampaignError, match="giving up"):
+                    runner._on_worker_gone(handle, selector, queue, reason)
+                assert queue.retry == []
+            else:
+                runner._on_worker_gone(handle, selector, queue, reason)
+                assert [entry[1] for entry in queue.retry] == [chunk]
+        finally:
+            queue.journal.close()
+            selector.close()
+        assert not handle.alive
+
+
+class TestExpiry:
+    def test_heartbeat_renews_lease(self, tmp_path):
+        runner = _runner(tmp_path)
+        queue = _queue(journal=JournalWriter(tmp_path / JOURNAL_FILE))
+        handle = _WorkerHandle(worker_id="w0", process=None)
+        handle.busy_chunk = 0
+        assert handle.silent(10.0 + 1e-9, ttl=10.0)
+        assert not handle.silent(10.0, ttl=10.0)
+        # A heartbeat for another chunk renews nothing.
+        runner._handle_event(handle, {"event": "heartbeat", "chunk": 1}, queue)
+        assert handle.last_event == 0.0
+        runner._handle_event(handle, {"event": "heartbeat", "chunk": 0}, queue)
+        queue.journal.close()
+        renewed = handle.last_event
+        assert renewed > 0.0
+        assert not handle.silent(renewed + 10.0, ttl=10.0)
+        assert handle.silent(renewed + 10.0 + 1e-6, ttl=10.0)
+        records, _ = read_journal(tmp_path / JOURNAL_FILE)
+        assert [(r["type"], r["chunk"]) for r in records] == [
+            ("lease_heartbeat", 0)
+        ]
+        # An idle worker is never silent.
+        handle.busy_chunk = None
+        assert not handle.silent(1e9, ttl=10.0)
