@@ -22,6 +22,11 @@ aggregate is always computed from the on-disk snapshots, never from
 in-memory state, so an interrupted-and-resumed campaign produces
 **bit-identical** aggregate bytes to an uninterrupted one.
 
+Progress is a fold of the journal (:class:`CampaignProgress`): one
+``absorb`` interprets each record, replay folds the records on disk,
+every append folds the record it wrote, and ``status``, ``verify`` and
+``metrics.json`` read the fold.
+
 Transports
 ----------
 
@@ -30,10 +35,12 @@ runs them on a fleet of ``python -m repro.campaign.shard.worker``
 subprocesses: idle workers take chunks from one queue in ascending
 order, workers persist the snapshots and report digests over the line
 protocol of :mod:`repro.campaign.shard.protocol`, and the runner stays
-the only journal writer.  A worker that dies, or that holds a chunk
+the only journal writer.  It journals a completion only from the
+worker that holds the chunk, and one worker holds a chunk at a time.  A worker that dies, or that holds a chunk
 without a word for ``lease_ttl`` (stopped: workers heartbeat from a
 timer) and is SIGKILLed for it, hands its chunk back to the queue with
-seeded backoff; a SIGKILLed runner resumes by journal replay under a
+seeded backoff (a worker not ready ``max(lease_ttl, 10 s)`` after its
+spawn is SIGKILLed too); a SIGKILLed runner resumes by journal replay under a
 new ``coordinator_started`` epoch.  Both transports run the same
 :func:`run_chunk_attempts` and finalise through the same
 :func:`finalise_campaign`, so a campaign may be resumed with any worker
@@ -81,6 +88,7 @@ from repro.errors import (
     CampaignError,
     FingerprintMismatchError,
     JournalCorruptionError,
+    ReproError,
     SerializationError,
 )
 from repro.obs.fleet import merge_delta
@@ -105,7 +113,6 @@ __all__ = [
     "campaign_status",
     "chunk_path",
     "finalise_campaign",
-    "load_chunk_snapshot",
     "persist_chunk_snapshot",
     "replay_progress",
     "run_chunk_attempts",
@@ -125,7 +132,8 @@ AGGREGATE_FILE = "aggregate.json"
 #: and wall-clock numbers never are.
 METRICS_FILE = "metrics.json"
 _CHUNK_DIR = "chunks"
-#: Grace period [s] for a fleet worker to exit after a shutdown command.
+#: Grace period [s] for a fleet worker to exit after a shutdown command,
+#: and (or ``lease_ttl`` if longer) to report ready after its spawn.
 _SHUTDOWN_GRACE = 10.0
 
 #: Signature of an injectable chunk executor (tests substitute a flaky
@@ -163,22 +171,6 @@ def persist_chunk_snapshot(
     }
     atomic_write_json(snapshot, chunk_path(directory, chunk))
     return content_digest(snapshot)
-
-
-def load_chunk_snapshot(
-    directory: Path, chunk: int, expected_digest: str
-) -> dict:
-    """Load a chunk snapshot, refusing one whose digest drifted."""
-    path = chunk_path(directory, chunk)
-    snapshot = load_json(path)
-    if not isinstance(snapshot, dict):
-        raise SerializationError(f"chunk snapshot {path} is not an object")
-    if content_digest(snapshot) != expected_digest:
-        raise CampaignError(
-            f"chunk snapshot {path} does not match its journaled "
-            "digest; the file was modified after it was journaled"
-        )
-    return snapshot
 
 
 @dataclass(frozen=True)
@@ -220,55 +212,163 @@ class CampaignReport:
     results_digest: Optional[str] = None
 
 
+#: The journal record types about one worker, as the count each bumps
+#: in the worker's :attr:`CampaignProgress.workers` entry (``None``:
+#: the record sets its pid and liveness).
+_WORKER_RECORDS = {
+    "worker_spawned": None,
+    "worker_exited": None,
+    "lease_claimed": "leases",
+    "lease_heartbeat": "heartbeats",
+    "chunk_completed": "completions",
+    "lease_expired": "expirations",
+    "chunk_failed": "errors",
+}
+
+
 @dataclass
 class CampaignProgress:
-    """Journal-derived progress: which chunks are durably done."""
+    """The fold of a campaign's journal.
+
+    :meth:`absorb` is the only code that interprets a journal record,
+    and it never raises: a foreign fingerprint or a second completion
+    of a chunk with another digest lands in ``problems`` as the
+    exception :func:`replay_progress` raises.  Both transports append
+    through :meth:`append`, which folds the record it wrote, so a live
+    progress always equals the fold of the journal on disk.
+
+    Units: elapsed [s]
+    """
 
     fingerprint: str
     completed: Dict[int, str] = field(default_factory=dict)  # chunk -> digest
-    finished: bool = False
-    next_seq: int = 0
+    next_seq: int = 0  # records folded so far
+    results_digest: Optional[str] = None  # of campaign_finished
+    last_type: Optional[str] = None
+    epochs: int = 0  # coordinator_started records
+    workers: Dict[str, dict] = field(default_factory=dict)
+    expirations: int = 0
+    duplicates: int = 0  # completions of an already completed chunk
+    retries: Dict[int, int] = field(default_factory=dict)  # chunk -> count
+    elapsed: List[float] = field(default_factory=list)  # per completion
+    problems: List[CampaignError] = field(default_factory=list)
+
+    @property
+    def finished(self) -> bool:
+        """Whether a ``campaign_finished`` record was folded."""
+        return self.results_digest is not None
+
+    @classmethod
+    def fold(cls, records: List[dict], fingerprint: str) -> "CampaignProgress":
+        """The progress ``records`` describe; never raises."""
+        progress = cls(fingerprint=fingerprint)
+        for record in records:
+            progress.absorb(record)
+        return progress
+
+    def append(self, journal: JournalWriter, record_type: str, **payload) -> None:
+        """Journal one record stamped with the fingerprint, and fold it."""
+        self.absorb(
+            journal.append(record_type, fingerprint=self.fingerprint, **payload)
+        )
+
+    def absorb(self, record: dict) -> None:
+        """Fold one journal record in."""
+        self.next_seq += 1
+        record_type = self.last_type = record.get("type")
+        seq, recorded = record.get("seq"), record.get("fingerprint")
+        if recorded is not None and recorded != self.fingerprint:
+            self.problems.append(
+                FingerprintMismatchError(
+                    f"journal record {seq} carries fingerprint "
+                    f"{str(recorded)[:12]}... but the manifest fingerprints "
+                    f"to {self.fingerprint[:12]}...; this journal belongs "
+                    "to a different workload"
+                )
+            )
+        if record_type == "chunk_completed":
+            chunk, digest = record.get("chunk"), str(record.get("digest"))
+            if chunk in self.completed:
+                self.duplicates += 1
+            previous = self.completed.setdefault(chunk, digest)
+            if previous != digest:
+                self.problems.append(
+                    JournalCorruptionError(
+                        f"journal record {seq} completes chunk {chunk} with "
+                        f"digest {digest[:12]}... but an earlier record "
+                        f"journaled {previous[:12]}...; duplicate "
+                        "completions must be byte-identical"
+                    )
+                )
+            if isinstance(record.get("elapsed"), (int, float)):
+                self.elapsed.append(float(record["elapsed"]))
+        elif record_type == "chunk_retry":
+            chunk = record.get("chunk", -1)
+            self.retries[chunk] = self.retries.get(chunk, 0) + 1
+        elif record_type == "campaign_finished":
+            self.results_digest = str(record.get("results_digest"))
+        elif record_type == "lease_expired":
+            self.expirations += 1
+        elif record_type == "coordinator_started":
+            self.epochs += 1
+            for entry in self.workers.values():  # the old fleet is gone
+                entry["alive"] = False
+        worker = record.get("worker")
+        if worker is None or record_type not in _WORKER_RECORDS:
+            return
+        entry = self.workers.setdefault(
+            str(worker),
+            dict(pid=None, alive=False, leases=0, heartbeats=0, completions=0,
+                 expirations=0, errors=0, last_heartbeat_seq=None),
+        )
+        if record_type == "worker_spawned":
+            entry.update(pid=record.get("pid"), alive=True)
+        elif record_type == "worker_exited":
+            entry["alive"] = False
+        else:
+            entry[_WORKER_RECORDS[record_type]] += 1
+            if record_type == "lease_heartbeat":
+                entry["last_heartbeat_seq"] = seq
+
+    def operational_summary(self) -> dict:
+        """Retry counts and the chunk wall-time summary (``metrics.json``).
+
+        ``chunk_retries`` maps chunk index to its ``chunk_retry`` record
+        count; ``elapsed`` summarises the ``elapsed`` field of
+        ``chunk_completed`` records (``None`` when no chunk carried one —
+        journals written before the field existed still parse).
+        """
+        durations = self.elapsed
+        return {
+            "chunk_retries": {str(k): v for k, v in sorted(self.retries.items())},
+            "total_retries": sum(self.retries.values()),
+            "elapsed": (
+                {
+                    "chunks_timed": len(durations),
+                    "total_seconds": round(sum(durations), 6),
+                    "mean_seconds": round(sum(durations) / len(durations), 6),
+                    "max_seconds": round(max(durations), 6),
+                }
+                if durations
+                else None
+            ),
+        }
 
 
 def replay_progress(records: List[dict], fingerprint: str) -> CampaignProgress:
-    """Rebuild campaign progress from journal records.
+    """Rebuild campaign progress from journal records, or refuse them.
 
-    Shared by both transports.  Checks every record's fingerprint
-    against ``fingerprint`` and is **idempotent over duplicate**
-    ``chunk_completed`` records: journals written by earlier fleets,
-    which re-dispatched chunks that were still running, can complete
-    the same chunk twice, and because chunk ``k`` is
-    content-deterministic both records must carry the same digest.  A
-    duplicate with a *different* digest means the workload is not
-    deterministic (or a snapshot was forged) and raises
-    :class:`~repro.errors.JournalCorruptionError` rather than letting
-    either record silently win.
+    The fold of ``records``, raising its first problem: a foreign
+    fingerprint (:class:`~repro.errors.FingerprintMismatchError`), or a
+    duplicate ``chunk_completed`` record whose digest differs from the
+    first (:class:`~repro.errors.JournalCorruptionError`: the workload
+    is not deterministic, or a snapshot was forged).  Duplicates with
+    equal digests, which earlier fleets journaled when they re-ran a
+    chunk that was still running, replay idempotently.
     """
-    progress = CampaignProgress(fingerprint=fingerprint, next_seq=len(records))
-    for record in records:
-        recorded = record.get("fingerprint")
-        if recorded is not None and recorded != fingerprint:
-            raise FingerprintMismatchError(
-                f"journal record {record.get('seq')} carries "
-                f"fingerprint {str(recorded)[:12]}... but the manifest "
-                f"fingerprints to {fingerprint[:12]}...; this "
-                "journal belongs to a different workload"
-            )
-        record_type = record.get("type")
-        if record_type == "chunk_completed":
-            chunk = int(record["chunk"])
-            digest = str(record["digest"])
-            previous = progress.completed.get(chunk)
-            if previous is not None and previous != digest:
-                raise JournalCorruptionError(
-                    f"journal record {record.get('seq')} completes chunk "
-                    f"{chunk} with digest {digest[:12]}... but an earlier "
-                    f"record journaled {previous[:12]}...; duplicate "
-                    "completions must be byte-identical"
-                )
-            progress.completed[chunk] = digest
-        elif record_type == "campaign_finished":
-            progress.finished = True
+    progress = CampaignProgress.fold(records, fingerprint)
+    if progress.problems:
+        raise progress.problems[0]
     return progress
 
 
@@ -325,7 +425,8 @@ def run_chunk_attempts(
 class _WorkerHandle:
     """Coordinator-side state of one shard worker subprocess.
 
-    Units: last_event [s] (chunk handed out, or last event about it)
+    Units: last_event [s] (spawn, chunk handed out, or last event
+    about the chunk)
     """
 
     worker_id: str
@@ -343,6 +444,13 @@ class _WorkerHandle:
         """
         return self.busy_chunk is not None and now - self.last_event > ttl
 
+    def unready(self, now: float, grace: float) -> bool:
+        """Whether the worker is still not ready ``grace`` after spawn.
+
+        Units: now [s], grace [s]
+        """
+        return not self.ready and now - self.last_event > grace
+
 
 @dataclass
 class _LoopState:
@@ -357,7 +465,6 @@ class _LoopState:
 
     progress: CampaignProgress
     journal: JournalWriter
-    fingerprint: str
     backoff: BackoffPolicy
     pending: Deque[int] = field(default_factory=deque)
     retry: List[Tuple[float, int]] = field(default_factory=list)
@@ -393,7 +500,9 @@ class _LoopState:
         Units: now [s]
         """
         delay = self.backoff.delay(
-            self.fingerprint, chunk, max(self.attempts.get(chunk, 0), 1)
+            self.progress.fingerprint,
+            chunk,
+            max(self.attempts.get(chunk, 0), 1),
         )
         self.retry.append((now + delay, chunk))
         return delay
@@ -413,9 +522,9 @@ class _LoopState:
             )
         return self.requeue(chunk, now)
 
-    def complete(self, chunk: int) -> None:
-        """Drop ``chunk`` from the retry pool: completion beats a retry."""
-        self.retry = [entry for entry in self.retry if entry[1] != chunk]
+    def append(self, record_type: str, **payload) -> None:
+        """Journal one record and fold it (:meth:`CampaignProgress.append`)."""
+        self.progress.append(self.journal, record_type, **payload)
 
 
 #: The fields each worker event must carry, as ``name -> (type,
@@ -499,7 +608,9 @@ class CampaignRunner:
         it is SIGKILLed and its chunk requeued with backoff.  Workers
         heartbeat from a timer while they hold a chunk, so a long
         simulation, watchdog wait or retry backoff does not count as
-        silence; a kill spends one of the chunk's attempts.
+        silence; a kill spends one of the chunk's attempts.  A worker
+        not ready ``max(lease_ttl, 10 s)`` after its spawn is SIGKILLed
+        too.
     heartbeat_interval:
         Fleet only: seconds between worker liveness heartbeats (must be
         below ``lease_ttl``).
@@ -612,14 +723,12 @@ class CampaignRunner:
         belongs to another campaign).
         """
         build_workload(self._manifest)
-        journal_path = self._directory / JOURNAL_FILE
-        if journal_path.exists():
-            records, _ = read_journal(journal_path)
-            if records:
-                raise CampaignError(
-                    f"campaign at {self._directory} was already started "
-                    f"({len(records)} journal records); use resume"
-                )
+        records, _ = read_journal(self._directory / JOURNAL_FILE)
+        if records:
+            raise CampaignError(
+                f"campaign at {self._directory} was already started "
+                f"({len(records)} journal records); use resume"
+            )
         manifest_path = self._directory / MANIFEST_FILE
         if manifest_path.exists():
             existing = CampaignManifest.load(manifest_path)
@@ -670,27 +779,23 @@ class CampaignRunner:
     def _open_and_execute(self, records: List[dict]) -> CampaignReport:
         """Replay ``records``, open the journal after them, and execute."""
         state = replay_progress(records, self._fingerprint)
-        epoch = 1 + sum(
-            1 for r in records if r.get("type") == "coordinator_started"
-        )
         with JournalWriter(
             self._directory / JOURNAL_FILE,
             next_seq=state.next_seq,
             observer=self._obs,
         ) as journal:
             if not records:
-                journal.append(
+                state.append(
+                    journal,
                     "campaign_started",
-                    fingerprint=self._fingerprint,
                     name=self._manifest.name,
                     n_sims=self._manifest.n_sims,
                     n_chunks=self._manifest.n_chunks,
                 )
-                state.next_seq = journal.next_seq
-            return self._execute(state, journal, epoch)
+            return self._execute(state, journal)
 
     def _execute(
-        self, state: CampaignProgress, journal: JournalWriter, epoch: int
+        self, state: CampaignProgress, journal: JournalWriter
     ) -> CampaignReport:
         manifest = self._manifest
         if state.finished:
@@ -701,7 +806,7 @@ class CampaignRunner:
             if self._n_workers == 1:
                 interrupted = self._run_in_process(state, journal)
             else:
-                interrupted = self._run_fleet(state, journal, epoch)
+                interrupted = self._run_fleet(state, journal)
         finally:
             restore_drain_handlers(previous_handlers)
             # Final frame regardless of how the run ended (finished,
@@ -710,10 +815,8 @@ class CampaignRunner:
                 self._recorder.tick(force=True)
         chunks_run = len(state.completed) - chunks_before
         if interrupted:
-            journal.append(
-                "interrupted",
-                fingerprint=self._fingerprint,
-                completed_chunks=len(state.completed),
+            state.append(
+                journal, "interrupted", completed_chunks=len(state.completed)
             )
             return CampaignReport(
                 status="interrupted",
@@ -743,15 +846,16 @@ class CampaignRunner:
 
     def _journal_retry(
         self,
+        progress: CampaignProgress,
         journal: JournalWriter,
         chunk: int,
         attempt: int,
         delay: float,
         **extra,
     ) -> None:
-        journal.append(
+        progress.append(
+            journal,
             "chunk_retry",
-            fingerprint=self._fingerprint,
             chunk=chunk,
             attempt=attempt,
             delay=delay,
@@ -810,7 +914,7 @@ class CampaignRunner:
                 self._backoff,
                 self._sleep,
                 lambda attempt, delay: self._journal_retry(
-                    journal, chunk, attempt, delay
+                    state, journal, chunk, attempt, delay
                 ),
             )
             elapsed = max(perf_now() - started, 0.0)
@@ -820,16 +924,15 @@ class CampaignRunner:
             digest = persist_chunk_snapshot(
                 self._directory, self._fingerprint, chunk, chunk_result
             )
-            journal.append(
+            state.append(
+                journal,
                 "chunk_completed",
-                fingerprint=self._fingerprint,
                 chunk=chunk,
                 n_results=len(chunk_result.results),
                 n_failures=chunk_result.n_failed,
                 digest=digest,
                 elapsed=round(elapsed, 6),
             )
-            state.completed[chunk] = digest
             telemetry.count("campaign.chunks_completed")
             telemetry.count(
                 "campaign.sims_completed", len(chunk_result.results)
@@ -851,7 +954,7 @@ class CampaignRunner:
     # Fleet transport (n_workers > 1)
     # ------------------------------------------------------------------
     def _run_fleet(
-        self, state: CampaignProgress, journal: JournalWriter, epoch: int
+        self, state: CampaignProgress, journal: JournalWriter
     ) -> bool:
         """Run every pending chunk on a worker fleet; ``True`` if drained.
 
@@ -867,10 +970,10 @@ class CampaignRunner:
             for chunk in range(self._manifest.n_chunks)
             if chunk not in state.completed
         ]
-        journal.append(
+        state.append(
+            journal,
             "coordinator_started",
-            fingerprint=self._fingerprint,
-            epoch=epoch,
+            epoch=state.epochs + 1,
             n_workers=self._n_workers,
             pending_chunks=len(pending),
         )
@@ -881,7 +984,6 @@ class CampaignRunner:
         loop = _LoopState(
             progress=state,
             journal=journal,
-            fingerprint=self._fingerprint,
             backoff=self._backoff,
             pending=deque(pending),
         )
@@ -897,9 +999,9 @@ class CampaignRunner:
         )
         try:
             for i in range(self._n_workers):
-                self._spawn_worker(f"w{i}", selector, journal)
+                self._spawn_worker(f"w{i}", selector, loop)
             self._loop(loop, selector)
-            self._shutdown_workers(selector, journal)
+            self._shutdown_workers(selector, loop)
             return self._stop_requested and self._outstanding(state)
         finally:
             self._kill_remaining_workers()
@@ -910,6 +1012,7 @@ class CampaignRunner:
 
     def _loop(self, state: _LoopState, selector: selectors.DefaultSelector) -> None:
         poll = max(0.01, min(self._heartbeat_interval, self._lease_ttl / 4.0))
+        startup = max(self._lease_ttl, _SHUTDOWN_GRACE)
         while self._outstanding(state.progress):
             if self._stop_requested and self._all_idle():
                 return
@@ -917,9 +1020,12 @@ class CampaignRunner:
                 self._drain_pipe(key.data, selector, state)
             now = perf_now()
             for handle in self._workers.values():
-                if handle.silent(now, self._lease_ttl):
-                    # Hung or stopped: the chunk goes back to the queue
-                    # through the same path as any other death.
+                if handle.alive and (
+                    handle.silent(now, self._lease_ttl)
+                    or handle.unready(now, startup)
+                ):
+                    # Hung or stopped (holding a chunk, or before ready):
+                    # the same path as any other death.
                     self._on_worker_gone(handle, selector, state, "ttl")
             if not any(h.alive for h in self._workers.values()):
                 if not self._stop_requested:
@@ -971,7 +1077,7 @@ class CampaignRunner:
         self,
         worker_id: str,
         selector: selectors.DefaultSelector,
-        journal: JournalWriter,
+        state: _LoopState,
     ) -> None:
         process = subprocess.Popen(
             self._worker_command(worker_id),
@@ -980,16 +1086,13 @@ class CampaignRunner:
             stderr=subprocess.DEVNULL,
             env=self._worker_env(),
         )
-        handle = _WorkerHandle(worker_id=worker_id, process=process)
+        handle = _WorkerHandle(
+            worker_id=worker_id, process=process, last_event=perf_now()
+        )
         self._workers[worker_id] = handle
         os.set_blocking(process.stdout.fileno(), False)
         selector.register(process.stdout.fileno(), selectors.EVENT_READ, handle)
-        journal.append(
-            "worker_spawned",
-            fingerprint=self._fingerprint,
-            worker=worker_id,
-            pid=process.pid,
-        )
+        state.append("worker_spawned", worker=worker_id, pid=process.pid)
         if self._obs.enabled:
             self._obs.count("shard.workers_spawned")
 
@@ -1027,16 +1130,15 @@ class CampaignRunner:
         if not handle.alive:
             return
         chunk, handle.busy_chunk = handle.busy_chunk, None
-        self._reap(handle, selector, state.journal)
+        self._reap(handle, selector, state)
         if chunk is not None:
             now = perf_now()
             # A hang spends the budget like an error: a chunk that
             # silences every worker it reaches raises for itself.
             release = state.fail if reason == "ttl" else state.requeue
             delay = release(chunk, now)
-            state.journal.append(
+            state.append(
                 "lease_expired",
-                fingerprint=self._fingerprint,
                 worker=handle.worker_id,
                 chunk=chunk,
                 attempt=state.attempts[chunk],
@@ -1053,7 +1155,7 @@ class CampaignRunner:
         self,
         handle: _WorkerHandle,
         selector: selectors.DefaultSelector,
-        journal: JournalWriter,
+        state: _LoopState,
     ) -> None:
         """Stop watching the worker's stdout, SIGKILL it if it still
         runs, and journal its exit."""
@@ -1063,16 +1165,15 @@ class CampaignRunner:
             selector.unregister(fd)
         if handle.process.poll() is None:
             handle.process.kill()
-        journal.append(
+        state.append(
             "worker_exited",
-            fingerprint=self._fingerprint,
             worker=handle.worker_id,
             returncode=handle.process.wait(),
         )
         self._fleet.gauge("fleet.worker_up", 0.0, worker=handle.worker_id)
 
     def _shutdown_workers(
-        self, selector: selectors.DefaultSelector, journal: JournalWriter
+        self, selector: selectors.DefaultSelector, state: _LoopState
     ) -> None:
         """Graceful fleet shutdown; journals every worker's exit."""
         for handle in self._workers.values():
@@ -1093,7 +1194,7 @@ class CampaignRunner:
                 handle.process.wait(timeout=_SHUTDOWN_GRACE)
             except subprocess.TimeoutExpired:
                 handle.process.kill()
-            self._reap(handle, selector, journal)
+            self._reap(handle, selector, state)
 
     def _kill_remaining_workers(self) -> None:
         """Last-resort cleanup: no child outlives the runner call."""
@@ -1116,15 +1217,20 @@ class CampaignRunner:
     def _handle_event(
         self, handle: _WorkerHandle, event: dict, state: _LoopState
     ) -> None:
-        """Act on one worker event; a malformed event is dropped whole.
+        """Act on one worker event.
 
-        A dropped event changes nothing — no journal record, no renewal
-        of ``last_event``, no merged metrics — and if the worker goes
-        silent over it, the ``lease_ttl`` kill covers its chunk.
+        A malformed event, and a ``completed`` event from a worker that
+        does not hold its chunk, are dropped whole: no journal record,
+        no renewal of ``last_event``, no merged metrics.  If the worker
+        goes silent over it, the ``lease_ttl`` kill covers its chunk.
+        One worker holds a chunk at a time, so no chunk is journaled
+        complete twice.
         """
         if not self._well_formed(event):
             return
         kind = event.get("event")
+        if kind == EVENT_COMPLETED and event["chunk"] != handle.busy_chunk:
+            return
         now = perf_now()
         self._absorb_worker_metrics(handle, event)
         if kind == EVENT_READY:
@@ -1139,6 +1245,7 @@ class CampaignRunner:
                 handle.last_event = now
             if kind == EVENT_RETRY:
                 self._journal_retry(
+                    state.progress,
                     state.journal,
                     chunk,
                     event["attempt"],
@@ -1146,15 +1253,14 @@ class CampaignRunner:
                     worker=handle.worker_id,
                 )
             elif renewed:
-                state.journal.append(
+                state.append(
                     "lease_heartbeat",
-                    fingerprint=self._fingerprint,
                     worker=handle.worker_id,
                     chunk=chunk,
                     done=event.get("done", 0),
                 )
         elif kind == EVENT_COMPLETED:
-            self._handle_completed(handle, event, state, now)
+            self._handle_completed(handle, event, state)
         elif kind == EVENT_ERROR:
             self._handle_error(handle, event, state, now)
 
@@ -1177,46 +1283,23 @@ class CampaignRunner:
         self._fleet.gauge("fleet.worker_up", 1.0, worker=handle.worker_id)
 
     def _handle_completed(
-        self,
-        handle: _WorkerHandle,
-        event: dict,
-        state: _LoopState,
-        now: float,
+        self, handle: _WorkerHandle, event: dict, state: _LoopState
     ) -> None:
-        chunk = event["chunk"]
-        digest = event["digest"]
+        """The holder persisted its chunk's snapshot: journal the digest."""
         elapsed = float(event.get("elapsed", 0.0))
-        if chunk == handle.busy_chunk:
-            handle.busy_chunk = None
-        previous = state.progress.completed.get(chunk)
-        if previous is not None and previous != digest:
-            raise JournalCorruptionError(
-                f"worker {handle.worker_id} completed chunk {chunk} with "
-                f"digest {digest[:12]}... but an earlier completion "
-                f"journaled {previous[:12]}...; the workload is not "
-                "content-deterministic"
-            )
-        duplicate = previous is not None
-        # Journaled too: replay is idempotent over equal digests.
-        state.journal.append(
+        handle.busy_chunk = None
+        state.append(
             "chunk_completed",
-            fingerprint=self._fingerprint,
-            chunk=chunk,
+            chunk=event["chunk"],
             n_results=event.get("n_results", 0),
             n_failures=event.get("n_failures", 0),
-            digest=digest,
+            digest=event["digest"],
             elapsed=elapsed,
             worker=handle.worker_id,
-            duplicate=duplicate,
         )
-        state.progress.completed[chunk] = digest
-        state.complete(chunk)
-        state.redispatch_pending.pop(chunk, None)
         if self._obs.enabled:
             self._obs.count("shard.chunks_completed")
             self._obs.observe("shard.chunk_seconds", elapsed)
-            if duplicate:
-                self._obs.count("shard.duplicate_completions")
 
     def _handle_error(
         self,
@@ -1232,9 +1315,8 @@ class CampaignRunner:
         if chunk == handle.busy_chunk:
             handle.busy_chunk = None
             delay = state.fail(chunk, now)
-        state.journal.append(
+        state.append(
             "chunk_failed",
-            fingerprint=self._fingerprint,
             worker=handle.worker_id,
             chunk=chunk,
             error_type=str(event.get("error_type", "unknown")),
@@ -1264,9 +1346,8 @@ class CampaignRunner:
             chunk, attempt = claimed
             handle.busy_chunk = chunk
             handle.last_event = now
-            state.journal.append(
+            state.append(
                 "lease_claimed",
-                fingerprint=self._fingerprint,
                 worker=handle.worker_id,
                 chunk=chunk,
                 attempt=attempt,
@@ -1328,6 +1409,58 @@ def restore_drain_handlers(previous: Optional[dict]) -> None:
 # ----------------------------------------------------------------------
 # Finalisation (shared by both transports)
 # ----------------------------------------------------------------------
+def _read_snapshots(
+    manifest: CampaignManifest, directory: Path, completed: Dict[int, str]
+) -> Tuple[List[Optional[dict]], List[dict], List[ReproError]]:
+    """Read the completed chunks' snapshots back, checking each.
+
+    The one snapshot reader of :func:`finalise_campaign` and
+    :func:`verify_campaign`.  Returns each index's result record
+    (``None`` where none: ``content_digest(per_index)`` is the
+    ``results_digest``), the failure records in index order, and one
+    exception per problem.  A snapshot that is missing, not an object
+    or not its journaled digest is skipped.
+    """
+    per_index: List[Optional[dict]] = [None] * manifest.n_sims
+    failures: List[dict] = []
+    problems: List[ReproError] = []
+    for chunk, digest in sorted(completed.items()):
+        path = chunk_path(directory, chunk)
+        try:
+            snapshot = load_json(path)
+            if not isinstance(snapshot, dict):
+                raise SerializationError(f"chunk snapshot {path} is not an object")
+            if content_digest(snapshot) != digest:
+                raise CampaignError(
+                    f"chunk snapshot {path} does not match its journaled "
+                    "digest; the file was modified after it was journaled"
+                )
+            expected_indices = manifest.chunk_indices(chunk)
+        except (CampaignError, SerializationError) as exc:
+            problems.append(exc)
+            continue
+        if snapshot.get("fingerprint") != manifest.fingerprint:
+            problems.append(CampaignError(f"chunk snapshot {path} fingerprint mismatch"))
+        if snapshot.get("indices") != expected_indices:
+            problems.append(
+                CampaignError(
+                    f"chunk snapshot {path} covers indices "
+                    f"{snapshot.get('indices')} but the manifest assigns "
+                    f"{expected_indices}"
+                )
+            )
+        for key, record in snapshot.get("results", {}).items():
+            per_index[int(key)] = record
+        for failure in snapshot.get("failures", []):
+            try:
+                failure_from_dict(failure)
+            except SerializationError as exc:
+                problems.append(SerializationError(f"chunk snapshot {path}: {exc}"))
+            failures.append(failure)
+    failures.sort(key=lambda f: int(f.get("index", -1)))
+    return per_index, failures, problems
+
+
 def finalise_campaign(
     manifest: CampaignManifest,
     directory: Union[str, Path],
@@ -1340,18 +1473,15 @@ def finalise_campaign(
     Reading the snapshots back (instead of using in-memory results)
     means an uninterrupted run, any interrupt/resume sequence, and any
     worker count aggregate from byte-identical inputs — the aggregate
-    document depends only on the manifest.
+    document depends only on the manifest.  Raises the first problem
+    :func:`_read_snapshots` finds.
     """
     directory = Path(directory)
-    fingerprint = manifest.fingerprint
-    per_index: List[Optional[dict]] = [None] * manifest.n_sims
-    failures: List[dict] = []
-    for chunk in range(manifest.n_chunks):
-        snapshot = load_chunk_snapshot(directory, chunk, state.completed[chunk])
-        for key, record in snapshot.get("results", {}).items():
-            per_index[int(key)] = record
-        failures.extend(snapshot.get("failures", []))
-    failures.sort(key=lambda f: int(f.get("index", -1)))
+    per_index, failures, problems = _read_snapshots(
+        manifest, directory, state.completed
+    )
+    if problems:
+        raise problems[0]
     results_digest = content_digest(per_index)
     completed = [
         result_from_dict(record)
@@ -1372,7 +1502,7 @@ def finalise_campaign(
         }
     document = {
         "schema_version": SCHEMA_VERSION,
-        "fingerprint": fingerprint,
+        "fingerprint": manifest.fingerprint,
         "name": manifest.name,
         "n_sims": manifest.n_sims,
         "n_failed": len(failures),
@@ -1381,16 +1511,16 @@ def finalise_campaign(
         "failures": failures,
     }
     atomic_write_json(document, directory / AGGREGATE_FILE)
-    journal.append(
+    state.append(
+        journal,
         "campaign_finished",
-        fingerprint=fingerprint,
         results_digest=results_digest,
         n_failed=len(failures),
     )
-    write_campaign_metrics(manifest, directory)
+    write_campaign_metrics(manifest, directory, state)
     return CampaignReport(
         status="completed",
-        fingerprint=fingerprint,
+        fingerprint=manifest.fingerprint,
         n_chunks=manifest.n_chunks,
         completed_chunks=len(state.completed),
         chunks_run=chunks_run,
@@ -1401,157 +1531,66 @@ def finalise_campaign(
 
 
 def write_campaign_metrics(
-    manifest: CampaignManifest, directory: Union[str, Path]
+    manifest: CampaignManifest,
+    directory: Union[str, Path],
+    progress: CampaignProgress,
 ) -> None:
-    """Derive ``metrics.json`` from the journal's operational fields.
+    """Write ``metrics.json``: the operational summary of the run's fold.
 
-    Kept out of ``aggregate.json`` on purpose: wall-clock numbers
-    differ between an uninterrupted run and an interrupt/resume
-    sequence, and the aggregate's byte-identity guarantee must not.
+    ``progress`` is the fold of the whole journal (the live progress of
+    the run that finalises).  Kept out of ``aggregate.json`` on purpose:
+    wall-clock numbers differ between an uninterrupted run and an
+    interrupt/resume sequence, and the aggregate's byte-identity
+    guarantee must not.
     """
-    directory = Path(directory)
-    records, _ = read_journal(directory / JOURNAL_FILE)
-    summary = _operational_summary(records)
     document = {
         "schema_version": SCHEMA_VERSION,
         "fingerprint": manifest.fingerprint,
         "name": manifest.name,
-        **summary,
+        **progress.operational_summary(),
     }
-    atomic_write_json(document, directory / METRICS_FILE)
+    atomic_write_json(document, Path(directory) / METRICS_FILE)
 
 
 # ----------------------------------------------------------------------
 # Inspection helpers (read-only; safe on live or damaged campaigns)
 # ----------------------------------------------------------------------
-def _operational_summary(records: List[dict]) -> dict:
-    """Retry counts and chunk wall-time summary from journal records.
-
-    ``chunk_retries`` maps chunk index to its ``chunk_retry`` record
-    count; ``elapsed`` summarises the ``elapsed`` field of
-    ``chunk_completed`` records (``None`` when no chunk carried one —
-    journals written before the field existed still parse).
-    """
-    retries: Dict[int, int] = {}
-    durations: List[float] = []
-    for record in records:
-        record_type = record.get("type")
-        if record_type == "chunk_retry":
-            chunk = int(record.get("chunk", -1))
-            retries[chunk] = retries.get(chunk, 0) + 1
-        elif record_type == "chunk_completed":
-            elapsed = record.get("elapsed")
-            if isinstance(elapsed, (int, float)):
-                durations.append(float(elapsed))
-    elapsed_summary: Optional[dict] = None
-    if durations:
-        elapsed_summary = {
-            "chunks_timed": len(durations),
-            "total_seconds": round(sum(durations), 6),
-            "mean_seconds": round(sum(durations) / len(durations), 6),
-            "max_seconds": round(max(durations), 6),
-        }
-    return {
-        "chunk_retries": {str(k): v for k, v in sorted(retries.items())},
-        "total_retries": sum(retries.values()),
-        "elapsed": elapsed_summary,
-    }
-
-
 def campaign_status(directory: Union[str, Path]) -> dict:
     """Progress summary of a campaign directory (read-only).
 
-    Works on a live, killed, or damaged campaign: a torn journal tail is
-    reported, not repaired.  Besides progress, the summary carries the
-    journal's operational fields — per-chunk retry counts and an elapsed
-    wall-time summary over completed chunks — and the fleet's forensics:
-    coordinator epochs, per-worker lease/heartbeat/completion counts,
-    lease expirations, duplicate completions (journals of earlier fleets
-    can hold them), and the newest telemetry frame (``workers`` is empty
-    for in-process runs).
+    Read from the fold of the journal (:meth:`CampaignProgress.fold`),
+    so it works on a live, killed, or damaged campaign and never raises
+    over a record: a torn journal tail is reported, not repaired, and
+    the problems replay would refuse are not its business
+    (:func:`verify_campaign` lists them).  Besides progress, the summary
+    carries the journal's operational fields — per-chunk retry counts
+    and an elapsed wall-time summary over completed chunks — and the
+    fleet's forensics: coordinator epochs, per-worker
+    lease/heartbeat/completion counts, lease expirations, duplicate
+    completions (journals of earlier fleets can hold them), and the
+    newest telemetry frame (``workers`` is empty for in-process runs).
     """
     directory = Path(directory)
     manifest = CampaignManifest.load(directory / MANIFEST_FILE)
-    journal_path = directory / JOURNAL_FILE
-    records: List[dict] = []
-    torn = False
-    if journal_path.exists():
-        records, torn = read_journal(journal_path)
-    workers: Dict[str, dict] = {}
-
-    def worker_entry(worker: object) -> dict:
-        return workers.setdefault(
-            str(worker),
-            {
-                "pid": None,
-                "alive": False,
-                "leases": 0,
-                "heartbeats": 0,
-                "completions": 0,
-                "expirations": 0,
-                "errors": 0,
-                "last_heartbeat_seq": None,
-            },
-        )
-
-    completed: set = set()
-    epochs = 0
-    duplicates = 0
-    expirations = 0
-    finished = False
-    for record in records:
-        record_type = record.get("type")
-        if record_type == "chunk_completed":
-            chunk = int(record.get("chunk", -1))
-            if chunk in completed:
-                duplicates += 1
-            completed.add(chunk)
-            if record.get("worker") is not None:
-                worker_entry(record["worker"])["completions"] += 1
-        elif record_type == "campaign_finished":
-            finished = True
-        elif record_type == "coordinator_started":
-            epochs += 1
-            # A new epoch means the previous fleet is gone.
-            for entry in workers.values():
-                entry["alive"] = False
-        elif record_type == "worker_spawned":
-            entry = worker_entry(record.get("worker"))
-            entry["pid"] = record.get("pid")
-            entry["alive"] = True
-        elif record_type == "worker_exited":
-            worker_entry(record.get("worker"))["alive"] = False
-        elif record_type == "lease_claimed":
-            worker_entry(record.get("worker"))["leases"] += 1
-        elif record_type == "lease_heartbeat":
-            entry = worker_entry(record.get("worker"))
-            entry["heartbeats"] += 1
-            entry["last_heartbeat_seq"] = record.get("seq")
-        elif record_type == "lease_expired":
-            worker_entry(record.get("worker"))["expirations"] += 1
-            expirations += 1
-        elif record_type == "chunk_failed":
-            worker_entry(record.get("worker"))["errors"] += 1
-    interrupted = (
-        len(records) > 0 and records[-1].get("type") == "interrupted"
-    )
+    records, torn = read_journal(directory / JOURNAL_FILE)
+    progress = CampaignProgress.fold(records, manifest.fingerprint)
     status = {
         "name": manifest.name,
         "fingerprint": manifest.fingerprint,
         "n_sims": manifest.n_sims,
         "n_chunks": manifest.n_chunks,
-        "completed_chunks": len(completed),
-        "journal_records": len(records),
+        "completed_chunks": len(progress.completed),
+        "journal_records": progress.next_seq,
         "torn_tail": torn,
-        "finished": finished,
-        "interrupted": interrupted,
-        "coordinator_epochs": epochs,
-        "workers": workers,
-        "lease_expirations": expirations,
-        "duplicate_completions": duplicates,
+        "finished": progress.finished,
+        "interrupted": progress.last_type == "interrupted",
+        "coordinator_epochs": progress.epochs,
+        "workers": progress.workers,
+        "lease_expirations": progress.expirations,
+        "duplicate_completions": progress.duplicates,
         "telemetry": _telemetry_summary(directory),
     }
-    status.update(_operational_summary(records))
+    status.update(progress.operational_summary())
     return status
 
 
@@ -1578,120 +1617,69 @@ def _telemetry_summary(directory: Path) -> Optional[dict]:
 def verify_campaign(directory: Union[str, Path]) -> dict:
     """Cross-check every artifact of a campaign directory.
 
-    Verifies that the journal parses, every record carries the
-    manifest's fingerprint, every journaled chunk snapshot exists with a
-    matching content digest and the exact index set the manifest assigns
-    to that chunk, and — when the campaign finished — that the aggregate
-    document's digest matches a recomputation from the snapshots.
+    Verifies that the journal parses and folds without a problem (every
+    record carries the manifest's fingerprint, duplicate completions are
+    byte-identical), that every journaled chunk snapshot exists with a
+    matching content digest, fingerprint and the exact index set the
+    manifest assigns to that chunk, and — when the campaign finished —
+    that the aggregate document's digest matches a recomputation from
+    the snapshots.
 
     Returns ``{"ok": bool, "problems": [str, ...], ...}`` rather than
     raising, so the CLI can print every problem at once.
     """
     directory = Path(directory)
-    problems: List[str] = []
     manifest = CampaignManifest.load(directory / MANIFEST_FILE)
     fingerprint = manifest.fingerprint
     journal_path = directory / JOURNAL_FILE
+    problems: List[str] = []
     records: List[dict] = []
     torn = False
     if not journal_path.exists():
         problems.append(f"missing journal {journal_path}")
-    else:
-        try:
-            records, torn = read_journal(journal_path)
-        except CampaignError as exc:
-            problems.append(str(exc))
+    try:
+        records, torn = read_journal(journal_path)
+    except CampaignError as exc:
+        problems.append(str(exc))
     if torn:
         problems.append(
             "journal has a torn final record (resume will truncate it)"
         )
-    completed: Dict[int, str] = {}
-    finished_digest: Optional[str] = None
-    for record in records:
-        recorded = record.get("fingerprint")
-        if recorded is not None and recorded != fingerprint:
+    progress = CampaignProgress.fold(records, fingerprint)
+    per_index, _, snapshot_problems = _read_snapshots(
+        manifest, directory, progress.completed
+    )
+    problems.extend(str(p) for p in progress.problems + snapshot_problems)
+    if progress.finished and len(progress.completed) != manifest.n_chunks:
+        problems.append(
+            f"campaign_finished journaled with only {len(progress.completed)}"
+            f"/{manifest.n_chunks} chunk_completed records"
+        )
+    elif progress.finished:
+        if content_digest(per_index) != progress.results_digest:
             problems.append(
-                f"journal record {record.get('seq')} fingerprint "
-                f"{str(recorded)[:12]}... != manifest {fingerprint[:12]}..."
+                "journaled results digest does not match a "
+                "recomputation from the chunk snapshots"
             )
-        if record.get("type") == "chunk_completed":
-            chunk = int(record["chunk"])
-            digest = str(record["digest"])
-            previous = completed.get(chunk)
-            if previous is not None and previous != digest:
-                problems.append(
-                    f"journal record {record.get('seq')} completes chunk "
-                    f"{chunk} with a digest conflicting with an earlier "
-                    "completion (duplicates must be byte-identical)"
-                )
-            completed[chunk] = digest
-        elif record.get("type") == "campaign_finished":
-            finished_digest = str(record.get("results_digest"))
-    per_index: List[Optional[dict]] = [None] * manifest.n_sims
-    for chunk, digest in sorted(completed.items()):
-        path = chunk_path(directory, chunk)
+        aggregate_path = directory / AGGREGATE_FILE
         try:
-            snapshot = load_json(path)
+            document = load_json(aggregate_path)
         except SerializationError as exc:
             problems.append(str(exc))
-            continue
-        if not isinstance(snapshot, dict):
-            problems.append(f"chunk snapshot {path} is not an object")
-            continue
-        if content_digest(snapshot) != digest:
-            problems.append(
-                f"chunk snapshot {path} digest mismatch vs journal"
-            )
-            continue
-        if snapshot.get("fingerprint") != fingerprint:
-            problems.append(f"chunk snapshot {path} fingerprint mismatch")
-        expected_indices = manifest.chunk_indices(chunk)
-        if snapshot.get("indices") != expected_indices:
-            problems.append(
-                f"chunk snapshot {path} covers indices "
-                f"{snapshot.get('indices')} but the manifest assigns "
-                f"{expected_indices}"
-            )
-        for key, record in snapshot.get("results", {}).items():
-            per_index[int(key)] = record
-        for failure in snapshot.get("failures", []):
-            try:
-                failure_from_dict(failure)
-            except SerializationError as exc:
-                problems.append(f"chunk snapshot {path}: {exc}")
-    if finished_digest is not None:
-        if len(completed) != manifest.n_chunks:
-            problems.append(
-                f"campaign_finished journaled with only {len(completed)}/"
-                f"{manifest.n_chunks} chunk_completed records"
-            )
         else:
-            recomputed = content_digest(per_index)
-            if recomputed != finished_digest:
+            if not isinstance(document, dict) or (
+                document.get("results_digest"),
+                document.get("fingerprint"),
+            ) != (progress.results_digest, fingerprint):
                 problems.append(
-                    "journaled results digest does not match a "
-                    "recomputation from the chunk snapshots"
+                    f"aggregate document {aggregate_path} does not "
+                    "match the journaled digest/fingerprint"
                 )
-            aggregate_path = directory / AGGREGATE_FILE
-            try:
-                document = load_json(aggregate_path)
-            except SerializationError as exc:
-                problems.append(str(exc))
-            else:
-                if (
-                    not isinstance(document, dict)
-                    or document.get("results_digest") != finished_digest
-                    or document.get("fingerprint") != fingerprint
-                ):
-                    problems.append(
-                        f"aggregate document {aggregate_path} does not "
-                        "match the journaled digest/fingerprint"
-                    )
     return {
         "ok": not problems,
         "problems": problems,
         "fingerprint": fingerprint,
         "n_chunks": manifest.n_chunks,
-        "completed_chunks": len(completed),
-        "finished": finished_digest is not None,
+        "completed_chunks": len(progress.completed),
+        "finished": progress.finished,
     }

@@ -24,13 +24,15 @@ Events (worker → runner stdout)
                      ``chunk_retry`` and counted as a heartbeat.
     ``completed``  — snapshot durably persisted (its last attempt, with
                      any failures); carries the content digest the
-                     runner journals.
+                     runner journals.  Accepted only from the worker
+                     that holds the chunk.
     ``error``      — an exception escaped the worker's executor; the
                      runner re-dispatches with backoff, within the
                      chunk's attempt budget.
 
 Messages are data, not trust: the runner type-checks every field it
-uses and drops a malformed event whole, and it validates digests
+uses and drops a malformed event whole (and a ``completed`` event from
+a worker that does not hold the chunk), and it validates digests
 against snapshots at finalisation, so a malicious or corrupt event can
 delay a campaign but never alter its aggregate bytes.
 """

@@ -22,10 +22,11 @@ the manifest on disk.  Its whole contract is
 
 Crash-anywhere safety: the worker can be SIGKILLed at any byte.  Before
 the snapshot rename there is nothing to clean up; after it, the
-re-dispatched duplicate writes byte-identical content.  An orphaned
-worker (runner died) sees EOF on stdin and exits — and if it was
-mid-chunk, its final atomic snapshot write is harmless for the same
-reason.
+re-dispatched run writes byte-identical content.  The runner journals
+a ``completed`` event only while this worker holds the chunk, so a
+chunk is journaled complete once.  An orphaned worker (runner died)
+sees EOF on stdin and exits — and if it was mid-chunk, its final atomic
+snapshot write is harmless for the same reason.
 """
 
 from __future__ import annotations

@@ -145,9 +145,12 @@ class TestStatusSurfacesOperationalData:
     def test_summary_tolerates_records_without_elapsed(self):
         # Campaigns journaled before the elapsed field existed (or with
         # no completed chunks at all) must not break the status command.
-        from repro.campaign.runner import _operational_summary
+        from repro.campaign.runner import CampaignProgress
 
-        summary = _operational_summary(
+        def summary_of(records):
+            return CampaignProgress.fold(records, "fp").operational_summary()
+
+        summary = summary_of(
             [
                 {"type": "chunk_completed", "chunk": 0},
                 {"type": "chunk_completed", "chunk": 1, "elapsed": 0.5},
@@ -155,4 +158,4 @@ class TestStatusSurfacesOperationalData:
         )
         assert summary["elapsed"]["chunks_timed"] == 1
         assert summary["chunk_retries"] == {}
-        assert _operational_summary([])["elapsed"] is None
+        assert summary_of([])["elapsed"] is None

@@ -256,6 +256,62 @@ class TestWorkerHang:
         assert (directory / AGGREGATE_FILE).read_bytes() == reference
 
 
+class TestWorkerStuckBeforeReady:
+    """A worker stopped before it reports ready is SIGKILLed once the
+    start-up grace has passed, so a fleet whose other workers died
+    raises instead of waiting on it."""
+
+    #: Seconds from the SIGSTOP to a returned ``run()``: the start-up
+    #: grace (10 s from spawn) plus a margin.
+    DEADLINE = 13.0
+
+    def test_unready_worker_is_killed_and_the_run_raises(self, tmp_path):
+        manifest = _manifest(n_sims=3)
+        directory = tmp_path / "sharded"
+        deadline = _Deadline(self.DEADLINE)
+        stopped, killed = [], []
+
+        def hook(coordinator, now):
+            workers = coordinator._workers
+            if not stopped:
+                late = workers["w1"]
+                assert late.ready is False
+                deadline.arm(coordinator)
+                os.kill(late.process.pid, signal.SIGSTOP)
+                stopped.append(late.worker_id)
+            busy = workers["w0"]
+            if not killed and busy.busy_chunk is not None:
+                os.kill(busy.process.pid, signal.SIGKILL)
+                killed.append(busy.worker_id)
+
+        try:
+            with pytest.raises(CampaignError, match="all shard workers died"):
+                CampaignRunner(
+                    manifest,
+                    directory,
+                    n_workers=2,
+                    lease_ttl=2.0,
+                    heartbeat_interval=0.05,
+                    tick_hook=hook,
+                ).run()
+        finally:
+            deadline.disarm()
+            # Checked first: a run the deadline stopped does not raise.
+            assert not deadline.missed, "run() hung on an unready worker"
+        assert stopped == ["w1"] and killed == ["w0"]
+        exits = {
+            r["worker"]: r["returncode"]
+            for r in _journaled(directory, "worker_exited")
+        }
+        assert exits == {"w0": -signal.SIGKILL, "w1": -signal.SIGKILL}
+        reference = _reference_bytes(manifest, tmp_path)
+        report = CampaignRunner(
+            manifest, directory, n_workers=2, heartbeat_interval=0.2
+        ).resume()
+        assert report.status == "completed"
+        assert (directory / AGGREGATE_FILE).read_bytes() == reference
+
+
 class TestLongSimulation:
     def test_simulation_slower_than_lease_ttl_keeps_its_lease(self, tmp_path):
         # Each full-brake episode runs to max_time, several times

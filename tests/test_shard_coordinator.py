@@ -26,7 +26,7 @@ from repro.campaign.runner import (
     campaign_status,
     replay_progress,
 )
-from repro.errors import CampaignError, JournalCorruptionError
+from repro.errors import CampaignError
 from repro.obs.observer import Observer
 
 
@@ -48,7 +48,6 @@ def _loop_state(manifest, journal_path):
     return _LoopState(
         progress=CampaignProgress(fingerprint=manifest.fingerprint),
         journal=JournalWriter(journal_path),
-        fingerprint=manifest.fingerprint,
         backoff=BackoffPolicy(),
         pending=deque(range(manifest.n_chunks)),
     )
@@ -194,50 +193,40 @@ class TestValidation:
 
 
 class TestDuplicateCompletions:
-    """A second completion of one chunk, driven deterministically."""
+    """A chunk is journaled complete once: only its holder may report it,
+    and replay stays idempotent over the duplicates old fleets wrote."""
 
-    def _state(self, tmp_path, manifest):
-        return _loop_state(manifest, tmp_path / JOURNAL_FILE)
-
-    def test_equal_digest_duplicate_is_idempotent(self, tmp_path):
+    def test_completion_from_a_non_holder_is_dropped(self, tmp_path):
         manifest = _manifest(n_sims=2)
-        coordinator = CampaignRunner(
-            manifest, tmp_path / "c", n_workers=2
-        )
-        state = self._state(tmp_path, manifest)
-        w0 = _WorkerHandle(worker_id="w0", process=None)
-        w1 = _WorkerHandle(worker_id="w1", process=None)
-        event = {"event": "completed", "chunk": 0, "digest": "d" * 64}
-        coordinator._handle_completed(w0, dict(event), state, 0.0)
-        coordinator._handle_completed(w1, dict(event), state, 1.0)
+        runner = CampaignRunner(manifest, tmp_path / "c", n_workers=2)
+        state = _loop_state(manifest, tmp_path / JOURNAL_FILE)
+        chunk, _ = state.claim(0.0)
+        holder = _WorkerHandle(worker_id="w0", process=None)
+        holder.busy_chunk = chunk
+        other = _WorkerHandle(worker_id="w1", process=None)
+        event = {
+            "event": "completed",
+            "chunk": chunk,
+            "digest": "d" * 64,
+            "metrics": {"counters": {"worker.chunks_completed": 1}},
+        }
+        runner._handle_event(other, dict(event), state)
+        assert state.progress.completed == {}
+        assert state.progress.next_seq == 0
+        assert runner.fleet_registry.snapshot()["counters"] == {}
+        assert holder.busy_chunk == chunk
+        # The holder's own report of the same chunk is journaled once.
+        runner._handle_event(holder, dict(event), state)
         state.journal.close()
         records, _ = read_journal(tmp_path / JOURNAL_FILE)
-        completions = [r for r in records if r["type"] == "chunk_completed"]
-        assert len(completions) == 2
-        assert completions[0]["duplicate"] is False
-        assert completions[1]["duplicate"] is True
-        # Idempotent replay: both records collapse to one completion.
-        progress = replay_progress(records, manifest.fingerprint)
-        assert progress.completed == {0: "d" * 64}
-
-    def test_conflicting_digest_duplicate_raises(self, tmp_path):
-        manifest = _manifest(n_sims=2)
-        coordinator = CampaignRunner(
-            manifest, tmp_path / "c", n_workers=2
-        )
-        state = self._state(tmp_path, manifest)
-        w0 = _WorkerHandle(worker_id="w0", process=None)
-        w1 = _WorkerHandle(worker_id="w1", process=None)
-        coordinator._handle_completed(
-            w0, {"event": "completed", "chunk": 0, "digest": "a" * 64},
-            state, 0.0,
-        )
-        with pytest.raises(JournalCorruptionError, match="deterministic"):
-            coordinator._handle_completed(
-                w1, {"event": "completed", "chunk": 0, "digest": "b" * 64},
-                state, 1.0,
-            )
-        state.journal.close()
+        assert [(r["type"], r["worker"]) for r in records] == [
+            ("chunk_completed", "w0")
+        ]
+        assert "duplicate" not in records[0]
+        assert state.progress.completed == {chunk: "d" * 64}
+        assert holder.busy_chunk is None
+        counters = runner.fleet_registry.snapshot()["counters"]
+        assert counters["fleet.worker.chunks_completed"] == 1
 
     def test_old_journal_duplicate_replays_idempotently(self, tmp_path):
         manifest = _manifest(n_sims=2)

@@ -32,7 +32,6 @@ def _queue(chunks=range(6), backoff=None, journal=None):
     return _LoopState(
         progress=CampaignProgress(fingerprint=FP),
         journal=journal,
-        fingerprint=FP,
         backoff=backoff if backoff is not None else BackoffPolicy(),
         pending=deque(chunks),
     )
@@ -110,12 +109,22 @@ class TestBackoff:
 
 
 class TestCompletionAndFailure:
-    def test_complete_scrubs_retry_pool(self):
-        queue = _queue(chunks=range(2))
+    def test_requeued_chunk_completion_is_dropped(self, tmp_path):
+        # A chunk in the retry pool has no holder, so a late completed
+        # event for it changes nothing: the retry stands.
+        runner = _runner(tmp_path)
+        queue = _queue(
+            chunks=range(2), journal=JournalWriter(tmp_path / JOURNAL_FILE)
+        )
         queue.claim(0.0)
         queue.requeue(0, 0.0)
-        queue.complete(0)
-        assert queue.retry == []
+        handle = _WorkerHandle(worker_id="w0", process=None)
+        event = {"event": "completed", "chunk": 0, "digest": "d" * 64}
+        runner._handle_event(handle, event, queue)
+        queue.journal.close()
+        assert read_journal(tmp_path / JOURNAL_FILE)[0] == []
+        assert queue.progress.completed == {}
+        assert queue.claim(1000.0) == (0, 2)
         assert queue.claim(1000.0) == (1, 1)
         assert queue.claim(1000.0) is None
 
