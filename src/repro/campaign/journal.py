@@ -169,11 +169,6 @@ class JournalWriter:
         """The journal file."""
         return self._path
 
-    @property
-    def next_seq(self) -> int:
-        """Sequence number the next appended record will carry."""
-        return self._seq
-
     def append(self, record_type: str, **payload) -> dict:
         """Durably append one record; returns the record as written.
 

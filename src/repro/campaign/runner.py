@@ -35,13 +35,14 @@ runs them on a fleet of ``python -m repro.campaign.shard.worker``
 subprocesses: idle workers take chunks from one queue in ascending
 order, workers persist the snapshots and report digests over the line
 protocol of :mod:`repro.campaign.shard.protocol`, and the runner stays
-the only journal writer.  It journals a completion only from the
-worker that holds the chunk, and one worker holds a chunk at a time.  A worker that dies, or that holds a chunk
-without a word for ``lease_ttl`` (stopped: workers heartbeat from a
-timer) and is SIGKILLed for it, hands its chunk back to the queue with
-seeded backoff (a worker not ready ``max(lease_ttl, 10 s)`` after its
-spawn is SIGKILLed too); a SIGKILLed runner resumes by journal replay under a
-new ``coordinator_started`` epoch.  Both transports run the same
+the only journal writer.  One worker holds a chunk at a time, and the
+runner journals a completion only from that worker.  A worker that
+dies, or that holds a chunk without a word for ``lease_ttl`` (stopped:
+workers heartbeat from a timer) and is SIGKILLed for it, hands its
+chunk back to the queue with seeded backoff; a worker not ready
+``max(lease_ttl, 10 s)`` after its spawn is SIGKILLed too.  A
+SIGKILLed runner resumes by journal replay under a new
+``coordinator_started`` epoch.  Both transports run the same
 :func:`run_chunk_attempts` and finalise through the same
 :func:`finalise_campaign`, so a campaign may be resumed with any worker
 count and ends at the same ``aggregate.json`` bytes.
@@ -266,11 +267,14 @@ class CampaignProgress:
             progress.absorb(record)
         return progress
 
-    def append(self, journal: JournalWriter, record_type: str, **payload) -> None:
+    def append(
+        self, journal: JournalWriter, record_type: str, **payload
+    ) -> None:
         """Journal one record stamped with the fingerprint, and fold it."""
-        self.absorb(
-            journal.append(record_type, fingerprint=self.fingerprint, **payload)
+        record = journal.append(
+            record_type, fingerprint=self.fingerprint, **payload
         )
+        self.absorb(record)
 
     def absorb(self, record: dict) -> None:
         """Fold one journal record in."""
@@ -318,8 +322,16 @@ class CampaignProgress:
             return
         entry = self.workers.setdefault(
             str(worker),
-            dict(pid=None, alive=False, leases=0, heartbeats=0, completions=0,
-                 expirations=0, errors=0, last_heartbeat_seq=None),
+            {
+                "pid": None,
+                "alive": False,
+                "leases": 0,
+                "heartbeats": 0,
+                "completions": 0,
+                "expirations": 0,
+                "errors": 0,
+                "last_heartbeat_seq": None,
+            },
         )
         if record_type == "worker_spawned":
             entry.update(pid=record.get("pid"), alive=True)
@@ -339,19 +351,20 @@ class CampaignProgress:
         journals written before the field existed still parse).
         """
         durations = self.elapsed
+        elapsed_summary: Optional[dict] = None
+        if durations:
+            elapsed_summary = {
+                "chunks_timed": len(durations),
+                "total_seconds": round(sum(durations), 6),
+                "mean_seconds": round(sum(durations) / len(durations), 6),
+                "max_seconds": round(max(durations), 6),
+            }
         return {
-            "chunk_retries": {str(k): v for k, v in sorted(self.retries.items())},
+            "chunk_retries": {
+                str(k): v for k, v in sorted(self.retries.items())
+            },
             "total_retries": sum(self.retries.values()),
-            "elapsed": (
-                {
-                    "chunks_timed": len(durations),
-                    "total_seconds": round(sum(durations), 6),
-                    "mean_seconds": round(sum(durations) / len(durations), 6),
-                    "max_seconds": round(max(durations), 6),
-                }
-                if durations
-                else None
-            ),
+            "elapsed": elapsed_summary,
         }
 
 
@@ -443,13 +456,6 @@ class _WorkerHandle:
         Units: now [s], ttl [s]
         """
         return self.busy_chunk is not None and now - self.last_event > ttl
-
-    def unready(self, now: float, grace: float) -> bool:
-        """Whether the worker is still not ready ``grace`` after spawn.
-
-        Units: now [s], grace [s]
-        """
-        return not self.ready and now - self.last_event > grace
 
 
 @dataclass
@@ -723,12 +729,14 @@ class CampaignRunner:
         belongs to another campaign).
         """
         build_workload(self._manifest)
-        records, _ = read_journal(self._directory / JOURNAL_FILE)
-        if records:
-            raise CampaignError(
-                f"campaign at {self._directory} was already started "
-                f"({len(records)} journal records); use resume"
-            )
+        journal_path = self._directory / JOURNAL_FILE
+        if journal_path.exists():
+            records, _ = read_journal(journal_path)
+            if records:
+                raise CampaignError(
+                    f"campaign at {self._directory} was already started "
+                    f"({len(records)} journal records); use resume"
+                )
         manifest_path = self._directory / MANIFEST_FILE
         if manifest_path.exists():
             existing = CampaignManifest.load(manifest_path)
@@ -1022,9 +1030,9 @@ class CampaignRunner:
             for handle in self._workers.values():
                 if handle.alive and (
                     handle.silent(now, self._lease_ttl)
-                    or handle.unready(now, startup)
+                    or (not handle.ready and now - handle.last_event > startup)
                 ):
-                    # Hung or stopped (holding a chunk, or before ready):
+                    # Hung or stopped, holding a chunk or before ready:
                     # the same path as any other death.
                     self._on_worker_gone(handle, selector, state, "ttl")
             if not any(h.alive for h in self._workers.values()):
@@ -1429,7 +1437,9 @@ def _read_snapshots(
         try:
             snapshot = load_json(path)
             if not isinstance(snapshot, dict):
-                raise SerializationError(f"chunk snapshot {path} is not an object")
+                raise SerializationError(
+                    f"chunk snapshot {path} is not an object"
+                )
             if content_digest(snapshot) != digest:
                 raise CampaignError(
                     f"chunk snapshot {path} does not match its journaled "
@@ -1440,7 +1450,9 @@ def _read_snapshots(
             problems.append(exc)
             continue
         if snapshot.get("fingerprint") != manifest.fingerprint:
-            problems.append(CampaignError(f"chunk snapshot {path} fingerprint mismatch"))
+            problems.append(
+                CampaignError(f"chunk snapshot {path} fingerprint mismatch")
+            )
         if snapshot.get("indices") != expected_indices:
             problems.append(
                 CampaignError(
@@ -1455,7 +1467,9 @@ def _read_snapshots(
             try:
                 failure_from_dict(failure)
             except SerializationError as exc:
-                problems.append(SerializationError(f"chunk snapshot {path}: {exc}"))
+                problems.append(
+                    SerializationError(f"chunk snapshot {path}: {exc}")
+                )
             failures.append(failure)
     failures.sort(key=lambda f: int(f.get("index", -1)))
     return per_index, failures, problems
@@ -1477,6 +1491,7 @@ def finalise_campaign(
     :func:`_read_snapshots` finds.
     """
     directory = Path(directory)
+    fingerprint = manifest.fingerprint
     per_index, failures, problems = _read_snapshots(
         manifest, directory, state.completed
     )
@@ -1502,7 +1517,7 @@ def finalise_campaign(
         }
     document = {
         "schema_version": SCHEMA_VERSION,
-        "fingerprint": manifest.fingerprint,
+        "fingerprint": fingerprint,
         "name": manifest.name,
         "n_sims": manifest.n_sims,
         "n_failed": len(failures),
@@ -1520,7 +1535,7 @@ def finalise_campaign(
     write_campaign_metrics(manifest, directory, state)
     return CampaignReport(
         status="completed",
-        fingerprint=manifest.fingerprint,
+        fingerprint=fingerprint,
         n_chunks=manifest.n_chunks,
         completed_chunks=len(state.completed),
         chunks_run=chunks_run,
@@ -1535,13 +1550,11 @@ def write_campaign_metrics(
     directory: Union[str, Path],
     progress: CampaignProgress,
 ) -> None:
-    """Write ``metrics.json``: the operational summary of the run's fold.
+    """Write ``metrics.json`` from the operational fields of the fold.
 
-    ``progress`` is the fold of the whole journal (the live progress of
-    the run that finalises).  Kept out of ``aggregate.json`` on purpose:
-    wall-clock numbers differ between an uninterrupted run and an
-    interrupt/resume sequence, and the aggregate's byte-identity
-    guarantee must not.
+    Kept out of ``aggregate.json`` on purpose: wall-clock numbers
+    differ between an uninterrupted run and an interrupt/resume
+    sequence, and the aggregate's byte-identity guarantee must not.
     """
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -1558,11 +1571,9 @@ def write_campaign_metrics(
 def campaign_status(directory: Union[str, Path]) -> dict:
     """Progress summary of a campaign directory (read-only).
 
-    Read from the fold of the journal (:meth:`CampaignProgress.fold`),
-    so it works on a live, killed, or damaged campaign and never raises
-    over a record: a torn journal tail is reported, not repaired, and
-    the problems replay would refuse are not its business
-    (:func:`verify_campaign` lists them).  Besides progress, the summary
+    Read from the fold of the journal, so it works on a live, killed,
+    or damaged campaign and never raises over a record (a torn journal
+    tail is reported, not repaired).  Besides progress, the summary
     carries the journal's operational fields — per-chunk retry counts
     and an elapsed wall-time summary over completed chunks — and the
     fleet's forensics: coordinator epochs, per-worker
@@ -1629,18 +1640,19 @@ def verify_campaign(directory: Union[str, Path]) -> dict:
     raising, so the CLI can print every problem at once.
     """
     directory = Path(directory)
+    problems: List[str] = []
     manifest = CampaignManifest.load(directory / MANIFEST_FILE)
     fingerprint = manifest.fingerprint
     journal_path = directory / JOURNAL_FILE
-    problems: List[str] = []
     records: List[dict] = []
     torn = False
     if not journal_path.exists():
         problems.append(f"missing journal {journal_path}")
-    try:
-        records, torn = read_journal(journal_path)
-    except CampaignError as exc:
-        problems.append(str(exc))
+    else:
+        try:
+            records, torn = read_journal(journal_path)
+        except CampaignError as exc:
+            problems.append(str(exc))
     if torn:
         problems.append(
             "journal has a torn final record (resume will truncate it)"
@@ -1650,31 +1662,36 @@ def verify_campaign(directory: Union[str, Path]) -> dict:
         manifest, directory, progress.completed
     )
     problems.extend(str(p) for p in progress.problems + snapshot_problems)
-    if progress.finished and len(progress.completed) != manifest.n_chunks:
-        problems.append(
-            f"campaign_finished journaled with only {len(progress.completed)}"
-            f"/{manifest.n_chunks} chunk_completed records"
-        )
-    elif progress.finished:
-        if content_digest(per_index) != progress.results_digest:
+    if progress.finished:
+        if len(progress.completed) != manifest.n_chunks:
             problems.append(
-                "journaled results digest does not match a "
-                "recomputation from the chunk snapshots"
+                f"campaign_finished journaled with only "
+                f"{len(progress.completed)}/{manifest.n_chunks} "
+                "chunk_completed records"
             )
-        aggregate_path = directory / AGGREGATE_FILE
-        try:
-            document = load_json(aggregate_path)
-        except SerializationError as exc:
-            problems.append(str(exc))
         else:
-            if not isinstance(document, dict) or (
-                document.get("results_digest"),
-                document.get("fingerprint"),
-            ) != (progress.results_digest, fingerprint):
+            recomputed = content_digest(per_index)
+            if recomputed != progress.results_digest:
                 problems.append(
-                    f"aggregate document {aggregate_path} does not "
-                    "match the journaled digest/fingerprint"
+                    "journaled results digest does not match a "
+                    "recomputation from the chunk snapshots"
                 )
+            aggregate_path = directory / AGGREGATE_FILE
+            try:
+                document = load_json(aggregate_path)
+            except SerializationError as exc:
+                problems.append(str(exc))
+            else:
+                if (
+                    not isinstance(document, dict)
+                    or document.get("results_digest")
+                    != progress.results_digest
+                    or document.get("fingerprint") != fingerprint
+                ):
+                    problems.append(
+                        f"aggregate document {aggregate_path} does not "
+                        "match the journaled digest/fingerprint"
+                    )
     return {
         "ok": not problems,
         "problems": problems,
