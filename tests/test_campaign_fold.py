@@ -198,8 +198,8 @@ def test_readers_agree_with_the_fold(tmp_path, name):
     assert not outcome["ok"]
 
 
-def test_fold_counts_old_fleet_forensics(tmp_path):
-    directory = tmp_path / "old"
+def test_fold_counts_forensics_across_epochs(tmp_path):
+    directory = tmp_path / "epochs"
     _write_campaign(directory, *JOURNALS["two-epochs"][:2])
     status = campaign_status(directory)
     assert status["coordinator_epochs"] == 2
