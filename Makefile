@@ -126,7 +126,7 @@ campaign-smoke:
 # through the repro-campaign CLI.  See the Distribution section of
 # docs/ROBUSTNESS.md.
 shard-smoke:
-	$(PYTHON) scripts/shard_smoke.py
+	$(PYTHON) scripts/campaign_smoke.py --workers 3
 
 # Observability smoke (~30 s): records a fully traced episode + a small
 # traced campaign, validates the Chrome trace-event export, checks the

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""End-to-end durability smoke test for the campaign layer.
+"""End-to-end crash smoke test for the campaign layer.
 
 Exercises the crash-recovery contract from the outside, through the
-``repro-campaign`` CLI only:
+``repro-campaign`` CLI only.  With ``--workers 1`` (the default, ``make
+campaign-smoke``) it checks durability of the in-process transport:
 
 1. run a small campaign uninterrupted (the reference),
 2. start the same campaign in a second directory and ``SIGKILL`` the
@@ -14,8 +15,22 @@ Exercises the crash-recovery contract from the outside, through the
 5. tamper with the killed campaign's manifest and require ``resume``
    to refuse with the fingerprint-mismatch exit code.
 
-Run via ``make campaign-smoke``.  Exits 0 on success, 1 on any
-violated expectation.
+With ``--workers N > 1`` (``make shard-smoke`` runs ``--workers 3``) it
+checks the shard fleet's kill-anywhere contract:
+
+1. run a small campaign in-process (the reference),
+2. ``run --workers N``: shard the same campaign across ``N`` worker
+   processes and ``SIGKILL`` one worker the moment its first chunk is
+   journaled,
+3. ``SIGKILL`` the coordinator itself once a few more chunks land,
+4. ``resume --workers N`` with a fresh fleet and require the merged
+   ``aggregate.json`` to be **byte-identical** to the in-process
+   reference's,
+5. ``verify`` both directories,
+6. require ``status`` to account for both coordinator epochs and
+   every worker's exit.
+
+Exits 0 on success, 1 on any violated expectation.
 """
 
 import argparse
@@ -36,8 +51,8 @@ CLI = [sys.executable, "-m", "repro.campaign"]
 EXIT_OK = 0
 EXIT_ERROR = 2
 
-#: How long to wait for the victim run's first journaled chunk.
-FIRST_CHUNK_TIMEOUT = 120.0
+#: How long to wait for each journal milestone.
+MILESTONE_TIMEOUT = 180.0
 
 
 def _env():
@@ -69,10 +84,10 @@ def _fail(message):
     sys.exit(1)
 
 
-def _write_manifest(path, n_sims):
+def _write_manifest(path, name, n_sims, chunk_size):
     manifest = {
         "schema_version": "1.0",
-        "name": "durability-smoke",
+        "name": name,
         "scenario": {"kind": "left_turn"},
         "comm": {
             "sensor_noise": 0.3,
@@ -83,44 +98,219 @@ def _write_manifest(path, n_sims):
         "estimator": "filtered",
         "n_sims": n_sims,
         "seed": 42,
-        "chunk_size": max(2, n_sims // 8),
+        "chunk_size": chunk_size,
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 
 
-def _kill_after_first_chunk(manifest_path, directory):
-    """Start a run and SIGKILL it once one chunk_completed is journaled."""
-    victim = subprocess.Popen(
-        CLI + ["run", "--manifest", str(manifest_path), "--dir", str(directory)],
+def _journal_records(directory):
+    """Best-effort journal parse: checksums ignored, torn tail dropped."""
+    journal = directory / "journal.jsonl"
+    if not journal.exists():
+        return []
+    records = []
+    for line in journal.read_bytes().splitlines():
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            break  # torn tail
+    return records
+
+
+def _count(records, record_type):
+    return sum(1 for r in records if r.get("type") == record_type)
+
+
+def _wait_for(directory, predicate, what, process):
+    """Poll the journal until ``predicate(records)``; returns the records."""
+    deadline = time.monotonic() + MILESTONE_TIMEOUT
+    while time.monotonic() < deadline:
+        if process.poll() is not None:
+            _fail(
+                f"campaign finished before {what} — increase --sims to "
+                "slow it down"
+            )
+        records = _journal_records(directory)
+        if predicate(records):
+            return records
+        time.sleep(0.002)
+    _fail(f"timed out waiting for {what}")
+
+
+def _start(manifest_path, directory, *flags):
+    return subprocess.Popen(
+        CLI
+        + ["run", "--manifest", str(manifest_path), "--dir", str(directory)]
+        + list(flags),
         env=_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    journal = directory / "journal.jsonl"
-    deadline = time.monotonic() + FIRST_CHUNK_TIMEOUT
-    try:
-        while time.monotonic() < deadline:
-            if victim.poll() is not None:
-                _fail(
-                    "victim run finished before it could be killed — "
-                    "increase --sims to slow it down"
-                )
-            if journal.exists() and b'"type":"chunk_completed"' in journal.read_bytes():
-                victim.send_signal(signal.SIGKILL)
-                victim.wait(timeout=30)
-                return
-            time.sleep(0.002)
-    finally:
-        if victim.poll() is None:
-            victim.kill()
-            victim.wait(timeout=30)
-    _fail("victim run never journaled a chunk_completed record")
+
+
+def _stop(process):
+    if process.poll() is None:
+        process.kill()
+        process.wait(timeout=30)
 
 
 def _status(directory):
     proc = _cli("status", "--dir", str(directory), "--json")
     return json.loads(proc.stdout)
+
+
+def _same_aggregate(reference, other, what):
+    reference_bytes = (reference / "aggregate.json").read_bytes()
+    other_bytes = (other / "aggregate.json").read_bytes()
+    if reference_bytes != other_bytes:
+        _fail(f"{what} aggregate.json differs from the reference bytes")
+    return other_bytes
+
+
+def durability(workdir, n_sims):
+    """The in-process transport: SIGKILL, resume, tampered manifest."""
+    manifest_path = workdir / "manifest.json"
+    _write_manifest(
+        manifest_path, "durability-smoke", n_sims, max(2, n_sims // 8)
+    )
+    reference = workdir / "reference"
+    crashed = workdir / "crashed"
+
+    print("1/5 reference run (uninterrupted)")
+    _cli("run", "--manifest", str(manifest_path), "--dir", str(reference))
+
+    print("2/5 victim run, SIGKILLed after its first journaled chunk")
+    victim = _start(manifest_path, crashed)
+    try:
+        _wait_for(
+            crashed,
+            lambda r: _count(r, "chunk_completed") >= 1,
+            "a first journaled chunk",
+            victim,
+        )
+        victim.send_signal(signal.SIGKILL)
+        victim.wait(timeout=30)
+    finally:
+        _stop(victim)
+    status = _status(crashed)
+    if status["finished"]:
+        _fail("killed campaign reports finished=True")
+    if status["completed_chunks"] >= status["n_chunks"]:
+        _fail("kill landed after every chunk completed; nothing to resume")
+    print(
+        f"    killed at {status['completed_chunks']}/"
+        f"{status['n_chunks']} chunks"
+    )
+
+    print("3/5 resume to completion")
+    _cli("resume", "--dir", str(crashed))
+    resumed_bytes = _same_aggregate(reference, crashed, "resumed")
+    if _status(reference)["fingerprint"] != _status(crashed)["fingerprint"]:
+        _fail("campaign fingerprints diverged")
+    print(
+        f"    aggregate bit-identical "
+        f"({len(resumed_bytes)} bytes, fingerprint "
+        f"{_status(crashed)['fingerprint'][:12]}...)"
+    )
+
+    print("4/5 verify both campaign directories")
+    _cli("verify", "--dir", str(reference))
+    _cli("verify", "--dir", str(crashed))
+
+    print("5/5 resume refuses a tampered manifest")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["seed"] += 1
+    (crashed / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True)
+    )
+    proc = _cli("resume", "--dir", str(crashed), expect=EXIT_ERROR)
+    if "fingerprint" not in proc.stderr:
+        _fail(f"expected a fingerprint refusal, got: {proc.stderr}")
+    print("campaign smoke: OK")
+
+
+def shard_chaos(workdir, n_sims, workers):
+    """The fleet transport: SIGKILL a worker, then the coordinator."""
+    chunk_size = 2
+    manifest_path = workdir / "manifest.json"
+    _write_manifest(manifest_path, "shard-smoke", n_sims, chunk_size)
+    reference = workdir / "reference"
+    sharded = workdir / "sharded"
+    # Short lease so the murdered worker's chunks re-dispatch quickly.
+    flags = [
+        "--workers", str(workers),
+        "--lease-ttl", "5",
+        "--heartbeat-interval", "0.2",
+    ]
+
+    print("1/6 in-process reference run")
+    _cli("run", "--manifest", str(manifest_path), "--dir", str(reference))
+
+    print(f"2/6 run with {workers} workers; SIGKILL one worker mid-run")
+    coordinator = _start(manifest_path, sharded, *flags)
+    try:
+        records = _wait_for(
+            sharded,
+            lambda r: _count(r, "worker_spawned") >= workers
+            and _count(r, "chunk_completed") >= 1,
+            f"{workers} workers and a first completed chunk",
+            coordinator,
+        )
+        victim_pid = next(
+            r["pid"] for r in records if r.get("type") == "worker_spawned"
+        )
+        os.kill(victim_pid, signal.SIGKILL)
+        print(f"    SIGKILLed worker pid {victim_pid}")
+
+        print("3/6 SIGKILL the coordinator itself")
+        done_at_kill = _count(
+            _wait_for(
+                sharded,
+                lambda r: _count(r, "chunk_completed") >= 3,
+                "three completed chunks",
+                coordinator,
+            ),
+            "chunk_completed",
+        )
+        coordinator.send_signal(signal.SIGKILL)
+        coordinator.wait(timeout=30)
+        print(f"    coordinator killed at >= {done_at_kill} chunks")
+    finally:
+        _stop(coordinator)
+
+    print("4/6 resume with a fresh fleet")
+    if _status(sharded)["finished"]:
+        _fail("killed shard campaign reports finished=True")
+    _cli("resume", "--dir", str(sharded), *flags)
+
+    print("5/6 byte-compare aggregates and verify both directories")
+    sharded_bytes = _same_aggregate(reference, sharded, "sharded")
+    _cli("verify", "--dir", str(reference))
+    _cli("verify", "--dir", str(sharded))
+    print(f"    aggregate bit-identical ({len(sharded_bytes)} bytes)")
+
+    print("6/6 status accounts for the chaos")
+    status = _status(sharded)
+    if not status["finished"]:
+        _fail("resumed shard campaign reports finished=False")
+    if status["coordinator_epochs"] != 2:
+        _fail(
+            f"expected 2 coordinator epochs, got "
+            f"{status['coordinator_epochs']}"
+        )
+    if status["completed_chunks"] * chunk_size < n_sims:
+        _fail("status undercounts completed chunks")
+    alive = [w for w, e in status["workers"].items() if e["alive"]]
+    if alive:
+        _fail(f"workers still marked alive after completion: {alive}")
+    print(
+        f"    epochs=2, {status['completed_chunks']} chunks, "
+        f"{len(status['workers'])} workers all exited, "
+        f"{status['lease_expirations']} lease expirations, "
+        f"{status['duplicate_completions']} duplicate completions"
+    )
+    print("shard smoke: OK")
 
 
 def main():
@@ -129,9 +319,17 @@ def main():
         "--sims", type=int, default=24, help="episodes per campaign"
     )
     parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="1: in-process durability smoke; N > 1: shard chaos smoke",
+    )
+    parser.add_argument(
         "--workdir", help="keep artifacts here instead of a temp dir"
     )
     args = parser.parse_args()
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
 
     if args.workdir:
         workdir = Path(args.workdir)
@@ -142,56 +340,10 @@ def main():
         cleanup = True
 
     try:
-        manifest_path = workdir / "manifest.json"
-        _write_manifest(manifest_path, args.sims)
-        reference = workdir / "reference"
-        crashed = workdir / "crashed"
-
-        print("1/5 reference run (uninterrupted)")
-        _cli("run", "--manifest", str(manifest_path), "--dir", str(reference))
-
-        print("2/5 victim run, SIGKILLed after its first journaled chunk")
-        _kill_after_first_chunk(manifest_path, crashed)
-        status = _status(crashed)
-        if status["finished"]:
-            _fail("killed campaign reports finished=True")
-        if status["completed_chunks"] >= status["n_chunks"]:
-            _fail("kill landed after every chunk completed; nothing to resume")
-        print(
-            f"    killed at {status['completed_chunks']}/"
-            f"{status['n_chunks']} chunks"
-        )
-
-        print("3/5 resume to completion")
-        _cli("resume", "--dir", str(crashed))
-
-        reference_bytes = (reference / "aggregate.json").read_bytes()
-        resumed_bytes = (crashed / "aggregate.json").read_bytes()
-        if reference_bytes != resumed_bytes:
-            _fail("resumed aggregate.json differs from the reference bytes")
-        if _status(reference)["fingerprint"] != _status(crashed)["fingerprint"]:
-            _fail("campaign fingerprints diverged")
-        print(
-            f"    aggregate bit-identical "
-            f"({len(resumed_bytes)} bytes, fingerprint "
-            f"{_status(crashed)['fingerprint'][:12]}...)"
-        )
-
-        print("4/5 verify both campaign directories")
-        _cli("verify", "--dir", str(reference))
-        _cli("verify", "--dir", str(crashed))
-
-        print("5/5 resume refuses a tampered manifest")
-        manifest = json.loads(manifest_path.read_text())
-        manifest["seed"] += 1
-        (crashed / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True)
-        )
-        proc = _cli("resume", "--dir", str(crashed), expect=EXIT_ERROR)
-        if "fingerprint" not in proc.stderr:
-            _fail(f"expected a fingerprint refusal, got: {proc.stderr}")
-
-        print("campaign smoke: OK")
+        if args.workers == 1:
+            durability(workdir, args.sims)
+        else:
+            shard_chaos(workdir, args.sims, args.workers)
         return 0
     finally:
         if cleanup:

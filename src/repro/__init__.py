@@ -102,8 +102,8 @@ from repro.faults import (
 )
 from repro.sim import (
     AggregateStats,
-    BatchResult,
     BatchRunner,
+    ChunkResult,
     CommSetup,
     EstimatorKind,
     FailureRecord,
@@ -183,7 +183,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationEngine",
     "BatchRunner",
-    "BatchResult",
+    "ChunkResult",
     "FailureRecord",
     "EstimatorKind",
     "Outcome",

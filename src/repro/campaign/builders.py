@@ -425,29 +425,25 @@ def workload_executor(
     manifest,
     timeout_per_sim: Optional[float] = None,
     observer=None,
-) -> Callable[..., ChunkResult]:
+) -> Callable[[List[int]], ChunkResult]:
     """The chunk executor of a manifest's workload, built on first use.
 
-    Returns ``execute(indices, n_sims, seed, progress=None)``: the first
-    call builds the workload (:func:`build_workload`) behind a
+    Returns ``execute(indices)``, which runs those indices of the
+    manifest's batch (its ``n_sims`` and ``seed``): the first call
+    builds the workload (:func:`build_workload`) behind a
     :class:`~repro.sim.runner.BatchRunner`, and every call runs
     :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed`:
     in-process, or under ``timeout_per_sim`` in a watchdog worker
     process, each index once.  The campaign runner's in-process
-    transport and the shard worker both execute chunks through it and
-    retry through :func:`~repro.campaign.runner.run_chunk_attempts`;
-    campaign parallelism is the shard fleet.
+    transport and the shard worker both hand it to
+    :func:`~repro.campaign.runner.run_chunk_attempts`; campaign
+    parallelism is the shard fleet.
 
     Units: timeout_per_sim [s]
     """
     built: List[Tuple[BatchRunner, Planner]] = []
 
-    def execute(
-        indices: Sequence[int],
-        n_sims: int,
-        seed: int,
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> ChunkResult:
+    def execute(indices: Sequence[int]) -> ChunkResult:
         if not built:
             engine, planner, kind = build_workload(manifest)
             runner = BatchRunner(
@@ -459,7 +455,7 @@ def workload_executor(
             built.append((runner, planner))
         runner, planner = built[0]
         return runner.run_indices_detailed(
-            planner, indices, n_sims, seed, progress=progress
+            planner, indices, manifest.n_sims, manifest.seed
         )
 
     return execute

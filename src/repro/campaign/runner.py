@@ -98,6 +98,7 @@ from repro.obs.observer import resolve_observer
 from repro.obs.recorder import TELEMETRY_FILE, FlightRecorder, read_telemetry
 from repro.obs.trace import perf_now
 from repro.sim.results import AggregateStats, ChunkResult
+from repro.sim.runner import valid_timeout_per_sim
 from repro.sim.serialization import (
     SCHEMA_VERSION,
     content_digest,
@@ -137,9 +138,10 @@ _CHUNK_DIR = "chunks"
 #: and (or ``lease_ttl`` if longer) to report ready after its spawn.
 _SHUTDOWN_GRACE = 10.0
 
-#: Signature of an injectable chunk executor (tests substitute a flaky
-#: or instrumented one): ``(indices, n_sims, seed) -> ChunkResult``.
-ChunkExecutor = Callable[[List[int], int, int], ChunkResult]
+#: Runs the given indices of the manifest's batch, each once:
+#: :func:`~repro.campaign.builders.workload_executor`'s ``execute``,
+#: or a flaky or instrumented one in tests.
+ChunkExecutor = Callable[[List[int]], ChunkResult]
 
 
 def chunk_path(directory: Path, chunk: int) -> Path:
@@ -386,7 +388,7 @@ def replay_progress(records: List[dict], fingerprint: str) -> CampaignProgress:
 
 
 def run_chunk_attempts(
-    execute: Callable[[List[int]], ChunkResult],
+    execute: ChunkExecutor,
     indices: List[int],
     fingerprint: str,
     chunk: int,
@@ -538,7 +540,7 @@ class _LoopState:
 #: means a finite, non-negative JSON number.
 _EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, object]]] = {
     EVENT_STARTED: {"chunk": (int, None)},
-    EVENT_HEARTBEAT: {"chunk": (int, None), "done": (int, 0)},
+    EVENT_HEARTBEAT: {"chunk": (int, None)},
     EVENT_RETRY: {
         "chunk": (int, None),
         "attempt": (int, None),
@@ -642,7 +644,7 @@ class CampaignRunner:
     ) -> None:
         if not isinstance(n_workers, int) or n_workers < 1:
             raise CampaignError(f"n_workers must be >= 1, got {n_workers!r}")
-        if timeout_per_sim is not None and not timeout_per_sim > 0.0:
+        if not valid_timeout_per_sim(timeout_per_sim):
             raise CampaignError(
                 f"timeout_per_sim must be > 0, got {timeout_per_sim}"
             )
@@ -913,9 +915,7 @@ class CampaignRunner:
             )
             started = perf_now()
             chunk_result = run_chunk_attempts(
-                lambda indices: self._chunk_executor()(
-                    indices, manifest.n_sims, manifest.seed
-                ),
+                self._chunk_executor(),
                 manifest.chunk_indices(chunk),
                 self._fingerprint,
                 chunk,
@@ -1211,34 +1211,31 @@ class CampaignRunner:
                 handle.process.kill()
                 handle.process.wait()
 
-    def _well_formed(self, event: dict) -> bool:
-        """Whether every field the event's kind uses has its type (and
-        ``chunk`` names a chunk of this manifest)."""
+    def _accepted(self, handle: _WorkerHandle, event: dict) -> bool:
+        """Whether every field the event's kind uses has its type and,
+        for an event about a chunk, the worker holds that chunk."""
         fields = _EVENT_FIELDS.get(event.get("event"), {})
         for key, (kind, default) in fields.items():
             if not _field_ok(event.get(key, default), kind):
                 return False
-        return "chunk" not in fields or (
-            0 <= event["chunk"] < self._manifest.n_chunks
-        )
+        return "chunk" not in fields or event["chunk"] == handle.busy_chunk
 
     def _handle_event(
         self, handle: _WorkerHandle, event: dict, state: _LoopState
     ) -> None:
         """Act on one worker event.
 
-        A malformed event, and a ``completed`` event from a worker that
-        does not hold its chunk, are dropped whole: no journal record,
-        no renewal of ``last_event``, no merged metrics.  If the worker
-        goes silent over it, the ``lease_ttl`` kill covers its chunk.
-        One worker holds a chunk at a time, so no chunk is journaled
-        complete twice.
+        A malformed event, and an event about a chunk the worker does
+        not hold (a stray or stale ``started``, ``heartbeat``,
+        ``retry``, ``completed`` or ``error``), are dropped whole: no
+        journal record, no renewal of ``last_event``, no merged
+        metrics.  If the worker goes silent over it, the ``lease_ttl``
+        kill covers its chunk.  One worker holds a chunk at a time, so
+        no chunk is journaled complete twice.
         """
-        if not self._well_formed(event):
+        if not self._accepted(handle, event):
             return
         kind = event.get("event")
-        if kind == EVENT_COMPLETED and event["chunk"] != handle.busy_chunk:
-            return
         now = perf_now()
         self._absorb_worker_metrics(handle, event)
         if kind == EVENT_READY:
@@ -1247,25 +1244,21 @@ class CampaignRunner:
                 "fleet.worker_up", 1.0, worker=handle.worker_id
             )
         elif kind in (EVENT_STARTED, EVENT_HEARTBEAT, EVENT_RETRY):
-            chunk = event["chunk"]
-            renewed = chunk == handle.busy_chunk
-            if renewed:
-                handle.last_event = now
+            handle.last_event = now
             if kind == EVENT_RETRY:
                 self._journal_retry(
                     state.progress,
                     state.journal,
-                    chunk,
+                    event["chunk"],
                     event["attempt"],
                     float(event["delay"]),
                     worker=handle.worker_id,
                 )
-            elif renewed:
+            else:
                 state.append(
                     "lease_heartbeat",
                     worker=handle.worker_id,
-                    chunk=chunk,
-                    done=event.get("done", 0),
+                    chunk=event["chunk"],
                 )
         elif kind == EVENT_COMPLETED:
             self._handle_completed(handle, event, state)
@@ -1316,13 +1309,10 @@ class CampaignRunner:
         state: _LoopState,
         now: float,
     ) -> None:
-        """An exception escaped the worker's executor: spend the chunk's
+        """An exception escaped the holder's executor: spend the chunk's
         attempt budget and re-dispatch with backoff."""
-        chunk = event["chunk"]
-        delay = None
-        if chunk == handle.busy_chunk:
-            handle.busy_chunk = None
-            delay = state.fail(chunk, now)
+        chunk, handle.busy_chunk = handle.busy_chunk, None
+        delay = state.fail(chunk, now)
         state.append(
             "chunk_failed",
             worker=handle.worker_id,
@@ -1332,8 +1322,7 @@ class CampaignRunner:
             attempt=state.attempts.get(chunk, 0),
             delay=delay,
         )
-        if delay is not None:
-            state.redispatch_pending[chunk] = now
+        state.redispatch_pending[chunk] = now
         if self._obs.enabled:
             self._obs.count("shard.chunk_errors")
 

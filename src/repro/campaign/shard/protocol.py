@@ -17,22 +17,22 @@ Commands (runner → worker stdin)
 Events (worker → runner stdout)
     ``ready``      — worker booted and loaded the manifest (carries pid).
     ``started``    — chunk execution began (implicit first heartbeat).
-    ``heartbeat``  — liveness during a chunk (``done`` = sims finished).
+    ``heartbeat``  — liveness during a chunk, from a timer whenever the
+                     chunk has been quiet for the heartbeat interval.
     ``retry``      — an attempt of the chunk had transient failures and
                      is re-run after ``delay`` seconds (``attempt`` is
                      the next attempt's number); journaled as
                      ``chunk_retry`` and counted as a heartbeat.
     ``completed``  — snapshot durably persisted (its last attempt, with
                      any failures); carries the content digest the
-                     runner journals.  Accepted only from the worker
-                     that holds the chunk.
+                     runner journals.
     ``error``      — an exception escaped the worker's executor; the
                      runner re-dispatches with backoff, within the
                      chunk's attempt budget.
 
 Messages are data, not trust: the runner type-checks every field it
-uses and drops a malformed event whole (and a ``completed`` event from
-a worker that does not hold the chunk), and it validates digests
+uses and drops a malformed event whole (and any event about a chunk
+from a worker that does not hold that chunk), and it validates digests
 against snapshots at finalisation, so a malicious or corrupt event can
 delay a campaign but never alter its aggregate bytes.
 """

@@ -15,10 +15,10 @@ the manifest on disk.  Its whole contract is
 3. atomically persist the snapshot via the same
    :func:`~repro.campaign.runner.persist_chunk_snapshot` the in-process
    transport uses, then report the content digest,
-4. emit throttled heartbeats *during* the chunk — after simulations
-   (with metric deltas) and from a timer thread whenever the chunk has
-   been quiet for the interval — so only a stopped or dead worker goes
-   silent for the runner's ``lease_ttl``.
+4. emit heartbeats *during* the chunk from a timer thread whenever the
+   chunk has been quiet for the interval, so only a stopped or dead
+   worker goes silent for the runner's ``lease_ttl``; metric deltas
+   ride on the ``retry``, ``completed`` and ``error`` events.
 
 Crash-anywhere safety: the worker can be SIGKILLed at any byte.  Before
 the snapshot rename there is nothing to clean up; after it, the
@@ -82,7 +82,7 @@ def worker_main(
     fingerprint = manifest.fingerprint
     # The worker's own registry: engine/channel/shield series via the
     # in-process batch path plus worker.* bookkeeping.  Deltas against
-    # the last reported snapshot piggyback on heartbeat/completed
+    # the last reported snapshot piggyback on retry/completed/error
     # events so the runner can merge a fleet-wide view without a
     # second channel (see repro.obs.fleet).  Metrics-only: a tracer
     # would grow one record per engine step for the campaign's
@@ -91,7 +91,7 @@ def worker_main(
     reported = empty_snapshot()
     # Both threads write through send() (module docstring, point 4).
     lock = threading.Lock()
-    beat = {"chunk": None, "done": 0, "written": perf_now()}
+    beat = {"chunk": None, "written": perf_now()}
 
     def send(message: dict) -> None:
         with lock:
@@ -105,14 +105,7 @@ def worker_main(
             if chunk is not None and (
                 perf_now() - beat["written"] >= heartbeat_interval
             ):
-                send(
-                    {
-                        "event": EVENT_HEARTBEAT,
-                        "worker": worker_id,
-                        "chunk": chunk,
-                        "done": beat["done"],
-                    }
-                )
+                send({"event": EVENT_HEARTBEAT, "worker": worker_id, "chunk": chunk})
 
     threading.Thread(target=pulse, daemon=True).start()
 
@@ -154,24 +147,7 @@ def worker_main(
             continue
         chunk = int(command["chunk"])
         send({"event": EVENT_STARTED, "worker": worker_id, "chunk": chunk})
-        beat["done"], beat["chunk"] = 0, chunk
-        last_beat = perf_now()
-
-        def progress(index: int) -> None:
-            nonlocal last_beat
-            beat["done"] += 1
-            observer.count("worker.sims_completed")
-            now = perf_now()
-            if now - last_beat >= heartbeat_interval:
-                last_beat = now
-                emit_with_metrics(
-                    {
-                        "event": EVENT_HEARTBEAT,
-                        "worker": worker_id,
-                        "chunk": chunk,
-                        "done": beat["done"],
-                    }
-                )
+        beat["chunk"] = chunk
 
         def on_retry(attempt: int, delay: float) -> None:
             emit_with_metrics(
@@ -190,9 +166,7 @@ def worker_main(
         try:
             started = perf_now()
             result = run_chunk_attempts(
-                lambda indices: execute(
-                    indices, manifest.n_sims, manifest.seed, progress
-                ),
+                execute,
                 manifest.chunk_indices(chunk),
                 fingerprint,
                 chunk,
@@ -205,6 +179,12 @@ def worker_main(
                 directory, fingerprint, chunk, result
             )
             observer.count("worker.chunks_completed")
+            # Every index that ran to its end: a result or a
+            # simulation error, not a transient failure.
+            observer.count(
+                "worker.sims_completed",
+                result.n_total - len(result.transient_failures),
+            )
             observer.observe("worker.chunk_seconds", elapsed)
             beat["chunk"] = None
             emit_with_metrics(

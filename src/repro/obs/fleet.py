@@ -2,7 +2,7 @@
 
 Shard workers piggyback metric *deltas* — the change in their local
 :class:`~repro.obs.metrics.MetricsRegistry` since the previous report —
-on the heartbeat/completed events they already stream to the
+on the retry/completed/error events they already stream to the
 coordinator.  The coordinator folds every delta into one fleet-wide
 registry under a ``fleet.`` prefix with **exact-sum semantics**:
 
@@ -53,7 +53,7 @@ def snapshot_delta(previous: dict, current: dict) -> dict:
     gauges carry their current values (last-wins); histograms diff
     bucket counts/count/sum and keep the *cumulative* min/max, whose
     repeated absorption is idempotent.  The result is small enough to
-    piggyback on a heartbeat line.
+    piggyback on a worker event line.
     """
     delta = empty_snapshot()
     prev_counters = previous.get("counters", {})

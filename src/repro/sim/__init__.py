@@ -5,7 +5,7 @@ from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.evaluation import Outcome, eta
 from repro.sim.results import (
     AggregateStats,
-    BatchResult,
+    ChunkResult,
     FailureRecord,
     SimulationResult,
     winning_percentage,
@@ -13,7 +13,7 @@ from repro.sim.results import (
 from repro.sim.runner import BatchRunner, EstimatorKind, PlannerFactory
 
 __all__ = [
-    "BatchResult",
+    "ChunkResult",
     "FailureRecord",
     "MultiRateClock",
     "CommSetup",

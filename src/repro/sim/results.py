@@ -20,7 +20,6 @@ __all__ = [
     "Outcome",
     "SimulationResult",
     "FailureRecord",
-    "BatchResult",
     "ChunkResult",
     "AggregateStats",
     "winning_percentage",
@@ -140,83 +139,14 @@ class FailureRecord:
 
 
 @dataclass
-class BatchResult:
-    """Outcome of a fault-tolerant batch: survivors plus failures.
-
-    ``results[k]`` is simulation ``k``'s result, or ``None`` when it
-    failed irrecoverably (then exactly one :class:`FailureRecord` with
-    ``index == k`` exists).  Indexing matches the seed derivation of the
-    sequential runner, so paired statistics over the *surviving* subset
-    remain exact between runners.
-    """
-
-    results: List[Optional[SimulationResult]]
-    failures: List[FailureRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        failed = {f.index for f in self.failures}
-        for index in failed:
-            if not 0 <= index < len(self.results):
-                raise SimulationError(
-                    f"FailureRecord index {index} outside batch of "
-                    f"{len(self.results)}"
-                )
-        for k, result in enumerate(self.results):
-            if result is None and k not in failed:
-                raise SimulationError(
-                    f"simulation {k} has neither a result nor a failure record"
-                )
-        self.failures.sort(key=lambda f: f.index)
-
-    @property
-    def n_total(self) -> int:
-        """Batch size."""
-        return len(self.results)
-
-    @property
-    def n_failed(self) -> int:
-        """Simulations without a result."""
-        return len(self.failures)
-
-    @property
-    def completed(self) -> List[SimulationResult]:
-        """Surviving results in simulation order."""
-        return [r for r in self.results if r is not None]
-
-    @property
-    def failed_indices(self) -> List[int]:
-        """Indices of failed simulations, ascending."""
-        return [f.index for f in self.failures]
-
-    def require_complete(self) -> List[SimulationResult]:
-        """All results, raising if any simulation failed.
-
-        The raised :class:`~repro.errors.SimulationError` summarises the
-        failure records; use :attr:`completed` / :attr:`failures` to
-        keep the surviving episodes instead.
-        """
-        if self.failures:
-            preview = "; ".join(str(f) for f in self.failures[:3])
-            more = (
-                "" if self.n_failed <= 3 else f" (+{self.n_failed - 3} more)"
-            )
-            raise SimulationError(
-                f"{self.n_failed}/{self.n_total} simulations failed: "
-                f"{preview}{more}"
-            )
-        return [r for r in self.results if r is not None]
-
-
-@dataclass
 class ChunkResult:
-    """Outcome of running a *subset* of a batch's simulation indices.
+    """Outcome of running some (or all) of a batch's simulation indices.
 
-    Produced by
-    :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed`:
-    the durable campaign layer executes a long batch as many independent
-    chunks, each covering a slice of the global index space, and needs
-    per-chunk handoff of results and failure records without a dense
-    batch-sized list.
+    The one result shape from the episode loop up:
+    :func:`~repro.sim.runner.run_chunk` returns it,
+    :meth:`~repro.sim.runner.BatchRunner.run_indices_detailed` and the
+    campaign retry rule hand it on, and the campaign layer persists it
+    as a chunk snapshot.  A whole batch is the chunk ``range(n_sims)``.
 
     ``results[k]`` exists exactly for the indices of ``indices`` that
     completed; every other index carries one :class:`FailureRecord`.
@@ -283,6 +213,24 @@ class ChunkResult:
         may reasonably re-run the chunk.
         """
         return [f for f in self.failures if f.stage != "simulation"]
+
+    def require_complete(self) -> List[SimulationResult]:
+        """All results in ascending index order, raising if any failed.
+
+        The raised :class:`~repro.errors.SimulationError` summarises the
+        failure records; use :attr:`completed` / :attr:`failures` to
+        keep the surviving episodes instead.
+        """
+        if self.failures:
+            preview = "; ".join(str(f) for f in self.failures[:3])
+            more = (
+                "" if self.n_failed <= 3 else f" (+{self.n_failed - 3} more)"
+            )
+            raise SimulationError(
+                f"{self.n_failed}/{self.n_total} simulations failed: "
+                f"{preview}{more}"
+            )
+        return self.completed
 
 
 @dataclass(frozen=True)

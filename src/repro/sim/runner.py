@@ -17,9 +17,10 @@ Failure containment
 -------------------
 
 :meth:`BatchRunner.run_indices_detailed` attempts every index once and
-returns each failure as data.  An exception inside a simulation is a
-final ``"simulation"`` :class:`~repro.sim.results.FailureRecord` (same
-seed, same exception).  Under the watchdog (``timeout_per_sim`` or a
+returns a :class:`~repro.sim.results.ChunkResult` (the one result shape
+from :func:`run_chunk` up to the campaign journal) with each failure as
+data.  An exception inside a simulation is a final ``"simulation"``
+:class:`~repro.sim.results.FailureRecord` (same seed, same exception).  Under the watchdog (``timeout_per_sim`` or a
 chaos hook) a worker that dies, overruns its per-index budget or returns
 a malformed payload is SIGKILLed and replaced, and only its index gets a
 transient ``"worker"`` or ``"timeout"`` record, which
@@ -31,11 +32,12 @@ in this library are.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from enum import Enum
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from repro.obs.observer import resolve_observer
 from repro.planners.base import Planner
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import (
-    BatchResult,
     ChunkResult,
     FailureRecord,
     SimulationResult,
@@ -63,6 +64,7 @@ __all__ = [
     "make_estimator_factory",
     "BatchRunner",
     "run_chunk",
+    "valid_timeout_per_sim",
 ]
 
 #: Builds (or returns) the planner used for a batch.
@@ -105,6 +107,19 @@ def make_estimator_factory(
     return factory
 
 
+def valid_timeout_per_sim(timeout_per_sim: Optional[float]) -> bool:
+    """Whether a per-simulation budget is ``None`` or finite and > 0.
+
+    A NaN or infinite budget would reach ``Connection.poll``, which
+    raises on it, so every index would fail as a transient worker death.
+
+    Units: timeout_per_sim [s]
+    """
+    return timeout_per_sim is None or (
+        math.isfinite(timeout_per_sim) and timeout_per_sim > 0.0
+    )
+
+
 def run_chunk(
     engine: SimulationEngine,
     planner: Planner,
@@ -113,40 +128,32 @@ def run_chunk(
     indices: Sequence[int],
     n_sims: int,
     observer=None,
-    progress: Optional[Callable[[int], None]] = None,
-) -> List[tuple]:
+) -> ChunkResult:
     """Run the given simulation indices of a batch — the one episode loop.
 
     Derives the streams of the requested indices alone — simulation
     ``k`` runs on ``RngStream(seed).spawn(n_sims)[k]``, built with
     :func:`~repro.utils.rng.child_seed` so a chunk costs nothing per
-    simulation it does not run — returning one tagged tuple per index —
-    ``(index, "ok", result)`` for a completed simulation or
-    ``(index, "error", error_type, message)`` when that simulation
-    raised (siblings in the chunk still run).  Module-level (not a
-    closure) so it pickles under any start method; the same function
-    runs in-process and in the watchdog worker.
+    simulation it does not run.  An index whose simulation raised gets
+    a ``"simulation"`` :class:`~repro.sim.results.FailureRecord` (its
+    siblings in the chunk still run).  Module-level (not a closure) so
+    it pickles under any start method; the same function runs
+    in-process and in the watchdog worker.
 
     ``observer`` is only ever passed on the in-process path — observers
     are not picklable and never cross a process boundary, so the
     watchdog worker always runs untraced (which is bit-identical
     anyway).
-
-    ``progress`` is called with each index as it finishes (ok or error)
-    — the shard worker's liveness hook: heartbeats are emitted *during*
-    a chunk, not just between chunks.  In-process path only, like
-    ``observer``; under the watchdog the parent reports each index as
-    its reply arrives.  Write-only with respect to results: the callback
-    sees only the index, so it cannot perturb the bit-identity contract.
     """
     obs = resolve_observer(observer)
     factory = make_estimator_factory(estimator_kind, engine, observer=observer)
     root = np.random.SeedSequence(seed)
-    out: List[tuple] = []
+    results: Dict[int, SimulationResult] = {}
+    failures: List[FailureRecord] = []
     for index in indices:
         # Fault-tolerance boundary: one blown-up episode must not take
-        # its chunk siblings down with it; the error is shipped back as
-        # data and recorded by the caller.
+        # its chunk siblings down with it; the error is returned as a
+        # failure record.
         try:
             if not 0 <= index < n_sims:
                 raise IndexError(
@@ -155,15 +162,21 @@ def run_chunk(
             stream = RngStream(child_seed(root, index))
             if obs.enabled:
                 with obs.span("batch.sim", index=index, seed=seed):
-                    result = engine.run(planner, factory, stream, observer=obs)
+                    results[index] = engine.run(
+                        planner, factory, stream, observer=obs
+                    )
             else:
-                result = engine.run(planner, factory, stream)
-            out.append((index, "ok", result))
-        except Exception as exc:  # safelint: disable=SFL003 - returned as tagged error entry
-            out.append((index, "error", type(exc).__name__, str(exc)))
-        if progress is not None:
-            progress(index)
-    return out
+                results[index] = engine.run(planner, factory, stream)
+        except Exception as exc:  # safelint: disable=SFL003 - returned as a "simulation" FailureRecord
+            failures.append(
+                FailureRecord(
+                    index=index,
+                    stage="simulation",
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                )
+            )
+    return ChunkResult(indices=list(indices), results=results, failures=failures)
 
 
 def _watchdog_worker(
@@ -175,7 +188,7 @@ def _watchdog_worker(
     n_sims: int,
     chaos: Optional[WorkerChaosOnce],
 ) -> None:
-    """Watchdog worker body: run each index received, reply with its entry.
+    """Watchdog worker body: run each index received, reply with its chunk.
 
     Returns (and the process exits) when the parent closes the pipe.
     ``chaos`` (tests and the chaos benchmark only) makes the first call
@@ -206,17 +219,10 @@ def _kill(process: BaseProcess, conn: Connection) -> None:
     process.join()
 
 
-def _parse_payload(payload: object, index: int) -> Optional[tuple]:
-    """A worker reply's tagged entry for ``index``, or ``None`` if malformed."""
-    if not isinstance(payload, list) or len(payload) != 1:
-        return None
-    entry = payload[0]
-    if not isinstance(entry, tuple) or len(entry) < 3 or entry[0] != index:
-        return None
-    if entry[1] == "ok" and isinstance(entry[2], SimulationResult):
-        return entry
-    if entry[1] == "error" and len(entry) == 4:
-        return entry
+def _parse_payload(payload: object, index: int) -> Optional[ChunkResult]:
+    """A worker reply as the chunk of ``index`` alone, or ``None``."""
+    if isinstance(payload, ChunkResult) and payload.indices == [index]:
+        return payload
     return None
 
 
@@ -262,7 +268,7 @@ class BatchRunner:
         chaos: Optional[WorkerChaosOnce] = None,
         observer=None,
     ) -> None:
-        if timeout_per_sim is not None and timeout_per_sim <= 0.0:
+        if not valid_timeout_per_sim(timeout_per_sim):
             raise SimulationError(
                 f"timeout_per_sim must be > 0, got {timeout_per_sim}"
             )
@@ -306,26 +312,12 @@ class BatchRunner:
 
         Raises :class:`~repro.errors.SimulationError` summarising the
         failures if any simulation failed; use
-        :meth:`run_batch_detailed` to keep the surviving episodes
-        instead.
+        :meth:`run_indices_detailed` over ``range(n_sims)`` to keep the
+        surviving episodes instead.
         """
-        return self.run_batch_detailed(planner, n_sims, seed).require_complete()
-
-    def run_batch_detailed(
-        self, planner: Planner, n_sims: int, seed: int = 0
-    ) -> BatchResult:
-        """Fault-tolerant batch: a failing episode becomes a record.
-
-        Simulation ``k`` either yields the identical result it yields in
-        any other batch with this seed or a
-        :class:`~repro.sim.results.FailureRecord` at index ``k`` —
-        surviving episodes are never discarded because a sibling failed.
-        """
-        chunk = self.run_indices_detailed(planner, range(n_sims), n_sims, seed)
-        return BatchResult(
-            results=[chunk.results.get(k) for k in range(n_sims)],
-            failures=chunk.failures,
-        )
+        return self.run_indices_detailed(
+            planner, range(n_sims), n_sims, seed
+        ).require_complete()
 
     def run_indices_detailed(
         self,
@@ -333,20 +325,17 @@ class BatchRunner:
         indices: Sequence[int],
         n_sims: int,
         seed: int = 0,
-        progress: Optional[Callable[[int], None]] = None,
     ) -> ChunkResult:
-        """Run a *subset* of a batch's indices, each exactly once.
+        """Run some indices of a batch, each exactly once.
 
-        The campaign layer's chunk primitive: simulation ``k`` of the
-        conceptual ``n_sims``-sized batch is seeded from child ``k`` of
-        the batch seed exactly as in :meth:`run_batch_detailed`, so
-        running a partition of ``range(n_sims)`` chunk by chunk — across
+        Simulation ``k`` of the conceptual ``n_sims``-sized batch is
+        seeded from child ``k`` of the batch seed, so running a
+        partition of ``range(n_sims)`` chunk by chunk — across
         processes, interruptions, or machines — concatenates to results
-        bit-identical to one uninterrupted batch.
-
-        ``progress`` (optional) is called with each index that finished
-        (ok or error), as it finishes; an index that failed transiently
-        is not reported.
+        bit-identical to one uninterrupted batch.  A failing episode
+        becomes a :class:`~repro.sim.results.FailureRecord` at its
+        index; surviving episodes are never discarded because a sibling
+        failed.
         """
         if n_sims <= 0:
             raise SimulationError(f"n_sims must be > 0, got {n_sims}")
@@ -362,7 +351,7 @@ class BatchRunner:
                 )
         idx.sort()
         if self._chaos is None and self._timeout_per_sim is None:
-            payload = run_chunk(
+            return run_chunk(
                 self._engine,
                 planner,
                 self._kind,
@@ -370,59 +359,39 @@ class BatchRunner:
                 idx,
                 n_sims,
                 observer=(self._obs if self._obs.enabled else None),
-                progress=progress,
             )
-        else:
-            payload = self._run_watched(planner, idx, n_sims, seed, progress)
-        results = {entry[0]: entry[2] for entry in payload if entry[1] == "ok"}
-        failures = [
-            FailureRecord(
-                index=entry[0],
-                stage="simulation" if entry[1] == "error" else entry[1],
-                error_type=entry[2],
-                message=entry[3],
-                attempts=1,
-            )
-            for entry in payload
-            if entry[1] != "ok"
-        ]
-        return ChunkResult(indices=idx, results=results, failures=failures)
+        return self._run_watched(planner, idx, n_sims, seed)
 
     # ------------------------------------------------------------------
     # The watchdog: one worker process, replaced when condemned
     # ------------------------------------------------------------------
     def _run_watched(
-        self,
-        planner: Planner,
-        indices: List[int],
-        n_sims: int,
-        seed: int,
-        progress: Optional[Callable[[int], None]],
-    ) -> List[tuple]:
-        """Run each index once in a watchdog worker; tagged entries.
+        self, planner: Planner, indices: List[int], n_sims: int, seed: int
+    ) -> ChunkResult:
+        """Run each index once in a watchdog worker.
 
         One worker serves the indices in turn.  A worker that dies,
         overruns ``timeout_per_sim`` or replies with a malformed payload
         is SIGKILLed and replaced, and only its index gets a
-        ``"worker"`` or ``"timeout"`` entry.
+        ``"worker"`` or ``"timeout"`` record.
         """
-        payload: List[tuple] = []
+        results: Dict[int, SimulationResult] = {}
+        failures: List[FailureRecord] = []
         worker: Optional[Tuple[BaseProcess, Connection]] = None
         try:
             for index in indices:
                 if worker is None:
                     worker = self._spawn(planner, n_sims, seed)
-                entry = self._ask(worker[1], index)
-                if entry[1] in ("worker", "timeout"):
+                chunk = self._ask(worker[1], index)
+                if chunk.transient_failures:
                     _kill(*worker)
                     worker = None
-                elif progress is not None:
-                    progress(index)
-                payload.append(entry)
+                results.update(chunk.results)
+                failures.extend(chunk.failures)
         finally:
             if worker is not None:
                 _kill(*worker)  # idle between indices: nothing is lost
-        return payload
+        return ChunkResult(indices=indices, results=results, failures=failures)
 
     def _spawn(
         self, planner: Planner, n_sims: int, seed: int
@@ -440,30 +409,34 @@ class BatchRunner:
         child_conn.close()  # else a dead worker would never read as EOF
         return process, conn
 
-    def _ask(self, conn: Connection, index: int) -> tuple:
-        """Send ``index`` to a worker; its entry, or a transient one."""
+    def _ask(self, conn: Connection, index: int) -> ChunkResult:
+        """Send ``index`` to a worker; its chunk, or a transient failure."""
         try:
             conn.send(index)
-            if not conn.poll(self._timeout_per_sim):
+            if conn.poll(self._timeout_per_sim):
+                reply = conn.recv()
+                chunk = _parse_payload(reply, index)
+                if chunk is not None:
+                    return chunk
+                failure = FailureRecord(
+                    index,
+                    "worker",
+                    "MalformedPayload",
+                    f"worker returned {type(reply).__name__} instead of "
+                    f"the ChunkResult of index {index}",
+                )
+            else:
                 budget = f"{self._timeout_per_sim:.3g}s"
-                return (
+                failure = FailureRecord(
                     index,
                     "timeout",
                     "TimeoutError",
                     f"simulation exceeded its {budget} budget",
                 )
-            reply = conn.recv()
         # Fault-tolerance boundary: whatever broke the exchange (a dead
         # worker's EOF, a broken pipe, an unpicklable reply) is recorded
         # against this index only.
-        except Exception as exc:  # safelint: disable=SFL003 - recorded as a transient "worker" entry
+        except Exception as exc:  # safelint: disable=SFL003 - recorded as a transient "worker" failure
             message = str(exc) or "worker process died before replying"
-            return (index, "worker", type(exc).__name__, message)
-        entry = _parse_payload(reply, index)
-        if entry is None:
-            message = (
-                f"worker returned {type(reply).__name__} instead of a "
-                "tagged result entry"
-            )
-            return (index, "worker", "MalformedPayload", message)
-        return entry
+            failure = FailureRecord(index, "worker", type(exc).__name__, message)
+        return ChunkResult(indices=[index], results={}, failures=[failure])

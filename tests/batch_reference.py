@@ -9,9 +9,9 @@ checked against something they do not share.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List
 
-from repro.sim.results import BatchResult, FailureRecord, SimulationResult
+from repro.sim.results import ChunkResult, FailureRecord, SimulationResult
 from repro.sim.runner import make_estimator_factory
 from repro.utils.rng import spawn_streams
 
@@ -22,16 +22,15 @@ def reference_batch(engine, planner, kind, n_sims, seed) -> List[SimulationResul
     return [engine.run(planner, factory, s) for s in spawn_streams(seed, n_sims)]
 
 
-def reference_batch_detailed(engine, planner, kind, n_sims, seed) -> BatchResult:
+def reference_batch_detailed(engine, planner, kind, n_sims, seed) -> ChunkResult:
     """:func:`reference_batch`, with every raising episode as a record."""
     factory = make_estimator_factory(kind, engine)
-    results: List[Optional[SimulationResult]] = []
+    results: Dict[int, SimulationResult] = {}
     failures: List[FailureRecord] = []
     for index, stream in enumerate(spawn_streams(seed, n_sims)):
         try:
-            results.append(engine.run(planner, factory, stream))
+            results[index] = engine.run(planner, factory, stream)
         except Exception as exc:  # safelint: disable=SFL003 - recorded as FailureRecord
-            results.append(None)
             failures.append(
                 FailureRecord(
                     index=index,
@@ -41,4 +40,6 @@ def reference_batch_detailed(engine, planner, kind, n_sims, seed) -> BatchResult
                     attempts=1,
                 )
             )
-    return BatchResult(results=results, failures=failures)
+    return ChunkResult(
+        indices=list(range(n_sims)), results=results, failures=failures
+    )

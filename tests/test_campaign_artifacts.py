@@ -64,8 +64,8 @@ def test_interrupted_then_resumed_campaign_matches_pin(tmp_path):
     execute = workload_executor(manifest)
     runner = None
 
-    def stop_after_one_chunk(indices, n_sims, seed):
-        result = execute(indices, n_sims, seed)
+    def stop_after_one_chunk(indices):
+        result = execute(indices)
         runner.request_stop()
         return result
 

@@ -53,7 +53,7 @@ def _fake_result(index):
     )
 
 
-def _fake_executor(indices, n_sims, seed):
+def _fake_executor(indices):
     return ChunkResult(
         indices=list(indices),
         results={k: _fake_result(k) for k in indices},
@@ -227,9 +227,9 @@ class TestKillResumeEquivalence:
 
         calls = []
 
-        def draining(indices, n_sims, seed):
+        def draining(indices):
             calls.append(indices)
-            result = real(indices, n_sims, seed)
+            result = real(indices)
             runner.request_stop()
             return result
 
@@ -244,7 +244,7 @@ class TestTransientRetry:
     def _flaky_executor(self, fail_times):
         attempts = {}
 
-        def execute(indices, n_sims, seed):
+        def execute(indices):
             chunk_key = tuple(indices)
             attempts[chunk_key] = attempts.get(chunk_key, 0) + 1
             if attempts[chunk_key] <= fail_times:
@@ -261,7 +261,7 @@ class TestTransientRetry:
                         for k in indices
                     ],
                 )
-            return _fake_executor(indices, n_sims, seed)
+            return _fake_executor(indices)
 
         return execute, attempts
 
@@ -314,7 +314,7 @@ class TestTransientRetry:
         manifest = _manifest(n_sims=2, chunk_size=2)
         calls = []
 
-        def execute(indices, n_sims, seed):
+        def execute(indices):
             calls.append(list(indices))
             return ChunkResult(
                 indices=list(indices),
@@ -348,9 +348,9 @@ class TestGracefulDrain:
         calls = []
         real = runner._executor
 
-        def stopping(indices, n_sims, seed):
+        def stopping(indices):
             calls.append(indices)
-            result = real(indices, n_sims, seed)
+            result = real(indices)
             if len(calls) == 2:
                 runner.request_stop()
             return result
@@ -404,6 +404,8 @@ class TestKnobValidation:
             {"lease_ttl": 1.0, "heartbeat_interval": 2.0},
             {"lease_ttl": float("nan")},
             {"n_workers": 2, "chunk_executor": _fake_executor},
+            {"timeout_per_sim": float("inf")},
+            {"timeout_per_sim": float("-inf")},
         ],
     )
     def test_bad_knob_never_starts_a_campaign(self, tmp_path, knobs):

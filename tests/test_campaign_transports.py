@@ -116,8 +116,8 @@ class TestResumeAcrossTransports:
         runner = CampaignRunner(manifest, directory)
         real = runner._chunk_executor()
 
-        def draining(indices, n_sims, seed):
-            result = real(indices, n_sims, seed)
+        def draining(indices):
+            result = real(indices)
             runner.request_stop()
             return result
 

@@ -48,7 +48,7 @@ class _FlakyExecutor:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, indices, n_sims, seed):
+    def __call__(self, indices):
         self.calls += 1
         indices = list(indices)
         if self.calls == 1:

@@ -29,6 +29,12 @@ from repro.faults import WorkerChaosOnce
 from repro.planners.constant import ConstantPlanner
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
+from repro.sim.results import (
+    ChunkResult,
+    FailureRecord,
+    Outcome,
+    SimulationResult,
+)
 from repro.sim.runner import BatchRunner, EstimatorKind
 from tests.batch_reference import reference_batch_detailed
 
@@ -106,6 +112,15 @@ def _reference(scenario, planner, n_sims, seed):
     )
 
 
+def _batch(runner, planner, n_sims, seed):
+    """The whole batch ``range(n_sims)``, each index attempted once."""
+    return runner.run_indices_detailed(planner, range(n_sims), n_sims, seed)
+
+
+def _failed(chunk):
+    return [f.index for f in chunk.failures]
+
+
 class _CallLog:
     """A chunk executor over one runner that logs every call."""
 
@@ -147,19 +162,15 @@ class TestSimulationErrors:
     def test_matches_sequential_failures_and_survivors(self, scenario):
         planner = FlakyPlanner()
         reference = _reference(scenario, planner, 8, 11)
-        batch = _runner(scenario, timeout_per_sim=60.0).run_batch_detailed(
-            planner, 8, seed=11
-        )
+        batch = _batch(_runner(scenario, timeout_per_sim=60.0), planner, 8, 11)
         # The probe threshold must actually split the batch.
         assert 0 < reference.n_failed < reference.n_total
-        assert batch.failed_indices == reference.failed_indices
+        assert _failed(batch) == _failed(reference)
         assert all(f.stage == "simulation" for f in batch.failures)
         assert all(f.error_type == "PlannerError" for f in batch.failures)
-        for mine, ref in zip(batch.results, reference.results):
-            if ref is None:
-                assert mine is None
-            else:
-                assert _fingerprint(mine) == _fingerprint(ref)
+        assert sorted(batch.results) == sorted(reference.results)
+        for k, ref in reference.results.items():
+            assert _fingerprint(batch.results[k]) == _fingerprint(ref)
 
     def test_in_episode_errors_are_not_retried(self, scenario):
         log = _CallLog(_runner(scenario), FlakyPlanner(), 6, 11)
@@ -174,11 +185,9 @@ class TestSimulationErrors:
 
     def test_single_worker_path_records_failures(self, scenario):
         """The in-process path records in-episode errors too."""
-        batch = _runner(scenario).run_batch_detailed(
-            FlakyPlanner(), 6, seed=11
-        )
+        batch = _batch(_runner(scenario), FlakyPlanner(), 6, 11)
         reference = _reference(scenario, FlakyPlanner(), 6, 11)
-        assert batch.failed_indices == reference.failed_indices
+        assert _failed(batch) == _failed(reference)
 
 
 class TestWorkerCrash:
@@ -245,8 +254,8 @@ class TestGarbagePayload:
 
 class TestTimeout:
     def test_hung_simulations_surface_timeout_records(self, scenario):
-        batch = _runner(scenario, timeout_per_sim=0.75).run_batch_detailed(
-            SleepyPlanner(), 2, seed=0
+        batch = _batch(
+            _runner(scenario, timeout_per_sim=0.75), SleepyPlanner(), 2, 0
         )
         assert batch.n_failed == 2
         assert all(f.stage == "timeout" for f in batch.failures)
@@ -256,8 +265,8 @@ class TestTimeout:
     def test_timeout_budget_scales_with_chunk_size(self, scenario):
         """A healthy batch under a generous per-sim budget completes:
         every index gets its own budget, however long the chunk."""
-        batch = _runner(scenario, timeout_per_sim=120.0).run_batch_detailed(
-            ConstantPlanner(2.0), 4, seed=1
+        batch = _batch(
+            _runner(scenario, timeout_per_sim=120.0), ConstantPlanner(2.0), 4, 1
         )
         assert batch.n_failed == 0
         assert len(batch.completed) == 4
@@ -279,9 +288,9 @@ class TestTimeout:
         )
         runner = _runner(scenario, timeout_per_sim=0.2)
 
-        def execute(indices, n_sims, seed):
+        def execute(indices):
             return runner.run_indices_detailed(
-                SleepyPlanner(), indices, n_sims, seed
+                SleepyPlanner(), indices, manifest.n_sims, manifest.seed
             )
 
         directory = tmp_path / "campaign"
@@ -308,11 +317,10 @@ class TestRetryRule:
         chunk, retried = _attempts(log, 8)
         assert [indices for indices, _ in log.calls] == [list(range(8)), [0]]
         assert retried == [2]
-        assert [f.index for f in chunk.failures] == reference.failed_indices
+        assert _failed(chunk) == _failed(reference)
         assert all(f.stage == "simulation" for f in chunk.failures)
-        for k, ref in enumerate(reference.results):
-            if ref is not None:
-                assert _fingerprint(chunk.results[k]) == _fingerprint(ref)
+        for k, ref in reference.results.items():
+            assert _fingerprint(chunk.results[k]) == _fingerprint(ref)
 
     def test_exhausted_records_carry_max_attempts(self, scenario):
         log = _CallLog(
@@ -346,17 +354,69 @@ class TestRetryRule:
         ]
 
 
-class TestProgress:
-    def test_watchdog_path_reports_every_index(self, scenario):
-        """Under a watchdog every finished index still reaches
-        ``progress`` — the shard worker's heartbeat hook under
-        ``--chunk-timeout``."""
-        seen = []
-        chunk = _runner(scenario, timeout_per_sim=60.0).run_indices_detailed(
-            ConstantPlanner(2.0), [0, 1, 2], 3, progress=seen.append
+class _Replied:
+    """A watchdog pipe end whose worker has answered ``payload``."""
+
+    def __init__(self, payload):
+        self._payload = payload
+
+    def send(self, index):
+        pass
+
+    def poll(self, timeout):
+        return True
+
+    def recv(self):
+        return self._payload
+
+
+def _simulation_failure(index):
+    return FailureRecord(index, "simulation", "PlannerError", "injected")
+
+
+class TestWatchdogReply:
+    """A worker reply is accepted only as the ChunkResult of the index
+    that was asked for; anything else is a transient worker failure."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "chaos: malformed payload",
+            ChunkResult(indices=[1], results={}, failures=[_simulation_failure(1)]),
+            ChunkResult(
+                indices=[0, 1],
+                results={},
+                failures=[_simulation_failure(0), _simulation_failure(1)],
+            ),
+        ],
+        ids=["string", "other-index", "two-indices"],
+    )
+    def test_malformed_reply_is_a_transient_worker_failure(
+        self, scenario, reply
+    ):
+        runner = _runner(scenario, timeout_per_sim=1.0)
+        chunk = runner._ask(_Replied(reply), 0)
+        assert chunk.indices == [0]
+        assert chunk.results == {}
+        [failure] = chunk.failures
+        assert (failure.index, failure.stage, failure.error_type) == (
+            0, "worker", "MalformedPayload"
         )
-        assert chunk.n_failed == 0
-        assert seen == [0, 1, 2]
+        assert chunk.transient_failures == [failure]
+
+    @pytest.mark.parametrize("outcome", ["result", "simulation-failure"])
+    def test_one_index_reply_is_accepted(self, scenario, outcome):
+        if outcome == "result":
+            reply = ChunkResult(
+                indices=[0],
+                results={0: SimulationResult(Outcome.REACHED, reaching_time=4.0)},
+            )
+        else:
+            reply = ChunkResult(
+                indices=[0], results={}, failures=[_simulation_failure(0)]
+            )
+        runner = _runner(scenario, timeout_per_sim=1.0)
+        assert runner._ask(_Replied(reply), 0) is reply
 
 
 class TestValidation:
@@ -367,3 +427,8 @@ class TestValidation:
     def test_nonpositive_timeout_rejected(self, scenario):
         with pytest.raises(SimulationError):
             _runner(scenario, timeout_per_sim=0.0)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, scenario, timeout):
+        with pytest.raises(SimulationError, match="timeout_per_sim must be > 0"):
+            _runner(scenario, timeout_per_sim=timeout)

@@ -153,13 +153,18 @@ class TestChunkStreams:
         engine, planner = storm
         chunk = run_chunk(engine, planner, KIND, SEED, [4, 1], N_SIMS)
         assert spawned == []
-        assert [entry[:2] for entry in chunk] == [(4, "ok"), (1, "ok")]
-        assert _digests([entry[2] for entry in chunk]) == [
+        assert chunk.indices == [1, 4]
+        assert chunk.failures == []
+        assert _digests([chunk.results[4], chunk.results[1]]) == [
             reference[4], reference[1]
         ]
 
     @pytest.mark.parametrize("index", [-1, N_SIMS])
     def test_index_outside_the_batch(self, storm, index):
         engine, planner = storm
-        [entry] = run_chunk(engine, planner, KIND, SEED, [index], N_SIMS)
-        assert entry[:3] == (index, "error", "IndexError")
+        chunk = run_chunk(engine, planner, KIND, SEED, [index], N_SIMS)
+        assert chunk.results == {}
+        [failure] = chunk.failures
+        assert (failure.index, failure.stage, failure.error_type) == (
+            index, "simulation", "IndexError"
+        )

@@ -341,7 +341,11 @@ class TestLongSimulation:
         exits = _journaled(directory, "worker_exited")
         assert [r["returncode"] for r in exits] == [0, 0]
         beats = _journaled(directory, "lease_heartbeat")
-        assert {r["chunk"] for r in beats if r["done"] == 0} == {0, 1}
+        # Past the started event, the timer's heartbeats kept both
+        # one-simulation chunks alive.
+        chunks = [r["chunk"] for r in beats]
+        assert chunks.count(0) >= 2 and chunks.count(1) >= 2
+        assert all("done" not in r for r in beats)
 
 
 class TestCoordinatorCrash:

@@ -190,6 +190,9 @@ class TestValidation:
             )
         with pytest.raises(CampaignError, match="timeout_per_sim"):
             CampaignRunner(manifest, tmp_path, timeout_per_sim=0.0)
+        for timeout in (float("nan"), float("inf")):
+            with pytest.raises(CampaignError, match="timeout_per_sim"):
+                CampaignRunner(manifest, tmp_path, timeout_per_sim=timeout)
 
 
 class TestDuplicateCompletions:
@@ -227,6 +230,29 @@ class TestDuplicateCompletions:
         assert holder.busy_chunk is None
         counters = runner.fleet_registry.snapshot()["counters"]
         assert counters["fleet.worker.chunks_completed"] == 1
+
+    def test_retry_and_error_from_a_non_holder_are_dropped(self, tmp_path):
+        manifest = _manifest(n_sims=2)
+        runner = CampaignRunner(manifest, tmp_path / "c", n_workers=2)
+        state = _loop_state(manifest, tmp_path / JOURNAL_FILE)
+        chunk, _ = state.claim(0.0)
+        holder = _WorkerHandle(worker_id="w0", process=None)
+        holder.busy_chunk = chunk
+        other = _WorkerHandle(worker_id="w1", process=None)
+        metrics = {"counters": {"worker.chunk_errors": 1}}
+        for event in (
+            {"event": "retry", "chunk": chunk, "attempt": 2, "delay": 0.25},
+            {"event": "error", "chunk": chunk, "error_type": "X"},
+        ):
+            runner._handle_event(other, dict(event, metrics=metrics), state)
+        state.journal.close()
+        assert read_journal(tmp_path / JOURNAL_FILE)[0] == []
+        assert state.progress.next_seq == 0
+        assert state.progress.operational_summary()["total_retries"] == 0
+        assert runner.fleet_registry.snapshot()["counters"] == {}
+        # The holder keeps its chunk; nothing was requeued or charged.
+        assert holder.busy_chunk == chunk and other.last_event == 0.0
+        assert state.retry == [] and state.attempts == {chunk: 1}
 
     def test_old_journal_duplicate_replays_idempotently(self, tmp_path):
         manifest = _manifest(n_sims=2)
@@ -288,7 +314,7 @@ class TestMalformedEvents:
         "event",
         [
             {"event": "heartbeat", "chunk": "x"},
-            {"event": "heartbeat", "chunk": 0, "done": "many"},
+            {"event": "heartbeat"},
             {"event": "error", "chunk": None},
             {
                 "event": "completed",

@@ -139,17 +139,17 @@ class TestCompletionAndFailure:
             queue.fail(0, 5.0)
 
     def test_fail_without_lease_is_noop(self, tmp_path):
+        # An error about a chunk the worker does not hold is dropped
+        # whole: no chunk_failed record, no requeue, no budget spent.
         runner = _runner(tmp_path)
         queue = _queue(journal=JournalWriter(tmp_path / JOURNAL_FILE))
         handle = _WorkerHandle(worker_id="w0", process=None)
-        runner._handle_error(handle, {"chunk": 0}, queue, 0.0)
+        runner._handle_event(handle, {"event": "error", "chunk": 0}, queue)
         queue.journal.close()
         assert queue.retry == []
+        assert queue.attempts == {}
         assert list(queue.pending) == list(range(6))
-        records, _ = read_journal(tmp_path / JOURNAL_FILE)
-        assert [(r["type"], r["delay"]) for r in records] == [
-            ("chunk_failed", None)
-        ]
+        assert read_journal(tmp_path / JOURNAL_FILE)[0] == []
 
 
 class TestDeath:
