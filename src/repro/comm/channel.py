@@ -25,9 +25,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.comm.faults import ComposedFaults, FaultModel, NoFault
+from repro.comm.faults import (
+    ComposedFaults,
+    FaultModel,
+    NoFault,
+    Transform,
+    bound_transform,
+)
 from repro.comm.message import Message
-from repro.dynamics.state import VehicleState
 from repro.errors import ConfigurationError
 from repro.obs.observer import resolve_observer
 from repro.utils.rng import RngStream
@@ -126,18 +131,19 @@ class Channel:
         self._rng = rng
         self._obs = resolve_observer(observer)
         self._name = name
-        # Per-stage processes: iterating them with the early-exit loop in
-        # send() consumes the RNG exactly like _ComposedProcess.transform,
-        # so per-stage accounting never perturbs the fault sequence.
-        if isinstance(self._faults, ComposedFaults):
-            self._stage_processes: List[Tuple[str, object]] = [
-                (type(stage).__name__, stage.start())
-                for stage in self._faults.stages
-            ]
-        else:
-            self._stage_processes = [
-                (type(self._faults).__name__, self._faults.start())
-            ]
+        # Per-stage transforms, bound once: iterating them with the
+        # early-exit loop in send() consumes the RNG exactly like
+        # _ComposedProcess.transform, so per-stage accounting never
+        # perturbs the fault sequence.
+        stages = (
+            self._faults.stages
+            if isinstance(self._faults, ComposedFaults)
+            else (self._faults,)
+        )
+        self._stage_transforms: List[Tuple[str, Transform]] = [
+            (type(stage).__name__, bound_transform(stage.start()))
+            for stage in stages
+        ]
         self._queue: List[Tuple[float, int, Message]] = []
         self._tiebreak = itertools.count()
         self._stats = ChannelStats()
@@ -175,10 +181,17 @@ class Channel:
         ratio = time / self._period
         return abs(ratio - round(ratio)) <= tol * max(1.0, abs(ratio))
 
-    def send(self, sender: int, time: float, state: VehicleState) -> bool:
-        """Offer a broadcast to the channel.
+    def send(
+        self,
+        sender: int,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> bool:
+        """Offer the broadcast of ``sender``'s state stamped ``time``.
 
-        Units: time [s]
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
 
         Runs the fault pipeline on the message; every surviving copy is
         queued for delivery at ``time`` plus its (non-negative) delay
@@ -194,12 +207,13 @@ class Channel:
         """
         self._stats.sent += 1
         obs = self._obs
+        rng = self._rng
         offsets: List[float] = [0.0]
         if obs.enabled:
             obs.count("channel.sent", channel=self._name)
-            for label, process in self._stage_processes:
+            for label, transform in self._stage_transforms:
                 before = len(offsets)
-                offsets = process.transform(offsets, self._rng)
+                offsets = transform(offsets, rng)
                 after = len(offsets)
                 if after < before:
                     obs.count(
@@ -218,8 +232,8 @@ class Channel:
                 if not offsets:
                     break
         else:
-            for _, process in self._stage_processes:
-                offsets = process.transform(offsets, self._rng)
+            for _, transform in self._stage_transforms:
+                offsets = transform(offsets, rng)
                 if not offsets:
                     break
         if not offsets:
@@ -235,9 +249,10 @@ class Channel:
                     len(offsets) - 1,
                     channel=self._name,
                 )
-        message = Message(sender=sender, stamp=float(time), state=state)
+        time = float(time)
+        message = Message.of(sender, time, position, velocity, acceleration)
         for offset in offsets:
-            delivery_time = float(time) + max(0.0, offset)
+            delivery_time = time + max(0.0, offset)
             heapq.heappush(
                 self._queue, (delivery_time, next(self._tiebreak), message)
             )

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import RngStream
@@ -73,11 +73,17 @@ __all__ = [
     "GaussianJitter",
     "Duplication",
     "ComposedFaults",
+    "Transform",
+    "bound_transform",
     "compose",
     "no_disturbance",
     "messages_delayed",
     "messages_lost",
 ]
+
+
+#: A stage's per-message map of delay offsets (:meth:`FaultProcess.transform`).
+Transform = Callable[[List[float], Optional[RngStream]], List[float]]
 
 
 class FaultProcess(ABC):
@@ -133,6 +139,17 @@ class _StatelessProcess(FaultProcess):
         Effects: draws-rng
         """
         return self._model._transform(offsets, rng)  # type: ignore[attr-defined]
+
+
+def bound_transform(process: FaultProcess) -> Transform:
+    """``process.transform``, or a stateless stage's model transform itself.
+
+    A caller that sends many messages binds each stage once with this
+    and skips :class:`_StatelessProcess`'s delegation on every message.
+    """
+    if isinstance(process, _StatelessProcess):
+        return process._model._transform  # type: ignore[attr-defined]
+    return process.transform
 
 
 @dataclass(frozen=True)

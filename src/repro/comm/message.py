@@ -10,58 +10,104 @@ which the :mod:`repro.comm.channel` module models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dynamics.state import VehicleState
 from repro.errors import ConfigurationError
 
 __all__ = ["Message"]
 
+_INF = math.inf
 
-@dataclass(frozen=True, slots=True)
-class Message:
+
+class _MessageFields(NamedTuple):
+    sender: int
+    stamp: float
+    position: float
+    velocity: float
+    acceleration: float
+
+
+class Message(_MessageFields):
     """A stamped state broadcast by one vehicle.
 
-    Attributes
-    ----------
+    One flat, immutable record, checked on construction:
+
     sender:
         Index of the broadcasting vehicle (1..n-1; the ego does not send
         to itself).
     stamp:
-        The timestamp ``t_k`` at which ``state`` was sampled.  The
+        The timestamp ``t_k`` at which the state was sampled.  The
         receiver uses ``stamp`` for reachability analysis and for the
         Kalman-filter message replay.
-    state:
+    position, velocity, acceleration:
         The exact ``(p, v, a)`` of the sender at ``stamp``.
+
+    ``Message(sender, stamp, state)`` builds one from a
+    :class:`~repro.dynamics.state.VehicleState`; :meth:`of` builds one
+    from the floats.  Both raise :class:`~repro.errors.ConfigurationError`
+    for a negative sender, a non-finite or negative stamp and a
+    non-finite state field.  :attr:`state` builds the
+    :class:`VehicleState` only when read.
+
+    Units: stamp [s], position [m], velocity [m/s], acceleration [m/s^2]
     """
 
-    sender: int
-    stamp: float
-    state: VehicleState
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sender < 0:
-            raise ConfigurationError(
-                f"Message.sender must be >= 0, got {self.sender}"
-            )
-        stamp = float(self.stamp)
-        if math.isnan(stamp) or math.isinf(stamp):
-            raise ConfigurationError(
-                f"Message.stamp must be finite, got {self.stamp!r}"
-            )
+    def __new__(cls, sender: int, stamp: float, state: VehicleState) -> "Message":
+        return cls.of(
+            sender, stamp, state.position, state.velocity, state.acceleration
+        )
+
+    @classmethod
+    def of(
+        cls,
+        sender: int,
+        stamp: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> "Message":
+        """The message with these fields, checked.
+
+        Units: stamp [s], position [m], velocity [m/s], acceleration [m/s^2]
+        """
+        if sender < 0:
+            raise ConfigurationError(f"Message.sender must be >= 0, got {sender}")
+        # Finite floats lie strictly between the infinities; NaN fails both.
+        if not -_INF < stamp < _INF:
+            raise ConfigurationError(f"Message.stamp must be finite, got {stamp!r}")
         if stamp < 0.0:
             raise ConfigurationError(
                 f"Message.stamp must be >= 0 (simulation starts at t=0), "
-                f"got {self.stamp!r}"
+                f"got {stamp!r}"
             )
         # The filter replays message content as *exact* state; a corrupted
         # payload must fail here, not propagate into the safety argument.
-        for name in ("position", "velocity", "acceleration"):
-            value = float(getattr(self.state, name))
-            if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"Message.state.{name} must be finite, got {value!r}"
-                )
+        if not (
+            -_INF < position < _INF
+            and -_INF < velocity < _INF
+            and -_INF < acceleration < _INF
+        ):
+            for name, value in (
+                ("position", position),
+                ("velocity", velocity),
+                ("acceleration", acceleration),
+            ):
+                if not math.isfinite(float(value)):
+                    raise ConfigurationError(
+                        f"Message.state.{name} must be finite, got {float(value)!r}"
+                    )
+        return tuple.__new__(cls, (sender, stamp, position, velocity, acceleration))
+
+    def __reduce__(self):
+        return (_message_of, tuple(self))
+
+    @property
+    def state(self) -> VehicleState:
+        """The exact ``(p, v, a)`` as a :class:`VehicleState`."""
+        return VehicleState(self.position, self.velocity, self.acceleration)
 
     def age(self, now: float) -> float:
         """Seconds elapsed since the message content was sampled.
@@ -72,3 +118,8 @@ class Message:
 
     def __str__(self) -> str:
         return f"msg[C{self.sender} @ t={self.stamp:.3f}s: {self.state}]"
+
+
+def _message_of(*fields) -> Message:
+    """Unpickle a :class:`Message` from its fields."""
+    return Message.of(*fields)

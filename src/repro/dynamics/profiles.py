@@ -7,10 +7,12 @@ element is the control input of ``C_1`` at the *i*-th timestamp".
 provide structured behaviours (constant speed, braking events, sinusoidal
 speed oscillation) used in examples, ablations, and tests.
 
-A profile is a callable of ``(step_index, time, state)`` returning the
-acceleration command for the coming control step, so profiles may be
-open-loop (pre-generated sequences) or state-feedback (e.g. hold a target
-speed).
+A profile is a callable of ``(step_index, time, position, velocity,
+acceleration)`` returning the acceleration command for the coming control
+step, so profiles may be open-loop (pre-generated sequences) or
+state-feedback (e.g. hold a target speed).  The vehicle's state arrives
+as the three floats, the acceleration being the one applied over the
+last step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Protocol, Sequence, Tuple
 
-from repro.dynamics.state import VehicleState
 from repro.errors import ConfigurationError
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_nonnegative, check_positive, check_range
@@ -40,11 +41,22 @@ class AccelerationProfile(Protocol):
 
     Implementations return the acceleration to apply over the control step
     that *starts* at ``(step_index, time)`` given the vehicle's current
-    ``state``.
+    ``position``, ``velocity`` and last applied ``acceleration``.
     """
 
-    def __call__(self, step_index: int, time: float, state: VehicleState) -> float:
-        """Return the acceleration command for the coming step."""
+    def __call__(
+        self,
+        step_index: int,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> float:
+        """Return the acceleration command for the coming step.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+        """
         ...
 
 
@@ -54,7 +66,14 @@ class ConstantProfile:
     def __init__(self, acceleration: float = 0.0) -> None:
         self._acceleration = float(acceleration)
 
-    def __call__(self, step_index: int, time: float, state: VehicleState) -> float:
+    def __call__(
+        self,
+        step_index: int,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> float:
         return self._acceleration
 
 
@@ -91,7 +110,14 @@ class RandomSequenceProfile:
         self._a_low, self._a_high = check_range(a_low, a_high, "a_low", "a_high")
         self._sequence: List[float] = []
 
-    def __call__(self, step_index: int, time: float, state: VehicleState) -> float:
+    def __call__(
+        self,
+        step_index: int,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> float:
         if step_index < 0:
             raise ConfigurationError(f"step_index must be >= 0, got {step_index}")
         while len(self._sequence) <= step_index:
@@ -137,7 +163,14 @@ class RandomWalkProfile:
         self._initial = float(initial)
         self._sequence: List[float] = []
 
-    def __call__(self, step_index: int, time: float, state: VehicleState) -> float:
+    def __call__(
+        self,
+        step_index: int,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> float:
         if step_index < 0:
             raise ConfigurationError(f"step_index must be >= 0, got {step_index}")
         while len(self._sequence) <= step_index:
@@ -169,7 +202,14 @@ class PiecewiseProfile:
             raise ConfigurationError("PiecewiseProfile knot times must be unique")
         self._knots = ordered
 
-    def __call__(self, step_index: int, time: float, state: VehicleState) -> float:
+    def __call__(
+        self,
+        step_index: int,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> float:
         value = 0.0
         for knot_time, knot_value in self._knots:
             if time >= knot_time:
@@ -193,7 +233,14 @@ class SinusoidProfile:
         self._period = check_positive(period, "period")
         self._phase = float(phase)
 
-    def __call__(self, step_index: int, time: float, state: VehicleState) -> float:
+    def __call__(
+        self,
+        step_index: int,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> float:
         return self._amplitude * math.sin(
             2.0 * math.pi * time / self._period + self._phase
         )
@@ -224,7 +271,14 @@ class BrakeThenGoProfile:
         self._brake_accel = float(brake_accel)
         self._go_accel = float(go_accel)
 
-    def __call__(self, step_index: int, time: float, state: VehicleState) -> float:
+    def __call__(
+        self,
+        step_index: int,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> float:
         if time < self._t_brake:
             return 0.0
         if time < self._t_go:
@@ -258,9 +312,16 @@ class SpeedHoldProfile:
                 "switch_time and v_target_after must be given together"
             )
 
-    def __call__(self, step_index: int, time: float, state: VehicleState) -> float:
+    def __call__(
+        self,
+        step_index: int,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+    ) -> float:
         target = self._v_target
         if self._switch_time is not None and time >= self._switch_time:
             target = float(self._v_target_after)  # validated in __init__
-        a = self._gain * (target - state.velocity)
+        a = self._gain * (target - velocity)
         return min(max(a, self._a_low), self._a_high)

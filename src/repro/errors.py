@@ -34,7 +34,7 @@ class FilterError(ReproError):
 
 
 class ReplayError(FilterError):
-    """Message replay referenced a checkpoint that is not in the store."""
+    """A message cannot be replayed (it is stamped after its arrival)."""
 
 
 class PlannerError(ReproError):

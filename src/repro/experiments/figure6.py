@@ -103,14 +103,18 @@ def _one_trajectory(
     rows = []
     for step in range(n_steps):
         t = step * dt
-        accel = profile(step, t, state)
+        accel = profile(step, t, state.position, state.velocity, state.acceleration)
         stamped = state.with_acceleration(accel)
         if step % message_every == 0:
-            channel.send(1, t, stamped)
+            channel.send(
+                1, t, stamped.position, stamped.velocity, stamped.acceleration
+            )
         for message in channel.receive(t):
             rkf.on_message(message, t)
         if step % sensor_every == 0:
-            reading = sensor.measure(t, stamped)
+            reading = sensor.measure(
+                t, stamped.position, stamped.velocity, stamped.acceleration
+            )
             posterior = rkf.on_sensor_reading(reading)
             rows.append(
                 (
@@ -201,7 +205,7 @@ def run_window_study(
 
     for step in range(n_steps):
         t = step * dt
-        accel = profile(step, t, state)
+        accel = profile(step, t, state.position, state.velocity, state.acceleration)
         stamped = state.with_acceleration(accel)
         if true_entry is None and geometry.oncoming_inside(stamped.position):
             true_entry = t

@@ -44,7 +44,7 @@ does cover — wrap it with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -268,7 +268,7 @@ class FaultInjector:
                 if frozen is None:
                     # Nothing to freeze on yet: behave like dropout.
                     return None
-                return replace(frozen, time=reading.time)
+                return frozen._replace(time=reading.time)
             return SensorReading(
                 target=target,
                 time=reading.time,

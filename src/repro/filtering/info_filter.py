@@ -142,14 +142,10 @@ def _guaranteed_band(
     is how the NaN tests below read.
     """
     if message is not None:
-        state = message.state
+        position = message.position
+        velocity = message.velocity
         p_lo, p_hi, v_lo, v_hi = reach.reach_box(
-            state.position,
-            state.position,
-            state.velocity,
-            state.velocity,
-            message.stamp,
-            now,
+            position, position, velocity, velocity, message.stamp, now
         )
         if not (p_lo <= _INF and p_hi <= _INF and v_lo <= _INF and v_hi <= _INF):
             raise _nan_band("message", p_lo, p_hi, v_lo, v_hi)
@@ -472,7 +468,7 @@ class InformationFilter:
             if replay.is_initialized:
                 a = replay.current_accel
             elif message is not None:
-                a = message.state.acceleration
+                a = message.acceleration
             else:
                 a = 0.0
             p = band_midpoint(p_lo, p_hi)
@@ -553,7 +549,7 @@ class RawEstimator:
             a = reading.acceleration
             accel_time = reading.time
         if message is not None and message.stamp > accel_time:
-            a = message.state.acceleration
+            a = message.acceleration
         now = float(now)
         return FusedEstimate.of(
             now,

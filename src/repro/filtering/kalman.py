@@ -208,7 +208,7 @@ class KalmanFilter:
     The filter is *functional*: :meth:`predict` and :meth:`update` take
     and return :class:`KalmanState` values instead of mutating internal
     state.  The message-replay wrapper exploits this to re-run stretches
-    of the filter from a restored checkpoint.
+    of the filter from a message's exact state.
 
     Parameters
     ----------

@@ -8,15 +8,18 @@ estimations from ``t_k`` to the current timestamp based on the message."
 
 :class:`ReplayKalmanFilter` implements that design:
 
-* at every sensing instant it stores the *prediction* checkpoint
-  ``(x_hat(t, t - dt_s), P(t, t - dt_s))`` and the sensor reading itself,
-  in append-only lists (readings must advance in time, so the lists stay
-  sorted and old entries are cut from the front);
+* at every sensing instant it logs the sensor reading in an append-only
+  list (readings must advance in time, so the list stays sorted and old
+  entries are cut from the front);
 * when a (possibly delayed) message stamped ``t_k`` arrives, the filter
   rewinds to ``t_k``, replaces the estimate there with the message's exact
   state (zero covariance — message content is accurate in the paper's
   model), and replays every logged sensor update between ``t_k`` and the
   present, leaving a strictly better posterior.
+
+The stored state the paper restores is the message's own: the replay
+restarts from it, so no prediction at a logged reading is ever read back
+and none is kept.
 
 Messages older than an already-replayed message are ignored (they carry no
 new information and would only discard the better restart point).
@@ -35,21 +38,12 @@ from repro.sensing.sensor import SensorReading
 
 __all__ = ["ReplayKalmanFilter"]
 
-#: Checkpoint lookups match timestamps at microsecond resolution;
-#: simulation times are sums of ``dt_c`` increments so this comfortably
-#: absorbs float error.
-_KEY_SCALE = 1e6
-
 #: Called with a reading and the filter's prediction at its time, before
 #: the update (the information filter's divergence watchdog).
 Gate = Callable[[SensorReading, KalmanState], None]
 
 
 _INF = math.inf
-
-
-def _key(time: float) -> int:
-    return int(round(time * _KEY_SCALE))
 
 
 def _check_reading(reading: SensorReading) -> None:
@@ -72,7 +66,7 @@ class ReplayKalmanFilter:
     kalman:
         The underlying constant-matrix filter.
     history_horizon:
-        How far back (seconds) checkpoints and sensor readings are kept.
+        How far back (seconds) sensor readings are kept.
         Messages older than this cannot be replayed and are ignored; the
         horizon bounds memory for long simulations.
     """
@@ -87,12 +81,9 @@ class ReplayKalmanFilter:
         self._posterior: Optional[KalmanState] = None
         #: acceleration knowledge used to extrapolate past the posterior
         self._current_accel: float = 0.0
-        #: Logged readings in time order, their times, and the prediction
-        #: checkpoint at each (``None`` until the filter has predicted to
-        #: that reading: the initialising one).
+        #: Logged readings in time order, and their times.
         self._readings: List[SensorReading] = []
         self._reading_times: List[float] = []
-        self._checkpoints: List[Optional[KalmanState]] = []
         self._last_replayed_stamp: float = float("-inf")
         self._replay_count = 0
         self._last_replay_depth = 0
@@ -130,17 +121,6 @@ class ReplayKalmanFilter:
         """The acceleration currently used for extrapolation."""
         return self._current_accel
 
-    def checkpoint_at(self, time: float) -> Optional[KalmanState]:
-        """The stored prediction checkpoint at ``time``, if any.
-
-        Units: time [s]
-        """
-        key = _key(time)
-        index = bisect.bisect_left(self._reading_times, key, key=_key)
-        if index < len(self._reading_times) and _key(self._reading_times[index]) == key:
-            return self._checkpoints[index]
-        return None
-
     # ------------------------------------------------------------------
     # Sensor path
     # ------------------------------------------------------------------
@@ -175,7 +155,6 @@ class ReplayKalmanFilter:
                 position_var=bounds.position_variance,
                 velocity_var=bounds.velocity_variance,
             )
-            checkpoint = None
         else:
             gap = time - posterior.time
             if gap <= 0.0:
@@ -184,17 +163,16 @@ class ReplayKalmanFilter:
                     f" after t={posterior.time}"
                 )
             kalman = self._kalman
-            checkpoint = kalman.extrapolate(posterior, self._current_accel, gap)
+            predicted = kalman.extrapolate(posterior, self._current_accel, gap)
             if gate is not None:
-                gate(reading, checkpoint)
+                gate(reading, predicted)
             self._posterior = kalman.update(
-                checkpoint, reading.position, reading.velocity
+                predicted, reading.position, reading.velocity
             )
         self._current_accel = reading.acceleration
         self._readings.append(reading)
         times = self._reading_times
         times.append(time)
-        self._checkpoints.append(checkpoint)
         cutoff = time - self._horizon
         if times[0] < cutoff:
             self._prune(cutoff)
@@ -236,16 +214,12 @@ class ReplayKalmanFilter:
             )
 
         kalman = self._kalman
-        exact = kalman.exact_state(
-            stamp, message.state.position, message.state.velocity
-        )
-        accel = message.state.acceleration
+        exact = kalman.exact_state(stamp, message.position, message.velocity)
+        accel = message.acceleration
 
         # Replay every logged reading strictly after the stamp, in order,
-        # on the states' fields; a KalmanState is built for each stored
-        # checkpoint and for the posterior.
+        # on the states' fields; a KalmanState is built for the posterior.
         readings = self._readings
-        checkpoints = self._checkpoints
         extrapolate_floats = kalman.extrapolate_floats
         update_floats = kalman.update_floats
         first = bisect.bisect_right(self._reading_times, stamp + 1e-12)
@@ -255,7 +229,6 @@ class ReplayKalmanFilter:
         for index in range(first, len(readings)):
             reading = readings[index]
             predicted = extrapolate_floats(state, accel, reading.time - time)
-            checkpoints[index] = tuple.__new__(KalmanState, predicted)
             state = update_floats(predicted, reading.position, reading.velocity)
             time = state[0]
             accel = reading.acceleration
@@ -299,7 +272,7 @@ class ReplayKalmanFilter:
     # Internals
     # ------------------------------------------------------------------
     def _prune(self, cutoff: float) -> None:
-        """Drop readings and checkpoints older than ``cutoff``.
+        """Drop readings older than ``cutoff``.
 
         Units: cutoff [s]
         """
@@ -307,4 +280,3 @@ class ReplayKalmanFilter:
         cut = bisect.bisect_left(times, cutoff)
         del times[:cut]
         del self._readings[:cut]
-        del self._checkpoints[:cut]

@@ -462,7 +462,10 @@ class _FunctionInterpreter(AbstractInterpreter):
         skip_self: bool,
     ) -> AbstractDim:
         order = units.param_order
-        if skip_self and order and order[0] in ("self", "cls"):
+        # A caller never passes ``cls`` (a classmethod or ``__new__``
+        # reached through its class); ``self`` is implicit only on a
+        # bound call.
+        if order and (order[0] == "cls" or (skip_self and order[0] == "self")):
             order = order[1:]
         has_star = any(isinstance(arg, ast.Starred) for arg in node.args)
         if not has_star:

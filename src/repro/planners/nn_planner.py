@@ -301,8 +301,9 @@ class NNPlanner:
             rel_hi = WINDOW_PAST if WINDOW_PAST > rel_hi else rel_hi
             rel_hi = WINDOW_FAR if WINDOW_FAR < rel_hi else rel_hi
         mean, std = self._mean, self._std
-        # One 1-D row: ``x @ W`` on it is the batch-of-one row of
-        # Sequential.forward, and the bias goes onto the fresh product.
+        # One 1-D row: ``np.dot(x, W)`` on it is the batch-of-one row of
+        # Sequential.forward (``x @ W`` bit for bit, at less dispatch
+        # cost), and the bias goes onto the fresh product.
         x = np.array(
             [
                 (time - mean[0]) / std[0],
@@ -316,6 +317,6 @@ class NNPlanner:
             if dense is None:
                 x = activation(x)
             else:
-                x = x @ dense.weight
+                x = np.dot(x, dense.weight)
                 x += dense.bias
         return self._limits.clip_acceleration(float(x[0]))

@@ -201,7 +201,13 @@ def _rollout_samples(
             labels[filled, 0] = accel
             filled += 1
             ego = ego_model.step(ego, accel, dt)
-            oncoming_accel = profile(step, t, oncoming)
+            oncoming_accel = profile(
+                step,
+                t,
+                oncoming.position,
+                oncoming.velocity,
+                oncoming.acceleration,
+            )
             oncoming = oncoming_model.step(oncoming, oncoming_accel, dt)
             if geometry.ego_reached_target(ego.position):
                 break

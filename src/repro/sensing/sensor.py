@@ -9,8 +9,7 @@ engine holds one per (ego, other) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.dynamics.state import VehicleState
 from repro.sensing.noise import NoiseBounds, UniformNoise
@@ -20,9 +19,12 @@ from repro.utils.validation import check_positive
 __all__ = ["SensorReading", "Sensor"]
 
 
-@dataclass(frozen=True, slots=True)
-class SensorReading:
+class SensorReading(NamedTuple):
     """One noisy measurement of a remote vehicle.
+
+    A flat, immutable record (a ``NamedTuple``, like
+    :class:`~repro.filtering.kalman.KalmanState`); the estimators check
+    its fields when they ingest it.
 
     Attributes
     ----------
@@ -33,6 +35,8 @@ class SensorReading:
         also the time the reading becomes available).
     position, velocity, acceleration:
         Measured values, each within its uniform noise bound of the truth.
+
+    Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
     """
 
     target: int
@@ -112,21 +116,27 @@ class Sensor:
         ratio = time / self._period
         return abs(ratio - round(ratio)) <= tol * max(1.0, abs(ratio))
 
-    def measure(self, time: float, true_state: VehicleState) -> SensorReading:
-        """Take a measurement of ``true_state`` at ``time``.
+    def measure(
+        self, time: float, position: float, velocity: float, acceleration: float
+    ) -> SensorReading:
+        """Take a measurement of the true ``(position, velocity, acceleration)``.
 
-        Units: time [s]
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
 
         The caller (the simulation engine) is responsible for calling this
         only at schedule instants; the sensor itself just perturbs and
         records.
         """
-        reading = SensorReading(
-            target=self._target,
-            time=float(time),
-            position=self._noise.perturb_position(true_state.position),
-            velocity=self._noise.perturb_velocity(true_state.velocity),
-            acceleration=self._noise.perturb_acceleration(true_state.acceleration),
+        noise = self._noise
+        reading = tuple.__new__(
+            SensorReading,
+            (
+                self._target,
+                float(time),
+                noise.perturb_position(position),
+                noise.perturb_velocity(velocity),
+                noise.perturb_acceleration(acceleration),
+            ),
         )
         self._history.append(reading)
         return reading

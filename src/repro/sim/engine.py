@@ -294,7 +294,6 @@ class SimulationEngine:
         accels = [vehicle.acceleration for vehicle in state.vehicles]
         commands = [0.0] * n
         advance = [self._models[i].advance for i in range(n)]
-        stamped: List[Optional[VehicleState]] = [None] * n
         state_time = state.time
 
         run_handle = obs.begin("engine.run", n_steps=n_steps) if traced else -1
@@ -303,32 +302,27 @@ class SimulationEngine:
             t = step * dt  # MultiRateClock.time_of
             if traced:
                 step_handle = obs.begin("engine.step", step=step, t=t)
-            sensing = step % sensor_every == 0
-            messaging = step % message_every == 0
 
-            # 1. Non-ego commands for the coming step stamp the content
-            #    of this step's messages and sensor readings, built only
-            #    on steps that sense, send or record.
+            # 1. Non-ego commands for the coming step.  A vehicle's
+            #    position, velocity and command are the stamped state
+            #    its sensor reading and message carry this step.
             stage = obs.begin("engine.profile") if traced else -1
             for i in others:
                 commands[i] = profiles[i](
-                    step, t, VehicleState(positions[i], velocities[i], accels[i])
+                    step, t, positions[i], velocities[i], accels[i]
                 )
-            if sensing or messaging or record:
-                for i in others:
-                    stamped[i] = VehicleState(
-                        positions[i], velocities[i], float(commands[i])
-                    )
             if traced:
                 obs.end(stage)
 
             # 2-4. Sensing, transmission, delivery.  Faulted sensors still
             # draw their noise (the reading is taken, then filtered), so a
             # dropout never shifts the random sequence of later readings.
-            if sensing:
+            if step % sensor_every == 0:
                 stage = obs.begin("engine.sense") if traced else -1
                 for i in others:
-                    reading = sensors[i].measure(t, stamped[i])
+                    reading = sensors[i].measure(
+                        t, positions[i], velocities[i], commands[i]
+                    )
                     if injector is not None:
                         faulted = injector.apply_sensor(step, i, reading)
                         if faulted is None:
@@ -338,9 +332,11 @@ class SimulationEngine:
                 if traced:
                     obs.end(stage)
             stage = obs.begin("engine.comm") if traced else -1
-            if messaging:
+            if step % message_every == 0:
                 for i in others:
-                    channels[i].send(i, t, stamped[i])
+                    channels[i].send(
+                        i, t, positions[i], velocities[i], commands[i]
+                    )
             for i in others:
                 for message in channels[i].receive(t):
                     estimators[i].on_message(message, t)
@@ -360,11 +356,8 @@ class SimulationEngine:
                     reaching_time = t
                     outcome = Outcome.REACHED
                 if record:
-                    self._record(
-                        trajectories,
-                        t,
-                        VehicleState(positions[0], velocities[0], accels[0]),
-                        stamped,
+                    _record(
+                        trajectories, t, positions, velocities, accels[0], commands
                     )
                 if traced:
                     if collided:
@@ -394,11 +387,8 @@ class SimulationEngine:
             planned_steps += 1
 
             if record:
-                self._record(
-                    trajectories,
-                    t,
-                    VehicleState(positions[0], velocities[0], float(ego_command)),
-                    stamped,
+                _record(
+                    trajectories, t, positions, velocities, ego_command, commands
                 )
 
             # 7. Step the dynamics.
@@ -447,18 +437,30 @@ class SimulationEngine:
             ),
         )
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _record(
-        trajectories: List[Trajectory],
-        t: float,
-        ego: VehicleState,
-        stamped: List[Optional[VehicleState]],
-    ) -> None:
-        """Append one sample per vehicle: the ego's, then the stamped ones."""
-        trajectories[0].append(t, ego)
-        for i in range(1, len(trajectories)):
-            trajectories[i].append(t, stamped[i])
+
+def _record(
+    trajectories: List[Trajectory],
+    t: float,
+    positions: List[float],
+    velocities: List[float],
+    ego_acceleration: float,
+    commands: List[float],
+) -> None:
+    """Append one sample per vehicle: the ego's, then the stamped ones.
+
+    The ego's sample carries ``ego_acceleration``; every other vehicle's
+    its command for the coming step, as its reading and message do.
+
+    Units: t [s], positions [m], velocities [m/s], ego_acceleration [m/s^2]
+    Units: commands [m/s^2]
+    """
+    trajectories[0].append(
+        t, VehicleState(positions[0], velocities[0], float(ego_acceleration))
+    )
+    for i in range(1, len(trajectories)):
+        trajectories[i].append(
+            t, VehicleState(positions[i], velocities[i], float(commands[i]))
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ Streams are thin wrappers around :class:`numpy.random.Generator` seeded via
 :class:`numpy.random.SeedSequence`, which provides high-quality independent
 substreams through ``spawn``.
 
+A stream builds its generator on its first draw (or
+:attr:`RngStream.generator` access), so a stream only spawned from,
+such as an episode's, never builds one.
+
 Scalar ``uniform``/``random``/``bernoulli`` draws are served from a block
 of :data:`BLOCK_SIZE` doubles taken by one ``Generator.random`` call, which
 takes numpy's per-call overhead off the control step.  Every other draw,
@@ -63,7 +67,8 @@ class RngStream:
             self._seed_seq = seed
         else:
             self._seed_seq = np.random.SeedSequence(seed)
-        self._generator = np.random.default_rng(self._seed_seq)
+        # Built on the first draw, generator access or sync.
+        self._generator: Optional[np.random.Generator] = None
         # The current block, how much of it is used, and the bit-generator
         # state it was drawn from.
         self._block: List[float] = []
@@ -89,14 +94,20 @@ class RngStream:
         """The next double of ``Generator.random()``, from the block."""
         used = self._used
         if used == len(self._block):
-            self._state_at_fill = self._generator.bit_generator.state
-            self._block = self._generator.random(BLOCK_SIZE).tolist()
+            generator = self._generator
+            if generator is None:
+                generator = self._generator = np.random.default_rng(self._seed_seq)
+            self._state_at_fill = generator.bit_generator.state
+            self._block = generator.random(BLOCK_SIZE).tolist()
             used = 0
         self._used = used + 1
         return self._block[used]
 
     def _sync(self) -> None:
-        """Leave the generator where unbuffered draws would have left it."""
+        """Build the generator, or leave it where unbuffered draws would have."""
+        if self._generator is None:
+            self._generator = np.random.default_rng(self._seed_seq)
+            return
         if self._used < len(self._block):
             self._generator.bit_generator.state = self._state_at_fill
             if self._used:

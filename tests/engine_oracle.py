@@ -8,7 +8,9 @@ every step for ``is_collision``/``reached_target``, and the planner
 called through ``plan`` on a :class:`PlanningContext` every step (under a
 fault plan through :func:`faulted_plan`, the context-taking planner hook
 the fault plan had before it wrapped the planner's float entry).  It is
-kept unchanged as the slow counterpart of the fast path;
+kept as the slow counterpart of the fast path (it hands profiles,
+sensors and channels the stamped state's fields, as their float
+signatures ask);
 ``tests/test_engine_oracle.py`` checks the two against each other
 episode by episode.
 
@@ -179,7 +181,10 @@ def run(
         #    on steps that sense, send or record.
         stage = obs.begin("engine.profile") if traced else -1
         for i in others:
-            commands[i] = profiles[i](step, t, vehicles[i])
+            vehicle = vehicles[i]
+            commands[i] = profiles[i](
+                step, t, vehicle.position, vehicle.velocity, vehicle.acceleration
+            )
         if sensing or messaging or record:
             for i in others:
                 stamped[i] = vehicles[i].with_acceleration(commands[i])
@@ -192,7 +197,10 @@ def run(
         if sensing:
             stage = obs.begin("engine.sense") if traced else -1
             for i in others:
-                reading = sensors[i].measure(t, stamped[i])
+                s = stamped[i]
+                reading = sensors[i].measure(
+                    t, s.position, s.velocity, s.acceleration
+                )
                 if injector is not None:
                     faulted = injector.apply_sensor(step, i, reading)
                     if faulted is None:
@@ -204,7 +212,8 @@ def run(
         stage = obs.begin("engine.comm") if traced else -1
         if messaging:
             for i in others:
-                channels[i].send(i, t, stamped[i])
+                s = stamped[i]
+                channels[i].send(i, t, s.position, s.velocity, s.acceleration)
         for i in others:
             for message in channels[i].receive(t):
                 estimators[i].on_message(message, t)
@@ -216,7 +225,7 @@ def run(
             collision_time = t
             outcome = Outcome.COLLISION
             if record:
-                self._record(trajectories, t, vehicles[0], stamped)
+                _record(trajectories, t, vehicles[0], stamped)
             if traced:
                 obs.instant("engine.collision", t=t)
                 obs.end(step_handle)
@@ -229,14 +238,14 @@ def run(
             reaching_time = t
             outcome = Outcome.REACHED
             if record:
-                self._record(trajectories, t, vehicles[0], stamped)
+                _record(trajectories, t, vehicles[0], stamped)
             if traced:
                 obs.instant("engine.reached", t=t)
                 obs.end(step_handle)
             break
         if step == n_steps:
             if record:
-                self._record(trajectories, t, vehicles[0], stamped)
+                _record(trajectories, t, vehicles[0], stamped)
             if traced:
                 obs.end(step_handle)
             break
@@ -271,7 +280,7 @@ def run(
                 emergency_steps += 1
 
         if record:
-            self._record(
+            _record(
                 trajectories, t, ego.with_acceleration(ego_command), stamped
             )
 
@@ -310,3 +319,15 @@ def run(
             0 if injector is None else injector.planner_faults_injected
         ),
     )
+
+
+def _record(
+    trajectories: List[Trajectory],
+    t: float,
+    ego: VehicleState,
+    stamped: List[Optional[VehicleState]],
+) -> None:
+    """Append one sample per vehicle: the ego's, then the stamped ones."""
+    trajectories[0].append(t, ego)
+    for i in range(1, len(trajectories)):
+        trajectories[i].append(t, stamped[i])

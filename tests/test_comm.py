@@ -20,12 +20,14 @@ from repro.errors import ConfigurationError
 from repro.utils.rng import RngStream
 
 STATE = VehicleState(position=50.0, velocity=-12.0, acceleration=0.5)
+#: ``STATE`` as the floats ``Channel.send`` takes.
+FIELDS = (STATE.position, STATE.velocity, STATE.acceleration)
 
 
 def _sends(faults, rng, n=1):
     """Whether each of ``n`` sends through the preset's channel survives."""
     ch = Channel(period=0.1, faults=faults, rng=rng)
-    return [ch.send(1, i * 0.1, STATE) for i in range(n)]
+    return [ch.send(1, i * 0.1, *FIELDS) for i in range(n)]
 
 
 class TestMessage:
@@ -87,7 +89,7 @@ class TestPresets:
 class TestChannelPerfect:
     def test_immediate_delivery(self):
         ch = Channel(period=0.1)
-        ch.send(1, 0.0, STATE)
+        ch.send(1, 0.0, *FIELDS)
         delivered = ch.receive(0.0)
         assert len(delivered) == 1
         assert delivered[0].stamp == 0.0
@@ -100,7 +102,7 @@ class TestChannelPerfect:
     def test_fifo_order(self):
         ch = Channel(period=0.1)
         for i in range(3):
-            ch.send(1, i * 0.1, STATE)
+            ch.send(1, i * 0.1, *FIELDS)
         stamps = [m.stamp for m in ch.receive(1.0)]
         assert stamps == [0.0, 0.1, 0.2]
 
@@ -114,7 +116,7 @@ class TestChannelPerfect:
 class TestChannelDelay:
     def test_delayed_delivery(self):
         ch = Channel(period=0.1, faults=messages_delayed(0.25))
-        ch.send(1, 1.0, STATE)
+        ch.send(1, 1.0, *FIELDS)
         assert ch.receive(1.2) == []
         delivered = ch.receive(1.25)
         assert len(delivered) == 1
@@ -123,12 +125,12 @@ class TestChannelDelay:
     def test_peek_next_delivery(self):
         ch = Channel(period=0.1, faults=messages_delayed(0.25))
         assert ch.peek_next_delivery() is None
-        ch.send(1, 2.0, STATE)
+        ch.send(1, 2.0, *FIELDS)
         assert ch.peek_next_delivery() == pytest.approx(2.25)
 
     def test_stats_track_delay(self):
         ch = Channel(period=0.1, faults=messages_delayed(0.25))
-        ch.send(1, 0.0, STATE)
+        ch.send(1, 0.0, *FIELDS)
         ch.receive(0.25)
         assert ch.stats.mean_delay == pytest.approx(0.25)
 
@@ -136,7 +138,7 @@ class TestChannelDelay:
 class TestChannelDrop:
     def test_always_drop(self):
         ch = Channel(period=0.1, faults=messages_lost())
-        assert ch.send(1, 0.0, STATE) is False
+        assert ch.send(1, 0.0, *FIELDS) is False
         assert ch.receive(100.0) == []
         assert ch.stats.dropped == 1
 
@@ -148,7 +150,7 @@ class TestChannelDrop:
         )
         n = 2000
         for i in range(n):
-            ch.send(1, i * 0.1, STATE)
+            ch.send(1, i * 0.1, *FIELDS)
         assert 0.33 < ch.stats.drop_rate < 0.47
 
     def test_probabilistic_drop_requires_rng(self):
@@ -162,7 +164,7 @@ class TestChannelDrop:
                 faults=messages_delayed(0.0, 0.5),
                 rng=RngStream(seed),
             )
-            return [ch.send(1, i * 0.1, STATE) for i in range(50)]
+            return [ch.send(1, i * 0.1, *FIELDS) for i in range(50)]
 
         assert run(3) == run(3)
         assert run(3) != run(4)
@@ -171,8 +173,8 @@ class TestChannelDrop:
 class TestChannelStats:
     def test_counters(self):
         ch = Channel(period=0.1, faults=messages_delayed(0.5))
-        ch.send(1, 0.0, STATE)
-        ch.send(1, 0.1, STATE)
+        ch.send(1, 0.0, *FIELDS)
+        ch.send(1, 0.1, *FIELDS)
         assert ch.stats.sent == 2
         assert ch.stats.in_flight == 2
         ch.receive(0.5)

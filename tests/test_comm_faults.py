@@ -31,6 +31,8 @@ from repro.sensing.sensor import SensorReading
 from repro.utils.rng import RngStream
 
 STATE = VehicleState(position=50.0, velocity=-12.0, acceleration=0.5)
+#: ``STATE`` as the floats ``Channel.send`` takes.
+FIELDS = (STATE.position, STATE.velocity, STATE.acceleration)
 DT = 0.1
 
 
@@ -46,7 +48,7 @@ def _drain(channel, until, dt=DT):
 def _run_channel(faults, n_sends=200, seed=3):
     channel = Channel(period=DT, faults=faults, rng=RngStream(seed))
     for k in range(n_sends):
-        channel.send(1, k * DT, STATE)
+        channel.send(1, k * DT, *FIELDS)
     drained = _drain(channel, n_sends * DT + 10.0)
     return channel, drained
 
@@ -151,8 +153,8 @@ class TestPresetEquivalence:
         )
         for k in range(100):
             t = k * DT
-            preset.send(1, t, STATE)
-            explicit.send(1, t, STATE)
+            preset.send(1, t, *FIELDS)
+            explicit.send(1, t, *FIELDS)
         a = _drain(preset, 15.0)
         b = _drain(explicit, 15.0)
         assert [m.stamp for m in a] == [m.stamp for m in b]
@@ -190,7 +192,7 @@ class TestGilbertElliott:
         channel = Channel(period=DT, faults=model, rng=RngStream(5))
         pattern = []
         for k in range(2000):
-            pattern.append(channel.send(1, k * DT, STATE))
+            pattern.append(channel.send(1, k * DT, *FIELDS))
         runs = []
         current = 0
         for ok in pattern:
@@ -242,7 +244,7 @@ class TestJitterAndReordering:
         assert not UniformJitter(0.2, 0.2).is_stochastic
         assert not GaussianJitter(mean=0.2, std=0.0).is_stochastic
         channel = Channel(period=DT, faults=UniformJitter(0.2, 0.2))
-        channel.send(1, 0.0, STATE)
+        channel.send(1, 0.0, *FIELDS)
         assert channel.peek_next_delivery() == pytest.approx(0.2)
 
 
@@ -257,7 +259,7 @@ class TestDuplication:
         channel = Channel(
             period=DT, faults=Duplication(1.0, lag=0.3), rng=RngStream(0)
         )
-        channel.send(1, 0.0, STATE)
+        channel.send(1, 0.0, *FIELDS)
         assert channel.receive(0.0) != []
         assert channel.peek_next_delivery() == pytest.approx(0.3)
 
@@ -290,7 +292,7 @@ class TestConservation:
             rng=RngStream(11) if faults.is_stochastic else None,
         )
         for k in range(150):
-            channel.send(1, k * DT, STATE)
+            channel.send(1, k * DT, *FIELDS)
             channel.receive(k * DT)
             assert channel.stats.in_flight >= 0
         _drain(channel, 150 * DT + 10.0)
@@ -330,8 +332,8 @@ class TestTieBreaking:
         """Sent at 0.0 (+0.2) and 0.1 (+0.1): both land at t=0.2 and
         must come out in send order."""
         channel = Channel(period=DT, faults=_AlternatingDelay())
-        channel.send(1, 0.0, STATE)
-        channel.send(1, 0.1, STATE)
+        channel.send(1, 0.0, *FIELDS)
+        channel.send(1, 0.1, *FIELDS)
         delivered = channel.receive(0.2)
         assert [m.stamp for m in delivered] == [0.0, 0.1]
         assert channel.stats.out_of_order == 0
@@ -356,7 +358,7 @@ class TestChannelConstruction:
         for _ in range(2):
             channel = Channel(period=DT, faults=pipeline, rng=RngStream(21))
             for k in range(100):
-                channel.send(1, k * DT, STATE)
+                channel.send(1, k * DT, *FIELDS)
             runs.append([m.stamp for m in _drain(channel, 25.0)])
         assert runs[0] == runs[1]
 

@@ -7,6 +7,9 @@ import pytest
 from repro.comm.faults import messages_delayed
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
+from repro.dynamics.state import VehicleState
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import PlannerTrio, build_trio
 from repro.planners.constant import ConstantPlanner, FullBrakePlanner
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
 from repro.sensing.noise import NoiseBounds
@@ -111,6 +114,38 @@ class TestRecording:
         result = engine.run(FullBrakePlanner(scenario.ego_limits), factory,
                             RngStream(1))
         assert result.steps == 40  # 2.0 s of 0.05 s steps
+
+
+class TestObservationPath:
+    """The step loop hands the oncoming vehicle's state on as floats."""
+
+    @pytest.mark.parametrize("name", ["ultimate", "basic"])
+    def test_untraced_episode_builds_only_its_initial_states(
+        self, name, scenario, tiny_aggressive_spec, tiny_conservative_spec, monkeypatch
+    ):
+        paper = ExperimentConfig()
+        spec = tiny_aggressive_spec if name == "ultimate" else tiny_conservative_spec
+        planner = getattr(build_trio(spec, scenario, paper), name)
+        engine = SimulationEngine(
+            scenario,
+            paper.comm_setting("messages_delayed"),
+            SimulationConfig(max_time=paper.max_time, record_trajectories=False),
+        )
+        factory = make_estimator_factory(PlannerTrio.KINDS[name], engine)
+        built = []
+        check = VehicleState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            check(state)
+
+        monkeypatch.setattr(VehicleState, "__post_init__", counting)
+        scenario.initial_state(RngStream(0))
+        initial = len(built)
+        built.clear()
+        result = engine.run(planner, factory, RngStream(17))
+        assert result.steps > 50
+        assert len(built) == initial == scenario.n_vehicles
 
 
 class TestDeterminism:

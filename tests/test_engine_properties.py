@@ -122,5 +122,7 @@ class TestWindowMonotonicity:
             assert window.lo >= prev_lo - 1e-9
             assert window.hi <= prev_hi + 1e-9
             prev_lo, prev_hi = window.lo, window.hi
-            accel = profile(step, t, state)
+            accel = profile(
+                step, t, state.position, state.velocity, state.acceleration
+            )
             state = model.step(state, accel, dt)

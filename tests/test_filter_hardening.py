@@ -284,7 +284,6 @@ class TestDivergenceWatchdog:
                 diverged=diverged,
             )
             assert replay.posterior is posterior
-            assert replay.checkpoint_at(step * DT) is None
         estimate = info.estimate(0.4)
         assert estimate.position.lo <= estimate.position.hi
 

@@ -53,11 +53,12 @@ def _drive(estimator, seed, n_steps=120, drop_p=0.3, delay=0.25):
     widths = []
     for step in range(n_steps):
         t = step * DT_C
-        accel = profile(step, t, state)
+        accel = profile(step, t, state.position, state.velocity, state.acceleration)
         stamped = state.with_acceleration(accel)
+        fields = (stamped.position, stamped.velocity, stamped.acceleration)
         if step % sensor_every == 0:
-            channel.send(1, t, stamped)
-            estimator.on_sensor_reading(sensor.measure(t, stamped))
+            channel.send(1, t, *fields)
+            estimator.on_sensor_reading(sensor.measure(t, *fields))
         for message in channel.receive(t):
             estimator.on_message(message, t)
         est = estimator.estimate(t)

@@ -81,7 +81,7 @@ class TestProfiles:
         profile = scenario.profile_for(1, RngStream(0))
         lo, hi = scenario.profile_accel_range
         values = [
-            profile(i, 0.0, VehicleState(position=0.0, velocity=-10.0))
+            profile(i, 0.0, 0.0, -10.0, 0.0)
             for i in range(50)
         ]
         assert all(lo <= v <= hi for v in values)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.lint import LintConfig, lint_source
+from repro.lint import LintConfig, lint_paths, lint_source
 from repro.lint.dim import (
     ACCEL,
     DIMENSIONLESS,
@@ -174,6 +174,31 @@ def test_passing_seconds_where_metres_expected_fires_sfl102():
         "    return gap(dt)\n"
     )
     assert "SFL102" in _ids(findings)
+
+
+@pytest.mark.parametrize(
+    "arguments, expected",
+    [("stamp, position", set()), ("position, stamp", {"SFL102"})],
+)
+def test_classmethod_called_through_an_imported_class(tmp_path, arguments, expected):
+    # ``cls`` is not a positional argument of ``Record.of(...)``.
+    package = tmp_path / "repro" / "dynamics"
+    package.mkdir(parents=True)
+    (package / "records.py").write_text(
+        "class Record:\n"
+        "    @classmethod\n"
+        "    def of(cls, stamp, position):\n"
+        "        '\''d.\n\n        Units: stamp [s], position [m]\n        '\''\n"
+        "        return cls()\n"
+    )
+    (package / "user.py").write_text(
+        "from repro.dynamics.records import Record\n"
+        "def make(stamp, position):\n"
+        "    '\''d.\n\n    Units: stamp [s], position [m]\n    '\''\n"
+        f"    return Record.of({arguments})\n"
+    )
+    findings = lint_paths([tmp_path / "repro"], LintConfig()).findings
+    assert {f.rule_id for f in findings if f.rule_id.startswith("SFL10")} == expected
 
 
 def test_return_contradicting_declaration_fires_sfl103():

@@ -52,13 +52,6 @@ class TestSensorPath:
         with pytest.raises(FilterError):
             rkf.on_sensor_reading(_reading(0.4, 50.0, -12.0))
 
-    def test_checkpoints_stored_at_prediction_times(self):
-        rkf = _rkf()
-        rkf.on_sensor_reading(_reading(0.0, 50.0, -12.0))
-        rkf.on_sensor_reading(_reading(0.1, 48.8, -12.0))
-        assert rkf.checkpoint_at(0.1) is not None
-        assert rkf.checkpoint_at(0.05) is None
-
     def test_current_accel_tracks_reading(self):
         rkf = _rkf()
         rkf.on_sensor_reading(_reading(0.0, 50.0, -12.0, a=1.5))
@@ -79,14 +72,14 @@ class TestSensorPath:
 
     def test_gate_sees_the_prediction_the_update_uses(self):
         rkf = _rkf()
-        rkf.on_sensor_reading(_reading(0.0, 50.0, -12.0, a=1.0))
+        first = rkf.on_sensor_reading(_reading(0.0, 50.0, -12.0, a=1.0))
         seen = []
-        rkf.on_sensor_reading(
-            _reading(0.1, 48.8, -12.0), gate=lambda r, p: seen.append((r, p))
-        )
-        assert len(seen) == 1
-        assert seen[0][1] == rkf.checkpoint_at(0.1)
+        reading = _reading(0.1, 48.8, -12.0)
+        rkf.on_sensor_reading(reading, gate=lambda r, p: seen.append((r, p)))
+        predicted = rkf.kalman.extrapolate(first, 1.0, 0.1)
+        assert seen == [(reading, predicted)]
         assert seen[0][1].time == pytest.approx(0.1)
+        assert rkf.posterior == rkf.kalman.update(predicted, 48.8, -12.0)
 
 
 class TestEstimateAt:
@@ -211,12 +204,12 @@ class TestMessageReplay:
         with pytest.raises(FilterError):
             ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.0)
 
-    def test_checkpoints_renewed_by_replay_and_pruned(self):
+    def test_replay_within_a_short_horizon_renews_the_posterior(self):
         rkf = ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.5)
         truth = self._drive(rkf, n=20)
-        before = rkf.checkpoint_at(18 * DT)
+        before = rkf.posterior
         stamp = 16 * DT
-        rkf.on_message(
+        after = rkf.on_message(
             Message(
                 sender=1,
                 stamp=stamp,
@@ -224,10 +217,9 @@ class TestMessageReplay:
             ),
             19 * DT,
         )
-        after = rkf.checkpoint_at(18 * DT)
-        assert after is not None and after != before
-        assert after.time == pytest.approx(18 * DT)
-        assert rkf.checkpoint_at(5 * DT) is None  # beyond the horizon
+        assert rkf.last_replay_depth == 3  # the readings at 17, 18, 19 dt
+        assert after is rkf.posterior and after != before
+        assert after.time == pytest.approx(19 * DT)
 
     def test_pruning_bounds_memory(self):
         rkf = ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.5)

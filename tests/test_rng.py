@@ -96,3 +96,44 @@ class TestDraws:
         arr = np.arange(20)
         rng.shuffle(arr)
         assert sorted(arr) == list(range(20))
+
+
+class TestLazyGenerator:
+    """A stream builds its numpy generator only when it is drawn from."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            calls.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        return calls
+
+    def test_spawn_only_stream_builds_no_generator(self, built):
+        stream = RngStream(11)
+        stream.spawn_seeds(5)
+        children = stream.spawn(3)
+        assert built == []
+        children[0].uniform(-1.0, 1.0)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "first_use",
+        [
+            lambda s: s.random(),
+            lambda s: s.normal(),
+            lambda s: s.generator,
+            lambda s: s.integers(0, 5),
+        ],
+        ids=["scalar", "sized", "generator", "integers"],
+    )
+    def test_first_use_builds_one_generator(self, built, first_use):
+        stream = RngStream(12)
+        first_use(stream)
+        stream.uniform()
+        stream.normal()
+        assert len(built) == 1

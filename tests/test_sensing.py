@@ -10,6 +10,8 @@ from repro.sensing.sensor import Sensor
 from repro.utils.rng import RngStream
 
 TRUE = VehicleState(position=40.0, velocity=-11.0, acceleration=1.0)
+#: ``TRUE`` as the floats ``Sensor.measure`` takes.
+TRUE_FIELDS = (TRUE.position, TRUE.velocity, TRUE.acceleration)
 
 
 class TestNoiseBounds:
@@ -69,14 +71,14 @@ class TestSensor:
         )
 
     def test_reading_fields(self):
-        reading = self._sensor().measure(0.2, TRUE)
+        reading = self._sensor().measure(0.2, *TRUE_FIELDS)
         assert reading.target == 1
         assert reading.time == 0.2
 
     def test_reading_within_bounds(self):
         sensor = self._sensor(delta=0.5)
         for i in range(100):
-            r = sensor.measure(i * 0.1, TRUE)
+            r = sensor.measure(i * 0.1, *TRUE_FIELDS)
             assert abs(r.position - TRUE.position) <= 0.5
             assert abs(r.velocity - TRUE.velocity) <= 0.5
             assert abs(r.acceleration - TRUE.acceleration) <= 0.5
@@ -84,8 +86,8 @@ class TestSensor:
     def test_history_and_latest(self):
         sensor = self._sensor()
         assert sensor.latest() is None
-        sensor.measure(0.0, TRUE)
-        sensor.measure(0.1, TRUE)
+        sensor.measure(0.0, *TRUE_FIELDS)
+        sensor.measure(0.1, *TRUE_FIELDS)
         assert len(sensor.history) == 2
         assert sensor.latest().time == 0.1
 
@@ -96,14 +98,14 @@ class TestSensor:
         assert not sensor.is_sample_time(0.15)
 
     def test_as_state(self):
-        reading = self._sensor().measure(0.0, TRUE)
+        reading = self._sensor().measure(0.0, *TRUE_FIELDS)
         state = reading.as_state()
         assert state.position == reading.position
         assert state.velocity == reading.velocity
 
     def test_reproducible(self):
-        a = self._sensor(seed=8).measure(0.0, TRUE)
-        b = self._sensor(seed=8).measure(0.0, TRUE)
+        a = self._sensor(seed=8).measure(0.0, *TRUE_FIELDS)
+        b = self._sensor(seed=8).measure(0.0, *TRUE_FIELDS)
         assert a.position == b.position
         assert a.velocity == b.velocity
 
