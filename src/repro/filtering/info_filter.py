@@ -18,8 +18,7 @@ control step.  Two providers implement the common
 Both providers produce sound position/velocity bands (up to the Kalman
 confidence level for the information filter, whose band is intersected
 with the guaranteed reachability band and falls back to it when
-inconsistent, or when the newest reading is more than one sensing
-period old).
+inconsistent, or once the newest reading is one sensing period old).
 """
 
 from __future__ import annotations
@@ -53,6 +52,11 @@ __all__ = [
 _WATCHDOG_SLACK = 1e-6
 
 _INF = math.inf
+
+#: A reading counts as fresh while it is younger than one sensing period
+#: by more than this: float stamps one period apart differ by a period
+#: rounded either way, and that reading is stale.
+_STALE_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -201,7 +205,7 @@ class InformationFilter:
         Noise bounds of the ego's sensor; fix the Kalman matrices.
     sensing_period:
         ``dt_s``; the Kalman filter's native step, and the reading age
-        past which :meth:`estimate` leaves the Kalman band out.
+        from which :meth:`estimate` leaves the Kalman band out.
     n_sigma:
         Half-width of the Kalman confidence band in standard deviations
         (3 by default).
@@ -262,6 +266,8 @@ class InformationFilter:
         )
         self._bounds = sensor_bounds
         self._sensing_period = float(sensing_period)
+        #: Reading age from which the Kalman band is left out.
+        self._stale_age = self._sensing_period - _STALE_TOLERANCE
         #: Diagonal of R, read by the watchdog gate.
         self._r_p = sensor_bounds.position_variance
         self._r_v = sensor_bounds.velocity_variance
@@ -416,9 +422,10 @@ class InformationFilter:
 
         Requires at least one sensor reading or one message; the
         simulation engine guarantees a sensor sample at ``t = 0``.  The
-        Kalman band is intersected only while the newest reading is at
-        most one sensing period old (in normal operation it is younger by
-        at least one control step).
+        Kalman band is intersected only while the newest reading is
+        younger than one sensing period (in normal operation by at least
+        one control step); a reading one period old, to within 1e-9 s, is
+        stale.
         """
         message = self._latest_message
         p_lo, p_hi, v_lo, v_hi = _guaranteed_band(
@@ -433,7 +440,7 @@ class InformationFilter:
             replay.is_initialized
             and not self._watchdog.diverged
             and reading is not None
-            and now - reading.time <= self._sensing_period
+            and now - reading.time < self._stale_age
         ):
             kf = replay.estimate_at(now)
             kf_p = kf.position
@@ -452,8 +459,8 @@ class InformationFilter:
             v = v_hi if v_hi < v else v
             a = replay.current_accel
         else:
-            # Reachability-only: before the first sensor reading, while
-            # the newest reading is more than one sensing period old (a
+            # Reachability-only: before the first sensor reading, once
+            # the newest reading is one sensing period old (a
             # dropout: a long prediction can exclude the truth), or the
             # watchdog tripped and the Kalman band is quarantined.
             if self._obs.enabled:

@@ -40,8 +40,21 @@ __all__ = [
     "guaranteed_band",
     "information_filter_estimate",
     "intersect_or_fallback",
+    "is_fresh",
     "raw_estimate",
 ]
+
+#: A reading this much younger than one sensing period is still fresh.
+STALE_TOLERANCE = 1e-9
+
+
+def is_fresh(reading: Optional[SensorReading], now: float, period: float) -> bool:
+    """Whether the Kalman band may join: the reading is under one period old.
+
+    A reading exactly one sensing period old is stale whichever way the
+    difference of the two float times rounds.
+    """
+    return reading is not None and float(now) - reading.time < period - STALE_TOLERANCE
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,9 +253,7 @@ def information_filter_estimate(self, now: float) -> ObjectEstimate:
     )
     replay = self._replay
     reading = self._latest_reading
-    fresh = (
-        reading is not None and float(now) - reading.time <= self._sensing_period
-    )
+    fresh = is_fresh(reading, now, self._sensing_period)
     if replay.is_initialized and not self._watchdog.diverged and fresh:
         kf = replay.estimate_at(now)
         fused = fuse_bands(

@@ -242,7 +242,7 @@ def _tally(seen, limits, bounds, message, reading, now, kalman, filt) -> None:
             seen[f"{kind} {side} Eq. (2)"] += 1
     if filt._watchdog.diverged:
         seen["watchdog fallback"] += 1
-    fresh = reading is not None and now - reading.time <= filt._sensing_period
+    fresh = estimate_oracle.is_fresh(reading, now, filt._sensing_period)
     if kalman is not None and not fresh:
         seen["stale reading"] += 1
     try:

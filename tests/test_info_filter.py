@@ -128,11 +128,11 @@ class _Recorder:
 
 
 class TestSensorDropout:
-    """Past one sensing period without a reading only the guaranteed band is used.
+    """From one sensing period without a reading only the guaranteed band is used.
 
     Over a long prediction gap the Kalman band can exclude the truth, so
-    the filter stops intersecting it once the newest reading is more
-    than one sensing period old.
+    the filter stops intersecting it once the newest reading is one
+    sensing period old.
     """
 
     def test_stale_reading_leaves_the_guaranteed_band(self):
@@ -156,6 +156,32 @@ class TestSensorDropout:
             # Exact: during a dropout the fused band is the guaranteed one.
             assert stale.position == guaranteed.position  # safelint: disable=SFL001 - exact band identity
             assert stale.velocity == guaranteed.velocity  # safelint: disable=SFL001 - exact band identity
+
+    @pytest.mark.parametrize(
+        "last, now",
+        [(0.9, 1.0), (1.0, 1.1)],
+        ids=["age-rounds-down", "age-rounds-up"],
+    )
+    def test_reading_one_period_old_is_stale_either_way_it_rounds(self, last, now):
+        # 1.0 - 0.9 rounds below the period, 1.1 - 1.0 above it.
+        assert (now - last < DT_S) == (last == 0.9)
+        filt, raw = _make_filtered(), _make_raw()
+        rng = RngStream(5)
+        for k in range(10, -1, -1):
+            time = round(last - k * DT_S, 10)
+            reading = SensorReading(
+                target=1,
+                time=time,
+                position=50.0 - 12.0 * time + float(rng.uniform(-1, 1)),
+                velocity=-12.0 + float(rng.uniform(-1, 1)),
+                acceleration=0.0,
+            )
+            filt.on_sensor_reading(reading)
+            raw.on_sensor_reading(reading)
+        fresh = filt.estimate(last + DT_C)
+        assert fresh.position.width < raw.estimate(last + DT_C).position.width
+        # The whole record is the guaranteed one, bands and nominal alike.
+        assert filt.estimate(now) == raw.estimate(now)
 
     def test_campaign_storm_dropout_episode(self):
         """Batch seed 2312, episode 7 of the campaign-storm benchmark.
