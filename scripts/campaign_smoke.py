@@ -20,15 +20,17 @@ checks the shard fleet's kill-anywhere contract:
 
 1. run a small campaign in-process (the reference),
 2. ``run --workers N``: shard the same campaign across ``N`` worker
-   processes and ``SIGKILL`` one worker the moment its first chunk is
-   journaled,
+   processes and, once a first chunk is journaled, ``SIGKILL`` a worker
+   that holds a chunk (its newest ``lease_claimed`` record has no later
+   ``chunk_completed`` from it), so the chunk has to be re-dispatched,
 3. ``SIGKILL`` the coordinator itself once a few more chunks land,
 4. ``resume --workers N`` with a fresh fleet and require the merged
    ``aggregate.json`` to be **byte-identical** to the in-process
    reference's,
 5. ``verify`` both directories,
-6. require ``status`` to account for both coordinator epochs and
-   every worker's exit.
+6. require ``status`` to account for both coordinator epochs, every
+   worker's exit and at least one lease expiration (the killed
+   worker's chunk).
 
 Exits 0 on success, 1 on any violated expectation.
 """
@@ -120,6 +122,32 @@ def _journal_records(directory):
 
 def _count(records, record_type):
     return sum(1 for r in records if r.get("type") == record_type)
+
+
+def _holding_worker(records):
+    """The pid of the worker that most recently claimed a chunk it still holds.
+
+    A worker holds a chunk from its ``lease_claimed`` record until a
+    ``chunk_completed`` record from the same worker follows; the newest
+    claim leaves the kill the most time to land before the chunk
+    completes.  ``None`` when no worker holds one.
+    """
+    pids = {}
+    holding = {}
+    for record in records:
+        record_type = record.get("type")
+        worker = record.get("worker")
+        if record_type == "worker_spawned":
+            pids[worker] = record.get("pid")
+        elif record_type == "lease_claimed":
+            holding.pop(worker, None)
+            holding[worker] = record.get("chunk")
+        elif record_type in ("chunk_completed", "lease_expired"):
+            holding.pop(worker, None)
+    for worker in reversed(list(holding)):
+        if pids.get(worker) is not None:
+            return pids[worker]
+    return None
 
 
 def _wait_for(directory, predicate, what, process):
@@ -247,19 +275,18 @@ def shard_chaos(workdir, n_sims, workers):
     print("1/6 in-process reference run")
     _cli("run", "--manifest", str(manifest_path), "--dir", str(reference))
 
-    print(f"2/6 run with {workers} workers; SIGKILL one worker mid-run")
+    print(f"2/6 run with {workers} workers; SIGKILL a worker holding a chunk")
     coordinator = _start(manifest_path, sharded, *flags)
     try:
         records = _wait_for(
             sharded,
             lambda r: _count(r, "worker_spawned") >= workers
-            and _count(r, "chunk_completed") >= 1,
-            f"{workers} workers and a first completed chunk",
+            and _count(r, "chunk_completed") >= 1
+            and _holding_worker(r) is not None,
+            f"{workers} workers, a first completed chunk and a held chunk",
             coordinator,
         )
-        victim_pid = next(
-            r["pid"] for r in records if r.get("type") == "worker_spawned"
-        )
+        victim_pid = _holding_worker(records)
         os.kill(victim_pid, signal.SIGKILL)
         print(f"    SIGKILLed worker pid {victim_pid}")
 
@@ -304,6 +331,11 @@ def shard_chaos(workdir, n_sims, workers):
     alive = [w for w, e in status["workers"].items() if e["alive"]]
     if alive:
         _fail(f"workers still marked alive after completion: {alive}")
+    if status["lease_expirations"] < 1:
+        _fail(
+            "no lease expired: the killed worker held no chunk, so no "
+            "chunk was re-dispatched"
+        )
     print(
         f"    epochs=2, {status['completed_chunks']} chunks, "
         f"{len(status['workers'])} workers all exited, "
