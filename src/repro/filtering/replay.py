@@ -17,9 +17,9 @@ estimations from ``t_k`` to the current timestamp based on the message."
   model), and replays every logged sensor update between ``t_k`` and the
   present, leaving a strictly better posterior.
 
-The stored state the paper restores is the message's own: the replay
-restarts from it, so no prediction at a logged reading is ever read back
-and none is kept.
+Where the paper restores the stored prediction at ``t_k``, this filter
+restarts from the message's exact state, which replaces that estimate
+anyway, so no prediction at a logged reading is kept.
 
 Messages older than an already-replayed message are ignored (they carry no
 new information and would only discard the better restart point).

@@ -94,9 +94,9 @@ class RngStream:
         """The next double of ``Generator.random()``, from the block."""
         used = self._used
         if used == len(self._block):
+            if self._generator is None:
+                self._sync()
             generator = self._generator
-            if generator is None:
-                generator = self._generator = np.random.default_rng(self._seed_seq)
             self._state_at_fill = generator.bit_generator.state
             self._block = generator.random(BLOCK_SIZE).tolist()
             used = 0

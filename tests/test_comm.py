@@ -1,5 +1,6 @@
 """Tests for messages, the paper's channel presets, and the channel."""
 
+import copy
 import math
 
 import pytest
@@ -48,6 +49,26 @@ class TestMessage:
     def test_nan_stamp_rejected(self):
         with pytest.raises(ConfigurationError):
             Message(sender=0, stamp=math.nan, state=STATE)
+
+    def test_flat_fields_and_both_constructors(self):
+        m = Message.of(1, 2.5, *FIELDS)
+        assert m == Message(sender=1, stamp=2.5, state=STATE)
+        assert (m.position, m.velocity, m.acceleration) == FIELDS
+        assert m.state == STATE
+        # deepcopy goes through __reduce_ex__, as pickling does.
+        assert copy.deepcopy(m) == m
+
+    def test_of_checks_like_the_state_form(self):
+        with pytest.raises(ConfigurationError, match=r"^Message\.sender"):
+            Message.of(-1, 0.0, *FIELDS)
+        with pytest.raises(ConfigurationError, match=r"^Message\.stamp must be finite"):
+            Message.of(1, math.inf, *FIELDS)
+        with pytest.raises(ConfigurationError, match=r"^Message\.stamp must be >= 0"):
+            Message.of(1, -0.1, *FIELDS)
+        with pytest.raises(
+            ConfigurationError, match=r"^Message\.state\.velocity must be finite, got nan$"
+        ):
+            Message.of(1, 0.0, 50.0, math.nan, 0.5)
 
 
 class TestPresets:
