@@ -9,7 +9,8 @@ through the layers in reverse.
 Shapes are ``(batch, features)`` everywhere.  :func:`layer_chain` is the
 one rule for which models can also run as bare ``h @ W + b`` and
 activation calls (:func:`chain_steps`): the trainer's fused step and the
-planner's inference path both run on it.
+planner's inference path (:func:`inference_steps`, the same arithmetic
+with in-place activations) both run on it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "ChainStep",
     "layer_chain",
     "chain_steps",
+    "inference_steps",
 ]
 
 
@@ -172,6 +174,15 @@ class _Activation(Layer):
         """Derivative expressed in terms of what :meth:`forward` cached."""
         raise NotImplementedError
 
+    def _fn_inplace(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`_fn` written over ``x`` where the ufunc allows it.
+
+        Returns the result (``x`` itself, or a fresh array where the
+        activation has no in-place form).  Only for a caller that owns
+        ``x``.
+        """
+        return self._fn(x)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self._fn(np.asarray(x, dtype=float))
         self._cache = out
@@ -186,11 +197,21 @@ class _Activation(Layer):
         self._cache = None
 
 
+#: ReLU's floor as a read-only 0-d array: ``np.maximum`` skips
+#: converting a Python float on every in-place call (same ufunc loop,
+#: same result).
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
 class ReLU(_Activation):
     """Rectified linear unit."""
 
     def _fn(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
+
+    def _fn_inplace(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, _ZERO, out=x)
 
     def _dfn(self, cached: np.ndarray) -> np.ndarray:
         return (cached > 0.0).astype(float)
@@ -201,6 +222,9 @@ class Tanh(_Activation):
 
     def _fn(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x)
+
+    def _fn_inplace(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x, out=x)
 
     def _dfn(self, cached: np.ndarray) -> np.ndarray:
         return 1.0 - cached * cached
@@ -341,7 +365,7 @@ def layer_chain(
 
 
 #: One step of a bare chain: a dense layer (its arrays read live at every
-#: call) or an activation function.
+#: call), an activation function, or (in :func:`inference_steps`) both.
 ChainStep = Tuple[Optional[Dense], Optional[Callable[[np.ndarray], np.ndarray]]]
 
 
@@ -356,3 +380,26 @@ def chain_steps(layers: Sequence[Layer]) -> Tuple[ChainStep, ...]:
         (layer, None) if isinstance(layer, Dense) else (None, layer._fn)
         for layer in layers
     )
+
+
+def inference_steps(layers: Sequence[Layer]) -> Tuple[ChainStep, ...]:
+    """A checked :func:`layer_chain` as steps that write over their row.
+
+    Each :class:`Dense` layer is paired with the activation that follows
+    it: ``(dense, fn)`` runs ``h = h.dot(dense.weight)`` (``np.dot``),
+    ``h += dense.bias`` and ``h = fn(h)``, where ``fn`` is the activation's
+    ``_fn_inplace`` (or ``None``); an activation without a dense layer
+    before it is ``(None, fn)``.  :class:`Identity` layers are dropped.
+    On a row the caller owns, this is :func:`chain_steps`'s arithmetic
+    bit for bit, without a temporary per bias and activation.
+    """
+    steps: List[ChainStep] = []
+    for layer in layers:
+        if isinstance(layer, Dense):
+            steps.append((layer, None))
+        elif not isinstance(layer, Identity):
+            if steps and steps[-1][1] is None:
+                steps[-1] = (steps[-1][0], layer._fn_inplace)
+            else:
+                steps.append((None, layer._fn_inplace))
+    return tuple(steps)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
-from repro.nn.layers import Sequential, chain_steps, layer_chain
+from repro.nn.layers import Dense, Sequential, inference_steps, layer_chain
 from repro.filtering.fusion import FusedEstimate
 from repro.obs.observer import traced_call
 from repro.planners.base import PlanningContext, no_estimate_error
@@ -132,11 +132,14 @@ class NNPlanner:
     """A trained regression network behind the planner protocol.
 
     Inference computes the features and their standardisation in floats
-    and runs the layers on one 1-D row as bare ``x @ W``, an in-place
-    ``+= b`` and activation calls on the model's live arrays: exactly
+    and runs the layers on one 1-D row, built from a tuple, on the
+    model's live arrays: ``np.dot(x, W)``, then ``x += b`` and the
+    activation in place on that fresh product
+    (:func:`~repro.nn.layers.inference_steps`), and a final one-unit
+    dense layer as one float addition.  That is exactly
     :meth:`Sequential.forward`'s arithmetic on a batch of one, without
-    its input checks or training caches.  The scaler is read once,
-    at construction.
+    its input checks, training caches or temporaries.  The scaler is
+    read once, at construction.
 
     Parameters
     ----------
@@ -170,7 +173,15 @@ class NNPlanner:
             )
         self._model = model
         self._scaler = scaler
-        self._steps = chain_steps(layer_chain(model, N_FEATURES))
+        steps = inference_steps(layer_chain(model, N_FEATURES))
+        # A final one-unit dense layer with no activation runs in floats.
+        self._head: Optional[Dense] = None
+        if steps:
+            dense, activation = steps[-1]
+            if dense is not None and activation is None and dense.out_features == 1:
+                self._head = dense
+                steps = steps[:-1]
+        self._steps = steps
         self._mean = tuple(scaler.mean.tolist())
         self._std = tuple(scaler.std.tolist())
         self._windows = window_estimator
@@ -301,22 +312,29 @@ class NNPlanner:
             rel_hi = WINDOW_PAST if WINDOW_PAST > rel_hi else rel_hi
             rel_hi = WINDOW_FAR if WINDOW_FAR < rel_hi else rel_hi
         mean, std = self._mean, self._std
-        # One 1-D row: ``np.dot(x, W)`` on it is the batch-of-one row of
-        # Sequential.forward (``x @ W`` bit for bit, at less dispatch
-        # cost), and the bias goes onto the fresh product.
+        # One 1-D row: ``x.dot(W)`` (``np.dot`` without its dispatch) on
+        # it is the batch-of-one row of Sequential.forward (``x @ W`` bit
+        # for bit, at less cost); the bias and the activation go onto
+        # the fresh product.
         x = np.array(
-            [
+            (
                 (time - mean[0]) / std[0],
                 (position - mean[1]) / std[1],
                 (velocity - mean[2]) / std[2],
                 (rel_lo - mean[3]) / std[3],
                 (rel_hi - mean[4]) / std[4],
-            ]
+            )
         )
         for dense, activation in self._steps:
-            if dense is None:
-                x = activation(x)
-            else:
-                x = np.dot(x, dense.weight)
+            if dense is not None:
+                x = x.dot(dense.weight)
                 x += dense.bias
-        return self._limits.clip_acceleration(float(x[0]))
+            if activation is not None:
+                x = activation(x)
+        head = self._head
+        if head is None:
+            return self._limits.clip_acceleration(float(x[0]))
+        # The one-unit output layer in floats: the same single addition.
+        return self._limits.clip_acceleration(
+            x.dot(head.weight).item() + head.bias.item()
+        )

@@ -35,8 +35,9 @@ from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import PlannerError, ScenarioError
 from repro.filtering.fusion import FusedEstimate
+from repro.nn.layers import chain_steps, layer_chain
 from repro.planners.base import PlanningContext, clipped
-from repro.planners.nn_planner import WINDOW_FAR, WINDOW_PAST, NNPlanner
+from repro.planners.nn_planner import N_FEATURES, WINDOW_FAR, WINDOW_PAST, NNPlanner
 from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
@@ -407,7 +408,7 @@ def nn_plan(self: NNPlanner, context: PlanningContext) -> float:
             ]
         ]
     )
-    for dense, activation in self._steps:
+    for dense, activation in chain_steps(layer_chain(self.model, N_FEATURES)):
         if dense is None:
             x = activation(x)
         else:

@@ -10,23 +10,32 @@ NaN) on 10 000 random inputs per network, covering empty windows,
 relative delays clipped at ``WINDOW_PAST``/``WINDOW_FAR``, infinite
 window bounds and NaN-producing weights, for networks of both trained
 styles and a ``Sigmoid``/``Identity`` stack.  The inference path must
-also see weights updated in place, leave the training caches alone, and
-reject a malformed layer chain when the planner is built.
+also see weights updated in place, leave the weights, biases and
+training caches alone, give the same outputs after a pickle round trip
+or a deep copy (alone and inside a ``CompoundPlanner``), agree with the
+oracle when two planners sharing one network are called interleaved,
+and reject a malformed layer chain when the planner is built.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import pickle  # safelint: disable=SFL009 - the round trip is under test
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.dynamics.state import VehicleState
+from repro.errors import ConfigurationError, ReproError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import build_trio
+from repro.filtering.fusion import FusedEstimate
 from repro.nn.layers import Dense, Identity, Layer, ReLU, Sequential, Sigmoid, Tanh
 from repro.nn.losses import MSELoss
 from repro.nn.tensor_ops import as_batch
+from repro.planners.base import PlanningContext
 from repro.planners.nn_planner import (
     WINDOW_FAR,
     WINDOW_PAST,
@@ -223,3 +232,166 @@ def test_malformed_chain_rejected_at_build(layers, scenario):
     model = Sequential(layers(np.random.default_rng(0)))
     with pytest.raises(ConfigurationError):
         _planner(model, scenario)
+
+
+def _estimate(gen: np.random.Generator, scenario, time: float) -> FusedEstimate:
+    """A fused estimate of the oncoming vehicle somewhere near the conflict zone."""
+    geometry = scenario.geometry
+    center = float(
+        gen.uniform(geometry.oncoming_back - 10.0, geometry.oncoming_front + 60.0)
+    )
+    p_lo = center - float(gen.exponential(2.0))
+    p_hi = center + float(gen.exponential(2.0))
+    speed = float(gen.uniform(0.0, 20.0))
+    v_lo = -speed - float(gen.exponential(1.0))
+    v_hi = -speed + float(gen.exponential(1.0))
+    return FusedEstimate(
+        time=time,
+        position=Interval(p_lo, p_hi),
+        velocity=Interval(v_lo, v_hi),
+        nominal=VehicleState(
+            float(gen.uniform(p_lo, p_hi)),
+            float(gen.uniform(v_lo, v_hi)),
+            float(gen.uniform(-3.0, 3.0)),
+        ),
+    )
+
+
+def _contexts(scenario, seed: int, n: int):
+    gen = np.random.default_rng(seed)
+    for _ in range(n):
+        time = float(gen.uniform(0.0, 20.0))
+        ego = VehicleState(
+            float(gen.uniform(-60.0, 30.0)),
+            float(gen.uniform(0.0, 20.0)),
+            float(gen.uniform(-6.0, 4.0)),
+        )
+        yield PlanningContext(time, ego, {1: _estimate(gen, scenario, time)})
+
+
+def _outcome(plan, context):
+    """The command, or the type and message of the error it raised."""
+    try:
+        return plan(context)
+    except ReproError as exc:
+        return (type(exc), str(exc))
+
+
+def _copies(planner):
+    return {
+        "pickle": pickle.loads(pickle.dumps(planner)),
+        "deepcopy": copy.deepcopy(planner),
+    }
+
+
+@pytest.mark.parametrize("style", ["conservative", "aggressive"])
+def test_copied_nn_planner_matches(style, request, scenario):
+    spec = request.getfixturevalue(f"tiny_{style}_spec")
+    planner = spec.build_planner(
+        PassingWindowEstimator(scenario.geometry, scenario.oncoming_limits),
+        scenario.ego_limits,
+    )
+    for how, twin in _copies(planner).items():
+        assert twin.model is not planner.model, how
+        counts = _check_agreement(twin, seed=len(style))
+        _require(counts, "empty", "infinite", "point", "clip_past", "clip_far")
+        for context in _contexts(scenario, seed=11, n=500):
+            assert _same(twin.plan(context), planner.plan(context)), how
+        # The copy reads its own network's live arrays, not the original's.
+        window = Interval(4.0, 9.0)
+        before = planner.plan_from_window(1.0, -20.0, 6.0, window)
+        for layer in twin.model.layers:
+            if isinstance(layer, Dense):
+                layer.weight *= 0.5
+                layer.bias += 0.25
+        assert twin.plan_from_window(1.0, -20.0, 6.0, window) == _oracle(
+            twin, 1.0, -20.0, 6.0, window
+        )
+        assert planner.plan_from_window(1.0, -20.0, 6.0, window) == before
+
+
+@pytest.mark.parametrize("name", ["basic", "ultimate"])
+def test_copied_compound_planner_matches(name, tiny_conservative_spec, scenario):
+    compound = getattr(
+        build_trio(tiny_conservative_spec, scenario, ExperimentConfig()), name
+    )
+    contexts = list(_contexts(scenario, seed=12, n=2_000))
+    expected = [_outcome(compound.plan, context) for context in contexts]
+    assert any(isinstance(command, float) for command in expected)
+    for how, twin in _copies(compound).items():
+        got = [_outcome(twin.plan, context) for context in contexts]
+        mismatches = [
+            (k, a, b) for k, (a, b) in enumerate(zip(got, expected))
+            if not (_same(a, b) if isinstance(a, float) else a == b)  # safelint: disable=SFL001 - a is an error's (type, message)
+        ]
+        assert not mismatches, f"{how}: first mismatches {mismatches[:3]}"
+
+
+def test_planners_sharing_a_network_match_interleaved(tiny_aggressive_spec, scenario):
+    conservative = tiny_aggressive_spec.build_planner(
+        PassingWindowEstimator(scenario.geometry, scenario.oncoming_limits),
+        scenario.ego_limits,
+    )
+    aggressive = conservative.with_window_estimator(
+        PassingWindowEstimator(
+            scenario.geometry, scenario.oncoming_limits, aggressive=True
+        )
+    )
+    assert aggressive.model is conservative.model
+    differ = 0
+    for context in _contexts(scenario, seed=13, n=N_CASES // 2):
+        commands = []
+        for planner in (conservative, aggressive):
+            lo, hi = planner.window_estimator.bounds(context.estimates[1])
+            window = Interval.EMPTY if lo > hi else Interval(lo, hi)
+            ego = context.ego
+            slow = _oracle(planner, context.time, ego.position, ego.velocity, window)
+            fast = planner.plan(context)
+            assert _same(fast, slow), (context, planner.window_estimator)
+            commands.append(fast)
+        differ += commands[0] != commands[1]
+    assert differ > 100, "the two estimators never disagreed"
+
+
+def _parameters_and_caches(model: Sequential):
+    arrays = []
+    for layer in model.layers:
+        if isinstance(layer, Dense):
+            arrays += [layer.weight, layer.bias, layer.grad_weight, layer.grad_bias]
+            arrays.append(layer._input)
+        else:
+            arrays.append(layer._cache)
+    return arrays
+
+
+@pytest.mark.parametrize("stack", ["trained", "sigmoid-identity"])
+def test_inference_leaves_weights_biases_and_caches_unchanged(
+    stack, tiny_conservative_spec, scenario
+):
+    if stack == "trained":
+        model = copy.deepcopy(tiny_conservative_spec.model)
+    else:
+        rng = np.random.default_rng(7)
+        model = Sequential(
+            [Dense(5, 12, rng), Sigmoid(), Dense(12, 7, rng), Identity(), Tanh(),
+             ReLU(), Dense(7, 1, rng), Identity()]
+        )
+    # Training caches present, as after a forward pass.
+    model.forward(np.random.default_rng(8).normal(size=(16, 5)))
+    planner = _planner(model, scenario, tiny_conservative_spec.scaler)
+    held = _parameters_and_caches(model)
+    snapshot = [array.copy() for array in held]
+    gen = np.random.default_rng(9)
+    counts: Counter = Counter()
+    for _ in range(N_CASES):
+        time = _time(gen)
+        planner.plan_from_window(
+            time,
+            float(gen.uniform(-60.0, 30.0)),
+            float(gen.uniform(-1.0, 25.0)),
+            _window(gen, time, counts),
+        )
+    now = _parameters_and_caches(model)
+    assert all(a is b for a, b in zip(now, held))
+    for array, before in zip(now, snapshot):
+        assert np.array_equal(array, before, equal_nan=True)
