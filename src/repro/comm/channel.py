@@ -272,10 +272,14 @@ class Channel:
         stamp is older than a previously returned stamp is counted in
         :attr:`ChannelStats.out_of_order`.
         """
+        queue = self._queue
+        due = float(now) + 1e-12
+        if not queue or queue[0][0] > due:
+            return []
         obs = self._obs
         delivered: List[Message] = []
-        while self._queue and self._queue[0][0] <= float(now) + 1e-12:
-            delivery_time, _, message = heapq.heappop(self._queue)
+        while queue and queue[0][0] <= due:
+            delivery_time, _, message = heapq.heappop(queue)
             self._stats.delivered += 1
             self._stats.total_delay += delivery_time - message.stamp
             if obs.enabled:

@@ -70,6 +70,8 @@ class ReachabilityAnalyzer:
 
     def __init__(self, limits: VehicleLimits) -> None:
         self._limits = limits
+        # The limits reach_box reads, bound once (VehicleLimits is frozen).
+        self._box_limits = (limits.v_min, limits.v_max, limits.a_min, limits.a_max)
 
     @property
     def limits(self) -> VehicleLimits:
@@ -109,11 +111,7 @@ class ReachabilityAnalyzer:
             )
         if elapsed < 0.0:
             elapsed = 0.0
-        limits = self._limits
-        v_min = limits.v_min
-        v_max = limits.v_max
-        a_min = limits.a_min
-        a_max = limits.a_max
+        v_min, v_max, a_min, a_max = self._box_limits
         # The clips below are min/max written as conditionals (same
         # result, NaN included: the first operand wins unless the
         # comparison holds).

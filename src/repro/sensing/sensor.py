@@ -9,10 +9,12 @@ engine holds one per (ego, other) pair.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+import math
+from typing import NamedTuple
 
 from repro.dynamics.state import VehicleState
-from repro.sensing.noise import NoiseBounds, UniformNoise
+from repro.errors import ConfigurationError
+from repro.sensing.noise import NoiseBounds
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 
@@ -85,8 +87,26 @@ class Sensor:
     ) -> None:
         self._target = int(target)
         self._period = check_positive(period, "period")
-        self._noise = UniformNoise(bounds, rng)
-        self._history: List[SensorReading] = []
+        self._bounds = bounds
+        self._random = rng.random
+        # Each channel's error is UniformNoise's draw, numpy's
+        # ``low + (high - low) * random()`` on ``[-delta, delta)``: its
+        # ``(low, high - low)``, with a zero span for a noiseless channel,
+        # which draws nothing.
+        spans = []
+        for name, delta in (
+            ("delta_p", bounds.delta_p),
+            ("delta_v", bounds.delta_v),
+            ("delta_a", bounds.delta_a),
+        ):
+            low = float(-delta)
+            span = float(delta) - low
+            if not math.isfinite(span):
+                raise ConfigurationError(
+                    f"{name}={delta!r}: the noise range overflows a float"
+                )
+            spans.append((low, span))
+        self._spans = tuple(spans)
 
     @property
     def target(self) -> int:
@@ -101,12 +121,7 @@ class Sensor:
     @property
     def bounds(self) -> NoiseBounds:
         """The sensor's noise bounds."""
-        return self._noise.bounds
-
-    @property
-    def history(self) -> List[SensorReading]:
-        """All readings taken so far (oldest first)."""
-        return list(self._history)
+        return self._bounds
 
     def is_sample_time(self, time: float, tol: float = 1e-9) -> bool:
         """Whether ``time`` falls on the sensing schedule.
@@ -124,25 +139,22 @@ class Sensor:
         Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
 
         The caller (the simulation engine) is responsible for calling this
-        only at schedule instants; the sensor itself just perturbs and
-        records.
-        """
-        noise = self._noise
-        reading = tuple.__new__(
-            SensorReading,
-            (
-                self._target,
-                float(time),
-                noise.perturb_position(position),
-                noise.perturb_velocity(velocity),
-                noise.perturb_acceleration(acceleration),
-            ),
-        )
-        self._history.append(reading)
-        return reading
+        only at schedule instants; the sensor itself just perturbs.  The
+        errors are :class:`~repro.sensing.noise.UniformNoise`'s, bit for bit and in the same
+        order (position, velocity, acceleration), drawn one double each
+        from the stream.
 
-    def latest(self) -> Optional[SensorReading]:
-        """The most recent reading, or ``None`` before the first sample."""
-        if not self._history:
-            return None
-        return self._history[-1]
+        Effects: draws-rng
+        """
+        random = self._random
+        (p_low, p_span), (v_low, v_span), (a_low, a_span) = self._spans
+        if p_span:
+            position = position + (p_low + p_span * random())
+        if v_span:
+            velocity = velocity + (v_low + v_span * random())
+        if a_span:
+            acceleration = acceleration + (a_low + a_span * random())
+        return tuple.__new__(
+            SensorReading,
+            (self._target, float(time), position, velocity, acceleration),
+        )

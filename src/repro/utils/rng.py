@@ -150,6 +150,11 @@ class RngStream:
             low = float(low)
             span = float(high) - low
             if 0.0 <= span <= _MAX_FLOAT:
+                # _next_double, served from the current block in place.
+                used = self._used
+                if used < len(self._block):
+                    self._used = used + 1
+                    return low + span * self._block[used]
                 return low + span * self._next_double()
         self._sync()
         return self._generator.uniform(low, high, size=size)
@@ -168,6 +173,10 @@ class RngStream:
         Effects: draws-rng
         """
         if size is None:
+            used = self._used
+            if used < len(self._block):
+                self._used = used + 1
+                return self._block[used]
             return self._next_double()
         self._sync()
         return self._generator.random(size=size)

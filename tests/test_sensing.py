@@ -83,13 +83,43 @@ class TestSensor:
             assert abs(r.velocity - TRUE.velocity) <= 0.5
             assert abs(r.acceleration - TRUE.acceleration) <= 0.5
 
-    def test_history_and_latest(self):
-        sensor = self._sensor()
-        assert sensor.latest() is None
-        sensor.measure(0.0, *TRUE_FIELDS)
-        sensor.measure(0.1, *TRUE_FIELDS)
-        assert len(sensor.history) == 2
-        assert sensor.latest().time == 0.1
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            NoiseBounds.uniform_all(1.0),
+            NoiseBounds(delta_p=2.5, delta_v=0.0, delta_a=0.3),
+            NoiseBounds(delta_p=0.0, delta_v=0.7, delta_a=0.0),
+            NoiseBounds.noiseless(),
+        ],
+        ids=["all", "no-velocity", "velocity-only", "noiseless"],
+    )
+    def test_readings_are_uniform_noise_draws(self, bounds):
+        # Sensor.measure draws what UniformNoise's perturb_* draw, bit
+        # for bit and in the same order, and keeps no reading: the
+        # returned reading is all there is.
+        sensor = Sensor(target=1, period=0.1, bounds=bounds, rng=RngStream(9))
+        noise = UniformNoise(bounds, RngStream(9))
+        for i in range(200):
+            truth = (40.0 - i, -11.0 + 0.01 * i, 1.0 - 0.02 * i)
+            reading = sensor.measure(i * 0.1, *truth)
+            assert reading == (
+                1,
+                i * 0.1,
+                noise.perturb_position(truth[0]),
+                noise.perturb_velocity(truth[1]),
+                noise.perturb_acceleration(truth[2]),
+            )
+        assert not hasattr(sensor, "history")
+        assert not hasattr(sensor, "latest")
+
+    def test_overflowing_noise_range_rejected(self):
+        with pytest.raises(ConfigurationError, match="delta_v"):
+            Sensor(
+                target=1,
+                period=0.1,
+                bounds=NoiseBounds(delta_p=1.0, delta_v=1e308, delta_a=1.0),
+                rng=RngStream(0),
+            )
 
     def test_schedule(self):
         sensor = self._sensor()
