@@ -19,11 +19,12 @@ seed stream.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError, PlannerFaultError
 from repro.faults.plan import PlannerFault, PlannerFaultKind
-from repro.planners.base import Planner, PlanningContext
+from repro.filtering.fusion import FusedEstimate
+from repro.planners.base import Planner, PlanningContext, float_entry
 
 __all__ = ["FaultyPlanner"]
 
@@ -49,6 +50,8 @@ class FaultyPlanner:
                     "engine-level FaultPlan for seeded stochastic activation"
                 )
         self._inner = inner
+        # The inner planner's float entry, taken once.
+        self._plan_inner = float_entry(inner)
         self._faults: Tuple[PlannerFault, ...] = tuple(faults)
         self._step = 0
         self._last_command: Optional[float] = None
@@ -72,17 +75,49 @@ class FaultyPlanner:
             self._inner.reset()
 
     def plan(self, context: PlanningContext) -> float:
-        """One control step: fault if scheduled, else delegate.
+        """One control step: fault if scheduled, else delegate to ``plan``.
 
         Effects: mutates-args, draws-rng
         """
         step = self._step
-        self._step += 1
+        self._step = step + 1
         fault = self._fault_at(step)
         if fault is None:
             command = self._inner.plan(context)
             self._last_command = command
             return command
+        return self._inject(step, fault)
+
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """:meth:`plan` on the ego's floats, through the inner planner's
+        float entry (:func:`~repro.planners.base.float_entry`).
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+
+        Effects: mutates-args, draws-rng
+        """
+        step = self._step
+        self._step = step + 1
+        fault = self._fault_at(step)
+        if fault is None:
+            command = self._plan_inner(
+                time, position, velocity, acceleration, estimates, tracer
+            )
+            self._last_command = command
+            return command
+        return self._inject(step, fault)
+
+    def _inject(self, step: int, fault: PlannerFault) -> float:
+        """The faulted step's command, or its exception."""
         self._injected += 1
         if fault.kind is PlannerFaultKind.NAN:
             return math.nan

@@ -77,9 +77,11 @@ class Planner(Protocol):
 
     A planner may also offer the float entry point ``plan_floats(time,
     position, velocity, acceleration, estimates, tracer=None)``, which
-    returns what ``plan`` returns for the context of those floats, and
-    times itself in a span on ``tracer`` when one is given.  Callers
-    take a planner's entry from :func:`float_entry`.
+    returns what ``plan`` returns for the context of those floats.  A
+    planner that is a layer of its own (the NN and the left-turn
+    emergency planner) times itself in a span on ``tracer`` when one is
+    given; a wrapper passes the tracer on, and the constant planners
+    ignore it.  Callers take a planner's entry from :func:`float_entry`.
     """
 
     def plan(self, context: PlanningContext) -> float:
@@ -96,17 +98,29 @@ def float_entry(planner: Planner) -> FloatEntry:
     """The one way to call ``planner``: its float entry point.
 
     That is ``planner.plan_floats`` where the planner has one, and
-    otherwise a function of the same signature that calls ``plan`` on
-    the context of the floats (and ignores the tracer).  The engine and
-    the compound planner take each planner's entry once and call nothing
-    else.
+    otherwise a callable of the same signature that calls ``plan`` on
+    the context of the floats (and ignores the tracer).  The engine, the
+    compound planner and :class:`~repro.faults.planner_wrapper.FaultyPlanner`
+    take each planner's entry once and call nothing else.  Either entry
+    pickles and deep-copies with its planner.
     """
     plan_floats = getattr(planner, "plan_floats", None)
     if plan_floats is not None:
         return plan_floats
-    plan = planner.plan
+    return _ContextEntry(planner.plan)
 
-    def plan_on_context(
+
+class _ContextEntry:
+    """``plan`` on the context of the ego's floats: the entry of a planner
+    without ``plan_floats``."""
+
+    __slots__ = ("_plan",)
+
+    def __init__(self, plan: Callable[[PlanningContext], float]) -> None:
+        self._plan = plan
+
+    def __call__(
+        self,
         time: float,
         position: float,
         velocity: float,
@@ -114,11 +128,8 @@ def float_entry(planner: Planner) -> FloatEntry:
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
-        """``plan`` on the context of the ego's floats."""
         ego = VehicleState(position, velocity, acceleration)
-        return plan(PlanningContext(time, ego, estimates))
-
-    return plan_on_context
+        return self._plan(PlanningContext(time, ego, estimates))
 
 
 def clipped(acceleration: float, limits: VehicleLimits) -> float:

@@ -10,6 +10,8 @@ from repro.core.monitor import RuntimeMonitor
 from repro.dynamics.state import VehicleState
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import PlannerTrio, build_trio
+from repro.faults.planner_wrapper import FaultyPlanner
+from repro.planners.base import PlanningContext
 from repro.planners.constant import ConstantPlanner, FullBrakePlanner
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
 from repro.sensing.noise import NoiseBounds
@@ -26,7 +28,7 @@ from repro.faults.plan import (
     StepWindow,
 )
 from repro.utils.rng import RngStream, spawn_streams
-from tests import engine_oracle
+from tests import engine_oracle, storm
 from tests.test_core import RecordingPlanner, RecordingSafetyModel
 
 
@@ -146,6 +148,46 @@ class TestObservationPath:
         result = engine.run(planner, factory, RngStream(17))
         assert result.steps > 50
         assert len(built) == initial == scenario.n_vehicles
+
+    def test_storm_episode_builds_only_its_initial_states(
+        self, scenario, monkeypatch
+    ):
+        # The campaign-storm compound over a FaultyPlanner around a
+        # ConstantPlanner, with its sensor dropout active: the faulty
+        # and constant planners run on floats, so no step builds an ego
+        # VehicleState or a PlanningContext.
+        engine, planner = storm.build(
+            scenario,
+            {
+                "max_time": 10.0,
+                "fault_plan": {
+                    "sensor_faults": [{"window": [20, 120], "kind": "dropout"}]
+                },
+            },
+        )
+        assert isinstance(planner.nn_planner, FaultyPlanner)
+        factory = make_estimator_factory(EstimatorKind.FILTERED, engine)
+        built = []
+        contexts = []
+        check = VehicleState.__post_init__
+        context_init = PlanningContext.__init__
+
+        def counting(state):
+            built.append(state)
+            check(state)
+
+        def counting_context(context, *args, **kwargs):
+            contexts.append(context)
+            context_init(context, *args, **kwargs)
+
+        monkeypatch.setattr(VehicleState, "__post_init__", counting)
+        monkeypatch.setattr(PlanningContext, "__init__", counting_context)
+        result = engine.run(planner, factory, RngStream(17))
+        assert result.steps > 50
+        assert planner.nn_planner.faults_injected > 0
+        assert planner.embedded_failures > 0
+        assert len(built) == scenario.n_vehicles
+        assert contexts == []
 
 
 class TestDeterminism:

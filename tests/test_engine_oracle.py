@@ -41,6 +41,8 @@ from repro.campaign.builders import build_config
 from repro.experiments.config import SETTING_NAMES
 from repro.obs.observer import Observer
 from repro.obs.trace import Tracer
+from repro.planners.nn_planner import NNPlanner
+from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import make_estimator_factory
 from repro.sim.serialization import result_to_dict
@@ -187,11 +189,16 @@ class TestEngineOracle:
             n_vehicles = len(record["trajectories"])
             assert names["dynamics.step"] == n_vehicles * record["steps"]
             assert names["shield.monitor"] == steps
-            floats_nn = hasattr(planner.nn_planner, "plan_floats")
-            floats_emergency = hasattr(planner.emergency_planner, "plan_floats")
-            assert names["shield.nn"] == (steps - emergency if floats_nn else 0)
+            # The NN and left-turn emergency planners time themselves;
+            # the constant planners' plan_floats (car following's full
+            # brake) and planners with only ``plan`` do not.
+            timed_nn = isinstance(planner.nn_planner, NNPlanner)
+            timed_emergency = isinstance(
+                planner.emergency_planner, LeftTurnEmergencyPlanner
+            )
+            assert names["shield.nn"] == (steps - emergency if timed_nn else 0)
             assert names["shield.emergency"] == (
-                emergency if floats_emergency else 0
+                emergency if timed_emergency else 0
             )
 
 

@@ -1,6 +1,8 @@
 """Tests for engine-level fault plans and the embedded FaultyPlanner."""
 
+import copy
 import math
+import pickle  # safelint: disable=SFL009 - the round trip is under test
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.faults import (
     SensorFaultKind,
     StepWindow,
 )
+from repro.dynamics.state import VehicleState
 from repro.planners.base import PlanningContext
 from repro.planners.constant import ConstantPlanner
 from repro.sensing.noise import NoiseBounds
@@ -305,6 +308,78 @@ class TestFaultyPlanner:
         assert math.isnan(planner.plan(self._context()))
         planner.reset()
         assert math.isnan(planner.plan(self._context()))
+
+
+class _CountingVelocity:
+    """A planner with only ``plan``: the ego's velocity, counting calls."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def plan(self, context: PlanningContext) -> float:
+        self.calls += 1
+        return context.ego.velocity
+
+
+def _every_fault(inner) -> FaultyPlanner:
+    return FaultyPlanner(
+        inner,
+        [
+            PlannerFault(StepWindow(2, 4), PlannerFaultKind.EXCEPTION),
+            PlannerFault(StepWindow(5, 6), PlannerFaultKind.NAN),
+            PlannerFault(StepWindow(7, 9), PlannerFaultKind.LATENCY),
+        ],
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PlannerFaultError as exc:
+        return str(exc)
+
+
+class TestFaultyPlannerFloatEntry:
+    """``plan_floats`` is ``plan`` on the floats, on one step counter."""
+
+    @pytest.mark.parametrize(
+        "inner",
+        [ConstantPlanner, lambda acceleration: _CountingVelocity()],
+        ids=["constant", "context-only"],
+    )
+    def test_matches_plan_step_for_step(self, inner):
+        by_context = _every_fault(inner(1.5))
+        by_floats = _every_fault(inner(1.5))
+        for step in range(12):
+            context = PlanningContext(
+                time=0.1 * step, ego=VehicleState(3.0, 1.5, 0.0), estimates={}
+            )
+            expected = _outcome(lambda: by_context.plan(context))
+            got = _outcome(
+                lambda: by_floats.plan_floats(0.1 * step, 3.0, 1.5, 0.0, {})
+            )
+            if isinstance(expected, float) and math.isnan(expected):
+                assert math.isnan(got), step
+            else:
+                assert got == expected, step
+        assert by_floats.faults_injected == by_context.faults_injected == 5
+
+    def test_entries_share_one_step_counter(self):
+        planner = _every_fault(ConstantPlanner(1.0))
+        context = PlanningContext(time=0.0, ego=VehicleState(0.0, 0.0, 0.0))
+        assert planner.plan(context) == 1.0
+        assert planner.plan_floats(0.0, 0.0, 0.0, 0.0, {}) == 1.0
+        with pytest.raises(PlannerFaultError, match="at step 2"):
+            planner.plan(context)
+        with pytest.raises(PlannerFaultError, match="at step 3"):
+            planner.plan_floats(0.0, 0.0, 0.0, 0.0, {})
+
+    def test_context_only_inner_pickles_and_deep_copies(self):
+        planner = _every_fault(_CountingVelocity())
+        for twin in (pickle.loads(pickle.dumps(planner)), copy.deepcopy(planner)):
+            assert twin.plan_floats(0.0, 0.0, 2.5, 0.0, {}) == 2.5
+            assert twin.inner.calls == 1
+        assert planner.inner.calls == 0
 
 
 class TestCompoundContainment:
