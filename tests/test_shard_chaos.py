@@ -44,6 +44,21 @@ def _reference_bytes(manifest, tmp_path):
     return (ref_dir / AGGREGATE_FILE).read_bytes()
 
 
+def _aggregate_report(directory, reference):
+    """Both aggregates and the journal's completions, for a mismatch."""
+    records, _ = read_journal(directory / JOURNAL_FILE)
+    completions = [
+        (r.get("chunk"), r.get("n_results"), r.get("n_failures"), r.get("worker"))
+        for r in records
+        if r.get("type") == "chunk_completed"
+    ]
+    got = (directory / AGGREGATE_FILE).read_bytes()
+    return (
+        f"resumed aggregate {got!r}\nreference {reference!r}\n"
+        f"completions (chunk, n_results, n_failures, worker): {completions}"
+    )
+
+
 def _completed_chunks(directory):
     records, _ = read_journal(directory / JOURNAL_FILE)
     return sum(1 for r in records if r.get("type") == "chunk_completed")
@@ -422,5 +437,7 @@ class TestCoordinatorCrash:
                 continue
             break
         assert report.status == "completed"
-        assert (directory / AGGREGATE_FILE).read_bytes() == reference
+        assert (directory / AGGREGATE_FILE).read_bytes() == reference, (
+            _aggregate_report(directory, reference)
+        )
         assert campaign_status(directory)["coordinator_epochs"] >= 2
