@@ -140,9 +140,9 @@ class Sensor:
 
         The caller (the simulation engine) is responsible for calling this
         only at schedule instants; the sensor itself just perturbs.  The
-        errors are :class:`~repro.sensing.noise.UniformNoise`'s, bit for bit and in the same
-        order (position, velocity, acceleration), drawn one double each
-        from the stream.
+        errors are :class:`~repro.sensing.noise.UniformNoise`'s, bit for
+        bit and in the same order (position, velocity, acceleration),
+        drawn one double each from the stream.
 
         Effects: draws-rng
         """

@@ -327,7 +327,9 @@ def test_copied_compound_planner_matches(name, tiny_conservative_spec, scenario)
         assert not mismatches, f"{how}: first mismatches {mismatches[:3]}"
 
 
-def test_planners_sharing_a_network_match_interleaved(tiny_aggressive_spec, scenario):
+def test_planners_sharing_a_network_match_interleaved(
+    tiny_aggressive_spec, scenario
+):
     conservative = tiny_aggressive_spec.build_planner(
         PassingWindowEstimator(scenario.geometry, scenario.oncoming_limits),
         scenario.ego_limits,
