@@ -31,6 +31,47 @@ TINY = ExperimentConfig(
     training_seed=21,
 )
 
+#: ``run_window_study(TINY, horizon=8.0)`` as first computed (Fig. 6b);
+#: the windows it reports must not move by a single bit.
+_FIG6B_PIN = {
+    "times": [
+        0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25,
+        2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0, 4.25, 4.5, 4.75,
+    ],
+    "series": {
+        "cons_lo": [
+            2.6276954864443547, 2.7716693291051517, 2.9095495605119694, 2.9973398807526004,
+            3.1154487520749345, 3.1951798372234643, 3.305394542867602, 3.3957486223034694,
+            3.481492813602997, 3.558715435276013, 3.6259401114446703, 3.6757158170142925,
+            3.717527663614179, 3.7576628810334696, 3.793984667796655, 3.8070178918063253,
+            4.0, 4.25, 4.5, 4.75,
+        ],
+        "cons_hi": [
+            17.983580977061674, 17.309838975059066, 16.61726347037549, 15.526968198025868,
+            14.740165821259003, 13.635773808089464, 12.872042695896575, 11.965252547452657,
+            11.06907701262501, 10.146347158183211, 9.185025778951879, 8.081430029514646,
+            6.957948634061443, 5.9968703150236875, 5.503855514731994, 5.201801174465648,
+            4.99991301744343, 4.924564001636082, 4.861420230902628, 4.842692003602409,
+        ],
+        "aggr_lo": [
+            4.026325586233252, 3.8920255981190017, 5.410044150039552, 4.957907933369145,
+            3.9058884948182744, 3.8815027701557447, 3.6595185189983823, 4.035268164065952,
+            3.7693328683199527, 3.757352938079224, 3.7220103177763626, 3.7710242575896586,
+            3.815941380176528, 3.822022571728752, 3.80167671437466, 3.8074165984995445,
+            4.0, 4.25, 4.5, 4.75,
+        ],
+        "aggr_hi": [
+            5.211336927711254, 5.305073398880935, 5.412399885801693, 5.306965921666716,
+            5.312659515610845, 5.217511705597975, 4.994423576726355, 5.238136146466771,
+            5.153202867427296, 5.059528289524639, 4.60057721403037, 4.929093004816622,
+            5.006054633041714, 4.990777761930372, 4.8422310156111, 4.889211053532387,
+            4.855996894132124, 4.842554402362498, 4.853771367987073, 4.8418490215140695,
+        ],
+    },
+    "true_entry": 3.85,
+    "true_exit": 4.8500000000000005,
+}
+
 
 class TestConfig:
     def test_paper_constants(self):
@@ -167,3 +208,8 @@ class TestFigure6:
         series = study["series"]
         assert series["cons_lo"][0] <= entry + 1e-6
         assert series["cons_hi"][0] >= exit_ - 1e-6
+
+    def test_window_study_values_pinned(self):
+        """Fig. 6b's windows and true passing times, bit for bit."""
+        study = run_window_study(TINY, horizon=8.0)
+        assert study == _FIG6B_PIN
