@@ -18,8 +18,9 @@ from repro.filtering.kalman import KalmanFilter
 from repro.filtering.reachability import ReachabilityAnalyzer
 from repro.planners.base import PlanningContext
 from repro.scenarios.left_turn.passing_time import (
-    aggressive_window,
-    conservative_window,
+    aggressive_bounds,
+    conservative_bounds,
+    speed_limits,
 )
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
@@ -65,31 +66,30 @@ def test_micro_kalman_cycle(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_micro_reachability_band(benchmark, lt_scenario):
+def test_micro_reach_box(benchmark, lt_scenario):
     analyzer = ReachabilityAnalyzer(lt_scenario.oncoming_limits)
-    state = VehicleState(position=50.0, velocity=-12.0)
-    benchmark(analyzer.band_from_state, state, 0.0, 0.5)
+    benchmark(analyzer.reach_box, 50.0, 50.0, -12.0, -12.0, 0.0, 0.5)
 
 
 @pytest.mark.benchmark(group="micro")
-def test_micro_conservative_window(benchmark, lt_scenario):
+def test_micro_conservative_bounds(benchmark, lt_scenario):
     est = _estimate(lt_scenario)
     benchmark(
-        conservative_window,
+        conservative_bounds,
         est,
         lt_scenario.geometry,
-        lt_scenario.oncoming_limits,
+        speed_limits(lt_scenario.oncoming_limits),
     )
 
 
 @pytest.mark.benchmark(group="micro")
-def test_micro_aggressive_window(benchmark, lt_scenario):
+def test_micro_aggressive_bounds(benchmark, lt_scenario):
     est = _estimate(lt_scenario)
     benchmark(
-        aggressive_window,
+        aggressive_bounds,
         est,
         lt_scenario.geometry,
-        lt_scenario.oncoming_limits,
+        speed_limits(lt_scenario.oncoming_limits),
         0.5,
         1.0,
     )

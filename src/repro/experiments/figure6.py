@@ -33,10 +33,7 @@ from repro.experiments.reporting import render_series
 from repro.filtering.kalman import KalmanFilter
 from repro.filtering.replay import ReplayKalmanFilter
 from repro.filtering.fusion import FusedEstimate
-from repro.scenarios.left_turn.passing_time import (
-    aggressive_window,
-    conservative_window,
-)
+from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import Sensor
@@ -188,6 +185,14 @@ def run_window_study(
     model = VehicleModel(scenario.oncoming_limits)
     profile = RandomSequenceProfile(profile_rng, *scenario.profile_accel_range)
     geometry = scenario.geometry
+    conservative = PassingWindowEstimator(geometry, scenario.oncoming_limits)
+    aggressive = PassingWindowEstimator(
+        geometry,
+        scenario.oncoming_limits,
+        aggressive=True,
+        a_buf=config.a_buf,
+        v_buf=config.v_buf,
+    )
 
     dt = config.dt_c
     n_steps = int(round(horizon / dt))
@@ -225,16 +230,8 @@ def run_window_study(
                 nominal=stamped,
                 message_age=0.0,
             )
-            cons = conservative_window(
-                estimate, geometry, scenario.oncoming_limits
-            )
-            aggr = aggressive_window(
-                estimate,
-                geometry,
-                scenario.oncoming_limits,
-                config.a_buf,
-                config.v_buf,
-            )
+            cons = conservative.window(estimate)
+            aggr = aggressive.window(estimate)
             times.append(t)
             series["cons_lo"].append(cons.lo)
             series["cons_hi"].append(min(cons.hi, 60.0))

@@ -1,9 +1,9 @@
 """Information filter: Kalman filtering, message replay, reachability, fusion."""
 
 from repro.filtering.kalman import KalmanFilter, KalmanState
-from repro.filtering.reachability import ReachBand, ReachabilityAnalyzer
+from repro.filtering.reachability import ReachabilityAnalyzer
 from repro.filtering.replay import ReplayKalmanFilter
-from repro.filtering.fusion import FusedEstimate, fuse_bands
+from repro.filtering.fusion import FusedEstimate
 from repro.filtering.info_filter import (
     EstimateProvider,
     InformationFilter,
@@ -13,11 +13,9 @@ from repro.filtering.info_filter import (
 __all__ = [
     "KalmanFilter",
     "KalmanState",
-    "ReachBand",
     "ReachabilityAnalyzer",
     "ReplayKalmanFilter",
     "FusedEstimate",
-    "fuse_bands",
     "InformationFilter",
     "RawEstimator",
     "EstimateProvider",

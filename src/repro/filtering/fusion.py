@@ -11,11 +11,8 @@ disjoint — which can only happen if the Kalman band is wrong — the fusion
 falls back to the guaranteed band, so downstream safety reasoning never
 consumes an empty or unsound interval.
 
-:func:`join_or_fallback` is that rule on plain floats; the estimators
+:func:`join_or_fallback` is that rule, on plain floats; the estimators
 call it once per axis and band every control step.
-:func:`intersect_or_fallback` and :func:`fuse_bands` are the same rule
-over :class:`~repro.utils.intervals.Interval` and
-:class:`~repro.filtering.reachability.ReachBand`.
 """
 
 from __future__ import annotations
@@ -25,15 +22,9 @@ from typing import NamedTuple, Optional, Tuple
 
 from repro.dynamics.state import VehicleState, nan_state_error
 from repro.errors import FilterError
-from repro.filtering.reachability import ReachBand
 from repro.utils.intervals import Interval, nan_bounds_error
 
-__all__ = [
-    "FusedEstimate",
-    "fuse_bands",
-    "intersect_or_fallback",
-    "join_or_fallback",
-]
+__all__ = ["FusedEstimate", "join_or_fallback"]
 
 _INF = math.inf
 
@@ -199,29 +190,3 @@ def join_or_fallback(
     if lo > hi:
         return sound_lo, sound_hi
     return lo, hi
-
-
-def intersect_or_fallback(sound: Interval, refining: Interval) -> Interval:
-    """Intersect a guaranteed band with a refining band.
-
-    Returns the intersection when non-empty, otherwise the guaranteed
-    band.  ``sound`` must be non-empty.
-    """
-    return Interval(*join_or_fallback(sound.lo, sound.hi, refining.lo, refining.hi))
-
-
-def fuse_bands(
-    reach: ReachBand,
-    kf_position: Interval,
-    kf_velocity: Interval,
-) -> ReachBand:
-    """Join a reachability band with Kalman confidence bands.
-
-    Implements the paper's max/min join with the guaranteed-band fallback
-    described in the module docstring.
-    """
-    return ReachBand(
-        time=reach.time,
-        position=intersect_or_fallback(reach.position, kf_position),
-        velocity=intersect_or_fallback(reach.velocity, kf_velocity),
-    )

@@ -39,7 +39,6 @@ import numpy as np
 from repro.dynamics.state import VehicleState
 from repro.errors import FilterError
 from repro.sensing.noise import NoiseBounds
-from repro.utils.intervals import Interval
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["KalmanState", "KalmanFilter", "symmetrize_psd"]
@@ -181,14 +180,6 @@ class KalmanState(_StateFields):
     def velocity_std(self) -> float:
         """Standard deviation of the velocity estimate."""
         return math.sqrt(max(self.p11, 0.0))
-
-    def position_band(self, n_sigma: float = 3.0) -> Interval:
-        """``mean ± n_sigma * std`` interval for the position."""
-        return Interval.around(self.position, n_sigma * self.position_std)
-
-    def velocity_band(self, n_sigma: float = 3.0) -> Interval:
-        """``mean ± n_sigma * std`` interval for the velocity."""
-        return Interval.around(self.velocity, n_sigma * self.velocity_std)
 
     def as_vehicle_state(self, acceleration: float = 0.0) -> VehicleState:
         """The mean estimate repackaged as a :class:`VehicleState`.

@@ -23,37 +23,21 @@ accelerating.  These bounds are *sound* for the saturating
 verifies exhaustively — which is what makes the runtime monitor's unsafe
 set an over-approximation and hence the safety theorem valid.
 
-The analyzer also propagates whole *intervals* of initial conditions,
-needed when the starting knowledge is itself a band (e.g. a noisy sensor
-reading): the extremal trajectories start from the extremal corners.
+:meth:`ReachabilityAnalyzer.reach_box` is the one implementation, on
+plain floats.  It propagates a whole *box* of initial conditions, needed
+when the starting knowledge is itself a band (e.g. a noisy sensor
+reading): the extremal trajectories start from the extremal corners.  An
+exact state (a message) is the degenerate box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
-from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
-from repro.utils.intervals import Interval
 
-__all__ = ["ReachBand", "ReachabilityAnalyzer"]
-
-
-@dataclass(frozen=True, slots=True)
-class ReachBand:
-    """Reachable position/velocity intervals of a vehicle at one time."""
-
-    time: float
-    position: Interval
-    velocity: Interval
-
-    def __str__(self) -> str:
-        return (
-            f"reach[t={self.time:.3f}s p in {self.position} "
-            f"v in {self.velocity}]"
-        )
+__all__ = ["ReachabilityAnalyzer"]
 
 
 class ReachabilityAnalyzer:
@@ -99,10 +83,9 @@ class ReachabilityAnalyzer:
         extremal trajectories are monotone in the initial position and
         velocity, so the reachable box comes from the two extreme
         corners.  Initial velocities are clipped to ``[v_min, v_max]``.
-        This is the only implementation of Eq. (2); every other method
-        of the analyzer wraps it.  Plain floats in, plain floats out:
-        no band object is built and the result is not checked for NaN
-        or emptiness.
+        This is the only implementation of Eq. (2).  Plain floats in,
+        plain floats out: no band object is built and the result is not
+        checked for NaN or emptiness.
         """
         elapsed = float(now) - float(stamp)
         if elapsed < -1e-12:
@@ -129,92 +112,6 @@ class ReachabilityAnalyzer:
             v_min if v_min > reach_lo else reach_lo,
             v_max if v_max < reach_hi else reach_hi,
         )
-
-    # ------------------------------------------------------------------
-    # Scalar extremal trajectories
-    # ------------------------------------------------------------------
-    def max_position(self, position: float, velocity: float, elapsed: float) -> float:
-        """Upper position bound after ``elapsed`` seconds (Eq. (2)).
-
-        Units: position [m], velocity [m/s], elapsed [s] -> [m]
-        """
-        self._check_elapsed(elapsed)
-        return self.reach_box(position, position, velocity, velocity, 0.0, elapsed)[1]
-
-    def min_position(self, position: float, velocity: float, elapsed: float) -> float:
-        """Lower position bound after ``elapsed`` seconds (mirror of Eq. (2)).
-
-        Units: position [m], velocity [m/s], elapsed [s] -> [m]
-        """
-        self._check_elapsed(elapsed)
-        return self.reach_box(position, position, velocity, velocity, 0.0, elapsed)[0]
-
-    def max_velocity(self, velocity: float, elapsed: float) -> float:
-        """Upper velocity bound after ``elapsed`` seconds.
-
-        Units: velocity [m/s], elapsed [s] -> [m/s]
-        """
-        self._check_elapsed(elapsed)
-        return self.reach_box(0.0, 0.0, velocity, velocity, 0.0, elapsed)[3]
-
-    def min_velocity(self, velocity: float, elapsed: float) -> float:
-        """Lower velocity bound after ``elapsed`` seconds.
-
-        Units: velocity [m/s], elapsed [s] -> [m/s]
-        """
-        self._check_elapsed(elapsed)
-        return self.reach_box(0.0, 0.0, velocity, velocity, 0.0, elapsed)[2]
-
-    # ------------------------------------------------------------------
-    # Bands
-    # ------------------------------------------------------------------
-    def band_from_state(self, state: VehicleState, stamp: float, now: float) -> ReachBand:
-        """Reachable band at ``now`` from an exact state stamped ``stamp``.
-
-        Units: stamp [s], now [s]
-        """
-        p_lo, p_hi, v_lo, v_hi = self.reach_box(
-            state.position, state.position, state.velocity, state.velocity, stamp, now
-        )
-        return ReachBand(
-            time=float(now),
-            position=Interval(p_lo, p_hi),
-            velocity=Interval(v_lo, v_hi),
-        )
-
-    def band_from_intervals(
-        self,
-        position: Interval,
-        velocity: Interval,
-        stamp: float,
-        now: float,
-    ) -> ReachBand:
-        """Reachable band from *interval* initial knowledge.
-
-        Units: position [m], velocity [m/s], stamp [s], now [s]
-        """
-        if position.is_empty or velocity.is_empty:
-            raise ConfigurationError(
-                "cannot propagate an empty initial band"
-            )
-        p_lo, p_hi, v_lo, v_hi = self.reach_box(
-            position.lo, position.hi, velocity.lo, velocity.hi, stamp, now
-        )
-        return ReachBand(
-            time=float(now),
-            position=Interval(p_lo, p_hi),
-            velocity=Interval(v_lo, v_hi),
-        )
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_elapsed(elapsed: float) -> None:
-        if elapsed < 0.0:
-            raise ConfigurationError(
-                f"elapsed time must be >= 0, got {elapsed}"
-            )
 
 
 def _extremal_position(

@@ -5,11 +5,7 @@ from repro.scenarios.left_turn.geometry import (
     earliest_arrival_time,
     latest_arrival_time,
 )
-from repro.scenarios.left_turn.passing_time import (
-    PassingWindowEstimator,
-    aggressive_window,
-    conservative_window,
-)
+from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
 from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
 from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
@@ -19,8 +15,6 @@ __all__ = [
     "earliest_arrival_time",
     "latest_arrival_time",
     "PassingWindowEstimator",
-    "conservative_window",
-    "aggressive_window",
     "LeftTurnSafetyModel",
     "LeftTurnEmergencyPlanner",
     "LeftTurnScenario",

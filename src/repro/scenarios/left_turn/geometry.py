@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ScenarioError
-from repro.utils.intervals import Interval
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "earliest_arrival_unchecked",
     "latest_arrival_time",
     "latest_arrival_unchecked",
-    "traversal_window",
 ]
 
 #: Times beyond this horizon are treated as "never" in window algebra.
@@ -222,41 +220,6 @@ def arrival_time_under(
     if v <= 0.0:
         return NEVER
     return distance / v
-
-
-def traversal_window(
-    d_front: float,
-    d_back: float,
-    velocity: float,
-    v_cap: float,
-    a_cap: float,
-    v_floor: float,
-    a_floor: float,
-) -> Interval:
-    """Possible occupancy window ``[tau_min, tau_max]`` of the unsafe area.
-
-    ``tau_min`` is the earliest the vehicle can *enter* (reach the front
-    line under the fastest strategy); ``tau_max`` the latest it can *exit*
-    (clear the back line under the slowest strategy).  Distances are in
-    metres along the vehicle's direction of travel (velocities in m/s,
-    accelerations in m/s², times in seconds); a vehicle past its back line
-    yields an empty window.  All times are relative delays (add the
-    current timestamp to get absolute times).
-
-    Units: d_front [m], d_back [m], velocity [m/s], v_cap [m/s]
-    Units: a_cap [m/s^2], v_floor [m/s], a_floor [m/s^2] -> [s]
-    """
-    if d_back < d_front:
-        raise ScenarioError(
-            f"d_back ({d_back}) must be >= d_front ({d_front})"
-        )
-    if d_back <= 0.0:
-        return Interval.EMPTY
-    entry = earliest_arrival_time(d_front, velocity, v_cap, a_cap)
-    exit_ = latest_arrival_time(d_back, velocity, v_floor, a_floor)
-    if entry == NEVER:
-        return Interval.EMPTY
-    return Interval(entry, exit_)
 
 
 @dataclass(frozen=True, slots=True)

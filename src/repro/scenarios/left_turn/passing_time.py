@@ -48,9 +48,7 @@ __all__ = [
     "SpeedLimits",
     "speed_limits",
     "conservative_bounds",
-    "conservative_window",
     "aggressive_bounds",
-    "aggressive_window",
     "PassingWindowEstimator",
 ]
 
@@ -108,7 +106,7 @@ def conservative_bounds(
 
     Returns absolute-time ``(lo, hi)`` bounds, empty (``lo > hi``) when
     the whole band has already cleared the area.  This is the only
-    implementation of Eq. (7); :func:`conservative_window` wraps it.
+    implementation of Eq. (7).
 
     Units: -> [s]
     """
@@ -141,21 +139,6 @@ def conservative_bounds(
     return lo, hi
 
 
-def conservative_window(
-    estimate: FusedEstimate,
-    geometry: LeftTurnGeometry,
-    limits: VehicleLimits,
-) -> Interval:
-    """:func:`conservative_bounds` as an :class:`Interval` (Eq. (7)).
-
-    Returns an *absolute-time* interval; empty when the whole band has
-    already cleared the area.
-
-    Units: -> [s]
-    """
-    return Interval(*conservative_bounds(estimate, geometry, speed_limits(limits)))
-
-
 def aggressive_bounds(
     estimate: FusedEstimate,
     geometry: LeftTurnGeometry,
@@ -174,9 +157,9 @@ def aggressive_bounds(
     feeding this one to the NN planner trades no safety for efficiency.
 
     Returns absolute-time ``(lo, hi)`` bounds, empty when ``lo > hi``.
-    The buffers are not checked here: :func:`aggressive_window` checks
-    them per call, :class:`PassingWindowEstimator` once at construction.
-    This is the only implementation of Eq. (8).
+    The buffers are not checked here: :class:`PassingWindowEstimator`
+    checks them once, at construction.  This is the only implementation
+    of Eq. (8).
     """
     max_speed, min_speed, max_speedup, max_brake, _ = speeds
 
@@ -210,27 +193,6 @@ def aggressive_bounds(
     if math.isnan(lo) or math.isnan(hi):
         raise nan_bounds_error(lo, hi)
     return lo, hi
-
-
-def aggressive_window(
-    estimate: FusedEstimate,
-    geometry: LeftTurnGeometry,
-    limits: VehicleLimits,
-    a_buf: float,
-    v_buf: float,
-) -> Interval:
-    """:func:`aggressive_bounds` as an :class:`Interval` (Eq. (8)).
-
-    Units: a_buf [m/s^2], v_buf [m/s] -> [s]
-
-    Both buffers are nonnegative; the returned interval holds absolute
-    times in seconds.
-    """
-    check_nonnegative(a_buf, "a_buf")
-    check_nonnegative(v_buf, "v_buf")
-    return Interval(
-        *aggressive_bounds(estimate, geometry, speed_limits(limits), a_buf, v_buf)
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,7 +243,7 @@ class PassingWindowEstimator:
         return conservative_bounds(estimate, self.geometry, self._speeds)
 
     def window(self, estimate: FusedEstimate) -> Interval:
-        """Absolute-time occupancy window for the given estimate.
+        """:meth:`bounds` as an :class:`Interval` (empty as ``Interval.EMPTY``).
 
         Units: -> [s]
         """

@@ -18,7 +18,7 @@ Implements the slack / projected-passing-window algebra of Section IV:
 :class:`LeftTurnSafetyModel` packages these predicates behind the
 scenario-agnostic :class:`repro.core.unsafe_set.SafetyModel` protocol, on
 top of the sound Eq. (7) occupancy window
-(:func:`~repro.scenarios.left_turn.passing_time.conservative_window`) over
+(:func:`~repro.scenarios.left_turn.passing_time.conservative_bounds`) over
 the fused estimates of the oncoming vehicle.
 """
 
@@ -42,13 +42,12 @@ from repro.scenarios.left_turn.passing_time import (
     conservative_bounds,
     speed_limits,
 )
-from repro.utils.intervals import Interval, bounds_overlap, nan_bounds_error
+from repro.utils.intervals import bounds_overlap, nan_bounds_error
 from repro.utils.validation import check_positive
 
 __all__ = [
     "slack",
     "ego_passing_bounds",
-    "ego_passing_window",
     "boundary_slack_margin",
     "LeftTurnSafetyModel",
 ]
@@ -119,19 +118,6 @@ def ego_passing_bounds(
     return lo, hi
 
 
-def ego_passing_window(
-    time: float,
-    position: float,
-    velocity: float,
-    geometry: LeftTurnGeometry,
-) -> Interval:
-    """:func:`ego_passing_bounds` as an :class:`Interval`.
-
-    Units: time [s], position [m], velocity [m/s] -> [s]
-    """
-    return Interval(*ego_passing_bounds(time, position, velocity, geometry))
-
-
 def boundary_slack_margin(
     velocity: float, dt_c: float, ego_limits: VehicleLimits
 ) -> float:
@@ -182,12 +168,11 @@ class LeftTurnSafetyModel:
 
     The predicates run on floats.  The window comes from
     :meth:`oncoming_bounds`, the one override point for where the
-    conflict window comes from (:meth:`oncoming_window` wraps it).  The
-    constants of the frozen model -- the oncoming limits in speed terms,
-    the boundary-margin terms and the lookahead steps' ``a dt`` and
-    ``a dt^2 / 2`` -- are derived once, at construction, and are not
-    dataclass fields, so equality, repr and pickling see only the
-    fields below.
+    conflict window comes from.  The constants of the frozen model --
+    the oncoming limits in speed terms, the boundary-margin terms and
+    the lookahead steps' ``a dt`` and ``a dt^2 / 2`` -- are derived
+    once, at construction, and are not dataclass fields, so equality,
+    repr and pickling see only the fields below.
 
     Attributes
     ----------
@@ -263,15 +248,6 @@ class LeftTurnSafetyModel:
         return conservative_bounds(
             estimates[self.oncoming_index], self.geometry, self._speeds
         )
-
-    def oncoming_window(
-        self, time: float, estimates: Mapping[int, FusedEstimate]
-    ) -> Interval:
-        """:meth:`oncoming_bounds` as an :class:`Interval`.
-
-        Units: time [s] -> [s]
-        """
-        return Interval(*self.oncoming_bounds(time, estimates))
 
     # ------------------------------------------------------------------
     # Observability hooks (telemetry only — the monitor never calls these)

@@ -38,7 +38,7 @@ from repro.scenarios.left_turn.geometry import (
     earliest_arrival_time,
 )
 from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
-from repro.utils.intervals import Interval, nan_bounds_error
+from repro.utils.intervals import nan_bounds_error
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 
@@ -108,13 +108,6 @@ class TrafficLight:
             raise nan_bounds_error(lo, hi)
         return lo, hi
 
-    def next_red_interval(self, time: float) -> Interval:
-        """:meth:`next_red_bounds` as an :class:`Interval`.
-
-        Units: time [s] -> [s]
-        """
-        return Interval(*self.next_red_bounds(time))
-
     def next_green_start(self, time: float) -> float:
         """When the current/next green phase begins (at or before ``time``
         if the light is green now).
@@ -143,11 +136,10 @@ class SignalizedSafetyModel(LeftTurnSafetyModel):
 
     Overrides :meth:`~LeftTurnSafetyModel.oncoming_bounds`, the one
     override point of the left-turn predicates, to return the next red
-    interval (a deterministic schedule, ignoring estimates entirely);
-    :meth:`~LeftTurnSafetyModel.oncoming_window` wraps it.  Everything
-    else — slack band, one-step lookahead, the full-throttle commit
-    invariant — is inherited unchanged, which is the point: the monitor
-    is generic over where the conflict window comes from.
+    interval (a deterministic schedule, ignoring estimates entirely).
+    Everything else — slack band, one-step lookahead, the full-throttle
+    commit invariant — is inherited unchanged, which is the point: the
+    monitor is generic over where the conflict window comes from.
     """
 
     light: TrafficLight = field(

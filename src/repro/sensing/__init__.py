@@ -1,6 +1,6 @@
-"""Onboard sensing substrate: uniform noise models and periodic sensors."""
+"""Onboard sensing substrate: uniform noise bounds and periodic sensors."""
 
-from repro.sensing.noise import NoiseBounds, UniformNoise
+from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import Sensor, SensorReading
 
-__all__ = ["NoiseBounds", "UniformNoise", "Sensor", "SensorReading"]
+__all__ = ["NoiseBounds", "Sensor", "SensorReading"]

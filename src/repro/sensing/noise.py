@@ -1,4 +1,4 @@
-"""Sensor noise models.
+"""Sensor noise bounds.
 
 The paper assumes each sensed quantity is uniformly distributed within
 ``±delta`` of the true value (Section II-A, "Sensor"): position within
@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.intervals import Interval
-from repro.utils.rng import RngStream
 from repro.utils.validation import check_nonnegative
 
-__all__ = ["NoiseBounds", "UniformNoise"]
+__all__ = ["NoiseBounds"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,52 +58,3 @@ class NoiseBounds:
     def acceleration_variance(self) -> float:
         """Variance of the uniform acceleration error: ``delta_a^2 / 3``."""
         return self.delta_a * self.delta_a / 3.0
-
-    def position_band(self, measured: float) -> Interval:
-        """Interval guaranteed to contain the true position."""
-        return Interval.around(measured, self.delta_p)
-
-    def velocity_band(self, measured: float) -> Interval:
-        """Interval guaranteed to contain the true velocity."""
-        return Interval.around(measured, self.delta_v)
-
-    def acceleration_band(self, measured: float) -> Interval:
-        """Interval guaranteed to contain the true acceleration."""
-        return Interval.around(measured, self.delta_a)
-
-
-class UniformNoise:
-    """Draws uniform measurement errors within :class:`NoiseBounds`."""
-
-    def __init__(self, bounds: NoiseBounds, rng: RngStream) -> None:
-        self._bounds = bounds
-        self._rng = rng
-
-    @property
-    def bounds(self) -> NoiseBounds:
-        """The bounds errors are drawn within."""
-        return self._bounds
-
-    def perturb_position(self, true_value: float) -> float:
-        """True position plus a uniform error in ``±delta_p``."""
-        if self._bounds.delta_p == 0.0:
-            return true_value
-        return true_value + float(
-            self._rng.uniform(-self._bounds.delta_p, self._bounds.delta_p)
-        )
-
-    def perturb_velocity(self, true_value: float) -> float:
-        """True velocity plus a uniform error in ``±delta_v``."""
-        if self._bounds.delta_v == 0.0:
-            return true_value
-        return true_value + float(
-            self._rng.uniform(-self._bounds.delta_v, self._bounds.delta_v)
-        )
-
-    def perturb_acceleration(self, true_value: float) -> float:
-        """True acceleration plus a uniform error in ``±delta_a``."""
-        if self._bounds.delta_a == 0.0:
-            return true_value
-        return true_value + float(
-            self._rng.uniform(-self._bounds.delta_a, self._bounds.delta_a)
-        )

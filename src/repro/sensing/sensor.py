@@ -89,8 +89,8 @@ class Sensor:
         self._period = check_positive(period, "period")
         self._bounds = bounds
         self._random = rng.random
-        # Each channel's error is UniformNoise's draw, numpy's
-        # ``low + (high - low) * random()`` on ``[-delta, delta)``: its
+        # Each channel's error is the stream's ``uniform(-delta, delta)``
+        # draw, numpy's ``low + (high - low) * random()``: its
         # ``(low, high - low)``, with a zero span for a noiseless channel,
         # which draws nothing.
         spans = []
@@ -139,10 +139,10 @@ class Sensor:
         Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
 
         The caller (the simulation engine) is responsible for calling this
-        only at schedule instants; the sensor itself just perturbs.  The
-        errors are :class:`~repro.sensing.noise.UniformNoise`'s, bit for
-        bit and in the same order (position, velocity, acceleration),
-        drawn one double each from the stream.
+        only at schedule instants; the sensor itself just perturbs.  Each
+        error is the stream's ``uniform(-delta, delta)`` for its channel,
+        bit for bit, drawn one double each in the order position,
+        velocity, acceleration (a noiseless channel draws nothing).
 
         Effects: draws-rng
         """

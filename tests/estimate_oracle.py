@@ -5,7 +5,10 @@ the band join was rewritten on plain floats: Eq. (2) written as four
 scalar extremal trajectories, every band an
 :class:`~repro.utils.intervals.Interval`, the message/sensor/Kalman join
 through :func:`intersect_or_fallback` and :func:`fuse_bands` on
-:class:`ReachBand` objects, and the result the four-object
+:class:`ReachBand` objects (the sensor band ``reading ± delta`` and the
+Kalman band ``mean ± n_sigma * std`` built here as ``Interval`` objects,
+by :func:`sensor_bands` and :func:`kalman_bands`), and the result the
+four-object
 :class:`ObjectEstimate` -- two ``Interval`` bands and a
 :class:`~repro.dynamics.state.VehicleState` nominal inside a checked
 record -- that ``FusedEstimate`` was before it became one flat record.
@@ -22,12 +25,13 @@ the classes to run whole episodes on the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.comm.message import Message
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError, FilterError
+from repro.filtering.kalman import KalmanState
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
 from repro.utils.intervals import Interval
@@ -41,7 +45,9 @@ __all__ = [
     "information_filter_estimate",
     "intersect_or_fallback",
     "is_fresh",
+    "kalman_bands",
     "raw_estimate",
+    "sensor_bands",
 ]
 
 #: A reading this much younger than one sensing period is still fresh.
@@ -204,6 +210,22 @@ def fuse_bands(
     )
 
 
+def sensor_bands(bounds: NoiseBounds, reading: SensorReading) -> Tuple[Interval, Interval]:
+    """The position and velocity bands ``measured ± delta`` of a reading."""
+    return (
+        Interval.around(reading.position, bounds.delta_p),
+        Interval.around(reading.velocity, bounds.delta_v),
+    )
+
+
+def kalman_bands(kf: KalmanState, n_sigma: float) -> Tuple[Interval, Interval]:
+    """The ``mean ± n_sigma * std`` position and velocity bands."""
+    return (
+        Interval.around(kf.position, n_sigma * kf.position_std),
+        Interval.around(kf.velocity, n_sigma * kf.velocity_std),
+    )
+
+
 def guaranteed_band(
     reach: ReachabilityAnalyzer,
     bounds: NoiseBounds,
@@ -217,10 +239,8 @@ def guaranteed_band(
         band = reach.band_from_state(message.state, message.stamp, now)
     if reading is not None:
         limits = reach.limits
-        p_band = bounds.position_band(reading.position)
-        v_band = bounds.velocity_band(reading.velocity).intersect(
-            Interval(limits.v_min, limits.v_max)
-        )
+        p_band, v_band = sensor_bands(bounds, reading)
+        v_band = v_band.intersect(Interval(limits.v_min, limits.v_max))
         if v_band.is_empty:
             v_band = Interval.point(limits.clip_velocity(reading.velocity))
         sensed = reach.band_from_intervals(p_band, v_band, reading.time, now)
@@ -256,11 +276,7 @@ def information_filter_estimate(self, now: float) -> ObjectEstimate:
     fresh = is_fresh(reading, now, self._sensing_period)
     if replay.is_initialized and not self._watchdog.diverged and fresh:
         kf = replay.estimate_at(now)
-        fused = fuse_bands(
-            guaranteed,
-            kf.position_band(self._n_sigma),
-            kf.velocity_band(self._n_sigma),
-        )
+        fused = fuse_bands(guaranteed, *kalman_bands(kf, self._n_sigma))
         nominal = VehicleState(
             position=fused.position.clamp(kf.position),
             velocity=fused.velocity.clamp(kf.velocity),

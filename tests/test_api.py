@@ -1,5 +1,8 @@
 """Tests of the public package surface."""
 
+import importlib
+import pkgutil
+
 import repro
 
 
@@ -8,8 +11,20 @@ class TestExports:
         assert repro.__version__
 
     def test_all_resolvable(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        """Every name in every ``repro`` module's ``__all__`` exists."""
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.name.rsplit(".", 1)[-1] != "__main__"
+        ]
+        missing = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert len(modules) > 100
+        assert not missing, missing
 
     def test_key_symbols_present(self):
         for name in (

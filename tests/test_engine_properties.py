@@ -10,7 +10,7 @@ from repro.dynamics.vehicle import VehicleModel
 from repro.dynamics.profiles import RandomSequenceProfile
 from repro.filtering.fusion import FusedEstimate
 from repro.planners.constant import ConstantPlanner
-from repro.scenarios.left_turn.passing_time import conservative_window
+from repro.scenarios.left_turn.passing_time import conservative_bounds, speed_limits
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
@@ -114,14 +114,14 @@ class TestWindowMonotonicity:
                 velocity=Interval.point(state.velocity),
                 nominal=state,
             )
-            window = conservative_window(
-                estimate, SCENARIO.geometry, SCENARIO.oncoming_limits
+            lo, hi = conservative_bounds(
+                estimate, SCENARIO.geometry, speed_limits(SCENARIO.oncoming_limits)
             )
-            if window.is_empty:
+            if lo > hi:
                 break  # cleared for good; stays empty afterwards
-            assert window.lo >= prev_lo - 1e-9
-            assert window.hi <= prev_hi + 1e-9
-            prev_lo, prev_hi = window.lo, window.hi
+            assert lo >= prev_lo - 1e-9
+            assert hi <= prev_hi + 1e-9
+            prev_lo, prev_hi = lo, hi
             accel = profile(
                 step, t, state.position, state.velocity, state.acceleration
             )

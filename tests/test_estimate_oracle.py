@@ -260,9 +260,10 @@ def _tally(seen, limits, bounds, message, reading, now, kalman, filt) -> None:
     except ReproError:
         return
     if kalman is not None and not filt._watchdog.diverged and fresh:
+        kf_position, kf_velocity = estimate_oracle.kalman_bands(kalman, filt._n_sigma)
         if not (
-            guaranteed.position.overlaps(kalman.position_band(filt._n_sigma))
-            and guaranteed.velocity.overlaps(kalman.velocity_band(filt._n_sigma))
+            guaranteed.position.overlaps(kf_position)
+            and guaranteed.velocity.overlaps(kf_velocity)
         ):
             seen["disjoint Kalman band"] += 1
 

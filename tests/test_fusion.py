@@ -5,66 +5,99 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dynamics.state import VehicleState
+from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FilterError
-from repro.filtering.fusion import (
-    FusedEstimate,
-    fuse_bands,
-    intersect_or_fallback,
-)
-from repro.filtering.reachability import ReachBand
+from repro.filtering.fusion import FusedEstimate, join_or_fallback
+from repro.filtering.info_filter import InformationFilter
+from repro.filtering.kalman import KalmanState
+from repro.sensing.noise import NoiseBounds
+from repro.sensing.sensor import SensorReading
 from repro.utils.intervals import Interval
 
 finite = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 ivs = st.tuples(finite, finite).map(lambda ab: Interval(*ab))
 
 
+def _join(sound: Interval, refining: Interval) -> Interval:
+    """:func:`join_or_fallback` on two intervals' bounds."""
+    return Interval(*join_or_fallback(sound.lo, sound.hi, refining.lo, refining.hi))
+
+
 class TestIntersectOrFallback:
+    """The Section III-B join: intersect, or fall back to the sound band."""
+
     def test_overlapping_intersects(self):
-        out = intersect_or_fallback(Interval(0.0, 10.0), Interval(5.0, 15.0))
+        out = _join(Interval(0.0, 10.0), Interval(5.0, 15.0))
         assert out == Interval(5.0, 10.0)
 
     def test_disjoint_falls_back_to_sound(self):
         sound = Interval(0.0, 1.0)
-        assert intersect_or_fallback(sound, Interval(5.0, 6.0)) == sound
+        assert _join(sound, Interval(5.0, 6.0)) == sound
 
     def test_empty_refiner_falls_back(self):
         sound = Interval(0.0, 1.0)
-        assert intersect_or_fallback(sound, Interval.EMPTY) == sound
+        assert _join(sound, Interval.EMPTY) == sound
 
     def test_empty_sound_rejected(self):
         with pytest.raises(FilterError):
-            intersect_or_fallback(Interval.EMPTY, Interval(0.0, 1.0))
+            _join(Interval.EMPTY, Interval(0.0, 1.0))
 
     @given(ivs.filter(bool), ivs)
     def test_result_always_within_sound(self, sound, refining):
-        out = intersect_or_fallback(sound, refining)
+        out = _join(sound, refining)
         assert sound.contains_interval(out)
         assert not out.is_empty
 
 
+class _FixedKalman:
+    """Stands in for the replay filter: a fixed, fresh Kalman estimate."""
+
+    is_initialized = True
+    current_accel = 0.0
+
+    def __init__(self, state: KalmanState) -> None:
+        self._state = state
+
+    def estimate_at(self, now: float) -> KalmanState:
+        return self._state
+
+
 class TestFuseBands:
-    def _reach(self):
-        return ReachBand(
-            time=1.0,
-            position=Interval(0.0, 10.0),
-            velocity=Interval(-15.0, -5.0),
+    """The information filter joins its sound band with the Kalman band."""
+
+    def _estimate(self, kf_position, half_p, kf_velocity, half_v):
+        # A fresh reading at (5, -10) within ±5 gives the sound band
+        # [0, 10] x [-15, -5]; the 3-sigma Kalman band, ``half_p`` and
+        # ``half_v`` either side of its mean, refines it.
+        filt = InformationFilter(
+            VehicleLimits(v_min=-20.0, v_max=0.0, a_min=-3.0, a_max=3.0),
+            NoiseBounds(delta_p=5.0, delta_v=5.0, delta_a=0.0),
+            sensing_period=0.1,
         )
+        filt._latest_reading = SensorReading(1, 1.0, 5.0, -10.0, 0.0)
+        filt._replay = _FixedKalman(
+            KalmanState(
+                time=1.0,
+                position=kf_position,
+                velocity=kf_velocity,
+                p00=(half_p / 3.0) ** 2,
+                p01=0.0,
+                p11=(half_v / 3.0) ** 2,
+            )
+        )
+        return filt.estimate(1.0)
 
     def test_tightens_both_axes(self):
-        fused = fuse_bands(
-            self._reach(), Interval(2.0, 8.0), Interval(-12.0, -6.0)
-        )
+        fused = self._estimate(5.0, 3.0, -9.0, 3.0)
         assert fused.position == Interval(2.0, 8.0)
         assert fused.velocity == Interval(-12.0, -6.0)
 
     def test_keeps_time(self):
-        fused = fuse_bands(self._reach(), Interval(0, 1), Interval(-10, -9))
+        fused = self._estimate(0.5, 1.5, -9.5, 1.5)
         assert fused.time == 1.0
 
     def test_disjoint_kalman_band_ignored(self):
-        fused = fuse_bands(
-            self._reach(), Interval(100.0, 200.0), Interval(-12.0, -6.0)
-        )
+        fused = self._estimate(150.0, 50.0, -9.0, 3.0)
         assert fused.position == Interval(0.0, 10.0)
 
 

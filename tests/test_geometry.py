@@ -1,7 +1,5 @@
 """Tests for left-turn geometry and arrival-time kinematics."""
 
-import math
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,13 +7,18 @@ from hypothesis import strategies as st
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits, VehicleModel
 from repro.errors import ScenarioError
+from repro.filtering.fusion import FusedEstimate
 from repro.scenarios.left_turn.geometry import (
     NEVER,
     LeftTurnGeometry,
     arrival_time_under,
     earliest_arrival_time,
     latest_arrival_time,
-    traversal_window,
+)
+from repro.scenarios.left_turn.passing_time import (
+    aggressive_bounds,
+    conservative_bounds,
+    speed_limits,
 )
 
 
@@ -223,27 +226,40 @@ class TestArrivalAgainstSimulation:
 
 
 class TestTraversalWindow:
-    def test_basic_window(self):
-        w = traversal_window(
-            d_front=20.0,
-            d_back=30.0,
-            velocity=10.0,
-            v_cap=20.0,
-            a_cap=3.0,
-            v_floor=2.0,
-            a_floor=-3.0,
+    """The occupancy window Eq. (7) composes: earliest entry, latest exit.
+
+    An exact oncoming state with ``d_front``/``d_back`` metres to the
+    default area's lines, through ``conservative_bounds`` (and the
+    Eq. (8) ``aggressive_bounds`` for a vehicle that never enters).
+    """
+
+    def _exact(self, d_back, velocity, accel=0.0):
+        position = LeftTurnGeometry().oncoming_back + d_back
+        return FusedEstimate.of(
+            0.0, position, position, velocity, velocity, position, velocity, accel
         )
-        assert w.lo < w.hi
-        assert w.lo <= 20.0 / 10.0  # at least as early as constant speed
+
+    def test_basic_window(self):
+        # d_front 20, d_back 30 at 10 m/s; speed within [2, 20], |a| <= 3.
+        limits = VehicleLimits(v_min=-20.0, v_max=-2.0, a_min=-3.0, a_max=3.0)
+        lo, hi = conservative_bounds(
+            self._exact(30.0, -10.0), LeftTurnGeometry(), speed_limits(limits)
+        )
+        assert lo < hi
+        assert lo <= 20.0 / 10.0  # at least as early as constant speed
 
     def test_cleared_vehicle_empty(self):
-        w = traversal_window(-10.0, -1.0, 10.0, 20.0, 3.0, 2.0, -3.0)
-        assert w.is_empty
-
-    def test_bad_ordering_rejected(self):
-        with pytest.raises(ScenarioError):
-            traversal_window(10.0, 5.0, 10.0, 20.0, 3.0, 2.0, -3.0)
+        limits = VehicleLimits(v_min=-20.0, v_max=-2.0, a_min=-3.0, a_max=3.0)
+        lo, hi = conservative_bounds(
+            self._exact(-1.0, -10.0), LeftTurnGeometry(), speed_limits(limits)
+        )
+        assert lo > hi
 
     def test_unreachable_entry_empty(self):
-        w = traversal_window(10.0, 20.0, 0.0, 20.0, 0.0, 0.0, 0.0)
-        assert w.is_empty
+        # Standing still, no speed-up allowed and a zero speed floor: the
+        # vehicle never reaches the front line.
+        limits = VehicleLimits(v_min=-20.0, v_max=0.0, a_min=-3.0, a_max=3.0)
+        lo, hi = aggressive_bounds(
+            self._exact(20.0, 0.0), LeftTurnGeometry(), speed_limits(limits), 0.0, 0.0
+        )
+        assert lo > hi

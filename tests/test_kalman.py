@@ -7,8 +7,10 @@ from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits, VehicleModel
 from repro.errors import FilterError
 from repro.filtering.kalman import KalmanFilter, KalmanState
-from repro.sensing.noise import NoiseBounds, UniformNoise
+from repro.sensing.noise import NoiseBounds
+from repro.utils.intervals import Interval
 from repro.utils.rng import RngStream
+from tests.test_sensing import UniformNoise
 
 DT = 0.1
 BOUNDS = NoiseBounds.uniform_all(1.0)
@@ -59,11 +61,15 @@ class TestKalmanState:
         assert s.velocity_std == 3.0
 
     def test_bands(self):
+        # The information filter joins ``mean ± n_sigma * std``.
         s = KalmanState(
-            time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
+            time=0.0, position=1.0, velocity=-3.0, p00=4.0, p01=0.0, p11=0.25
         )
-        band = s.position_band(2.0)
-        assert band.lo == -2.0 and band.hi == 2.0
+        n_sigma = 2.0
+        band = Interval.around(s.position, n_sigma * s.position_std)
+        assert band == Interval(-3.0, 5.0)
+        band = Interval.around(s.velocity, n_sigma * s.velocity_std)
+        assert band == Interval(-4.0, -2.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(FilterError):

@@ -74,3 +74,34 @@ def test_gate_exercises_every_rule_scope():
             assert package_dir.is_dir(), (
                 f"scope {scope!r} names missing package {prefix}"
             )
+
+
+def test_every_baseline_entry_is_live(monkeypatch):
+    # A stale fingerprint (its line fixed or rewritten) would silently
+    # grandfather any future line with the same path, rule and text, so
+    # every entry must still match a finding in the file it names.
+    from dataclasses import replace
+
+    config = (
+        load_project_config(PYPROJECT) if PYPROJECT.is_file() else LintConfig()
+    )
+    if config.baseline is None:
+        return
+    entries = load_baseline(config.baseline).entries
+    # Fingerprints hash the path as written in the baseline: lint the
+    # named files by those repo-relative paths, with no baseline.
+    monkeypatch.chdir(REPO_ROOT)
+    paths = sorted({meta["path"] for meta in entries.values()})
+    result = lint_paths(
+        [Path(path) for path in paths], replace(config, baseline=None)
+    )
+    live = {finding.fingerprint for finding in result.findings}
+    stale = sorted(
+        f"{meta['path']}:{meta['line']} {meta['rule']} ({fingerprint})"
+        for fingerprint, meta in entries.items()
+        if fingerprint not in live
+    )
+    assert not stale, (
+        f"{len(stale)} baseline entries match no current finding; remove "
+        "them from the baseline file:\n" + "\n".join(stale)
+    )

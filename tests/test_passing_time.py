@@ -20,14 +20,27 @@ from repro.filtering.fusion import FusedEstimate
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 from repro.scenarios.left_turn.passing_time import (
     PassingWindowEstimator,
-    aggressive_window,
-    conservative_window,
+    aggressive_bounds,
+    conservative_bounds,
+    speed_limits,
 )
 from repro.utils.intervals import Interval
+from tests import shield_oracle
 
 GEOMETRY = LeftTurnGeometry()
 LIMITS = VehicleLimits(v_min=-20.0, v_max=-2.0, a_min=-3.0, a_max=3.0)
+SPEEDS = speed_limits(LIMITS)
 DT = 0.05
+
+
+def _conservative(est):
+    """The Eq. (7) window ``(lo, hi)``; empty when ``lo > hi``."""
+    return conservative_bounds(est, GEOMETRY, SPEEDS)
+
+
+def _aggressive(est, a_buf, v_buf):
+    """The Eq. (8) window ``(lo, hi)``; empty when ``lo > hi``."""
+    return aggressive_bounds(est, GEOMETRY, SPEEDS, a_buf, v_buf)
 
 
 def _estimate(time, position, velocity, accel=0.0, p_rad=0.0, v_rad=0.0):
@@ -62,33 +75,35 @@ def _true_passing(position, velocity, accels):
 class TestConservativeWindow:
     def test_exact_state_window_brackets_constant_speed(self):
         est = _estimate(0.0, 50.0, -10.0)
-        w = conservative_window(est, GEOMETRY, LIMITS)
+        lo, hi = _conservative(est)
         # Constant speed: enters at 3.5 s, exits at 4.5 s.
-        assert w.lo <= 3.5
-        assert w.hi >= 4.5
+        assert lo <= 3.5
+        assert hi >= 4.5
 
     def test_cleared_band_is_empty(self):
         est = _estimate(0.0, 4.0, -10.0)
-        assert conservative_window(est, GEOMETRY, LIMITS).is_empty
+        lo, hi = _conservative(est)
+        assert lo > hi
 
     def test_band_not_fully_cleared_is_not_empty(self):
         est = _estimate(0.0, 4.0, -10.0, p_rad=2.0)  # band [2, 6]
-        assert not conservative_window(est, GEOMETRY, LIMITS).is_empty
+        lo, hi = _conservative(est)
+        assert lo <= hi
 
     def test_wider_band_wider_window(self):
-        tight = conservative_window(
-            _estimate(0.0, 50.0, -10.0, p_rad=0.5, v_rad=0.5), GEOMETRY, LIMITS
+        tight_lo, tight_hi = _conservative(
+            _estimate(0.0, 50.0, -10.0, p_rad=0.5, v_rad=0.5)
         )
-        wide = conservative_window(
-            _estimate(0.0, 50.0, -10.0, p_rad=3.0, v_rad=2.0), GEOMETRY, LIMITS
+        wide_lo, wide_hi = _conservative(
+            _estimate(0.0, 50.0, -10.0, p_rad=3.0, v_rad=2.0)
         )
-        assert wide.lo <= tight.lo
-        assert wide.hi >= tight.hi
+        assert wide_lo <= tight_lo
+        assert wide_hi >= tight_hi
 
     def test_absolute_times_offset_by_estimate_time(self):
-        w0 = conservative_window(_estimate(0.0, 50.0, -10.0), GEOMETRY, LIMITS)
-        w5 = conservative_window(_estimate(5.0, 50.0, -10.0), GEOMETRY, LIMITS)
-        assert w5.lo == pytest.approx(w0.lo + 5.0)
+        lo0, _ = _conservative(_estimate(0.0, 50.0, -10.0))
+        lo5, _ = _conservative(_estimate(5.0, 50.0, -10.0))
+        assert lo5 == pytest.approx(lo0 + 5.0)
 
     @given(
         position=st.floats(20.0, 60.0),
@@ -103,55 +118,53 @@ class TestConservativeWindow:
     ):
         """The Eq. (7) window contains every admissible passing time."""
         est = _estimate(0.0, position, velocity, p_rad=p_rad, v_rad=v_rad)
-        w = conservative_window(est, GEOMETRY, LIMITS)
+        lo, hi = _conservative(est)
         entry, exit_ = _true_passing(position, velocity, accels)
         if entry is not None:
-            assert w.lo <= entry + 1e-6
+            assert lo <= entry + 1e-6
         if exit_ is not None:
-            assert w.hi >= exit_ - 1e-6
+            assert hi >= exit_ - 1e-6
 
 
 class TestAggressiveWindow:
     def test_nested_inside_conservative_for_exact_state(self):
         est = _estimate(0.0, 50.0, -10.0, accel=0.0)
-        cons = conservative_window(est, GEOMETRY, LIMITS)
-        aggr = aggressive_window(est, GEOMETRY, LIMITS, a_buf=0.5, v_buf=1.0)
+        cons = Interval(*_conservative(est))
+        aggr = Interval(*_aggressive(est, a_buf=0.5, v_buf=1.0))
         assert cons.contains_interval(aggr)
 
     def test_close_to_constant_speed_truth(self):
         est = _estimate(0.0, 50.0, -10.0, accel=0.0)
-        aggr = aggressive_window(est, GEOMETRY, LIMITS, a_buf=0.5, v_buf=1.0)
+        lo, hi = _aggressive(est, a_buf=0.5, v_buf=1.0)
         # Truth: [3.5, 4.5] at constant speed.
-        assert aggr.lo == pytest.approx(3.5, abs=1.0)
-        assert aggr.hi == pytest.approx(4.5, abs=1.5)
+        assert lo == pytest.approx(3.5, abs=1.0)
+        assert hi == pytest.approx(4.5, abs=1.5)
 
     def test_zero_buffers_tightest(self):
         est = _estimate(0.0, 50.0, -10.0, accel=0.0)
-        tight = aggressive_window(est, GEOMETRY, LIMITS, a_buf=0.0, v_buf=0.0)
-        loose = aggressive_window(est, GEOMETRY, LIMITS, a_buf=1.0, v_buf=2.0)
-        assert loose.lo <= tight.lo + 1e-9
-        assert loose.hi >= tight.hi - 1e-9
+        tight_lo, tight_hi = _aggressive(est, a_buf=0.0, v_buf=0.0)
+        loose_lo, loose_hi = _aggressive(est, a_buf=1.0, v_buf=2.0)
+        assert loose_lo <= tight_lo + 1e-9
+        assert loose_hi >= tight_hi - 1e-9
 
     def test_cleared_nominal_empty(self):
         est = _estimate(0.0, 4.0, -10.0)
-        assert aggressive_window(
-            est, GEOMETRY, LIMITS, a_buf=0.5, v_buf=1.0
-        ).is_empty
+        lo, hi = _aggressive(est, a_buf=0.5, v_buf=1.0)
+        assert lo > hi
 
     def test_negative_buffers_rejected(self):
-        est = _estimate(0.0, 50.0, -10.0)
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
-            aggressive_window(est, GEOMETRY, LIMITS, a_buf=-0.1, v_buf=0.0)
+            PassingWindowEstimator(
+                GEOMETRY, LIMITS, aggressive=True, a_buf=-0.1, v_buf=0.0
+            )
 
     def test_decelerating_nominal_can_never_arrive(self):
         # Strongly decelerating distant vehicle: the aggressive estimate
         # concludes it never arrives (window empty); the monitor's
         # conservative window still covers it.
         est = _estimate(0.0, 60.0, -3.0, accel=2.5)  # raw +a = slowing
-        aggr = aggressive_window(est, GEOMETRY, LIMITS, a_buf=0.2, v_buf=0.2)
-        cons = conservative_window(est, GEOMETRY, LIMITS)
+        aggr = Interval(*_aggressive(est, a_buf=0.2, v_buf=0.2))
+        cons = Interval(*_conservative(est))
         assert aggr.is_empty or aggr.lo > cons.lo
         assert not cons.is_empty
 
@@ -163,10 +176,8 @@ class TestEstimatorBundle:
         aggr = PassingWindowEstimator(
             GEOMETRY, LIMITS, aggressive=True, a_buf=0.5, v_buf=1.0
         )
-        assert cons.window(est) == conservative_window(est, GEOMETRY, LIMITS)
-        assert aggr.window(est) == aggressive_window(
-            est, GEOMETRY, LIMITS, 0.5, 1.0
-        )
+        assert cons.window(est) == Interval(*_conservative(est))
+        assert aggr.window(est) == Interval(*_aggressive(est, 0.5, 1.0))
 
     def test_bounds_match_window(self):
         est = _estimate(1.0, 50.0, -10.0, accel=0.5, p_rad=1.0, v_rad=0.5)
@@ -197,9 +208,11 @@ class TestEstimatorBuffers:
                 GEOMETRY, LIMITS, aggressive=True, a_buf=a_buf, v_buf=v_buf
             )
         assert str(excinfo.value) == message
-        # The same error the per-call window check raises.
+        # The error the Interval oracle's per-call buffer check raises.
         with pytest.raises(ConfigurationError, match=message.split(",")[0]):
-            aggressive_window(_estimate(0.0, 50.0, -10.0), GEOMETRY, LIMITS, a_buf, v_buf)
+            shield_oracle.aggressive_window(
+                _estimate(0.0, 50.0, -10.0), GEOMETRY, LIMITS, a_buf, v_buf
+            )
 
     @pytest.mark.parametrize("a_buf, v_buf", [(0.0, 0.0), (0.5, 1.0), (2.0, 5.0)])
     def test_aggressive_accepts_valid_buffers(self, a_buf, v_buf):
@@ -207,11 +220,9 @@ class TestEstimatorBuffers:
             GEOMETRY, LIMITS, aggressive=True, a_buf=a_buf, v_buf=v_buf
         )
         est = _estimate(0.0, 50.0, -10.0)
-        assert estimator.window(est) == aggressive_window(
-            est, GEOMETRY, LIMITS, a_buf, v_buf
-        )
+        assert estimator.window(est) == Interval(*_aggressive(est, a_buf, v_buf))
 
     def test_conservative_ignores_buffers(self):
         estimator = PassingWindowEstimator(GEOMETRY, LIMITS, a_buf=-0.5, v_buf=float("nan"))
         est = _estimate(0.0, 50.0, -10.0)
-        assert estimator.window(est) == conservative_window(est, GEOMETRY, LIMITS)
+        assert estimator.window(est) == Interval(*_conservative(est))

@@ -3,6 +3,8 @@
 The safety theorem rests on Eq. (2) being a true over-approximation of
 the saturating vehicle model; the hypothesis tests here drive the model
 with arbitrary admissible acceleration sequences and assert containment.
+Everything goes through ``ReachabilityAnalyzer.reach_box``, the one form
+of Eq. (2); an exact state is the degenerate box.
 """
 
 import pytest
@@ -20,82 +22,87 @@ ONCOMING = VehicleLimits(v_min=-20.0, v_max=-2.0, a_min=-3.0, a_max=3.0)
 EGO = VehicleLimits(v_min=0.0, v_max=20.0, a_min=-6.0, a_max=4.0)
 
 
+def _from_state(r, position, velocity, stamp, now):
+    """The reachable ``(position, velocity)`` intervals from an exact state."""
+    p_lo, p_hi, v_lo, v_hi = r.reach_box(
+        position, position, velocity, velocity, stamp, now
+    )
+    return Interval(p_lo, p_hi), Interval(v_lo, v_hi)
+
+
+def _from_box(r, p_band, v_band, stamp, now):
+    """The reachable intervals from interval initial knowledge."""
+    p_lo, p_hi, v_lo, v_hi = r.reach_box(
+        p_band.lo, p_band.hi, v_band.lo, v_band.hi, stamp, now
+    )
+    return Interval(p_lo, p_hi), Interval(v_lo, v_hi)
+
+
 class TestScalarBounds:
     def test_zero_elapsed_is_identity(self):
         r = ReachabilityAnalyzer(EGO)
-        assert r.max_position(5.0, 10.0, 0.0) == 5.0
-        assert r.min_position(5.0, 10.0, 0.0) == 5.0
+        p_lo, p_hi, _, _ = r.reach_box(5.0, 5.0, 10.0, 10.0, 0.0, 0.0)
+        assert p_hi == 5.0
+        assert p_lo == 5.0
 
     def test_max_position_no_saturation(self):
         r = ReachabilityAnalyzer(EGO)
         # 10 m/s + 4 m/s^2 for 1 s stays below 20 m/s.
-        assert r.max_position(0.0, 10.0, 1.0) == pytest.approx(12.0)
+        assert r.reach_box(0.0, 0.0, 10.0, 10.0, 0.0, 1.0)[1] == pytest.approx(12.0)
 
     def test_max_position_with_saturation(self):
         r = ReachabilityAnalyzer(EGO)
         # From 18 m/s: reach 20 after 0.5 s (9.5 m), cruise 1.5 s (30 m).
-        assert r.max_position(0.0, 18.0, 2.0) == pytest.approx(39.5)
+        assert r.reach_box(0.0, 0.0, 18.0, 18.0, 0.0, 2.0)[1] == pytest.approx(39.5)
 
     def test_min_position_braking_to_standstill(self):
         r = ReachabilityAnalyzer(EGO)
         # From 6 m/s braking at 6: stops after 1 s covering 3 m.
-        assert r.min_position(0.0, 6.0, 5.0) == pytest.approx(3.0)
+        assert r.reach_box(0.0, 0.0, 6.0, 6.0, 0.0, 5.0)[0] == pytest.approx(3.0)
 
     def test_velocity_bounds(self):
         r = ReachabilityAnalyzer(EGO)
-        assert r.max_velocity(10.0, 1.0) == pytest.approx(14.0)
-        assert r.max_velocity(19.0, 1.0) == 20.0
-        assert r.min_velocity(10.0, 1.0) == pytest.approx(4.0)
-        assert r.min_velocity(3.0, 1.0) == 0.0
+        assert r.reach_box(0.0, 0.0, 10.0, 10.0, 0.0, 1.0)[3] == pytest.approx(14.0)
+        assert r.reach_box(0.0, 0.0, 19.0, 19.0, 0.0, 1.0)[3] == 20.0
+        assert r.reach_box(0.0, 0.0, 10.0, 10.0, 0.0, 1.0)[2] == pytest.approx(4.0)
+        assert r.reach_box(0.0, 0.0, 3.0, 3.0, 0.0, 1.0)[2] == 0.0
 
     def test_negative_elapsed_rejected(self):
         r = ReachabilityAnalyzer(EGO)
         with pytest.raises(ConfigurationError):
-            r.max_position(0.0, 0.0, -1.0)
+            r.reach_box(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        # Within 1e-12 s of the stamp, the query counts as zero elapsed.
+        assert r.reach_box(1.0, 1.0, 5.0, 5.0, 1.0, 1.0 - 1e-13) == (1.0, 1.0, 5.0, 5.0)
 
 
 class TestBands:
     def test_band_from_state(self):
         r = ReachabilityAnalyzer(EGO)
-        band = r.band_from_state(
-            VehicleState(position=0.0, velocity=10.0), stamp=1.0, now=2.0
-        )
-        assert band.time == 2.0
-        assert band.position.lo < band.position.hi
-        assert band.velocity.contains(10.0)
+        position, velocity = _from_state(r, 0.0, 10.0, stamp=1.0, now=2.0)
+        assert position.lo < position.hi
+        assert velocity.contains(10.0)
 
     def test_band_from_state_zero_age_is_point(self):
         r = ReachabilityAnalyzer(EGO)
-        band = r.band_from_state(
-            VehicleState(position=3.0, velocity=5.0), stamp=1.0, now=1.0
-        )
-        assert band.position.is_point
-        assert band.position.lo == 3.0
+        p_band, _ = _from_state(r, 3.0, 5.0, stamp=1.0, now=1.0)
+        assert p_band.is_point
+        assert p_band == Interval.point(3.0)
 
     def test_band_from_intervals_contains_point_bands(self):
         r = ReachabilityAnalyzer(EGO)
         p_band = Interval(0.0, 2.0)
         v_band = Interval(8.0, 12.0)
-        band = r.band_from_intervals(p_band, v_band, stamp=0.0, now=1.0)
+        position, velocity = _from_box(r, p_band, v_band, stamp=0.0, now=1.0)
         for p0 in (0.0, 1.0, 2.0):
             for v0 in (8.0, 10.0, 12.0):
-                inner = r.band_from_state(
-                    VehicleState(position=p0, velocity=v0), 0.0, 1.0
-                )
-                assert band.position.contains_interval(inner.position)
-                assert band.velocity.contains_interval(inner.velocity)
-
-    def test_empty_initial_band_rejected(self):
-        r = ReachabilityAnalyzer(EGO)
-        with pytest.raises(ConfigurationError):
-            r.band_from_intervals(Interval.EMPTY, Interval(0, 1), 0.0, 1.0)
+                inner_p, inner_v = _from_state(r, p0, v0, 0.0, 1.0)
+                assert position.contains_interval(inner_p)
+                assert velocity.contains_interval(inner_v)
 
     def test_query_before_stamp_rejected(self):
         r = ReachabilityAnalyzer(EGO)
         with pytest.raises(ConfigurationError):
-            r.band_from_state(
-                VehicleState(position=0.0, velocity=0.0), stamp=2.0, now=1.0
-            )
+            _from_state(r, 0.0, 0.0, stamp=2.0, now=1.0)
 
 
 def _rollout(limits, p0, v0, accels, dt):
@@ -119,11 +126,9 @@ class TestSoundness:
         r = ReachabilityAnalyzer(EGO)
         final = _rollout(EGO, 0.0, v0, accels, dt)
         elapsed = len(accels) * dt
-        band = r.band_from_state(
-            VehicleState(position=0.0, velocity=v0), 0.0, elapsed
-        )
-        assert band.position.expand(1e-9).contains(final.position)
-        assert band.velocity.expand(1e-9).contains(final.velocity)
+        position, velocity = _from_state(r, 0.0, v0, 0.0, elapsed)
+        assert position.expand(1e-9).contains(final.position)
+        assert velocity.expand(1e-9).contains(final.velocity)
 
     @given(
         v0=st.floats(-20.0, -2.0),
@@ -136,11 +141,9 @@ class TestSoundness:
         r = ReachabilityAnalyzer(ONCOMING)
         final = _rollout(ONCOMING, 50.0, v0, accels, dt)
         elapsed = len(accels) * dt
-        band = r.band_from_state(
-            VehicleState(position=50.0, velocity=v0), 0.0, elapsed
-        )
-        assert band.position.expand(1e-9).contains(final.position)
-        assert band.velocity.expand(1e-9).contains(final.velocity)
+        position, velocity = _from_state(r, 50.0, v0, 0.0, elapsed)
+        assert position.expand(1e-9).contains(final.position)
+        assert velocity.expand(1e-9).contains(final.velocity)
 
     @given(
         v0=st.floats(0.0, 20.0),
@@ -161,9 +164,9 @@ class TestSoundness:
         if not v_band.contains(v_true):
             return  # corner clipped away; not a valid premise
         final = _rollout(EGO, 0.0 + p_err, v_true, accels, dt)
-        band = r.band_from_intervals(p_band, v_band, 0.0, len(accels) * dt)
-        assert band.position.expand(1e-9).contains(final.position)
-        assert band.velocity.expand(1e-9).contains(final.velocity)
+        position, velocity = _from_box(r, p_band, v_band, 0.0, len(accels) * dt)
+        assert position.expand(1e-9).contains(final.position)
+        assert velocity.expand(1e-9).contains(final.velocity)
 
     @given(
         v0=st.floats(0.0, 20.0),
@@ -173,8 +176,7 @@ class TestSoundness:
     @settings(max_examples=100, deadline=None)
     def test_band_width_monotone_in_elapsed(self, v0, t1, t2):
         r = ReachabilityAnalyzer(EGO)
-        s = VehicleState(position=0.0, velocity=v0)
         early, late = sorted((t1, t2))
-        b_early = r.band_from_state(s, 0.0, early)
-        b_late = r.band_from_state(s, 0.0, late)
-        assert b_late.position.width >= b_early.position.width - 1e-9
+        p_early, _ = _from_state(r, 0.0, v0, 0.0, early)
+        p_late, _ = _from_state(r, 0.0, v0, 0.0, late)
+        assert p_late.width >= p_early.width - 1e-9

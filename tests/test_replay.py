@@ -1,6 +1,5 @@
 """Tests for the replaying Kalman filter (message replay of Sec. III-B)."""
 
-import numpy as np
 import pytest
 
 from repro.comm.message import Message
@@ -9,9 +8,10 @@ from repro.dynamics.vehicle import VehicleLimits, VehicleModel
 from repro.errors import FilterError, ReplayError
 from repro.filtering.kalman import KalmanFilter
 from repro.filtering.replay import ReplayKalmanFilter
-from repro.sensing.noise import NoiseBounds, UniformNoise
+from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
 from repro.utils.rng import RngStream
+from tests.test_sensing import UniformNoise
 
 DT = 0.1
 BOUNDS = NoiseBounds.uniform_all(1.0)

@@ -1,13 +1,61 @@
-"""Tests for noise bounds and the periodic sensor."""
+"""Tests for noise bounds and the periodic sensor.
+
+:class:`UniformNoise` is the reference draw the sensor must reproduce:
+each channel's error is ``RngStream.uniform(-delta, delta)``, drawn in
+the order position, velocity, acceleration, and nothing for a zero
+bound.  ``tests/test_kalman.py`` and ``tests/test_replay.py`` perturb
+their simulated truths with it too.
+"""
 
 import numpy as np
 import pytest
 
 from repro.dynamics.state import VehicleState
+from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
-from repro.sensing.noise import NoiseBounds, UniformNoise
-from repro.sensing.sensor import Sensor
+from repro.filtering.info_filter import RawEstimator
+from repro.sensing.noise import NoiseBounds
+from repro.sensing.sensor import Sensor, SensorReading
 from repro.utils.rng import RngStream
+
+
+
+class UniformNoise:
+    """Draws uniform measurement errors within :class:`NoiseBounds`."""
+
+    def __init__(self, bounds: NoiseBounds, rng: RngStream) -> None:
+        self._bounds = bounds
+        self._rng = rng
+
+    @property
+    def bounds(self) -> NoiseBounds:
+        """The bounds errors are drawn within."""
+        return self._bounds
+
+    def perturb_position(self, true_value: float) -> float:
+        """True position plus a uniform error in ``±delta_p``."""
+        if self._bounds.delta_p == 0.0:
+            return true_value
+        return true_value + float(
+            self._rng.uniform(-self._bounds.delta_p, self._bounds.delta_p)
+        )
+
+    def perturb_velocity(self, true_value: float) -> float:
+        """True velocity plus a uniform error in ``±delta_v``."""
+        if self._bounds.delta_v == 0.0:
+            return true_value
+        return true_value + float(
+            self._rng.uniform(-self._bounds.delta_v, self._bounds.delta_v)
+        )
+
+    def perturb_acceleration(self, true_value: float) -> float:
+        """True acceleration plus a uniform error in ``±delta_a``."""
+        if self._bounds.delta_a == 0.0:
+            return true_value
+        return true_value + float(
+            self._rng.uniform(-self._bounds.delta_a, self._bounds.delta_a)
+        )
+
 
 TRUE = VehicleState(position=40.0, velocity=-11.0, acceleration=1.0)
 #: ``TRUE`` as the floats ``Sensor.measure`` takes.
@@ -35,9 +83,13 @@ class TestNoiseBounds:
         assert b.acceleration_variance == pytest.approx(0.27)
 
     def test_bands_contain_truth(self):
+        # The raw estimator's band around a fresh reading is ``±delta``.
         b = NoiseBounds.uniform_all(2.0)
-        assert b.position_band(10.0).contains(11.9)
-        assert not b.position_band(10.0).contains(12.1)
+        raw = RawEstimator(VehicleLimits(-20.0, 0.0, -3.0, 3.0), b)
+        raw.on_sensor_reading(SensorReading(1, 0.0, 10.0, -5.0, 0.0))
+        band = raw.estimate(0.0).position
+        assert band.contains(11.9)
+        assert not band.contains(12.1)
 
 
 class TestUniformNoise:

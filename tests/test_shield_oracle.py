@@ -8,10 +8,12 @@ derived at construction, and ``NNPlanner.plan`` on
 ``PassingWindowEstimator.bounds``.  ``tests/shield_oracle.py`` keeps the
 ``Interval`` path it replaced.  Agreement is exact (``==``, no
 tolerance): 10 000 random geometries, limits, estimates and ego states
-through both windows, the window estimator in both modes, both
-predicates of the left-turn and the signalized model, and
-``NNPlanner.plan``, with equal results or the same exception type and
-message.  The float entry points are held to the same standard:
+through both windows (as ``Interval(*bounds)``; Eq. (8) with valid
+buffers, bad ones being refused by the window estimator's constructor
+with the error the oracle raises per call), the window estimator in
+both modes, ``oncoming_bounds`` and both predicates of the left-turn
+and the signalized model, and ``NNPlanner.plan``, with equal results or
+the same exception type and message.  The float entry points are held to the same standard:
 ``decide`` equals the two predicates in the monitor's order (and any
 window it returns is the conflict window), and ``plan_floats`` of
 ``NNPlanner``, ``LeftTurnEmergencyPlanner`` and ``CompoundPlanner``
@@ -49,8 +51,9 @@ from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 from repro.scenarios.left_turn.passing_time import (
     PassingWindowEstimator,
-    aggressive_window,
-    conservative_window,
+    aggressive_bounds,
+    conservative_bounds,
+    speed_limits,
 )
 from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
 from repro.scenarios.signalized import SignalizedSafetyModel, TrafficLight
@@ -91,6 +94,23 @@ def _network() -> NNPlanner:
 
 
 _PLANNER = _network()
+
+
+def _conservative(estimate, geometry, limits) -> Interval:
+    """The Eq. (7) bounds as an ``Interval``, as the oracle returns them."""
+    return Interval(*conservative_bounds(estimate, geometry, speed_limits(limits)))
+
+
+def _aggressive(estimate, geometry, limits, a_buf, v_buf) -> Interval:
+    """The Eq. (8) bounds as an ``Interval``, as the oracle returns them."""
+    return Interval(
+        *aggressive_bounds(estimate, geometry, speed_limits(limits), a_buf, v_buf)
+    )
+
+
+def _oncoming(model, time, estimates) -> Interval:
+    """The model's conflict window as an ``Interval``."""
+    return Interval(*model.oncoming_bounds(time, estimates))
 
 
 def _outcome(fn, *args):
@@ -225,7 +245,8 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
     ego = _ego(gen, geometry, ego_limits, dt_c)
     a_buf = float(gen.uniform(0.0, 1.5))
     v_buf = float(gen.uniform(0.0, 3.0))
-    if gen.random() < 0.02:
+    bad_buffer = bool(gen.random() < 0.02)
+    if bad_buffer:
         a_buf = math.nan if gen.random() < 0.5 else -a_buf - 0.1
         seen["bad buffer"] += 1
     light = TrafficLight(
@@ -251,11 +272,14 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
 
     context = PlanningContext(time=time, ego=ego, estimates=estimates)
     checks = [
-        ("conservative_window", conservative_window,
+        ("conservative_bounds", _conservative,
          shield_oracle.conservative_window, (estimate, geometry, limits)),
-        ("aggressive_window", aggressive_window, shield_oracle.aggressive_window,
-         (estimate, geometry, limits, a_buf, v_buf)),
     ]
+    if not bad_buffer:
+        checks.append(
+            ("aggressive_bounds", _aggressive, shield_oracle.aggressive_window,
+             (estimate, geometry, limits, a_buf, v_buf))
+        )
     try:
         estimator = PassingWindowEstimator(geometry, limits, aggressive, a_buf, v_buf)
     except ReproError as exc:
@@ -294,15 +318,15 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
         )
         if not _window_consistent(model, time, ego, estimates, seen):
             disagreements.append(f"case seed={seed} {name} decide window")
-        for method in (
-            "oncoming_window", "in_estimated_unsafe_set", "in_boundary_safe_set"
-        ):
-            args = (time, estimates) if method == "oncoming_window" else (
-                time, ego, estimates
-            )
+        checks.append(
+            (f"{name} oncoming_bounds", partial(_oncoming, model),
+             partial(shield_oracle.oncoming_window, model), (time, estimates))
+        )
+        for method in ("in_estimated_unsafe_set", "in_boundary_safe_set"):
             checks.append(
                 (f"{name} {method}", getattr(model, method),
-                 partial(getattr(shield_oracle, method), model), args)
+                 partial(getattr(shield_oracle, method), model),
+                 (time, ego, estimates))
             )
     for name, fast, slow, args in checks:
         ours = _outcome(fast, *args)

@@ -9,12 +9,7 @@ from repro.core.monitor import RuntimeMonitor
 from repro.dynamics.state import SystemState, VehicleState
 from repro.errors import ScenarioError
 from repro.scenarios.base import Scenario
-from repro.scenarios.signalized import (
-    GreenWavePlanner,
-    RedLightRunner,
-    SignalizedCrossingScenario,
-    TrafficLight,
-)
+from repro.scenarios.signalized import SignalizedCrossingScenario, TrafficLight
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.results import Outcome
 from repro.sim.runner import BatchRunner, EstimatorKind
@@ -41,19 +36,19 @@ class TestTrafficLight:
         assert self.light.is_green(16.1)  # next cycle
 
     def test_next_red_interval_during_green(self):
-        red = self.light.next_red_interval(3.0)
-        assert red.lo == pytest.approx(8.0)
-        assert red.hi == pytest.approx(16.0)
+        lo, hi = self.light.next_red_bounds(3.0)
+        assert lo == pytest.approx(8.0)
+        assert hi == pytest.approx(16.0)
 
     def test_next_red_interval_during_red(self):
-        red = self.light.next_red_interval(10.0)
-        assert red.lo == pytest.approx(8.0)
-        assert red.hi == pytest.approx(16.0)
+        lo, hi = self.light.next_red_bounds(10.0)
+        assert lo == pytest.approx(8.0)
+        assert hi == pytest.approx(16.0)
 
     def test_pre_offset_red(self):
-        red = self.light.next_red_interval(0.5)
-        assert red.lo == -math.inf
-        assert red.hi == pytest.approx(2.0)
+        lo, hi = self.light.next_red_bounds(0.5)
+        assert math.isinf(lo) and lo < 0.0
+        assert hi == pytest.approx(2.0)
 
     def test_next_green_start(self):
         assert self.light.next_green_start(0.0) == pytest.approx(2.0)
@@ -97,8 +92,8 @@ class TestScenarioProtocol:
         # depends on the clock passed in, not on earlier calls.
         model = crossing.safety_model()
         for time in (0.0, 3.0, 10.0, 17.5):
-            assert model.oncoming_window(time, {}) == (
-                crossing.light.next_red_interval(time)
+            assert model.oncoming_bounds(time, {}) == (
+                crossing.light.next_red_bounds(time)
             )
 
 

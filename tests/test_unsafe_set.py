@@ -12,10 +12,10 @@ from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 from repro.scenarios.left_turn.unsafe_set import (
     LeftTurnSafetyModel,
     boundary_slack_margin,
-    ego_passing_window,
+    ego_passing_bounds,
     slack,
 )
-from repro.utils.intervals import Interval
+from repro.utils.intervals import Interval, bounds_overlap
 
 GEOMETRY = LeftTurnGeometry()
 EGO = VehicleLimits(v_min=0.0, v_max=20.0, a_min=-6.0, a_max=4.0)
@@ -67,24 +67,26 @@ class TestSlack:
 
 class TestEgoPassingWindow:
     def test_before_area_at_speed(self):
-        w = ego_passing_window(2.0, -5.0, 10.0, GEOMETRY)
-        assert w.lo == pytest.approx(3.0)
-        assert w.hi == pytest.approx(4.0)
+        lo, hi = ego_passing_bounds(2.0, -5.0, 10.0, GEOMETRY)
+        assert lo == pytest.approx(3.0)
+        assert hi == pytest.approx(4.0)
 
     def test_stationary_before_area_empty(self):
-        assert ego_passing_window(0.0, -5.0, 0.0, GEOMETRY).is_empty
+        lo, hi = ego_passing_bounds(0.0, -5.0, 0.0, GEOMETRY)
+        assert lo > hi
 
     def test_inside_area_opens_now(self):
-        w = ego_passing_window(1.0, 10.0, 5.0, GEOMETRY)
-        assert w.lo == 1.0
-        assert w.hi == pytest.approx(2.0)
+        lo, hi = ego_passing_bounds(1.0, 10.0, 5.0, GEOMETRY)
+        assert lo == pytest.approx(1.0)
+        assert hi == pytest.approx(2.0)
 
     def test_stationary_inside_area_unbounded(self):
-        w = ego_passing_window(1.0, 10.0, 0.0, GEOMETRY)
-        assert w.hi == math.inf
+        _, hi = ego_passing_bounds(1.0, 10.0, 0.0, GEOMETRY)
+        assert hi == math.inf
 
     def test_past_area_empty(self):
-        assert ego_passing_window(0.0, 16.0, 10.0, GEOMETRY).is_empty
+        lo, hi = ego_passing_bounds(0.0, 16.0, 10.0, GEOMETRY)
+        assert lo > hi
 
 
 class TestBoundaryMargin:
@@ -198,8 +200,8 @@ class TestSafetyModel:
         ego = VehicleState(position=-14.0, velocity=13.0)
         estimates = _oncoming_estimate(0.0, 15.5, -18.0)
         entry_ff, _ = model._full_throttle_times(0.0, -14.0, 13.0)
-        window = model.oncoming_window(0.0, estimates)
-        if entry_ff >= window.hi:
+        _, window_hi = model.oncoming_bounds(0.0, estimates)
+        if entry_ff >= window_hi:
             assert not model.in_boundary_safe_set(0.0, ego, estimates)
 
     def test_past_area_never_boundary(self):
@@ -231,12 +233,11 @@ class TestDegenerateWindows:
     def test_ego_window_at_back_line_is_a_point(self):
         # An ego crossing the back line at speed occupies the area for
         # one instant: the projected window is the degenerate [t, t].
-        window = ego_passing_window(3.0, GEOMETRY.p_back, 5.0, GEOMETRY)
-        assert window.is_point
-        assert window.lo == window.hi == 3.0
+        lo, hi = ego_passing_bounds(3.0, GEOMETRY.p_back, 5.0, GEOMETRY)
+        assert Interval(lo, hi) == Interval.point(3.0)
         # Closed-interval semantics: that instant still counts.
-        assert window.overlaps(Interval(2.0, 4.0))
-        assert not window.overlaps(Interval(3.5, 4.0))
+        assert bounds_overlap(lo, hi, 2.0, 4.0)
+        assert not bounds_overlap(lo, hi, 3.5, 4.0)
 
     def test_unsafe_membership_with_point_ego_window(self):
         # Exactly at the back line the slack is zero, so the degenerate
@@ -254,6 +255,6 @@ class TestDegenerateWindows:
         ego = VehicleState(position=GEOMETRY.p_back, velocity=5.0)
         estimates = _oncoming_estimate(time, 60.0, -10.0)
         model = _model()
-        oncoming = model.oncoming_window(time, estimates)
-        assert oncoming.hi > time  # the conflict is genuinely ahead
+        _, oncoming_hi = model.oncoming_bounds(time, estimates)
+        assert oncoming_hi > time  # the conflict is genuinely ahead
         assert model.in_boundary_safe_set(time, ego, estimates)
