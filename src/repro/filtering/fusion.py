@@ -11,7 +11,7 @@ disjoint — which can only happen if the Kalman band is wrong — the fusion
 falls back to the guaranteed band, so downstream safety reasoning never
 consumes an empty or unsound interval.
 
-:func:`join_or_fallback` is that rule, on plain floats; the estimators
+:func:`join_or_fallback` is that rule on plain floats; the estimators
 call it once per axis and band every control step.
 """
 

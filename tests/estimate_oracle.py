@@ -5,10 +5,9 @@ the band join was rewritten on plain floats: Eq. (2) written as four
 scalar extremal trajectories, every band an
 :class:`~repro.utils.intervals.Interval`, the message/sensor/Kalman join
 through :func:`intersect_or_fallback` and :func:`fuse_bands` on
-:class:`ReachBand` objects (the sensor band ``reading ± delta`` and the
-Kalman band ``mean ± n_sigma * std`` built here as ``Interval`` objects,
-by :func:`sensor_bands` and :func:`kalman_bands`), and the result the
-four-object
+:class:`ReachBand` objects (the sensor band ``reading ± delta`` and,
+by :func:`kalman_bands`, the Kalman band ``mean ± n_sigma * std`` built
+here as ``Interval`` objects), and the result the four-object
 :class:`ObjectEstimate` -- two ``Interval`` bands and a
 :class:`~repro.dynamics.state.VehicleState` nominal inside a checked
 record -- that ``FusedEstimate`` was before it became one flat record.
@@ -47,7 +46,6 @@ __all__ = [
     "is_fresh",
     "kalman_bands",
     "raw_estimate",
-    "sensor_bands",
 ]
 
 #: A reading this much younger than one sensing period is still fresh.
@@ -210,14 +208,6 @@ def fuse_bands(
     )
 
 
-def sensor_bands(bounds: NoiseBounds, reading: SensorReading) -> Tuple[Interval, Interval]:
-    """The position and velocity bands ``measured ± delta`` of a reading."""
-    return (
-        Interval.around(reading.position, bounds.delta_p),
-        Interval.around(reading.velocity, bounds.delta_v),
-    )
-
-
 def kalman_bands(kf: KalmanState, n_sigma: float) -> Tuple[Interval, Interval]:
     """The ``mean ± n_sigma * std`` position and velocity bands."""
     return (
@@ -239,8 +229,10 @@ def guaranteed_band(
         band = reach.band_from_state(message.state, message.stamp, now)
     if reading is not None:
         limits = reach.limits
-        p_band, v_band = sensor_bands(bounds, reading)
-        v_band = v_band.intersect(Interval(limits.v_min, limits.v_max))
+        p_band = Interval.around(reading.position, bounds.delta_p)
+        v_band = Interval.around(reading.velocity, bounds.delta_v).intersect(
+            Interval(limits.v_min, limits.v_max)
+        )
         if v_band.is_empty:
             v_band = Interval.point(limits.clip_velocity(reading.velocity))
         sensed = reach.band_from_intervals(p_band, v_band, reading.time, now)

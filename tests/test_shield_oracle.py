@@ -2,28 +2,28 @@
 
 ``repro.scenarios.left_turn`` evaluates the monitor and the NN planner's
 window on plain floats: Eq. (7) once in ``conservative_bounds``, Eq. (8)
-once in ``aggressive_bounds``, the predicates of
-``LeftTurnSafetyModel`` on ``oncoming_bounds`` with the model's constants
-derived at construction, and ``NNPlanner.plan`` on
-``PassingWindowEstimator.bounds``.  ``tests/shield_oracle.py`` keeps the
-``Interval`` path it replaced.  Agreement is exact (``==``, no
+once in ``aggressive_bounds``, the predicates of ``LeftTurnSafetyModel``
+on ``oncoming_bounds`` with the model's constants derived at
+construction, and ``NNPlanner.plan`` on
+``PassingWindowEstimator.bounds``. ``tests/shield_oracle.py`` keeps the
+``Interval`` path it replaced. Agreement is exact (``==``, no
 tolerance): 10 000 random geometries, limits, estimates and ego states
 through both windows (as ``Interval(*bounds)``; Eq. (8) with valid
 buffers, bad ones being refused by the window estimator's constructor
-with the error the oracle raises per call), the window estimator in
-both modes, ``oncoming_bounds`` and both predicates of the left-turn
-and the signalized model, and ``NNPlanner.plan``, with equal results or
-the same exception type and message.  The float entry points are held to the same standard:
-``decide`` equals the two predicates in the monitor's order (and any
-window it returns is the conflict window), and ``plan_floats`` of
-``NNPlanner``, ``LeftTurnEmergencyPlanner`` and ``CompoundPlanner``
+with the error the oracle raises per call), the window estimator in both
+modes, ``oncoming_bounds`` and both predicates of the left-turn and the
+signalized model, and ``NNPlanner.plan``, with equal results or the same
+exception type and message. The float entry points are held to the same
+standard: ``decide`` equals the two predicates in the monitor's order
+(and any window it returns is the conflict window), and ``plan_floats``
+of ``NNPlanner``, ``LeftTurnEmergencyPlanner`` and ``CompoundPlanner``
 equals the oracle's ``plan`` on the context -- the compound's command
-and decision both, whether its NN reads the monitor's window or its
-own -- while ``plan(context)`` equals ``plan_floats`` on its floats.  The cases cover both branches of Eq. (7)'s earliest arrival,
-empty and never-entered windows, every branch of the boundary set
-(committed, margin, lookahead), invalid limits and buffers, NaN
-clocks and a missing estimate; the test counts each and requires all
-of them.
+and decision both, whether its NN reads the monitor's window or its own
+-- while ``plan(context)`` equals ``plan_floats`` on its floats. The
+cases cover both branches of Eq. (7)'s earliest arrival, empty and
+never-entered windows, every branch of the boundary set (committed,
+margin, lookahead), invalid limits and buffers, NaN clocks and a missing
+estimate; the test counts each and requires all of them.
 
 A failure names the case (seed) and the quantity that disagreed.
 """
