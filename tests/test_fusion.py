@@ -49,56 +49,46 @@ class TestIntersectOrFallback:
         assert not out.is_empty
 
 
-class _FixedKalman:
-    """Stands in for the replay filter: a fixed, fresh Kalman estimate."""
-
-    is_initialized = True
-    current_accel = 0.0
-
-    def __init__(self, state: KalmanState) -> None:
-        self._state = state
-
-    def estimate_at(self, now: float) -> KalmanState:
-        return self._state
+def _kalman_bands(position, sigma_p, velocity, sigma_v):
+    """The ``mean ± 3 * std`` bands of a Kalman estimate, per axis."""
+    kf = KalmanState(
+        time=1.0,
+        position=position,
+        velocity=velocity,
+        p00=sigma_p**2,
+        p01=0.0,
+        p11=sigma_v**2,
+    )
+    return (
+        Interval.around(kf.position, 3.0 * kf.position_std),
+        Interval.around(kf.velocity, 3.0 * kf.velocity_std),
+    )
 
 
 class TestFuseBands:
-    """The information filter joins its sound band with the Kalman band."""
+    """Each axis joins its sound band with the Kalman band."""
 
-    def _estimate(self, kf_position, half_p, kf_velocity, half_v):
-        # A fresh reading at (5, -10) within ±5 gives the sound band
-        # [0, 10] x [-15, -5]; the 3-sigma Kalman band, ``half_p`` and
-        # ``half_v`` either side of its mean, refines it.
+    POSITION = Interval(0.0, 10.0)
+    VELOCITY = Interval(-15.0, -5.0)
+
+    def test_tightens_both_axes(self):
+        kf_position, kf_velocity = _kalman_bands(5.0, 1.0, -9.0, 1.0)
+        assert _join(self.POSITION, kf_position) == Interval(2.0, 8.0)
+        assert _join(self.VELOCITY, kf_velocity) == Interval(-12.0, -6.0)
+
+    def test_keeps_time(self):
         filt = InformationFilter(
             VehicleLimits(v_min=-20.0, v_max=0.0, a_min=-3.0, a_max=3.0),
             NoiseBounds(delta_p=5.0, delta_v=5.0, delta_a=0.0),
             sensing_period=0.1,
         )
-        filt._latest_reading = SensorReading(1, 1.0, 5.0, -10.0, 0.0)
-        filt._replay = _FixedKalman(
-            KalmanState(
-                time=1.0,
-                position=kf_position,
-                velocity=kf_velocity,
-                p00=(half_p / 3.0) ** 2,
-                p01=0.0,
-                p11=(half_v / 3.0) ** 2,
-            )
-        )
-        return filt.estimate(1.0)
-
-    def test_tightens_both_axes(self):
-        fused = self._estimate(5.0, 3.0, -9.0, 3.0)
-        assert fused.position == Interval(2.0, 8.0)
-        assert fused.velocity == Interval(-12.0, -6.0)
-
-    def test_keeps_time(self):
-        fused = self._estimate(0.5, 1.5, -9.5, 1.5)
+        filt.on_sensor_reading(SensorReading(1, 1.0, 5.0, -10.0, 0.0))
+        fused = filt.estimate(1.0)
         assert fused.time == 1.0
 
     def test_disjoint_kalman_band_ignored(self):
-        fused = self._estimate(150.0, 50.0, -9.0, 3.0)
-        assert fused.position == Interval(0.0, 10.0)
+        kf_position, _ = _kalman_bands(150.0, 50.0 / 3.0, -9.0, 1.0)
+        assert _join(self.POSITION, kf_position) == self.POSITION
 
 
 class TestFusedEstimate:

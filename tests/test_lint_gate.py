@@ -85,8 +85,7 @@ def test_every_baseline_entry_is_live(monkeypatch):
     config = (
         load_project_config(PYPROJECT) if PYPROJECT.is_file() else LintConfig()
     )
-    if config.baseline is None:
-        return
+    assert config.baseline is not None, "pyproject.toml names no lint baseline"
     entries = load_baseline(config.baseline).entries
     # Fingerprints hash the path as written in the baseline: lint the
     # named files by those repo-relative paths, with no baseline.

@@ -19,18 +19,12 @@ from repro.sensing.sensor import Sensor, SensorReading
 from repro.utils.rng import RngStream
 
 
-
 class UniformNoise:
     """Draws uniform measurement errors within :class:`NoiseBounds`."""
 
     def __init__(self, bounds: NoiseBounds, rng: RngStream) -> None:
         self._bounds = bounds
         self._rng = rng
-
-    @property
-    def bounds(self) -> NoiseBounds:
-        """The bounds errors are drawn within."""
-        return self._bounds
 
     def perturb_position(self, true_value: float) -> float:
         """True position plus a uniform error in ``±delta_p``."""

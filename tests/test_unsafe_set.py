@@ -77,8 +77,7 @@ class TestEgoPassingWindow:
 
     def test_inside_area_opens_now(self):
         lo, hi = ego_passing_bounds(1.0, 10.0, 5.0, GEOMETRY)
-        assert lo == pytest.approx(1.0)
-        assert hi == pytest.approx(2.0)
+        assert (lo, hi) == (1.0, pytest.approx(2.0))
 
     def test_stationary_inside_area_unbounded(self):
         _, hi = ego_passing_bounds(1.0, 10.0, 0.0, GEOMETRY)
