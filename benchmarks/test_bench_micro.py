@@ -16,7 +16,6 @@ from repro.dynamics.vehicle import VehicleModel
 from repro.filtering.fusion import FusedEstimate
 from repro.filtering.kalman import KalmanFilter
 from repro.filtering.reachability import ReachabilityAnalyzer
-from repro.planners.base import PlanningContext
 from repro.scenarios.left_turn.passing_time import (
     aggressive_bounds,
     conservative_bounds,
@@ -100,12 +99,7 @@ def test_micro_monitor_evaluation(benchmark, lt_scenario):
     from repro.core.monitor import RuntimeMonitor
 
     monitor = RuntimeMonitor(lt_scenario.safety_model())
-    context = PlanningContext(
-        time=0.0,
-        ego=VehicleState(position=-10.0, velocity=11.0),
-        estimates={1: _estimate(lt_scenario)},
-    )
-    benchmark(monitor.evaluate, context)
+    benchmark(monitor.decide, 0.0, -10.0, 11.0, {1: _estimate(lt_scenario)})
 
 
 @pytest.mark.benchmark(group="micro")
@@ -124,12 +118,9 @@ def test_micro_nn_inference(benchmark, lt_scenario):
         hidden=64,
     )
     planner = spec.natural_planner(lt_scenario.ego_limits)
-    context = PlanningContext(
-        time=0.0,
-        ego=VehicleState(position=-10.0, velocity=11.0),
-        estimates={1: _estimate(lt_scenario)},
+    benchmark(
+        planner.plan_floats, 0.0, -10.0, 11.0, 0.0, {1: _estimate(lt_scenario)}
     )
-    benchmark(planner.plan, context)
 
 
 @pytest.mark.benchmark(group="micro")

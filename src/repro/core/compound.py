@@ -3,8 +3,8 @@
 A :class:`CompoundPlanner` embeds any NN-based (or other) planner and
 wraps it with the runtime monitor and the emergency planner:
 
-* each step the monitor evaluates the boundary-safe-set / unsafe-set
-  predicates on the fused estimates;
+* each step the monitor asks the safety model for the boundary-safe-set
+  and unsafe-set memberships over the fused estimates;
 * when the monitor flags danger, the emergency planner commands the
   step — safety is guaranteed by the Eq. (4) property of that planner;
 * otherwise the embedded planner commands the step, and its raw output
@@ -22,12 +22,11 @@ import math
 from typing import Mapping, Optional
 
 from repro.core.monitor import MonitorDecision, RuntimeMonitor
-from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import PlannerError
 from repro.filtering.fusion import FusedEstimate
 from repro.obs.observer import resolve_observer, traced_call
-from repro.planners.base import Planner, PlanningContext, clipped, float_entry
+from repro.planners.base import Planner, clipped
 
 __all__ = ["CompoundPlanner"]
 
@@ -69,8 +68,8 @@ class CompoundPlanner:
         self._limits = limits
         self._obs = resolve_observer(observer)
         # Each planner's float entry, taken once.
-        self._plan_nn = float_entry(nn_planner)
-        self._plan_emergency = float_entry(emergency_planner)
+        self._plan_nn = nn_planner.plan_floats
+        self._plan_emergency = emergency_planner.plan_floats
         shares = getattr(nn_planner, "shares_window_with", None)
         self._nn_shares_window = shares is not None and shares(
             monitor.safety_model
@@ -114,17 +113,6 @@ class CompoundPlanner:
     # ------------------------------------------------------------------
     # Planner protocol
     # ------------------------------------------------------------------
-    def plan(self, context: PlanningContext) -> float:
-        """One monitored control step (see :meth:`plan_floats`).
-
-        Effects: mutates-args, draws-rng
-        """
-        ego = context.ego
-        return self.plan_floats(
-            context.time, ego.position, ego.velocity, ego.acceleration,
-            context.estimates,
-        )
-
     def plan_floats(
         self,
         time: float,
@@ -147,26 +135,24 @@ class CompoundPlanner:
         falls back to the emergency command without voiding the theorem.
 
         The embedded and emergency planners are called through their
-        float entries (:func:`~repro.planners.base.float_entry`).  An NN
-        planner whose window is the monitor's receives the window the
-        monitor already evaluated.  With a ``tracer`` the monitor runs in
-        a ``shield.monitor`` span and the float planners time themselves.
+        ``plan_floats``.  An NN planner whose window is the monitor's
+        receives the window the monitor already evaluated.  With a
+        ``tracer`` the monitor runs in a ``shield.monitor`` span and the
+        float planners time themselves.
 
         Effects: mutates-args, draws-rng
         """
         if tracer is None:
             decision, window = self._monitor.decide(
-                time, position, velocity, acceleration, estimates
+                time, position, velocity, estimates
             )
         else:
             decision, window = traced_call(
                 tracer, "shield.monitor", self._monitor.decide,
-                time, position, velocity, acceleration, estimates,
+                time, position, velocity, estimates,
             )
         if self._obs.enabled:
-            self._observe_decision(
-                time, position, velocity, acceleration, estimates, decision
-            )
+            self._observe_decision(time, position, velocity, estimates, decision)
         self._last_decision = decision
         if decision.use_emergency:
             command = self._plan_emergency(
@@ -198,13 +184,12 @@ class CompoundPlanner:
         time: float,
         position: float,
         velocity: float,
-        acceleration: float,
         estimates: Mapping[int, FusedEstimate],
         decision: MonitorDecision,
     ) -> None:
         """Emit shield telemetry for one step (enabled observers only).
 
-        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: time [s], position [m], velocity [m/s]
 
         Called *before* ``self._last_decision`` is overwritten so
         engage/release transitions compare against the previous step.
@@ -228,16 +213,13 @@ class CompoundPlanner:
         model = self._monitor.safety_model
         margin_of = getattr(model, "safety_margin", None)
         boundary_of = getattr(model, "boundary_distance", None)
-        if margin_of is None and boundary_of is None:
-            return
-        ego = VehicleState(position, velocity, acceleration)
         if margin_of is not None:
-            margin = margin_of(time, ego, estimates)
+            margin = margin_of(time, position, velocity, estimates)
             if math.isfinite(margin):
                 obs.sample("shield.margin", margin, t=time)
                 obs.gauge("shield.margin", margin)
         if boundary_of is not None:
-            distance = boundary_of(time, ego, estimates)
+            distance = boundary_of(time, position, velocity, estimates)
             if math.isfinite(distance):
                 obs.sample("shield.boundary_distance", distance, t=time)
 

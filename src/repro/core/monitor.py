@@ -1,7 +1,8 @@
 """The runtime monitor (Section III-C).
 
-Every control step the monitor evaluates the safety model's predicates on
-the fused estimates and decides which planner controls the ego:
+Every control step the monitor asks the safety model for the ego's
+boundary-safe-set and unsafe-set memberships over the fused estimates and
+decides which planner controls the ego:
 
 * in the **boundary safe set** — the state is one worst-case step from
   the unsafe set — the emergency planner takes over (the "last line of
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from repro.core.unsafe_set import SafetyModel
-from repro.dynamics.state import VehicleState
 from repro.filtering.fusion import FusedEstimate
 from repro.planners.base import PlanningContext
 
@@ -67,29 +67,12 @@ _DECISIONS = {
 }
 
 
-def _joint_decide(model: SafetyModel):
-    """``model.decide`` if it answers the model's own predicates, else None.
-
-    A subclass that overrides a predicate below the class defining
-    ``decide`` is asked each predicate in turn, so the override is seen.
-    """
-    cls = type(model)
-    owner = next((c for c in cls.__mro__ if "decide" in vars(c)), None)
-    if owner is None:
-        return None
-    for name in ("in_boundary_safe_set", "in_estimated_unsafe_set"):
-        if getattr(cls, name, None) is not getattr(owner, name, None):
-            return None
-    return model.decide
-
-
 class RuntimeMonitor:
     """Selects between the NN-based and the emergency planner each step."""
 
     def __init__(self, safety_model: SafetyModel) -> None:
         self._model = safety_model
-        #: Both predicates in one call, where the model offers it.
-        self._model_decide = _joint_decide(safety_model)
+        self._model_decide = safety_model.decide
         self._decisions = 0
         self._emergency_decisions = 0
         self._unsafe_decisions = 0
@@ -103,11 +86,14 @@ class RuntimeMonitor:
     # Decision
     # ------------------------------------------------------------------
     def evaluate(self, context: PlanningContext) -> MonitorDecision:
-        """Evaluate both predicates and record the decision."""
+        """:meth:`decide` on a :class:`PlanningContext`, without the window.
+
+        Exists only because ``benchmarks/engine/layers.py`` wraps it by
+        name (its ``shield.monitor`` layer); nothing in ``repro`` calls it.
+        """
         ego = context.ego
         return self.decide(
-            context.time, ego.position, ego.velocity, ego.acceleration,
-            context.estimates,
+            context.time, ego.position, ego.velocity, context.estimates
         )[0]
 
     def decide(
@@ -115,30 +101,18 @@ class RuntimeMonitor:
         time: float,
         position: float,
         velocity: float,
-        acceleration: float,
         estimates: Mapping[int, FusedEstimate],
     ) -> Tuple[MonitorDecision, Optional[Tuple[float, float]]]:
-        """:meth:`evaluate` on the ego's floats, plus the conflict window.
+        """Ask the safety model and record the decision.
 
-        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: time [s], position [m], velocity [m/s]
 
-        A safety model with a ``decide(time, position, velocity,
-        estimates)`` method (the left-turn family) answers both
-        predicates in one call and returns the ``(lo, hi)`` window it
-        evaluated, or ``None``.  Any other model, or a subclass that
-        overrides a predicate but not ``decide``, is asked each
-        predicate in turn on the ego state the floats make, and no
-        window is returned.
+        Returns the decision and the conflict window the model's
+        ``decide`` evaluated (``(lo, hi)`` seconds), or ``None``.
         """
-        decide = self._model_decide
-        if decide is not None:
-            in_boundary, in_unsafe, window = decide(time, position, velocity, estimates)
-        else:
-            model = self._model
-            ego = VehicleState(position, velocity, acceleration)
-            in_boundary = bool(model.in_boundary_safe_set(time, ego, estimates))
-            in_unsafe = bool(model.in_estimated_unsafe_set(time, ego, estimates))
-            window = None
+        in_boundary, in_unsafe, window = self._model_decide(
+            time, position, velocity, estimates
+        )
         decision = _DECISIONS[in_boundary, in_unsafe]
         self._decisions += 1
         if decision.use_emergency:

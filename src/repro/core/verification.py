@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
 from repro.dynamics.vehicle import VehicleLimits
-from repro.planners.base import Planner, PlanningContext
+from repro.filtering.fusion import FusedEstimate
+from repro.planners.base import Planner
 from repro.scenarios.base import Scenario
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.results import Outcome
@@ -40,15 +41,31 @@ __all__ = [
 
 
 class AdversarialPlanner:
-    """Named adversarial embedded planners used by the certifier."""
+    """Named adversarial embedded planners used by the certifier.
+
+    ``fn`` is the adversarial law: ``fn(time, position, velocity,
+    acceleration, estimates) -> command`` on the ego's floats.
+    """
 
     def __init__(self, name: str, fn) -> None:
         self.name = name
         self._fn = fn
 
-    def plan(self, context: PlanningContext) -> float:
-        """Delegate to the wrapped adversarial law."""
-        return self._fn(context)
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """Delegate to the wrapped adversarial law.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+        """
+        return self._fn(time, position, velocity, acceleration, estimates)
 
 
 def adversarial_suite(limits: VehicleLimits) -> List[AdversarialPlanner]:
@@ -64,21 +81,19 @@ def adversarial_suite(limits: VehicleLimits) -> List[AdversarialPlanner]:
     """
     flip = {"value": False}
 
-    def oscillate(context: PlanningContext) -> float:
+    def oscillate(*_) -> float:
         flip["value"] = not flip["value"]
         return limits.a_max if flip["value"] else limits.a_min
 
-    def random_bang(context: PlanningContext) -> float:
-        h = hash(
-            (round(context.time * 20), round(context.ego.position, 1))
-        )
+    def random_bang(time, position, *_) -> float:
+        h = hash((round(time * 20), round(position, 1)))
         return limits.a_max if h % 3 else limits.a_min
 
     return [
-        AdversarialPlanner("full_throttle", lambda c: limits.a_max),
-        AdversarialPlanner("full_brake", lambda c: limits.a_min),
+        AdversarialPlanner("full_throttle", lambda *_: limits.a_max),
+        AdversarialPlanner("full_brake", lambda *_: limits.a_min),
         AdversarialPlanner("oscillate", oscillate),
-        AdversarialPlanner("nan", lambda c: math.nan),
+        AdversarialPlanner("nan", lambda *_: math.nan),
         AdversarialPlanner("random_bang", random_bang),
     ]
 
@@ -152,8 +167,8 @@ def certify(
     seed:
         Base seed; identical across cells for pinpointable repros.
     planners:
-        Override the adversarial suite (each must expose ``plan`` and a
-        ``name`` attribute).
+        Override the adversarial suite (each must expose ``plan_floats``
+        and a ``name`` attribute).
     """
     suite: Sequence = (
         planners

@@ -11,10 +11,8 @@ system states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -76,28 +74,12 @@ class VehicleState:
         ):
             raise nan_state_error(self.position, self.velocity, self.acceleration)
 
-    def as_vector(self) -> np.ndarray:
-        """Return the ``[p, v]`` column vector used by the Kalman filter.
-
-        Shapes: -> [2, 1]
-        """
-        return np.array([[self.position], [self.velocity]], dtype=float)
-
     def with_acceleration(self, acceleration: float) -> "VehicleState":
         """Return a copy carrying a different acceleration input.
 
         Units: acceleration [m/s^2]
         """
         return VehicleState(self.position, self.velocity, float(acceleration))
-
-    def shifted(self, dp: float = 0.0, dv: float = 0.0) -> "VehicleState":
-        """Return a copy with position/velocity offset (used in tests).
-
-        Units: dp [m], dv [m/s]
-        """
-        return replace(
-            self, position=self.position + dp, velocity=self.velocity + dv
-        )
 
     def __str__(self) -> str:
         return (
@@ -126,30 +108,10 @@ class SystemState:
             raise ConfigurationError("SystemState requires at least one vehicle")
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
 
-    @classmethod
-    def of(
-        cls, time: float, vehicles: Sequence[VehicleState]
-    ) -> "SystemState":
-        """Build a system state from any sequence of vehicle states.
-
-        Units: time [s]
-        """
-        return cls(time=float(time), vehicles=tuple(vehicles))
-
     @property
     def ego(self) -> VehicleState:
         """The ego vehicle's state (``C_0``)."""
         return self.vehicles[0]
-
-    @property
-    def others(self) -> Tuple[VehicleState, ...]:
-        """States of all non-ego vehicles (``C_1 .. C_{n-1}``)."""
-        return self.vehicles[1:]
-
-    @property
-    def positions(self) -> Tuple[float, ...]:
-        """Every vehicle's position, in index order."""
-        return tuple(vehicle.position for vehicle in self.vehicles)
 
     @property
     def n_vehicles(self) -> int:
@@ -159,19 +121,6 @@ class SystemState:
     def vehicle(self, index: int) -> VehicleState:
         """State of vehicle ``index`` (0 is the ego)."""
         return self.vehicles[index]
-
-    def with_vehicle(self, index: int, state: VehicleState) -> "SystemState":
-        """Return a copy in which vehicle ``index`` has the given state."""
-        vehicles = list(self.vehicles)
-        vehicles[index] = state
-        return SystemState(time=self.time, vehicles=tuple(vehicles))
-
-    def with_time(self, time: float) -> "SystemState":
-        """Return a copy stamped with a different time.
-
-        Units: time [s]
-        """
-        return SystemState(time=float(time), vehicles=self.vehicles)
 
     def __iter__(self) -> Iterator[VehicleState]:
         return iter(self.vehicles)

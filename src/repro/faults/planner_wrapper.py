@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from repro.errors import FaultInjectionError, PlannerFaultError
 from repro.faults.plan import PlannerFault, PlannerFaultKind
 from repro.filtering.fusion import FusedEstimate
-from repro.planners.base import Planner, PlanningContext, float_entry
+from repro.planners.base import Planner
 
 __all__ = ["FaultyPlanner"]
 
@@ -51,7 +51,7 @@ class FaultyPlanner:
                 )
         self._inner = inner
         # The inner planner's float entry, taken once.
-        self._plan_inner = float_entry(inner)
+        self._plan_inner = inner.plan_floats
         self._faults: Tuple[PlannerFault, ...] = tuple(faults)
         self._step = 0
         self._last_command: Optional[float] = None
@@ -74,20 +74,6 @@ class FaultyPlanner:
         if hasattr(self._inner, "reset"):
             self._inner.reset()
 
-    def plan(self, context: PlanningContext) -> float:
-        """One control step: fault if scheduled, else delegate to ``plan``.
-
-        Effects: mutates-args, draws-rng
-        """
-        step = self._step
-        self._step = step + 1
-        fault = self._fault_at(step)
-        if fault is None:
-            command = self._inner.plan(context)
-            self._last_command = command
-            return command
-        return self._inject(step, fault)
-
     def plan_floats(
         self,
         time: float,
@@ -97,8 +83,8 @@ class FaultyPlanner:
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
-        """:meth:`plan` on the ego's floats, through the inner planner's
-        float entry (:func:`~repro.planners.base.float_entry`).
+        """One control step: fault if scheduled, else delegate to the
+        inner planner's ``plan_floats``.
 
         Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
         Units: -> [m/s^2]

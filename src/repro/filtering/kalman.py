@@ -36,7 +36,6 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from repro.dynamics.state import VehicleState
 from repro.errors import FilterError
 from repro.sensing.noise import NoiseBounds
 from repro.utils.validation import check_nonnegative, check_positive
@@ -180,18 +179,6 @@ class KalmanState(_StateFields):
     def velocity_std(self) -> float:
         """Standard deviation of the velocity estimate."""
         return math.sqrt(max(self.p11, 0.0))
-
-    def as_vehicle_state(self, acceleration: float = 0.0) -> VehicleState:
-        """The mean estimate repackaged as a :class:`VehicleState`.
-
-        Units: acceleration [m/s^2]
-        """
-        return VehicleState(
-            position=self.position,
-            velocity=self.velocity,
-            acceleration=acceleration,
-        )
-
 
 class KalmanFilter:
     """The paper's constant-matrix Kalman filter for one remote vehicle.

@@ -14,7 +14,7 @@ Two equivalent machine-checked spellings, mirroring the ``Units:`` and
 * an ``Annotated`` return hint whose metadata carries the same list
   behind an ``effects:`` prefix::
 
-      def plan(self, context) -> Annotated[float, "effects: pure"]: ...
+      def clip(self, command) -> Annotated[float, "effects: pure"]: ...
 
 A declared spec is an **upper bound**: the interprocedural inference
 must stay under it (SFL305), and callers trust it instead of the

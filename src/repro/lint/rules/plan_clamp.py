@@ -1,11 +1,11 @@
-"""SFL007 — planner ``plan()`` outputs must be clamped before return.
+"""SFL007 — planner ``plan_floats()`` outputs must be clamped before return.
 
 The safety theorem treats the planner output as an acceleration in
 ``[a_min, a_max]``; the vehicle model would physically clip it anyway,
 but the *monitor's one-step reachability margin* is computed from the
 commanded value, so an out-of-range command desynchronises "what the
 monitor certified" from "what the plant does".  The codebase's idiom is
-that every ``plan()``/``plan_floats()``/``plan_from_window()`` return
+that every ``plan_floats()``/``plan_from_window()``/``plan()`` return
 site is one of:
 
 * a call through ``limits.clip_acceleration(...)`` or
@@ -76,7 +76,7 @@ def _is_bounded(node: ast.expr) -> bool:
 
 @register
 class PlanClampRule(Rule):
-    """Flag unclamped return sites in planner ``plan()`` methods."""
+    """Flag unclamped return sites in planner ``plan_floats()`` methods."""
 
     rule_id = "SFL007"
     name = "unclamped-plan-output"

@@ -3,9 +3,9 @@
 A planner (Section II-A, "Planner") maps the information available at a
 timestamp to the ego's acceleration command:
 ``a_0(t) = kappa(x(t))``.  In this library the "state" a planner sees is
-a :class:`PlanningContext` — the ego's own (exactly known) state plus the
-fused estimates of the other vehicles — because under communication
-disturbance nobody has the true joint state.
+the ego's own (exactly known) time, position, velocity and acceleration
+as floats plus the fused estimates of the other vehicles, because under
+communication disturbance nobody has the true joint state.
 
 Planners are deliberately *pure* per step: all memory lives in the
 estimators and the simulation engine, so a planner instance can be shared
@@ -28,7 +28,6 @@ __all__ = [
     "Planner",
     "FloatEntry",
     "clipped",
-    "float_entry",
     "no_estimate_error",
 ]
 
@@ -40,7 +39,13 @@ def no_estimate_error(index: int) -> PlannerError:
 
 @dataclass(frozen=True)
 class PlanningContext:
-    """Everything a planner may consult at one control step.
+    """Everything a planner may consult at one control step, as one object.
+
+    The argument of :meth:`~repro.planners.nn_planner.NNPlanner.plan`,
+    :meth:`~repro.scenarios.left_turn.emergency.LeftTurnEmergencyPlanner.plan`
+    and :meth:`~repro.core.monitor.RuntimeMonitor.evaluate`, which exist
+    because ``benchmarks/engine/layers.py`` wraps them by name; planners
+    are called through ``plan_floats``.
 
     Attributes
     ----------
@@ -73,53 +78,17 @@ class PlanningContext:
 
 @runtime_checkable
 class Planner(Protocol):
-    """Protocol every planner implements.
+    """Protocol every planner implements: one float entry point.
 
-    A planner may also offer the float entry point ``plan_floats(time,
-    position, velocity, acceleration, estimates, tracer=None)``, which
-    returns what ``plan`` returns for the context of those floats.  A
-    planner that is a layer of its own (the NN and the left-turn
+    A planner that is a layer of its own (the NN and the left-turn
     emergency planner) times itself in a span on ``tracer`` when one is
-    given; a wrapper passes the tracer on, and the constant planners
-    ignore it.  Callers take a planner's entry from :func:`float_entry`.
+    given; a wrapper passes the tracer on, and the other planners ignore
+    it.  A planner that reads one vehicle's estimate and was not given it
+    raises :func:`no_estimate_error`'s :class:`~repro.errors.PlannerError`,
+    which the compound planner contains.
     """
 
-    def plan(self, context: PlanningContext) -> float:
-        """Return the ego acceleration command for the coming step."""
-        ...
-
-
-#: A planner's float entry point: ``(time, position, velocity,
-#: acceleration, estimates, tracer=None) -> command``.
-FloatEntry = Callable[..., float]
-
-
-def float_entry(planner: Planner) -> FloatEntry:
-    """The one way to call ``planner``: its float entry point.
-
-    That is ``planner.plan_floats`` where the planner has one, and
-    otherwise a callable of the same signature that calls ``plan`` on
-    the context of the floats (and ignores the tracer).  The engine, the
-    compound planner and :class:`~repro.faults.planner_wrapper.FaultyPlanner`
-    take each planner's entry once and call nothing else.  Either entry
-    pickles and deep-copies with its planner.
-    """
-    plan_floats = getattr(planner, "plan_floats", None)
-    if plan_floats is not None:
-        return plan_floats
-    return _ContextEntry(planner.plan)
-
-
-class _ContextEntry:
-    """``plan`` on the context of the ego's floats: the entry of a planner
-    without ``plan_floats``."""
-
-    __slots__ = ("_plan",)
-
-    def __init__(self, plan: Callable[[PlanningContext], float]) -> None:
-        self._plan = plan
-
-    def __call__(
+    def plan_floats(
         self,
         time: float,
         position: float,
@@ -128,8 +97,17 @@ class _ContextEntry:
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
-        ego = VehicleState(position, velocity, acceleration)
-        return self._plan(PlanningContext(time, ego, estimates))
+        """Return the ego acceleration command for the coming step.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+        """
+        ...
+
+
+#: A planner's float entry point: ``(time, position, velocity,
+#: acceleration, estimates, tracer=None) -> command``.
+FloatEntry = Callable[..., float]
 
 
 def clipped(acceleration: float, limits: VehicleLimits) -> float:

@@ -10,7 +10,6 @@ from typing import Mapping
 
 from repro.dynamics.vehicle import VehicleLimits
 from repro.filtering.fusion import FusedEstimate
-from repro.planners.base import PlanningContext
 
 __all__ = ["ConstantPlanner", "FullBrakePlanner", "FullThrottlePlanner"]
 
@@ -21,15 +20,6 @@ class ConstantPlanner:
     def __init__(self, acceleration: float) -> None:
         self._acceleration = float(acceleration)
 
-    def plan(self, context: PlanningContext) -> float:
-        """Return the fixed acceleration, whatever the context.
-
-        Deliberately unclamped: tests use out-of-range commands to
-        exercise the engine's own sanitisation, so this fixture must
-        not pre-clip them.
-        """
-        return self._acceleration  # safelint: disable=SFL007 - fixture
-
     def plan_floats(
         self,
         time: float,
@@ -39,10 +29,14 @@ class ConstantPlanner:
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
-        """:meth:`plan` on the ego's floats: the fixed acceleration.
+        """Return the fixed acceleration, whatever the ego's floats.
 
         Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
         Units: -> [m/s^2]
+
+        Deliberately unclamped: tests use out-of-range commands to
+        exercise the engine's own sanitisation, so this fixture must
+        not pre-clip them.
         """
         return self._acceleration  # safelint: disable=SFL007 - fixture
 
@@ -53,10 +47,6 @@ class FullBrakePlanner:
     def __init__(self, limits: VehicleLimits) -> None:
         self._limits = limits
 
-    def plan(self, context: PlanningContext) -> float:
-        """Return the strongest braking command."""
-        return self._limits.a_min
-
     def plan_floats(
         self,
         time: float,
@@ -66,7 +56,7 @@ class FullBrakePlanner:
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
-        """:meth:`plan` on the ego's floats: the strongest braking command.
+        """Return the strongest braking command.
 
         Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
         Units: -> [m/s^2]
@@ -80,10 +70,6 @@ class FullThrottlePlanner:
     def __init__(self, limits: VehicleLimits) -> None:
         self._limits = limits
 
-    def plan(self, context: PlanningContext) -> float:
-        """Return the strongest acceleration command."""
-        return self._limits.a_max
-
     def plan_floats(
         self,
         time: float,
@@ -93,7 +79,7 @@ class FullThrottlePlanner:
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
-        """:meth:`plan` on the ego's floats: the strongest acceleration command.
+        """Return the strongest acceleration command.
 
         Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
         Units: -> [m/s^2]

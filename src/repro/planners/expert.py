@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
-from repro.planners.base import PlanningContext
+from repro.filtering.fusion import FusedEstimate
+from repro.planners.base import no_estimate_error
 from repro.scenarios.left_turn.geometry import (
     LeftTurnGeometry,
     earliest_arrival_time,
@@ -201,13 +203,26 @@ class LeftTurnExpertPlanner:
     # ------------------------------------------------------------------
     # Planner protocol
     # ------------------------------------------------------------------
-    def plan(self, context: PlanningContext) -> float:
-        """One GO/YIELD decision from the current estimates."""
-        window = self._windows.window(
-            context.estimate_of(self._oncoming_index)
-        )
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """One GO/YIELD decision from the current estimates.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+        """
+        try:
+            estimate = estimates[self._oncoming_index]
+        except KeyError as exc:
+            raise no_estimate_error(self._oncoming_index) from exc
         return self.plan_from_window(
-            context.time, context.ego.position, context.ego.velocity, window
+            time, position, velocity, self._windows.window(estimate)
         )
 
     def plan_from_window(

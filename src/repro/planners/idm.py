@@ -12,17 +12,18 @@ Two planners for the car-following scenario:
   braking, making it the car-following analogue of ``kappa_{n,aggr}``
   for compound-planner demonstrations.
 
-Both consume the leader's fused estimate through the standard
-:class:`~repro.planners.base.PlanningContext`.
+Both read the leader's fused estimate from the estimates they are given.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
-from repro.planners.base import PlanningContext
+from repro.filtering.fusion import FusedEstimate
+from repro.planners.base import no_estimate_error
 
 __all__ = ["IDMPlanner", "GapChaserPlanner"]
 
@@ -76,11 +77,26 @@ class IDMPlanner:
         self._b = float(comfort_brake)
         self._leader = leader_index
 
-    def plan(self, context: PlanningContext) -> float:
-        """IDM acceleration from the leader's nominal estimate."""
-        estimate = context.estimate_of(self._leader)
-        v = max(context.ego.velocity, 0.0)
-        gap = max(estimate.p - context.ego.position, 0.1)
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """IDM acceleration from the leader's nominal estimate.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+        """
+        try:
+            estimate = estimates[self._leader]
+        except KeyError as exc:
+            raise no_estimate_error(self._leader) from exc
+        v = max(velocity, 0.0)
+        gap = max(estimate.p - position, 0.1)
         dv = v - estimate.v
         a_max = self._limits.a_max
         s_star = self._s0 + v * self._t + v * dv / (
@@ -122,11 +138,26 @@ class GapChaserPlanner:
         self._gain = float(gain)
         self._leader = leader_index
 
-    def plan(self, context: PlanningContext) -> float:
-        """Chase the desired speed; brake only on acute gap deficit."""
-        estimate = context.estimate_of(self._leader)
-        v = max(context.ego.velocity, 0.0)
-        gap = estimate.p - context.ego.position
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """Chase the desired speed; brake only on acute gap deficit.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+        """
+        try:
+            estimate = estimates[self._leader]
+        except KeyError as exc:
+            raise no_estimate_error(self._leader) from exc
+        v = max(velocity, 0.0)
+        gap = estimate.p - position
         command = self._gain * (self._v0 - v)
         if v > 0.0 and gap / max(v, 1e-6) < self._headway:
             command = self._limits.a_min

@@ -223,7 +223,11 @@ class NNPlanner:
     # Planner protocol
     # ------------------------------------------------------------------
     def plan(self, context: PlanningContext) -> float:
-        """Window features -> scaled inference -> clipped acceleration."""
+        """:meth:`plan_floats` on a :class:`PlanningContext`.
+
+        Exists only because ``benchmarks/engine/layers.py`` wraps it by
+        name (its ``shield.nn`` layer); nothing in ``repro`` calls it.
+        """
         ego = context.ego
         return self.plan_floats(
             context.time, ego.position, ego.velocity, ego.acceleration,
@@ -240,7 +244,9 @@ class NNPlanner:
         tracer=None,
         window: Optional[Tuple[float, float]] = None,
     ) -> float:
-        """:meth:`plan` on the ego's floats; a ``shield.nn`` span on ``tracer``.
+        """Window features -> scaled inference -> clipped acceleration.
+
+        With a ``tracer``, the call is timed in a ``shield.nn`` span.
 
         Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
         Units: -> [m/s^2]

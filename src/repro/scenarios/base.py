@@ -49,27 +49,17 @@ class Scenario(Protocol):
         """Behaviour profile of non-ego vehicle ``index`` for one run."""
         ...
 
-    def is_collision(self, state: SystemState) -> bool:
-        """Ground-truth unsafe-set membership (true states)."""
-        ...
-
-    def reached_target(self, state: SystemState) -> bool:
-        """Ground-truth target-set membership."""
-        ...
-
     def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`is_collision` of the state at ``time`` with these positions.
+        """Ground-truth unsafe-set membership of the true state at ``time``.
 
         Units: time [s], positions [m]
 
-        ``positions`` holds every vehicle's position in index order.  The
-        engine's terminal check: it keeps the state as floats and builds
-        no :class:`~repro.dynamics.state.SystemState`.
+        ``positions`` holds every vehicle's position in index order.
         """
         ...
 
     def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`reached_target` of the state at ``time`` with these positions.
+        """Ground-truth target-set membership of the true state at ``time``.
 
         Units: time [s], positions [m]
         """

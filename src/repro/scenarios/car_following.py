@@ -24,7 +24,7 @@ The safety algebra is the classic braking-envelope argument:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.core.unsafe_set import SafetyModel
 from repro.dynamics.profiles import AccelerationProfile, RandomWalkProfile
@@ -45,22 +45,26 @@ _DEFAULT_LEADER = VehicleLimits(v_min=0.0, v_max=30.0, a_min=-6.0, a_max=3.0)
 
 
 def following_slack(
-    ego: VehicleState,
+    position: float,
+    velocity: float,
     leader_position_lo: float,
     leader_velocity_lo: float,
     p_gap: float,
     ego_limits: VehicleLimits,
     leader_limits: VehicleLimits,
 ) -> float:
-    """Braking-envelope slack of the following ego.
+    """Braking-envelope slack of the following ego, metres.
+
+    Units: position [m], velocity [m/s], leader_position_lo [m]
+    Units: leader_velocity_lo [m/s], p_gap [m] -> [m]
 
     Uses the pessimistic corner of the leader's band: its closest
     possible position and slowest possible velocity.  Nonnegative slack
     certifies that full ego braking preserves the gap whatever the
     leader does within its physical limits.
     """
-    gap = leader_position_lo - ego.position
-    v0 = max(ego.velocity, 0.0)
+    gap = leader_position_lo - position
+    v0 = max(velocity, 0.0)
     vl = max(leader_velocity_lo, 0.0)
     ego_stop = v0 * v0 / (-2.0 * ego_limits.a_min)
     leader_stop = vl * vl / (-2.0 * leader_limits.a_min)
@@ -69,7 +73,7 @@ def following_slack(
 
 @dataclass(frozen=True)
 class CarFollowingSafetyModel:
-    """Slack-based safety predicates over the leader's fused estimate."""
+    """Slack-based safety model over the leader's fused estimate."""
 
     p_gap: float
     ego_limits: VehicleLimits
@@ -82,15 +86,20 @@ class CarFollowingSafetyModel:
         check_positive(self.dt_c, "dt_c")
 
     def _slack(
-        self, ego: VehicleState, estimates: Mapping[int, FusedEstimate]
+        self,
+        position: float,
+        velocity: float,
+        estimates: Mapping[int, FusedEstimate],
     ) -> float:
+        """Units: position [m], velocity [m/s] -> [m]"""
         if self.leader_index not in estimates:
             raise ScenarioError(
                 f"no estimate for the leader (index {self.leader_index})"
             )
         estimate = estimates[self.leader_index]
         return following_slack(
-            ego,
+            position,
+            velocity,
             estimate.p_lo,
             estimate.v_lo,
             self.p_gap,
@@ -98,10 +107,13 @@ class CarFollowingSafetyModel:
             self.leader_limits,
         )
 
-    def _margin(self, ego: VehicleState, estimate: FusedEstimate) -> float:
-        """Worst one-step slack decrease (ego full throttle, leader full brake)."""
+    def _margin(self, velocity: float, estimate: FusedEstimate) -> float:
+        """Worst one-step slack decrease (ego full throttle, leader full brake).
+
+        Units: velocity [m/s] -> [m]
+        """
         dt = self.dt_c
-        v0 = max(ego.velocity, 0.0)
+        v0 = max(velocity, 0.0)
         a_max = self.ego_limits.a_max
         b_e = -self.ego_limits.a_min
         # Ego closes the gap and grows its stopping distance.
@@ -119,58 +131,54 @@ class CarFollowingSafetyModel:
     def safety_margin(
         self,
         time: float,
-        ego: VehicleState,
+        position: float,
+        velocity: float,
         estimates: Mapping[int, FusedEstimate],
     ) -> float:
         """The following slack as a scalar safety margin, metres.
 
-        Units: time [s] -> [m]
+        Units: time [s], position [m], velocity [m/s] -> [m]
         """
-        return self._slack(ego, estimates)
+        return self._slack(position, velocity, estimates)
 
     def boundary_distance(
         self,
         time: float,
-        ego: VehicleState,
+        position: float,
+        velocity: float,
         estimates: Mapping[int, FusedEstimate],
     ) -> float:
         """Distance of the slack to the ``X_b`` threshold, metres.
 
-        Units: time [s] -> [m]
+        Units: time [s], position [m], velocity [m/s] -> [m]
         """
-        return self._slack(ego, estimates) - self._margin(
-            ego, estimates[self.leader_index]
+        return self._slack(position, velocity, estimates) - self._margin(
+            velocity, estimates[self.leader_index]
         )
 
     # ------------------------------------------------------------------
     # SafetyModel protocol
     # ------------------------------------------------------------------
-    def in_estimated_unsafe_set(
+    def decide(
         self,
         time: float,
-        ego: VehicleState,
+        position: float,
+        velocity: float,
         estimates: Mapping[int, FusedEstimate],
-    ) -> bool:
-        """Negative slack: the gap can no longer be certified.
+    ) -> Tuple[bool, bool, Optional[Tuple[float, float]]]:
+        """``(in_boundary, in_unsafe, None)`` from the following slack.
 
-        Units: time [s]
+        Units: time [s], position [m], velocity [m/s]
+
+        Unsafe: negative slack, the gap can no longer be certified.
+        Boundary: negative slack, or slack within one worst-case step
+        (ego full throttle, leader full brake) of going negative.  There
+        is no conflict window.
         """
-        return self._slack(ego, estimates) < 0.0
-
-    def in_boundary_safe_set(
-        self,
-        time: float,
-        ego: VehicleState,
-        estimates: Mapping[int, FusedEstimate],
-    ) -> bool:
-        """Slack within one worst-case step of going negative.
-
-        Units: time [s]
-        """
-        s = self._slack(ego, estimates)
+        s = self._slack(position, velocity, estimates)
         if s < 0.0:
-            return True
-        return s < self._margin(ego, estimates[self.leader_index])
+            return True, True, None
+        return s < self._margin(velocity, estimates[self.leader_index]), False, None
 
 
 @dataclass(frozen=True)
@@ -237,16 +245,8 @@ class CarFollowingScenario:
         lo, hi = self.leader_accel_range
         return RandomWalkProfile(rng, a_low=lo, a_high=hi, max_step=0.4)
 
-    def is_collision(self, state: SystemState) -> bool:
-        """The true gap dropped below ``p_gap``."""
-        return self.is_collision_at(state.time, state.positions)
-
-    def reached_target(self, state: SystemState) -> bool:
-        """The ego covered the required distance."""
-        return self.reached_target_at(state.time, state.positions)
-
     def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`is_collision` on the vehicles' positions.
+        """The true gap dropped below ``p_gap``.
 
         Units: time [s], positions [m]
         """
@@ -254,7 +254,7 @@ class CarFollowingScenario:
         return gap < self.p_gap
 
     def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`reached_target` on the vehicles' positions.
+        """The ego covered the required distance.
 
         Units: time [s], positions [m]
         """

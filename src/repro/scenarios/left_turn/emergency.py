@@ -75,14 +75,11 @@ class LeftTurnEmergencyPlanner:
         return self._stop_margin
 
     def plan(self, context: PlanningContext) -> float:
-        """Apply the (extended) Section-IV emergency law.
+        """:meth:`plan_floats` on a :class:`PlanningContext`.
 
-        The paper's law assumes invocation from the boundary safe set,
-        where stopping before the line is feasible.  This implementation
-        extends the escape branch to *committed* states — negative slack,
-        i.e. entering the area is already unavoidable — where braking
-        would only stretch the ego's exposure inside the area: there the
-        right move is full throttle, exactly as past the front line.
+        Exists only because ``benchmarks/engine/layers.py`` wraps it by
+        name (its ``shield.emergency`` layer); nothing in ``repro`` calls
+        it.
         """
         ego = context.ego
         return self.plan_floats(
@@ -99,12 +96,20 @@ class LeftTurnEmergencyPlanner:
         estimates: Mapping[int, FusedEstimate],
         tracer=None,
     ) -> float:
-        """:meth:`plan` on the ego's floats; a ``shield.emergency`` span on ``tracer``.
+        """Apply the (extended) Section-IV emergency law.
 
         Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
         Units: -> [m/s^2]
 
-        The law reads only the ego's position and velocity.
+        The paper's law assumes invocation from the boundary safe set,
+        where stopping before the line is feasible.  This implementation
+        extends the escape branch to *committed* states — negative slack,
+        i.e. entering the area is already unavoidable — where braking
+        would only stretch the ego's exposure inside the area: there the
+        right move is full throttle, exactly as past the front line.
+
+        The law reads only the ego's position and velocity.  With a
+        ``tracer``, the call is timed in a ``shield.emergency`` span.
         """
         if tracer is not None:
             return traced_call(

@@ -5,7 +5,7 @@ instantiates a single oncoming car.  This module extends the case study
 to a platoon of oncoming vehicles, exercising the parts of the framework
 the single-vehicle study cannot:
 
-* the safety model composes per-vehicle predicates — the ego is in the
+* the safety model composes per-vehicle decisions — the ego is in the
   (estimated) unsafe/boundary set iff it is with respect to *any*
   oncoming vehicle, which is sound because the emergency planner's
   actions (stop before the line / floor it out) are safe per vehicle
@@ -21,7 +21,7 @@ engine for free (it is already per-vehicle).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.unsafe_set import SafetyModel
 from repro.dynamics.profiles import AccelerationProfile, RandomSequenceProfile
@@ -29,7 +29,7 @@ from repro.dynamics.state import SystemState, VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ScenarioError
 from repro.filtering.fusion import FusedEstimate
-from repro.planners.base import Planner, PlanningContext
+from repro.planners.base import Planner
 from repro.planners.expert import ExpertConfig
 from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.scenarios.left_turn.geometry import (
@@ -41,7 +41,7 @@ from repro.scenarios.left_turn.scenario import (
     DEFAULT_EGO_LIMITS,
     DEFAULT_ONCOMING_LIMITS,
 )
-from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
+from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel, slack
 from repro.utils.intervals import Interval
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
@@ -107,35 +107,33 @@ class MultiOncomingSafetyModel:
         )
         object.__setattr__(self, "_models", per_vehicle)
 
-    def in_estimated_unsafe_set(
+    def decide(
         self,
         time: float,
-        ego: VehicleState,
+        position: float,
+        velocity: float,
         estimates: Mapping[int, FusedEstimate],
-    ) -> bool:
-        """Unsafe with respect to any oncoming vehicle.
+    ) -> Tuple[bool, bool, Optional[Tuple[float, float]]]:
+        """``(in_boundary, in_unsafe, None)``: the OR of the per-vehicle decisions.
 
-        Units: time [s]
+        Units: time [s], position [m], velocity [m/s]
+
+        Vehicles are asked in index order, and only while an answer can
+        still change: once some vehicle puts the ego in the boundary set,
+        the rest are asked only for the unsafe set, which is empty at
+        nonnegative slack.  So a vehicle without an estimate raises
+        exactly when its own membership is needed.  No single window is
+        returned.
         """
-        return any(
-            model.in_estimated_unsafe_set(time, ego, estimates)
-            for model in self._models
-        )
-
-    def in_boundary_safe_set(
-        self,
-        time: float,
-        ego: VehicleState,
-        estimates: Mapping[int, FusedEstimate],
-    ) -> bool:
-        """Boundary-safe with respect to any oncoming vehicle.
-
-        Units: time [s]
-        """
-        return any(
-            model.in_boundary_safe_set(time, ego, estimates)
-            for model in self._models
-        )
+        negative_slack = slack(position, velocity, self.geometry, self.ego_limits) < 0.0
+        in_boundary = in_unsafe = False
+        for model in self._models:
+            if in_boundary and (in_unsafe or not negative_slack):
+                break
+            boundary, unsafe, _ = model.decide(time, position, velocity, estimates)
+            in_boundary = in_boundary or boundary
+            in_unsafe = in_unsafe or unsafe
+        return in_boundary, in_unsafe, None
 
 
 class GapAcceptanceExpert:
@@ -190,12 +188,22 @@ class GapAcceptanceExpert:
             [self._windows.window(estimates[i]) for i in self._indices]
         )
 
-    def plan(self, context: PlanningContext) -> float:
-        """One gap-acceptance decision."""
-        merged = self.merged_conflicts(context.estimates)
-        time = context.time
-        position = context.ego.position
-        velocity = max(context.ego.velocity, 0.0)
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """One gap-acceptance decision.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+        """
+        merged = self.merged_conflicts(estimates)
+        velocity = max(velocity, 0.0)
 
         if position > self._geometry.p_front:
             # Committed/inside: keep going (the monitor guards).
@@ -311,16 +319,8 @@ class MultiOncomingLeftTurnScenario:
         lo, hi = self.profile_accel_range
         return RandomSequenceProfile(rng, a_low=lo, a_high=hi)
 
-    def is_collision(self, state: SystemState) -> bool:
-        """The ego shares the area with any platoon member."""
-        return self.is_collision_at(state.time, state.positions)
-
-    def reached_target(self, state: SystemState) -> bool:
-        """The ego completed the turn."""
-        return self.reached_target_at(state.time, state.positions)
-
     def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`is_collision` on the vehicles' positions.
+        """The ego shares the area with any platoon member.
 
         Units: time [s], positions [m]
         """
@@ -332,7 +332,7 @@ class MultiOncomingLeftTurnScenario:
         )
 
     def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`reached_target` on the vehicles' positions.
+        """The ego completed the turn.
 
         Units: time [s], positions [m]
         """

@@ -140,23 +140,15 @@ class LeftTurnScenario:
         lo, hi = self.profile_accel_range
         return RandomSequenceProfile(rng, a_low=lo, a_high=hi)
 
-    def is_collision(self, state: SystemState) -> bool:
-        """Both vehicles inside the unsafe area (the paper's ground truth)."""
-        return self.is_collision_at(state.time, state.positions)
-
-    def reached_target(self, state: SystemState) -> bool:
-        """The ego crossed the target line (left turn completed)."""
-        return self.reached_target_at(state.time, state.positions)
-
     def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`is_collision` on the vehicles' positions.
+        """Both vehicles inside the unsafe area (the paper's ground truth).
 
         Units: time [s], positions [m]
         """
         return self.geometry.collision(positions[0], positions[1])
 
     def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`reached_target` on the vehicles' positions.
+        """The ego crossed the target line (left turn completed).
 
         Units: time [s], positions [m]
         """

@@ -15,7 +15,7 @@ Implements the slack / projected-passing-window algebra of Section IV:
   windows; the runtime monitor hands control to the emergency planner
   exactly on this set.
 
-:class:`LeftTurnSafetyModel` packages these predicates behind the
+:class:`LeftTurnSafetyModel` packages these memberships behind the
 scenario-agnostic :class:`repro.core.unsafe_set.SafetyModel` protocol, on
 top of the sound Eq. (7) occupancy window
 (:func:`~repro.scenarios.left_turn.passing_time.conservative_bounds`) over
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ScenarioError
 from repro.filtering.fusion import FusedEstimate
@@ -159,14 +158,14 @@ def _slack_margin(v: float, dt_c: float, half_a_dt2: float, factor: float) -> fl
 
 @dataclass(frozen=True)
 class LeftTurnSafetyModel:
-    """Scenario safety predicates over fused estimates.
+    """Scenario safety model over fused estimates.
 
     Implements the :class:`repro.core.unsafe_set.SafetyModel` protocol
     for the left-turn scenario: the oncoming vehicle's occupancy window
     is estimated conservatively (Eq. (7) over the fused band) and
     combined with the ego's slack and projected window.
 
-    The predicates run on floats.  The window comes from
+    :meth:`decide` runs on floats.  The window comes from
     :meth:`oncoming_bounds`, the one override point for where the
     conflict window comes from.  The constants of the frozen model --
     the oncoming limits in speed terms, the boundary-margin terms and
@@ -238,7 +237,7 @@ class LeftTurnSafetyModel:
 
         ``time`` is unused here; subclasses whose window depends on the
         clock (a signal schedule) read it.  This is the override point
-        every predicate reads the conflict window through.
+        :meth:`decide` reads the conflict window through.
         """
         if self.oncoming_index not in estimates:
             raise ScenarioError(
@@ -255,63 +254,59 @@ class LeftTurnSafetyModel:
     def safety_margin(
         self,
         time: float,
-        ego: VehicleState,
+        position: float,
+        velocity: float,
         estimates: Mapping[int, FusedEstimate],
     ) -> float:
         """The slack ``s(t)`` as a scalar safety margin, metres.
 
-        Units: time [s] -> [m]
+        Units: time [s], position [m], velocity [m/s] -> [m]
         """
-        return slack(ego.position, ego.velocity, self.geometry, self.ego_limits)
+        return slack(position, velocity, self.geometry, self.ego_limits)
 
     def boundary_distance(
         self,
         time: float,
-        ego: VehicleState,
+        position: float,
+        velocity: float,
         estimates: Mapping[int, FusedEstimate],
     ) -> float:
         """Distance of the slack to the ``X_b`` threshold, metres.
 
-        Units: time [s] -> [m]
+        Units: time [s], position [m], velocity [m/s] -> [m]
 
         Positive while the slack exceeds the worst one-step decrease;
         zero or negative when the boundary safe set may be reached within
         one control step.
         """
-        s = slack(ego.position, ego.velocity, self.geometry, self.ego_limits)
-        return s - boundary_slack_margin(
-            ego.velocity, self.dt_c, self.ego_limits
-        )
+        s = slack(position, velocity, self.geometry, self.ego_limits)
+        return s - boundary_slack_margin(velocity, self.dt_c, self.ego_limits)
 
     # ------------------------------------------------------------------
     # SafetyModel protocol
     # ------------------------------------------------------------------
-    def in_estimated_unsafe_set(
+    def decide(
         self,
         time: float,
-        ego: VehicleState,
+        position: float,
+        velocity: float,
         estimates: Mapping[int, FusedEstimate],
-    ) -> bool:
-        """Eq. (6): negative slack and intersecting windows.
+    ) -> Tuple[bool, bool, Optional[Tuple[float, float]]]:
+        """Both memberships at once, with the window evaluated at most once.
 
-        Units: time [s]
-        """
-        position = ego.position
-        velocity = ego.velocity
-        s = slack(position, velocity, self.geometry, self.ego_limits)
-        return self._unsafe(time, position, velocity, s, None, estimates)[0]
+        Units: time [s], position [m], velocity [m/s]
 
-    def in_boundary_safe_set(
-        self,
-        time: float,
-        ego: VehicleState,
-        estimates: Mapping[int, FusedEstimate],
-    ) -> bool:
-        """``X_b``: one admissible step away from the unsafe set (Eq. (3)).
+        Returns ``(in_boundary, in_unsafe, window)``, where ``window`` is
+        the conflict window as ``(lo, hi)`` seconds when either
+        membership needed it (``None`` otherwise).  A missing estimate
+        raises :class:`~repro.errors.ScenarioError` when the window is
+        needed, which is whenever the ego is at or before the back line.
 
-        Units: time [s]
+        ``in_unsafe`` is Eq. (6): negative slack and intersecting windows.
 
-        Two branches, both instances of the general definition:
+        ``in_boundary`` is ``X_b``, one admissible step away from the
+        unsafe set (Eq. (3)), with two branches, both instances of the
+        general definition:
 
         * **approaching** the area — the slack is nonnegative but within
           one worst-case step of going negative while the windows
@@ -324,32 +319,6 @@ class LeftTurnSafetyModel:
           unsafe set unprotected; with it, the monitor hands control to
           the emergency planner's full-throttle escape branch as soon as
           lingering becomes a possibility.
-        """
-        position = ego.position
-        if position > self.geometry.p_back:
-            return False
-        window = self.oncoming_bounds(time, estimates)
-        velocity = ego.velocity
-        s = slack(position, velocity, self.geometry, self.ego_limits)
-        return self._boundary(time, position, velocity, s, window)
-
-    def decide(
-        self,
-        time: float,
-        position: float,
-        velocity: float,
-        estimates: Mapping[int, FusedEstimate],
-    ) -> Tuple[bool, bool, Optional[Tuple[float, float]]]:
-        """Both predicates at once, with the window evaluated at most once.
-
-        Units: time [s], position [m], velocity [m/s]
-
-        Returns ``(in_boundary, in_unsafe, window)``: exactly what
-        :meth:`in_boundary_safe_set` and then
-        :meth:`in_estimated_unsafe_set` return for the ego at
-        ``(position, velocity)``, or the error the first of them raises,
-        and the conflict window as ``(lo, hi)`` seconds when either
-        needed it (``None`` otherwise).
         """
         s = slack(position, velocity, self.geometry, self.ego_limits)
         window = None

@@ -10,7 +10,7 @@ intersection box while the light is red.
 What this exercises that the other scenarios cannot:
 
 * a single-vehicle system (the engine's ``others`` set is empty and the
-  planner contexts carry no estimates);
+  planners are given no estimates);
 * a safety model whose conflict window comes from the *environment
   schedule* rather than fused estimates — the monitor algebra (slack,
   one-step lookahead, the full-throttle commit invariant) is reused
@@ -31,7 +31,7 @@ from repro.dynamics.state import SystemState, VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ScenarioError
 from repro.filtering.fusion import FusedEstimate
-from repro.planners.base import Planner, PlanningContext
+from repro.planners.base import Planner
 from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.scenarios.left_turn.geometry import (
     LeftTurnGeometry,
@@ -135,7 +135,7 @@ class SignalizedSafetyModel(LeftTurnSafetyModel):
     """The left-turn monitor algebra with the light's red as the window.
 
     Overrides :meth:`~LeftTurnSafetyModel.oncoming_bounds`, the one
-    override point of the left-turn predicates, to return the next red
+    override point of the left-turn ``decide``, to return the next red
     interval (a deterministic schedule, ignoring estimates entirely).
     Everything else — slack band, one-step lookahead, the full-throttle
     commit invariant — is inherited unchanged, which is the point: the
@@ -187,17 +187,27 @@ class GreenWavePlanner:
         self._margin = float(clear_margin)
         self._gain = gain
 
-    def plan(self, context: PlanningContext) -> float:
-        """One speed-advisory decision."""
-        t = context.time
-        p = context.ego.position
-        v = max(context.ego.velocity, 0.0)
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """One speed-advisory decision.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+        """
+        v = max(velocity, 0.0)
         geometry = self._geometry
-        if p > geometry.p_front:
+        if position > geometry.p_front:
             return self._go(v)  # committed/inside: clear the box
 
-        d_front = geometry.ego_distance_to_front(p)
-        d_back = geometry.ego_distance_to_back(p)
+        d_front = geometry.ego_distance_to_front(position)
+        d_back = geometry.ego_distance_to_back(position)
         t_reach = earliest_arrival_time(
             d_front, v, self._limits.v_max, self._go_accel
         )
@@ -206,24 +216,24 @@ class GreenWavePlanner:
         )
 
         # Find the first green phase that fits the crossing.
-        green_start = self._light.next_green_start(t)
+        green_start = self._light.next_green_start(time)
         for _ in range(8):
             green_end = self._light.green_end_after(green_start)
-            arrival = max(t + t_reach, green_start)
+            arrival = max(time + t_reach, green_start)
             crossing_time = t_clear - t_reach
             if arrival + crossing_time + self._margin <= green_end:
                 break
             green_start += self._light.cycle
         else:  # pragma: no cover - a feasible phase always exists
-            green_start = self._light.next_green_start(t) + self._light.cycle
+            green_start = self._light.next_green_start(time) + self._light.cycle
             arrival = green_start
 
-        if arrival <= t + t_reach + 1e-9:
+        if arrival <= time + t_reach + 1e-9:
             # The chosen green is open on arrival: commit and cross.
             return self._go(v)
 
         # Pace: target the speed that arrives exactly at the green start.
-        time_budget = green_start - t
+        time_budget = green_start - time
         v_target = min(self._cruise, d_front / max(time_budget, 1e-6))
         # Never exceed the speed from which a comfortable stop at the
         # line is possible (the light is red when we would arrive early).
@@ -246,10 +256,22 @@ class RedLightRunner:
         self._limits = limits
         self._speed = speed
 
-    def plan(self, context: PlanningContext) -> float:
-        """Track the fixed cruise speed regardless of the light."""
+    def plan_floats(
+        self,
+        time: float,
+        position: float,
+        velocity: float,
+        acceleration: float,
+        estimates: Mapping[int, FusedEstimate],
+        tracer=None,
+    ) -> float:
+        """Track the fixed cruise speed regardless of the light.
+
+        Units: time [s], position [m], velocity [m/s], acceleration [m/s^2]
+        Units: -> [m/s^2]
+        """
         return self._limits.clip_acceleration(
-            1.5 * (self._speed - max(context.ego.velocity, 0.0))
+            1.5 * (self._speed - max(velocity, 0.0))
         )
 
 
@@ -320,16 +342,8 @@ class SignalizedCrossingScenario:
         """No other vehicles exist."""
         raise ScenarioError(f"vehicle {index} has no behaviour profile")
 
-    def is_collision(self, state: SystemState) -> bool:
-        """Red-light violation: inside the box while the light is red."""
-        return self.is_collision_at(state.time, state.positions)
-
-    def reached_target(self, state: SystemState) -> bool:
-        """The ego crossed the target line."""
-        return self.reached_target_at(state.time, state.positions)
-
     def is_collision_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`is_collision` on the clock and the ego's position.
+        """Red-light violation: inside the box while the light is red.
 
         Units: time [s], positions [m]
         """
@@ -338,7 +352,7 @@ class SignalizedCrossingScenario:
         )
 
     def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
-        """:meth:`reached_target` on the ego's position.
+        """The ego crossed the target line.
 
         Units: time [s], positions [m]
         """

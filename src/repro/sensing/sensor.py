@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from repro.dynamics.state import VehicleState
 from repro.errors import ConfigurationError
 from repro.sensing.noise import NoiseBounds
 from repro.utils.rng import RngStream
@@ -46,14 +45,6 @@ class SensorReading(NamedTuple):
     position: float
     velocity: float
     acceleration: float
-
-    def as_state(self) -> VehicleState:
-        """The reading repackaged as a (noisy) :class:`VehicleState`."""
-        return VehicleState(
-            position=self.position,
-            velocity=self.velocity,
-            acceleration=self.acceleration,
-        )
 
     def __str__(self) -> str:
         return (

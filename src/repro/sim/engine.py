@@ -43,7 +43,7 @@ from repro.errors import (
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.filtering.info_filter import EstimateProvider
 from repro.obs.observer import resolve_observer
-from repro.planners.base import Planner, float_entry
+from repro.planners.base import Planner
 from repro.scenarios.base import Scenario
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import Sensor
@@ -192,8 +192,7 @@ class SimulationEngine:
         Parameters
         ----------
         planner:
-            The ego planner, called through its float entry
-            (:func:`~repro.planners.base.float_entry`); if it exposes
+            The ego planner, called through its ``plan_floats``; if it exposes
             ``reset()`` (the compound planner does) it is reset first,
             and if it exposes a ``monitor`` (the compound planner does)
             the episode's emergency steps are that monitor's
@@ -265,7 +264,7 @@ class SimulationEngine:
         # The planner's one entry, under a fault plan behind its planner
         # faults and command clipping.  A traced run hands it the
         # observer, so the layers report their spans.
-        plan = float_entry(planner)
+        plan = planner.plan_floats
         if injector is not None:
             plan = injector.planner_entry(plan, ego_limits)
         tracer = obs if traced else None

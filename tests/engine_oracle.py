@@ -4,10 +4,10 @@ This is ``SimulationEngine.run`` as it stood before the control step was
 rewritten on a per-episode float record: every vehicle's state a
 :class:`~repro.dynamics.state.VehicleState` stepped by
 ``VehicleModel.step``, a :class:`~repro.dynamics.state.SystemState` built
-every step for ``is_collision``/``reached_target``, and the planner
-called through ``plan`` on a :class:`PlanningContext` every step (under a
-fault plan through :func:`faulted_plan`, the context-taking planner hook
-the fault plan had before it wrapped the planner's float entry).  It is
+every step whose positions feed the terminal checks, and the planner
+called through ``plan_floats`` on the ego state's fields every step
+(under a fault plan through :func:`faulted_plan`, the planner hook the
+fault plan had before it wrapped the planner's float entry).  It is
 kept as the slow counterpart of the fast path (it hands profiles,
 sensors and channels the stamped state's fields, as their float
 signatures ask);
@@ -31,7 +31,7 @@ from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import SafetyViolationError, SimulationError
 from repro.faults.plan import FaultInjector, PlannerFaultKind
 from repro.obs.observer import resolve_observer
-from repro.planners.base import Planner, PlanningContext, clipped
+from repro.planners.base import Planner, clipped
 from repro.sensing.sensor import Sensor
 from repro.sim.engine import EstimatorFactory
 from repro.sim.results import Outcome, SimulationResult
@@ -44,7 +44,9 @@ def faulted_plan(
     injector: FaultInjector,
     step: int,
     planner: Planner,
-    context: PlanningContext,
+    time: float,
+    ego: VehicleState,
+    estimates,
     limits: VehicleLimits,
 ) -> Tuple[float, bool]:
     """Run one (possibly faulted) planner invocation.
@@ -56,7 +58,9 @@ def faulted_plan(
     """
     fault = injector._active_planner_fault(step)
     if fault is None:
-        command = planner.plan(context)
+        command = planner.plan_floats(
+            time, ego.position, ego.velocity, ego.acceleration, estimates
+        )
         injector._last_command = command
         return command, True
     injector.planner_faults_injected += 1
@@ -221,7 +225,8 @@ def run(
             obs.end(stage)
 
         # 5. Terminal checks on the true joint state.
-        if scenario.is_collision(state):
+        positions = [vehicle.position for vehicle in state.vehicles]
+        if scenario.is_collision_at(state.time, positions):
             collision_time = t
             outcome = Outcome.COLLISION
             if record:
@@ -234,7 +239,7 @@ def run(
                     f"planner entered the unsafe set at t={t:.3f}s"
                 )
             break
-        if scenario.reached_target(state):
+        if scenario.reached_target_at(state.time, positions):
             reaching_time = t
             outcome = Outcome.REACHED
             if record:
@@ -259,17 +264,18 @@ def run(
             obs.end(stage)
         stage = obs.begin("engine.plan") if traced else -1
         ego = vehicles[0]
-        context = PlanningContext(time=t, ego=ego, estimates=estimates)
         if injector is not None:
             ego_command, planner_called = faulted_plan(
-                injector, step, planner, context, ego_limits
+                injector, step, planner, t, ego, estimates, ego_limits
             )
             # Injected NaN (and any out-of-range fault command) must
             # not corrupt the dynamics: sanitise like the compound
             # planner does.
             ego_command = clipped(ego_command, ego_limits)
         else:
-            ego_command = planner.plan(context)
+            ego_command = planner.plan_floats(
+                t, ego.position, ego.velocity, ego.acceleration, estimates
+            )
             planner_called = True
         if traced:
             obs.end(stage)

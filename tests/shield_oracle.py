@@ -16,11 +16,16 @@ points (``plan_floats``, ``decide``) replaced them on the control path:
 each reads its ego state from a :class:`PlanningContext` and the monitor
 evaluates each predicate in turn.
 
+The two predicates are also kept for the other safety models, as they
+were before ``decide`` became each model's one entry: the
+multi-oncoming model's OR of its per-vehicle predicates, and the
+car-following model's braking-envelope slack on a
+:class:`~repro.dynamics.state.VehicleState`.
+
 The predicates take the safety model as their first argument and
 :func:`nn_plan` the planner, so they have the signatures of the methods
-they replaced and can be patched onto the classes to run whole episodes
-on the oracle.  :func:`oncoming_window` dispatches on the model's type
-(the signalized model reads its light's red phase).
+they replaced.  The predicates and :func:`oncoming_window` dispatch on
+the model's type (the signalized model reads its light's red phase).
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ from repro.nn.layers import chain_steps, layer_chain
 from repro.planners.base import PlanningContext, clipped
 from repro.planners.nn_planner import N_FEATURES, WINDOW_FAR, WINDOW_PAST, NNPlanner
 from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
+from repro.scenarios.car_following import CarFollowingSafetyModel
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
+from repro.scenarios.left_turn.multi import MultiOncomingSafetyModel
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
 from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
 from repro.scenarios.signalized import SignalizedSafetyModel, TrafficLight
@@ -55,6 +62,7 @@ __all__ = [
     "ego_passing_window",
     "emergency_plan",
     "estimator_window",
+    "following_slack",
     "in_boundary_safe_set",
     "in_estimated_unsafe_set",
     "latest_arrival_time",
@@ -294,12 +302,19 @@ def oncoming_window(
 
 
 def in_estimated_unsafe_set(
-    self: LeftTurnSafetyModel,
+    self,
     time: float,
     ego: VehicleState,
     estimates: Mapping[int, FusedEstimate],
 ) -> bool:
     """Eq. (6): negative slack and intersecting windows."""
+    if isinstance(self, MultiOncomingSafetyModel):
+        return any(
+            in_estimated_unsafe_set(model, time, ego, estimates)
+            for model in self._models
+        )
+    if isinstance(self, CarFollowingSafetyModel):
+        return _following_slack_of(self, ego, estimates) < 0.0
     s = slack(ego.position, ego.velocity, self.geometry, self.ego_limits)
     if s >= 0.0:
         return False
@@ -308,12 +323,22 @@ def in_estimated_unsafe_set(
 
 
 def in_boundary_safe_set(
-    self: LeftTurnSafetyModel,
+    self,
     time: float,
     ego: VehicleState,
     estimates: Mapping[int, FusedEstimate],
 ) -> bool:
     """``X_b``: one admissible step away from the unsafe set (Eq. (3))."""
+    if isinstance(self, MultiOncomingSafetyModel):
+        return any(
+            in_boundary_safe_set(model, time, ego, estimates)
+            for model in self._models
+        )
+    if isinstance(self, CarFollowingSafetyModel):
+        s = _following_slack_of(self, ego, estimates)
+        if s < 0.0:
+            return True
+        return s < _following_margin(self, ego, estimates[self.leader_index])
     position = ego.position
     if position > self.geometry.p_back:
         return False
@@ -380,6 +405,62 @@ def _some_step_commits_unsafely(
         ):
             return True
     return False
+
+
+# ----------------------------------------------------------------------
+# Car following (car_following.py)
+# ----------------------------------------------------------------------
+def following_slack(
+    ego: VehicleState,
+    leader_position_lo: float,
+    leader_velocity_lo: float,
+    p_gap: float,
+    ego_limits: VehicleLimits,
+    leader_limits: VehicleLimits,
+) -> float:
+    """Braking-envelope slack against the leader band's worst corner."""
+    gap = leader_position_lo - ego.position
+    v0 = max(ego.velocity, 0.0)
+    vl = max(leader_velocity_lo, 0.0)
+    ego_stop = v0 * v0 / (-2.0 * ego_limits.a_min)
+    leader_stop = vl * vl / (-2.0 * leader_limits.a_min)
+    return gap + leader_stop - ego_stop - p_gap
+
+
+def _following_slack_of(
+    model: CarFollowingSafetyModel,
+    ego: VehicleState,
+    estimates: Mapping[int, FusedEstimate],
+) -> float:
+    if model.leader_index not in estimates:
+        raise ScenarioError(
+            f"no estimate for the leader (index {model.leader_index})"
+        )
+    estimate = estimates[model.leader_index]
+    return following_slack(
+        ego,
+        estimate.p_lo,
+        estimate.v_lo,
+        model.p_gap,
+        model.ego_limits,
+        model.leader_limits,
+    )
+
+
+def _following_margin(
+    model: CarFollowingSafetyModel, ego: VehicleState, estimate: FusedEstimate
+) -> float:
+    """Worst one-step slack decrease (ego full throttle, leader full brake)."""
+    dt = model.dt_c
+    v0 = max(ego.velocity, 0.0)
+    a_max = model.ego_limits.a_max
+    b_e = -model.ego_limits.a_min
+    ego_travel = v0 * dt + 0.5 * a_max * dt * dt
+    ego_stop_growth = (2.0 * v0 * a_max * dt + a_max * a_max * dt * dt) / (
+        2.0 * b_e
+    )
+    leader_credit_loss = max(estimate.v_hi, 0.0) * dt
+    return ego_travel + ego_stop_growth + leader_credit_loss
 
 
 # ----------------------------------------------------------------------
@@ -467,11 +548,17 @@ def compound_plan(
     ``(use_emergency, in_boundary, in_unsafe)``.
     """
 
+    ego = context.ego
+    floats = (
+        context.time, ego.position, ego.velocity, ego.acceleration,
+        context.estimates,
+    )
+
     def emergency() -> float:
         planner = self.emergency_planner
         if isinstance(planner, LeftTurnEmergencyPlanner):
             return emergency_plan(planner, context)
-        return planner.plan(context)
+        return planner.plan_floats(*floats)
 
     decision = monitor_decision(self.monitor.safety_model, context)
     if decision[0]:
@@ -482,7 +569,7 @@ def compound_plan(
             if isinstance(embedded, NNPlanner):
                 command = nn_plan(embedded, context)
             else:
-                command = embedded.plan(context)
+                command = embedded.plan_floats(*floats)
         except PlannerError:
             command = emergency()
     return clipped(command, self._limits), decision

@@ -48,16 +48,8 @@ class TestScenario:
         assert gap == cf_scenario.initial_gap
 
     def test_collision_is_gap_violation(self, cf_scenario):
-        from repro.dynamics.state import SystemState
-
-        tight = SystemState(
-            time=0.0,
-            vehicles=(
-                VehicleState(position=0.0, velocity=10.0),
-                VehicleState(position=4.9, velocity=10.0),
-            ),
-        )
-        assert cf_scenario.is_collision(tight)
+        assert cf_scenario.is_collision_at(0.0, [0.0, 4.9])
+        assert not cf_scenario.is_collision_at(0.0, [0.0, 5.0])
 
     def test_validation(self):
         with pytest.raises(ScenarioError):
@@ -68,17 +60,15 @@ class TestScenario:
 
 class TestSlack:
     def test_positive_with_ample_gap(self, cf_scenario):
-        ego = VehicleState(position=0.0, velocity=15.0)
         s = following_slack(
-            ego, 100.0, 15.0, 5.0,
+            0.0, 15.0, 100.0, 15.0, 5.0,
             cf_scenario.ego_limits, cf_scenario.leader_limits,
         )
         assert s > 0.0
 
     def test_negative_when_tailgating_fast(self, cf_scenario):
-        ego = VehicleState(position=0.0, velocity=25.0)
         s = following_slack(
-            ego, 8.0, 5.0, 5.0,
+            0.0, 25.0, 8.0, 5.0, 5.0,
             cf_scenario.ego_limits, cf_scenario.leader_limits,
         )
         assert s < 0.0
@@ -91,7 +81,7 @@ class TestSlack:
         ego = VehicleState(position=0.0, velocity=25.0)
         leader = VehicleState(position=60.0, velocity=12.0)
         s0 = following_slack(
-            ego, leader.position, leader.velocity, cf_scenario.p_gap,
+            ego.position, ego.velocity, leader.position, leader.velocity, cf_scenario.p_gap,
             cf_scenario.ego_limits, cf_scenario.leader_limits,
         )
         assert s0 >= 0.0
@@ -114,36 +104,29 @@ class TestSafetyModel:
 
     def test_safe_far_behind(self, cf_scenario):
         model = self._model(cf_scenario)
-        ego = VehicleState(position=0.0, velocity=15.0)
         estimates = _leader_estimate(0.0, 80.0, 15.0)
-        assert not model.in_estimated_unsafe_set(0.0, ego, estimates)
-        assert not model.in_boundary_safe_set(0.0, ego, estimates)
+        assert model.decide(0.0, 0.0, 15.0, estimates) == (False, False, None)
 
     def test_unsafe_when_closing_fast(self, cf_scenario):
         model = self._model(cf_scenario)
-        ego = VehicleState(position=0.0, velocity=28.0)
         estimates = _leader_estimate(0.0, 10.0, 5.0)
-        assert model.in_estimated_unsafe_set(0.0, ego, estimates)
+        assert model.decide(0.0, 0.0, 28.0, estimates) == (True, True, None)
 
     def test_boundary_brackets_unsafe(self, cf_scenario):
         model = self._model(cf_scenario)
-        ego = VehicleState(position=0.0, velocity=20.0)
         # Find a gap where boundary fires but unsafe does not.
         for gap in range(60, 5, -1):
             estimates = _leader_estimate(0.0, float(gap), 10.0)
-            if model.in_boundary_safe_set(0.0, ego, estimates):
-                assert not model.in_estimated_unsafe_set(
-                    0.0, ego, estimates
-                )
+            in_boundary, in_unsafe, _ = model.decide(0.0, 0.0, 20.0, estimates)
+            if in_boundary:
+                assert not in_unsafe
                 return
         pytest.fail("boundary set never fired")
 
     def test_missing_estimate_rejected(self, cf_scenario):
         model = self._model(cf_scenario)
         with pytest.raises(ScenarioError):
-            model.in_estimated_unsafe_set(
-                0.0, VehicleState(position=0.0, velocity=0.0), {}
-            )
+            model.decide(0.0, 0.0, 0.0, {})
 
 
 class TestClosedLoop:

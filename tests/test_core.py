@@ -25,19 +25,10 @@ class ScriptedSafetyModel:
         self.script = list(script)
         self.calls = 0
 
-    def _current(self):
-        item = self.script[min(self.calls, len(self.script) - 1)]
-        return item
-
-    def in_boundary_safe_set(self, time, ego, estimates):
-        return self._current()[0]
-
-    def in_estimated_unsafe_set(self, time, ego, estimates):
-        boundary, unsafe = self.script[
-            min(self.calls, len(self.script) - 1)
-        ]
+    def decide(self, time, position, velocity, estimates):
+        boundary, unsafe = self.script[min(self.calls, len(self.script) - 1)]
         self.calls += 1
-        return unsafe
+        return boundary, unsafe, None
 
 
 def _context():
@@ -46,32 +37,33 @@ def _context():
     )
 
 
+def _plan(planner):
+    """One step of ``planner`` at the ego state of :func:`_context`."""
+    return planner.plan_floats(0.0, 0.0, 5.0, 0.0, {})
+
+
 class RecordingPlanner:
-    """A context-only planner: records the ego acceleration it is shown."""
+    """Records the ego acceleration it is given."""
 
     def __init__(self, commands):
         self.commands = list(commands)
         self.seen = []
 
-    def plan(self, context):
-        self.seen.append(context.ego.acceleration)
+    def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None):
+        self.seen.append(acceleration)
         return self.commands[len(self.seen) % len(self.commands)]
 
 
 class RecordingSafetyModel(ScriptedSafetyModel):
-    """A scripted model without ``decide``: records the ego accelerations."""
+    """A scripted model that records the ego floats it is asked about."""
 
     def __init__(self, script):
         super().__init__(script)
         self.seen = []
 
-    def in_boundary_safe_set(self, time, ego, estimates):
-        self.seen.append(ego.acceleration)
-        return super().in_boundary_safe_set(time, ego, estimates)
-
-    def in_estimated_unsafe_set(self, time, ego, estimates):
-        self.seen.append(ego.acceleration)
-        return super().in_estimated_unsafe_set(time, ego, estimates)
+    def decide(self, time, position, velocity, estimates):
+        self.seen.append((time, position, velocity))
+        return super().decide(time, position, velocity, estimates)
 
 
 class TestAggressiveConfig:
@@ -141,35 +133,35 @@ class TestCompoundPlanner:
 
     def test_routes_to_nn(self):
         planner = self._compound([(False, False)])
-        assert planner.plan(_context()) == 2.0
+        assert _plan(planner) == 2.0
         assert not planner.last_decision.use_emergency
 
     def test_routes_to_emergency(self):
         planner = self._compound([(True, False)])
-        assert planner.plan(_context()) == -6.0
+        assert _plan(planner) == -6.0
         assert planner.last_decision.use_emergency
 
     def test_nan_from_nn_becomes_full_brake(self):
         planner = self._compound([(False, False)], nn_value=math.nan)
-        assert planner.plan(_context()) == LIMITS.a_min
+        assert _plan(planner) == LIMITS.a_min
 
     def test_inf_from_nn_clipped(self):
         planner = self._compound([(False, False)], nn_value=math.inf)
-        assert planner.plan(_context()) == LIMITS.a_max
+        assert _plan(planner) == LIMITS.a_max
 
     def test_out_of_range_emergency_clipped(self):
         planner = self._compound([(True, False)], emergency_value=-50.0)
-        assert planner.plan(_context()) == LIMITS.a_min
+        assert _plan(planner) == LIMITS.a_min
 
     def test_emergency_frequency_passthrough(self):
         planner = self._compound([(True, False), (False, False)])
-        planner.plan(_context())
-        planner.plan(_context())
+        _plan(planner)
+        _plan(planner)
         assert planner.emergency_frequency == pytest.approx(0.5)
 
     def test_reset_clears_state(self):
         planner = self._compound([(True, False)])
-        planner.plan(_context())
+        _plan(planner)
         planner.reset()
         assert planner.last_decision is None
         assert planner.monitor.decisions == 0
@@ -182,7 +174,8 @@ class TestCompoundPlanner:
 
 
 class TestEgoAccelerationPassedOn:
-    """Context planners and models behind the float entries see the ego's acceleration."""
+    """The compound hands the ego's floats on: the acceleration to the
+    planner it chooses, time, position and velocity to the safety model."""
 
     @pytest.mark.parametrize("boundary", [False, True])
     def test_compound_plan(self, boundary):
@@ -190,37 +183,37 @@ class TestEgoAccelerationPassedOn:
         emergency = RecordingPlanner([-2.0])
         model = RecordingSafetyModel([(boundary, False)])
         compound = CompoundPlanner(nn, emergency, RuntimeMonitor(model), LIMITS)
-        context = PlanningContext(time=0.0, ego=VehicleState(0.0, 5.0, 1.5))
-        compound.plan(context)
-        assert model.seen == [1.5, 1.5]
+        compound.plan_floats(0.0, 0.0, 5.0, 1.5, {})
+        assert model.seen == [(0.0, 0.0, 5.0)]
         assert (emergency if boundary else nn).seen == [1.5]
         assert (nn if boundary else emergency).seen == []
 
     def test_monitor_evaluate(self):
         model = RecordingSafetyModel([(False, False)])
-        context = PlanningContext(time=0.0, ego=VehicleState(0.0, 5.0, -3.25))
+        context = PlanningContext(time=0.5, ego=VehicleState(2.0, 5.0, -3.25))
         RuntimeMonitor(model).evaluate(context)
-        assert model.seen == [-3.25, -3.25]
+        assert model.seen == [(0.5, 2.0, 5.0)]
 
 
-class TestPredicateOverrides:
-    """A model subclass overriding a predicate, not ``decide``, is heard."""
+class TestDecideOverride:
+    """A model subclass overriding ``decide`` is what the monitor hears."""
 
-    @pytest.mark.parametrize(
-        "predicate, field",
-        [("in_boundary_safe_set", "in_boundary"),
-         ("in_estimated_unsafe_set", "in_unsafe")],
-    )
-    def test_override_reaches_monitor(self, scenario, predicate, field):
+    @pytest.mark.parametrize("field", ["in_boundary", "in_unsafe"])
+    def test_override_reaches_monitor(self, scenario, field):
         base = scenario.safety_model()
         flagged = type(
-            "Flagged", (type(base),), {predicate: lambda self, t, ego, est: True}
+            "Flagged",
+            (type(base),),
+            {
+                "decide": lambda self, t, p, v, est: (
+                    field == "in_boundary", field == "in_unsafe", None
+                )
+            },
         )
         model = flagged(
             **{f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
         )
-        # Past the area: neither predicate of the base model holds.
-        context = PlanningContext(time=0.0, ego=VehicleState(1000.0, 0.0))
-        assert not RuntimeMonitor(base).evaluate(context).use_emergency
-        decision = RuntimeMonitor(model).evaluate(context)
+        # Past the area: neither membership of the base model holds.
+        assert not RuntimeMonitor(base).decide(0.0, 1000.0, 0.0, {})[0].use_emergency
+        decision, _ = RuntimeMonitor(model).decide(0.0, 1000.0, 0.0, {})
         assert decision.use_emergency and getattr(decision, field)

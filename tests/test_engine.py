@@ -255,7 +255,8 @@ class TestBatchRunner:
 
 class TestEgoAcceleration:
     def test_compound_context_planners_see_applied_acceleration(self, scenario):
-        """The float loop hands a compound the acceleration the context loop did."""
+        """The float loop hands a compound's planners the acceleration the
+        oracle's state loop did."""
         engine = _engine(scenario, max_time=3.0)
         factory = make_estimator_factory(EstimatorKind.RAW, engine)
 
@@ -276,7 +277,7 @@ class TestEgoAcceleration:
 
 
 class _FloatOnlyPlanner:
-    """A constant command through ``plan_floats``; ``plan`` must not be used."""
+    """A constant command through ``plan_floats``, recording each call."""
 
     def __init__(self, command: float = -1.0) -> None:
         self.command = command
@@ -287,9 +288,6 @@ class _FloatOnlyPlanner:
         self.float_calls += 1
         self.times.append(time)
         return self.command
-
-    def plan(self, context):
-        raise AssertionError("the engine built a context for a float planner")
 
 
 class TestFaultPlanFloatPath:
@@ -313,9 +311,8 @@ class TestFaultPlanFloatPath:
         "command, limit", [(math.nan, "a_min"), (math.inf, "a_max"), (-1e9, "a_min")]
     )
     def test_sensor_faults_still_sanitise_the_command(self, scenario, command, limit):
-        # A fault plan clips the float entry's command as it clips the
-        # context path's: a NaN brakes at a_min instead of reaching the
-        # dynamics.
+        # A fault plan clips the planner's command: a NaN brakes at
+        # a_min instead of reaching the dynamics.
         planner, result = self._run(scenario, self._SENSOR_ONLY, command)
         assert planner.float_calls == result.steps
         applied = result.trajectories[0].accelerations()[1:]

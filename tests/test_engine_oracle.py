@@ -3,9 +3,8 @@
 ``SimulationEngine.run`` keeps each episode as floats: positions,
 velocities, applied accelerations and commands per vehicle, stepped by
 ``VehicleModel.advance``, terminal checks through the scenario's float
-hooks and the planner called through its float entry
-(``float_entry``); value objects are built only for profiles, stamped
-states, contexts of planners without ``plan_floats`` and recorded
+hooks and the planner called through ``plan_floats``; value objects
+are built only for profiles, stamped states and recorded
 trajectories.  ``tests/engine_oracle.py`` keeps
 the loop it replaced.  The two must produce the same ``result_to_dict``
 -- trajectories included -- episode by episode, exactly, over:
@@ -16,8 +15,10 @@ the loop it replaced.  The two must produce the same ``result_to_dict``
   stack;
 * an engine fault plan (sensor dropout plus planner exception, NaN and
   latency faults), and one with sensor faults only;
-* a top-level planner without ``plan_floats``, with no plan, the
-  sensor-only plan and the planner-fault plan, untraced and traced;
+* a top-level planner that is not a compound (no monitor of its own)
+  and reads a ``PlanningContext`` it builds from its floats, with no
+  plan, the sensor-only plan and the planner-fault plan, untraced and
+  traced;
 * traced runs, whose trace events (under a counting clock) must match
   too.  The flat loop also emits the layer spans of the calls it no
   longer makes through the wrapped public methods
@@ -38,9 +39,11 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.campaign.builders import build_config
+from repro.dynamics.state import VehicleState
 from repro.experiments.config import SETTING_NAMES
 from repro.obs.observer import Observer
 from repro.obs.trace import Tracer
+from repro.planners.base import PlanningContext
 from repro.planners.nn_planner import NNPlanner
 from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.sim.engine import SimulationEngine
@@ -203,7 +206,12 @@ class TestEngineOracle:
 
 
 class _ContextOnly:
-    """A top-level planner without ``plan_floats``: the inner one's ``plan``."""
+    """A top-level planner written against a ``PlanningContext``.
+
+    Its ``plan_floats`` builds the context of its floats and asks the
+    inner planner on that context's fields; it has no ``monitor``, so
+    the engine counts no emergency steps for it.
+    """
 
     def __init__(self, inner) -> None:
         self._inner = inner
@@ -211,12 +219,19 @@ class _ContextOnly:
     def reset(self) -> None:
         self._inner.reset()
 
-    def plan(self, context):
-        return self._inner.plan(context)
+    def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None):
+        context = PlanningContext(
+            time, VehicleState(position, velocity, acceleration), estimates
+        )
+        ego = context.ego
+        return self._inner.plan_floats(
+            context.time, ego.position, ego.velocity, ego.acceleration,
+            context.estimates, tracer,
+        )
 
 
 class TestContextOnlyPlanner:
-    """The engine's float entry for a planner that only has ``plan``."""
+    """A non-compound top-level planner that builds value objects per step."""
 
     PLANS = {
         "no plan": _config,

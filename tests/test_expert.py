@@ -6,7 +6,6 @@ from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
 from repro.filtering.fusion import FusedEstimate
-from repro.planners.base import PlanningContext
 from repro.planners.expert import ExpertConfig, LeftTurnExpertPlanner
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
@@ -158,12 +157,8 @@ class TestPlanFromContext:
             velocity=Interval.point(-10.0),
             nominal=VehicleState(position=50.0, velocity=-10.0),
         )
-        ctx = PlanningContext(
-            time=0.0,
-            ego=VehicleState(position=-30.0, velocity=10.0),
-            estimates={1: est},
-        )
         window = expert.window_estimator.window(est)
-        assert expert.plan(ctx) == expert.plan_from_window(
+        command = expert.plan_floats(0.0, -30.0, 10.0, 0.0, {1: est})
+        assert command == expert.plan_from_window(
             0.0, -30.0, 10.0, window
         )

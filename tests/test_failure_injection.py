@@ -14,7 +14,6 @@ import pytest
 from repro.comm.faults import messages_lost, no_disturbance
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
-from repro.planners.base import PlanningContext
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.results import Outcome
@@ -26,14 +25,14 @@ N_RUNS = 15
 class NaNPlanner:
     """A numerically broken planner: always NaN."""
 
-    def plan(self, context: PlanningContext) -> float:
+    def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None) -> float:
         return math.nan
 
 
 class InfPlanner:
     """A numerically broken planner: always +inf."""
 
-    def plan(self, context: PlanningContext) -> float:
+    def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None) -> float:
         return math.inf
 
 
@@ -44,7 +43,7 @@ class OscillatingPlanner:
         self._limits = limits
         self._flip = False
 
-    def plan(self, context: PlanningContext) -> float:
+    def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None) -> float:
         self._flip = not self._flip
         return self._limits.a_max if self._flip else self._limits.a_min
 
@@ -59,10 +58,8 @@ class AdversarialMonitorProbe:
     def __init__(self, scenario):
         self._scenario = scenario
 
-    def plan(self, context: PlanningContext) -> float:
-        distance = self._scenario.geometry.ego_distance_to_front(
-            context.ego.position
-        )
+    def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None) -> float:
+        distance = self._scenario.geometry.ego_distance_to_front(position)
         limits = self._scenario.ego_limits
         if -5.0 < distance < 15.0:
             return limits.a_max

@@ -251,8 +251,8 @@ class TestEngineLevelInjection:
 
 
 class TestFaultyPlanner:
-    def _context(self):
-        return PlanningContext(time=0.0, ego=None, estimates={})
+    def _step(self, planner):
+        return planner.plan_floats(0.0, 0.0, 0.0, 0.0, {})
 
     def test_rejects_stochastic_faults(self):
         with pytest.raises(FaultInjectionError):
@@ -272,9 +272,9 @@ class TestFaultyPlanner:
             ConstantPlanner(1.0),
             [PlannerFault(StepWindow(1, 2), PlannerFaultKind.EXCEPTION)],
         )
-        assert planner.plan(self._context()) == 1.0
+        assert self._step(planner) == 1.0
         with pytest.raises(PlannerFaultError):
-            planner.plan(self._context())
+            self._step(planner)
         assert planner.faults_injected == 1
 
     def test_nan_fault_returns_nan(self):
@@ -282,15 +282,15 @@ class TestFaultyPlanner:
             ConstantPlanner(1.0),
             [PlannerFault(StepWindow(0, 1), PlannerFaultKind.NAN)],
         )
-        assert math.isnan(planner.plan(self._context()))
+        assert math.isnan(self._step(planner))
 
     def test_latency_fault_repeats_command(self):
         planner = FaultyPlanner(
             ConstantPlanner(1.5),
             [PlannerFault(StepWindow(1, 2), PlannerFaultKind.LATENCY)],
         )
-        planner.plan(self._context())
-        assert planner.plan(self._context()) == 1.5
+        self._step(planner)
+        assert self._step(planner) == 1.5
 
     def test_latency_before_any_command_raises(self):
         planner = FaultyPlanner(
@@ -298,25 +298,29 @@ class TestFaultyPlanner:
             [PlannerFault(StepWindow(0, 1), PlannerFaultKind.LATENCY)],
         )
         with pytest.raises(PlannerFaultError):
-            planner.plan(self._context())
+            self._step(planner)
 
     def test_reset_restarts_schedule(self):
         planner = FaultyPlanner(
             ConstantPlanner(1.0),
             [PlannerFault(StepWindow(0, 1), PlannerFaultKind.NAN)],
         )
-        assert math.isnan(planner.plan(self._context()))
+        assert math.isnan(self._step(planner))
         planner.reset()
-        assert math.isnan(planner.plan(self._context()))
+        assert math.isnan(self._step(planner))
 
 
 class _CountingVelocity:
-    """A planner with only ``plan``: the ego's velocity, counting calls."""
+    """A planner written against a :class:`PlanningContext`: the ego's
+    velocity, counting calls.  Its ``plan_floats`` builds the context."""
 
     def __init__(self) -> None:
         self.calls = 0
 
-    def plan(self, context: PlanningContext) -> float:
+    def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None):
+        context = PlanningContext(
+            time, VehicleState(position, velocity, acceleration), estimates
+        )
         self.calls += 1
         return context.ego.velocity
 
@@ -339,8 +343,19 @@ def _outcome(call):
         return str(exc)
 
 
+def _scheduled(step, inner_command):
+    """What :func:`_every_fault` makes of step ``step``, by its windows."""
+    if 2 <= step < 4:
+        return (
+            f"injected planner exception at step {step} (window [2, 4))"
+        )
+    if step == 5:
+        return math.nan
+    return inner_command  # latency steps 7-8 repeat the last command
+
+
 class TestFaultyPlannerFloatEntry:
-    """``plan_floats`` is ``plan`` on the floats, on one step counter."""
+    """``plan_floats`` follows the fault plan on one step counter."""
 
     @pytest.mark.parametrize(
         "inner",
@@ -348,29 +363,28 @@ class TestFaultyPlannerFloatEntry:
         ids=["constant", "context-only"],
     )
     def test_matches_plan_step_for_step(self, inner):
-        by_context = _every_fault(inner(1.5))
-        by_floats = _every_fault(inner(1.5))
+        planner = _every_fault(inner(1.5))
         for step in range(12):
-            context = PlanningContext(
-                time=0.1 * step, ego=VehicleState(3.0, 1.5, 0.0), estimates={}
-            )
-            expected = _outcome(lambda: by_context.plan(context))
+            expected = _scheduled(step, 1.5)
             got = _outcome(
-                lambda: by_floats.plan_floats(0.1 * step, 3.0, 1.5, 0.0, {})
+                lambda: planner.plan_floats(0.1 * step, 3.0, 1.5, 0.0, {})
             )
             if isinstance(expected, float) and math.isnan(expected):
                 assert math.isnan(got), step
             else:
                 assert got == expected, step
-        assert by_floats.faults_injected == by_context.faults_injected == 5
+        assert planner.faults_injected == 5
 
     def test_entries_share_one_step_counter(self):
+        # The engine and the compound take ``plan_floats`` once, as a
+        # bound method; calls through it and through the planner count
+        # the same steps.
         planner = _every_fault(ConstantPlanner(1.0))
-        context = PlanningContext(time=0.0, ego=VehicleState(0.0, 0.0, 0.0))
-        assert planner.plan(context) == 1.0
+        entry = planner.plan_floats
+        assert entry(0.0, 0.0, 0.0, 0.0, {}) == 1.0
         assert planner.plan_floats(0.0, 0.0, 0.0, 0.0, {}) == 1.0
         with pytest.raises(PlannerFaultError, match="at step 2"):
-            planner.plan(context)
+            entry(0.0, 0.0, 0.0, 0.0, {})
         with pytest.raises(PlannerFaultError, match="at step 3"):
             planner.plan_floats(0.0, 0.0, 0.0, 0.0, {})
 

@@ -90,14 +90,6 @@ class TestKalmanState:
         x[0, 0] = 50.0
         assert s.position == 1.0
 
-    def test_as_vehicle_state(self):
-        s = KalmanState(
-            time=0.0, position=1.0, velocity=2.0, p00=1.0, p01=0.0, p11=1.0
-        )
-        v = s.as_vehicle_state(acceleration=0.7)
-        assert isinstance(v, VehicleState)
-        assert v.acceleration == 0.7
-
 
 class TestPredictUpdate:
     def test_predict_mean(self):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dynamics.state import SystemState, VehicleState
 from repro.errors import ScenarioError
 from repro.scenarios.base import Scenario
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
@@ -52,28 +51,11 @@ class TestInitialState:
 
 class TestGroundTruth:
     def test_collision_predicate(self, scenario):
-        both_inside = SystemState(
-            time=0.0,
-            vehicles=(
-                VehicleState(position=10.0, velocity=5.0),
-                VehicleState(position=10.0, velocity=-10.0),
-            ),
-        )
-        assert scenario.is_collision(both_inside)
-        ego_only = both_inside.with_vehicle(
-            1, VehicleState(position=30.0, velocity=-10.0)
-        )
-        assert not scenario.is_collision(ego_only)
+        assert scenario.is_collision_at(0.0, [10.0, 10.0])  # both inside
+        assert not scenario.is_collision_at(0.0, [10.0, 30.0])  # ego only
 
     def test_target_predicate(self, scenario):
-        reached = SystemState(
-            time=0.0,
-            vehicles=(
-                VehicleState(position=20.0, velocity=5.0),
-                VehicleState(position=50.0, velocity=-10.0),
-            ),
-        )
-        assert scenario.reached_target(reached)
+        assert scenario.reached_target_at(0.0, [20.0, 50.0])
 
 
 class TestProfiles:

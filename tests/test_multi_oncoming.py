@@ -82,16 +82,10 @@ class TestScenario:
         assert p2 == pytest.approx(p1 + platoon.spacing)
 
     def test_collision_against_any(self, platoon):
-        from repro.dynamics.state import SystemState
-
-        base = [
-            VehicleState(position=10.0, velocity=5.0),  # ego inside
-            VehicleState(position=30.0, velocity=-10.0),
-            VehicleState(position=60.0, velocity=-10.0),
-        ]
-        assert not platoon.is_collision(SystemState(0.0, tuple(base)))
-        base[2] = VehicleState(position=10.0, velocity=-10.0)
-        assert platoon.is_collision(SystemState(0.0, tuple(base)))
+        positions = [10.0, 30.0, 60.0]  # ego inside
+        assert not platoon.is_collision_at(0.0, positions)
+        positions[2] = 10.0
+        assert platoon.is_collision_at(0.0, positions)
 
     def test_validation(self):
         from repro.errors import ReproError
@@ -108,15 +102,14 @@ class TestSafetyModel:
         assert isinstance(model, MultiOncomingSafetyModel)
         # Slack inside the one-step margin band while vehicle 2's
         # window overlaps the ego's projected crossing.
-        ego = VehicleState(position=4.0, velocity=3.0)
         estimates = {
             1: _estimate(0.0, 3.0, -12.0),  # cleared
             2: _estimate(0.0, 18.0, -12.0),  # imminent
         }
-        assert model.in_boundary_safe_set(0.0, ego, estimates)
+        assert model.decide(0.0, 4.0, 3.0, estimates)[0]
         # Both cleared: free to go.
         estimates[2] = _estimate(0.0, 3.5, -12.0)
-        assert not model.in_boundary_safe_set(0.0, ego, estimates)
+        assert not model.decide(0.0, 4.0, 3.0, estimates)[0]
 
     def test_requires_vehicles(self, platoon):
         with pytest.raises(ScenarioError):
@@ -133,31 +126,20 @@ class TestGapAcceptance:
     def test_goes_through_open_gap(self, platoon):
         expert = platoon.gap_expert(aggressive=False)
         # Both vehicles far away and slow: huge first gap.
-        from repro.planners.base import PlanningContext
-
-        ctx = PlanningContext(
-            time=0.0,
-            ego=VehicleState(position=-5.0, velocity=8.0),
-            estimates={
-                1: _estimate(0.0, 3.0, -12.0),  # cleared
-                2: _estimate(0.0, 3.5, -12.0),  # cleared
-            },
-        )
-        assert expert.plan(ctx) == expert.config.go_accel
+        estimates = {
+            1: _estimate(0.0, 3.0, -12.0),  # cleared
+            2: _estimate(0.0, 3.5, -12.0),  # cleared
+        }
+        command = expert.plan_floats(0.0, -5.0, 8.0, 0.0, estimates)
+        assert command == expert.config.go_accel
 
     def test_yields_into_blocked_gap(self, platoon):
         expert = platoon.gap_expert(aggressive=False)
-        from repro.planners.base import PlanningContext
-
-        ctx = PlanningContext(
-            time=0.0,
-            ego=VehicleState(position=-3.0, velocity=12.0),
-            estimates={
-                1: _estimate(0.0, 30.0, -12.0),
-                2: _estimate(0.0, 55.0, -12.0),
-            },
-        )
-        assert expert.plan(ctx) < 0.0
+        estimates = {
+            1: _estimate(0.0, 30.0, -12.0),
+            2: _estimate(0.0, 55.0, -12.0),
+        }
+        assert expert.plan_floats(0.0, -3.0, 12.0, 0.0, estimates) < 0.0
 
     def test_single_vehicle_reduces_to_expert_decision(self):
         single = MultiOncomingLeftTurnScenario(n_oncoming=1)
@@ -170,18 +152,12 @@ class TestGapAcceptance:
             window_estimator=gap._windows,  # same estimator
             config=gap.config,
         )
-        from repro.planners.base import PlanningContext
-
         for p0, v0, p1 in [(-30.0, 10.0, 50.0), (-10.0, 8.0, 30.0),
                             (-5.0, 12.0, 60.0)]:
-            ctx = PlanningContext(
-                time=0.0,
-                ego=VehicleState(position=p0, velocity=v0),
-                estimates={1: _estimate(0.0, p1, -11.0)},
-            )
-            window = gap._windows.window(ctx.estimates[1])
+            estimates = {1: _estimate(0.0, p1, -11.0)}
+            window = gap._windows.window(estimates[1])
             go_classic = classic.should_go(0.0, p0, v0, window)
-            a_gap = gap.plan(ctx)
+            a_gap = gap.plan_floats(0.0, p0, v0, 0.0, estimates)
             if go_classic:
                 assert a_gap >= 0.0
             # (The gap expert may be marginally stricter the other way;

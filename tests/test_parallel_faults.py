@@ -79,10 +79,10 @@ class FlakyPlanner:
         self._decided = False
         self._fail = False
 
-    def plan(self, context):
+    def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None):
         if not self._decided:
             self._decided = True
-            probe = context.estimates[1].nominal.position
+            probe = estimates[1].nominal.position
             self._fail = (probe * 7.919) % 1.0 < self._threshold
         if self._fail:
             raise PlannerError("flaky planner: injected episode failure")
@@ -92,7 +92,7 @@ class FlakyPlanner:
 class SleepyPlanner:
     """Sleeps far past any per-simulation budget on every step."""
 
-    def plan(self, context):
+    def plan_floats(self, *ego):
         time.sleep(60.0)
         return 0.0
 

@@ -33,6 +33,13 @@ def _context():
     )
 
 
+def _floats():
+    """The ego floats and estimates of :func:`_context`."""
+    context = _context()
+    ego = context.ego
+    return context.time, ego.position, ego.velocity, ego.acceleration, context.estimates
+
+
 class TestPlanningContext:
     def test_estimate_of(self):
         assert _context().estimate_of(1).nominal.position == 41.0
@@ -68,13 +75,13 @@ class TestClipped:
 
 class TestTrivialPlanners:
     def test_constant(self):
-        assert ConstantPlanner(1.2).plan(_context()) == 1.2
+        assert ConstantPlanner(1.2).plan_floats(*_floats()) == 1.2
 
     def test_full_brake(self):
-        assert FullBrakePlanner(LIMITS).plan(_context()) == -6.0
+        assert FullBrakePlanner(LIMITS).plan_floats(*_floats()) == -6.0
 
     def test_full_throttle(self):
-        assert FullThrottlePlanner(LIMITS).plan(_context()) == 4.0
+        assert FullThrottlePlanner(LIMITS).plan_floats(*_floats()) == 4.0
 
     def test_satisfy_protocol(self):
         for planner in (

@@ -173,12 +173,6 @@ class TestSensor:
         assert sensor.is_sample_time(0.4)
         assert not sensor.is_sample_time(0.15)
 
-    def test_as_state(self):
-        reading = self._sensor().measure(0.0, *TRUE_FIELDS)
-        state = reading.as_state()
-        assert state.position == reading.position
-        assert state.velocity == reading.velocity
-
     def test_reproducible(self):
         a = self._sensor(seed=8).measure(0.0, *TRUE_FIELDS)
         b = self._sensor(seed=8).measure(0.0, *TRUE_FIELDS)

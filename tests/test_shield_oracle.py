@@ -2,28 +2,32 @@
 
 ``repro.scenarios.left_turn`` evaluates the monitor and the NN planner's
 window on plain floats: Eq. (7) once in ``conservative_bounds``, Eq. (8)
-once in ``aggressive_bounds``, the predicates of ``LeftTurnSafetyModel``
-on ``oncoming_bounds`` with the model's constants derived at
-construction, and ``NNPlanner.plan`` on
-``PassingWindowEstimator.bounds``. ``tests/shield_oracle.py`` keeps the
-``Interval`` path it replaced. Agreement is exact (``==``, no
-tolerance): 10 000 random geometries, limits, estimates and ego states
-through both windows (as ``Interval(*bounds)``; Eq. (8) with valid
-buffers, bad ones being refused by the window estimator's constructor
-with the error the oracle raises per call), the window estimator in both
-modes, ``oncoming_bounds`` and both predicates of the left-turn and the
-signalized model, and ``NNPlanner.plan``, with equal results or the same
-exception type and message. The float entry points are held to the same
-standard: ``decide`` equals the two predicates in the monitor's order
+once in ``aggressive_bounds``, ``LeftTurnSafetyModel.decide`` on
+``oncoming_bounds`` with the model's constants derived at construction,
+and ``NNPlanner.plan_floats`` on ``PassingWindowEstimator.bounds``.
+``tests/shield_oracle.py`` keeps the ``Interval`` path it replaced.
+Agreement is exact (``==``, no tolerance): 10 000 random geometries,
+limits, estimates and ego states through both windows (as
+``Interval(*bounds)``; Eq. (8) with valid buffers, bad ones being
+refused by the window estimator's constructor with the error the oracle
+raises per call), the window estimator in both modes, and
+``oncoming_bounds`` and ``decide`` of the left-turn and the signalized
+model, with equal results or the same exception type and message.
+``decide`` equals the oracle's two predicates in the monitor's order
 (and any window it returns is the conflict window), and ``plan_floats``
 of ``NNPlanner``, ``LeftTurnEmergencyPlanner`` and ``CompoundPlanner``
 equals the oracle's ``plan`` on the context -- the compound's command
 and decision both, whether its NN reads the monitor's window or its own
--- while ``plan(context)`` equals ``plan_floats`` on its floats. The
-cases cover both branches of Eq. (7)'s earliest arrival, empty and
-never-entered windows, every branch of the boundary set (committed,
-margin, lookahead), invalid limits and buffers, NaN clocks and a missing
-estimate; the test counts each and requires all of them.
+-- while the ``plan(context)`` the benchmark harness wraps equals
+``plan_floats`` on its floats. The cases cover both branches of Eq.
+(7)'s earliest arrival, empty and never-entered windows, every branch of
+the boundary set (committed, margin, lookahead), invalid limits and
+buffers, NaN clocks and a missing estimate; the test counts each and
+requires all of them.
+
+The multi-oncoming and car-following models' ``decide`` are held to
+the oracle's predicates the same way, on their own seeded random
+states with missing estimates among them.
 
 A failure names the case (seed) and the quantity that disagreed.
 """
@@ -44,11 +48,13 @@ from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ReproError
 from repro.filtering.fusion import FusedEstimate
+from repro.scenarios.car_following import CarFollowingSafetyModel
 from repro.nn.layers import Dense, ReLU, Sequential, Tanh
 from repro.planners.base import PlanningContext
 from repro.planners.nn_planner import FeatureScaler, NNPlanner
 from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
+from repro.scenarios.left_turn.multi import MultiOncomingSafetyModel
 from repro.scenarios.left_turn.passing_time import (
     PassingWindowEstimator,
     aggressive_bounds,
@@ -322,12 +328,6 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
             (f"{name} oncoming_bounds", partial(_oncoming, model),
              partial(shield_oracle.oncoming_window, model), (time, estimates))
         )
-        for method in ("in_estimated_unsafe_set", "in_boundary_safe_set"):
-            checks.append(
-                (f"{name} {method}", getattr(model, method),
-                 partial(getattr(shield_oracle, method), model),
-                 (time, ego, estimates))
-            )
     for name, fast, slow, args in checks:
         ours = _outcome(fast, *args)
         theirs = _outcome(slow, *args)
@@ -382,10 +382,10 @@ def _floats(planner):
 
 
 def _float_entry_checks(planner, emergency, compound, seen) -> list:
-    """``plan_floats`` of the three float planners against their oracles.
+    """``plan_floats`` of the three planners against their oracles.
 
-    Each also checks that ``plan(context)`` is ``plan_floats`` on the
-    context's floats.
+    The NN and emergency planners also check that their ``plan(context)``
+    is ``plan_floats`` on the context's floats.
     """
 
     def compound_floats(context):
@@ -410,7 +410,6 @@ def _float_entry_checks(planner, emergency, compound, seen) -> list:
         ("LeftTurnEmergencyPlanner.plan", emergency.plan, _floats(emergency)),
         ("CompoundPlanner.plan_floats", compound_floats,
          partial(shield_oracle.compound_plan, compound)),
-        ("CompoundPlanner.plan", compound.plan, _floats(compound)),
     ]
 
 
@@ -452,6 +451,102 @@ def _tally(seen, geometry, limits, ego_limits, dt_c, time, estimate, ego) -> Non
         seen["boundary: lookahead"] += 1
     elif not margin_hit:
         seen["boundary: safe approach"] += 1
+
+
+def _multi_case(seed: int, seen: Counter) -> List[str]:
+    """``MultiOncomingSafetyModel.decide`` against the oracle's predicates."""
+    gen = np.random.default_rng(seed)
+    p_front = float(gen.uniform(-5.0, 10.0))
+    p_back = p_front + float(gen.uniform(2.0, 15.0))
+    oncoming_back = float(gen.uniform(-5.0, 10.0))
+    geometry = LeftTurnGeometry(
+        p_front=p_front,
+        p_back=p_back,
+        oncoming_front=oncoming_back + float(gen.uniform(2.0, 15.0)),
+        oncoming_back=oncoming_back,
+        p_target=p_back + float(gen.uniform(0.0, 10.0)),
+    )
+    limits = _limits(gen, seen)
+    ego_limits = _ego_limits(gen, seen)
+    dt_c = float(gen.uniform(0.01, 0.2))
+    time = float(gen.uniform(0.0, 20.0))
+    indices = tuple(range(1, 2 + int(gen.integers(0, 3))))
+    estimates = {}
+    for index in indices:
+        if gen.random() < 0.1:
+            seen["missing estimate"] += 1
+        else:
+            estimates[index] = _estimate(gen, geometry, time)
+    ego = _ego(gen, geometry, ego_limits, dt_c)
+    model = MultiOncomingSafetyModel(geometry, ego_limits, limits, dt_c, indices)
+    before = seen["raised"]
+    disagreements = _decide_check(
+        f"case seed={seed} multi-oncoming", model, time, ego, estimates, seen
+    )
+    if len(estimates) < len(indices) and seen["raised"] == before:
+        # A vehicle's estimate is missing, but no membership needed it.
+        seen["missing estimate not read"] += 1
+    return disagreements
+
+
+def _following_case(seed: int, seen: Counter) -> List[str]:
+    """``CarFollowingSafetyModel.decide`` against the oracle's predicates."""
+    gen = np.random.default_rng(seed)
+    ego_limits = VehicleLimits(
+        0.0, 30.0, -float(gen.uniform(1.0, 9.0)), float(gen.uniform(0.5, 6.0))
+    )
+    leader_limits = VehicleLimits(
+        0.0, 30.0, -float(gen.uniform(1.0, 9.0)), float(gen.uniform(0.5, 6.0))
+    )
+    model = CarFollowingSafetyModel(
+        p_gap=float(gen.uniform(1.0, 10.0)),
+        ego_limits=ego_limits,
+        leader_limits=leader_limits,
+        dt_c=float(gen.uniform(0.01, 0.2)),
+    )
+    time = float(gen.uniform(0.0, 20.0))
+    ego = VehicleState(
+        float(gen.uniform(-20.0, 20.0)),
+        float(gen.uniform(-1.0, 32.0)),
+        float(gen.uniform(-6.0, 4.0)),
+    )
+    estimates = {}
+    if gen.random() < 0.05:
+        seen["missing estimate"] += 1
+    else:
+        center = ego.position + float(gen.uniform(-5.0, 80.0))
+        p_lo = center - float(gen.exponential(2.0))
+        p_hi = center + float(gen.exponential(2.0))
+        speed = float(gen.uniform(-1.0, 30.0))
+        v_lo = speed - float(gen.exponential(1.0))
+        v_hi = speed + float(gen.exponential(1.0))
+        estimates[1] = FusedEstimate(
+            time=time,
+            position=Interval(p_lo, p_hi),
+            velocity=Interval(v_lo, v_hi),
+            nominal=VehicleState(center, speed),
+        )
+    return _decide_check(
+        f"case seed={seed} car following", model, time, ego, estimates, seen
+    )
+
+
+def _decide_check(name, model, time, ego, estimates, seen) -> List[str]:
+    """``decide``'s memberships or error against the oracle's predicates."""
+    ours = _outcome(_decide, model, time, ego, estimates)
+    theirs = _outcome(_predicates, model, time, ego, estimates)
+    if not _same(ours, theirs):
+        return [f"{name} decide: fast={ours!r} oracle={theirs!r}"]
+    if isinstance(theirs[0], type):
+        seen["raised"] += 1
+    else:
+        seen[{
+            (False, False): "clear",
+            (True, False): "boundary only",
+            (True, True): "boundary and unsafe",
+            (False, True): "unsafe only",
+        }[theirs]] += 1
+    return []
 
 
 class TestShieldOracle:
@@ -503,3 +598,31 @@ class TestShieldOracle:
         clone = copy.deepcopy(model)
         assert clone == model
         assert clone._lookahead == model._lookahead
+
+
+class TestOtherSafetyModelsOracle:
+    """``decide`` of the multi-oncoming and car-following models."""
+
+    N = 3_000
+
+    def test_multi_oncoming_decide_matches_oracle(self):
+        seen: Counter = Counter()
+        disagreements: List[str] = []
+        for seed in range(self.N):
+            disagreements.extend(_multi_case(seed, seen))
+        assert not disagreements, "\n".join(disagreements[:5])
+        required = ["missing estimate", "raised", "missing estimate not read",
+                    "clear", "boundary only", "boundary and unsafe"]
+        thin = {name: seen[name] for name in required if seen[name] < MIN_COVERAGE}
+        assert not thin, f"situations reached too rarely: {thin}"
+
+    def test_car_following_decide_matches_oracle(self):
+        seen: Counter = Counter()
+        disagreements: List[str] = []
+        for seed in range(self.N):
+            disagreements.extend(_following_case(seed, seen))
+        assert not disagreements, "\n".join(disagreements[:5])
+        required = ["missing estimate", "raised", "clear", "boundary only",
+                    "boundary and unsafe"]
+        thin = {name: seen[name] for name in required if seen[name] < MIN_COVERAGE}
+        assert not thin, f"situations reached too rarely: {thin}"

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
-from repro.dynamics.state import SystemState, VehicleState
 from repro.errors import ScenarioError
 from repro.scenarios.base import Scenario
 from repro.scenarios.signalized import SignalizedCrossingScenario, TrafficLight
@@ -74,13 +73,9 @@ class TestScenarioProtocol:
             crossing.profile_for(1, RngStream(0))
 
     def test_violation_predicate(self, crossing):
-        inside = SystemState(
-            time=7.0,  # red phase of the default (6 green / 8 red) light
-            vehicles=(VehicleState(position=10.0, velocity=5.0),),
-        )
-        assert crossing.is_collision(inside)
-        during_green = inside.with_time(3.0)
-        assert not crossing.is_collision(during_green)
+        # t = 7 s is in the red phase of the default (6 green / 8 red) light.
+        assert crossing.is_collision_at(7.0, [10.0])
+        assert not crossing.is_collision_at(3.0, [10.0])
 
     def test_with_offset(self, crossing):
         shifted = crossing.with_offset(3.0)
@@ -156,23 +151,10 @@ class TestClosedLoop:
 
 class TestPlannersStandalone:
     def test_green_wave_go_when_committed(self, crossing):
-        from repro.planners.base import PlanningContext
-
         planner = crossing.green_wave_planner()
-        ctx = PlanningContext(
-            time=1.0, ego=VehicleState(position=8.0, velocity=5.0)
-        )
-        assert planner.plan(ctx) > 0.0
+        assert planner.plan_floats(1.0, 8.0, 5.0, 0.0, {}) > 0.0
 
     def test_red_light_runner_tracks_speed(self, crossing):
-        from repro.planners.base import PlanningContext
-
         planner = crossing.red_light_runner()
-        slow = PlanningContext(
-            time=0.0, ego=VehicleState(position=-40.0, velocity=5.0)
-        )
-        fast = PlanningContext(
-            time=0.0, ego=VehicleState(position=-40.0, velocity=18.0)
-        )
-        assert planner.plan(slow) > 0.0
-        assert planner.plan(fast) < 0.0
+        assert planner.plan_floats(0.0, -40.0, 5.0, 0.0, {}) > 0.0
+        assert planner.plan_floats(0.0, -40.0, 18.0, 0.0, {}) < 0.0

@@ -124,31 +124,41 @@ class TestBoundaryMargin:
                     assert s_next >= s_now - margin - 1e-9
 
 
+def _boundary(model, time, ego, estimates):
+    """``X_b`` membership from the model's ``decide``."""
+    return model.decide(time, ego.position, ego.velocity, estimates)[0]
+
+
+def _unsafe(model, time, ego, estimates):
+    """Estimated ``X_u`` membership from the model's ``decide``."""
+    return model.decide(time, ego.position, ego.velocity, estimates)[1]
+
+
 class TestSafetyModel:
     def test_unsafe_requires_negative_slack(self):
         model = _model()
         ego = VehicleState(position=-30.0, velocity=10.0)
         estimates = _oncoming_estimate(0.0, 40.0, -10.0)
-        assert not model.in_estimated_unsafe_set(0.0, ego, estimates)
+        assert not _unsafe(model, 0.0, ego, estimates)
 
     def test_unsafe_inside_area_with_overlap(self):
         model = _model()
         # Ego inside the area at low speed; oncoming about to arrive.
         ego = VehicleState(position=8.0, velocity=2.0)
         estimates = _oncoming_estimate(0.0, 20.0, -12.0)
-        assert model.in_estimated_unsafe_set(0.0, ego, estimates)
+        assert _unsafe(model, 0.0, ego, estimates)
 
     def test_not_unsafe_when_oncoming_cleared(self):
         model = _model()
         ego = VehicleState(position=8.0, velocity=2.0)
         estimates = _oncoming_estimate(0.0, 3.0, -12.0)
-        assert not model.in_estimated_unsafe_set(0.0, ego, estimates)
+        assert not _unsafe(model, 0.0, ego, estimates)
 
     def test_boundary_false_when_window_passed(self):
         model = _model()
         ego = VehicleState(position=4.9, velocity=0.5)
         estimates = _oncoming_estimate(0.0, 3.0, -12.0)
-        assert not model.in_boundary_safe_set(0.0, ego, estimates)
+        assert not _boundary(model, 0.0, ego, estimates)
 
     def test_parked_ego_cannot_creep_into_occupied_area(self):
         """The creep hole: a parked ego guarded by the monitor never
@@ -163,7 +173,7 @@ class TestSafetyModel:
         for step in range(100):
             t = step * DT
             estimates = _oncoming_estimate(t, oncoming_pos, -10.0)
-            if model.in_boundary_safe_set(t, ego, estimates):
+            if _boundary(model, t, ego, estimates):
                 command = EGO.a_min  # emergency stops/holds
             else:
                 command = EGO.a_max  # adversarial embedded planner
@@ -177,20 +187,20 @@ class TestSafetyModel:
         # Slack close to zero: v=12 -> braking 12 m; front gap 12.5 m.
         ego = VehicleState(position=-7.5, velocity=12.0)
         estimates = _oncoming_estimate(0.0, 30.0, -12.0)
-        assert model.in_boundary_safe_set(0.0, ego, estimates)
+        assert _boundary(model, 0.0, ego, estimates)
 
     def test_boundary_false_with_large_slack_and_far_conflict(self):
         model = _model()
         ego = VehicleState(position=-30.0, velocity=5.0)
         estimates = _oncoming_estimate(0.0, 55.0, -10.0)
-        assert not model.in_boundary_safe_set(0.0, ego, estimates)
+        assert not _boundary(model, 0.0, ego, estimates)
 
     def test_committed_state_with_overlap_needs_escape(self):
         model = _model()
         # Inside the area while the oncoming vehicle may still arrive.
         ego = VehicleState(position=6.0, velocity=3.0)
         estimates = _oncoming_estimate(0.0, 25.0, -12.0)
-        assert model.in_boundary_safe_set(0.0, ego, estimates)
+        assert _boundary(model, 0.0, ego, estimates)
 
     def test_committed_state_outwaiting_window_is_free(self):
         model = _model()
@@ -201,19 +211,19 @@ class TestSafetyModel:
         entry_ff, _ = model._full_throttle_times(0.0, -14.0, 13.0)
         _, window_hi = model.oncoming_bounds(0.0, estimates)
         if entry_ff >= window_hi:
-            assert not model.in_boundary_safe_set(0.0, ego, estimates)
+            assert not _boundary(model, 0.0, ego, estimates)
 
     def test_past_area_never_boundary(self):
         model = _model()
         ego = VehicleState(position=16.0, velocity=5.0)
         estimates = _oncoming_estimate(0.0, 30.0, -12.0)
-        assert not model.in_boundary_safe_set(0.0, ego, estimates)
+        assert not _boundary(model, 0.0, ego, estimates)
 
     def test_missing_estimate_rejected(self):
         model = _model()
         ego = VehicleState(position=0.0, velocity=5.0)
         with pytest.raises(ScenarioError):
-            model.in_boundary_safe_set(0.0, ego, {})
+            _boundary(model, 0.0, ego, {})
 
     def test_invalid_oncoming_index_rejected(self):
         with pytest.raises(ScenarioError):
@@ -244,7 +254,7 @@ class TestDegenerateWindows:
         time = 3.0
         ego = VehicleState(position=GEOMETRY.p_back, velocity=5.0)
         estimates = _oncoming_estimate(time, 60.0, -10.0)
-        assert not _model().in_estimated_unsafe_set(time, ego, estimates)
+        assert not _unsafe(_model(), time, ego, estimates)
 
     def test_boundary_membership_with_point_ego_window(self):
         # ...but the boundary set stays engaged while the conflict
@@ -256,4 +266,4 @@ class TestDegenerateWindows:
         model = _model()
         _, oncoming_hi = model.oncoming_bounds(time, estimates)
         assert oncoming_hi > time  # the conflict is genuinely ahead
-        assert model.in_boundary_safe_set(time, ego, estimates)
+        assert _boundary(model, time, ego, estimates)

@@ -40,14 +40,8 @@ class TestAdversarialSuite:
     def test_planners_produce_floats(self, scenario):
         import math
 
-        from repro.dynamics.state import VehicleState
-        from repro.planners.base import PlanningContext
-
-        ctx = PlanningContext(
-            time=0.0, ego=VehicleState(position=0.0, velocity=5.0)
-        )
         for planner in adversarial_suite(scenario.ego_limits):
-            value = planner.plan(ctx)
+            value = planner.plan_floats(0.0, 0.0, 5.0, 0.0, {})
             assert isinstance(value, float)
             if planner.name != "nan":
                 assert math.isfinite(value)
@@ -130,7 +124,7 @@ class TestFailureReporting:
         assert "seed_index=3" in text
 
     def test_custom_planner_override(self, scenario):
-        gentle = AdversarialPlanner("gentle", lambda c: 0.5)
+        gentle = AdversarialPlanner("gentle", lambda *ego: 0.5)
         report = certify(
             scenario,
             [_comms()[0]],
