@@ -219,6 +219,20 @@ def _ego(
     return VehicleState(position, velocity, float(gen.uniform(-6.0, 4.0)))
 
 
+def _geometry(gen: np.random.Generator) -> LeftTurnGeometry:
+    """A random left-turn geometry."""
+    p_front = float(gen.uniform(-5.0, 10.0))
+    p_back = p_front + float(gen.uniform(2.0, 15.0))
+    oncoming_back = float(gen.uniform(-5.0, 10.0))
+    return LeftTurnGeometry(
+        p_front=p_front,
+        p_back=p_back,
+        oncoming_front=oncoming_back + float(gen.uniform(2.0, 15.0)),
+        oncoming_back=oncoming_back,
+        p_target=p_back + float(gen.uniform(0.0, 10.0)),
+    )
+
+
 def _random_case(seed: int, seen: Counter) -> List[str]:
     """Run one random shield input through both paths.
 
@@ -226,16 +240,7 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
     in ``seen``.
     """
     gen = np.random.default_rng(seed)
-    p_front = float(gen.uniform(-5.0, 10.0))
-    p_back = p_front + float(gen.uniform(2.0, 15.0))
-    oncoming_back = float(gen.uniform(-5.0, 10.0))
-    geometry = LeftTurnGeometry(
-        p_front=p_front,
-        p_back=p_back,
-        oncoming_front=oncoming_back + float(gen.uniform(2.0, 15.0)),
-        oncoming_back=oncoming_back,
-        p_target=p_back + float(gen.uniform(0.0, 10.0)),
-    )
+    geometry = _geometry(gen)
     limits = _limits(gen, seen)
     ego_limits = _ego_limits(gen, seen)
     dt_c = float(gen.uniform(0.01, 0.2))
@@ -456,16 +461,7 @@ def _tally(seen, geometry, limits, ego_limits, dt_c, time, estimate, ego) -> Non
 def _multi_case(seed: int, seen: Counter) -> List[str]:
     """``MultiOncomingSafetyModel.decide`` against the oracle's predicates."""
     gen = np.random.default_rng(seed)
-    p_front = float(gen.uniform(-5.0, 10.0))
-    p_back = p_front + float(gen.uniform(2.0, 15.0))
-    oncoming_back = float(gen.uniform(-5.0, 10.0))
-    geometry = LeftTurnGeometry(
-        p_front=p_front,
-        p_back=p_back,
-        oncoming_front=oncoming_back + float(gen.uniform(2.0, 15.0)),
-        oncoming_back=oncoming_back,
-        p_target=p_back + float(gen.uniform(0.0, 10.0)),
-    )
+    geometry = _geometry(gen)
     limits = _limits(gen, seen)
     ego_limits = _ego_limits(gen, seen)
     dt_c = float(gen.uniform(0.01, 0.2))
