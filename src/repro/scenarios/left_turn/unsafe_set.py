@@ -45,11 +45,21 @@ from repro.utils.intervals import bounds_overlap, nan_bounds_error
 from repro.utils.validation import check_positive
 
 __all__ = [
+    "SLACK_ROUNDOFF",
     "slack",
     "ego_passing_bounds",
     "boundary_slack_margin",
     "LeftTurnSafetyModel",
 ]
+
+#: Slack (metres) below which a lookahead step counts as losing the stop.
+#: Zero slack is safe only on the knife edge of braking at exactly
+#: ``a_min`` to a standstill at the front line; rounding in the
+#: integration then leaves the ego a few ulps past the line, or the
+#: emergency planner reads a slack of ``-1e-15`` as committed and floors
+#: the throttle into the window.  Engaging one step earlier, while the
+#: slack is still a full step's margin, keeps the ego off that edge.
+SLACK_ROUNDOFF = 1e-9
 
 
 def slack(
@@ -438,13 +448,13 @@ class LeftTurnSafetyModel:
 
         Tests the extremal admissible next steps (full brake, coast,
         full throttle): if any of them loses the ability to stop
-        (``s < 0``) while violating the commit invariant -- the
-        full-throttle exit after the window opens and the entry before
-        it closes -- the current state is one step from the unsafe set
-        and the emergency planner must take over now, while stopping is
-        still possible.  This also covers the (near-)stationary ego at
-        the front line, whose current-velocity projected window is
-        degenerate.
+        (``s < SLACK_ROUNDOFF``, zero slack up to rounding) while
+        violating the commit invariant -- the full-throttle exit after
+        the window opens and the entry before it closes -- the current
+        state is one step from the unsafe set and the emergency planner
+        must take over now, while stopping is still possible.  This also
+        covers the (near-)stationary ego at the front line, whose
+        current-velocity projected window is degenerate.
         """
         dt = self.dt_c
         v = max(velocity, 0.0)
@@ -454,7 +464,7 @@ class LeftTurnSafetyModel:
             v_next = min(max(v + a_dt, v_floor), v_max)
             p_next = position + v * dt + half_a_dt2
             s_next = slack(p_next, v_next, self.geometry, self.ego_limits)
-            if s_next < 0.0:
+            if s_next < SLACK_ROUNDOFF:
                 entry_ff, exit_ff = self._full_throttle_times(
                     time + dt, p_next, v_next
                 )

@@ -48,7 +48,7 @@ from repro.scenarios.car_following import CarFollowingSafetyModel
 from repro.scenarios.left_turn.geometry import LeftTurnGeometry
 from repro.scenarios.left_turn.multi import MultiOncomingSafetyModel
 from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
-from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
+from repro.scenarios.left_turn.unsafe_set import SLACK_ROUNDOFF, LeftTurnSafetyModel
 from repro.scenarios.signalized import SignalizedSafetyModel, TrafficLight
 from repro.utils.intervals import Interval
 from repro.utils.validation import check_nonnegative, check_positive
@@ -400,7 +400,7 @@ def _some_step_commits_unsafely(
         )
         p_next = ego.position + v * dt + 0.5 * accel * dt * dt
         s_next = slack(p_next, v_next, model.geometry, model.ego_limits)
-        if s_next < 0.0 and not _committed_safe(
+        if s_next < SLACK_ROUNDOFF and not _committed_safe(
             model, time + dt, p_next, v_next, oncoming
         ):
             return True

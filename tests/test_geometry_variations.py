@@ -8,7 +8,7 @@ embedded planner stays safe on each.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.comm.faults import messages_delayed
@@ -67,8 +67,30 @@ def scenario_configs(draw):
     )
 
 
+def _knife_edge_scenario():
+    """A draw whose full-throttle step lands on exactly zero slack.
+
+    From ``(-7.99375 m, 9.75 m/s)`` at ``t = 0.95 s`` one full-throttle
+    step reaches ``(-7.5, 10)``, from which braking at ``a_min = -4``
+    stops exactly at the front line; rounding then reads the slack as
+    ``-1e-15`` and the escape branch drives into the window.
+    """
+    return LeftTurnScenario(
+        geometry=LeftTurnGeometry(
+            p_front=5.0, p_back=11.0, oncoming_front=11.0, oncoming_back=5.0,
+            p_target=13.0,
+        ),
+        ego_limits=VehicleLimits(v_min=0.0, v_max=12.0, a_min=-4.0, a_max=5.0),
+        oncoming_limits=VehicleLimits(v_min=-15.0, v_max=-2.0, a_min=-3.0, a_max=3.0),
+        ego_start=(-15.0, 5.0),
+        oncoming_start_positions=tuple(41.0 + 2.0 * j for j in range(8)),
+        oncoming_start_speed_range=(6.0, 13.0),
+    )
+
+
 class TestGeometryRobustness:
     @given(scenario=scenario_configs(), seed=st.integers(0, 10_000))
+    @example(scenario=_knife_edge_scenario(), seed=144)
     @settings(max_examples=25, deadline=None)
     def test_compound_safe_on_sampled_scenarios(self, scenario, seed):
         engine = SimulationEngine(
