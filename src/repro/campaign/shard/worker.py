@@ -15,10 +15,15 @@ the manifest on disk.  Its whole contract is
 3. atomically persist the snapshot via the same
    :func:`~repro.campaign.runner.persist_chunk_snapshot` the in-process
    transport uses, then report the content digest,
-4. emit heartbeats *during* the chunk from a timer thread whenever the
-   chunk has been quiet for the interval, so only a stopped or dead
-   worker goes silent for the runner's ``lease_ttl``; metric deltas
-   ride on the ``retry``, ``completed`` and ``error`` events.
+4. emit heartbeats *during* the chunk whenever the chunk has been
+   quiet for the interval, so only a stopped or dead worker goes
+   silent for the runner's ``lease_ttl``; metric deltas ride on the
+   ``retry``, ``completed`` and ``error`` events.  The heartbeat is a
+   ``SIGALRM`` handler on a ``setitimer`` interval, so it runs in the
+   main thread between the simulation's own bytecodes: a timer thread
+   was starved for several heartbeat intervals by a simulation that
+   drops and re-takes the GIL every few hundred microseconds (each
+   random-block refill is a numpy call).
 
 Crash-anywhere safety: the worker can be SIGKILLed at any byte.  Before
 the snapshot rename there is nothing to clean up; after it, the
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import threading
 import time
@@ -89,7 +95,9 @@ def worker_main(
     # lifetime.
     observer = MetricsOnlyObserver()
     reported = empty_snapshot()
-    # Both threads write through send() (module docstring, point 4).
+    # Every event is written under this lock; the heartbeat handler
+    # (module docstring, point 4) only tries it, since the main thread
+    # it interrupts may hold it mid-write.
     lock = threading.Lock()
     beat = {"chunk": None, "written": perf_now()}
 
@@ -98,16 +106,25 @@ def worker_main(
             _emit(message)
             beat["written"] = perf_now()
 
-    def pulse() -> None:
-        while True:
-            time.sleep(heartbeat_interval / 2.0)
-            chunk = beat["chunk"]
-            if chunk is not None and (
-                perf_now() - beat["written"] >= heartbeat_interval
-            ):
-                send({"event": EVENT_HEARTBEAT, "worker": worker_id, "chunk": chunk})
+    def pulse(signum, frame) -> None:
+        chunk = beat["chunk"]
+        if chunk is None or perf_now() - beat["written"] < heartbeat_interval:
+            return
+        # Interrupted inside send(): skip this beat, that write is one.
+        if not lock.acquire(blocking=False):
+            return
+        try:
+            _emit({"event": EVENT_HEARTBEAT, "worker": worker_id, "chunk": chunk})
+            beat["written"] = perf_now()
+        except OSError:
+            # The runner is gone (a broken pipe): stop beating rather
+            # than raise into the simulation; stdin EOF ends the worker.
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+        finally:
+            lock.release()
 
-    threading.Thread(target=pulse, daemon=True).start()
+    signal.signal(signal.SIGALRM, pulse)
+    period = heartbeat_interval / 2.0
 
     def emit_with_metrics(message: dict) -> None:
         nonlocal reported
@@ -148,6 +165,10 @@ def worker_main(
         chunk = int(command["chunk"])
         send({"event": EVENT_STARTED, "worker": worker_id, "chunk": chunk})
         beat["chunk"] = chunk
+        # Armed for the chunk only: an armed timer outliving the loop
+        # would kill the exiting interpreter, which restores SIGALRM's
+        # default action.
+        signal.setitimer(signal.ITIMER_REAL, period, period)
 
         def on_retry(attempt: int, delay: float) -> None:
             emit_with_metrics(
@@ -210,6 +231,8 @@ def worker_main(
                     "message": str(exc),
                 }
             )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -169,7 +169,11 @@ class VehicleModel:
             check_positive(dt, "dt")  # raises: NaN, infinite or <= 0
         dt = float(dt)
         limits = self._limits
-        a = limits.clip_acceleration(acceleration)
+        # limits.clip_acceleration(acceleration), its two conditionals
+        # written out: this runs for every vehicle on every step.
+        a = float(acceleration)
+        a = limits.a_min if limits.a_min > a else a
+        a = limits.a_max if limits.a_max < a else a
         p0 = position
         v0 = velocity
 

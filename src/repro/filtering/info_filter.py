@@ -31,7 +31,7 @@ from repro.comm.message import Message
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FilterError, IntervalError
 from repro.filtering.fusion import FusedEstimate, join_or_fallback
-from repro.filtering.kalman import KalmanFilter, KalmanState
+from repro.filtering.kalman import Fields, KalmanFilter
 from repro.filtering.reachability import ReachabilityAnalyzer
 from repro.filtering.replay import ReplayKalmanFilter
 from repro.obs.observer import resolve_observer
@@ -373,10 +373,12 @@ class InformationFilter:
     # ------------------------------------------------------------------
     # Divergence watchdog
     # ------------------------------------------------------------------
-    def _gate_innovation(
-        self, reading: SensorReading, predicted: KalmanState
-    ) -> None:
+    def _gate_innovation(self, reading: SensorReading, predicted: Fields) -> None:
         """Classify one reading's innovation against ``predicted``; never raises.
+
+        ``predicted`` holds the fields of the filter's prediction at the
+        reading's time, in :class:`~repro.filtering.kalman.KalmanState`
+        order.
 
         A breach means the measurement fell outside
         ``watchdog_sigma * sqrt(P + R)`` (per channel, plus a small
@@ -386,15 +388,16 @@ class InformationFilter:
         filter trips; one consistent reading recovers it.
         """
         sigma = self._watchdog_sigma
+        _, position, velocity, p00, _, p11 = predicted
         # sqrt(max(var, 0.0)) of each innovation variance, the max as a
         # conditional.
-        s_p = predicted.p00 + self._r_p
-        s_v = predicted.p11 + self._r_v
+        s_p = p00 + self._r_p
+        s_v = p11 + self._r_v
         gate_p = sigma * math.sqrt(0.0 if 0.0 > s_p else s_p) + _WATCHDOG_SLACK
         gate_v = sigma * math.sqrt(0.0 if 0.0 > s_v else s_v) + _WATCHDOG_SLACK
         breach = (
-            abs(reading.position - predicted.position) > gate_p
-            or abs(reading.velocity - predicted.velocity) > gate_v
+            abs(reading.position - position) > gate_p
+            or abs(reading.velocity - velocity) > gate_v
         )
         stats = self._watchdog
         if breach:
@@ -436,17 +439,16 @@ class InformationFilter:
 
         replay = self._replay
         reading = self._latest_reading
+        kalman = None
         if (
-            replay.is_initialized
-            and not self._watchdog.diverged
+            not self._watchdog.diverged
             and reading is not None
             and now - reading.time < self._stale_age
         ):
-            kf = replay.estimate_at(now)
-            kf_p = kf.position
-            kf_v = kf.velocity
-            p00 = kf.p00
-            p11 = kf.p11
+            # None before the replay filter's first reading or message.
+            kalman = replay.extrapolated(now)
+        if kalman is not None:
+            (_, kf_p, kf_v, p00, _, p11), a = kalman
             # sqrt(max(var, 0.0)), the max as a conditional.
             half_p = self._n_sigma * math.sqrt(0.0 if 0.0 > p00 else p00)
             half_v = self._n_sigma * math.sqrt(0.0 if 0.0 > p11 else p11)
@@ -457,7 +459,6 @@ class InformationFilter:
             p = p_hi if p_hi < p else p
             v = v_lo if v_lo > kf_v else kf_v
             v = v_hi if v_hi < v else v
-            a = replay.current_accel
         else:
             # Reachability-only: before the first sensor reading, once
             # the newest reading is one sensing period old (a

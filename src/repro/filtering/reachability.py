@@ -53,14 +53,11 @@ class ReachabilityAnalyzer:
     """
 
     def __init__(self, limits: VehicleLimits) -> None:
-        self._limits = limits
+        #: The limits assumed for the observed vehicle (a plain attribute,
+        #: read on every estimate without a property call).
+        self.limits = limits
         # The limits reach_box reads, bound once (VehicleLimits is frozen).
         self._box_limits = (limits.v_min, limits.v_max, limits.a_min, limits.a_max)
-
-    @property
-    def limits(self) -> VehicleLimits:
-        """The limits assumed for the observed vehicle."""
-        return self._limits
 
     # ------------------------------------------------------------------
     # Eq. (2) over a box of initial conditions
@@ -104,35 +101,29 @@ class ReachabilityAnalyzer:
         v0_hi = float(v_hi)
         v0_hi = v_min if v_min > v0_hi else v0_hi
         v0_hi = v_max if v_max < v0_hi else v0_hi
+        # The extremal trajectories: the upper corner drives a_max toward
+        # v_max, the lower one mirrors it with a_min toward v_min.  A NaN
+        # end velocity fails both saturation tests and takes the plain
+        # branch.  The saturating branch divides by the limits' own
+        # a_max and a_min, whose signs (a_min < 0 < a_max) VehicleLimits
+        # fixes at construction.
         reach_lo = v0_lo + a_min * elapsed
         reach_hi = v0_hi + a_max * elapsed
-        return (
-            _extremal_position(p_lo, v0_lo, elapsed, a_min, v_min),
-            _extremal_position(p_hi, v0_hi, elapsed, a_max, v_max),
-            v_min if v_min > reach_lo else reach_lo,
-            v_max if v_max < reach_hi else reach_hi,
-        )
-
-
-def _extremal_position(
-    position: float, v0: float, elapsed: float, accel: float, v_cap: float
-) -> float:
-    """Position after driving the extremal input toward ``v_cap`` (Eq. (2)).
-
-    Units: position [m], v0 [m/s], elapsed [s], accel [m/s^2], v_cap [m/s] -> [m]
-
-    ``v0`` is already clipped to the velocity range; ``accel`` and
-    ``v_cap`` are either both the "max" pair or both the "min" pair, the
-    algebra is symmetric.
-    """
-    if elapsed == 0.0:
-        return position
-    v_end = v0 + accel * elapsed
-    toward_cap = (accel > 0.0 and v_end > v_cap) or (
-        accel < 0.0 and v_end < v_cap
-    )
-    if accel == 0.0 or not toward_cap:
-        return position + v0 * elapsed + 0.5 * accel * elapsed * elapsed
-    # Saturating branch of Eq. (2): cruise distance at the cap minus the
-    # distance deficit accumulated while still ramping up (or down).
-    return position + v_cap * elapsed - (v_cap - v0) ** 2 / (2.0 * accel)
+        if elapsed == 0.0:
+            return p_lo, p_hi, reach_lo, reach_hi
+        limits = self.limits
+        if reach_hi > v_max:
+            # Saturating branch of Eq. (2): cruise distance at the cap
+            # minus the distance deficit accumulated while still ramping.
+            deficit = (v_max - v0_hi) ** 2 / (2.0 * limits.a_max)
+            pos_hi = p_hi + v_max * elapsed - deficit
+            reach_hi = v_max
+        else:
+            pos_hi = p_hi + v0_hi * elapsed + 0.5 * a_max * elapsed * elapsed
+        if reach_lo < v_min:
+            deficit = (v_min - v0_lo) ** 2 / (2.0 * limits.a_min)
+            pos_lo = p_lo + v_min * elapsed - deficit
+            reach_lo = v_min
+        else:
+            pos_lo = p_lo + v0_lo * elapsed + 0.5 * a_min * elapsed * elapsed
+        return pos_lo, pos_hi, reach_lo, reach_hi

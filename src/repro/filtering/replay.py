@@ -29,18 +29,19 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.comm.message import Message
 from repro.errors import FilterError, ReplayError
-from repro.filtering.kalman import KalmanFilter, KalmanState
+from repro.filtering.kalman import Fields, KalmanFilter, KalmanState
 from repro.sensing.sensor import SensorReading
 
 __all__ = ["ReplayKalmanFilter"]
 
-#: Called with a reading and the filter's prediction at its time, before
-#: the update (the information filter's divergence watchdog).
-Gate = Callable[[SensorReading, KalmanState], None]
+#: Called with a reading and the fields of the filter's prediction at its
+#: time (those of a :class:`KalmanState`, in its order), before the
+#: update (the information filter's divergence watchdog).
+Gate = Callable[[SensorReading, Fields], None]
 
 
 _INF = math.inf
@@ -134,8 +135,9 @@ class ReplayKalmanFilter:
         The first reading initialises the filter with the measurement
         itself and the measurement covariance as prior.  Subsequent
         readings run predict (over the actual gap, using the previous
-        measured acceleration) followed by update; ``gate``, if given,
-        sees the reading and that prediction between the two.
+        measured acceleration) followed by update, on the states' fields;
+        ``gate``, if given, sees the reading and the prediction's fields
+        between the two.
 
         A reading with a non-finite field, or one that does not advance
         past the posterior, raises :class:`~repro.errors.FilterError`
@@ -163,11 +165,14 @@ class ReplayKalmanFilter:
                     f" after t={posterior.time}"
                 )
             kalman = self._kalman
-            predicted = kalman.extrapolate(posterior, self._current_accel, gap)
+            predicted = kalman.extrapolate_floats(
+                posterior, self._current_accel, gap
+            )
             if gate is not None:
                 gate(reading, predicted)
-            self._posterior = kalman.update(
-                predicted, reading.position, reading.velocity
+            self._posterior = tuple.__new__(
+                KalmanState,
+                kalman.update_floats(predicted, reading.position, reading.velocity),
             )
         self._current_accel = reading.acceleration
         self._readings.append(reading)
@@ -249,23 +254,53 @@ class ReplayKalmanFilter:
 
         Units: now [s]
 
+        :meth:`extrapolated` as a :class:`KalmanState`.
+
         Raises
         ------
         FilterError
             If the filter has no posterior yet or ``now`` precedes it.
         """
+        extrapolated = self.extrapolated(now)
+        if extrapolated is None:
+            raise FilterError("filter not initialised: no sensor reading yet")
+        fields = extrapolated[0]
+        if fields is self._posterior:
+            return fields
+        return tuple.__new__(KalmanState, fields)
+
+    def extrapolated(self, now: float) -> Optional[Tuple[Fields, float]]:
+        """The posterior's fields extrapolated to ``now``, and the acceleration.
+
+        Units: now [s]
+
+        Returns the fields of :meth:`estimate_at`'s state (the posterior
+        itself at its own time) and :attr:`current_accel`, the
+        acceleration they were extrapolated with; ``None`` before the
+        first reading or message.  The information filter's per-step
+        estimate reads both from this one call.
+
+        Raises
+        ------
+        FilterError
+            If ``now`` precedes the posterior.
+        """
         posterior = self._posterior
         if posterior is None:
-            raise FilterError("filter not initialised: no sensor reading yet")
+            return None
         gap = float(now) - posterior.time
         if gap < -1e-9:
             raise FilterError(
                 f"cannot estimate before the posterior: now={now} < "
                 f"t={posterior.time}"
             )
+        accel = self._current_accel
         # max(gap, 0.0) as a conditional.
-        return self._kalman.extrapolate(
-            posterior, self._current_accel, 0.0 if 0.0 > gap else gap
+        return (
+            self._kalman.extrapolate_floats(
+                posterior, accel, 0.0 if 0.0 > gap else gap
+            ),
+            accel,
         )
 
     # ------------------------------------------------------------------

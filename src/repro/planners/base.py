@@ -105,6 +105,8 @@ class Planner(Protocol):
         ...
 
 
+_INF = math.inf
+
 #: A planner's float entry point: ``(time, position, velocity,
 #: acceleration, estimates, tracer=None) -> command``.
 FloatEntry = Callable[..., float]
@@ -121,8 +123,10 @@ def clipped(acceleration: float, limits: VehicleLimits) -> float:
     braking — the conservative default.
     """
     a = float(acceleration)
-    if math.isnan(a):
+    if not a <= _INF:  # NaN fails every comparison
         return limits.a_min
-    if math.isinf(a):
-        return limits.a_max if a > 0 else limits.a_min
-    return limits.clip_acceleration(a)
+    # limits.clip_acceleration(a) written out; it takes +-inf to the limits.
+    a_min = limits.a_min
+    a = a_min if a_min > a else a
+    a_max = limits.a_max
+    return a_max if a_max < a else a

@@ -101,7 +101,10 @@ def earliest_arrival_unchecked(
         return 0.0
     if v_cap <= 0.0:
         return NEVER
-    v = max(0.0, min(velocity, v_cap))
+    # max(0.0, min(velocity, v_cap)) as conditionals: the first operand
+    # wins unless the comparison holds, so a NaN velocity gives 0.0.
+    v = v_cap if v_cap < velocity else velocity
+    v = v if v > 0.0 else 0.0
     if a_cap == 0.0:
         if v <= 0.0:
             return NEVER
@@ -159,7 +162,7 @@ def latest_arrival_unchecked(
     """
     if distance <= 0.0:
         return 0.0
-    v = max(velocity, v_floor)
+    v = v_floor if v_floor > velocity else velocity  # max(velocity, v_floor)
     if a_floor == 0.0:
         if v <= 0.0:
             return NEVER
@@ -171,13 +174,15 @@ def latest_arrival_unchecked(
         if stop_distance < distance:
             return NEVER
         disc = v * v - 2.0 * decel * distance
-        return (v - math.sqrt(max(disc, 0.0))) / decel
+        disc = 0.0 if 0.0 > disc else disc  # max(disc, 0.0)
+        return (v - math.sqrt(disc)) / decel
     d_th = (v * v - v_floor * v_floor) / (2.0 * decel)
     if distance > d_th:
         # Brake to the floor, then crawl.
         return (v - v_floor) / decel + (distance - d_th) / v_floor
     disc = v * v - 2.0 * decel * distance
-    return (v - math.sqrt(max(disc, 0.0))) / decel
+    disc = 0.0 if 0.0 > disc else disc  # max(disc, 0.0)
+    return (v - math.sqrt(disc)) / decel
 
 
 def arrival_time_under(
@@ -206,7 +211,9 @@ def arrival_time_under(
         raise ScenarioError(f"v_lo ({v_lo}) must be <= v_hi ({v_hi})")
     if distance <= 0.0:
         return 0.0
-    v = max(v_lo, min(velocity, v_hi))
+    # max(v_lo, min(velocity, v_hi)) as conditionals.
+    v = v_hi if v_hi < velocity else velocity
+    v = v if v > v_lo else v_lo
     if accel > 0.0:
         if v_hi <= 0.0:
             return NEVER
@@ -216,7 +223,9 @@ def arrival_time_under(
         return earliest_arrival_unchecked(distance, v, v_hi, accel)
     if accel < 0.0:
         # Floor >= 0 and a negative accel: the checks cannot fail.
-        return latest_arrival_unchecked(distance, v, max(v_lo, 0.0), accel)
+        return latest_arrival_unchecked(
+            distance, v, 0.0 if 0.0 > v_lo else v_lo, accel  # max(v_lo, 0.0)
+        )
     if v <= 0.0:
         return NEVER
     return distance / v

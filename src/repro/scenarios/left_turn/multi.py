@@ -29,7 +29,7 @@ from repro.dynamics.state import SystemState, VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ScenarioError
 from repro.filtering.fusion import FusedEstimate
-from repro.planners.base import Planner
+from repro.planners.base import Planner, no_estimate_error
 from repro.planners.expert import ExpertConfig
 from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
 from repro.scenarios.left_turn.geometry import (
@@ -183,10 +183,20 @@ class GapAcceptanceExpert:
     def merged_conflicts(
         self, estimates: Mapping[int, FusedEstimate]
     ) -> List[Interval]:
-        """The platoon's merged conflict windows."""
-        return merge_windows(
-            [self._windows.window(estimates[i]) for i in self._indices]
-        )
+        """The platoon's merged conflict windows.
+
+        A vehicle without an estimate raises :func:`no_estimate_error`'s
+        :class:`~repro.errors.PlannerError`, which a compound planner
+        embedding this expert contains.
+        """
+        windows = []
+        for i in self._indices:
+            try:
+                estimate = estimates[i]
+            except KeyError as exc:
+                raise no_estimate_error(i) from exc
+            windows.append(self._windows.window(estimate))
+        return merge_windows(windows)
 
     def plan_floats(
         self,

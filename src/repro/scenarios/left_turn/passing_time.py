@@ -55,6 +55,9 @@ __all__ = [
 #: The empty window as float bounds (any ``lo > hi`` is empty).
 EMPTY_BOUNDS: Tuple[float, float] = (math.inf, -math.inf)
 
+#: Finite and infinite floats pass ``x <= _INF``; NaN fails it.
+_INF = math.inf
+
 
 class SpeedLimits(NamedTuple):
     """The oncoming vehicle's raw limits mapped into speed terms.
@@ -133,8 +136,8 @@ def conservative_bounds(
         return EMPTY_BOUNDS
     time = estimate.time
     lo = time + entry
-    hi = time + max(exit_, entry)
-    if math.isnan(lo) or math.isnan(hi):
+    hi = time + (entry if entry > exit_ else exit_)  # max(exit_, entry)
+    if not (lo <= _INF and hi <= _INF):  # a NaN bound
         raise nan_bounds_error(lo, hi)
     return lo, hi
 
@@ -172,25 +175,28 @@ def aggressive_bounds(
     accel = -estimate.a
 
     # Entry: at most a_buf more acceleration and v_buf more speed than
-    # currently observed (Eq. (8)).
-    a_entry = min(accel + a_buf, max_speedup)
-    v_entry_cap = min(speed + v_buf, max_speed)
-    entry = arrival_time_under(
-        d_front, speed, a_entry, max(v_entry_cap, min_speed), min_speed
-    )
+    # currently observed (Eq. (8)).  The clips are min/max written as
+    # conditionals: the first operand wins unless the comparison holds.
+    a_entry = accel + a_buf
+    a_entry = max_speedup if max_speedup < a_entry else a_entry
+    v_entry_cap = speed + v_buf
+    v_entry_cap = max_speed if max_speed < v_entry_cap else v_entry_cap
+    v_entry_cap = min_speed if min_speed > v_entry_cap else v_entry_cap
+    entry = arrival_time_under(d_front, speed, a_entry, v_entry_cap, min_speed)
     if entry == NEVER:
         return EMPTY_BOUNDS
 
     # Exit: at most a_buf more braking and v_buf less speed.
-    a_exit = max(accel - a_buf, max_brake)
-    v_exit_floor = max(speed - v_buf, min_speed)
-    exit_ = arrival_time_under(
-        d_back, speed, a_exit, max_speed, min(v_exit_floor, max_speed)
-    )
+    a_exit = accel - a_buf
+    a_exit = max_brake if max_brake > a_exit else a_exit
+    v_exit_floor = speed - v_buf
+    v_exit_floor = min_speed if min_speed > v_exit_floor else v_exit_floor
+    v_exit_floor = max_speed if max_speed < v_exit_floor else v_exit_floor
+    exit_ = arrival_time_under(d_back, speed, a_exit, max_speed, v_exit_floor)
     time = estimate.time
     lo = time + entry
-    hi = time + max(exit_, entry)
-    if math.isnan(lo) or math.isnan(hi):
+    hi = time + (entry if entry > exit_ else exit_)  # max(exit_, entry)
+    if not (lo <= _INF and hi <= _INF):  # a NaN bound
         raise nan_bounds_error(lo, hi)
     return lo, hi
 

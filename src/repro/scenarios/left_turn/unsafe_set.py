@@ -52,6 +52,9 @@ __all__ = [
     "LeftTurnSafetyModel",
 ]
 
+#: Finite and infinite floats pass ``x <= _INF``; NaN fails it.
+_INF = math.inf
+
 #: Slack (metres) below which a lookahead step counts as losing the stop.
 #: Zero slack is safe only on the knife edge of braking at exactly
 #: ``a_min`` to a standstill at the front line; rounding in the
@@ -109,7 +112,7 @@ def ego_passing_bounds(
     """
     if position > geometry.p_back:
         return EMPTY_BOUNDS
-    v = max(velocity, 0.0)
+    v = 0.0 if 0.0 > velocity else velocity  # max(velocity, 0.0)
     d_back = geometry.p_back - position
     if position <= geometry.p_front:
         if v <= 0.0:
@@ -122,7 +125,7 @@ def ego_passing_bounds(
     else:
         lo = time
         hi = time + d_back / v
-    if math.isnan(lo) or math.isnan(hi):
+    if not (lo <= _INF and hi <= _INF):  # a NaN bound
         raise nan_bounds_error(lo, hi)
     return lo, hi
 
@@ -141,7 +144,8 @@ def boundary_slack_margin(
     """
     check_positive(dt_c, "dt_c")
     half_a_dt2, factor = _margin_terms(dt_c, ego_limits)
-    return _slack_margin(max(velocity, 0.0), dt_c, half_a_dt2, factor)
+    v = 0.0 if 0.0 > velocity else velocity  # max(velocity, 0.0)
+    return _slack_margin(v, dt_c, half_a_dt2, factor)
 
 
 def _margin_terms(dt_c: float, ego_limits: VehicleLimits) -> Tuple[float, float]:
@@ -380,8 +384,9 @@ class LeftTurnSafetyModel:
         geometry = self.geometry
         if position > geometry.p_front or s < 0.0:
             return self._committed_needs_escape(time, position, velocity, hi)
+        v = 0.0 if 0.0 > velocity else velocity  # max(velocity, 0.0)
         if 0.0 <= s < _slack_margin(
-            max(velocity, 0.0), self.dt_c, self._half_a_dt2, self._margin_factor
+            v, self.dt_c, self._half_a_dt2, self._margin_factor
         ):
             ego_lo, ego_hi = ego_passing_bounds(time, position, velocity, geometry)
             if bounds_overlap(ego_lo, ego_hi, lo, hi):
@@ -406,7 +411,7 @@ class LeftTurnSafetyModel:
         (``entry_ff >= window.hi``; entry can only be delayed further,
         never advanced past ``entry_ff``).
         """
-        v = max(velocity, 0.0)
+        v = 0.0 if 0.0 > velocity else velocity  # max(velocity, 0.0)
         v_max = self.ego_limits.v_max
         a_max = self.ego_limits.a_max
         arrival = self._full_throttle_arrival
@@ -457,11 +462,14 @@ class LeftTurnSafetyModel:
         current-velocity projected window is degenerate.
         """
         dt = self.dt_c
-        v = max(velocity, 0.0)
+        v = 0.0 if 0.0 > velocity else velocity  # max(velocity, 0.0)
         v_floor = self._v_floor
         v_max = self.ego_limits.v_max
         for a_dt, half_a_dt2 in self._lookahead:
-            v_next = min(max(v + a_dt, v_floor), v_max)
+            # min(max(v + a_dt, v_floor), v_max) as conditionals.
+            v_next = v + a_dt
+            v_next = v_floor if v_floor > v_next else v_next
+            v_next = v_max if v_max < v_next else v_next
             p_next = position + v * dt + half_a_dt2
             s_next = slack(p_next, v_next, self.geometry, self.ego_limits)
             if s_next < SLACK_ROUNDOFF:

@@ -69,9 +69,11 @@ class RngStream:
             self._seed_seq = np.random.SeedSequence(seed)
         # Built on the first draw, generator access or sync.
         self._generator: Optional[np.random.Generator] = None
-        # The current block, how much of it is used, and the bit-generator
-        # state it was drawn from.
+        # The current block, its length (kept, so a draw makes no len()
+        # call), how much of it is used, and the bit-generator state it
+        # was drawn from.
         self._block: List[float] = []
+        self._size = 0
         self._used = 0
         self._state_at_fill: Optional[dict] = None
 
@@ -93,12 +95,13 @@ class RngStream:
     def _next_double(self) -> float:
         """The next double of ``Generator.random()``, from the block."""
         used = self._used
-        if used == len(self._block):
+        if used == self._size:
             if self._generator is None:
                 self._sync()
             generator = self._generator
             self._state_at_fill = generator.bit_generator.state
             self._block = generator.random(BLOCK_SIZE).tolist()
+            self._size = BLOCK_SIZE
             used = 0
         self._used = used + 1
         return self._block[used]
@@ -108,11 +111,12 @@ class RngStream:
         if self._generator is None:
             self._generator = np.random.default_rng(self._seed_seq)
             return
-        if self._used < len(self._block):
+        if self._used < self._size:
             self._generator.bit_generator.state = self._state_at_fill
             if self._used:
                 self._generator.random(self._used)
         self._block = []
+        self._size = 0
         self._used = 0
 
     # ------------------------------------------------------------------
@@ -152,7 +156,7 @@ class RngStream:
             if 0.0 <= span <= _MAX_FLOAT:
                 # _next_double, served from the current block in place.
                 used = self._used
-                if used < len(self._block):
+                if used < self._size:
                     self._used = used + 1
                     return low + span * self._block[used]
                 return low + span * self._next_double()
@@ -174,7 +178,7 @@ class RngStream:
         """
         if size is None:
             used = self._used
-            if used < len(self._block):
+            if used < self._size:
                 self._used = used + 1
                 return self._block[used]
             return self._next_double()

@@ -22,6 +22,9 @@ multi-oncoming model's OR of its per-vehicle predicates, and the
 car-following model's braking-envelope slack on a
 :class:`~repro.dynamics.state.VehicleState`.
 
+:func:`clipped_command` is the planners' output clip as it was written
+with ``math.isnan``, ``math.isinf`` and ``VehicleLimits.clip_acceleration``.
+
 The predicates take the safety model as their first argument and
 :func:`nn_plan` the planner, so they have the signatures of the methods
 they replaced.  The predicates and :func:`oncoming_window` dispatch on
@@ -56,6 +59,7 @@ from repro.utils.validation import check_nonnegative, check_positive
 __all__ = [
     "aggressive_window",
     "boundary_slack_margin",
+    "clipped_command",
     "compound_plan",
     "conservative_window",
     "earliest_arrival_time",
@@ -405,6 +409,19 @@ def _some_step_commits_unsafely(
         ):
             return True
     return False
+
+
+# ----------------------------------------------------------------------
+# Command sanitising (planners/base.py)
+# ----------------------------------------------------------------------
+def clipped_command(acceleration: float, limits: VehicleLimits) -> float:
+    """``clipped`` through ``isnan``/``isinf`` and ``clip_acceleration``."""
+    a = float(acceleration)
+    if math.isnan(a):
+        return limits.a_min
+    if math.isinf(a):
+        return limits.a_max if a > 0 else limits.a_min
+    return limits.clip_acceleration(a)
 
 
 # ----------------------------------------------------------------------

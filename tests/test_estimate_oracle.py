@@ -16,6 +16,12 @@ tolerance):
   Kalman bands, the watchdog fallback, readings more than one sensing
   period old (no Kalman band), NaN readings and queries before a stamp;
   the test counts each and requires all of them;
+* **Eq. (2) edges** -- ``ReachabilityAnalyzer.reach_box`` on a grid of
+  NaN, both signed zeros, both infinities, initial velocities at and
+  beyond both caps, zero (also ``-0.0``), infinite and NaN elapsed time
+  and queries before the stamp, against the oracle's four extremal
+  trajectories: identical floats (sign of zero and NaN included) or
+  the same exception and message;
 * **record level** -- 10 000 random field tuples, some with a NaN
   field, an infinite bound or an empty band, through the flat
   ``FusedEstimate.of`` and through the four-object record
@@ -35,6 +41,7 @@ disagreed.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from collections import Counter
 from typing import List, Optional
@@ -51,6 +58,7 @@ from repro.experiments.harness import build_trio
 from repro.filtering import info_filter
 from repro.filtering.fusion import FusedEstimate
 from repro.filtering.info_filter import InformationFilter, RawEstimator
+from repro.filtering.reachability import ReachabilityAnalyzer
 from repro.filtering.kalman import KalmanState
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
@@ -80,6 +88,12 @@ class _StubReplay:
     def estimate_at(self, now: float) -> KalmanState:
         assert self._state is not None
         return self._state
+
+    def extrapolated(self, now: float):
+        """:meth:`estimate_at`'s fields and the acceleration, as the filter's."""
+        if self._state is None:
+            return None
+        return tuple(self.estimate_at(now)), self.current_accel
 
 
 def _objects(estimate) -> tuple:
@@ -294,6 +308,102 @@ class TestBandLevel:
         ]
         thin = {name: seen[name] for name in required if seen[name] < MIN_COVERAGE}
         assert not thin, f"situations reached too rarely: {thin}"
+
+
+# ----------------------------------------------------------------------
+# Eq. (2) edges
+# ----------------------------------------------------------------------
+def _identical(ours, theirs) -> bool:
+    """Equal, with the same sign of zero, or NaN on both sides."""
+    if isinstance(ours, tuple) and isinstance(theirs, tuple):
+        return len(ours) == len(theirs) and all(map(_identical, ours, theirs))
+    if isinstance(ours, float) and isinstance(theirs, float):
+        if math.isnan(ours) or math.isnan(theirs):
+            return math.isnan(ours) and math.isnan(theirs)
+        return ours == theirs and math.copysign(1.0, ours) == math.copysign(
+            1.0, theirs
+        )
+    return type(ours) is type(theirs) and ours == theirs
+
+
+def _oracle_box(reach, p_lo, p_hi, v_lo, v_hi, stamp, now):
+    """The oracle's four extremal trajectories from the box's corners."""
+    elapsed = reach._elapsed(stamp, now)
+    return (
+        reach.min_position(p_lo, v_lo, elapsed),
+        reach.max_position(p_hi, v_hi, elapsed),
+        reach.min_velocity(v_lo, elapsed),
+        reach.max_velocity(v_hi, elapsed),
+    )
+
+
+class TestReachBoxEdges:
+    """``reach_box``'s folded branches keep the oracle's edge results."""
+
+    SPECIAL = (math.nan, 0.0, -0.0, math.inf, -math.inf)
+    #: (stamp, now): zero elapsed both ways round, both saturating
+    #: branches, an infinite and a NaN horizon, a clamped rounding
+    #: error and a query before the stamp.
+    TIMES = (
+        (1.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 2.0), (0.0, 20.0),
+        (0.0, math.inf), (0.0, math.nan), (1.0, 1.0 - 1e-13), (1.0, 0.5),
+    )
+
+    def test_reach_box_edges_match_oracle(self):
+        seen: Counter = Counter()
+        disagreements = []
+        for limits in (
+            VehicleLimits(-20.0, -2.0, -3.0, 3.0),
+            VehicleLimits(-0.0, 20.0, -6.0, 4.0),
+            VehicleLimits(0.0, math.inf, -math.inf, 2.0),
+        ):
+            fast = ReachabilityAnalyzer(limits)
+            slow = estimate_oracle.ReachabilityAnalyzer(limits)
+            caps = (limits.v_min, limits.v_max)
+            velocities = (
+                *self.SPECIAL, *caps, limits.v_min - 1.0, limits.v_max + 1.0, -11.0
+            )
+            for p_lo, p_hi, v_lo, v_hi, (stamp, now) in itertools.product(
+                self.SPECIAL, self.SPECIAL, velocities, velocities, self.TIMES
+            ):
+                args = (p_lo, p_hi, v_lo, v_hi, stamp, now)
+                ours = _error(lambda: fast.reach_box(*args))
+                theirs = _error(lambda: _oracle_box(slow, *args))
+                if not _identical(ours, theirs):
+                    disagreements.append(
+                        f"{limits} reach_box{args}: fast={ours} oracle={theirs}"
+                    )
+                _tally_box(seen, limits, v_lo, v_hi, now - stamp, theirs)
+        assert not disagreements, (
+            f"{len(disagreements)} boxes disagree with the oracle; first ones:\n"
+            + "\n".join(disagreements[:5])
+        )
+        required = ["zero elapsed", "saturating upper", "saturating lower",
+                    "initial velocity at a cap", "initial velocity beyond a cap",
+                    "NaN result", "raised"]
+        thin = [name for name in required if not seen[name]]
+        assert not thin, f"never reached: {thin}"
+
+
+def _tally_box(seen, limits, v_lo, v_hi, elapsed, result) -> None:
+    """Count the edge situations one ``reach_box`` case reached."""
+    if isinstance(result[0], type):
+        seen["raised"] += 1
+        return
+    if any(math.isnan(x) for x in result):
+        seen["NaN result"] += 1
+    if elapsed == 0.0:
+        seen["zero elapsed"] += 1
+    elif elapsed > 0.0:
+        if min(max(v_hi, limits.v_min), limits.v_max) + limits.a_max * elapsed > limits.v_max:
+            seen["saturating upper"] += 1
+        if max(min(v_lo, limits.v_max), limits.v_min) + limits.a_min * elapsed < limits.v_min:
+            seen["saturating lower"] += 1
+    for v in (v_lo, v_hi):
+        if v in (limits.v_min, limits.v_max):
+            seen["initial velocity at a cap"] += 1
+        elif v < limits.v_min or v > limits.v_max:
+            seen["initial velocity beyond a cap"] += 1
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.comm.faults import messages_delayed
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
 from repro.dynamics.state import VehicleState
-from repro.errors import ScenarioError
+from repro.errors import PlannerError, ScenarioError
 from repro.filtering.fusion import FusedEstimate
 from repro.scenarios.base import Scenario
 from repro.scenarios.left_turn.multi import (
@@ -162,6 +162,27 @@ class TestGapAcceptance:
                 assert a_gap >= 0.0
             # (The gap expert may be marginally stricter the other way;
             # equality of the GO region is only guaranteed one-sided.)
+
+    def test_missing_estimate_raises_planner_error(self, platoon):
+        with pytest.raises(PlannerError, match="vehicle 1"):
+            platoon.gap_expert().plan_floats(0.0, -30.0, 10.0, 0.0, {})
+
+    def test_compound_contains_a_missing_estimate(self, platoon):
+        # The monitor watches vehicle 1 only; the embedded gap expert
+        # also needs vehicle 2, which has no estimate.
+        single = MultiOncomingLeftTurnScenario(n_oncoming=1)
+        emergency = single.emergency_planner()
+        planner = CompoundPlanner(
+            nn_planner=platoon.gap_expert(),
+            emergency_planner=emergency,
+            monitor=RuntimeMonitor(single.safety_model()),
+            limits=platoon.ego_limits,
+        )
+        estimates = {1: _estimate(0.0, 3.0, -12.0)}  # cleared
+        command = planner.plan_floats(0.0, -30.0, 10.0, 0.0, estimates)
+        assert not planner.last_decision.use_emergency
+        assert planner.embedded_failures == 1
+        assert command == emergency.plan_floats(0.0, -30.0, 10.0, 0.0, estimates)
 
     def test_needs_vehicles(self, platoon):
         with pytest.raises(ScenarioError):

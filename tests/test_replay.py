@@ -6,7 +6,7 @@ from repro.comm.message import Message
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits, VehicleModel
 from repro.errors import FilterError, ReplayError
-from repro.filtering.kalman import KalmanFilter
+from repro.filtering.kalman import KalmanFilter, KalmanState
 from repro.filtering.replay import ReplayKalmanFilter
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
@@ -77,8 +77,9 @@ class TestSensorPath:
         reading = _reading(0.1, 48.8, -12.0)
         rkf.on_sensor_reading(reading, gate=lambda r, p: seen.append((r, p)))
         predicted = rkf.kalman.extrapolate(first, 1.0, 0.1)
-        assert seen == [(reading, predicted)]
-        assert seen[0][1].time == pytest.approx(0.1)
+        # The gate sees the prediction's fields, in KalmanState order.
+        assert seen == [(reading, tuple(predicted))]
+        assert KalmanState(*seen[0][1]).time == pytest.approx(0.1)
         assert rkf.posterior == rkf.kalman.update(predicted, 48.8, -12.0)
 
 

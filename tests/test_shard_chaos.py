@@ -10,17 +10,29 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
+import time
+from dataclasses import asdict
 
 import pytest
 
+from repro.campaign.backoff import BackoffPolicy
 from repro.campaign.journal import read_journal
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.runner import (
     AGGREGATE_FILE,
     JOURNAL_FILE,
+    MANIFEST_FILE,
     CampaignRunner,
     campaign_status,
+)
+from repro.campaign.shard.protocol import (
+    COMMAND_RUN,
+    COMMAND_SHUTDOWN,
+    decode_line,
+    encode_message,
 )
 from repro.errors import CampaignError
 
@@ -327,20 +339,81 @@ class TestWorkerStuckBeforeReady:
         assert (directory / AGGREGATE_FILE).read_bytes() == reference
 
 
+def _long_manifest(n_sims):
+    """Full-brake episodes that run to max_time: 30 000 steps each."""
+    return CampaignManifest(
+        name="shard-long",
+        scenario={"kind": "left_turn"},
+        comm={"sensor_noise": 0.3},
+        planner={"kind": "full_brake"},
+        n_sims=n_sims,
+        seed=5,
+        chunk_size=1,
+        config={"max_time": 1500.0},
+    )
+
+
 class TestLongSimulation:
+    def test_heartbeats_keep_pace_with_a_long_simulation(self, tmp_path):
+        """No gap between a worker's chunk events reaches half a lease TTL.
+
+        One worker runs one 30 000-step episode at the heartbeat interval
+        of the test below (0.1 s, lease_ttl 0.5 s).  The simulation drops
+        and re-takes the GIL on every random-block refill, which starved
+        a heartbeat thread for up to a whole TTL.
+        """
+        _long_manifest(1).save(tmp_path / MANIFEST_FILE)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(__import__("repro").__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        worker = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.campaign.shard.worker",
+                str(tmp_path), "w0", "--heartbeat-interval", "0.1",
+            ],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        # A hung worker is killed, which ends the read loop with EOF.
+        watchdog = threading.Timer(300.0, worker.kill)
+        watchdog.start()
+        arrivals = []
+        try:
+            assert decode_line(worker.stdout.readline())["event"] == "ready"
+            worker.stdin.write(
+                encode_message(
+                    {"cmd": COMMAND_RUN, "chunk": 0, "backoff": asdict(BackoffPolicy())}
+                )
+            )
+            worker.stdin.flush()
+            for line in iter(worker.stdout.readline, b""):
+                event = decode_line(line)["event"]
+                arrivals.append((time.perf_counter(), event))
+                if event == "completed":
+                    break
+            worker.stdin.write(encode_message({"cmd": COMMAND_SHUTDOWN}))
+            worker.stdin.flush()
+            assert worker.wait(timeout=60) == 0
+        finally:
+            watchdog.cancel()
+            worker.kill()
+            worker.wait()
+        events = [event for _, event in arrivals]
+        assert events[0] == "started" and events[-1] == "completed"
+        gaps = [b[0] - a[0] for a, b in zip(arrivals, arrivals[1:])]
+        assert max(gaps) < 0.25, (
+            f"largest gap {max(gaps):.3f} s over {sum(gaps):.2f} s: {events}"
+        )
+        assert events.count("heartbeat") >= 2
+
     def test_simulation_slower_than_lease_ttl_keeps_its_lease(self, tmp_path):
         # Each full-brake episode runs to max_time, several times
         # lease_ttl; only the workers' timer heartbeats keep them alive.
-        manifest = CampaignManifest(
-            name="shard-long",
-            scenario={"kind": "left_turn"},
-            comm={"sensor_noise": 0.3},
-            planner={"kind": "full_brake"},
-            n_sims=2,
-            seed=5,
-            chunk_size=1,
-            config={"max_time": 1500.0},
-        )
+        manifest = _long_manifest(2)
         reference = _reference_bytes(manifest, tmp_path)
         directory = tmp_path / "sharded"
         report = CampaignRunner(

@@ -29,31 +29,48 @@ The multi-oncoming and car-following models' ``decide`` are held to
 the oracle's predicates the same way, on their own seeded random
 states with missing estimates among them.
 
+The random cases reach ordinary values only, so the kernels whose
+``max``/``min``/``isnan`` calls are written as conditionals are also
+run on grids of NaN, both signed zeros, both infinities and exact ties
+(a velocity at its cap, a distance at a branch threshold, a position on
+a line of the area): the arrival-time primitives, the slack, the ego's
+window, the ``X_b`` margin, both passing windows, ``decide`` and the
+planners' command clip.  There the results must be identical, sign of
+zero and NaN included.
+
 A failure names the case (seed) and the quantity that disagreed.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from collections import Counter
 from functools import partial
 from typing import List
 
 import numpy as np
+import pytest
 
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
 from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.filtering.fusion import FusedEstimate
 from repro.scenarios.car_following import CarFollowingSafetyModel
 from repro.nn.layers import Dense, ReLU, Sequential, Tanh
-from repro.planners.base import PlanningContext
+from repro.dynamics.vehicle import VehicleModel
+from repro.planners.base import PlanningContext, clipped
 from repro.planners.nn_planner import FeatureScaler, NNPlanner
 from repro.scenarios.left_turn.emergency import LeftTurnEmergencyPlanner
-from repro.scenarios.left_turn.geometry import LeftTurnGeometry
+from repro.scenarios.left_turn.geometry import (
+    LeftTurnGeometry,
+    arrival_time_under,
+    earliest_arrival_time,
+    latest_arrival_time,
+)
 from repro.scenarios.left_turn.multi import MultiOncomingSafetyModel
 from repro.scenarios.left_turn.passing_time import (
     PassingWindowEstimator,
@@ -61,7 +78,12 @@ from repro.scenarios.left_turn.passing_time import (
     conservative_bounds,
     speed_limits,
 )
-from repro.scenarios.left_turn.unsafe_set import LeftTurnSafetyModel
+from repro.scenarios.left_turn.unsafe_set import (
+    LeftTurnSafetyModel,
+    boundary_slack_margin,
+    ego_passing_bounds,
+    slack,
+)
 from repro.scenarios.signalized import SignalizedSafetyModel, TrafficLight
 from repro.utils.intervals import Interval
 from tests import shield_oracle
@@ -622,3 +644,209 @@ class TestOtherSafetyModelsOracle:
                     "boundary and unsafe"]
         thin = {name: seen[name] for name in required if seen[name] < MIN_COVERAGE}
         assert not thin, f"situations reached too rarely: {thin}"
+
+
+# ----------------------------------------------------------------------
+# Edge semantics of the conditional clips
+# ----------------------------------------------------------------------
+_NAN = math.nan
+_INF = math.inf
+
+#: NaN, both signed zeros and both infinities.
+_SPECIAL = (_NAN, 0.0, -0.0, _INF, -_INF)
+
+
+def _identical(ours, theirs) -> bool:
+    """Equal, with the same sign of zero, or NaN on both sides.
+
+    Tuples (results or ``(type, message)`` errors) compare item by item.
+    """
+    if isinstance(ours, tuple) and isinstance(theirs, tuple):
+        return len(ours) == len(theirs) and all(map(_identical, ours, theirs))
+    if isinstance(ours, float) and isinstance(theirs, float):
+        if math.isnan(ours) or math.isnan(theirs):
+            return math.isnan(ours) and math.isnan(theirs)
+        return ours == theirs and math.copysign(1.0, ours) == math.copysign(
+            1.0, theirs
+        )
+    return type(ours) is type(theirs) and ours == theirs
+
+
+def _grid_disagreements(name, fast, slow, cases, seen) -> List[str]:
+    """Every case through both functions; identical results or errors."""
+    disagreements = []
+    for args in cases:
+        ours = _outcome(fast, *args)
+        theirs = _outcome(slow, *args)
+        if not _identical(ours, theirs):
+            disagreements.append(
+                f"{name}{args!r}: fast={ours!r} oracle={theirs!r}"
+            )
+        seen[f"{name}: raised" if isinstance(theirs, tuple) and isinstance(
+            theirs[0], type) else f"{name}: returned"] += 1
+    return disagreements
+
+
+def _bounds(window: Interval) -> tuple:
+    return window.lo, window.hi
+
+
+class TestEdgeSemantics:
+    """The conditional clips keep the builtins' NaN and signed-zero results."""
+
+    def test_arrival_primitives(self):
+        seen: Counter = Counter()
+        distances = (*_SPECIAL, -1.0, 1.0, 2.0)
+        velocities = (*_SPECIAL, -2.0, 1.0, 2.0, 3.0, 5.0)
+        # (v=1, cap 3, a=2) and (v=3, floor 1, decel 2) put d_th at 2.0;
+        # (v=2, decel 2) stops in exactly 1.0; v=3 ties the cap 3.0.
+        problems = _grid_disagreements(
+            "earliest_arrival_time", earliest_arrival_time,
+            shield_oracle.earliest_arrival_time,
+            itertools.product(distances, velocities, (3.0, *_SPECIAL),
+                              (2.0, *_SPECIAL)),
+            seen,
+        )
+        problems += _grid_disagreements(
+            "latest_arrival_time", latest_arrival_time,
+            shield_oracle.latest_arrival_time,
+            itertools.product(distances, velocities, (1.0, *_SPECIAL),
+                              (-2.0, *_SPECIAL)),
+            seen,
+        )
+        problems += _grid_disagreements(
+            "arrival_time_under", arrival_time_under,
+            shield_oracle.arrival_time_under,
+            itertools.product(distances, velocities, (2.0, -2.0, *_SPECIAL),
+                              (3.0, *_SPECIAL), (1.0, 3.0, *_SPECIAL)),
+            seen,
+        )
+        assert not problems, f"{len(problems)} disagree:\n" + "\n".join(problems[:5])
+        thin = [name for name in ("earliest_arrival_time", "latest_arrival_time",
+                                  "arrival_time_under")
+                for kind in ("raised", "returned") if not seen[f"{name}: {kind}"]]
+        assert not thin, f"never reached: {thin}"
+
+    def test_slack_window_and_margin(self):
+        seen: Counter = Counter()
+        geometry = LeftTurnGeometry()
+        positions = (*_SPECIAL, geometry.p_front, geometry.p_back, 10.0)
+        velocities = (*_SPECIAL, -1.0, 2.0, 20.0)
+        limits = (_EGO_LIMITS, VehicleLimits(-0.0, _INF, -_INF, _INF))
+        problems = _grid_disagreements(
+            "slack", slack, shield_oracle.slack,
+            itertools.product(positions, velocities, (geometry,), limits), seen,
+        )
+        problems += _grid_disagreements(
+            "ego_passing_bounds",
+            lambda *args: _bounds(Interval(*ego_passing_bounds(*args))),
+            lambda *args: _bounds(shield_oracle.ego_passing_window(*args)),
+            itertools.product((1.0, *_SPECIAL), positions, velocities, (geometry,)),
+            seen,
+        )
+        problems += _grid_disagreements(
+            "boundary_slack_margin", boundary_slack_margin,
+            shield_oracle.boundary_slack_margin,
+            itertools.product(velocities, (0.05, *_SPECIAL), limits), seen,
+        )
+        assert not problems, f"{len(problems)} disagree:\n" + "\n".join(problems[:5])
+        assert seen["ego_passing_bounds: raised"] and seen["slack: returned"]
+
+    def test_passing_windows(self):
+        seen: Counter = Counter()
+        geometry = LeftTurnGeometry()
+        # The paper's limits, a speed floor of -0.0 (raw v_max 0.0) and
+        # unbounded ones (the checked primitives raise).
+        all_limits = (
+            VehicleLimits(-20.0, -2.0, -3.0, 3.0),
+            VehicleLimits(-20.0, 0.0, -3.0, 3.0),
+            VehicleLimits(-_INF, -2.0, -_INF, _INF),
+        )
+        positions = (-_INF, -0.0, 0.0, geometry.oncoming_back,
+                     geometry.oncoming_front, 30.0, _INF)
+        velocities = (-_INF, -20.0, -12.0, -2.0, -0.0, 0.0, _INF)
+        estimates = []
+        for time in (1.0, -0.0, _NAN, _INF):
+            for p_lo, p_hi in itertools.combinations_with_replacement(positions, 2):
+                for v_lo, v_hi in itertools.combinations_with_replacement(
+                    velocities, 2
+                ):
+                    # Nominal states at the band's ends, and one apart.
+                    for p, v in ((p_lo, v_lo), (p_hi, v_hi), (10.0, -11.0)):
+                        if math.isinf(p) or math.isinf(v):
+                            continue
+                        estimates.append(FusedEstimate.of(
+                            time, p_lo, p_hi, v_lo, v_hi, p=p, v=v, a=-0.0
+                        ))
+        problems = []
+        for limits in all_limits:
+            problems += _grid_disagreements(
+                "conservative_bounds",
+                lambda e: _bounds(_conservative(e, geometry, limits)),
+                lambda e: _bounds(shield_oracle.conservative_window(e, geometry, limits)),
+                ((e,) for e in estimates), seen,
+            )
+            for a_buf, v_buf in ((0.0, 0.0), (-0.0, 1.0), (0.5, -0.0)):
+                problems += _grid_disagreements(
+                    "aggressive_bounds",
+                    lambda e: _bounds(_aggressive(e, geometry, limits, a_buf, v_buf)),
+                    lambda e: _bounds(shield_oracle.aggressive_window(
+                        e, geometry, limits, a_buf, v_buf)),
+                    ((e,) for e in estimates), seen,
+                )
+        assert not problems, f"{len(problems)} disagree:\n" + "\n".join(problems[:5])
+        assert seen["conservative_bounds: raised"] and seen["aggressive_bounds: raised"]
+
+    def test_decide_on_edge_states(self):
+        seen: Counter = Counter()
+        geometry = LeftTurnGeometry()
+        model = LeftTurnSafetyModel(
+            geometry, _EGO_LIMITS, VehicleLimits(-20.0, -2.0, -3.0, 3.0), 0.05
+        )
+        estimates = [
+            FusedEstimate.of(0.0, 30.0, 32.0, -12.0, -10.0, p=31.0, v=-11.0, a=0.0),
+            FusedEstimate.of(0.0, geometry.oncoming_front, geometry.oncoming_front,
+                             -20.0, -2.0, p=geometry.oncoming_front, v=-2.0, a=-0.0),
+            FusedEstimate.of(0.0, -_INF, _INF, -_INF, _INF, p=10.0, v=-0.0, a=0.0),
+        ]
+        problems = []
+        for time in (0.0, -0.0, 1.0, _INF):
+            for position in (*_SPECIAL, geometry.p_front, geometry.p_back, -1.0, 4.0):
+                for velocity in (*_SPECIAL, -1.0, 20.0, 25.0):
+                    # A NaN state cannot be built; the oracle only reads
+                    # its position and velocity.
+                    ego = object.__new__(VehicleState)
+                    object.__setattr__(ego, "position", position)
+                    object.__setattr__(ego, "velocity", velocity)
+                    object.__setattr__(ego, "acceleration", 0.0)
+                    for estimate in estimates:
+                        problems += _decide_check(
+                            f"decide t={time} ego={ego}", model, time, ego,
+                            {1: estimate}, seen,
+                        )
+        assert not problems, f"{len(problems)} disagree:\n" + "\n".join(problems[:5])
+        thin = [k for k in ("raised", "clear", "boundary only", "boundary and unsafe")
+                if not seen[k]]
+        assert not thin, f"never reached: {thin}"
+
+    def test_command_clip(self):
+        seen: Counter = Counter()
+        commands = (*_SPECIAL, -7.0, -6.0, 1.0, 4.0, 5.0)
+        all_limits = (_EGO_LIMITS, VehicleLimits(-0.0, _INF, -_INF, _INF))
+        problems = _grid_disagreements(
+            "clipped", clipped, shield_oracle.clipped_command,
+            itertools.product(commands, all_limits), seen,
+        )
+        # VehicleModel.advance applies clip_acceleration's conditionals; a
+        # NaN command passes them and fails the state's NaN check.
+        for limits in all_limits:
+            problems += _grid_disagreements(
+                "advance command",
+                lambda a: VehicleModel(limits).advance(1.0, 0.0, a, 0.05)[2],
+                limits.clip_acceleration,
+                ((a,) for a in commands if not math.isnan(a)), seen,
+            )
+            with pytest.raises(ConfigurationError, match="NaN"):
+                VehicleModel(limits).advance(1.0, 0.0, _NAN, 0.05)
+            assert math.isnan(limits.clip_acceleration(_NAN))
+        assert not problems, f"{len(problems)} disagree:\n" + "\n".join(problems[:5])
