@@ -67,6 +67,7 @@ from repro.sim.runner import BatchRunner, EstimatorKind
 from repro.utils.intervals import Interval
 from tests import estimate_oracle
 from tests.test_kalman_oracle import _comm
+from tests.test_shield_oracle import _identical
 
 N_CASES = 10_000
 
@@ -313,19 +314,6 @@ class TestBandLevel:
 # ----------------------------------------------------------------------
 # Eq. (2) edges
 # ----------------------------------------------------------------------
-def _identical(ours, theirs) -> bool:
-    """Equal, with the same sign of zero, or NaN on both sides."""
-    if isinstance(ours, tuple) and isinstance(theirs, tuple):
-        return len(ours) == len(theirs) and all(map(_identical, ours, theirs))
-    if isinstance(ours, float) and isinstance(theirs, float):
-        if math.isnan(ours) or math.isnan(theirs):
-            return math.isnan(ours) and math.isnan(theirs)
-        return ours == theirs and math.copysign(1.0, ours) == math.copysign(
-            1.0, theirs
-        )
-    return type(ours) is type(theirs) and ours == theirs
-
-
 def _oracle_box(reach, p_lo, p_hi, v_lo, v_hi, stamp, now):
     """The oracle's four extremal trajectories from the box's corners."""
     elapsed = reach._elapsed(stamp, now)

@@ -360,14 +360,9 @@ class TestLongSimulation:
         One worker runs one 30 000-step episode at the heartbeat interval
         of the test below (0.1 s, lease_ttl 0.5 s).  The simulation drops
         and re-takes the GIL on every random-block refill, which starved
-        a heartbeat thread for up to a whole TTL.
+        a heartbeat thread for more than a whole TTL.
         """
         _long_manifest(1).save(tmp_path / MANIFEST_FILE)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.dirname(os.path.dirname(__import__("repro").__file__))]
-            + [p for p in [env.get("PYTHONPATH")] if p]
-        )
         worker = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.campaign.shard.worker",
@@ -376,7 +371,7 @@ class TestLongSimulation:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            env=env,
+            env=CampaignRunner._worker_env(),
         )
         # A hung worker is killed, which ends the read loop with EOF.
         watchdog = threading.Timer(300.0, worker.kill)

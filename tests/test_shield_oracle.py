@@ -682,8 +682,8 @@ def _grid_disagreements(name, fast, slow, cases, seen) -> List[str]:
             disagreements.append(
                 f"{name}{args!r}: fast={ours!r} oracle={theirs!r}"
             )
-        seen[f"{name}: raised" if isinstance(theirs, tuple) and isinstance(
-            theirs[0], type) else f"{name}: returned"] += 1
+        raised = isinstance(theirs, tuple) and isinstance(theirs[0], type)
+        seen[f"{name}: {'raised' if raised else 'returned'}"] += 1
     return disagreements
 
 
