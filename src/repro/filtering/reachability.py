@@ -53,11 +53,12 @@ class ReachabilityAnalyzer:
     """
 
     def __init__(self, limits: VehicleLimits) -> None:
-        #: The limits assumed for the observed vehicle (a plain attribute,
-        #: read on every estimate without a property call).
-        self.limits = limits
-        # The limits reach_box reads, bound once (VehicleLimits is frozen).
-        self._box_limits = (limits.v_min, limits.v_max, limits.a_min, limits.a_max)
+        self._limits = limits
+
+    @property
+    def limits(self) -> VehicleLimits:
+        """The limits assumed for the observed vehicle."""
+        return self._limits
 
     # ------------------------------------------------------------------
     # Eq. (2) over a box of initial conditions
@@ -91,7 +92,11 @@ class ReachabilityAnalyzer:
             )
         if elapsed < 0.0:
             elapsed = 0.0
-        v_min, v_max, a_min, a_max = self._box_limits
+        limits = self._limits
+        v_min = limits.v_min
+        v_max = limits.v_max
+        a_min = limits.a_min
+        a_max = limits.a_max
         # The clips below are min/max written as conditionals (same
         # result, NaN included: the first operand wins unless the
         # comparison holds).
@@ -104,24 +109,23 @@ class ReachabilityAnalyzer:
         # The extremal trajectories: the upper corner drives a_max toward
         # v_max, the lower one mirrors it with a_min toward v_min.  A NaN
         # end velocity fails both saturation tests and takes the plain
-        # branch.  The saturating branch divides by the limits' own
-        # a_max and a_min, whose signs (a_min < 0 < a_max) VehicleLimits
-        # fixes at construction.
+        # branch.  The saturating branch divides by a_max and a_min,
+        # whose signs (a_min < 0 < a_max) VehicleLimits fixes at
+        # construction.
         reach_lo = v0_lo + a_min * elapsed
         reach_hi = v0_hi + a_max * elapsed
         if elapsed == 0.0:
             return p_lo, p_hi, reach_lo, reach_hi
-        limits = self.limits
         if reach_hi > v_max:
             # Saturating branch of Eq. (2): cruise distance at the cap
             # minus the distance deficit accumulated while still ramping.
-            deficit = (v_max - v0_hi) ** 2 / (2.0 * limits.a_max)
+            deficit = (v_max - v0_hi) ** 2 / (2.0 * a_max)
             pos_hi = p_hi + v_max * elapsed - deficit
             reach_hi = v_max
         else:
             pos_hi = p_hi + v0_hi * elapsed + 0.5 * a_max * elapsed * elapsed
         if reach_lo < v_min:
-            deficit = (v_min - v0_lo) ** 2 / (2.0 * limits.a_min)
+            deficit = (v_min - v0_lo) ** 2 / (2.0 * a_min)
             pos_lo = p_lo + v_min * elapsed - deficit
             reach_lo = v_min
         else:

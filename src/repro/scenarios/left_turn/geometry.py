@@ -361,7 +361,11 @@ class LeftTurnGeometry:
         """Both vehicles in the unsafe area at once (the paper's X_u).
 
         Units: ego_position [m], oncoming_position [m]
+
+        :meth:`ego_inside` and :meth:`oncoming_inside` written out: the
+        engine asks this every step.
         """
-        return self.ego_inside(ego_position) and self.oncoming_inside(
-            oncoming_position
+        return (
+            self.p_front < ego_position < self.p_back
+            and self.oncoming_back < oncoming_position < self.oncoming_front
         )

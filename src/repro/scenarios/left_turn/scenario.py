@@ -144,26 +144,15 @@ class LeftTurnScenario:
         """Both vehicles inside the unsafe area (the paper's ground truth).
 
         Units: time [s], positions [m]
-
-        ``geometry.collision(positions[0], positions[1])``, with its two
-        open-interior tests (``ego_inside`` and ``oncoming_inside``)
-        written out: the engine asks this every step.
         """
-        g = self.geometry
-        return (
-            g.p_front < positions[0] < g.p_back
-            and g.oncoming_back < positions[1] < g.oncoming_front
-        )
+        return self.geometry.collision(positions[0], positions[1])
 
     def reached_target_at(self, time: float, positions: Sequence[float]) -> bool:
         """The ego crossed the target line (left turn completed).
 
         Units: time [s], positions [m]
-
-        ``geometry.ego_reached_target(positions[0])`` written out: the
-        engine asks this every step.
         """
-        return positions[0] >= self.geometry.p_target
+        return self.geometry.ego_reached_target(positions[0])
 
     def safety_model(self) -> SafetyModel:
         """Conservative safety model for the runtime monitor."""

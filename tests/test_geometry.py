@@ -86,6 +86,18 @@ class TestOncomingSide:
         assert not self.g.collision(10.0, 20.0)
         assert not self.g.collision(2.0, 10.0)
 
+    def test_collision_is_both_inside_tests(self):
+        """``collision`` writes out ``ego_inside and oncoming_inside``."""
+        edges = [
+            float("nan"), float("-inf"), -0.0, 0.0, 4.999, 5.0, 5.001,
+            10.0, 14.999, 15.0, 15.001, float("inf"),
+        ]
+        for ego in edges:
+            for oncoming in edges:
+                assert self.g.collision(ego, oncoming) == (
+                    self.g.ego_inside(ego) and self.g.oncoming_inside(oncoming)
+                ), (ego, oncoming)
+
 
 class TestEarliestArrival:
     def test_already_arrived(self):
