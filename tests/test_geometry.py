@@ -85,9 +85,8 @@ class TestOncomingSide:
         assert self.g.collision(10.0, 10.0)
         assert not self.g.collision(10.0, 20.0)
         assert not self.g.collision(2.0, 10.0)
-
-    def test_collision_is_both_inside_tests(self):
-        """``collision`` writes out ``ego_inside and oncoming_inside``."""
+        # collision writes out ego_inside and oncoming_inside: the same
+        # open interiors on the edges, NaN and the infinities.
         edges = [
             float("nan"), float("-inf"), -0.0, 0.0, 4.999, 5.0, 5.001,
             10.0, 14.999, 15.0, 15.001, float("inf"),

@@ -360,7 +360,10 @@ class TestLongSimulation:
         One worker runs one 30 000-step episode at the heartbeat interval
         of the test below (0.1 s, lease_ttl 0.5 s).  The simulation drops
         and re-takes the GIL on every random-block refill, which starved
-        a heartbeat thread for more than a whole TTL.
+        a heartbeat thread for more than a whole TTL.  The signal timer
+        beats within 1.5 intervals (0.15 s) by design; the 0.1 s left
+        below half the TTL absorbs scheduling delay, and a failure
+        prints the largest gap.
         """
         _long_manifest(1).save(tmp_path / MANIFEST_FILE)
         worker = subprocess.Popen(
