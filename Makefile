@@ -53,8 +53,9 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Fast-path differential tests (~40 s): every fast path against the
-# slow oracle it replaced (the Kalman filter against its matrix form and
-# its field helpers against the scalar object path, the fused estimate
+# slow oracle it replaced (the Kalman filter's two float kernels against
+# the matrix filter, the only home of F/G/Q/R, and against the scalar
+# object path they replaced, the fused estimate
 # against its Interval form, the block-buffered RNG stream against the
 # unbuffered one, the planner's 1-D NN row against Sequential.forward,
 # the fused training step against the per-layer loop, the float

@@ -24,7 +24,6 @@ from repro.scenarios.left_turn.passing_time import (
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.runner import EstimatorKind, make_estimator_factory
-from repro.utils.intervals import Interval
 from repro.utils.rng import RngStream
 
 
@@ -36,13 +35,7 @@ def lt_scenario(request):
 
 
 def _estimate(lt_scenario):
-    return FusedEstimate(
-        time=0.0,
-        position=Interval(48.0, 52.0),
-        velocity=Interval(-12.5, -10.5),
-        nominal=VehicleState(position=50.0, velocity=-11.5, acceleration=0.3),
-        message_age=0.2,
-    )
+    return FusedEstimate.of(0.0, 48.0, 52.0, -12.5, -10.5, 50.0, -11.5, 0.3, 0.2)
 
 
 @pytest.mark.benchmark(group="micro")
@@ -54,12 +47,12 @@ def test_micro_vehicle_step(benchmark, lt_scenario):
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_kalman_cycle(benchmark):
-    kf = KalmanFilter(0.1, NoiseBounds.uniform_all(1.0))
+    kf = KalmanFilter(NoiseBounds.uniform_all(1.0))
     state = KalmanFilter.initial_state(0.0, 50.0, -12.0, 1.0, 1.0)
 
     def cycle():
-        pred = kf.predict(state, 0.5)
-        return kf.update(pred, 49.0, -11.8)
+        pred = kf.extrapolate_floats(state, 0.5, 0.1)
+        return kf.update_floats(pred, 49.0, -11.8)
 
     benchmark(cycle)
 

@@ -23,7 +23,7 @@ def replay_demo() -> None:
     """Show one delayed message snapping the estimate back to truth."""
     print("--- message replay, isolated ---")
     bounds = NoiseBounds.uniform_all(2.0)
-    rkf = ReplayKalmanFilter(KalmanFilter(0.1, bounds))
+    rkf = ReplayKalmanFilter(KalmanFilter(bounds))
     rng = RngStream(3)
 
     # Ground truth: constant -12 m/s from 60 m.

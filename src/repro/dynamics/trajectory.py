@@ -210,25 +210,6 @@ class Trajectory:
         """
         return np.asarray([p.acceleration for p in self._points], dtype=float)
 
-    def first_time_when(self, predicate) -> Optional[float]:
-        """Earliest sample time whose state satisfies ``predicate``.
-
-        Parameters
-        ----------
-        predicate:
-            Callable ``(time, state) -> bool``.
-
-        Returns
-        -------
-        float or None
-            The first matching sample time, or ``None`` if no sample
-            matches.
-        """
-        for point in self._points:
-            if predicate(point.time, point.state):
-                return point.time
-        return None
-
     def _require_nonempty(self) -> None:
         if not self._points:
             raise SimulationError("trajectory is empty")

@@ -223,16 +223,3 @@ class VehicleModel:
             state = self.step(state, a, dt)
             states.append(state)
         return states
-
-    def coast_position(self, state: VehicleState, horizon: float) -> float:
-        """Position after ``horizon`` seconds at constant current velocity.
-
-        A convenience used by simple planners and in tests; velocity is
-        clipped to the limits first.
-
-        Units: horizon [s] -> [m]
-        """
-        if horizon < 0.0:
-            raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
-        v = self._limits.clip_velocity(state.velocity)
-        return state.position + v * horizon

@@ -37,7 +37,6 @@ from repro.scenarios.left_turn.passing_time import PassingWindowEstimator
 from repro.scenarios.left_turn.scenario import LeftTurnScenario
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import Sensor
-from repro.utils.intervals import Interval
 from repro.utils.rng import RngStream, spawn_streams
 
 __all__ = ["FilterStudy", "run_filter_study", "run_window_study", "main"]
@@ -90,7 +89,7 @@ def _one_trajectory(
         rng=channel_rng,
         faults=messages_delayed(config.message_delay, 0.3),
     )
-    rkf = ReplayKalmanFilter(KalmanFilter(config.dt_s, bounds))
+    rkf = ReplayKalmanFilter(KalmanFilter(bounds))
 
     dt = config.dt_c
     n_steps = int(round(horizon / dt))
@@ -223,20 +222,15 @@ def run_window_study(
         if step % stride == 0 and not geometry.oncoming_cleared(
             stamped.position
         ):
-            estimate = FusedEstimate(
-                time=t,
-                position=Interval.point(stamped.position),
-                velocity=Interval.point(stamped.velocity),
-                nominal=stamped,
-                message_age=0.0,
-            )
-            cons = conservative.window(estimate)
-            aggr = aggressive.window(estimate)
+            p, v, a = stamped.position, stamped.velocity, stamped.acceleration
+            estimate = FusedEstimate.of(t, p, p, v, v, p, v, a, 0.0)
+            cons_lo, cons_hi = conservative.bounds(estimate)
+            aggr_lo, aggr_hi = aggressive.bounds(estimate)
             times.append(t)
-            series["cons_lo"].append(cons.lo)
-            series["cons_hi"].append(min(cons.hi, 60.0))
-            series["aggr_lo"].append(aggr.lo)
-            series["aggr_hi"].append(min(aggr.hi, 60.0))
+            series["cons_lo"].append(cons_lo)
+            series["cons_hi"].append(min(cons_hi, 60.0))
+            series["aggr_lo"].append(aggr_lo)
+            series["aggr_hi"].append(min(aggr_hi, 60.0))
         state = model.step(state, accel, dt)
 
     return {

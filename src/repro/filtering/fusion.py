@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Tuple
 
-from repro.dynamics.state import VehicleState, nan_state_error
+from repro.dynamics.state import nan_state_error
 from repro.errors import FilterError
-from repro.utils.intervals import Interval, nan_bounds_error
+from repro.utils.intervals import nan_bounds_error
 
 __all__ = ["FusedEstimate", "join_or_fallback"]
 
@@ -60,15 +60,12 @@ class FusedEstimate(_EstimateFields):
         Seconds since the stamp of the newest received message, or
         ``None`` when no message has ever arrived.
 
-    ``FusedEstimate(time, position, velocity, nominal, message_age)``
-    builds one from :class:`~repro.utils.intervals.Interval` bands and a
-    :class:`~repro.dynamics.state.VehicleState`; :meth:`of` builds one
-    from the floats.  Both raise what the objects would: an
+    ``FusedEstimate(...)`` and its alias :meth:`of` take these fields and
+    raise what an :class:`~repro.utils.intervals.Interval` band or a
+    :class:`~repro.dynamics.state.VehicleState` nominal would: an
     :class:`~repro.errors.IntervalError` for a NaN band endpoint, a
     :class:`~repro.errors.ConfigurationError` for a NaN nominal field and
-    a :class:`~repro.errors.FilterError` for an empty band.  The
-    :attr:`position`, :attr:`velocity` and :attr:`nominal` objects are
-    built only when read.
+    a :class:`~repro.errors.FilterError` for an empty band.
 
     Units: time [s], p_lo [m], p_hi [m], v_lo [m/s], v_hi [m/s], p [m]
     Units: v [m/s], a [m/s^2], message_age [s]
@@ -77,27 +74,6 @@ class FusedEstimate(_EstimateFields):
     __slots__ = ()
 
     def __new__(
-        cls,
-        time: float,
-        position: Interval,
-        velocity: Interval,
-        nominal: VehicleState,
-        message_age: Optional[float] = None,
-    ) -> "FusedEstimate":
-        return cls.of(
-            time,
-            position.lo,
-            position.hi,
-            velocity.lo,
-            velocity.hi,
-            nominal.position,
-            nominal.velocity,
-            nominal.acceleration,
-            message_age,
-        )
-
-    @classmethod
-    def of(
         cls,
         time: float,
         p_lo: float,
@@ -109,11 +85,6 @@ class FusedEstimate(_EstimateFields):
         a: float,
         message_age: Optional[float] = None,
     ) -> "FusedEstimate":
-        """The estimate with these fields, checked as the objects would be.
-
-        Units: time [s], p_lo [m], p_hi [m], v_lo [m/s], v_hi [m/s], p [m]
-        Units: v [m/s], a [m/s^2], message_age [s]
-        """
         # NaN fails every comparison; infinities pass these.
         if not (p_lo <= _INF and p_hi <= _INF):
             raise nan_bounds_error(float(p_lo), float(p_hi))
@@ -129,45 +100,19 @@ class FusedEstimate(_EstimateFields):
             cls, (time, p_lo, p_hi, v_lo, v_hi, p, v, a, message_age)
         )
 
+    #: The checked constructor by name, as the estimators call it.
+    of = classmethod(__new__)
+
     def __reduce__(self):
-        return (_estimate_of, tuple(self))
-
-    @property
-    def position(self) -> Interval:
-        """The position band as an :class:`Interval`."""
-        return Interval(self.p_lo, self.p_hi)
-
-    @property
-    def velocity(self) -> Interval:
-        """The velocity band as an :class:`Interval`."""
-        return Interval(self.v_lo, self.v_hi)
-
-    @property
-    def nominal(self) -> VehicleState:
-        """The nominal point estimate as a :class:`VehicleState`."""
-        return VehicleState(self.p, self.v, self.a)
-
-    @property
-    def position_uncertainty(self) -> float:
-        """Width of the position band."""
-        return self.p_hi - self.p_lo
-
-    @property
-    def velocity_uncertainty(self) -> float:
-        """Width of the velocity band."""
-        return self.v_hi - self.v_lo
+        # Through the checked constructor whatever the pickle protocol.
+        return (type(self), tuple(self))
 
     def __str__(self) -> str:
         age = "-" if self.message_age is None else f"{self.message_age:.2f}s"
         return (
-            f"est[t={self.time:.3f}s p in {self.position} v in "
-            f"{self.velocity} msg_age={age}]"
+            f"est[t={self.time:.3f}s p in [{self.p_lo:g}, {self.p_hi:g}] v in "
+            f"[{self.v_lo:g}, {self.v_hi:g}] msg_age={age}]"
         )
-
-
-def _estimate_of(*fields) -> FusedEstimate:
-    """Unpickle a :class:`FusedEstimate` from its fields."""
-    return FusedEstimate.of(*fields)
 
 
 def join_or_fallback(

@@ -38,6 +38,7 @@ from repro.obs.observer import resolve_observer
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
 from repro.utils.intervals import band_midpoint
+from repro.utils.validation import check_positive
 
 __all__ = [
     "EstimateProvider",
@@ -260,12 +261,11 @@ class InformationFilter:
                 f"watchdog_consecutive must be >= 1, got {watchdog_consecutive}"
             )
         self._reach = ReachabilityAnalyzer(limits)
+        self._sensing_period = check_positive(sensing_period, "sensing_period")
         self._replay = ReplayKalmanFilter(
-            KalmanFilter(sensing_period, sensor_bounds),
-            history_horizon=history_horizon,
+            KalmanFilter(sensor_bounds), history_horizon=history_horizon
         )
         self._bounds = sensor_bounds
-        self._sensing_period = float(sensing_period)
         #: Reading age from which the Kalman band is left out.
         self._stale_age = self._sensing_period - _STALE_TOLERANCE
         #: Diagonal of R, read by the watchdog gate.

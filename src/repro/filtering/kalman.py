@@ -24,9 +24,10 @@ which stays symmetric positive-semidefinite under roundoff.
 Every matrix is ``2x2`` and ``R`` is diagonal, so the filter works on
 scalars: a state is its time, the two means and the three distinct
 covariance entries, and each step is the matrix product written out by
-hand.  The matrices themselves stay available (``f_matrix`` ...
-``r_matrix``, ``KalmanState.x_hat``/``covariance``) for checking the
-equations.
+hand, in :meth:`KalmanFilter.extrapolate_floats` and
+:meth:`KalmanFilter.update_floats`.  The matrix filter these expand,
+with ``F``, ``G``, ``Q`` and ``R`` as arrays, is kept in
+``tests/kalman_oracle.py``, which certifies both kernels against it.
 """
 
 from __future__ import annotations
@@ -34,13 +35,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Tuple
 
-import numpy as np
-
 from repro.errors import FilterError
 from repro.sensing.noise import NoiseBounds
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.validation import check_nonnegative
 
-__all__ = ["KalmanState", "KalmanFilter", "symmetrize_psd"]
+__all__ = ["KalmanState", "KalmanFilter"]
 
 #: The six fields of a :class:`KalmanState`, in its order, as floats:
 #: time, the two means and the three distinct covariance entries.
@@ -66,34 +65,6 @@ def _project_psd(
     low = -cross
     p01 = low if low > p01 else p01
     return p00, cross if cross < p01 else p01, p11
-
-
-def symmetrize_psd(covariance: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Project a near-symmetric ``2x2`` covariance onto the PSD cone.
-
-    Floating-point products like ``(I-K) P (I-K)' + K R K'`` are
-    symmetric in exact arithmetic but drift by a few ulps per update;
-    over thousands of replayed filter steps the drift compounds and can
-    push an eigenvalue (or a diagonal variance) slightly negative, after
-    which ``sqrt`` of a variance produces NaN and the whole estimate
-    chain collapses.  This guard
-
-    1. averages the matrix with its transpose (exact symmetry),
-    2. clamps both variances to at least ``floor`` (>= 0), and
-    3. clamps the covariance term to ``|p01| <= sqrt(p00 * p11)``, the
-       Cauchy-Schwarz bound, which for a symmetric ``2x2`` matrix with
-       non-negative diagonal is exactly PSD.
-
-    A matrix that already satisfies all three comes back unchanged up to
-    the symmetrization average.
-
-    Shapes: covariance [2, 2] -> [2, 2]
-    """
-    p = np.asarray(covariance, dtype=float)
-    p00, p01, p11 = _project_psd(
-        float(p[0, 0]), 0.5 * (float(p[0, 1]) + float(p[1, 0])), float(p[1, 1]), floor
-    )
-    return np.array([[p00, p01], [p01, p11]])
 
 
 #: Finite floats lie strictly between these; NaN fails both comparisons.
@@ -150,109 +121,28 @@ class KalmanState(_StateFields):
             cls, _checked((time, position, velocity, p00, p01, p11))
         )
 
-    @property
-    def x_hat(self) -> np.ndarray:
-        """The ``[p, v]`` column vector (a fresh read-only array).
-
-        Shapes: -> [2, 1]
-        """
-        x = np.array([[self.position], [self.velocity]])
-        x.flags.writeable = False
-        return x
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """The symmetric covariance ``P`` (a fresh read-only array).
-
-        Shapes: -> [2, 2]
-        """
-        p = np.array([[self.p00, self.p01], [self.p01, self.p11]])
-        p.flags.writeable = False
-        return p
-
-    @property
-    def position_std(self) -> float:
-        """Standard deviation of the position estimate."""
-        return math.sqrt(max(self.p00, 0.0))
-
-    @property
-    def velocity_std(self) -> float:
-        """Standard deviation of the velocity estimate."""
-        return math.sqrt(max(self.p11, 0.0))
 
 class KalmanFilter:
     """The paper's constant-matrix Kalman filter for one remote vehicle.
 
-    The filter is *functional*: :meth:`predict` and :meth:`update` take
-    and return :class:`KalmanState` values instead of mutating internal
-    state.  The message-replay wrapper exploits this to re-run stretches
-    of the filter from a message's exact state.
+    The filter is *functional*: :meth:`extrapolate_floats` and
+    :meth:`update_floats` take and return a state's six fields instead of
+    mutating internal state.  The message-replay wrapper exploits this to
+    re-run stretches of the filter from a message's exact state.  Every
+    step names its own horizon, so the filter holds no step length.
 
     Parameters
     ----------
-    dt:
-        Filter step ``dt_s`` (the sensing period).
     bounds:
         Sensor noise bounds; fix the measurement covariance ``R`` and the
         process noise ``Q`` via the uniform-error variances.
     """
 
-    def __init__(self, dt: float, bounds: NoiseBounds) -> None:
-        self._dt = check_positive(dt, "dt")
+    def __init__(self, bounds: NoiseBounds) -> None:
         self._bounds = bounds
         self._accel_var = bounds.acceleration_variance
         self._r_p = bounds.position_variance
         self._r_v = bounds.velocity_variance
-
-    # ------------------------------------------------------------------
-    # Matrix accessors (used by tests to check the paper's equations)
-    # ------------------------------------------------------------------
-    @property
-    def dt(self) -> float:
-        """Filter step ``dt_s``."""
-        return self._dt
-
-    @property
-    def f_matrix(self) -> np.ndarray:
-        """State-transition matrix ``F`` (fresh array).
-
-        Shapes: -> [2, 2]
-        """
-        return np.array([[1.0, self._dt], [0.0, 1.0]])
-
-    @property
-    def g_matrix(self) -> np.ndarray:
-        """Control matrix ``G`` (fresh array).
-
-        Shapes: -> [2, 1]
-        """
-        dt = self._dt
-        return np.array([[0.5 * dt * dt], [dt]])
-
-    @property
-    def q_matrix(self) -> np.ndarray:
-        """Process-noise covariance ``Q`` (fresh array).
-
-        Shapes: -> [2, 2]
-        """
-        dt2 = self._dt * self._dt
-        return (
-            np.array(
-                [
-                    [0.25 * dt2 * dt2, 0.5 * dt2 * self._dt],
-                    [0.5 * dt2 * self._dt, dt2],
-                ]
-            )
-            * self._accel_var
-        )
-
-    @property
-    def r_matrix(self) -> np.ndarray:
-        """Measurement-noise covariance ``R`` (fresh array).
-
-        Shapes: -> [2, 2]
-        """
-        return np.diag([self._r_p, self._r_v])
 
     @property
     def bounds(self) -> NoiseBounds:
@@ -287,50 +177,22 @@ class KalmanFilter:
             float(velocity_var),
         )
 
-    def predict(self, state: KalmanState, accel_measured: float) -> KalmanState:
-        """Extrapolate one step: ``x <- F x + G a_s``, ``P <- F P F' + Q``.
-
-        Units: accel_measured [m/s^2]
-
-        Effects: pure
-        """
-        return self.extrapolate(state, accel_measured, self._dt)
-
-    def update(
-        self,
-        predicted: KalmanState,
-        position_measured: float,
-        velocity_measured: float,
-    ) -> KalmanState:
-        """Fold in a ``(p_s, v_s)`` measurement at the predicted time.
-
-        Units: position_measured [m], velocity_measured [m/s]
-
-        Effects: pure
-
-        Uses the paper's gain ``K = P (P + R)^{-1}`` (the measurement
-        matrix is the identity) and the Joseph-form covariance update;
-        the arithmetic is :meth:`update_floats`.
-        """
-        return tuple.__new__(
-            KalmanState,
-            self.update_floats(predicted, position_measured, velocity_measured),
-        )
-
     def update_floats(
         self,
         predicted: Fields,
         position_measured: float,
         velocity_measured: float,
     ) -> Fields:
-        """:meth:`update` on a state's six fields; the posterior's fields.
+        """Fold in a ``(p_s, v_s)`` measurement at the predicted time.
 
         Units: position_measured [m], velocity_measured [m/s]
 
         Effects: pure
 
         ``predicted`` is a :class:`KalmanState` or any tuple of its
-        fields.  The gain and the Joseph form are expanded for ``2x2``
+        fields; the posterior's fields come back.  Uses the paper's gain
+        ``K = P (P + R)^{-1}`` (the measurement matrix is the identity)
+        and the Joseph-form covariance update, both expanded for ``2x2``
         matrices with a diagonal ``R``; the result is checked finite as
         :class:`KalmanState` checks it, with the same errors.
         """
@@ -386,40 +248,25 @@ class KalmanFilter:
             )
         )
 
-    def extrapolate(
-        self, state: KalmanState, accel_measured: float, dt: float
-    ) -> KalmanState:
-        """Predict over an arbitrary horizon ``dt`` (not just ``dt_s``).
-
-        Units: accel_measured [m/s^2], dt [s]
-
-        Effects: pure
-
-        Used for (a) estimates between sensor samples — the runtime
-        monitor runs every control step ``dt_c`` which is finer than the
-        sensing period — and (b) message replay when the message stamp is
-        not aligned with the sensing schedule.  The arithmetic is
-        :meth:`extrapolate_floats`; a zero horizon returns ``state``.
-        """
-        fields = self.extrapolate_floats(state, accel_measured, dt)
-        if fields is state:
-            return state
-        return tuple.__new__(KalmanState, fields)
-
     def extrapolate_floats(
         self, state: Fields, accel_measured: float, dt: float
     ) -> Fields:
-        """:meth:`extrapolate` on a state's six fields; the prediction's fields.
+        """Predict over a horizon ``dt``: ``x <- F x + G a_s``, ``P <- F P F' + Q``.
 
         Units: accel_measured [m/s^2], dt [s]
 
         Effects: pure
 
-        ``state`` is a :class:`KalmanState` or any tuple of its fields,
-        and comes back as it is over a zero horizon.  ``F``, ``G`` and
-        ``Q`` are those of the requested horizon, with ``F P F'``
-        written out; the result is checked finite as
-        :class:`KalmanState` checks it, with the same errors.
+        ``state`` is a :class:`KalmanState` or any tuple of its fields;
+        the prediction's fields come back, and ``state`` itself over a
+        zero horizon.  Used for the filter step between readings, for
+        estimates between sensor samples (the runtime monitor runs every
+        control step ``dt_c``, finer than the sensing period) and for
+        message replay when the message stamp is not aligned with the
+        sensing schedule.  ``F``, ``G`` and ``Q`` are those of the
+        requested horizon, with ``F P F'`` written out; the result is
+        checked finite as :class:`KalmanState` checks it, with the same
+        errors.
         """
         dt = float(dt)
         if dt < 0.0:

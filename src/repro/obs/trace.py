@@ -178,7 +178,3 @@ class Tracer:
     def events_named(self, name: str) -> List[dict]:
         """Completed events with the given name, in order."""
         return [event for event in self._events if event["name"] == name]
-
-    def open_span_names(self) -> List[str]:
-        """Names of spans currently open (diagnostic aid)."""
-        return [name for name, _, _ in self._open.values()]

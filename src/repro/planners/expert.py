@@ -240,13 +240,6 @@ class LeftTurnExpertPlanner:
             return self._go_command(velocity)
         return self._yield_command(time, position, velocity, window)
 
-    def conflict_ahead(self, time: float, window: Interval) -> bool:
-        """Whether the oncoming window is still (partly) in the future.
-
-        Units: time [s]
-        """
-        return not window.is_empty and window.hi > time
-
     def approach_speed(self, time: float, window: Interval) -> float:
         """Urgency-blended approach speed target (see :class:`ExpertConfig`).
 

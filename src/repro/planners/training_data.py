@@ -23,7 +23,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.dynamics.state import VehicleState
 from repro.dynamics.profiles import RandomSequenceProfile
 from repro.dynamics.vehicle import VehicleModel
 from repro.errors import ConfigurationError
@@ -180,46 +179,24 @@ def _rollout_samples(
     filled = 0
     for _ in range(config.n_rollouts):
         episode_rng = rng.child()
-        ego = VehicleState(position=-30.0, velocity=float(
-            episode_rng.uniform(4.0, 10.0)
-        ))
-        oncoming = VehicleState(
-            position=float(episode_rng.uniform(*config.oncoming_start_range)),
-            velocity=-float(episode_rng.uniform(*config.oncoming_speed_range)),
-        )
+        ego_p = -30.0
+        ego_v = float(episode_rng.uniform(4.0, 10.0))
+        on_p = float(episode_rng.uniform(*config.oncoming_start_range))
+        on_v = -float(episode_rng.uniform(*config.oncoming_speed_range))
+        on_a = 0.0
         profile = RandomSequenceProfile(episode_rng.child())
         for step in range(n_steps):
             t = step * dt
-            estimate = _exact_estimate(t, oncoming)
+            # The true state as a zero-uncertainty estimate.
+            estimate = FusedEstimate.of(t, on_p, on_p, on_v, on_v, on_p, on_v, on_a, 0.0)
             window = expert.window_estimator.window(estimate)
-            accel = expert.plan_from_window(
-                t, ego.position, ego.velocity, window
-            )
-            features[filled] = planner_features(
-                t, ego.position, ego.velocity, window
-            )
+            accel = expert.plan_from_window(t, ego_p, ego_v, window)
+            features[filled] = planner_features(t, ego_p, ego_v, window)
             labels[filled, 0] = accel
             filled += 1
-            ego = ego_model.step(ego, accel, dt)
-            oncoming_accel = profile(
-                step,
-                t,
-                oncoming.position,
-                oncoming.velocity,
-                oncoming.acceleration,
-            )
-            oncoming = oncoming_model.step(oncoming, oncoming_accel, dt)
-            if geometry.ego_reached_target(ego.position):
+            ego_p, ego_v, _ = ego_model.advance(ego_p, ego_v, accel, dt)
+            oncoming_accel = profile(step, t, on_p, on_v, on_a)
+            on_p, on_v, on_a = oncoming_model.advance(on_p, on_v, oncoming_accel, dt)
+            if geometry.ego_reached_target(ego_p):
                 break
     return features[:filled].copy(), labels[:filled].copy()
-
-
-def _exact_estimate(time: float, state: VehicleState) -> FusedEstimate:
-    """A zero-uncertainty estimate wrapping the true state."""
-    return FusedEstimate(
-        time=time,
-        position=Interval.point(state.position),
-        velocity=Interval.point(state.velocity),
-        nominal=state,
-        message_age=0.0,
-    )

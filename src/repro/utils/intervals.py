@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterator
 
 from repro.errors import EmptyIntervalError, IntervalError
 
@@ -111,19 +111,6 @@ class Interval:
         if radius < 0:
             raise IntervalError(f"radius must be nonnegative, got {radius}")
         return cls(center - radius, center + radius)
-
-    @classmethod
-    def hull_of(cls, values: Iterable[float]) -> "Interval":
-        """Return the smallest interval containing every value.
-
-        An empty iterable yields :attr:`EMPTY`.
-        """
-        lo = math.inf
-        hi = -math.inf
-        for v in values:
-            lo = min(lo, v)
-            hi = max(hi, v)
-        return cls(lo, hi)
 
     @classmethod
     def unbounded(cls) -> "Interval":

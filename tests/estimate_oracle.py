@@ -23,6 +23,7 @@ the classes to run whole episodes on the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -211,8 +212,8 @@ def fuse_bands(
 def kalman_bands(kf: KalmanState, n_sigma: float) -> Tuple[Interval, Interval]:
     """The ``mean ± n_sigma * std`` position and velocity bands."""
     return (
-        Interval.around(kf.position, n_sigma * kf.position_std),
-        Interval.around(kf.velocity, n_sigma * kf.velocity_std),
+        Interval.around(kf.position, n_sigma * math.sqrt(max(kf.p00, 0.0))),
+        Interval.around(kf.velocity, n_sigma * math.sqrt(max(kf.p11, 0.0))),
     )
 
 

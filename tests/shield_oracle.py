@@ -167,12 +167,12 @@ def conservative_window(
 ) -> Interval:
     """Eq. (7) over the fused band, as an ``Interval``."""
     max_speed, min_speed, max_speedup, max_brake = _speed_quantities(limits)
-    d_back_far = geometry.oncoming_distance_to_back(estimate.position.hi)
+    d_back_far = geometry.oncoming_distance_to_back(estimate.p_hi)
     if d_back_far <= 0.0:
         return Interval.EMPTY
-    d_front_near = geometry.oncoming_distance_to_front(estimate.position.lo)
-    fastest_speed = -estimate.velocity.lo
-    slowest_speed = -estimate.velocity.hi
+    d_front_near = geometry.oncoming_distance_to_front(estimate.p_lo)
+    fastest_speed = -estimate.v_lo
+    slowest_speed = -estimate.v_hi
     entry = earliest_arrival_time(
         d_front_near, fastest_speed, max_speed, max_speedup
     )
@@ -193,13 +193,12 @@ def aggressive_window(
     check_nonnegative(a_buf, "a_buf")
     check_nonnegative(v_buf, "v_buf")
     max_speed, min_speed, max_speedup, max_brake = _speed_quantities(limits)
-    nominal = estimate.nominal
-    d_back = geometry.oncoming_distance_to_back(nominal.position)
+    d_back = geometry.oncoming_distance_to_back(estimate.p)
     if d_back <= 0.0:
         return Interval.EMPTY
-    d_front = geometry.oncoming_distance_to_front(nominal.position)
-    speed = -nominal.velocity
-    accel = -nominal.acceleration
+    d_front = geometry.oncoming_distance_to_front(estimate.p)
+    speed = -estimate.v
+    accel = -estimate.a
     a_entry = min(accel + a_buf, max_speedup)
     v_entry_cap = min(speed + v_buf, max_speed)
     entry = arrival_time_under(

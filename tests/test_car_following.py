@@ -18,7 +18,6 @@ from repro.scenarios.car_following import (
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.results import Outcome
 from repro.sim.runner import BatchRunner, EstimatorKind
-from repro.utils.intervals import Interval
 from repro.utils.rng import RngStream
 
 
@@ -30,10 +29,7 @@ def cf_scenario():
 def _leader_estimate(time, position, velocity):
     return {
         1: FusedEstimate(
-            time=time,
-            position=Interval.point(position),
-            velocity=Interval.point(velocity),
-            nominal=VehicleState(position=position, velocity=velocity),
+            time, position, position, velocity, velocity, position, velocity, 0.0
         )
     }
 

@@ -367,7 +367,7 @@ class TestReplayUnderFaults:
     """The estimator stack must absorb duplicates and reordering."""
 
     def _rkf(self):
-        return ReplayKalmanFilter(KalmanFilter(DT, NoiseBounds.uniform_all(1.0)))
+        return ReplayKalmanFilter(KalmanFilter(NoiseBounds.uniform_all(1.0)))
 
     def _seed(self, rkf):
         rkf.on_sensor_reading(

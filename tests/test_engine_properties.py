@@ -15,7 +15,6 @@ from repro.scenarios.left_turn.scenario import LeftTurnScenario
 from repro.sensing.noise import NoiseBounds
 from repro.sim.engine import CommSetup, SimulationConfig, SimulationEngine
 from repro.sim.runner import EstimatorKind, make_estimator_factory
-from repro.utils.intervals import Interval
 from repro.utils.rng import RngStream
 
 SCENARIO = LeftTurnScenario()
@@ -108,12 +107,8 @@ class TestWindowMonotonicity:
         prev_hi = float("inf")
         for step in range(120):
             t = step * dt
-            estimate = FusedEstimate(
-                time=t,
-                position=Interval.point(state.position),
-                velocity=Interval.point(state.velocity),
-                nominal=state,
-            )
+            p, v = state.position, state.velocity
+            estimate = FusedEstimate(t, p, p, v, v, p, v, state.acceleration)
             lo, hi = conservative_bounds(
                 estimate, SCENARIO.geometry, speed_limits(SCENARIO.oncoming_limits)
             )

@@ -98,7 +98,20 @@ class _StubReplay:
 
 
 def _objects(estimate) -> tuple:
-    """An estimate's time, bands, nominal state and message age."""
+    """An estimate's time, bands, nominal state and message age.
+
+    The bands as ``Interval`` objects and the nominal as a
+    ``VehicleState``, read off an oracle ``ObjectEstimate`` or built from
+    a ``FusedEstimate``'s fields.
+    """
+    if isinstance(estimate, FusedEstimate):
+        return (
+            estimate.time,
+            Interval(estimate.p_lo, estimate.p_hi),
+            Interval(estimate.v_lo, estimate.v_hi),
+            VehicleState(estimate.p, estimate.v, estimate.a),
+            estimate.message_age,
+        )
     return (
         estimate.time,
         estimate.position,
@@ -120,7 +133,19 @@ def _fused(oracle):
     """An oracle estimate method that hands out a ``FusedEstimate``."""
 
     def estimate(self, now: float) -> FusedEstimate:
-        return FusedEstimate(*_objects(oracle(self, now)))
+        found = oracle(self, now)
+        nominal = found.nominal
+        return FusedEstimate(
+            found.time,
+            found.position.lo,
+            found.position.hi,
+            found.velocity.lo,
+            found.velocity.hi,
+            nominal.position,
+            nominal.velocity,
+            nominal.acceleration,
+            found.message_age,
+        )
 
     return estimate
 
@@ -444,6 +469,11 @@ class TestRecordLevel:
                     FusedEstimate.of(time, p_lo, p_hi, v_lo, v_hi, p, v, a, age)
                 )
             )
+            called = _error(
+                lambda: _objects(
+                    FusedEstimate(time, p_lo, p_hi, v_lo, v_hi, p, v, a, age)
+                )
+            )
             theirs = _error(
                 lambda: _objects(
                     estimate_oracle.ObjectEstimate(
@@ -455,8 +485,10 @@ class TestRecordLevel:
                     )
                 )
             )
-            if ours != theirs:
-                disagreements.append(f"case seed={seed}: flat={ours} objects={theirs}")
+            if ours != theirs or called != ours:
+                disagreements.append(
+                    f"case seed={seed}: flat={ours} called={called} objects={theirs}"
+                )
         assert not disagreements, "\n".join(disagreements[:5])
         thin = {
             name: seen[name]
@@ -465,12 +497,16 @@ class TestRecordLevel:
         }
         assert not thin, f"situations reached too rarely: {thin}"
 
-    def test_object_call_form(self):
+    def test_call_form(self):
         estimate = FusedEstimate(
             time=1.5,
-            position=Interval(2.0, 4.0),
-            velocity=Interval(-1.0, 1.0),
-            nominal=VehicleState(3.0, 0.5, -0.25),
+            p_lo=2.0,
+            p_hi=4.0,
+            v_lo=-1.0,
+            v_hi=1.0,
+            p=3.0,
+            v=0.5,
+            a=-0.25,
             message_age=0.2,
         )
         assert estimate == FusedEstimate.of(1.5, 2.0, 4.0, -1.0, 1.0, 3.0, 0.5, -0.25, 0.2)
@@ -481,7 +517,7 @@ class TestRecordLevel:
             VehicleState(3.0, 0.5, -0.25),
             0.2,
         )
-        assert (estimate.position_uncertainty, estimate.velocity_uncertainty) == (
+        assert (estimate.p_hi - estimate.p_lo, estimate.v_hi - estimate.v_lo) == (
             2.0,
             2.0,
         )

@@ -31,6 +31,15 @@ TINY = ExperimentConfig(
     training_seed=21,
 )
 
+#: ``run_filter_study(TINY, n_trajectories=8, horizon=4.0)``'s raw and
+#: filtered RMSEs as first computed (Fig. 6a), bit for bit.
+_FIG6A_PIN = (
+    1.1225849675028954,
+    0.21868528736805465,
+    1.1051276665988803,
+    0.3372305063113878,
+)
+
 #: ``run_window_study(TINY, horizon=8.0)`` as first computed (Fig. 6b);
 #: the windows it reports must not move by a single bit.
 _FIG6B_PIN = {
@@ -188,6 +197,16 @@ class TestFigure6:
         assert study.rmse_position_filtered < study.rmse_position_raw
         assert study.rmse_velocity_filtered < study.rmse_velocity_raw
         assert 0.0 < study.position_reduction < 1.0
+
+    def test_filter_study_values_pinned(self):
+        """Fig. 6a's RMSEs, bit for bit."""
+        study = run_filter_study(TINY, n_trajectories=8, horizon=4.0)
+        assert (
+            study.rmse_position_raw,
+            study.rmse_position_filtered,
+            study.rmse_velocity_raw,
+            study.rmse_velocity_filtered,
+        ) == _FIG6A_PIN
 
     def test_window_study_shapes(self):
         study = run_window_study(TINY, horizon=5.0)

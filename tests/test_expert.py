@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import ConfigurationError
 from repro.filtering.fusion import FusedEstimate
@@ -151,12 +150,7 @@ class TestCommands:
 class TestPlanFromContext:
     def test_plan_uses_estimator(self):
         expert = _expert()
-        est = FusedEstimate(
-            time=0.0,
-            position=Interval.point(50.0),
-            velocity=Interval.point(-10.0),
-            nominal=VehicleState(position=50.0, velocity=-10.0),
-        )
+        est = FusedEstimate(0.0, 50.0, 50.0, -10.0, -10.0, p=50.0, v=-10.0, a=0.0)
         window = expert.window_estimator.window(est)
         command = expert.plan_floats(0.0, -30.0, 10.0, 0.0, {1: est})
         assert command == expert.plan_from_window(

@@ -13,6 +13,8 @@ Two layers of defence added for long campaigns:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,24 @@ from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FilterError
 from repro.filtering.info_filter import InformationFilter, WatchdogStats
-from repro.filtering.kalman import KalmanFilter, KalmanState, symmetrize_psd
+from repro.filtering.kalman import KalmanFilter, KalmanState
 from repro.filtering.replay import ReplayKalmanFilter
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
+from tests import kalman_oracle
+from tests.kalman_oracle import symmetrize_psd
 
 LIMITS = VehicleLimits(v_min=0.0, v_max=16.0, a_min=-6.0, a_max=4.0)
 DT = 0.1
+
+
+def _covariance(fields) -> np.ndarray:
+    """The symmetric ``P`` of a state's six fields.
+
+    Shapes: -> [2, 2]
+    """
+    _, _, _, p00, p01, p11 = fields
+    return np.array([[p00, p01], [p01, p11]])
 
 
 def _reading(time, position, velocity, acceleration=0.0):
@@ -76,69 +89,72 @@ class TestSymmetrizePsd:
 class TestJosephHardening:
     """The update's covariance stays symmetric PSD under abuse."""
 
-    def _naive_update_covariance(self, kf, prior):
-        """The textbook ``(I-K)P`` form — cheaper but numerically unsafe."""
-        p_prior = prior.covariance
-        gain = p_prior @ np.linalg.inv(p_prior + kf.r_matrix)
-        return (np.eye(2) - gain) @ p_prior
-
     def test_extreme_conditioning_keeps_exact_symmetry(self):
         # delta_p huge, delta_v tiny: R condition number ~1e12; prior
         # deliberately mismatched the other way round.
-        kf = KalmanFilter(DT, NoiseBounds(delta_p=1e3, delta_v=1e-3, delta_a=0.5))
+        kf = KalmanFilter(NoiseBounds(delta_p=1e3, delta_v=1e-3, delta_a=0.5))
         prior = KalmanState(
             time=0.0, position=100.0, velocity=10.0, p00=1e-8, p01=1e-5, p11=1e4
         )
-        posterior = kf.update(prior, 101.0, 9.0)
-        p = posterior.covariance
+        posterior = kf.update_floats(prior, 101.0, 9.0)
+        p = _covariance(posterior)
         assert p[0, 1] == p[1, 0]  # exactly, not approximately
         assert np.all(np.diag(p) >= 0.0)
         assert np.all(np.linalg.eigvalsh(p) >= -1e-15)
 
     def test_hardened_update_matches_joseph_form_within_1e12(self):
-        kf = KalmanFilter(DT, NoiseBounds(delta_p=1e3, delta_v=1e-3, delta_a=0.5))
+        bounds = NoiseBounds(delta_p=1e3, delta_v=1e-3, delta_a=0.5)
+        kf = KalmanFilter(bounds)
+        r_matrix = kalman_oracle.KalmanFilter(DT, bounds).r_matrix
         prior = KalmanState(
             time=0.0, position=100.0, velocity=10.0, p00=1e-8, p01=1e-5, p11=1e4
         )
-        p_prior = prior.covariance
-        gain = p_prior @ np.linalg.inv(p_prior + kf.r_matrix)
+        p_prior = _covariance(prior)
+        gain = p_prior @ np.linalg.inv(p_prior + r_matrix)
         i_minus_k = np.eye(2) - gain
-        joseph = i_minus_k @ p_prior @ i_minus_k.T + gain @ kf.r_matrix @ gain.T
-        hardened = kf.update(prior, 101.0, 9.0).covariance
+        joseph = i_minus_k @ p_prior @ i_minus_k.T + gain @ r_matrix @ gain.T
+        hardened = _covariance(kf.update_floats(prior, 101.0, 9.0))
         assert np.allclose(hardened, joseph, rtol=1e-12, atol=1e-15)
 
     def test_naive_form_asymmetry_is_eliminated(self):
         # A chain of updates with ill-conditioned R: the naive (I-K)P
         # covariance drifts off symmetry; the hardened update never does.
-        kf = KalmanFilter(DT, NoiseBounds(delta_p=200.0, delta_v=1e-4, delta_a=1.0))
+        bounds = NoiseBounds(delta_p=200.0, delta_v=1e-4, delta_a=1.0)
+        kf = KalmanFilter(bounds)
+        matrices = kalman_oracle.KalmanFilter(DT, bounds)
+        f, q, r = matrices.f_matrix, matrices.q_matrix, matrices.r_matrix
         state = KalmanFilter.initial_state(0.0, 0.0, 10.0, 1e6, 1e-8)
-        naive_p = state.covariance
+        naive_p = _covariance(state)
         max_naive_asym = 0.0
         for step in range(1, 200):
-            predicted = kf.predict(state, 0.0)
+            predicted = kf.extrapolate_floats(state, 0.0, DT)
             # naive covariance propagated through the same chain
-            naive_prior = kf.f_matrix @ naive_p @ kf.f_matrix.T + kf.q_matrix
-            naive_gain = naive_prior @ np.linalg.inv(naive_prior + kf.r_matrix)
+            naive_prior = f @ naive_p @ f.T + q
+            naive_gain = naive_prior @ np.linalg.inv(naive_prior + r)
             naive_p = (np.eye(2) - naive_gain) @ naive_prior
             max_naive_asym = max(
                 max_naive_asym, abs(naive_p[0, 1] - naive_p[1, 0])
             )
-            state = kf.update(predicted, 0.1 * step, 10.0)
-            assert state.covariance[0, 1] == state.covariance[1, 0]
-            assert np.all(np.diag(state.covariance) >= 0.0)
+            state = kf.update_floats(predicted, 0.1 * step, 10.0)
+            assert _covariance(state)[0, 1] == _covariance(state)[1, 0]
+            assert np.all(np.diag(_covariance(state)) >= 0.0)
         # The regression is meaningful only if the naive form actually
         # drifts on this workload.
         assert max_naive_asym > 0.0
 
     def test_long_replay_chain_keeps_finite_bands(self):
-        kf = KalmanFilter(DT, NoiseBounds(delta_p=1e-6, delta_v=1e-6, delta_a=1e-6))
+        kf = KalmanFilter(NoiseBounds(delta_p=1e-6, delta_v=1e-6, delta_a=1e-6))
         state = KalmanFilter.initial_state(0.0, 0.0, 5.0, 1e-12, 1e-12)
         for step in range(1, 2000):
-            predicted = kf.predict(state, 0.0)
-            state = kf.update(predicted, 0.5 * step * DT, 5.0)
-        assert np.isfinite(state.position_std)
-        assert np.isfinite(state.velocity_std)
-        assert state.position_std >= 0.0
+            predicted = kf.extrapolate_floats(state, 0.0, DT)
+            state = kf.update_floats(predicted, 0.5 * step * DT, 5.0)
+        # The band half-widths' sigma, sqrt(max(var, 0)).
+        _, _, _, p00, _, p11 = state
+        position_std = math.sqrt(max(p00, 0.0))
+        velocity_std = math.sqrt(max(p11, 0.0))
+        assert np.isfinite(position_std)
+        assert np.isfinite(velocity_std)
+        assert position_std >= 0.0
 
 
 class TestDivergenceWatchdog:
@@ -182,7 +198,7 @@ class TestDivergenceWatchdog:
         assert not info.watchdog.diverged
         # a consistent follow-up resets the run
         est = info.estimate(11 * DT)
-        assert est.position.lo <= est.position.hi
+        assert est.p_lo <= est.p_hi
 
     def test_consecutive_breaches_trip_and_fall_back(self):
         info = self._filter()
@@ -197,10 +213,10 @@ class TestDivergenceWatchdog:
         assert stats.breaches == 3
         # graceful: estimate still works and returns a sound band
         fallback = info.estimate(13 * DT + DT / 2)
-        assert fallback.position.lo <= fallback.position.hi
+        assert fallback.p_lo <= fallback.p_hi
         # the fallback band is the reachability-only band, which is
         # wider than the healthy Kalman-fused band was
-        assert fallback.position.width >= healthy.position.width
+        assert fallback.p_hi - fallback.p_lo >= healthy.p_hi - healthy.p_lo
 
     def test_recovery_after_consistent_reading(self):
         info = self._filter()
@@ -221,7 +237,7 @@ class TestDivergenceWatchdog:
         assert stats.consecutive == 0
         # and the Kalman band is trusted again
         est = info.estimate(14 * DT)
-        assert est.position.lo <= est.position.hi
+        assert est.p_lo <= est.p_hi
 
     def test_watchdog_can_be_disabled(self):
         info = self._filter(watchdog_sigma=None)
@@ -285,7 +301,7 @@ class TestDivergenceWatchdog:
             )
             assert replay.posterior is posterior
         estimate = info.estimate(0.4)
-        assert estimate.position.lo <= estimate.position.hi
+        assert estimate.p_lo <= estimate.p_hi
 
     def test_stats_object_is_live(self):
         info = self._filter()
@@ -323,7 +339,7 @@ class TestFilterKnobs:
     @pytest.mark.parametrize("value", [float("nan"), 0.0, -2.0])
     def test_replay_horizon_rejected(self, value):
         with pytest.raises(FilterError, match="history_horizon must be > 0"):
-            ReplayKalmanFilter(KalmanFilter(DT, self.BOUNDS), history_horizon=value)
+            ReplayKalmanFilter(KalmanFilter(self.BOUNDS), history_horizon=value)
 
     @pytest.mark.parametrize(
         "knob", ["n_sigma", "watchdog_sigma", "history_horizon"]

@@ -1,10 +1,11 @@
 """Tests for band fusion and the fused-estimate container."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dynamics.state import VehicleState
 from repro.dynamics.vehicle import VehicleLimits
 from repro.errors import FilterError
 from repro.filtering.fusion import FusedEstimate, join_or_fallback
@@ -60,8 +61,8 @@ def _kalman_bands(position, sigma_p, velocity, sigma_v):
         p11=sigma_v**2,
     )
     return (
-        Interval.around(kf.position, 3.0 * kf.position_std),
-        Interval.around(kf.velocity, 3.0 * kf.velocity_std),
+        Interval.around(kf.position, 3.0 * math.sqrt(max(kf.p00, 0.0))),
+        Interval.around(kf.velocity, 3.0 * math.sqrt(max(kf.p11, 0.0))),
     )
 
 
@@ -93,34 +94,19 @@ class TestFuseBands:
 
 class TestFusedEstimate:
     def _nominal(self):
-        return VehicleState(position=5.0, velocity=-10.0, acceleration=0.5)
+        """The nominal ``(p, v, a)``."""
+        return 5.0, -10.0, 0.5
 
     def test_fields(self):
-        est = FusedEstimate(
-            time=2.0,
-            position=Interval(0.0, 10.0),
-            velocity=Interval(-12.0, -8.0),
-            nominal=self._nominal(),
-            message_age=0.3,
-        )
-        assert est.position_uncertainty == 10.0
-        assert est.velocity_uncertainty == 4.0
+        est = FusedEstimate(2.0, 0.0, 10.0, -12.0, -8.0, *self._nominal(), 0.3)
+        assert est.p_hi - est.p_lo == 10.0
+        assert est.v_hi - est.v_lo == 4.0
         assert est.message_age == 0.3
 
     def test_empty_band_rejected(self):
         with pytest.raises(FilterError):
-            FusedEstimate(
-                time=0.0,
-                position=Interval.EMPTY,
-                velocity=Interval(0.0, 1.0),
-                nominal=self._nominal(),
-            )
+            FusedEstimate(0.0, math.inf, -math.inf, 0.0, 1.0, *self._nominal())
 
     def test_str_without_message(self):
-        est = FusedEstimate(
-            time=0.0,
-            position=Interval(0.0, 1.0),
-            velocity=Interval(0.0, 1.0),
-            nominal=self._nominal(),
-        )
+        est = FusedEstimate(0.0, 0.0, 1.0, 0.0, 1.0, *self._nominal())
         assert "msg_age=-" in str(est)

@@ -63,10 +63,10 @@ def _drive(estimator, seed, n_steps=120, drop_p=0.3, delay=0.25):
             estimator.on_message(message, t)
         est = estimator.estimate(t)
         containment.append(
-            est.position.expand(1e-9).contains(stamped.position)
-            and est.velocity.expand(1e-9).contains(stamped.velocity)
+            est.p_lo - 1e-9 <= stamped.position <= est.p_hi + 1e-9
+            and est.v_lo - 1e-9 <= stamped.velocity <= est.v_hi + 1e-9
         )
-        widths.append(est.position.width)
+        widths.append(est.p_hi - est.p_lo)
         state = model.step(state, accel, DT_C)
     return containment, widths
 
@@ -150,12 +150,13 @@ class TestSensorDropout:
             raw.on_sensor_reading(reading)
         last = 9 * DT_S
         fresh = filt.estimate(last + DT_C)
-        assert fresh.position.width < raw.estimate(last + DT_C).position.width
+        raw_band = raw.estimate(last + DT_C)
+        assert fresh.p_hi - fresh.p_lo < raw_band.p_hi - raw_band.p_lo
         for now in (last + DT_S + DT_C, last + 1.0):
             stale, guaranteed = filt.estimate(now), raw.estimate(now)
             # Exact: during a dropout the fused band is the guaranteed one.
-            assert stale.position == guaranteed.position  # safelint: disable=SFL001 - exact band identity
-            assert stale.velocity == guaranteed.velocity  # safelint: disable=SFL001 - exact band identity
+            assert (stale.p_lo, stale.p_hi) == (guaranteed.p_lo, guaranteed.p_hi)  # safelint: disable=SFL001 - exact band identity
+            assert (stale.v_lo, stale.v_hi) == (guaranteed.v_lo, guaranteed.v_hi)  # safelint: disable=SFL001 - exact band identity
 
     @pytest.mark.parametrize(
         "last, now",
@@ -179,7 +180,8 @@ class TestSensorDropout:
             filt.on_sensor_reading(reading)
             raw.on_sensor_reading(reading)
         fresh = filt.estimate(last + DT_C)
-        assert fresh.position.width < raw.estimate(last + DT_C).position.width
+        raw_band = raw.estimate(last + DT_C)
+        assert fresh.p_hi - fresh.p_lo < raw_band.p_hi - raw_band.p_lo
         # The whole record is the guaranteed one, bands and nominal alike.
         assert filt.estimate(now) == raw.estimate(now)
 
@@ -208,8 +210,8 @@ class TestSensorDropout:
         outside = [
             now for now, est in dropout
             if not (
-                est.position.contains(truth[now].position)
-                and est.velocity.contains(truth[now].velocity)
+                est.p_lo <= truth[now].position <= est.p_hi
+                and est.v_lo <= truth[now].velocity <= est.v_hi
             )
         ]
         assert not outside
@@ -235,7 +237,7 @@ class TestMessageHandling:
         est_f = _make_filtered()
         est_f.on_message(self._msg(0.0), 0.0)
         out = est_f.estimate(0.5)
-        assert out.position.contains(50.0 - 12.0 * 0.5)
+        assert out.p_lo <= 50.0 - 12.0 * 0.5 <= out.p_hi
         assert out.message_age == pytest.approx(0.5)
 
     def test_raw_keeps_newest_stamp(self):
@@ -253,13 +255,14 @@ class TestMessageHandling:
     def test_nominal_acceleration_from_message(self):
         raw = _make_raw()
         raw.on_message(self._msg(0.0, a=0.75), 0.0)
-        assert raw.estimate(0.1).nominal.acceleration == 0.75
+        assert raw.estimate(0.1).a == 0.75  # safelint: disable=SFL001 - verbatim copy of the message
 
     def test_band_widens_with_message_age(self):
         filt = _make_raw()
         filt.on_message(self._msg(0.0), 0.0)
-        early = filt.estimate(0.1).position.width
-        late = filt.estimate(1.0).position.width
+        early = filt.estimate(0.1)
+        late = filt.estimate(1.0)
+        early, late = early.p_hi - early.p_lo, late.p_hi - late.p_lo
         assert late > early
 
 
@@ -286,7 +289,7 @@ class TestSensorOnly:
             )
         )
         est = raw.estimate(0.0)
-        assert est.velocity.lo >= LIMITS.v_min - 1e-9
+        assert est.v_lo >= LIMITS.v_min - 1e-9
 
     def test_fully_out_of_range_velocity_measurement(self):
         bounds = NoiseBounds(delta_p=1.0, delta_v=0.1, delta_a=0.1)
@@ -303,7 +306,7 @@ class TestSensorOnly:
             )
         )
         est = raw.estimate(0.0)
-        assert est.velocity.contains(LIMITS.v_min)
+        assert est.v_lo <= LIMITS.v_min <= est.v_hi
 
 
 class TestNanReading:

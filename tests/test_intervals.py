@@ -53,12 +53,6 @@ class TestConstruction:
         with pytest.raises(IntervalError):
             Interval.around(0.0, -1.0)
 
-    def test_hull_of_values(self):
-        assert Interval.hull_of([3.0, -1.0, 2.0]) == Interval(-1.0, 3.0)
-
-    def test_hull_of_empty_iterable(self):
-        assert Interval.hull_of([]).is_empty
-
     def test_unbounded(self):
         iv = Interval.unbounded()
         assert iv.contains(1e300)

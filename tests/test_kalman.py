@@ -1,4 +1,11 @@
-"""Tests for the Kalman filter (Section III-B equations)."""
+"""Tests for the Kalman filter (Section III-B equations).
+
+The printed matrices are those of the matrix reference filter in
+``tests/kalman_oracle.py``; the filter steps are the scalar kernels
+``extrapolate_floats`` and ``update_floats``.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +17,7 @@ from repro.filtering.kalman import KalmanFilter, KalmanState
 from repro.sensing.noise import NoiseBounds
 from repro.utils.intervals import Interval
 from repro.utils.rng import RngStream
+from tests import kalman_oracle
 from tests.test_sensing import UniformNoise
 
 DT = 0.1
@@ -17,17 +25,40 @@ BOUNDS = NoiseBounds.uniform_all(1.0)
 
 
 def _filter() -> KalmanFilter:
-    return KalmanFilter(DT, BOUNDS)
+    return KalmanFilter(BOUNDS)
+
+
+def _matrices() -> kalman_oracle.KalmanFilter:
+    """The matrix filter, for the printed ``F``, ``G``, ``Q`` and ``R``."""
+    return kalman_oracle.KalmanFilter(DT, BOUNDS)
+
+
+def _predict(kf: KalmanFilter, state, accel: float) -> KalmanState:
+    """One filter step over ``DT``, the fields under their names."""
+    return KalmanState(*kf.extrapolate_floats(state, accel, DT))
+
+
+def _update(kf: KalmanFilter, state, z_p: float, z_v: float) -> KalmanState:
+    """One measurement update, the fields under their names."""
+    return KalmanState(*kf.update_floats(state, z_p, z_v))
+
+
+def _covariance(state: KalmanState) -> np.ndarray:
+    """The symmetric ``P`` of a state.
+
+    Shapes: -> [2, 2]
+    """
+    return np.array([[state.p00, state.p01], [state.p01, state.p11]])
 
 
 class TestPaperMatrices:
     """The printed F, G, Q, R of Section III-B."""
 
     def test_f(self):
-        assert np.allclose(_filter().f_matrix, [[1.0, DT], [0.0, 1.0]])
+        assert np.allclose(_matrices().f_matrix, [[1.0, DT], [0.0, 1.0]])
 
     def test_g(self):
-        assert np.allclose(_filter().g_matrix, [[0.5 * DT * DT], [DT]])
+        assert np.allclose(_matrices().g_matrix, [[0.5 * DT * DT], [DT]])
 
     def test_q_scaled_by_uniform_accel_variance(self):
         expected = (
@@ -39,13 +70,13 @@ class TestPaperMatrices:
             )
             * (1.0 / 3.0)
         )
-        assert np.allclose(_filter().q_matrix, expected)
+        assert np.allclose(_matrices().q_matrix, expected)
 
     def test_r_diagonal_of_uniform_variances(self):
-        assert np.allclose(_filter().r_matrix, np.diag([1 / 3, 1 / 3]))
+        assert np.allclose(_matrices().r_matrix, np.diag([1 / 3, 1 / 3]))
 
     def test_matrix_accessors_return_copies(self):
-        kf = _filter()
+        kf = _matrices()
         kf.f_matrix[0, 0] = 99.0
         assert kf.f_matrix[0, 0] == 1.0
 
@@ -57,8 +88,8 @@ class TestKalmanState:
         )
         assert s.position == 2.0
         assert s.velocity == 3.0
-        assert s.position_std == 2.0
-        assert s.velocity_std == 3.0
+        assert math.sqrt(s.p00) == 2.0
+        assert math.sqrt(s.p11) == 3.0
 
     def test_bands(self):
         # The information filter joins ``mean ± n_sigma * std``.
@@ -66,9 +97,9 @@ class TestKalmanState:
             time=0.0, position=1.0, velocity=-3.0, p00=4.0, p01=0.0, p11=0.25
         )
         n_sigma = 2.0
-        band = Interval.around(s.position, n_sigma * s.position_std)
+        band = Interval.around(s.position, n_sigma * math.sqrt(s.p00))
         assert band == Interval(-3.0, 5.0)
-        band = Interval.around(s.velocity, n_sigma * s.velocity_std)
+        band = Interval.around(s.velocity, n_sigma * math.sqrt(s.p11))
         assert band == Interval(-4.0, -2.0)
 
     def test_nonfinite_rejected(self):
@@ -97,7 +128,7 @@ class TestPredictUpdate:
         s = KalmanState(
             time=0.0, position=0.0, velocity=10.0, p00=1.0, p01=0.0, p11=1.0
         )
-        pred = kf.predict(s, accel_measured=2.0)
+        pred = _predict(kf, s, accel=2.0)
         assert pred.time == pytest.approx(DT)
         assert pred.position == pytest.approx(10.0 * DT + 0.5 * 2.0 * DT * DT)
         assert pred.velocity == pytest.approx(10.0 + 2.0 * DT)
@@ -107,15 +138,15 @@ class TestPredictUpdate:
         s = KalmanState(
             time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
         )
-        pred = kf.predict(s, 0.0)
-        assert np.trace(pred.covariance) > np.trace(s.covariance)
+        pred = _predict(kf, s, 0.0)
+        assert np.trace(_covariance(pred)) > np.trace(_covariance(s))
 
     def test_update_moves_toward_measurement(self):
         kf = _filter()
         pred = KalmanState(
             time=0.0, position=0.0, velocity=0.0, p00=100.0, p01=0.0, p11=100.0
         )
-        post = kf.update(pred, position_measured=5.0, velocity_measured=-2.0)
+        post = _update(kf, pred, z_p=5.0, z_v=-2.0)
         # Huge prior variance: the posterior should sit near the
         # measurement.
         assert post.position == pytest.approx(5.0, abs=0.05)
@@ -126,8 +157,8 @@ class TestPredictUpdate:
         pred = KalmanState(
             time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
         )
-        post = kf.update(pred, 0.5, 0.5)
-        assert np.trace(post.covariance) < np.trace(pred.covariance)
+        post = _update(kf, pred, 0.5, 0.5)
+        assert np.trace(_covariance(post)) < np.trace(_covariance(pred))
 
     def test_update_covariance_symmetric_psd(self):
         kf = _filter()
@@ -135,23 +166,23 @@ class TestPredictUpdate:
             time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
         )
         for i in range(50):
-            state = kf.predict(state, 0.1)
-            state = kf.update(state, 0.1 * i, 0.05 * i)
-        p = state.covariance
+            state = _predict(kf, state, 0.1)
+            state = _update(kf, state, 0.1 * i, 0.05 * i)
+        p = _covariance(state)
         assert np.allclose(p, p.T)
         assert np.all(np.linalg.eigvalsh(p) >= -1e-12)
 
     def test_noiseless_update_pins_to_measurement(self):
         # R = 0 means exact measurements: the posterior is the
         # measurement with zero covariance (no singular inversion).
-        kf = KalmanFilter(DT, NoiseBounds.noiseless())
+        kf = KalmanFilter(NoiseBounds.noiseless())
         pred = KalmanState(
             time=0.0, position=0.0, velocity=0.0, p00=0.0, p01=0.0, p11=0.0
         )
-        post = kf.update(pred, 1.0, -2.0)
+        post = _update(kf, pred, 1.0, -2.0)
         assert post.position == 1.0
         assert post.velocity == -2.0
-        assert np.allclose(post.covariance, 0.0)
+        assert np.allclose(_covariance(post), 0.0)
 
 
 class TestExtrapolate:
@@ -160,7 +191,7 @@ class TestExtrapolate:
         s = KalmanState(
             time=1.0, position=1.0, velocity=2.0, p00=1.0, p01=0.0, p11=1.0
         )
-        assert kf.extrapolate(s, 0.0, 0.0) is s
+        assert kf.extrapolate_floats(s, 0.0, 0.0) is s
 
     def test_matches_predict_at_native_step(self):
         kf = _filter()
@@ -168,10 +199,16 @@ class TestExtrapolate:
             time=0.0, position=1.0, velocity=2.0, p00=1.0, p01=0.0, p11=1.0
         )
         a = 1.5
-        via_predict = kf.predict(s, a)
-        via_extrapolate = kf.extrapolate(s, a, DT)
-        assert np.allclose(via_predict.x_hat, via_extrapolate.x_hat)
-        assert np.allclose(via_predict.covariance, via_extrapolate.covariance)
+        # The matrix filter's predict: F x + G a and F P F' + Q at DT.
+        prior = kalman_oracle.KalmanFilter.initial_state(
+            s.time, s.position, s.velocity, s.p00, s.p11
+        )
+        via_predict = _matrices().predict(prior, a)
+        via_extrapolate = _predict(kf, s, a)
+        assert np.allclose(
+            via_predict.x_hat, [[via_extrapolate.position], [via_extrapolate.velocity]]
+        )
+        assert np.allclose(via_predict.covariance, _covariance(via_extrapolate))
 
     def test_negative_horizon_rejected(self):
         kf = _filter()
@@ -179,7 +216,7 @@ class TestExtrapolate:
             time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
         )
         with pytest.raises(FilterError):
-            kf.extrapolate(s, 0.0, -0.1)
+            kf.extrapolate_floats(s, 0.0, -0.1)
 
 
 class TestConvergence:
@@ -199,8 +236,8 @@ class TestConvergence:
             true = model.step(true, 0.0, DT)
             z_p = noise.perturb_position(true.position)
             z_v = noise.perturb_velocity(true.velocity)
-            pred = kf.predict(state, 0.0)
-            state = kf.update(pred, z_p, z_v)
+            pred = _predict(kf, state, 0.0)
+            state = _update(kf, pred, z_p, z_v)
             raw_err.append((z_p - true.position) ** 2)
             filt_err.append((state.position - true.position) ** 2)
         assert np.mean(filt_err) < 0.25 * np.mean(raw_err)
@@ -210,4 +247,4 @@ class TestConvergence:
         s = kf.exact_state(2.0, 10.0, -3.0)
         assert s.position == 10.0
         assert s.velocity == -3.0
-        assert np.allclose(s.covariance, 0.0)
+        assert np.allclose(_covariance(s), 0.0)

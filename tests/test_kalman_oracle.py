@@ -4,11 +4,12 @@
 scalar arithmetic.  ``tests/kalman_oracle.py`` keeps the numpy matrix
 filter it replaced.  Two levels of agreement are checked:
 
-* **state level** -- random chains of ``extrapolate``/``predict``/
-  ``update`` steps with irregular gaps, plus the ill-conditioned-R,
-  noiseless-R and 2000-step cases of ``test_filter_hardening.py``: every
-  intermediate state agrees to a relative 1e-9, and every covariance is
-  symmetric positive-semidefinite;
+* **state level** -- random chains of ``extrapolate_floats`` steps
+  over irregular gaps and over the sensing period (against the matrix
+  ``extrapolate`` and ``predict``) and ``update_floats`` steps, plus
+  the ill-conditioned-R, noiseless-R and 2000-step cases of
+  ``test_filter_hardening.py``: every intermediate state agrees to a
+  relative 1e-9, and every covariance is symmetric positive-semidefinite;
 * **field helpers** -- ``extrapolate_floats``/``update_floats`` against
   the scalar object path they replaced (``kalman_oracle.
   ScalarKalmanFilter``) over irregular gaps, R = 0, a singular
@@ -27,6 +28,7 @@ A failure names the chain (seed, step, operation) or the episode
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Tuple
 
@@ -39,7 +41,9 @@ from repro.experiments.config import SETTING_NAMES, ExperimentConfig
 from repro.experiments.harness import build_trio
 from repro.filtering import info_filter, kalman
 from repro.filtering.kalman import KalmanFilter, KalmanState
+from repro.filtering.replay import ReplayKalmanFilter
 from repro.sensing.noise import NoiseBounds
+from repro.sensing.sensor import SensorReading
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.runner import BatchRunner, EstimatorKind
 from tests import kalman_oracle
@@ -59,8 +63,23 @@ STORM_FAULTS = [
 
 def _oracle_state(state: KalmanState) -> kalman_oracle.KalmanState:
     return kalman_oracle.KalmanState(
-        time=state.time, x_hat=state.x_hat, covariance=state.covariance
+        time=state.time,
+        x_hat=np.array([[state.position], [state.velocity]]),
+        covariance=_covariance(state),
     )
+
+
+def _covariance(state: KalmanState) -> np.ndarray:
+    """The symmetric ``P`` of a state.
+
+    Shapes: -> [2, 2]
+    """
+    return np.array([[state.p00, state.p01], [state.p01, state.p11]])
+
+
+def _named(fields) -> KalmanState:
+    """A kernel's result fields under their names."""
+    return KalmanState(*fields)
 
 
 def _close(fast: float, slow: float, scale: float) -> bool:
@@ -99,7 +118,7 @@ def _disagreement(
 
 def _psd_problem(state: KalmanState) -> str:
     """Why ``state``'s covariance is not symmetric PSD, or ``""``."""
-    p = state.covariance
+    p = _covariance(state)
     if p[0, 1] != p[1, 0]:
         return f"asymmetric covariance {p.tolist()}"
     if state.p00 < 0.0 or state.p11 < 0.0:
@@ -121,7 +140,7 @@ def _random_chain(seed: int) -> Tuple[List[str], List[str]]:
     delta_p, delta_v, delta_a = 10.0 ** rng.uniform(-3.0, 1.0, size=3)
     bounds = NoiseBounds(delta_p=delta_p, delta_v=delta_v, delta_a=delta_a)
     dt = float(rng.uniform(0.02, 0.5))
-    fast_kf = KalmanFilter(dt, bounds)
+    fast_kf = KalmanFilter(bounds)
     slow_kf = kalman_oracle.KalmanFilter(dt, bounds)
     var_p, var_v = 10.0 ** rng.uniform(-4.0, 2.0, size=2)
     fast = KalmanFilter.initial_state(
@@ -140,18 +159,18 @@ def _random_chain(seed: int) -> Tuple[List[str], List[str]]:
             gap = float(rng.uniform(0.0, 1.0))
             accel = float(rng.uniform(-6.0, 6.0))
             label = f"extrapolate(a={accel}, dt={gap})"
-            fast = fast_kf.extrapolate(fast, accel, gap)
+            fast = _named(fast_kf.extrapolate_floats(fast, accel, gap))
             slow = slow_kf.extrapolate(slow, accel, gap)
         elif op == 1:
             accel = float(rng.uniform(-6.0, 6.0))
             label = f"predict(a={accel})"
-            fast = fast_kf.predict(fast, accel)
+            fast = _named(fast_kf.extrapolate_floats(fast, accel, dt))
             slow = slow_kf.predict(slow, accel)
         else:
             z_p = fast.position + float(rng.uniform(-2.0, 2.0)) * delta_p
             z_v = fast.velocity + float(rng.uniform(-2.0, 2.0)) * delta_v
             label = f"update(z=({z_p}, {z_v}))"
-            fast = fast_kf.update(fast, z_p, z_v)
+            fast = _named(fast_kf.update_floats(fast, z_p, z_v))
             slow = slow_kf.update(slow, z_p, z_v)
         case = f"chain seed={seed} step={step} {label}"
         diff = _disagreement(fast, slow)
@@ -185,13 +204,13 @@ class TestStateLevel:
         # R condition number ~1e12 against a prior mismatched the other
         # way round (test_filter_hardening's extreme-conditioning case).
         bounds = NoiseBounds(delta_p=1e3, delta_v=1e-3, delta_a=0.5)
-        fast_kf = KalmanFilter(0.1, bounds)
+        fast_kf = KalmanFilter(bounds)
         slow_kf = kalman_oracle.KalmanFilter(0.1, bounds)
         fast = KalmanState(
             time=0.0, position=100.0, velocity=10.0, p00=1e-8, p01=1e-5, p11=1e4
         )
         slow = _oracle_state(fast)
-        fast = fast_kf.update(fast, 101.0, 9.0)
+        fast = _named(fast_kf.update_floats(fast, 101.0, 9.0))
         slow = slow_kf.update(slow, 101.0, 9.0)
         _assert_none(_disagreement(fast, slow), "ill-conditioned-R fields")
         assert _psd_problem(fast) == ""
@@ -199,38 +218,41 @@ class TestStateLevel:
     def test_ill_conditioned_chain(self):
         # test_filter_hardening's 200-step chain with R ill-conditioned.
         bounds = NoiseBounds(delta_p=200.0, delta_v=1e-4, delta_a=1.0)
-        fast_kf = KalmanFilter(0.1, bounds)
+        fast_kf = KalmanFilter(bounds)
         slow_kf = kalman_oracle.KalmanFilter(0.1, bounds)
         fast = KalmanFilter.initial_state(0.0, 0.0, 10.0, 1e6, 1e-8)
         slow = _oracle_state(fast)
         for step in range(1, 200):
-            fast = fast_kf.update(fast_kf.predict(fast, 0.0), 0.1 * step, 10.0)
+            predicted = fast_kf.extrapolate_floats(fast, 0.0, 0.1)
+            fast = _named(fast_kf.update_floats(predicted, 0.1 * step, 10.0))
             slow = slow_kf.update(slow_kf.predict(slow, 0.0), 0.1 * step, 10.0)
             diff = _disagreement(fast, slow)
             assert not diff, f"ill-conditioned chain step={step}: {diff}"
             assert _psd_problem(fast) == "", f"step={step}"
 
     def test_noiseless_r(self):
-        fast_kf = KalmanFilter(0.1, NoiseBounds.noiseless())
+        fast_kf = KalmanFilter(NoiseBounds.noiseless())
         slow_kf = kalman_oracle.KalmanFilter(0.1, NoiseBounds.noiseless())
         fast = fast_kf.exact_state(0.0, 5.0, 8.0)
         slow = _oracle_state(fast)
         for step in range(1, 50):
-            fast = fast_kf.update(fast_kf.predict(fast, 0.3), 8.0 * step * 0.1, 8.0)
+            predicted = fast_kf.extrapolate_floats(fast, 0.3, 0.1)
+            fast = _named(fast_kf.update_floats(predicted, 8.0 * step * 0.1, 8.0))
             slow = slow_kf.update(slow_kf.predict(slow, 0.3), 8.0 * step * 0.1, 8.0)
             diff = _disagreement(fast, slow)
             assert not diff, f"noiseless chain step={step}: {diff}"
-            assert not np.any(fast.covariance)
+            assert not np.any(_covariance(fast))
 
     def test_long_chain(self):
         # test_filter_hardening's 2000-step chain at tiny noise bounds.
         bounds = NoiseBounds(delta_p=1e-6, delta_v=1e-6, delta_a=1e-6)
-        fast_kf = KalmanFilter(0.1, bounds)
+        fast_kf = KalmanFilter(bounds)
         slow_kf = kalman_oracle.KalmanFilter(0.1, bounds)
         fast = KalmanFilter.initial_state(0.0, 0.0, 5.0, 1e-12, 1e-12)
         slow = _oracle_state(fast)
         for step in range(1, 2000):
-            fast = fast_kf.update(fast_kf.predict(fast, 0.0), 0.5 * step * 0.1, 5.0)
+            predicted = fast_kf.extrapolate_floats(fast, 0.0, 0.1)
+            fast = _named(fast_kf.update_floats(predicted, 0.5 * step * 0.1, 5.0))
             slow = slow_kf.update(slow_kf.predict(slow, 0.0), 0.5 * step * 0.1, 5.0)
             diff = _disagreement(fast, slow)
             assert not diff, f"long chain step={step}: {diff}"
@@ -244,7 +266,7 @@ class TestStateLevel:
             time=0.0, position=1.0, velocity=2.0, p00=0.0, p01=0.0, p11=1.0
         )
         with pytest.raises(FilterError):
-            KalmanFilter(0.1, bounds).update(fast, 1.0, 2.0)
+            KalmanFilter(bounds).update_floats(fast, 1.0, 2.0)
         with pytest.raises(FilterError):
             kalman_oracle.KalmanFilter(0.1, bounds).update(
                 _oracle_state(fast), 1.0, 2.0
@@ -273,7 +295,7 @@ def _result(call):
 
 
 def _helper_pair(bounds: NoiseBounds, dt: float = 0.1):
-    return KalmanFilter(dt, bounds), kalman_oracle.ScalarKalmanFilter(dt, bounds)
+    return KalmanFilter(bounds), kalman_oracle.ScalarKalmanFilter(dt, bounds)
 
 
 def _special_fields(rng: np.random.Generator) -> Tuple[float, ...]:
@@ -390,15 +412,25 @@ class TestFieldHelpers:
                         assert _bits(ours) == _bits(theirs), (p00, p01, p11, floor)
 
     def test_wrappers_return_the_helpers_fields(self):
-        fast, _ = _helper_pair(NoiseBounds.uniform_all(0.8))
-        state = KalmanState(0.5, 1.0, 2.0, 0.3, 0.1, 0.2)
-        predicted = fast.extrapolate(state, 0.4, 0.07)
-        assert type(predicted) is KalmanState
-        assert _bits(predicted) == _bits(fast.extrapolate_floats(state, 0.4, 0.07))
-        assert fast.extrapolate(state, 0.4, 0.0) is state
-        updated = fast.update(predicted, 1.1, 2.1)
+        # The replay filter is what names the helpers' fields as states.
+        bounds = NoiseBounds.uniform_all(0.8)
+        fast, _ = _helper_pair(bounds)
+        replay = ReplayKalmanFilter(KalmanFilter(bounds))
+        first = replay.on_sensor_reading(_reading(0.5, 1.0, 2.0, 0.4))
+        updated = replay.on_sensor_reading(_reading(0.6, 1.1, 2.1, -0.3))
         assert type(updated) is KalmanState
+        predicted = fast.extrapolate_floats(first, 0.4, 0.6 - 0.5)
         assert _bits(updated) == _bits(fast.update_floats(predicted, 1.1, 2.1))
+        ahead = replay.estimate_at(0.67)
+        assert type(ahead) is KalmanState
+        assert _bits(ahead) == _bits(fast.extrapolate_floats(updated, -0.3, 0.67 - 0.6))
+        assert replay.estimate_at(0.6) is updated
+
+
+def _reading(time: float, position: float, velocity: float, accel: float):
+    return SensorReading(
+        target=1, time=time, position=position, velocity=velocity, acceleration=accel
+    )
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +481,13 @@ class TestEpisodeLevel:
         self, setting, ultimate, scenario, monkeypatch
     ):
         fast = _fingerprints(ultimate, scenario, setting)
-        monkeypatch.setattr(info_filter, "KalmanFilter", kalman_oracle.KalmanFilter)
+        # The matrix filter's dt serves only its predict, which the
+        # information filter never calls.
+        monkeypatch.setattr(
+            info_filter,
+            "KalmanFilter",
+            functools.partial(kalman_oracle.KalmanFilter, PAPER.dt_s),
+        )
         slow = _fingerprints(ultimate, scenario, setting)
         differing = [
             f"{setting} episode {index}: fast={ours} oracle={theirs}"

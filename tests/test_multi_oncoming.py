@@ -5,7 +5,6 @@ import pytest
 from repro.comm.faults import messages_delayed
 from repro.core.compound import CompoundPlanner
 from repro.core.monitor import RuntimeMonitor
-from repro.dynamics.state import VehicleState
 from repro.errors import PlannerError, ScenarioError
 from repro.filtering.fusion import FusedEstimate
 from repro.scenarios.base import Scenario
@@ -30,10 +29,7 @@ def platoon():
 
 def _estimate(time, position, velocity):
     return FusedEstimate(
-        time=time,
-        position=Interval.point(position),
-        velocity=Interval.point(velocity),
-        nominal=VehicleState(position=position, velocity=velocity),
+        time, position, position, velocity, velocity, position, velocity, 0.0
     )
 
 

@@ -246,14 +246,14 @@ def _estimate(gen: np.random.Generator, scenario, time: float) -> FusedEstimate:
     v_lo = -speed - float(gen.exponential(1.0))
     v_hi = -speed + float(gen.exponential(1.0))
     return FusedEstimate(
-        time=time,
-        position=Interval(p_lo, p_hi),
-        velocity=Interval(v_lo, v_hi),
-        nominal=VehicleState(
-            float(gen.uniform(p_lo, p_hi)),
-            float(gen.uniform(v_lo, v_hi)),
-            float(gen.uniform(-3.0, 3.0)),
-        ),
+        time,
+        p_lo,
+        p_hi,
+        v_lo,
+        v_hi,
+        float(gen.uniform(p_lo, p_hi)),
+        float(gen.uniform(v_lo, v_hi)),
+        float(gen.uniform(-3.0, 3.0)),
     )
 
 

@@ -102,12 +102,7 @@ class TestNNPlanner:
         return spec.build_planner(estimator, scenario.ego_limits)
 
     def _context(self, scenario):
-        est = FusedEstimate(
-            time=0.0,
-            position=Interval.point(50.0),
-            velocity=Interval.point(-10.0),
-            nominal=VehicleState(position=50.0, velocity=-10.0),
-        )
+        est = FusedEstimate(0.0, 50.0, 50.0, -10.0, -10.0, p=50.0, v=-10.0, a=0.0)
         return PlanningContext(
             time=0.0,
             ego=VehicleState(position=-30.0, velocity=10.0),

@@ -82,7 +82,7 @@ class FlakyPlanner:
     def plan_floats(self, time, position, velocity, acceleration, estimates, tracer=None):
         if not self._decided:
             self._decided = True
-            probe = estimates[1].nominal.position
+            probe = estimates[1].p
             self._fail = (probe * 7.919) % 1.0 < self._threshold
         if self._fail:
             raise PlannerError("flaky planner: injected episode failure")

@@ -45,12 +45,14 @@ def _aggressive(est, a_buf, v_buf):
 
 def _estimate(time, position, velocity, accel=0.0, p_rad=0.0, v_rad=0.0):
     return FusedEstimate(
-        time=time,
-        position=Interval.around(position, p_rad),
-        velocity=Interval.around(velocity, v_rad),
-        nominal=VehicleState(
-            position=position, velocity=velocity, acceleration=accel
-        ),
+        time,
+        position - p_rad,
+        position + p_rad,
+        velocity - v_rad,
+        velocity + v_rad,
+        position,
+        velocity,
+        accel,
         message_age=0.0,
     )
 

@@ -14,18 +14,12 @@ from repro.planners.constant import (
     FullBrakePlanner,
     FullThrottlePlanner,
 )
-from repro.utils.intervals import Interval
 
 LIMITS = VehicleLimits(v_min=0.0, v_max=20.0, a_min=-6.0, a_max=4.0)
 
 
 def _context():
-    est = FusedEstimate(
-        time=0.0,
-        position=Interval(40.0, 42.0),
-        velocity=Interval(-12.0, -10.0),
-        nominal=VehicleState(position=41.0, velocity=-11.0),
-    )
+    est = FusedEstimate(0.0, 40.0, 42.0, -12.0, -10.0, p=41.0, v=-11.0, a=0.0)
     return PlanningContext(
         time=0.0,
         ego=VehicleState(position=-30.0, velocity=10.0),
@@ -42,7 +36,7 @@ def _floats():
 
 class TestPlanningContext:
     def test_estimate_of(self):
-        assert _context().estimate_of(1).nominal.position == 41.0
+        assert _context().estimate_of(1).p == 41.0  # safelint: disable=SFL001 - verbatim constant
 
     def test_missing_estimate_raises(self):
         with pytest.raises(PlannerError):

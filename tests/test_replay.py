@@ -19,7 +19,7 @@ LIMITS = VehicleLimits(v_min=-20.0, v_max=-2.0, a_min=-3.0, a_max=3.0)
 
 
 def _rkf() -> ReplayKalmanFilter:
-    return ReplayKalmanFilter(KalmanFilter(DT, BOUNDS))
+    return ReplayKalmanFilter(KalmanFilter(BOUNDS))
 
 
 def _reading(t, p, v, a=0.0) -> SensorReading:
@@ -38,7 +38,7 @@ class TestSensorPath:
     def test_initial_covariance_is_measurement_covariance(self):
         rkf = _rkf()
         post = rkf.on_sensor_reading(_reading(0.0, 50.0, -12.0))
-        assert post.covariance[0, 0] == pytest.approx(1.0 / 3.0)
+        assert post.p00 == pytest.approx(1.0 / 3.0)
 
     def test_subsequent_readings_advance_time(self):
         rkf = _rkf()
@@ -76,11 +76,11 @@ class TestSensorPath:
         seen = []
         reading = _reading(0.1, 48.8, -12.0)
         rkf.on_sensor_reading(reading, gate=lambda r, p: seen.append((r, p)))
-        predicted = rkf.kalman.extrapolate(first, 1.0, 0.1)
+        predicted = rkf.kalman.extrapolate_floats(first, 1.0, 0.1)
         # The gate sees the prediction's fields, in KalmanState order.
         assert seen == [(reading, tuple(predicted))]
         assert KalmanState(*seen[0][1]).time == pytest.approx(0.1)
-        assert rkf.posterior == rkf.kalman.update(predicted, 48.8, -12.0)
+        assert rkf.posterior == rkf.kalman.update_floats(predicted, 48.8, -12.0)
 
 
 class TestEstimateAt:
@@ -192,7 +192,7 @@ class TestMessageReplay:
             rkf.on_message(future, 0.5)
 
     def test_message_beyond_horizon_ignored(self):
-        rkf = ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=1.0)
+        rkf = ReplayKalmanFilter(KalmanFilter(BOUNDS), history_horizon=1.0)
         self._drive(rkf, n=30)  # posterior at 2.9 s
         stale = Message(
             sender=1,
@@ -203,10 +203,10 @@ class TestMessageReplay:
 
     def test_invalid_horizon_rejected(self):
         with pytest.raises(FilterError):
-            ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.0)
+            ReplayKalmanFilter(KalmanFilter(BOUNDS), history_horizon=0.0)
 
     def test_replay_within_a_short_horizon_renews_the_posterior(self):
-        rkf = ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.5)
+        rkf = ReplayKalmanFilter(KalmanFilter(BOUNDS), history_horizon=0.5)
         truth = self._drive(rkf, n=20)
         before = rkf.posterior
         stamp = 16 * DT
@@ -223,6 +223,6 @@ class TestMessageReplay:
         assert after.time == pytest.approx(19 * DT)
 
     def test_pruning_bounds_memory(self):
-        rkf = ReplayKalmanFilter(KalmanFilter(DT, BOUNDS), history_horizon=0.5)
+        rkf = ReplayKalmanFilter(KalmanFilter(BOUNDS), history_horizon=0.5)
         self._drive(rkf, n=100)
         assert len(rkf._reading_times) <= 7  # 0.5 s of 0.1 s readings + slack

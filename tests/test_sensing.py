@@ -81,9 +81,9 @@ class TestNoiseBounds:
         b = NoiseBounds.uniform_all(2.0)
         raw = RawEstimator(VehicleLimits(-20.0, 0.0, -3.0, 3.0), b)
         raw.on_sensor_reading(SensorReading(1, 0.0, 10.0, -5.0, 0.0))
-        band = raw.estimate(0.0).position
-        assert band.contains(11.9)
-        assert not band.contains(12.1)
+        estimate = raw.estimate(0.0)
+        assert estimate.p_lo <= 11.9 <= estimate.p_hi
+        assert not estimate.p_lo <= 12.1 <= estimate.p_hi
 
 
 class TestUniformNoise:

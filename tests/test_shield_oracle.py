@@ -203,16 +203,15 @@ def _estimate(
     speed = float(gen.uniform(-2.0, 25.0))
     v_lo = -speed - float(gen.exponential(1.0))
     v_hi = -speed + float(gen.exponential(1.0))
-    nominal = VehicleState(
+    return FusedEstimate(
+        time,
+        p_lo,
+        p_hi,
+        v_lo,
+        v_hi,
         float(gen.uniform(p_lo, p_hi)),
         float(gen.uniform(v_lo, v_hi)),
         float(gen.uniform(-4.0, 4.0)),
-    )
-    return FusedEstimate(
-        time=time,
-        position=Interval(p_lo, p_hi),
-        velocity=Interval(v_lo, v_hi),
-        nominal=nominal,
     )
 
 
@@ -291,7 +290,7 @@ def _random_case(seed: int, seen: Counter) -> List[str]:
     stop_margin = float(gen.uniform(0.0, 0.2))
 
     _tally(seen, geometry, limits, ego_limits, dt_c, time, estimate, ego)
-    if estimate.nominal.position > geometry.oncoming_back:
+    if estimate.p > geometry.oncoming_back:
         eq8_window = _outcome(
             shield_oracle.aggressive_window, estimate, geometry, limits, a_buf, v_buf
         )
@@ -446,14 +445,14 @@ def _tally(seen, geometry, limits, ego_limits, dt_c, time, estimate, ego) -> Non
         window = shield_oracle.conservative_window(estimate, geometry, limits)
     except ReproError:
         return
-    if estimate.position.hi - geometry.oncoming_back <= 0.0:
+    if estimate.p_hi - geometry.oncoming_back <= 0.0:
         seen["window cleared"] += 1
         return
     seen["window non-empty"] += 1
-    distance = estimate.position.lo - geometry.oncoming_front
+    distance = estimate.p_lo - geometry.oncoming_front
     v_cap = -limits.v_min
     a_cap = -limits.a_min
-    v = max(0.0, min(-estimate.velocity.lo, v_cap))
+    v = max(0.0, min(-estimate.v_lo, v_cap))
     if distance > 0.0:
         d_th = (v_cap * v_cap - v * v) / (2.0 * a_cap)
         seen["Eq. (7) cap branch" if distance > d_th else "Eq. (7) no-cap branch"] += 1
@@ -538,12 +537,7 @@ def _following_case(seed: int, seen: Counter) -> List[str]:
         speed = float(gen.uniform(-1.0, 30.0))
         v_lo = speed - float(gen.exponential(1.0))
         v_hi = speed + float(gen.exponential(1.0))
-        estimates[1] = FusedEstimate(
-            time=time,
-            position=Interval(p_lo, p_hi),
-            velocity=Interval(v_lo, v_hi),
-            nominal=VehicleState(center, speed),
-        )
+        estimates[1] = FusedEstimate(time, p_lo, p_hi, v_lo, v_hi, center, speed, 0.0)
     return _decide_check(
         f"case seed={seed} car following", model, time, ego, estimates, seen
     )

@@ -1,9 +1,12 @@
 """Tests for demonstration generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.config import ExperimentConfig
 from repro.planners.factory import build_expert
 from repro.planners.training_data import (
     DemonstrationConfig,
@@ -89,3 +92,40 @@ class TestGeneration:
         x, _ = generate_demonstrations(expert, cfg, RngStream(7))
         n_empty = int(np.sum(x[:, 3] == WINDOW_PAST))
         assert 50 < n_empty < 150
+
+
+#: SHA-256 of ``(features, labels)`` bytes of each style's demonstrations
+#: at ``ExperimentConfig()``, as ``train_left_turn_planner`` draws them.
+#: The paper planners are trained on exactly these bytes.
+_PAPER_DEMO_SHA256 = {
+    "conservative": (
+        "6be3b94724e39c3e50a122016043191aa81efda7f56b5188b140775e8cfe0e0b",
+        "ba13a2f7c12a2d832c1400ed488fc6a56f945c72f827ac08786586c83ccc949e",
+    ),
+    "aggressive": (
+        "792e22e4b78b784626e059d5861b21a69e7eb85e84a94d138fa160ac41da7e0e",
+        "c0a2c3c50e59deafe5e994ffa5f9681d6c93e75413881e500444fa70566c2bd6",
+    ),
+}
+
+
+class TestPaperDemonstrationsPinned:
+    @pytest.mark.parametrize("style", sorted(_PAPER_DEMO_SHA256))
+    def test_bytes_pinned(self, style):
+        config = ExperimentConfig()
+        scenario = config.scenario()
+        expert = build_expert(
+            style,
+            scenario.geometry,
+            scenario.ego_limits,
+            scenario.oncoming_limits,
+            a_buf=config.a_buf,
+            v_buf=config.v_buf,
+        )
+        rng = RngStream(config.training_seed)
+        x, y = generate_demonstrations(expert, config.demo_config, rng.child())
+        digests = (
+            hashlib.sha256(x.tobytes()).hexdigest(),
+            hashlib.sha256(y.tobytes()).hexdigest(),
+        )
+        assert digests == _PAPER_DEMO_SHA256[style]

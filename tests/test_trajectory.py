@@ -89,14 +89,6 @@ class TestQueries:
         with pytest.raises(SimulationError):
             _traj().interpolate(3.0)
 
-    def test_first_time_when(self):
-        t = _traj()
-        hit = t.first_time_when(lambda time, s: s.position >= 2.0)
-        assert hit == 1.0
-
-    def test_first_time_when_no_match(self):
-        assert _traj().first_time_when(lambda t, s: s.position > 100) is None
-
 
 class TestBulkAccessors:
     def test_arrays(self):

@@ -35,10 +35,7 @@ def _model():
 def _oncoming_estimate(time, position, velocity):
     return {
         1: FusedEstimate(
-            time=time,
-            position=Interval.point(position),
-            velocity=Interval.point(velocity),
-            nominal=VehicleState(position=position, velocity=velocity),
+            time, position, position, velocity, velocity, position, velocity, 0.0,
             message_age=0.0,
         )
     }

@@ -120,23 +120,6 @@ class TestSimulate:
         assert auto.velocity == pytest.approx(manual.velocity)
 
 
-class TestCoast:
-    def test_coast_position(self):
-        model = VehicleModel(LIMITS)
-        s = VehicleState(position=2.0, velocity=10.0)
-        assert model.coast_position(s, 2.0) == pytest.approx(22.0)
-
-    def test_coast_clips_velocity(self):
-        model = VehicleModel(LIMITS)
-        s = VehicleState(position=0.0, velocity=50.0)
-        assert model.coast_position(s, 1.0) == pytest.approx(20.0)
-
-    def test_negative_horizon_rejected(self):
-        model = VehicleModel(LIMITS)
-        with pytest.raises(ConfigurationError):
-            model.coast_position(VehicleState(position=0.0, velocity=0.0), -1.0)
-
-
 class TestStepProperties:
     @given(
         v0=st.floats(0.0, 20.0),
