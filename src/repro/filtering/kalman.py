@@ -94,9 +94,9 @@ class _StateFields(NamedTuple):
 
 
 class KalmanState(_StateFields):
-    """An estimate/covariance pair ``(x_hat, P)`` at a given time.
+    """The estimate ``[p, v]`` and its covariance ``P`` at a given time.
 
-    Stored as scalars: ``position`` and ``velocity`` are ``x_hat``;
+    Stored as scalars: ``position`` and ``velocity`` are the estimate;
     ``p00``, ``p01`` and ``p11`` are the variances and the covariance of
     the symmetric ``P``.  Instances are immutable tuples, so they are
     safe to checkpoint for message replay, and the five estimate values
@@ -160,7 +160,7 @@ class KalmanFilter:
         position_var: float,
         velocity_var: float,
     ) -> KalmanState:
-        """Build the prior ``(x_hat(0,0), P(0,0))``.
+        """Build the prior ``[position, velocity]`` with a diagonal ``P``.
 
         Units: time [s], position [m], velocity [m/s]
 

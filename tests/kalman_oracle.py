@@ -6,11 +6,12 @@ matrices, ``np.linalg.inv``, the Joseph form, ``symmetrize_psd``) as the
 slow counterpart of the fast path.  ``tests/test_kalman_oracle.py``
 checks the fast filter against it state by state and episode by
 episode.  The only additions are the scalar covariance view
-(``p00``/``p01``/``p11``) the information filter's watchdog reads and
+(``p00``/``p01``/``p11``) the information filter's watchdog reads,
 the two field-level entry points the replay filter and the information
 filter call (``extrapolate_floats``/``update_floats``, each one call of
 the matrix method), so the oracle can stand in for the fast filter
-inside whole episodes.
+inside whole episodes, and :func:`covariance`, the matrix ``P`` of a
+fast state's fields for the tests that check it as a matrix.
 
 :class:`ScalarKalmanFilter` keeps the scalar object path the field
 helpers replaced: ``update`` and ``extrapolate`` on
@@ -34,7 +35,13 @@ from repro.filtering import kalman as fast
 from repro.sensing.noise import NoiseBounds
 from repro.utils.validation import check_nonnegative, check_positive
 
-__all__ = ["KalmanState", "KalmanFilter", "ScalarKalmanFilter", "symmetrize_psd"]
+__all__ = [
+    "KalmanState",
+    "KalmanFilter",
+    "ScalarKalmanFilter",
+    "covariance",
+    "symmetrize_psd",
+]
 
 Fields = Tuple[float, float, float, float, float, float]
 
@@ -355,15 +362,24 @@ class KalmanFilter:
         )
 
 
+def covariance(fields) -> np.ndarray:
+    """The symmetric ``P`` of a state given as its six fields.
+
+    Shapes: -> [2, 2]
+    """
+    _, _, _, p00, p01, p11 = fields
+    return np.array([[p00, p01], [p01, p11]])
+
+
 def _state(state) -> KalmanState:
     """``state`` as this module's state (a tuple holds the six fields)."""
     if isinstance(state, KalmanState):
         return state
-    time, position, velocity, p00, p01, p11 = state
+    time, position, velocity, _, _, _ = state
     return KalmanState(
         time=time,
         x_hat=np.array([[position], [velocity]]),
-        covariance=np.array([[p00, p01], [p01, p11]]),
+        covariance=covariance(state),
     )
 
 

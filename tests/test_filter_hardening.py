@@ -28,19 +28,10 @@ from repro.filtering.replay import ReplayKalmanFilter
 from repro.sensing.noise import NoiseBounds
 from repro.sensing.sensor import SensorReading
 from tests import kalman_oracle
-from tests.kalman_oracle import symmetrize_psd
+from tests.kalman_oracle import covariance, symmetrize_psd
 
 LIMITS = VehicleLimits(v_min=0.0, v_max=16.0, a_min=-6.0, a_max=4.0)
 DT = 0.1
-
-
-def _covariance(fields) -> np.ndarray:
-    """The symmetric ``P`` of a state's six fields.
-
-    Shapes: -> [2, 2]
-    """
-    _, _, _, p00, p01, p11 = fields
-    return np.array([[p00, p01], [p01, p11]])
 
 
 def _reading(time, position, velocity, acceleration=0.0):
@@ -97,7 +88,7 @@ class TestJosephHardening:
             time=0.0, position=100.0, velocity=10.0, p00=1e-8, p01=1e-5, p11=1e4
         )
         posterior = kf.update_floats(prior, 101.0, 9.0)
-        p = _covariance(posterior)
+        p = covariance(posterior)
         assert p[0, 1] == p[1, 0]  # exactly, not approximately
         assert np.all(np.diag(p) >= 0.0)
         assert np.all(np.linalg.eigvalsh(p) >= -1e-15)
@@ -109,11 +100,11 @@ class TestJosephHardening:
         prior = KalmanState(
             time=0.0, position=100.0, velocity=10.0, p00=1e-8, p01=1e-5, p11=1e4
         )
-        p_prior = _covariance(prior)
+        p_prior = covariance(prior)
         gain = p_prior @ np.linalg.inv(p_prior + r_matrix)
         i_minus_k = np.eye(2) - gain
         joseph = i_minus_k @ p_prior @ i_minus_k.T + gain @ r_matrix @ gain.T
-        hardened = _covariance(kf.update_floats(prior, 101.0, 9.0))
+        hardened = covariance(kf.update_floats(prior, 101.0, 9.0))
         assert np.allclose(hardened, joseph, rtol=1e-12, atol=1e-15)
 
     def test_naive_form_asymmetry_is_eliminated(self):
@@ -124,7 +115,7 @@ class TestJosephHardening:
         matrices = kalman_oracle.KalmanFilter(DT, bounds)
         f, q, r = matrices.f_matrix, matrices.q_matrix, matrices.r_matrix
         state = KalmanFilter.initial_state(0.0, 0.0, 10.0, 1e6, 1e-8)
-        naive_p = _covariance(state)
+        naive_p = covariance(state)
         max_naive_asym = 0.0
         for step in range(1, 200):
             predicted = kf.extrapolate_floats(state, 0.0, DT)
@@ -136,8 +127,8 @@ class TestJosephHardening:
                 max_naive_asym, abs(naive_p[0, 1] - naive_p[1, 0])
             )
             state = kf.update_floats(predicted, 0.1 * step, 10.0)
-            assert _covariance(state)[0, 1] == _covariance(state)[1, 0]
-            assert np.all(np.diag(_covariance(state)) >= 0.0)
+            assert covariance(state)[0, 1] == covariance(state)[1, 0]
+            assert np.all(np.diag(covariance(state)) >= 0.0)
         # The regression is meaningful only if the naive form actually
         # drifts on this workload.
         assert max_naive_asym > 0.0

@@ -18,6 +18,7 @@ from repro.sensing.noise import NoiseBounds
 from repro.utils.intervals import Interval
 from repro.utils.rng import RngStream
 from tests import kalman_oracle
+from tests.kalman_oracle import covariance
 from tests.test_sensing import UniformNoise
 
 DT = 0.1
@@ -41,14 +42,6 @@ def _predict(kf: KalmanFilter, state, accel: float) -> KalmanState:
 def _update(kf: KalmanFilter, state, z_p: float, z_v: float) -> KalmanState:
     """One measurement update, the fields under their names."""
     return KalmanState(*kf.update_floats(state, z_p, z_v))
-
-
-def _covariance(state: KalmanState) -> np.ndarray:
-    """The symmetric ``P`` of a state.
-
-    Shapes: -> [2, 2]
-    """
-    return np.array([[state.p00, state.p01], [state.p01, state.p11]])
 
 
 class TestPaperMatrices:
@@ -133,13 +126,13 @@ class TestPredictUpdate:
         assert pred.position == pytest.approx(10.0 * DT + 0.5 * 2.0 * DT * DT)
         assert pred.velocity == pytest.approx(10.0 + 2.0 * DT)
 
-    def test_predict_grows_covariance(self):
+    def test_predict_growscovariance(self):
         kf = _filter()
         s = KalmanState(
             time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
         )
         pred = _predict(kf, s, 0.0)
-        assert np.trace(_covariance(pred)) > np.trace(_covariance(s))
+        assert np.trace(covariance(pred)) > np.trace(covariance(s))
 
     def test_update_moves_toward_measurement(self):
         kf = _filter()
@@ -152,13 +145,13 @@ class TestPredictUpdate:
         assert post.position == pytest.approx(5.0, abs=0.05)
         assert post.velocity == pytest.approx(-2.0, abs=0.05)
 
-    def test_update_shrinks_covariance(self):
+    def test_update_shrinkscovariance(self):
         kf = _filter()
         pred = KalmanState(
             time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
         )
         post = _update(kf, pred, 0.5, 0.5)
-        assert np.trace(_covariance(post)) < np.trace(_covariance(pred))
+        assert np.trace(covariance(post)) < np.trace(covariance(pred))
 
     def test_update_covariance_symmetric_psd(self):
         kf = _filter()
@@ -168,7 +161,7 @@ class TestPredictUpdate:
         for i in range(50):
             state = _predict(kf, state, 0.1)
             state = _update(kf, state, 0.1 * i, 0.05 * i)
-        p = _covariance(state)
+        p = covariance(state)
         assert np.allclose(p, p.T)
         assert np.all(np.linalg.eigvalsh(p) >= -1e-12)
 
@@ -182,7 +175,7 @@ class TestPredictUpdate:
         post = _update(kf, pred, 1.0, -2.0)
         assert post.position == 1.0
         assert post.velocity == -2.0
-        assert np.allclose(_covariance(post), 0.0)
+        assert np.allclose(covariance(post), 0.0)
 
 
 class TestExtrapolate:
@@ -208,7 +201,7 @@ class TestExtrapolate:
         assert np.allclose(
             via_predict.x_hat, [[via_extrapolate.position], [via_extrapolate.velocity]]
         )
-        assert np.allclose(via_predict.covariance, _covariance(via_extrapolate))
+        assert np.allclose(via_predict.covariance, covariance(via_extrapolate))
 
     def test_negative_horizon_rejected(self):
         kf = _filter()
@@ -247,4 +240,4 @@ class TestConvergence:
         s = kf.exact_state(2.0, 10.0, -3.0)
         assert s.position == 10.0
         assert s.velocity == -3.0
-        assert np.allclose(_covariance(s), 0.0)
+        assert np.allclose(covariance(s), 0.0)

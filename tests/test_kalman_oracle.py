@@ -65,16 +65,8 @@ def _oracle_state(state: KalmanState) -> kalman_oracle.KalmanState:
     return kalman_oracle.KalmanState(
         time=state.time,
         x_hat=np.array([[state.position], [state.velocity]]),
-        covariance=_covariance(state),
+        covariance=kalman_oracle.covariance(state),
     )
-
-
-def _covariance(state: KalmanState) -> np.ndarray:
-    """The symmetric ``P`` of a state.
-
-    Shapes: -> [2, 2]
-    """
-    return np.array([[state.p00, state.p01], [state.p01, state.p11]])
 
 
 def _named(fields) -> KalmanState:
@@ -118,7 +110,7 @@ def _disagreement(
 
 def _psd_problem(state: KalmanState) -> str:
     """Why ``state``'s covariance is not symmetric PSD, or ``""``."""
-    p = _covariance(state)
+    p = kalman_oracle.covariance(state)
     if p[0, 1] != p[1, 0]:
         return f"asymmetric covariance {p.tolist()}"
     if state.p00 < 0.0 or state.p11 < 0.0:
@@ -241,7 +233,7 @@ class TestStateLevel:
             slow = slow_kf.update(slow_kf.predict(slow, 0.3), 8.0 * step * 0.1, 8.0)
             diff = _disagreement(fast, slow)
             assert not diff, f"noiseless chain step={step}: {diff}"
-            assert not np.any(_covariance(fast))
+            assert not np.any(kalman_oracle.covariance(fast))
 
     def test_long_chain(self):
         # test_filter_hardening's 2000-step chain at tiny noise bounds.
