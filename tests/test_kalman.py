@@ -126,7 +126,7 @@ class TestPredictUpdate:
         assert pred.position == pytest.approx(10.0 * DT + 0.5 * 2.0 * DT * DT)
         assert pred.velocity == pytest.approx(10.0 + 2.0 * DT)
 
-    def test_predict_growscovariance(self):
+    def test_predict_grows_covariance(self):
         kf = _filter()
         s = KalmanState(
             time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
@@ -145,7 +145,7 @@ class TestPredictUpdate:
         assert post.position == pytest.approx(5.0, abs=0.05)
         assert post.velocity == pytest.approx(-2.0, abs=0.05)
 
-    def test_update_shrinkscovariance(self):
+    def test_update_shrinks_covariance(self):
         kf = _filter()
         pred = KalmanState(
             time=0.0, position=0.0, velocity=0.0, p00=1.0, p01=0.0, p11=1.0
